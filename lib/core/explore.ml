@@ -16,7 +16,7 @@ type search =
   | First_improvement
   | Annealing of { seed : int64; iterations : int }
 
-let run ?config ?order ?rank ?(search = Greedy) ?defer_writebacks
+let run ?config ?order ?(search = Greedy) ?defer_writebacks
     ?(telemetry = Telemetry.noop) ?reuse ?checkpoint ?on_commit program
     hierarchy =
   Telemetry.span telemetry ~cat:"explore" "explore.run"
@@ -48,7 +48,7 @@ let run ?config ?order ?rank ?(search = Greedy) ?defer_writebacks
   in
   let te =
     stage "explore.te" @@ fun () ->
-    Prefetch.run ?order ?rank ?defer_writebacks ~telemetry
+    Prefetch.run ?order ?defer_writebacks ~telemetry
       assign.Assign.mapping
   in
   stage "explore.evaluate" @@ fun () ->

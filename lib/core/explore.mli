@@ -29,7 +29,6 @@ type search =
 val run :
   ?config:Assign.config ->
   ?order:Prefetch.order ->
-  ?rank:(Prefetch.bt_stats -> float) ->
   ?search:search ->
   ?defer_writebacks:bool ->
   ?telemetry:Mhla_obs.Telemetry.t ->
@@ -39,10 +38,8 @@ val run :
   Mhla_ir.Program.t ->
   Mhla_arch.Hierarchy.t ->
   result
-(** [search] defaults to [Greedy]; [rank] (default absent) overrides
-    [order] with a policy-supplied TE ranking (see {!Prefetch.run});
-    [defer_writebacks] (default [false])
-    also lets TE hide buffer drains (see {!Prefetch.run}). [reuse]
+(** [search] defaults to [Greedy]; [defer_writebacks] (default
+    [false]) also lets TE hide buffer drains (see {!Prefetch.run}). [reuse]
     shares a {!Mapping.precompute} of the same program (the sweep
     hoists one across all its points). [telemetry] (default noop) wraps
     each pipeline stage in a span ([explore.run] around
@@ -106,8 +103,11 @@ val sweep :
     sink (one [sweep.worker] span per worker, a [sweep.point] span with
     the on-chip size around every point, and the full per-point event
     stream inside it); the children are merged back into the parent
-    deterministically in worker order after the join, so the merged
-    event multiset is identical for every [jobs] value.
+    deterministically in worker order after the join. The merged
+    counter totals are identical for every [jobs] value, and so is the
+    event multiset once [seq], [tid], [ts_ns], the [sweep.worker] spans
+    and each [Counter] event's running total (its worker sink's own)
+    are set aside.
 
     [checkpoint] is passed to every point's {!run}; it must be safe to
     call from any worker domain (the deadline guards built on

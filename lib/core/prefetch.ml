@@ -27,14 +27,6 @@ type plan = {
 
 type order = By_time_over_size | Fifo | By_size | By_time
 
-type bt_stats = {
-  stat_bt_time : int;
-  stat_bytes_per_issue : int;
-  stat_sort_factor : float;
-  stat_freedom_depth : int;
-  stat_is_writeback : bool;
-}
-
 type schedule = { plans : plan list; order : order }
 
 let is_dma_eligible ~defer_writebacks (m : Mapping.t)
@@ -67,16 +59,7 @@ let sort_plans order raw =
     by (fun (bt, _, _, _) -> float_of_int bt.Mapping.bytes_per_issue)
   | By_time -> by (fun (_, t, _, _) -> float_of_int t)
 
-let stats_of ((bt : Mapping.block_transfer), bt_time, factor, freedom) =
-  {
-    stat_bt_time = bt_time;
-    stat_bytes_per_issue = bt.Mapping.bytes_per_issue;
-    stat_sort_factor = factor;
-    stat_freedom_depth = List.length freedom;
-    stat_is_writeback = bt.Mapping.is_writeback;
-  }
-
-let run ?(order = By_time_over_size) ?rank ?(policy = Occupancy.In_place)
+let run ?(order = By_time_over_size) ?(policy = Occupancy.In_place)
     ?(defer_writebacks = false) ?(telemetry = Telemetry.noop)
     (m : Mapping.t) =
   Telemetry.span telemetry ~cat:"te" "te.run" @@ fun () ->
@@ -97,16 +80,6 @@ let run ?(order = By_time_over_size) ?rank ?(policy = Occupancy.In_place)
         (bt, bt_time, factor, freedom_loops m bt))
       eligible
   in
-  let ordered =
-    match rank with
-    | None -> sort_plans order raw
-    | Some score ->
-      (* A policy-supplied key overrides the built-in order; highest
-         score plans first, stable like the built-in sorts. *)
-      List.stable_sort
-        (fun a b -> compare (score (stats_of b)) (score (stats_of a)))
-        raw
-  in
   (* Drains only compete for whatever slack the prefetches leave:
      fetches keep their relative order and go first. *)
   let ordered =
@@ -114,7 +87,7 @@ let run ?(order = By_time_over_size) ?rank ?(policy = Occupancy.In_place)
       List.partition
         (fun ((bt : Mapping.block_transfer), _, _, _) ->
           not bt.Mapping.is_writeback)
-        ordered
+        (sort_plans order raw)
     in
     fetches @ drains
   in

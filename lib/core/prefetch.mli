@@ -48,17 +48,6 @@ type plan = {
     [By_time_over_size]; the others are the EXT-ORDER ablation. *)
 type order = By_time_over_size | Fifo | By_size | By_time
 
-(** What a TE-ordering policy may rank a block transfer by: the same
-    per-BT quantities the built-in orders sort on, packaged as plain
-    data so policies stay closure-free on the wire. *)
-type bt_stats = {
-  stat_bt_time : int;  (** per-issue hideable cycles *)
-  stat_bytes_per_issue : int;
-  stat_sort_factor : float;  (** [bt_time / bytes_per_issue] *)
-  stat_freedom_depth : int;  (** freedom loops available *)
-  stat_is_writeback : bool;
-}
-
 type schedule = {
   plans : plan list;  (** in greedy (priority) order *)
   order : order;
@@ -66,19 +55,13 @@ type schedule = {
 
 val run :
   ?order:order ->
-  ?rank:(bt_stats -> float) ->
   ?policy:Mhla_lifetime.Occupancy.policy ->
   ?defer_writebacks:bool ->
   ?telemetry:Mhla_obs.Telemetry.t ->
   Mapping.t ->
   schedule
 (** Defaults: the paper's [By_time_over_size] order, in-place sizing,
-    and — like the paper — prefetching of reads only. [rank] (a policy
-    hook; default absent) overrides [order] entirely: eligible BTs are
-    stably sorted by descending score before the greedy pass, while
-    the recorded [schedule.order] still names the [order] argument
-    (the closure never enters the schedule value, so schedules stay
-    structurally comparable).
+    and — like the paper — prefetching of reads only.
     [defer_writebacks] additionally plans the symmetric extension the
     paper leaves as future work: a buffer's drain to the off-chip store
     is deferred into the following iterations (the buffer lives one

@@ -33,7 +33,7 @@ let noop = Noop
 
 let enabled = function Noop -> false | Active _ -> true
 
-let default_clock () = int_of_float (Unix.gettimeofday () *. 1e9)
+let default_clock () = Int64.to_int (Monotonic_clock.now ())
 
 let collector ?(clock = default_clock) ?(tid = 0) ?on_event () =
   Active

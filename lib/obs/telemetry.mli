@@ -23,7 +23,10 @@ type kind =
   | Span_begin  (** opening of a nested span *)
   | Span_end  (** closing of the innermost open span *)
   | Instant  (** a point event *)
-  | Counter  (** monotonically accumulated; the event carries the new total *)
+  | Counter
+      (** monotonically accumulated; the event carries the new total of
+          the sink that recorded it (a worker {!child}'s own, not the
+          merged one) *)
   | Gauge  (** last-write-wins level; the event carries the new value *)
 
 type event = {
@@ -56,7 +59,7 @@ val collector :
   unit ->
   t
 (** An in-memory recording sink. [clock] returns absolute nanoseconds
-    (default: wall clock via [Unix.gettimeofday], clamped monotone);
+    (default: [CLOCK_MONOTONIC]; any clock is clamped monotone per sink);
     the sink's epoch is the clock value at creation, so [ts_ns] starts
     near 0. [on_event] is a live tap invoked synchronously on every
     recorded event (the CLI's [--debug] stream); merged child events

@@ -1,19 +1,8 @@
 module Error = Mhla_util.Error
 
-(* Clamped-monotone wall clock, the same defence Telemetry's default
-   clock uses: a backwards NTP step must not make deadlines fire early
-   or elapsed times negative. *)
-let last = Atomic.make 0
-
-let now_ns () =
-  let raw = int_of_float (Unix.gettimeofday () *. 1e9) in
-  let rec clamp () =
-    let prev = Atomic.get last in
-    if raw <= prev then prev
-    else if Atomic.compare_and_set last prev raw then raw
-    else clamp ()
-  in
-  clamp ()
+(* CLOCK_MONOTONIC: wall-clock steps (NTP, manual resets) neither fire
+   deadlines early nor hold them back. *)
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
 let after_ms ms =
   if ms < 0 then

@@ -1,4 +1,4 @@
-(** Wall-clock deadlines for solver runs.
+(** Deadlines for solver runs, on the monotonic clock.
 
     The solvers accept a [checkpoint] hook called between search steps
     (see {!Mhla_core.Assign.greedy}); this module builds the standard
@@ -10,9 +10,9 @@
     wire. *)
 
 val now_ns : unit -> int
-(** Current wall clock in integer nanoseconds ([Unix.gettimeofday]
-    scaled), clamped monotone per process so elapsed times are never
-    negative under clock steps. *)
+(** [CLOCK_MONOTONIC] in integer nanoseconds: never decreases, and
+    wall-clock steps do not move it, so elapsed times and deadlines are
+    immune to NTP adjustments. Only differences are meaningful. *)
 
 val after_ms : int -> int
 (** [after_ms ms] is the absolute [now_ns () + ms * 1_000_000].

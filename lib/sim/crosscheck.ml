@@ -155,34 +155,50 @@ type report = {
   analysis : analysis_check;
 }
 
-let check_of_plan (m : Mapping.t) (plan : Prefetch.plan) =
+(* The one derivation of a TE plan's block-transfer stream, shared by
+   the analytic pipeline check, the event check and the robustness
+   report: setup from the hierarchy's DMA engine, compute from the
+   innermost loop the extension spans, lookahead from the plan's extra
+   buffers. *)
+let stream_of_plan (m : Mapping.t) (plan : Prefetch.plan) =
   let bt = plan.Prefetch.bt in
-  let setup_cycles, channels =
-    if Mhla_arch.Hierarchy.has_dma m.Mapping.hierarchy then begin
-      let d = Mhla_arch.Hierarchy.dma_exn m.Mapping.hierarchy in
-      (d.Mhla_arch.Dma.setup_cycles, d.Mhla_arch.Dma.channels)
-    end
-    else (0, 1)
+  let setup_cycles =
+    if Mhla_arch.Hierarchy.has_dma m.Mapping.hierarchy then
+      (Mhla_arch.Hierarchy.dma_exn m.Mapping.hierarchy).Mhla_arch.Dma
+        .setup_cycles
+    else 0
   in
   let compute_cycles =
     match plan.Prefetch.freedom with
     | iter :: _ -> Cost.loop_iteration_cycles m ~iter
     | [] -> 0
   in
-  let params =
-    {
-      Pipeline.issues = bt.Mapping.issues;
-      transfer_cycles = plan.Prefetch.bt_time;
-      compute_cycles;
-      lookahead = plan.Prefetch.extra_buffers;
-      setup_cycles;
-      channels;
-    }
-  in
+  {
+    Event.issues = bt.Mapping.issues;
+    bytes_per_issue = bt.Mapping.bytes_per_issue;
+    transfer_cycles = plan.Prefetch.bt_time;
+    compute_cycles;
+    lookahead = plan.Prefetch.extra_buffers;
+    setup_cycles;
+  }
+
+let pipeline_params ~channels (s : Event.stream) =
+  {
+    Pipeline.issues = s.Event.issues;
+    transfer_cycles = s.Event.transfer_cycles;
+    compute_cycles = s.Event.compute_cycles;
+    lookahead = s.Event.lookahead;
+    setup_cycles = s.Event.setup_cycles;
+    channels;
+  }
+
+let check_of_plan (m : Mapping.t) (plan : Prefetch.plan) =
+  let channels = (Event.of_hierarchy m.Mapping.hierarchy).Event.channels in
+  let params = pipeline_params ~channels (stream_of_plan m plan) in
   let simulated = Pipeline.run params in
   let faultless = Pipeline.run_faulty Faults.none params in
   {
-    check_id = bt.Mapping.bt_id;
+    check_id = plan.Prefetch.bt.Mapping.bt_id;
     params;
     simulated;
     analytic_stall_cycles = Pipeline.analytic_stall params;
@@ -196,14 +212,15 @@ let check_of_plan (m : Mapping.t) (plan : Prefetch.plan) =
       && faultless.Pipeline.failed_attempts = 0;
   }
 
-let crosscheck ?objective m (schedule : Prefetch.schedule) =
-  let checks =
-    List.filter_map
-      (fun (p : Prefetch.plan) ->
-        if p.Prefetch.bt.Mapping.issues > 0 then Some (check_of_plan m p)
-        else None)
-      schedule.Prefetch.plans
-  in
+let pipeline_checks m (schedule : Prefetch.schedule) =
+  List.filter_map
+    (fun (p : Prefetch.plan) ->
+      if p.Prefetch.bt.Mapping.issues > 0 then Some (check_of_plan m p)
+      else None)
+    schedule.Prefetch.plans
+
+let crosscheck ?objective m schedule =
+  let checks = pipeline_checks m schedule in
   {
     checks;
     disagreements = List.filter (fun c -> not (agrees c)) checks;
@@ -266,28 +283,6 @@ let waitstates_of_bt (m : Mapping.t) (bt : Mapping.block_transfer) =
         dst.Mhla_arch.Layer.bandwidth_bytes_per_cycle;
   }
 
-let stream_of_plan (m : Mapping.t) (plan : Prefetch.plan) =
-  let bt = plan.Prefetch.bt in
-  let setup_cycles =
-    if Mhla_arch.Hierarchy.has_dma m.Mapping.hierarchy then
-      (Mhla_arch.Hierarchy.dma_exn m.Mapping.hierarchy).Mhla_arch.Dma
-        .setup_cycles
-    else 0
-  in
-  let compute_cycles =
-    match plan.Prefetch.freedom with
-    | iter :: _ -> Cost.loop_iteration_cycles m ~iter
-    | [] -> 0
-  in
-  {
-    Event.issues = bt.Mapping.issues;
-    bytes_per_issue = bt.Mapping.bytes_per_issue;
-    transfer_cycles = plan.Prefetch.bt_time;
-    compute_cycles;
-    lookahead = plan.Prefetch.extra_buffers;
-    setup_cycles;
-  }
-
 (* Why [(lookahead + 2) * (transfer + setup)]: the analytic gain is the
    difference of two steady-state stall figures, and each leg of the
    event simulation is within its own cold-start bound of the analytic
@@ -319,14 +314,8 @@ let check_event_plan ?telemetry ?(config : Event.config option)
     baseline_outcome.Event.stall_cycles - extended_outcome.Event.stall_cycles
   in
   let params k =
-    {
-      Pipeline.issues = stream.Event.issues;
-      transfer_cycles = stream.Event.transfer_cycles;
-      compute_cycles = stream.Event.compute_cycles;
-      lookahead = k;
-      setup_cycles = stream.Event.setup_cycles;
-      channels = event_config.Event.channels;
-    }
+    pipeline_params ~channels:event_config.Event.channels
+      { stream with Event.lookahead = k }
   in
   let analytic_gain_cycles =
     Pipeline.analytic_stall (params 0)

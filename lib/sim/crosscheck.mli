@@ -104,9 +104,21 @@ val crosscheck :
   Mhla_core.Mapping.t ->
   Mhla_core.Prefetch.schedule ->
   report
-(** One check per TE plan with at least one issue, plus
-    {!check_engine} on the mapping and {!check_analysis} on the
-    mapping/schedule pair. *)
+(** {!pipeline_checks}, plus {!check_engine} on the mapping and
+    {!check_analysis} on the mapping/schedule pair. *)
+
+val stream_of_plan :
+  Mhla_core.Mapping.t -> Mhla_core.Prefetch.plan -> Event.stream
+(** The block-transfer stream of one TE plan — the single derivation
+    behind every check here and {!Robustness.analyze}: issues and bytes
+    from the transfer, [transfer_cycles = bt_time], compute from the
+    first loop the extension spans, lookahead = extra buffers, setup
+    from the hierarchy's DMA engine (0 without one). *)
+
+val pipeline_checks :
+  Mhla_core.Mapping.t -> Mhla_core.Prefetch.schedule -> bt_check list
+(** One {!Pipeline} check per TE plan with at least one issue, on the
+    hierarchy's DMA channel count (1 without a DMA engine). *)
 
 val pp_check : bt_check Fmt.t
 
@@ -142,7 +154,10 @@ type event_check = {
       (** [issues * hidden_cycles] — the schedule's own claim, which
           may differ from [analytic_gain_cycles] when the extension
           spans loops of unequal iteration cost *)
-  event_gain_cycles : int;  (** {!Event.te_gain} under the config *)
+  event_gain_cycles : int;
+      (** [baseline.stall_cycles - extended.stall_cycles]: the stall
+          cycles the time extension removed, as {!Event.run} measures
+          them under the config *)
   gain_tolerance_cycles : int;
       (** [(lookahead + 2) * (transfer + setup)]: the sum of the two
           legs' cold-start bounds — see doc/MODEL.md for the argument *)
@@ -165,11 +180,6 @@ val waitstates_of_bt :
     penalty = source-layer latency, one cycle per beat of the
     narrowest on-path bandwidth — the decomposition of
     [Cost.bt_cycles_per_issue], so the event latency equals [bt_time]. *)
-
-val stream_of_plan :
-  Mhla_core.Mapping.t -> Mhla_core.Prefetch.plan -> Event.stream
-(** The simulator stream of one TE plan, derived exactly as the
-    analytic pipeline check derives its {!Pipeline.params}. *)
 
 type event_report = {
   event_checks : event_check list;

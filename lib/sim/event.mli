@@ -13,10 +13,12 @@
     a stated tolerance, and any divergence is reported as a structured
     diagnostic, never an assert.
 
-    Everything is deterministic: same stream, config and fault model
-    ⇒ the same event trace and the same cycle counts, whatever domain
-    the run is fanned onto. The only sources of variation are the
-    explicit {!Faults.t} seed and the configuration itself. *)
+    This is the {e contention} model and it is fault-free: injected
+    latency jitter, corrupt transfers, retries and deadline fallbacks
+    are {!Pipeline.run_faulty}'s alone (doc/MODEL.md says why there is
+    one fault engine). Everything is deterministic: same stream and
+    config ⇒ the same event trace and the same cycle counts, whatever
+    domain the run is fanned onto. *)
 
 (** How a freed slot picks among free channels. [Earliest_free]
     mirrors {!Pipeline.run}'s argmin scan (longest-idle channel,
@@ -90,17 +92,15 @@ type stream = {
   setup_cycles : int;
 }
 
-val stream_of_params : Pipeline.params -> stream
-(** [bytes_per_issue = 0]; pair with a waitstate-free config. *)
-
 val transfer_latency : config -> stream -> int
-(** Nominal (fault-free) cycles of one transfer under the config's
-    waitstate table, or [stream.transfer_cycles] without one. *)
+(** Cycles of one transfer under the config's waitstate table, or
+    [stream.transfer_cycles] without one. *)
 
 type outcome = {
   total_cycles : int;
   stall_cycles : int;  (** CPU cycles lost waiting on data *)
-  dma_busy_cycles : int;  (** summed channel occupancy (incl. retries) *)
+  dma_busy_cycles : int;
+      (** summed channel occupancy plus the demand fetches' bursts *)
   bus_wait_cycles : int;  (** cycles spent arbitrating for the shared bus *)
   demand_fetches : int;
       (** consumes that found their transfer unissued or flushed and
@@ -109,31 +109,15 @@ type outcome = {
       (** queued-but-unstarted transfers flushed by demand misses *)
   deferred_issues : int;
       (** issue attempts postponed because the prefetch queue was full *)
-  retries : int;
-  fallbacks : int;
-      (** consumes degraded by the fault model (retries exhausted or
-          deadline patience) *)
-  failed_attempts : int;
-  jitter_total_cycles : int;
   events_processed : int;  (** heap pops — the cycles/s denominator *)
   channel_busy_cycles : int array;  (** per-channel occupancy *)
 }
 
-val run :
-  ?telemetry:Mhla_obs.Telemetry.t ->
-  ?faults:Faults.t ->
-  config ->
-  stream ->
-  outcome
-(** Simulate one stream. [faults] defaults to {!Faults.none}.
-    @raise Mhla_util.Error.Error on an invalid config, stream or fault
-    model. *)
-
-val te_gain : ?faults:Faults.t -> config -> stream -> int
-(** [stall (lookahead := 0) - stall (stream.lookahead)] — the stall
-    cycles the stream's time extension removed, as the event simulator
-    measures them. The analytic counterpart is
-    [issues * hidden_cycles]. *)
+val run : ?telemetry:Mhla_obs.Telemetry.t -> config -> stream -> outcome
+(** Simulate one stream. [telemetry] (default noop) records a
+    [sim.event] span and per-transfer [esim.*] events; it never changes
+    the outcome.
+    @raise Mhla_util.Error.Error on an invalid config or stream. *)
 
 val outcome_to_json : outcome -> Mhla_util.Json.t
 val pp_outcome : outcome Fmt.t

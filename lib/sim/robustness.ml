@@ -100,7 +100,7 @@ let analyze ?(trials = 16) ?(telemetry = Telemetry.noop) ~faults m schedule =
       [ ("trials", Telemetry.Int trials);
         ("seed", Telemetry.Str (Int64.to_string faults.Faults.seed)) ])
   @@ fun () ->
-  let checks = (Crosscheck.crosscheck m schedule).Crosscheck.checks in
+  let checks = Crosscheck.pipeline_checks m schedule in
   let plans = List.map (plan_of_check telemetry trials faults) checks in
   {
     faults;

@@ -46,9 +46,9 @@ val analyze :
   Mhla_core.Mapping.t ->
   Mhla_core.Prefetch.schedule ->
   report
-(** One entry per TE plan with at least one issue (the same streams
-    {!Crosscheck.crosscheck} validates), each run [trials] times
-    (default 16) under the reseeded fault model.
+(** One entry per {!Crosscheck.pipeline_checks} stream (every TE plan
+    with at least one issue), each run [trials] times (default 16)
+    under the reseeded fault model.
 
     [telemetry] (default noop) records a [robustness.analyze] span, one
     [robustness.stream] span per transfer and one [robustness.trial]

@@ -113,12 +113,6 @@ let prop_neutral_equivalence =
 
 (* --- determinism ------------------------------------------------------- *)
 
-let faulty =
-  Faults.make
-    ~jitter:(Faults.Uniform { max_extra_cycles = 9 })
-    ~failure_permille:40 ~max_retries:2 ~deadline_patience:500 ~seed:0xE51AL
-    ()
-
 let hostile =
   {
     (Event.neutral ~channels:3) with
@@ -130,29 +124,28 @@ let hostile =
       Some { Event.first_cycles = 6; seq_cycles = 2; beat_bytes = 8 };
   }
 
-let test_determinism_same_seed () =
+let test_determinism_same_stream () =
   let s =
     stream ~issues:40 ~bytes:64 ~transfer:50 ~compute:10 ~lookahead:3
       ~setup:4 ()
   in
-  let a = Event.run ~faults:faulty hostile s in
-  let b = Event.run ~faults:faulty hostile s in
-  Alcotest.(check bool) "same seed, identical outcome" true (a = b);
-  let other =
-    Event.run ~faults:{ faulty with Faults.seed = 0x0DDL } hostile s
-  in
-  Alcotest.(check bool) "the fault trace depends on the seed" true
-    (a.Event.jitter_total_cycles <> other.Event.jitter_total_cycles
-    || a.Event.total_cycles <> other.Event.total_cycles
-    || a = other)
+  let a = Event.run hostile s in
+  let b = Event.run hostile s in
+  Alcotest.(check bool) "same stream, identical outcome" true (a = b);
+  Alcotest.(check bool) "the hostile config contends" true
+    (a.Event.bus_wait_cycles > 0 && a.Event.deferred_issues > 0)
 
+(* The event simulator carries no fault model: faults are
+   Pipeline.run_faulty's alone, and under Faults.none that engine must
+   replay exactly what the neutral event simulation measures. *)
 let test_zero_faults_inert () =
   let s = stream ~issues:25 ~transfer:40 ~compute:15 ~lookahead:2 ~setup:3 () in
   let plain = Event.run (Event.neutral ~channels:2) s in
-  let with_none = Event.run ~faults:Faults.none (Event.neutral ~channels:2) s in
-  Alcotest.(check bool) "Faults.none adds nothing" true (plain = with_none);
-  Alcotest.(check int) "no retries" 0 plain.Event.retries;
-  Alcotest.(check int) "no fallbacks" 0 plain.Event.fallbacks
+  let f = Pipeline.run_faulty Faults.none (params_of ~channels:2 s) in
+  Alcotest.check triple "Faults.none adds nothing" (outcome_triple plain)
+    (pipeline_triple f.Pipeline.fault_result);
+  Alcotest.(check int) "no retries" 0 f.Pipeline.retries;
+  Alcotest.(check int) "no fallbacks" 0 f.Pipeline.fallbacks
 
 let test_domain_pool_determinism () =
   let streams =
@@ -163,7 +156,7 @@ let test_domain_pool_determinism () =
           ~compute:(3 + (5 * (i mod 4)))
           ~lookahead:(i mod 5) ~setup:(i mod 3) ())
   in
-  let simulate s = Event.run ~faults:faulty hostile s in
+  let simulate s = Event.run hostile s in
   let serial = Mhla_util.Domain_pool.map ~jobs:1 simulate streams in
   let fanned = Mhla_util.Domain_pool.map ~jobs:4 simulate streams in
   Alcotest.(check bool) "jobs:1 == jobs:4" true (serial = fanned)
@@ -308,26 +301,38 @@ let test_validation () =
            }
            (stream ())))
 
-(* --- faults ------------------------------------------------------------ *)
+(* Every busy cycle is a burst: channel occupancy plus one transfer
+   latency per demand fetch, even when flushes, deferrals and bus waits
+   reshuffle the stream. *)
+let test_hostile_stream_accounts () =
+  let s =
+    stream ~issues:50 ~bytes:64 ~transfer:30 ~compute:10 ~lookahead:3
+      ~setup:2 ()
+  in
+  let cfg = { hostile with Event.channels = 1 } in
+  let o = Event.run cfg s in
+  Alcotest.(check bool) "demand fetches happened" true
+    (o.Event.demand_fetches > 0);
+  Alcotest.(check int) "busy = channel occupancy + demand bursts"
+    (Array.fold_left ( + ) 0 o.Event.channel_busy_cycles
+    + (o.Event.demand_fetches * Event.transfer_latency cfg s))
+    o.Event.dma_busy_cycles
 
-let test_faulty_stream_terminates_and_accounts () =
-  let s = stream ~issues:50 ~transfer:30 ~compute:10 ~lookahead:2 ~setup:2 () in
-  let o = Event.run ~faults:faulty (Event.neutral ~channels:2) s in
-  Alcotest.(check bool) "failures surfaced" true
-    (o.Event.failed_attempts > 0);
-  Alcotest.(check bool) "faults only add cycles" true
-    (o.Event.total_cycles
-    >= (Event.run (Event.neutral ~channels:2) s).Event.total_cycles)
+(* --- TE gain and the cross-validation ---------------------------------- *)
 
-(* --- te_gain and the cross-validation ---------------------------------- *)
+(* The stall cycles a stream's time extension removes, as the event
+   simulator measures them. *)
+let te_gain cfg (s : Event.stream) =
+  (Event.run cfg { s with Event.lookahead = 0 }).Event.stall_cycles
+  - (Event.run cfg s).Event.stall_cycles
 
 let test_te_gain_sign () =
   let s = stream ~issues:30 ~transfer:20 ~compute:30 ~lookahead:2 ~setup:1 () in
-  let gain = Event.te_gain (Event.neutral ~channels:2) s in
+  let gain = te_gain (Event.neutral ~channels:2) s in
   Alcotest.(check bool) "prefetch ahead removes stalls" true (gain > 0);
   let no_room = { s with Event.lookahead = 0 } in
   Alcotest.(check int) "no lookahead, no gain" 0
-    (Event.te_gain (Event.neutral ~channels:2) no_room)
+    (te_gain (Event.neutral ~channels:2) no_room)
 
 let test_check_event_all_apps () =
   List.iter
@@ -417,8 +422,8 @@ let () =
        ]);
       ("determinism",
        [
-         Alcotest.test_case "same seed, same cycles" `Quick
-           test_determinism_same_seed;
+         Alcotest.test_case "same stream, same cycles" `Quick
+           test_determinism_same_stream;
          Alcotest.test_case "Faults.none is inert" `Quick
            test_zero_faults_inert;
          Alcotest.test_case "jobs:1 == jobs:N over Domain_pool" `Quick
@@ -444,8 +449,8 @@ let () =
          Alcotest.test_case "config from hierarchy" `Quick
            test_of_hierarchy_matches_cost_model;
          Alcotest.test_case "validation" `Quick test_validation;
-         Alcotest.test_case "faulty stream terminates" `Quick
-           test_faulty_stream_terminates_and_accounts;
+         Alcotest.test_case "hostile stream accounts" `Quick
+           test_hostile_stream_accounts;
        ]);
       ("cross-validation",
        [

@@ -218,8 +218,10 @@ let test_merge_deterministic () =
 
 (* The merged event multiset of a parallel sweep must not depend on the
    worker count: jobs:1 and jobs:3 agree event for event once seq, tid,
-   timestamps and the per-worker wrapper spans (all scheduling
-   artefacts) are erased. *)
+   timestamps, the per-worker wrapper spans and a counter event's
+   running total (all scheduling artefacts: a counter event carries its
+   own worker sink's total, which depends on how points were dealt) are
+   erased. The merged counter totals themselves must agree exactly. *)
 let test_sweep_jobs_event_multiset () =
   let app = Apps.find_exn "motion_estimation" in
   let program = Lazy.force app.Mhla_apps.Defs.program in
@@ -231,22 +233,25 @@ let test_sweep_jobs_event_multiset () =
       ( Telemetry.kind_label e.Telemetry.kind,
         e.Telemetry.cat,
         e.Telemetry.name,
-        e.Telemetry.args )
+        if e.Telemetry.kind = Telemetry.Counter then [] else e.Telemetry.args )
     in
     let payload =
       List.filter
         (fun (e : Telemetry.event) -> e.Telemetry.name <> "sweep.worker")
         (Telemetry.events t)
     in
-    (points, List.sort compare (List.map shape payload))
+    (points, List.sort compare (List.map shape payload),
+     Telemetry.counter_values t)
   in
-  let points1, events1 = sweep 1 in
-  let points3, events3 = sweep 3 in
+  let points1, events1, counters1 = sweep 1 in
+  let points3, events3, counters3 = sweep 3 in
   Alcotest.(check bool) "results identical" true (points1 = points3);
   Alcotest.(check int)
     "same event count"
     (List.length events1) (List.length events3);
-  Alcotest.(check bool) "same event multiset" true (events1 = events3)
+  Alcotest.(check bool) "same event multiset" true (events1 = events3);
+  Alcotest.(check (list (pair string (float 0.))))
+    "same merged counter totals" counters1 counters3
 
 (* --- export ------------------------------------------------------------ *)
 

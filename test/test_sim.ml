@@ -424,6 +424,48 @@ let test_crosscheck_all_apps () =
         (List.length report.Crosscheck.disagreements))
     Mhla_apps.Registry.all
 
+(* EXT-FAULT pin: the robustness report of every app's small program on
+   the app's own budget, under the default [mhla robustness] fault model
+   (jitter 8, failure 20 permille, 3 retries, seed 42), digested. A
+   change to the fault engine, to how a TE plan becomes a pipeline
+   stream, or to the report rendering shows up as a changed digest. *)
+let robustness_pins =
+  [
+    ("motion_estimation", "ff20a85b4558b3809052bcbd14112d02");
+    ("qsdpcm", "7caed1b8e2852a68004c37e936d61fc7");
+    ("cavity_detector", "787b780edf2b211dc7dce3472afc6ded");
+    ("wavelet_2d", "19e934662667326936ebfbe49b2dac35");
+    ("jpeg_encoder", "62052d1f433b40d56005bb7f47db2e7a");
+    ("edge_detection", "2133547dd8ab8d4b41c594d4bb7fa53b");
+    ("adpcm_coder", "74388e62cbe31da7170c68f34850f756");
+    ("mp3_filterbank", "d1c2685552c1ef44b8ebc1b59cc81705");
+    ("voice_compression", "0ac2548f38c6397520bdba95dec5414a");
+  ]
+
+let test_robustness_pinned () =
+  let faults =
+    Faults.make
+      ~jitter:(Faults.Uniform { max_extra_cycles = 8 })
+      ~failure_permille:20 ~max_retries:3 ~seed:42L ()
+  in
+  List.iter
+    (fun (app : Mhla_apps.Defs.t) ->
+      let program = Lazy.force app.Mhla_apps.Defs.small in
+      let h =
+        Presets.two_level ~onchip_bytes:app.Mhla_apps.Defs.onchip_bytes ()
+      in
+      let r = Explore.run program h in
+      let report =
+        Robustness.analyze ~trials:4 ~faults r.Explore.assign.Assign.mapping
+          r.Explore.te
+      in
+      Alcotest.(check string) app.Mhla_apps.Defs.name
+        (List.assoc app.Mhla_apps.Defs.name robustness_pins)
+        (Digest.to_hex
+           (Digest.string
+              (Mhla_util.Json.to_string (Robustness.to_json report)))))
+    Mhla_apps.Registry.all
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "sim"
@@ -460,6 +502,8 @@ let () =
             test_outage_pushes_start;
           Alcotest.test_case "deadline fallback" `Quick test_deadline_fallback;
           Alcotest.test_case "robustness report" `Quick test_robustness_report;
+          Alcotest.test_case "robustness pinned on the nine apps" `Quick
+            test_robustness_pinned;
           qc prop_zero_fault_identity;
           qc prop_jitter_never_helps;
         ] );
