@@ -227,9 +227,7 @@ let address_map buf (m : Mapping.t) uses =
                 Some
                   {
                     Occ.label = array;
-                    interval =
-                      Sched.array_interval m.Mapping.schedule
-                        m.Mapping.program array;
+                    interval = Sched.array_interval m.Mapping.schedule array;
                     bytes = Mhla_ir.Array_decl.size_bytes decl;
                   }
               | None -> None)

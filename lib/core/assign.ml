@@ -9,7 +9,6 @@ type config = {
   policy : Mhla_lifetime.Occupancy.policy;
   allow_array_promotion : bool;
   max_chain_length : int;
-  layer_budgets : int list option;
   cc_filter : (Analysis.info -> Candidate.t -> bool) option;
 }
 
@@ -20,7 +19,6 @@ let default_config =
     policy = Mhla_lifetime.Occupancy.In_place;
     allow_array_promotion = true;
     max_chain_length = 2;
-    layer_budgets = None;
     cc_filter = None;
   }
 
@@ -173,33 +171,7 @@ let moves_with ~alts config m = placement_moves_of m alts @ array_moves config m
 let moves config (m : Mapping.t) =
   moves_with ~alts:(all_alternatives config m) config m
 
-(* Budgets tighter than the physical capacities: peak occupancy of
-   on-chip level [i] must also stay within [budgets.(i)]. A shorter
-   list leaves the remaining levels capacity-bound only. *)
-let within_budgets config (m : Mapping.t) =
-  match config.layer_budgets with
-  | None -> true
-  | Some budgets ->
-    let rec check levels budgets =
-      match (levels, budgets) with
-      | _, [] -> true
-      | [], _ :: _ ->
-        Mhla_util.Error.invalidf ~context:"Assign.feasible"
-          ~hint:"give at most one budget per on-chip level"
-          "more layer budgets than on-chip levels"
-      | level :: ls, b :: bs ->
-        if b < 0 then
-          Mhla_util.Error.invalidf ~context:"Assign.feasible"
-            "negative budget %d for level %d" b level;
-        Mhla_lifetime.Occupancy.peak_bytes config.policy
-          (Mapping.layer_blocks m ~level)
-        <= b
-        && check ls bs
-    in
-    check (Hierarchy.on_chip_levels m.Mapping.hierarchy) budgets
-
-let feasible config m =
-  Mapping.occupancy_ok ~policy:config.policy m && within_budgets config m
+let feasible config m = Mapping.occupancy_ok ~policy:config.policy m
 
 (* Strict-improvement threshold: relative 1e-9 guards against float
    noise causing non-termination. *)
@@ -300,15 +272,15 @@ let greedy ?(config = default_config) ?(oracle = false)
   end
   else begin
     let engine =
-      Engine.create ~telemetry ~objective:config.objective start
+      Engine.create ~telemetry ~policy:config.policy
+        ~objective:config.objective start
     in
     let alts = all_alternatives config start in
     let rec descend current steps =
       checkpoint ();
       let m = Engine.mapping engine in
       let try_move best move =
-        let next = apply_move m move in
-        if not (feasible config next) then best
+        if not (Engine.feasible engine move) then best
         else begin
           incr evaluations;
           let value = Engine.probe engine move in
@@ -323,8 +295,7 @@ let greedy ?(config = default_config) ?(oracle = false)
         if first_improvement then
           List.find_map
             (fun move ->
-              let next = apply_move m move in
-              if not (feasible config next) then None
+              if not (Engine.feasible engine move) then None
               else begin
                 incr evaluations;
                 let value = Engine.probe engine move in
@@ -370,7 +341,10 @@ let simulated_annealing ?(config = default_config) ?(oracle = false)
   in
   let engine =
     if oracle then None
-    else Some (Engine.create ~telemetry ~objective:config.objective start)
+    else
+      Some
+        (Engine.create ~telemetry ~policy:config.policy
+           ~objective:config.objective start)
   in
   let objective_full m =
     incr evaluations;
@@ -408,15 +382,30 @@ let simulated_annealing ?(config = default_config) ?(oracle = false)
     | [] -> ()
     | all_moves ->
       let move = Mhla_util.Prng.pick prng all_moves in
-      let next = apply_move !current move in
-      if feasible config next then begin
-        let value =
-          match engine with
-          | None -> objective_full next
-          | Some e ->
+      (* The objective after [move] and how to advance onto it, when
+         the move is feasible. The engine flavour never builds the
+         next mapping for a rejected move. *)
+      let probed =
+        match engine with
+        | None ->
+          let next = apply_move !current move in
+          if feasible config next then
+            Some (objective_full next, fun () -> next)
+          else None
+        | Some e ->
+          if Engine.feasible e move then begin
             incr evaluations;
-            Engine.probe e move
-        in
+            Some
+              ( Engine.probe e move,
+                fun () ->
+                  Engine.commit e move;
+                  Engine.mapping e )
+          end
+          else None
+      in
+      match probed with
+      | None -> ()
+      | Some (value, advance) ->
         let delta = value -. !current_value in
         let accept =
           delta < 0.
@@ -430,7 +419,7 @@ let simulated_annealing ?(config = default_config) ?(oracle = false)
               ("delta", Telemetry.Float delta);
               ("objective", Telemetry.Float value) ]);
         if accept then begin
-          (match engine with None -> () | Some e -> Engine.commit e move);
+          let next = advance () in
           on_commit move;
           current := next;
           current_value := value;
@@ -451,8 +440,7 @@ let simulated_annealing ?(config = default_config) ?(oracle = false)
               }
               :: !steps
           end
-        end
-      end);
+        end);
     temperature := !temperature *. decay
   done;
   result

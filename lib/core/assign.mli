@@ -20,13 +20,6 @@ type config = {
   max_chain_length : int;
       (** cap on copy-chain depth; the hierarchy's on-chip depth is
           also always a cap *)
-  layer_budgets : int list option;
-      (** per-layer byte budgets tighter than the physical capacities,
-          innermost level first; [None] (the default) constrains by
-          capacity alone. A shorter list leaves the remaining levels
-          capacity-bound. Budgets cap the assignment step's occupancy;
-          to also cap the TE double buffers, shrink the hierarchy
-          itself (what {!Explore.pareto} does per grid point). *)
   cc_filter : (Mhla_reuse.Analysis.info -> Mhla_reuse.Candidate.t -> bool)
               option;
       (** the CC-selection policy hook: when set, only candidates the
@@ -43,7 +36,7 @@ val default_config : config
 (** Energy-delay objective (the balanced trade-off point the figures
     report), [Delta] transfers (the full technique with inter-copy
     reuse), in-place sizing, array promotion on, chains up to depth
-    2, no layer budgets, no CC filter. *)
+    2, no CC filter. *)
 
 (** One applied move, for reporting. *)
 type step = {
@@ -88,10 +81,10 @@ val moves : config -> Mapping.t -> move list
     promotions/demotions (when allowed). *)
 
 val feasible : config -> Mapping.t -> bool
-(** Occupancy of every on-chip layer under the config's policy, plus
-    the config's per-layer budgets when set.
-    @raise Mhla_util.Error.Error on a negative budget or more budgets
-    than on-chip levels. *)
+(** Occupancy of every on-chip layer within its capacity under the
+    config's policy ([Mapping.occupancy_ok]), checked from scratch. To
+    budget a layer below its physical size, shrink the hierarchy (what
+    {!Explore.pareto} does per grid point). *)
 
 val greedy :
   ?config:config ->
@@ -113,8 +106,11 @@ val greedy :
     unless [oracle] (default [false]) forces from-scratch
     [Cost.evaluate] calls; both flavours return identical results (the
     engine is bit-exact), the oracle flavour exists as the reference to
-    test against. [reuse] shares a precomputed analysis/schedule (see
-    {!Mapping.precompute}). [telemetry] (default noop) records an
+    test against. The engine flavour also checks each move's
+    feasibility incrementally ({!Engine.feasible}), never building the
+    moved-to mapping; the oracle flavour applies the move and runs
+    {!feasible} from scratch. [reuse] shares a precomputed
+    analysis/schedule (see {!Mapping.precompute}). [telemetry] (default noop) records an
     [assign.greedy] span, one [greedy.step] event per applied move and
     the engine's spans/counters; it never changes the result.
     [checkpoint] (default a no-op) is invoked at the top of every
@@ -156,8 +152,10 @@ val simulated_annealing :
     Deterministic for a given [seed] (default [42L]); [iterations]
     defaults to [4000]. Escapes the local optima steepest descent can
     fall into (see the EXT-SEARCH bench), at ~30x the evaluations.
-    [oracle]/[reuse] as in {!greedy}; both flavours draw the same
-    pseudo-random sequence and take identical decisions. [telemetry]
+    [oracle]/[reuse] as in {!greedy} (the engine flavour checks
+    feasibility incrementally and builds a mapping only for an accepted
+    move); both flavours draw the same pseudo-random sequence and take
+    identical decisions. [telemetry]
     records an [assign.anneal] span and per-iteration
     [anneal.accept]/[anneal.reject] events carrying the temperature,
     plus [anneal.best] marks on improvements — the annealing trajectory

@@ -1,5 +1,9 @@
 module Analysis = Mhla_reuse.Analysis
+module Candidate = Mhla_reuse.Candidate
 module Hierarchy = Mhla_arch.Hierarchy
+module Interval = Mhla_util.Interval
+module Occupancy = Mhla_lifetime.Occupancy
+module Schedule = Mhla_lifetime.Schedule
 module Telemetry = Mhla_obs.Telemetry
 
 type move =
@@ -47,6 +51,46 @@ type entry = {
 
 let memo_cap = 64
 
+(* --- occupancy state ----------------------------------------------------
+
+   [Mapping.occupancy_ok] rebuilds every layer's blocks and re-sweeps
+   them; here each capacity-bound level keeps a per-slot byte profile
+   (one slot under [Sum], where lifetimes do not matter) and the engine
+   counts the slots over capacity. A move re-derives only the blocks it
+   touches and rewrites only their slots. *)
+
+(* A block as charged to a profile: slots [lo, hi), already widened
+   (an empty lifetime still holds its buffer for one slot) or, under
+   [Sum], collapsed onto the single slot. *)
+type span = { lo : int; hi : int; bytes : int }
+
+(* The buffer one [share_key] group occupies on one level: the hull of
+   its sharers' lifetimes and the largest of their footprints, exactly
+   as [Mapping.layer_blocks] merges them. *)
+type group = {
+  level : int;
+  mutable sharers : (int * Interval.t * int) list;
+      (* (entry, lifetime, bytes), in placements (= entry) order *)
+  mutable charged : span option;
+}
+
+(* A copy candidate with its lifetime and the group its buffer joins on
+   each level ([None] where the level is unbounded), derived once per
+   candidate instead of once per check. *)
+type cand = { c : Candidate.t; iv : Interval.t; groups : group option array }
+
+type profile = { capacity : int; load : int array }
+
+type occ = {
+  policy : Occupancy.policy;
+  schedule : Schedule.t;
+  profiles : profile option array;  (* by level; [None] = unbounded *)
+  cands : cand array array;  (* per entry: its access's candidates *)
+  groups : (string * int, group) Hashtbl.t;  (* by (share_key, level) *)
+  arrays : (string, span) Hashtbl.t;
+  mutable over : int;  (* slots over capacity, all levels *)
+}
+
 type counters = {
   mutable n_probes : int;
   mutable n_commits : int;
@@ -60,6 +104,11 @@ type t = {
   mutable mapping : Mapping.t;
   entries : entry array;  (* in [mapping.infos] order *)
   index : (Analysis.access_ref, int) Hashtbl.t;
+  (* The searches probe every alternative of one access in a row, all
+     carrying the physically same [access_ref], and check each one's
+     feasibility before probing it: remembering the last lookup hashes
+     the key once per run instead of twice per move. *)
+  mutable last_lookup : (Analysis.access_ref * int) option;
   by_array : (string, int list) Hashtbl.t;
   (* Mirror of [mapping.array_layers], updated with the same
      remove-then-prepend discipline as [Mapping.with_array_layer]: the
@@ -78,6 +127,7 @@ type t = {
   compute : int;
   counters : counters;
   telemetry : Telemetry.t;
+  occ : occ;
 }
 
 let array_layer t array =
@@ -166,6 +216,14 @@ let promoted_contribs t array level =
     Hashtbl.replace t.promoted (array, level) cs;
     cs
 
+let index_of t r =
+  match t.last_lookup with
+  | Some (r', i) when r' == r -> i
+  | Some _ | None ->
+    let i = Hashtbl.find t.index r in
+    t.last_lookup <- Some (r, i);
+    i
+
 let indices_of_array t array =
   Option.value ~default:[] (Hashtbl.find_opt t.by_array array)
 
@@ -175,7 +233,7 @@ let indices_of_array t array =
 let apply_internal t move =
   match move with
   | Set_placement (r, p) ->
-    let i = Hashtbl.find t.index r in
+    let i = index_of t r in
     let e = t.entries.(i) in
     let old_p = e.placement in
     let old_stall = e.acc_stall in
@@ -276,7 +334,229 @@ let totals t =
   in
   (breakdown, !folded)
 
-let create ?(telemetry = Telemetry.noop) ~objective (m : Mapping.t) =
+(* --- incremental feasibility ------------------------------------------ *)
+
+let span_of policy (iv : Interval.t) bytes =
+  match policy with
+  | Occupancy.Sum -> { lo = 0; hi = 1; bytes }
+  | Occupancy.In_place ->
+    let lo = iv.Interval.lo in
+    let hi = if Interval.is_empty iv then lo + 1 else iv.Interval.hi in
+    { lo; hi; bytes }
+
+(* Add ([sign] = 1) or remove ([-1]) a span, keeping [over] exact. *)
+let charge occ level sign sp =
+  match occ.profiles.(level) with
+  | None -> ()
+  | Some { capacity; load } ->
+    let w = sign * sp.bytes in
+    for s = sp.lo to sp.hi - 1 do
+      let before = load.(s) > capacity in
+      load.(s) <- load.(s) + w;
+      match (before, load.(s) > capacity) with
+      | false, true -> occ.over <- occ.over + 1
+      | true, false -> occ.over <- occ.over - 1
+      | true, true | false, false -> ()
+    done
+
+let group_of groups ~key ~level =
+  match Hashtbl.find_opt groups (key, level) with
+  | Some g -> g
+  | None ->
+    let g = { level; sharers = []; charged = None } in
+    Hashtbl.replace groups (key, level) g;
+    g
+
+let cand_of_candidate ~profiles ~groups schedule c =
+  {
+    c;
+    iv = Schedule.candidate_interval schedule c;
+    groups =
+      Array.mapi
+        (fun level profile ->
+          Option.map
+            (fun _ -> group_of groups ~key:c.Candidate.share_key ~level)
+            profile)
+        profiles;
+  }
+
+(* The precomputed record of a chain link's candidate; a candidate that
+   is not physically one of the access's own (hand-built chains) is
+   derived on the spot, with the same result. *)
+let cand_of occ i (link : Mapping.chain_link) =
+  let own = occ.cands.(i) in
+  let rec find k =
+    if k = Array.length own then
+      cand_of_candidate ~profiles:occ.profiles ~groups:occ.groups
+        occ.schedule link.Mapping.candidate
+    else if own.(k).c == link.Mapping.candidate then own.(k)
+    else find (k + 1)
+  in
+  find 0
+
+(* [Mapping.layer_blocks]'s merge: hull folded in placements order
+   (an empty lifetime yields to any non-empty one), largest footprint. *)
+let group_span occ = function
+  | [] -> None
+  | (_, iv0, b0) :: rest ->
+    let iv, bytes =
+      List.fold_left
+        (fun (iv, bytes) (_, iv', b') -> (Interval.hull iv iv', max bytes b'))
+        (iv0, b0) rest
+    in
+    Some (span_of occ.policy iv bytes)
+
+(* The groups a placement of entry [i] joins, with the sharer it adds;
+   levels without a capacity are never tracked. *)
+let joins occ i = function
+  | Mapping.Direct -> []
+  | Mapping.Chain links ->
+    List.filter_map
+      (fun (link : Mapping.chain_link) ->
+        let cd = cand_of occ i link in
+        Option.map
+          (fun g -> (g, (i, cd.iv, cd.c.Candidate.footprint_bytes)))
+          cd.groups.(link.Mapping.layer))
+      links
+
+(* Every group entry [i] leaves or joins when it moves from placement
+   [from] to [p], with the group's new sharers and new block. *)
+let placement_delta occ i ~from p =
+  let joined = joins occ i p in
+  let affected =
+    List.fold_left
+      (fun acc g -> if List.memq g acc then acc else g :: acc)
+      [] (List.map fst (joins occ i from) @ List.map fst joined)
+  in
+  List.map
+    (fun g ->
+      let kept = List.filter (fun (j, _, _) -> j <> i) g.sharers in
+      let sharers =
+        match List.assq_opt g joined with
+        | None -> kept
+        | Some sharer ->
+          let rec insert = function
+            | ((j, _, _) as s) :: rest when j < i -> s :: insert rest
+            | rest -> sharer :: rest
+          in
+          insert kept
+      in
+      (g, sharers, group_span occ sharers))
+    affected
+
+(* The charges a move makes, as (level, sign, span), plus the group
+   updates a commit installs. *)
+let delta t move =
+  let occ = t.occ in
+  match move with
+  | Set_placement (r, p) ->
+    let i = index_of t r in
+    let changes = placement_delta occ i ~from:t.entries.(i).placement p in
+    let charges =
+      List.concat_map
+        (fun (g, _, block) ->
+          if block = g.charged then []
+          else
+            let at sign = Option.map (fun sp -> (g.level, sign, sp)) in
+            Option.to_list (at (-1) g.charged) @ Option.to_list (at 1 block))
+        changes
+    in
+    (charges, changes)
+  | Set_array (array, target) ->
+    let sp = Hashtbl.find occ.arrays array in
+    let off =
+      match List.assoc_opt array t.array_layers with
+      | Some level -> [ (level, -1, sp) ]
+      | None -> []
+    in
+    let on = match target with Some level -> [ (level, 1, sp) ] | None -> [] in
+    (off @ on, [])
+
+let apply_charges occ sign charges =
+  List.iter (fun (level, s, sp) -> charge occ level (sign * s) sp) charges
+
+(* The occupancy state of [m], whose placements [entries] mirror. *)
+let build_occ policy (m : Mapping.t) entries =
+  let h = m.Mapping.hierarchy in
+  let schedule = m.Mapping.schedule in
+  let slots =
+    match policy with
+    | Occupancy.Sum -> 1
+    | Occupancy.In_place -> Schedule.horizon schedule + 1
+  in
+  let main = Hierarchy.main_memory_level h in
+  let profiles =
+    Array.init (Hierarchy.levels h) (fun level ->
+        if level = main then None
+        else
+          Option.map
+            (fun capacity -> { capacity; load = Array.make slots 0 })
+            (Hierarchy.layer h level).Mhla_arch.Layer.capacity_bytes)
+  in
+  let groups = Hashtbl.create 64 in
+  let occ =
+    {
+      policy;
+      schedule;
+      profiles;
+      cands =
+        Array.map
+          (fun e ->
+            Array.of_list
+              (List.map
+                 (cand_of_candidate ~profiles ~groups schedule)
+                 e.info.Analysis.candidates))
+          entries;
+      groups;
+      arrays = Hashtbl.create 16;
+      over = 0 (* capacities are positive: empty profiles fit *);
+    }
+  in
+  List.iter
+    (fun (d : Mhla_ir.Array_decl.t) ->
+      let name = d.Mhla_ir.Array_decl.name in
+      Hashtbl.replace occ.arrays name
+        (span_of policy
+           (Schedule.array_interval schedule name)
+           (Mhla_ir.Array_decl.size_bytes d)))
+    m.Mapping.program.Mhla_ir.Program.arrays;
+  (* Sharers join in entry order, then each group is charged once. *)
+  Array.iteri
+    (fun i e ->
+      List.iter
+        (fun (g, sharer) -> g.sharers <- g.sharers @ [ sharer ])
+        (joins occ i e.placement))
+    entries;
+  Hashtbl.iter
+    (fun _ g ->
+      g.charged <- group_span occ g.sharers;
+      Option.iter (charge occ g.level 1) g.charged)
+    groups;
+  List.iter
+    (fun (array, level) -> charge occ level 1 (Hashtbl.find occ.arrays array))
+    m.Mapping.array_layers;
+  occ
+
+let feasible t move =
+  let charges, _ = delta t move in
+  apply_charges t.occ 1 charges;
+  let ok = t.occ.over = 0 in
+  apply_charges t.occ (-1) charges;
+  ok
+
+(* Advance the occupancy state by [move]; must run before
+   [apply_internal] moves the entry's placement. *)
+let commit_occ t move =
+  let charges, changes = delta t move in
+  apply_charges t.occ 1 charges;
+  List.iter
+    (fun (g, sharers, block) ->
+      g.sharers <- sharers;
+      g.charged <- block)
+    changes
+
+let create ?(telemetry = Telemetry.noop) ?(policy = Occupancy.In_place)
+    ~objective (m : Mapping.t) =
   let entries =
     Array.of_list
       (List.map
@@ -300,12 +580,14 @@ let create ?(telemetry = Telemetry.noop) ~objective (m : Mapping.t) =
       let prev = Option.value ~default:[] (Hashtbl.find_opt by_array arr) in
       Hashtbl.replace by_array arr (prev @ [ i ]))
     entries;
+  Telemetry.span telemetry ~cat:"engine" "engine.create" @@ fun () ->
   let t =
     {
       objective;
       mapping = m;
       entries;
       index;
+      last_lookup = None;
       by_array;
       array_layers = m.Mapping.array_layers;
       promoted = Hashtbl.create 8;
@@ -327,10 +609,10 @@ let create ?(telemetry = Telemetry.noop) ~objective (m : Mapping.t) =
           n_invalidated = 0;
         };
       telemetry;
+      occ = build_occ policy m entries;
     }
   in
-  Telemetry.span telemetry ~cat:"engine" "engine.create" (fun () ->
-      Array.iter (refresh t) t.entries);
+  Array.iter (refresh t) t.entries;
   t
 
 let mapping t = t.mapping
@@ -375,6 +657,7 @@ let commit t move =
         | Set_array (a, l) ->
           Mapping.with_array_layer t.mapping ~array:a ~layer:l
       in
+      commit_occ t move;
       ignore (apply_internal t move : unit -> unit);
       t.mapping <- mapping';
       t.counters.n_commits <- t.counters.n_commits + 1;

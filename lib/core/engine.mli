@@ -1,4 +1,5 @@
-(** Incremental cost evaluation for the assignment searches.
+(** Incremental cost and feasibility evaluation for the assignment
+    searches.
 
     [Cost.evaluate] walks every access and rebuilds every block
     transfer of a mapping from scratch — fine for one evaluation,
@@ -25,7 +26,18 @@
     [Cost.scalar objective (Cost.evaluate (mapping t))] — the invariant
     {!Mhla_sim.Crosscheck} re-verifies and the fuzz suite hammers. An
     engine-driven search therefore reproduces the oracle-driven search
-    decision-for-decision. *)
+    decision-for-decision.
+
+    The engine answers feasibility the same way. [Mapping.occupancy_ok]
+    rebuilds every on-chip layer's blocks and sweeps them; the engine
+    instead keeps, for each on-chip level with a capacity, a per-slot
+    byte profile over the schedule horizon ([In_place]) or a single
+    byte total ([Sum]), each [share_key] group's sharers in placements
+    order, and a count of slots over capacity. Candidate and array
+    lifetimes are derived once. {!feasible} re-derives only the
+    share-group blocks a [Set_placement] leaves or joins (one per chain
+    link, old and new), or the one array block of a [Set_array], and
+    rewrites only their slots; {!commit} installs the same delta. *)
 
 (** A single search move. Owned here (rather than by [Assign], which
     re-exports it) so the engine does not depend on the search. *)
@@ -50,11 +62,14 @@ type t
 
 val create :
   ?telemetry:Mhla_obs.Telemetry.t ->
+  ?policy:Mhla_lifetime.Occupancy.policy ->
   objective:Cost.objective ->
   Mapping.t ->
   t
-(** An engine positioned on the given mapping. All contributions are
-    computed once, eagerly. [telemetry] (default
+(** An engine positioned on the given mapping. All contributions and
+    the occupancy state are computed once, eagerly. [policy] (default
+    [In_place], as for [Mapping.occupancy_ok]) is the sizing
+    {!feasible} checks against. [telemetry] (default
     {!Mhla_obs.Telemetry.noop}) receives [engine.create] /
     [engine.probe] / [engine.commit] spans and the
     [engine.probes]/[engine.commits]/[engine.cache_hits]/
@@ -74,6 +89,17 @@ val probe : t -> move -> float
     [Cost.scalar objective (Cost.evaluate (Assign.apply_move (mapping t) move))].
     The move must be well-formed (as produced by [Assign.moves]) —
     probing does not re-run [Mapping]'s validation. *)
+
+val feasible : t -> move -> bool
+(** Whether [mapping t] with [move] applied fits every on-chip layer
+    under the engine's policy; the engine's position is unchanged.
+    Exactly [Mapping.occupancy_ok ~policy (Assign.apply_move (mapping t) move)]
+    — which is [Assign.feasible] for a config carrying the same policy —
+    at every position, infeasible ones included: the engine merges
+    share-group sharers as [Mapping.layer_blocks] does (hull of the
+    non-empty lifetimes, largest footprint) and widens an empty
+    lifetime to one slot as [Occupancy.peak_bytes] does. As for
+    {!probe}, the move must be well-formed. *)
 
 val commit : t -> move -> unit
 (** Advance the engine's position by [move], keeping the cached

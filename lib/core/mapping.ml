@@ -299,7 +299,7 @@ let layer_blocks t ~level =
           Some
             {
               Occupancy.label = array;
-              interval = Schedule.array_interval t.schedule t.program array;
+              interval = Schedule.array_interval t.schedule array;
               bytes = Mhla_ir.Array_decl.size_bytes decl;
             }
         else None)

@@ -52,11 +52,14 @@ let failures ?(mutate = No_mutation) ~onchip_bytes program =
        if not (String.equal rendered back) then
          fail "json" "program changed across a wire round trip");
     let report = Crosscheck.crosscheck m te in
-    if not report.Crosscheck.engine.Crosscheck.engine_consistent then
-      fail "engine"
-        (Fmt.str "engine %.17g <> oracle %.17g after churn"
-           report.Crosscheck.engine.Crosscheck.engine_objective
-           report.Crosscheck.engine.Crosscheck.oracle_objective);
+    (let ec = report.Crosscheck.engine in
+     if not ec.Crosscheck.engine_consistent then
+       fail "engine"
+         (Fmt.str
+            "engine %.17g <> oracle %.17g after churn, %d feasibility \
+             mismatch(es)"
+            ec.Crosscheck.engine_objective ec.Crosscheck.oracle_objective
+            ec.Crosscheck.feasibility_mismatches));
     (match mutate with
     | Drift_engine ->
       (* Seeded drift: shift the oracle by +1.0 so the differential

@@ -4,6 +4,7 @@ type t = {
   stmt_slots : (string, I.t) Hashtbl.t;
   loop_spans : (string, I.t) Hashtbl.t;
   stmt_outermost_loop : (string, string option) Hashtbl.t;
+  array_spans : (string, I.t) Hashtbl.t;
   horizon : int;
 }
 
@@ -30,7 +31,21 @@ let of_program (program : Mhla_ir.Program.t) =
         (I.make ~lo:start ~hi:!clock)
   in
   List.iter (walk None) program.Mhla_ir.Program.body;
-  { stmt_slots; loop_spans; stmt_outermost_loop; horizon = !clock }
+  (* Each array's lifetime is the hull of the slots of the statements
+     touching it, folded once here rather than per query. *)
+  let array_spans = Hashtbl.create 16 in
+  Mhla_ir.Program.fold_stmts program ~init:() ~f:(fun () ctx ->
+      let stmt = ctx.Mhla_ir.Program.stmt in
+      let slot = Hashtbl.find stmt_slots stmt.Mhla_ir.Stmt.name in
+      List.iter
+        (fun (a : Mhla_ir.Access.t) ->
+          let span =
+            Option.value ~default:(I.make ~lo:0 ~hi:0)
+              (Hashtbl.find_opt array_spans a.Mhla_ir.Access.array)
+          in
+          Hashtbl.replace array_spans a.Mhla_ir.Access.array (I.hull span slot))
+        stmt.Mhla_ir.Stmt.accesses);
+  { stmt_slots; loop_spans; stmt_outermost_loop; array_spans; horizon = !clock }
 
 let horizon t = t.horizon
 
@@ -44,13 +59,10 @@ let loop_interval t iter =
   | Some iv -> iv
   | None -> raise Not_found
 
-let array_interval t program array =
-  let widen acc (ctx : Mhla_ir.Program.context) =
-    if Mhla_ir.Stmt.touches_array ctx.Mhla_ir.Program.stmt array then
-      I.hull acc (stmt_interval t ctx.Mhla_ir.Program.stmt.Mhla_ir.Stmt.name)
-    else acc
-  in
-  Mhla_ir.Program.fold_stmts program ~init:(I.make ~lo:0 ~hi:0) ~f:widen
+let array_interval t array =
+  match Hashtbl.find_opt t.array_spans array with
+  | Some iv -> iv
+  | None -> I.make ~lo:0 ~hi:0
 
 let candidate_interval t (c : Mhla_reuse.Candidate.t) =
   match c.Mhla_reuse.Candidate.refresh_iter with

@@ -23,9 +23,10 @@ val loop_interval : t -> string -> Mhla_util.Interval.t
 (** The interval covered by a loop (by iterator name).
     @raise Not_found for an unknown iterator. *)
 
-val array_interval : t -> Mhla_ir.Program.t -> string -> Mhla_util.Interval.t
+val array_interval : t -> string -> Mhla_util.Interval.t
 (** Hull of the slots of every statement touching the array; the empty
-    interval for an array never accessed. *)
+    interval for an array never accessed. Computed for every array by
+    {!of_program}, so a query is one table lookup. *)
 
 val candidate_interval : t -> Mhla_reuse.Candidate.t -> Mhla_util.Interval.t
 (** Lifetime of a copy-candidate buffer: the span of its refresh loop

@@ -1,3 +1,4 @@
+module Assign = Mhla_core.Assign
 module Cost = Mhla_core.Cost
 module Engine = Mhla_core.Engine
 module Mapping = Mhla_core.Mapping
@@ -21,17 +22,23 @@ let agrees c = within_bound c && c.zero_fault_consistent
 type engine_check = {
   engine_objective : float;
   oracle_objective : float;
+  feasibility_mismatches : int;
   engine_consistent : bool;
 }
 
 (* Churn an incremental engine through a round trip of every placement
    and every array promotion, bit-comparing its cached objective
-   against the from-scratch oracle after each commit. Any drift in the
-   dirty-tracking (a contribution not invalidated, a fold order that
-   diverged) surfaces as a [Float.equal] failure. *)
+   against the from-scratch oracle after each commit, and its
+   incremental feasibility answer against [Mapping.occupancy_ok] before
+   each one. Any drift in the dirty-tracking (a contribution not
+   invalidated, a fold order that diverged, a layer profile out of
+   step) surfaces as a mismatch. Pushing each unpromoted array
+   on-chip in turn crosses infeasible positions, so both answers are
+   exercised. *)
 let check_engine ?(objective = Cost.Energy_delay) (m : Mapping.t) =
   let e = Engine.create ~objective m in
   let consistent = ref true in
+  let mismatches = ref 0 in
   let agree () =
     let engine_v = Engine.objective_value e in
     let oracle_v = Cost.scalar objective (Cost.evaluate (Engine.mapping e)) in
@@ -39,6 +46,10 @@ let check_engine ?(objective = Cost.Energy_delay) (m : Mapping.t) =
   in
   agree ();
   let commit move =
+    if
+      Engine.feasible e move
+      <> Mapping.occupancy_ok (Assign.apply_move (Engine.mapping e) move)
+    then incr mismatches;
     Engine.commit e move;
     agree ()
   in
@@ -70,7 +81,8 @@ let check_engine ?(objective = Cost.Energy_delay) (m : Mapping.t) =
   {
     engine_objective = Engine.objective_value e;
     oracle_objective = Cost.scalar objective (Cost.evaluate (Engine.mapping e));
-    engine_consistent = !consistent;
+    feasibility_mismatches = !mismatches;
+    engine_consistent = !consistent && !mismatches = 0;
   }
 
 type analysis_check = {

@@ -39,9 +39,13 @@ val agrees : bt_check -> bool
 type engine_check = {
   engine_objective : float;  (** incremental engine, after churn *)
   oracle_objective : float;  (** from-scratch [Cost.evaluate], same point *)
+  feasibility_mismatches : int;
+      (** churn moves for which [Engine.feasible] disagreed with
+          [Mapping.occupancy_ok] of the applied move *)
   engine_consistent : bool;
-      (** the two were [Float.equal] (bit-identical) after {e every}
-          commit of the churn, not just at the end *)
+      (** the two objectives were [Float.equal] (bit-identical) after
+          {e every} commit of the churn, not just at the end, and there
+          were no feasibility mismatches *)
 }
 
 val check_engine :
@@ -49,7 +53,9 @@ val check_engine :
 (** Drive an incremental {!Mhla_core.Engine} through a round trip of
     every placement and every array promotion of the mapping (plus a
     cold promote/demote of each unpromoted array), comparing its cached
-    objective against the oracle after each commit. [objective]
+    objective against the oracle after each commit and its
+    {!Mhla_core.Engine.feasible} answer against the from-scratch
+    occupancy check before each one. [objective]
     defaults to [Energy_delay]. Engine drift is reported as a
     disagreement in {!crosscheck}'s report alongside the zero-fault
     check. *)

@@ -442,7 +442,7 @@ let test_fixpoint_timeline_matches_enumeration () =
           Alcotest.(check bool)
             (name ^ "/" ^ arr ^ ": array interval")
             true
-            (Lifetime.array_interval sched program arr
+            (Lifetime.array_interval sched arr
             = Fixpoint.array_interval sol arr))
         program.Program.arrays)
     Apps.names

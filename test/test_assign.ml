@@ -6,6 +6,7 @@ module Analysis = Mhla_reuse.Analysis
 module Candidate = Mhla_reuse.Candidate
 module Assign = Mhla_core.Assign
 module Cost = Mhla_core.Cost
+module Engine = Mhla_core.Engine
 module Mapping = Mhla_core.Mapping
 module Occupancy = Mhla_lifetime.Occupancy
 module Presets = Mhla_arch.Presets
@@ -344,6 +345,149 @@ let prop_greedy_never_worse_than_direct =
       result.Assign.breakdown.Cost.total_cycles <= baseline.Cost.total_cycles
       && Mapping.occupancy_ok result.Assign.mapping)
 
+(* --- incremental feasibility ------------------------------------------ *)
+
+(* [Engine.feasible] against the from-scratch check, for one move at the
+   engine's current position. *)
+let feasible_agrees config engine mv =
+  Engine.feasible engine mv
+  = Assign.feasible config (Assign.apply_move (Engine.mapping engine) mv)
+
+let gen_profiles =
+  [| Mhla_gen.Generate.Reuse_rich; Mhla_gen.Generate.Capacity_tight;
+     Mhla_gen.Generate.Te_hostile |]
+
+(* Along a random commit walk over a generated program, every move the
+   searches consider gets the same feasibility answer from the engine as
+   from the from-scratch check. Moves are committed whether feasible or
+   not, so the walk also crosses infeasible positions (arrays promoted
+   onto a level too small for them). *)
+let prop_engine_feasible_matches_oracle =
+  QCheck2.Test.make ~name:"assign: engine feasible = from-scratch feasible"
+    ~count:40
+    QCheck2.Gen.(
+      quad (int_range 0 100_000) (int_range 0 2) bool bool)
+    (fun (seed, profile, sum, roomy) ->
+      let case =
+        Mhla_gen.Generate.case ~profile:gen_profiles.(profile)
+          ~seed:(Int64.of_int seed) ()
+      in
+      let program = case.Mhla_gen.Generate.program in
+      let budget = case.Mhla_gen.Generate.onchip_bytes in
+      let hierarchy =
+        if roomy then
+          Presets.multi_level ~level_bytes:[ budget; 4 * budget ] ()
+        else Presets.two_level ~onchip_bytes:(max 1 (budget / 4)) ()
+      in
+      let policy = if sum then Occupancy.Sum else Occupancy.In_place in
+      let config = { Assign.default_config with Assign.policy } in
+      let engine =
+        Engine.create ~policy ~objective:config.Assign.objective
+          (Mapping.direct program hierarchy)
+      in
+      let rng = Mhla_util.Prng.create ~seed:(Int64.of_int (seed + 1)) in
+      let ok = ref true in
+      for _ = 1 to 10 do
+        match Assign.moves config (Engine.mapping engine) with
+        | [] -> ()
+        | moves ->
+          if not (List.for_all (feasible_agrees config engine) moves) then
+            ok := false;
+          Engine.commit engine (Mhla_util.Prng.pick rng moves)
+      done;
+      !ok)
+
+(* Two reads of [tab] in sequential nests share its whole-array level-0
+   buffer, alive over the hull of [0,1) and [1,2); [y], promoted, lives
+   in slot 1 only. With 12 bytes of capacity slot 1 is over (8 + 8). *)
+let shared_table () =
+  let open Build in
+  program "shared"
+    ~arrays:[ array "tab" [ 8 ]; array "z" [ 8 ]; array "y" [ 8 ] ]
+    [ loop "a" 8 [ stmt "s1" [ rd "tab" [ i "a" ]; wr "z" [ i "a" ] ] ];
+      loop "b" 8 [ stmt "s2" [ rd "tab" [ i "b" ]; wr "y" [ i "b" ] ] ] ]
+
+let whole_chain (m : Mapping.t) stmt ~layer =
+  let info =
+    List.find
+      (fun (info : Analysis.info) ->
+        info.Analysis.ref_.Analysis.stmt = stmt && info.Analysis.array = "tab")
+      m.Mapping.infos
+  in
+  ( info.Analysis.ref_,
+    Mapping.Chain
+      [ { Mapping.candidate = List.hd info.Analysis.candidates; layer } ] )
+
+let test_feasible_shared_hull_shrinks () =
+  List.iter
+    (fun (policy, (here, drop_s1, drop_s2)) ->
+      let config = { Assign.default_config with Assign.policy } in
+      let m =
+        Mapping.direct (shared_table ()) (Presets.two_level ~onchip_bytes:12 ())
+      in
+      let engine = Engine.create ~policy ~objective:config.Assign.objective m in
+      let r1, c1 = whole_chain m "s1" ~layer:0 in
+      let r2, c2 = whole_chain m "s2" ~layer:0 in
+      List.iter (Engine.commit engine)
+        [ Engine.Set_placement (r1, c1); Engine.Set_placement (r2, c2);
+          Engine.Set_array ("y", Some 0) ];
+      (* [z] is off-chip already: this move leaves the layer as it is. *)
+      let stay = Engine.Set_array ("z", None) in
+      let drop r = Engine.Set_placement (r, Mapping.Direct) in
+      List.iter
+        (fun (what, mv, expected) ->
+          Alcotest.(check bool) (what ^ " agrees") true
+            (feasible_agrees config engine mv);
+          Alcotest.(check bool) what expected (Engine.feasible engine mv))
+        [ ("the hull covers slot 1", stay, here);
+          ("dropping s1 keeps slot 1", drop r1, drop_s1);
+          ("dropping s2 shrinks the hull to slot 0", drop r2, drop_s2) ])
+    [ (Occupancy.In_place, (false, false, true));
+      (Occupancy.Sum, (false, false, false)) ]
+
+(* A loop body is never empty, so every copy buffer of a valid program
+   has a non-empty lifetime; the one block [Occupancy.peak_bytes] widens
+   is a promoted array no statement touches ([0,0) charged as [0,1)). *)
+let test_feasible_empty_lifetime_widened () =
+  let open Build in
+  let p =
+    program "untouched"
+      ~arrays:[ array "used" [ 8 ]; array "idle" [ 8 ] ]
+      [ loop "a" 8 [ stmt "s" [ wr "used" [ i "a" ] ] ] ]
+  in
+  let config = Assign.default_config in
+  let m = Mapping.direct p (Presets.two_level ~onchip_bytes:12 ()) in
+  let engine = Engine.create ~objective:config.Assign.objective m in
+  let idle = Engine.Set_array ("idle", Some 0) in
+  Alcotest.(check bool) "idle alone fits" true (Engine.feasible engine idle);
+  Engine.commit engine (Engine.Set_array ("used", Some 0));
+  Alcotest.(check bool) "widened idle collides with used" true
+    (feasible_agrees config engine idle);
+  Alcotest.(check bool) "16 bytes in slot 0" false
+    (Engine.feasible engine idle)
+
+let test_feasible_array_between_levels () =
+  let config = Assign.default_config in
+  let m =
+    Mapping.direct (shared_table ())
+      (Presets.three_level ~l1_bytes:4 ~l2_bytes:64 ())
+  in
+  let engine = Engine.create ~objective:config.Assign.objective m in
+  let to_level l = Engine.Set_array ("tab", Some l) in
+  Alcotest.(check bool) "fits in L2" true (Engine.feasible engine (to_level 1));
+  Engine.commit engine (to_level 1);
+  Alcotest.(check bool) "L2 -> L1 agrees" true
+    (feasible_agrees config engine (to_level 0));
+  Alcotest.(check bool) "too big for L1" false
+    (Engine.feasible engine (to_level 0));
+  Engine.commit engine (to_level 0);
+  Alcotest.(check bool) "L1 -> L2 agrees" true
+    (feasible_agrees config engine (to_level 1));
+  Alcotest.(check bool) "back to L2 frees L1" true
+    (Engine.feasible engine (to_level 1));
+  Alcotest.(check bool) "off-chip frees L1" true
+    (Engine.feasible engine (Engine.Set_array ("tab", None)))
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "assign"
@@ -393,6 +537,16 @@ let () =
             test_anneal_engine_equals_oracle;
           Alcotest.test_case "evaluation accounting" `Quick
             test_result_evaluation_accounting;
+        ] );
+      ( "feasibility",
+        [
+          Alcotest.test_case "shared hull shrinks" `Quick
+            test_feasible_shared_hull_shrinks;
+          Alcotest.test_case "empty lifetime widened" `Quick
+            test_feasible_empty_lifetime_widened;
+          Alcotest.test_case "array between levels" `Quick
+            test_feasible_array_between_levels;
+          qc prop_engine_feasible_matches_oracle;
         ] );
       ( "exhaustive",
         [

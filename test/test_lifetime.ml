@@ -47,11 +47,11 @@ let test_array_intervals () =
   let p = phased () in
   let s = Schedule.of_program p in
   Alcotest.check interval "src only in phase 1" (iv 0 1)
-    (Schedule.array_interval s p "src");
+    (Schedule.array_interval s "src");
   Alcotest.check interval "mid spans both phases" (iv 0 2)
-    (Schedule.array_interval s p "mid");
+    (Schedule.array_interval s "mid");
   Alcotest.check interval "dst spans phase 2 and final" (iv 1 3)
-    (Schedule.array_interval s p "dst")
+    (Schedule.array_interval s "dst")
 
 let test_nested_loop_intervals () =
   let open Build in
