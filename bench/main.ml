@@ -719,22 +719,35 @@ let ext_engine () =
   section "EXT-ENGINE"
     "Incremental cost engine vs from-scratch evaluation: objective\n\
      probes per second over each application's full move set (timed\n\
-     windows), then the Domain-parallel size sweep wall-clock. The\n\
-     engine re-folds cached per-unit contributions, so its probes are\n\
-     bit-identical to Cost.evaluate while recomputing only what the\n\
-     move touched.";
+     windows), feasibility checks per second over the same moves, and\n\
+     the minor words one probe and one check allocate once the engine\n\
+     has compiled every alternative; then the Domain-parallel size\n\
+     sweep wall-clock. The engine re-folds cached per-unit\n\
+     contributions, so its probes are bit-identical to Cost.evaluate\n\
+     while recomputing only what the move touched.";
   let module Engine = Mhla_core.Engine in
   let module Mapping = Mhla_core.Mapping in
   let config = Assign.default_config in
+  let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9 in
   let rate_over seconds per_round f =
-    let t0 = Unix.gettimeofday () in
+    let t0 = now () in
     let rounds = ref 0 in
-    while Unix.gettimeofday () -. t0 < seconds do
+    while now () -. t0 < seconds do
       f ();
       incr rounds
     done;
-    let elapsed = Unix.gettimeofday () -. t0 in
+    let elapsed = now () -. t0 in
     float_of_int (!rounds * per_round) /. elapsed
+  in
+  (* Minor words per call over a fixed number of rounds: deterministic,
+     unlike the timed windows. *)
+  let words_per_call per_round f =
+    let rounds = 20 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to rounds do
+      f ()
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int (rounds * per_round)
   in
   let table =
     Table.create
@@ -744,8 +757,12 @@ let ext_engine () =
           ("oracle evals/s", Table.Right);
           ("engine probes/s", Table.Right);
           ("speedup", Table.Right);
-          ("cache hit rate", Table.Right) ]
+          ("cache hit rate", Table.Right);
+          ("checks/s", Table.Right);
+          ("words/probe", Table.Right);
+          ("words/check", Table.Right) ]
   in
+  let calls = ref 0 and probe_words = ref 0. and check_words = ref 0. in
   List.iter
     (fun name ->
       let app = Apps.find_exn name in
@@ -771,13 +788,20 @@ let ext_engine () =
               mvs)
       in
       let engine = Engine.create ~objective:config.Assign.objective m in
-      let engine_rate =
-        rate_over 0.25 n_moves (fun () ->
-            List.iter
-              (fun mv -> ignore (Engine.probe engine mv : float))
-              mvs)
+      let probe_all () =
+        List.iter (fun mv -> ignore (Engine.probe engine mv : float)) mvs
       in
+      let check_all () =
+        List.iter (fun mv -> ignore (Engine.feasible engine mv : bool)) mvs
+      in
+      let engine_rate = rate_over 0.25 n_moves probe_all in
       let s = Engine.stats engine in
+      let check_rate = rate_over 0.25 n_moves check_all in
+      let wp = words_per_call n_moves probe_all in
+      let wc = words_per_call n_moves check_all in
+      calls := !calls + n_moves;
+      probe_words := !probe_words +. (wp *. float_of_int n_moves);
+      check_words := !check_words +. (wc *. float_of_int n_moves);
       let contribs = s.Engine.contribs_reused + s.Engine.contribs_recomputed in
       Table.add_row table
         [ name;
@@ -790,18 +814,25 @@ let ext_engine () =
              else
                100.
                *. float_of_int s.Engine.contribs_reused
-               /. float_of_int contribs) ])
+               /. float_of_int contribs);
+          Table.cell_float ~decimals:0 check_rate;
+          Table.cell_float ~decimals:1 wp;
+          Table.cell_float ~decimals:1 wc ])
     [ "motion_estimation"; "cavity_detector"; "mp3_filterbank";
       "voice_compression" ];
   Table.print table;
+  metric "ext_engine.words_per_probe"
+    (Mhla_util.Json.float (!probe_words /. float_of_int !calls));
+  metric "ext_engine.words_per_feasible"
+    (Mhla_util.Json.float (!check_words /. float_of_int !calls));
   print_newline ();
   let sizes = Mhla_arch.Presets.sweep_sizes ~min_bytes:128 ~max_bytes:8192 in
   let me = Apps.find_exn "motion_estimation" in
   let program = Lazy.force me.Mhla_apps.Defs.program in
   let wall jobs =
-    let t0 = Unix.gettimeofday () in
+    let t0 = now () in
     ignore (Explore.sweep ~jobs ~sizes program : Explore.sweep_point list);
-    Unix.gettimeofday () -. t0
+    now () -. t0
   in
   let jobs = Mhla_util.Domain_pool.recommended_jobs () in
   let serial = wall 1 in

@@ -135,32 +135,39 @@ let placement_moves_of (m : Mapping.t) alts =
         placements)
     alts
 
-let array_moves config (m : Mapping.t) =
+(* The arrays the searches may move, each with every layer it can be
+   moved to ([None]: off-chip), in move order. *)
+let array_targets config (m : Mapping.t) =
   if not config.allow_array_promotion then []
   else
     let on_chip = Hierarchy.on_chip_levels m.Mapping.hierarchy in
-    List.concat_map
-      (fun array ->
-        let current =
-          let level = Mapping.array_layer m array in
-          if level = Hierarchy.main_memory_level m.Mapping.hierarchy then
-            None
-          else Some level
-        in
-        List.filter_map
-          (fun target ->
-            if target = current then None
-            else Some (Set_array (array, target)))
-          (None :: List.map (fun l -> Some l) on_chip))
+    let targets = None :: List.map Option.some on_chip in
+    List.map
+      (fun array -> (array, targets))
       (Mhla_ir.Program.array_names m.Mapping.program)
+
+let array_target (m : Mapping.t) array =
+  let level = Mapping.array_layer m array in
+  if level = Hierarchy.main_memory_level m.Mapping.hierarchy then None
+  else Some level
+
+let array_moves config (m : Mapping.t) =
+  List.concat_map
+    (fun (array, targets) ->
+      let current = array_target m array in
+      List.filter_map
+        (fun target ->
+          if target = current then None else Some (Set_array (array, target)))
+        targets)
+    (array_targets config m)
 
 (* The placement alternatives of an access depend only on the config
    and the hierarchy's on-chip levels, never on the current placements
    — so the engine-driven searches compute them once and reuse the
    {e physically same} values every round, which turns the engine's
-   per-entry (placement, home) memo into pointer-compare hits. The
-   from-scratch [moves] builds structurally identical lists, so both
-   flavours probe the same moves in the same order. *)
+   compiled-alternative lookups into pointer compares. The from-scratch
+   [moves] builds structurally identical lists, so both flavours probe
+   the same moves in the same order. *)
 let all_alternatives config (m : Mapping.t) =
   List.map
     (fun (info : Analysis.info) -> (info, alternatives config m info))
@@ -170,6 +177,67 @@ let moves_with ~alts config m = placement_moves_of m alts @ array_moves config m
 
 let moves config (m : Mapping.t) =
   moves_with ~alts:(all_alternatives config m) config m
+
+(* The engine flavours' move table: every move [moves] can return,
+   built once from the hoisted alternatives, in [moves] order. A move's
+   owner is its access (infos order) or, past the accesses, its array;
+   [skip] marks the moves that would leave their owner as it is — the
+   ones [moves] filters out by structural equality with the current
+   placement or layer. Committing a move re-marks its owner's moves
+   only. *)
+type table = {
+  all : move array;
+  owner : int array;
+  first : int array;  (* per owner, its first move; then [Array.length all] *)
+  skip : bool array;
+}
+
+let same_target a b =
+  match (a, b) with
+  | Set_placement (_, p), Set_placement (_, q) -> p = q
+  | Set_array (_, l), Set_array (_, l') -> l = l'
+  | Set_placement _, Set_array _ | Set_array _, Set_placement _ -> false
+
+let move_table ~alts config (m : Mapping.t) =
+  let owners =
+    Array.of_list
+      (List.map
+         (fun ((info : Analysis.info), placements) ->
+           Array.of_list
+             (List.map
+                (fun p -> Set_placement (info.Analysis.ref_, p))
+                placements))
+         alts
+      @ List.map
+          (fun (array, targets) ->
+            Array.of_list (List.map (fun l -> Set_array (array, l)) targets))
+          (array_targets config m))
+  in
+  let all = Array.concat (Array.to_list owners) in
+  let owner =
+    Array.concat
+      (Array.to_list
+         (Array.mapi (fun o ms -> Array.map (fun _ -> o) ms) owners))
+  in
+  let first = Array.make (Array.length owners + 1) (Array.length all) in
+  for k = Array.length all - 1 downto 0 do
+    first.(owner.(k)) <- k
+  done;
+  let current = function
+    | Set_placement (r, _) -> Set_placement (r, Mapping.placement_of m r)
+    | Set_array (a, _) -> Set_array (a, array_target m a)
+  in
+  let at = Array.map (fun ms -> current ms.(0)) owners in
+  let skip = Array.mapi (fun k mv -> same_target mv at.(owner.(k))) all in
+  { all; owner; first; skip }
+
+(* After committing [all.(k)]: its owner now sits where that move put
+   it. *)
+let table_commit table k =
+  let o = table.owner.(k) in
+  for j = table.first.(o) to table.first.(o + 1) - 1 do
+    table.skip.(j) <- same_target table.all.(j) table.all.(k)
+  done
 
 let feasible config m = Mapping.occupancy_ok ~policy:config.policy m
 
@@ -275,41 +343,43 @@ let greedy ?(config = default_config) ?(oracle = false)
       Engine.create ~telemetry ~policy:config.policy
         ~objective:config.objective start
     in
-    let alts = all_alternatives config start in
+    let table = move_table ~alts:(all_alternatives config start) config start in
+    (* The best move of a round as its table index ([-1]: none improves)
+       and its value, scanning in [moves] order. *)
+    let select ~current =
+      let best = ref (-1) in
+      let best_value = ref 0. in
+      let k = ref 0 in
+      while !k < Array.length table.all do
+        let j = !k in
+        incr k;
+        if not table.skip.(j) then begin
+          let move = table.all.(j) in
+          if Engine.feasible engine move then begin
+            incr evaluations;
+            let value = Engine.probe engine move in
+            if
+              improves ~current ~candidate:value
+              && (!best < 0 || value < !best_value)
+            then begin
+              best := j;
+              best_value := value;
+              if first_improvement then k := Array.length table.all
+            end
+          end
+        end
+      done;
+      (!best, !best_value)
+    in
     let rec descend current steps =
       checkpoint ();
-      let m = Engine.mapping engine in
-      let try_move best move =
-        if not (Engine.feasible engine move) then best
-        else begin
-          incr evaluations;
-          let value = Engine.probe engine move in
-          match best with
-          | Some (_, best_value) when value >= best_value -> best
-          | Some _ | None ->
-            if improves ~current ~candidate:value then Some (move, value)
-            else best
-        end
-      in
-      let select ms =
-        if first_improvement then
-          List.find_map
-            (fun move ->
-              if not (Engine.feasible engine move) then None
-              else begin
-                incr evaluations;
-                let value = Engine.probe engine move in
-                if improves ~current ~candidate:value then Some (move, value)
-                else None
-              end)
-            ms
-        else List.fold_left try_move None ms
-      in
-      match select (moves_with ~alts config m) with
-      | None -> (m, current, List.rev steps)
-      | Some (move, value) ->
+      match select ~current with
+      | -1, _ -> (Engine.mapping engine, current, List.rev steps)
+      | j, value ->
+        let move = table.all.(j) in
         let step = mk_step move ~current ~value in
         Engine.commit engine move;
+        table_commit table j;
         on_commit move;
         descend value (step :: steps)
     in
@@ -372,16 +442,37 @@ let simulated_annealing ?(config = default_config) ?(oracle = false)
     else (t_end /. t0) ** (1. /. float_of_int (iterations - 1))
   in
   let temperature = ref t0 in
-  (* Both flavours share the loop; the alternatives are placement-
-     independent so they are computed once (structurally identical to
-     what per-iteration [moves] would build). *)
+  (* Both flavours share the loop and draw the same move: the oracle
+     from the [moves] list (alternatives hoisted, as they are
+     placement-independent), the engine from its move table, whose
+     unskipped moves are that list in order. *)
   let alts = all_alternatives config start in
+  let table = Option.map (fun _ -> move_table ~alts config start) engine in
+  let pick () =
+    match table with
+    | None -> (
+      match moves_with ~alts config !current with
+      | [] -> None
+      | all_moves -> Some (Mhla_util.Prng.pick prng all_moves, -1))
+    | Some table -> (
+      let n =
+        Array.fold_left (fun n s -> if s then n else n + 1) 0 table.skip
+      in
+      if n = 0 then None
+      else
+        let rec nth k seen =
+          if table.skip.(k) then nth (k + 1) seen
+          else if seen = 0 then k
+          else nth (k + 1) (seen - 1)
+        in
+        let k = nth 0 (Mhla_util.Prng.int prng ~bound:n) in
+        Some (table.all.(k), k))
+  in
   for iter = 1 to iterations do
     checkpoint ();
-    (match moves_with ~alts config !current with
-    | [] -> ()
-    | all_moves ->
-      let move = Mhla_util.Prng.pick prng all_moves in
+    (match pick () with
+    | None -> ()
+    | Some (move, k) ->
       (* The objective after [move] and how to advance onto it, when
          the move is feasible. The engine flavour never builds the
          next mapping for a rejected move. *)
@@ -399,6 +490,7 @@ let simulated_annealing ?(config = default_config) ?(oracle = false)
               ( Engine.probe e move,
                 fun () ->
                   Engine.commit e move;
+                  Option.iter (fun table -> table_commit table k) table;
                   Engine.mapping e )
           end
           else None

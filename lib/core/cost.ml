@@ -138,11 +138,15 @@ let lower_bound ~infos program hierarchy =
 
 type objective = Energy | Cycles | Energy_delay
 
-let scalar objective b =
+let scalar_of objective ~total_cycles ~total_energy_pj =
   match objective with
-  | Energy -> b.total_energy_pj
-  | Cycles -> float_of_int b.total_cycles
-  | Energy_delay -> b.total_energy_pj *. float_of_int b.total_cycles
+  | Energy -> total_energy_pj
+  | Cycles -> float_of_int total_cycles
+  | Energy_delay -> total_energy_pj *. float_of_int total_cycles
+
+let scalar objective b =
+  scalar_of objective ~total_cycles:b.total_cycles
+    ~total_energy_pj:b.total_energy_pj
 
 let pp_objective ppf = function
   | Energy -> Fmt.string ppf "energy"

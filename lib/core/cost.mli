@@ -78,6 +78,11 @@ type objective = Energy | Cycles | Energy_delay
 
 val scalar : objective -> breakdown -> float
 
+val scalar_of :
+  objective -> total_cycles:int -> total_energy_pj:float -> float
+(** [scalar] of a breakdown with these totals, for callers that hold
+    the totals without a breakdown record. *)
+
 val pp_objective : objective Fmt.t
 
 val loop_iteration_cycles : Mapping.t -> iter:string -> int

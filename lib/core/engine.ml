@@ -20,36 +20,17 @@ type stats = {
 
 (* One cached block-transfer contribution, exactly the tuple
    [Cost.bt_contribution] returns (hidden = 0: the searches never
-   overlap transfers — that is TE's job, after assignment). *)
-type contrib = {
+   overlap transfers — that is TE's job, after assignment). The dedupe
+   key is interned to a dense int id once, when the transfer is
+   derived; the totals fold then dedupes with a generation-stamped
+   array instead of hashing keys per probe. *)
+type cached_bt = {
+  key_id : int;
   c_stall : int;
   c_setup : int;
   c_energy : float;
   c_dma : float;
 }
-
-(* The dedupe key is computed and interned to a dense int id once per
-   cached transfer (at refresh time); the totals fold then dedupes with
-   a generation-stamped array instead of hashing keys per probe. *)
-type cached_bt = { bt : Mapping.block_transfer; key_id : int; contrib : contrib }
-
-type entry = {
-  info : Analysis.info;
-  mutable placement : Mapping.placement;
-  mutable acc_stall : int;
-  mutable acc_energy : float;
-  mutable chain_bts : cached_bt list;
-  (* Contributions memoised per (placement, home layer): a (placement,
-     home) pair fully determines this entry's terms, and the searches
-     probe the same physically-shared alternative placements over and
-     over (greedy re-probes every move each round), so a revisit is a
-     pointer-compare lookup with no hashing or key allocation. Bounded
-     by [memo_cap]; stale entries (placements the caller no longer
-     holds) age out at the tail. *)
-  mutable memo : (Mapping.placement * int * int * float * cached_bt list) list;
-}
-
-let memo_cap = 64
 
 (* --- occupancy state ----------------------------------------------------
 
@@ -59,36 +40,95 @@ let memo_cap = 64
    counts the slots over capacity. A move re-derives only the blocks it
    touches and rewrites only their slots. *)
 
-(* A block as charged to a profile: slots [lo, hi), already widened
-   (an empty lifetime still holds its buffer for one slot) or, under
-   [Sum], collapsed onto the single slot. *)
-type span = { lo : int; hi : int; bytes : int }
+type profile = { capacity : int; load : int array }
+
+(* One chain link's buffer as its share group sees it: the owning
+   entry, the candidate's lifetime [lo, hi) and its footprint. *)
+type sharer = { entry : int; lo : int; hi : int; bytes : int }
 
 (* The buffer one [share_key] group occupies on one level: the hull of
    its sharers' lifetimes and the largest of their footprints, exactly
-   as [Mapping.layer_blocks] merges them. *)
+   as [Mapping.layer_blocks] merges them. The charged block is kept as
+   plain ints (slots [c_lo, c_hi), already widened, or collapsed onto
+   the single slot under [Sum]) so a check compares it without
+   allocating. *)
 type group = {
   level : int;
-  mutable sharers : (int * Interval.t * int) list;
-      (* (entry, lifetime, bytes), in placements (= entry) order *)
-  mutable charged : span option;
+  mutable sharers : sharer list;  (* in placements (= entry) order *)
+  mutable c_on : bool;  (* false: no sharer, nothing charged *)
+  mutable c_lo : int;
+  mutable c_hi : int;
+  mutable c_bytes : int;
 }
 
-(* A copy candidate with its lifetime and the group its buffer joins on
-   each level ([None] where the level is unbounded), derived once per
-   candidate instead of once per check. *)
-type cand = { c : Candidate.t; iv : Interval.t; groups : group option array }
+(* One access alternative compiled for one entry: everything a check
+   or a probe needs, derived the first time the engine sees the
+   placement (by physical identity) and reused every round after.
 
-type profile = { capacity : int; load : int array }
+   - [groups]/[sharers]: one slot per chain link held on a
+     capacity-bound level, link order — the share groups this placement
+     joins and the buffer it adds to each.
+   - the cost terms by home level (the level holding the entry's
+     array): the access contribution and the chain transfers, which
+     depend on the home only through a [Direct] access's serving layer
+     and the outermost link's source. Filled on first use ([known]). *)
+type alt = {
+  placement : Mapping.placement;
+  groups : group array;
+  sharers : sharer array;
+  known : bool array;
+  stall : int array;
+  energy : float array;
+  bts : cached_bt array array;
+}
+
+type entry = {
+  info : Analysis.info;
+  array : int;  (* array id *)
+  mutable alt : alt;  (* the compiled current placement *)
+  (* Compiled alternatives, newest first. Bounded by [alt_cap]: the
+     searches hold one physically-shared list of alternatives per
+     access, so the cache stops growing once each has been seen; stale
+     records (placements the caller no longer holds) age out at the
+     tail. *)
+  mutable cache : alt list;
+  mutable cached : int;
+}
+
+let alt_cap = 64
 
 type occ = {
   policy : Occupancy.policy;
   schedule : Schedule.t;
   profiles : profile option array;  (* by level; [None] = unbounded *)
-  cands : cand array array;  (* per entry: its access's candidates *)
   groups : (string * int, group) Hashtbl.t;  (* by (share_key, level) *)
-  arrays : (string, span) Hashtbl.t;
   mutable over : int;  (* slots over capacity, all levels *)
+  (* Scratch for one placement check: the groups the move leaves or
+     joins and, per group, the block it would charge. Sized to twice
+     the most links any compiled alternative holds on bounded levels. *)
+  mutable aff : group array;
+  mutable n_aff : int;
+  mutable n_on : bool array;
+  mutable n_lo : int array;
+  mutable n_hi : int array;
+  mutable n_bytes : int array;
+  (* The hull fold's accumulator. *)
+  mutable f_on : bool;
+  mutable f_lo : int;
+  mutable f_hi : int;
+  mutable f_bytes : int;
+}
+
+(* A program array: its whole-array block, the entries whose terms its
+   home moves, and its fill/drain terms per level, derived on first
+   use. *)
+type array_state = {
+  name : string;
+  a_lo : int;
+  a_hi : int;
+  a_bytes : int;
+  dirty : int array;
+  promoted : cached_bt array option array;  (* by level *)
 }
 
 type counters = {
@@ -105,24 +145,33 @@ type t = {
   entries : entry array;  (* in [mapping.infos] order *)
   index : (Analysis.access_ref, int) Hashtbl.t;
   (* The searches probe every alternative of one access in a row, all
-     carrying the physically same [access_ref], and check each one's
-     feasibility before probing it: remembering the last lookup hashes
-     the key once per run instead of twice per move. *)
-  mutable last_lookup : (Analysis.access_ref * int) option;
-  by_array : (string, int list) Hashtbl.t;
-  (* Mirror of [mapping.array_layers], updated with the same
-     remove-then-prepend discipline as [Mapping.with_array_layer]: the
-     promoted fill/drain transfers are folded in this list's order, and
-     float sums are order-sensitive. *)
-  mutable array_layers : (string * int) list;
-  promoted : (string * int, cached_bt list) Hashtbl.t;
-  (* Key interning and the stamp array behind the totals dedupe. A
-     stamp equal to the current generation means "already folded this
-     round" — bumping the generation clears the set in O(1). *)
+     carrying the physically same [access_ref]: remembering the last
+     lookup hashes the key once per run. *)
+  mutable last_ref : Analysis.access_ref;
+  mutable last_index : int;
+  arrays : array_state array;
+  array_ids : (string, int) Hashtbl.t;
+  homes : int array;  (* by array id: the level holding it *)
+  (* The promoted arrays in [mapping.array_layers] order, kept with the
+     same remove-then-prepend discipline as [Mapping.with_array_layer]:
+     their fill/drain transfers are folded in this order, and float
+     sums are order-sensitive. [saved_order] is a probe's copy. *)
+  order : int array;
+  mutable n_order : int;
+  saved_order : int array;
   key_ids : (string * bool * int * int, int) Hashtbl.t;
+  (* Stamp equal to the current generation = "already folded this
+     round"; bumping the generation clears the set in O(1). *)
   mutable stamps : int array;
   mutable generation : int;
+  (* The totals fold's accumulators. *)
+  mutable s_access_stall : int;
+  mutable s_stall : int;
+  mutable s_setup : int;
+  sums : float array;  (* access, transfer, dma energy *)
+  mutable folded : int;
   main : int;
+  levels : int;
   dma : Mhla_arch.Dma.t option;
   compute : int;
   counters : counters;
@@ -130,22 +179,18 @@ type t = {
   occ : occ;
 }
 
-let array_layer t array =
-  match List.assoc_opt array t.array_layers with
-  | Some level -> level
-  | None -> t.main
-
-(* [==] is exact for [Direct] (an immediate) and sound for chains: a
-   physically-equal chain trivially has equal candidates and layers.
-   Distinct-but-structurally-equal chains just miss and recompute. *)
-let memo_find memo placement home =
-  let rec go = function
-    | [] -> None
-    | (p, h, stall, energy, bts) :: rest ->
-      if p == placement && h = home then Some (stall, energy, bts)
-      else go rest
-  in
-  go memo
+(* What a cache lookup that misses returns, and every entry's
+   alternative until [create] installs its placement. *)
+let no_alt =
+  {
+    placement = Mapping.Direct;
+    groups = [||];
+    sharers = [||];
+    known = [||];
+    stall = [||];
+    energy = [||];
+    bts = [||];
+  }
 
 let intern_key t key =
   match Hashtbl.find_opt t.key_ids key with
@@ -160,426 +205,518 @@ let intern_key t key =
     end;
     id
 
-let bt_with_contrib t bt =
+let cached_bt t bt =
   let c_stall, c_setup, c_energy, c_dma =
     Cost.bt_contribution ~dma:t.dma t.mapping bt
   in
   t.counters.n_recomputed <- t.counters.n_recomputed + 1;
-  {
-    bt;
-    key_id = intern_key t (Mapping.bt_dedupe_key bt);
-    contrib = { c_stall; c_setup; c_energy; c_dma };
-  }
+  let key_id = intern_key t (Mapping.bt_dedupe_key bt) in
+  { key_id; c_stall; c_setup; c_energy; c_dma }
 
-(* Bring [e]'s cached terms in line with its placement and its array's
-   current home layer, through the per-entry memo. *)
-let refresh t (e : entry) =
-  let home = array_layer t e.info.Analysis.array in
-  match memo_find e.memo e.placement home with
-  | Some (stall, energy, bts) ->
-    e.acc_stall <- stall;
-    e.acc_energy <- energy;
-    e.chain_bts <- bts
-  | None ->
+(* Derive [a]'s cost terms for an entry whose array sits on [home],
+   unless an earlier probe already did. *)
+let ensure_terms t (e : entry) a home =
+  if not a.known.(home) then begin
     let level =
-      match e.placement with
+      match a.placement with
       | Mapping.Direct -> home
       | Mapping.Chain (link :: _) -> link.Mapping.layer
       | Mapping.Chain [] -> assert false
     in
     let stall, energy = Cost.access_contribution t.mapping ~level e.info in
-    e.acc_stall <- stall;
-    e.acc_energy <- energy;
+    a.stall.(home) <- stall;
+    a.energy.(home) <- energy;
     t.counters.n_recomputed <- t.counters.n_recomputed + 1;
-    e.chain_bts <-
-      (match e.placement with
-      | Mapping.Direct -> []
+    a.bts.(home) <-
+      (match a.placement with
+      | Mapping.Direct -> [||]
       | Mapping.Chain links ->
-        List.map (bt_with_contrib t)
-          (Mapping.transfers_of_chain
-             ~transfer_mode:t.mapping.Mapping.transfer_mode ~home links));
-    let kept =
-      if List.length e.memo >= memo_cap then
-        List.filteri (fun i _ -> i < memo_cap - 1) e.memo
-      else e.memo
-    in
-    e.memo <- (e.placement, home, e.acc_stall, e.acc_energy, e.chain_bts) :: kept
+        Array.of_list
+          (List.map (cached_bt t)
+             (Mapping.transfers_of_chain
+                ~transfer_mode:t.mapping.Mapping.transfer_mode ~home links)));
+    a.known.(home) <- true
+  end
 
-let promoted_contribs t array level =
-  match Hashtbl.find_opt t.promoted (array, level) with
-  | Some cs -> cs
+let refresh t i =
+  let e = t.entries.(i) in
+  ensure_terms t e e.alt t.homes.(e.array)
+
+let promoted t id level =
+  let st = t.arrays.(id) in
+  match st.promoted.(level) with
+  | Some bts -> bts
   | None ->
-    let cs =
-      List.map (bt_with_contrib t)
-        (Mapping.promoted_transfers t.mapping ~array ~level)
+    let bts =
+      Array.of_list
+        (List.map (cached_bt t)
+           (Mapping.promoted_transfers t.mapping ~array:st.name ~level))
     in
-    Hashtbl.replace t.promoted (array, level) cs;
-    cs
+    st.promoted.(level) <- Some bts;
+    bts
+
+let add_bt t c =
+  t.s_stall <- t.s_stall + c.c_stall;
+  t.s_setup <- t.s_setup + c.c_setup;
+  t.sums.(1) <- t.sums.(1) +. c.c_energy;
+  t.sums.(2) <- t.sums.(2) +. c.c_dma;
+  t.folded <- t.folded + 1
+
+(* Re-fold the cached contributions into the accumulators, in the
+   exact order [Cost.evaluate] folds the real units: accesses in infos
+   order; chain transfers in placements order, first [bt_dedupe_key]
+   occurrence kept; promoted fill/drain streams in [array_layers]
+   order. Every entry's current terms must be derived. *)
+let fold t =
+  t.s_access_stall <- 0;
+  t.s_stall <- 0;
+  t.s_setup <- 0;
+  t.sums.(0) <- 0.;
+  t.sums.(1) <- 0.;
+  t.sums.(2) <- 0.;
+  t.folded <- 0;
+  let entries = t.entries in
+  for i = 0 to Array.length entries - 1 do
+    let e = entries.(i) in
+    let home = t.homes.(e.array) in
+    t.s_access_stall <- t.s_access_stall + e.alt.stall.(home);
+    t.sums.(0) <- t.sums.(0) +. e.alt.energy.(home)
+  done;
+  t.folded <- Array.length entries;
+  t.generation <- t.generation + 1;
+  let gen = t.generation in
+  for i = 0 to Array.length entries - 1 do
+    let e = entries.(i) in
+    let bts = e.alt.bts.(t.homes.(e.array)) in
+    for k = 0 to Array.length bts - 1 do
+      let c = bts.(k) in
+      if t.stamps.(c.key_id) <> gen then begin
+        t.stamps.(c.key_id) <- gen;
+        add_bt t c
+      end
+    done
+  done;
+  for k = 0 to t.n_order - 1 do
+    let id = t.order.(k) in
+    let bts = promoted t id t.homes.(id) in
+    for j = 0 to Array.length bts - 1 do
+      add_bt t bts.(j)
+    done
+  done
+
+let total_cycles t = t.compute + t.s_access_stall + t.s_stall + t.s_setup
+
+let total_energy t = t.sums.(0) +. t.sums.(1) +. t.sums.(2)
+
+(* --- incremental feasibility ------------------------------------------ *)
+
+(* Add ([sign] = 1) or remove ([-1]) the block [lo, hi) x [bytes] on
+   [level], keeping [over] exact. *)
+let charge occ level sign lo hi bytes =
+  match occ.profiles.(level) with
+  | None -> ()
+  | Some { capacity; load } ->
+    let w = sign * bytes in
+    for s = lo to hi - 1 do
+      let before = load.(s) > capacity in
+      load.(s) <- load.(s) + w;
+      let after = load.(s) > capacity in
+      if after && not before then occ.over <- occ.over + 1
+      else if before && not after then occ.over <- occ.over - 1
+    done
+
+(* [Interval.hull] folded into the accumulator: an empty lifetime
+   yields to any non-empty one. *)
+let fold_sharer occ (s : sharer) =
+  if not occ.f_on then begin
+    occ.f_on <- true;
+    occ.f_lo <- s.lo;
+    occ.f_hi <- s.hi;
+    occ.f_bytes <- s.bytes
+  end
+  else begin
+    if occ.f_lo = occ.f_hi then begin
+      occ.f_lo <- s.lo;
+      occ.f_hi <- s.hi
+    end
+    else if s.lo <> s.hi then begin
+      occ.f_lo <- min occ.f_lo s.lo;
+      occ.f_hi <- max occ.f_hi s.hi
+    end;
+    occ.f_bytes <- max occ.f_bytes s.bytes
+  end
+
+(* The sharer a lookup that finds none returns. *)
+let no_sharer = { entry = -1; lo = 0; hi = 0; bytes = 0 }
+
+(* Fold [sharers] with entry [i]'s own sharer replaced by [joined]
+   ([no_sharer]: [i] leaves the group), kept in entry order. *)
+let rec fold_sharers occ i joined = function
+  | [] -> if joined != no_sharer then fold_sharer occ joined
+  | (s : sharer) :: rest ->
+    if s.entry = i then fold_sharers occ i joined rest
+    else if s.entry > i && joined != no_sharer then begin
+      fold_sharer occ joined;
+      fold_sharer occ s;
+      fold_sharers occ i no_sharer rest
+    end
+    else begin
+      fold_sharer occ s;
+      fold_sharers occ i joined rest
+    end
+
+(* The sharer alternative [a] adds to group [g], if it joins it. *)
+let rec joined_sharer_from (a : alt) g k =
+  if k = Array.length a.groups then no_sharer
+  else if a.groups.(k) == g then a.sharers.(k)
+  else joined_sharer_from a g (k + 1)
+
+let joined_sharer a g = joined_sharer_from a g 0
+
+(* Stage the block group [aff.(k)] would charge once entry [i] moves to
+   [a], as [Mapping.layer_blocks] merges it (hull folded in placements
+   order, largest footprint), widened as [Occupancy.peak_bytes] widens
+   an empty lifetime. *)
+let stage_group occ i a k =
+  let g = occ.aff.(k) in
+  occ.f_on <- false;
+  fold_sharers occ i (joined_sharer a g) g.sharers;
+  occ.n_on.(k) <- occ.f_on;
+  if occ.f_on then
+    match occ.policy with
+    | Occupancy.Sum ->
+      occ.n_lo.(k) <- 0;
+      occ.n_hi.(k) <- 1;
+      occ.n_bytes.(k) <- occ.f_bytes
+    | Occupancy.In_place ->
+      occ.n_lo.(k) <- occ.f_lo;
+      occ.n_hi.(k) <-
+        (if occ.f_lo = occ.f_hi then occ.f_lo + 1 else occ.f_hi);
+      occ.n_bytes.(k) <- occ.f_bytes
+
+let rec affected occ g k =
+  k < occ.n_aff && (occ.aff.(k) == g || affected occ g (k + 1))
+
+let add_affected occ g =
+  if not (affected occ g 0) then begin
+    occ.aff.(occ.n_aff) <- g;
+    occ.n_aff <- occ.n_aff + 1
+  end
+
+(* Every group entry [i] leaves or joins moving from [from] to [a],
+   with the block each would charge. *)
+let stage_placement occ i ~(from : alt) (a : alt) =
+  occ.n_aff <- 0;
+  for k = 0 to Array.length from.groups - 1 do
+    add_affected occ from.groups.(k)
+  done;
+  for k = 0 to Array.length a.groups - 1 do
+    add_affected occ a.groups.(k)
+  done;
+  for k = 0 to occ.n_aff - 1 do
+    stage_group occ i a k
+  done
+
+let staged_changes occ k =
+  let g = occ.aff.(k) in
+  occ.n_on.(k) <> g.c_on
+  || occ.n_on.(k)
+     && (occ.n_lo.(k) <> g.c_lo
+        || occ.n_hi.(k) <> g.c_hi
+        || occ.n_bytes.(k) <> g.c_bytes)
+
+(* [sign] = 1 swaps every changed group's charged block for its staged
+   one; [-1] swaps them back. *)
+let apply_staged occ sign =
+  for k = 0 to occ.n_aff - 1 do
+    if staged_changes occ k then begin
+      let g = occ.aff.(k) in
+      if g.c_on then charge occ g.level (-sign) g.c_lo g.c_hi g.c_bytes;
+      if occ.n_on.(k) then
+        charge occ g.level sign occ.n_lo.(k) occ.n_hi.(k) occ.n_bytes.(k)
+    end
+  done
+
+(* Install the staged blocks and the sharer lists behind them. *)
+let install_staged occ i a =
+  for k = 0 to occ.n_aff - 1 do
+    let g = occ.aff.(k) in
+    let kept = List.filter (fun (s : sharer) -> s.entry <> i) g.sharers in
+    g.sharers <-
+      (let sharer = joined_sharer a g in
+       if sharer == no_sharer then kept
+       else
+         let rec insert = function
+           | (s : sharer) :: rest when s.entry < i -> s :: insert rest
+           | rest -> sharer :: rest
+         in
+         insert kept);
+    g.c_on <- occ.n_on.(k);
+    g.c_lo <- occ.n_lo.(k);
+    g.c_hi <- occ.n_hi.(k);
+    g.c_bytes <- occ.n_bytes.(k)
+  done
+
+let group_of occ ~key ~level =
+  match Hashtbl.find_opt occ.groups (key, level) with
+  | Some g -> g
+  | None ->
+    let g =
+      { level; sharers = []; c_on = false; c_lo = 0; c_hi = 0; c_bytes = 0 }
+    in
+    Hashtbl.replace occ.groups (key, level) g;
+    g
+
+let ensure_scratch occ n g =
+  if Array.length occ.aff < n then begin
+    let grow a fill =
+      let b = Array.make n fill in
+      Array.blit a 0 b 0 (Array.length a);
+      b
+    in
+    occ.aff <- grow occ.aff g;
+    occ.n_on <- grow occ.n_on false;
+    occ.n_lo <- grow occ.n_lo 0;
+    occ.n_hi <- grow occ.n_hi 0;
+    occ.n_bytes <- grow occ.n_bytes 0
+  end
+
+(* --- compiled alternatives -------------------------------------------- *)
+
+let compile t i p =
+  let occ = t.occ in
+  let links =
+    match p with Mapping.Direct -> [] | Mapping.Chain links -> links
+  in
+  let joins =
+    List.filter_map
+      (fun (link : Mapping.chain_link) ->
+        let level = link.Mapping.layer in
+        Option.map
+          (fun _ ->
+            let c = link.Mapping.candidate in
+            let iv = Schedule.candidate_interval occ.schedule c in
+            ( group_of occ ~key:c.Candidate.share_key ~level,
+              {
+                entry = i;
+                lo = iv.Interval.lo;
+                hi = iv.Interval.hi;
+                bytes = c.Candidate.footprint_bytes;
+              } ))
+          occ.profiles.(level))
+      links
+  in
+  let groups = Array.of_list (List.map fst joins) in
+  if Array.length groups > 0 then
+    ensure_scratch occ (2 * Array.length groups) groups.(0);
+  {
+    placement = p;
+    groups;
+    sharers = Array.of_list (List.map snd joins);
+    known = Array.make t.levels false;
+    stall = Array.make t.levels 0;
+    energy = Array.make t.levels 0.;
+    bts = Array.make t.levels [||];
+  }
+
+let rec find_alt p = function
+  | [] -> no_alt
+  | a :: rest -> if a.placement == p then a else find_alt p rest
+
+(* The compiled record of placement [p] for entry [i]: [==] is exact
+   for [Direct] (an immediate) and sound for chains — a physically-equal
+   chain trivially has equal candidates and layers. A distinct but
+   structurally equal chain misses and compiles a record of its own,
+   with the same contents. *)
+let alt_of t i p =
+  let e = t.entries.(i) in
+  match find_alt p e.cache with
+  | a when a != no_alt -> a
+  | _ ->
+    let a = compile t i p in
+    if e.cached >= alt_cap then
+      e.cache <- a :: List.filteri (fun k _ -> k < alt_cap - 1) e.cache
+    else begin
+      e.cache <- a :: e.cache;
+      e.cached <- e.cached + 1
+    end;
+    a
 
 let index_of t r =
-  match t.last_lookup with
-  | Some (r', i) when r' == r -> i
-  | Some _ | None ->
+  if r == t.last_ref then t.last_index
+  else begin
     let i = Hashtbl.find t.index r in
-    t.last_lookup <- Some (r, i);
+    t.last_ref <- r;
+    t.last_index <- i;
     i
+  end
 
-let indices_of_array t array =
-  Option.value ~default:[] (Hashtbl.find_opt t.by_array array)
+let array_id t array = Hashtbl.find t.array_ids array
 
-(* Mutate the cached state by [move] and return the closure undoing
-   it. The [mapping] field itself is untouched — [commit] advances it
-   separately, through the validating [Mapping] updates. *)
-let apply_internal t move =
+(* --- moves ------------------------------------------------------------- *)
+
+(* Move array [id] to [target] in [order]/[homes]: out of the order,
+   then to its front when promoted. *)
+let rec order_position t id k =
+  if k = t.n_order || t.order.(k) = id then k else order_position t id (k + 1)
+
+let move_array t id target =
+  let at = order_position t id 0 in
+  if at < t.n_order then begin
+    Array.blit t.order (at + 1) t.order at (t.n_order - at - 1);
+    t.n_order <- t.n_order - 1
+  end;
+  (match target with
+  | None -> ()
+  | Some _ ->
+    Array.blit t.order 0 t.order 1 t.n_order;
+    t.order.(0) <- id;
+    t.n_order <- t.n_order + 1);
+  t.homes.(id) <- Option.value target ~default:t.main
+
+(* A [Set_array] moves the home of every access of the array: Direct
+   ones follow it, chained ones refill from it. *)
+let invalidate t id =
+  let dirty = t.arrays.(id).dirty in
+  t.counters.n_invalidated <- t.counters.n_invalidated + Array.length dirty;
+  Telemetry.count t.telemetry ~cat:"engine" "engine.entries_invalidated"
+    (Array.length dirty);
+  for k = 0 to Array.length dirty - 1 do
+    refresh t dirty.(k)
+  done
+
+(* The objective after folding [move] into the accumulators; the
+   engine's position is restored before returning. *)
+let probe_fold t move =
   match move with
   | Set_placement (r, p) ->
     let i = index_of t r in
     let e = t.entries.(i) in
-    let old_p = e.placement in
-    let old_stall = e.acc_stall in
-    let old_energy = e.acc_energy in
-    let old_bts = e.chain_bts in
-    e.placement <- p;
-    refresh t e;
-    fun () ->
-      e.placement <- old_p;
-      e.acc_stall <- old_stall;
-      e.acc_energy <- old_energy;
-      e.chain_bts <- old_bts
-  | Set_array (array, layer) ->
-    let old_layers = t.array_layers in
-    let removed = List.remove_assoc array t.array_layers in
-    t.array_layers <-
-      (match layer with
-      | None -> removed
-      | Some level -> (array, level) :: removed);
-    let dirty = indices_of_array t array in
-    t.counters.n_invalidated <- t.counters.n_invalidated + List.length dirty;
-    Telemetry.count t.telemetry ~cat:"engine" "engine.entries_invalidated"
-      (List.length dirty);
-    let saved =
-      List.map
-        (fun i ->
-          let e = t.entries.(i) in
-          (e, e.acc_stall, e.acc_energy, e.chain_bts))
-        dirty
-    in
-    (* Direct accesses follow the array; chained ones keep their
-       serving layer but refill from the new home. The memo covers
-       both, keyed by the new home. *)
-    List.iter (fun i -> refresh t t.entries.(i)) dirty;
-    fun () ->
-      t.array_layers <- old_layers;
-      List.iter
-        (fun (e, stall, energy, bts) ->
-          e.acc_stall <- stall;
-          e.acc_energy <- energy;
-          e.chain_bts <- bts)
-        saved
+    let saved = e.alt in
+    e.alt <- alt_of t i p;
+    refresh t i;
+    fold t;
+    e.alt <- saved
+  | Set_array (array, target) ->
+    let id = array_id t array in
+    let home = t.homes.(id) in
+    let n = t.n_order in
+    Array.blit t.order 0 t.saved_order 0 n;
+    move_array t id target;
+    invalidate t id;
+    fold t;
+    Array.blit t.saved_order 0 t.order 0 n;
+    t.n_order <- n;
+    t.homes.(id) <- home
 
-(* Re-fold the cached contributions in the exact order [Cost.evaluate]
-   folds the real units: accesses in infos order; chain transfers in
-   placements order, first [bt_dedupe_key] occurrence kept; promoted
-   fill/drain streams in [array_layers] order. Returns the breakdown
-   and the number of contributions folded (for the hit/miss stats). *)
-let totals t =
-  let folded = ref 0 in
-  let access_stall = ref 0 in
-  let access_energy = ref 0. in
-  Array.iter
-    (fun e ->
-      access_stall := !access_stall + e.acc_stall;
-      access_energy := !access_energy +. e.acc_energy;
-      incr folded)
-    t.entries;
-  let stall = ref 0 in
-  let setup = ref 0 in
-  let energy = ref 0. in
-  let dma_energy = ref 0. in
-  let add cached =
-    let c = cached.contrib in
-    stall := !stall + c.c_stall;
-    setup := !setup + c.c_setup;
-    energy := !energy +. c.c_energy;
-    dma_energy := !dma_energy +. c.c_dma;
-    incr folded
-  in
-  t.generation <- t.generation + 1;
-  let gen = t.generation in
-  Array.iter
-    (fun e ->
-      List.iter
-        (fun cached ->
-          if t.stamps.(cached.key_id) <> gen then begin
-            t.stamps.(cached.key_id) <- gen;
-            add cached
-          end)
-        e.chain_bts)
-    t.entries;
-  List.iter
-    (fun (array, level) -> List.iter add (promoted_contribs t array level))
-    t.array_layers;
-  let breakdown =
-    {
-      Cost.compute_cycles = t.compute;
-      access_stall_cycles = !access_stall;
-      transfer_stall_cycles = !stall;
-      dma_setup_cycles = !setup;
-      total_cycles = t.compute + !access_stall + !stall + !setup;
-      access_energy_pj = !access_energy;
-      transfer_energy_pj = !energy;
-      dma_energy_pj = !dma_energy;
-      total_energy_pj = !access_energy +. !energy +. !dma_energy;
-    }
-  in
-  (breakdown, !folded)
-
-(* --- incremental feasibility ------------------------------------------ *)
-
-let span_of policy (iv : Interval.t) bytes =
-  match policy with
-  | Occupancy.Sum -> { lo = 0; hi = 1; bytes }
-  | Occupancy.In_place ->
-    let lo = iv.Interval.lo in
-    let hi = if Interval.is_empty iv then lo + 1 else iv.Interval.hi in
-    { lo; hi; bytes }
-
-(* Add ([sign] = 1) or remove ([-1]) a span, keeping [over] exact. *)
-let charge occ level sign sp =
-  match occ.profiles.(level) with
+(* The charges of a [Set_array]: the array's block off its current
+   level (when on-chip) and onto the target's. *)
+let charge_array t id target sign =
+  let st = t.arrays.(id) in
+  let home = t.homes.(id) in
+  if home <> t.main then charge t.occ home (-sign) st.a_lo st.a_hi st.a_bytes;
+  match target with
+  | Some level -> charge t.occ level sign st.a_lo st.a_hi st.a_bytes
   | None -> ()
-  | Some { capacity; load } ->
-    let w = sign * sp.bytes in
-    for s = sp.lo to sp.hi - 1 do
-      let before = load.(s) > capacity in
-      load.(s) <- load.(s) + w;
-      match (before, load.(s) > capacity) with
-      | false, true -> occ.over <- occ.over + 1
-      | true, false -> occ.over <- occ.over - 1
-      | true, true | false, false -> ()
-    done
 
-let group_of groups ~key ~level =
-  match Hashtbl.find_opt groups (key, level) with
-  | Some g -> g
-  | None ->
-    let g = { level; sharers = []; charged = None } in
-    Hashtbl.replace groups (key, level) g;
-    g
+(* Move entry [i] onto its compiled alternative [a], occupancy
+   included. *)
+let install t i a =
+  let e = t.entries.(i) in
+  stage_placement t.occ i ~from:e.alt a;
+  apply_staged t.occ 1;
+  install_staged t.occ i a;
+  e.alt <- a
 
-let cand_of_candidate ~profiles ~groups schedule c =
-  {
-    c;
-    iv = Schedule.candidate_interval schedule c;
-    groups =
-      Array.mapi
-        (fun level profile ->
-          Option.map
-            (fun _ -> group_of groups ~key:c.Candidate.share_key ~level)
-            profile)
-        profiles;
-  }
-
-(* The precomputed record of a chain link's candidate; a candidate that
-   is not physically one of the access's own (hand-built chains) is
-   derived on the spot, with the same result. *)
-let cand_of occ i (link : Mapping.chain_link) =
-  let own = occ.cands.(i) in
-  let rec find k =
-    if k = Array.length own then
-      cand_of_candidate ~profiles:occ.profiles ~groups:occ.groups
-        occ.schedule link.Mapping.candidate
-    else if own.(k).c == link.Mapping.candidate then own.(k)
-    else find (k + 1)
-  in
-  find 0
-
-(* [Mapping.layer_blocks]'s merge: hull folded in placements order
-   (an empty lifetime yields to any non-empty one), largest footprint. *)
-let group_span occ = function
-  | [] -> None
-  | (_, iv0, b0) :: rest ->
-    let iv, bytes =
-      List.fold_left
-        (fun (iv, bytes) (_, iv', b') -> (Interval.hull iv iv', max bytes b'))
-        (iv0, b0) rest
-    in
-    Some (span_of occ.policy iv bytes)
-
-(* The groups a placement of entry [i] joins, with the sharer it adds;
-   levels without a capacity are never tracked. *)
-let joins occ i = function
-  | Mapping.Direct -> []
-  | Mapping.Chain links ->
-    List.filter_map
-      (fun (link : Mapping.chain_link) ->
-        let cd = cand_of occ i link in
-        Option.map
-          (fun g -> (g, (i, cd.iv, cd.c.Candidate.footprint_bytes)))
-          cd.groups.(link.Mapping.layer))
-      links
-
-(* Every group entry [i] leaves or joins when it moves from placement
-   [from] to [p], with the group's new sharers and new block. *)
-let placement_delta occ i ~from p =
-  let joined = joins occ i p in
-  let affected =
-    List.fold_left
-      (fun acc g -> if List.memq g acc then acc else g :: acc)
-      [] (List.map fst (joins occ i from) @ List.map fst joined)
-  in
-  List.map
-    (fun g ->
-      let kept = List.filter (fun (j, _, _) -> j <> i) g.sharers in
-      let sharers =
-        match List.assq_opt g joined with
-        | None -> kept
-        | Some sharer ->
-          let rec insert = function
-            | ((j, _, _) as s) :: rest when j < i -> s :: insert rest
-            | rest -> sharer :: rest
-          in
-          insert kept
-      in
-      (g, sharers, group_span occ sharers))
-    affected
-
-(* The charges a move makes, as (level, sign, span), plus the group
-   updates a commit installs. *)
-let delta t move =
+let feasible t move =
   let occ = t.occ in
   match move with
   | Set_placement (r, p) ->
     let i = index_of t r in
-    let changes = placement_delta occ i ~from:t.entries.(i).placement p in
-    let charges =
-      List.concat_map
-        (fun (g, _, block) ->
-          if block = g.charged then []
-          else
-            let at sign = Option.map (fun sp -> (g.level, sign, sp)) in
-            Option.to_list (at (-1) g.charged) @ Option.to_list (at 1 block))
-        changes
-    in
-    (charges, changes)
+    stage_placement occ i ~from:t.entries.(i).alt (alt_of t i p);
+    apply_staged occ 1;
+    let ok = occ.over = 0 in
+    apply_staged occ (-1);
+    ok
   | Set_array (array, target) ->
-    let sp = Hashtbl.find occ.arrays array in
-    let off =
-      match List.assoc_opt array t.array_layers with
-      | Some level -> [ (level, -1, sp) ]
-      | None -> []
-    in
-    let on = match target with Some level -> [ (level, 1, sp) ] | None -> [] in
-    (off @ on, [])
+    let id = array_id t array in
+    charge_array t id target 1;
+    let ok = occ.over = 0 in
+    charge_array t id target (-1);
+    ok
 
-let apply_charges occ sign charges =
-  List.iter (fun (level, s, sp) -> charge occ level (sign * s) sp) charges
+let span_bounds policy (iv : Interval.t) =
+  match policy with
+  | Occupancy.Sum -> (0, 1)
+  | Occupancy.In_place ->
+    let lo = iv.Interval.lo in
+    (lo, if Interval.is_empty iv then lo + 1 else iv.Interval.hi)
 
-(* The occupancy state of [m], whose placements [entries] mirror. *)
-let build_occ policy (m : Mapping.t) entries =
+let create ?(telemetry = Telemetry.noop) ?(policy = Occupancy.In_place)
+    ~objective (m : Mapping.t) =
   let h = m.Mapping.hierarchy in
   let schedule = m.Mapping.schedule in
+  let main = Hierarchy.main_memory_level h in
+  let levels = Hierarchy.levels h in
   let slots =
     match policy with
     | Occupancy.Sum -> 1
     | Occupancy.In_place -> Schedule.horizon schedule + 1
   in
-  let main = Hierarchy.main_memory_level h in
-  let profiles =
-    Array.init (Hierarchy.levels h) (fun level ->
-        if level = main then None
-        else
-          Option.map
-            (fun capacity -> { capacity; load = Array.make slots 0 })
-            (Hierarchy.layer h level).Mhla_arch.Layer.capacity_bytes)
-  in
-  let groups = Hashtbl.create 64 in
-  let occ =
-    {
-      policy;
-      schedule;
-      profiles;
-      cands =
-        Array.map
-          (fun e ->
-            Array.of_list
-              (List.map
-                 (cand_of_candidate ~profiles ~groups schedule)
-                 e.info.Analysis.candidates))
-          entries;
-      groups;
-      arrays = Hashtbl.create 16;
-      over = 0 (* capacities are positive: empty profiles fit *);
-    }
-  in
-  List.iter
-    (fun (d : Mhla_ir.Array_decl.t) ->
-      let name = d.Mhla_ir.Array_decl.name in
-      Hashtbl.replace occ.arrays name
-        (span_of policy
-           (Schedule.array_interval schedule name)
-           (Mhla_ir.Array_decl.size_bytes d)))
-    m.Mapping.program.Mhla_ir.Program.arrays;
-  (* Sharers join in entry order, then each group is charged once. *)
-  Array.iteri
-    (fun i e ->
-      List.iter
-        (fun (g, sharer) -> g.sharers <- g.sharers @ [ sharer ])
-        (joins occ i e.placement))
-    entries;
-  Hashtbl.iter
-    (fun _ g ->
-      g.charged <- group_span occ g.sharers;
-      Option.iter (charge occ g.level 1) g.charged)
-    groups;
-  List.iter
-    (fun (array, level) -> charge occ level 1 (Hashtbl.find occ.arrays array))
-    m.Mapping.array_layers;
-  occ
-
-let feasible t move =
-  let charges, _ = delta t move in
-  apply_charges t.occ 1 charges;
-  let ok = t.occ.over = 0 in
-  apply_charges t.occ (-1) charges;
-  ok
-
-(* Advance the occupancy state by [move]; must run before
-   [apply_internal] moves the entry's placement. *)
-let commit_occ t move =
-  let charges, changes = delta t move in
-  apply_charges t.occ 1 charges;
-  List.iter
-    (fun (g, sharers, block) ->
-      g.sharers <- sharers;
-      g.charged <- block)
-    changes
-
-let create ?(telemetry = Telemetry.noop) ?(policy = Occupancy.In_place)
-    ~objective (m : Mapping.t) =
+  let decls = m.Mapping.program.Mhla_ir.Program.arrays in
+  let array_ids = Hashtbl.create 16 in
+  List.iteri
+    (fun id (d : Mhla_ir.Array_decl.t) ->
+      Hashtbl.replace array_ids d.Mhla_ir.Array_decl.name id)
+    decls;
+  let infos = Array.of_list m.Mapping.infos in
   let entries =
+    Array.map
+      (fun (info : Analysis.info) ->
+        {
+          info;
+          array = Hashtbl.find array_ids info.Analysis.array;
+          alt = no_alt;
+          cache = [];
+          cached = 0;
+        })
+      infos
+  in
+  let arrays =
     Array.of_list
-      (List.map
-         (fun (info : Analysis.info) ->
+      (List.mapi
+         (fun id (d : Mhla_ir.Array_decl.t) ->
+           let name = d.Mhla_ir.Array_decl.name in
+           let a_lo, a_hi =
+             span_bounds policy (Schedule.array_interval schedule name)
+           in
            {
-             info;
-             placement = Mapping.placement_of m info.Analysis.ref_;
-             acc_stall = 0;
-             acc_energy = 0.;
-             chain_bts = [];
-             memo = [];
+             name;
+             a_lo;
+             a_hi;
+             a_bytes = Mhla_ir.Array_decl.size_bytes d;
+             dirty =
+               Array.of_list
+                 (List.filter
+                    (fun i -> entries.(i).array = id)
+                    (List.init (Array.length entries) Fun.id));
+             promoted = Array.make levels None;
            })
-         m.Mapping.infos)
+         decls)
   in
   let index = Hashtbl.create (Array.length entries) in
-  let by_array = Hashtbl.create 8 in
   Array.iteri
-    (fun i e ->
-      Hashtbl.replace index e.info.Analysis.ref_ i;
-      let arr = e.info.Analysis.array in
-      let prev = Option.value ~default:[] (Hashtbl.find_opt by_array arr) in
-      Hashtbl.replace by_array arr (prev @ [ i ]))
+    (fun i e -> Hashtbl.replace index e.info.Analysis.ref_ i)
     entries;
+  let n_arrays = Array.length arrays in
+  let homes = Array.make n_arrays main in
+  let order = Array.make n_arrays 0 in
+  List.iteri
+    (fun k (array, level) ->
+      let id = Hashtbl.find array_ids array in
+      homes.(id) <- level;
+      order.(k) <- id)
+    m.Mapping.array_layers;
   Telemetry.span telemetry ~cat:"engine" "engine.create" @@ fun () ->
   let t =
     {
@@ -587,18 +724,25 @@ let create ?(telemetry = Telemetry.noop) ?(policy = Occupancy.In_place)
       mapping = m;
       entries;
       index;
-      last_lookup = None;
-      by_array;
-      array_layers = m.Mapping.array_layers;
-      promoted = Hashtbl.create 8;
+      last_ref = { Analysis.stmt = ""; index = -1 };
+      last_index = -1;
+      arrays;
+      array_ids;
+      homes;
+      order;
+      n_order = List.length m.Mapping.array_layers;
+      saved_order = Array.make n_arrays 0;
       key_ids = Hashtbl.create 16;
       stamps = Array.make 16 0;
       generation = 0;
-      main = Hierarchy.main_memory_level m.Mapping.hierarchy;
-      dma =
-        (if Hierarchy.has_dma m.Mapping.hierarchy then
-           Some (Hierarchy.dma_exn m.Mapping.hierarchy)
-         else None);
+      s_access_stall = 0;
+      s_stall = 0;
+      s_setup = 0;
+      sums = Array.make 3 0.;
+      folded = 0;
+      main;
+      levels;
+      dma = (if Hierarchy.has_dma h then Some (Hierarchy.dma_exn h) else None);
       compute = Mhla_ir.Program.total_work_cycles m.Mapping.program;
       counters =
         {
@@ -609,15 +753,60 @@ let create ?(telemetry = Telemetry.noop) ?(policy = Occupancy.In_place)
           n_invalidated = 0;
         };
       telemetry;
-      occ = build_occ policy m entries;
+      occ =
+        {
+          policy;
+          schedule;
+          profiles =
+            Array.init levels (fun level ->
+                if level = main then None
+                else
+                  Option.map
+                    (fun capacity -> { capacity; load = Array.make slots 0 })
+                    (Hierarchy.layer h level).Mhla_arch.Layer.capacity_bytes);
+          groups = Hashtbl.create 64;
+          over = 0 (* capacities are positive: empty profiles fit *);
+          aff = [||];
+          n_aff = 0;
+          n_on = [||];
+          n_lo = [||];
+          n_hi = [||];
+          n_bytes = [||];
+          f_on = false;
+          f_lo = 0;
+          f_hi = 0;
+          f_bytes = 0;
+        };
     }
   in
-  Array.iter (refresh t) t.entries;
+  (* Entries join their groups in entry order, as [Mapping.layer_blocks]
+     meets them. *)
+  Array.iteri
+    (fun i (e : entry) ->
+      install t i (alt_of t i (Mapping.placement_of m e.info.Analysis.ref_)))
+    entries;
+  for k = 0 to t.n_order - 1 do
+    let st = arrays.(order.(k)) in
+    charge t.occ homes.(order.(k)) 1 st.a_lo st.a_hi st.a_bytes
+  done;
+  Array.iteri (fun i _ -> refresh t i) entries;
   t
 
 let mapping t = t.mapping
 
-let breakdown t = fst (totals t)
+let breakdown t =
+  fold t;
+  {
+    Cost.compute_cycles = t.compute;
+    access_stall_cycles = t.s_access_stall;
+    transfer_stall_cycles = t.s_stall;
+    dma_setup_cycles = t.s_setup;
+    total_cycles = total_cycles t;
+    access_energy_pj = t.sums.(0);
+    transfer_energy_pj = t.sums.(1);
+    dma_energy_pj = t.sums.(2);
+    total_energy_pj = total_energy t;
+  }
 
 let objective_value t = Cost.scalar t.objective (breakdown t)
 
@@ -625,25 +814,28 @@ let move_kind = function
   | Set_placement _ -> "set_placement"
   | Set_array _ -> "set_array"
 
+let probe_value t move =
+  t.counters.n_probes <- t.counters.n_probes + 1;
+  let before = t.counters.n_recomputed in
+  probe_fold t move;
+  let recomputed = t.counters.n_recomputed - before in
+  let reused = max 0 (t.folded - recomputed) in
+  t.counters.n_reused <- t.counters.n_reused + reused;
+  if Telemetry.enabled t.telemetry then begin
+    Telemetry.count t.telemetry ~cat:"engine" "engine.probes" 1;
+    Telemetry.count t.telemetry ~cat:"engine" "engine.cache_hits" reused;
+    Telemetry.count t.telemetry ~cat:"engine" "engine.cache_misses" recomputed
+  end;
+  Cost.scalar_of t.objective ~total_cycles:(total_cycles t)
+    ~total_energy_pj:(total_energy t)
+
+(* The span (and its closures) only exists for an enabled sink. *)
 let probe t move =
-  Telemetry.span t.telemetry ~cat:"engine" "engine.probe"
-    ~args:(fun () -> [ ("move", Telemetry.Str (move_kind move)) ])
-    (fun () ->
-      t.counters.n_probes <- t.counters.n_probes + 1;
-      let before = t.counters.n_recomputed in
-      let undo = apply_internal t move in
-      let b, folded = totals t in
-      undo ();
-      let recomputed = t.counters.n_recomputed - before in
-      let reused = max 0 (folded - recomputed) in
-      t.counters.n_reused <- t.counters.n_reused + reused;
-      if Telemetry.enabled t.telemetry then begin
-        Telemetry.count t.telemetry ~cat:"engine" "engine.probes" 1;
-        Telemetry.count t.telemetry ~cat:"engine" "engine.cache_hits" reused;
-        Telemetry.count t.telemetry ~cat:"engine" "engine.cache_misses"
-          recomputed
-      end;
-      Cost.scalar t.objective b)
+  if Telemetry.enabled t.telemetry then
+    Telemetry.span t.telemetry ~cat:"engine" "engine.probe"
+      ~args:(fun () -> [ ("move", Telemetry.Str (move_kind move)) ])
+      (fun () -> probe_value t move)
+  else probe_value t move
 
 let commit t move =
   Telemetry.span t.telemetry ~cat:"engine" "engine.commit"
@@ -651,17 +843,28 @@ let commit t move =
     (fun () ->
       (* Validate through the real [Mapping] update first: if it rejects
          the move we raise before any cached state is dirtied. *)
-      let mapping' =
-        match move with
-        | Set_placement (r, p) -> Mapping.with_placement t.mapping r p
-        | Set_array (a, l) ->
-          Mapping.with_array_layer t.mapping ~array:a ~layer:l
-      in
-      commit_occ t move;
-      ignore (apply_internal t move : unit -> unit);
-      t.mapping <- mapping';
+      (match move with
+      | Set_placement (r, p) ->
+        let mapping' = Mapping.with_placement t.mapping r p in
+        let i = index_of t r in
+        install t i (alt_of t i p);
+        t.mapping <- mapping';
+        refresh t i
+      | Set_array (array, target) ->
+        let mapping' =
+          Mapping.with_array_layer t.mapping ~array ~layer:target
+        in
+        let id = array_id t array in
+        charge_array t id target 1;
+        move_array t id target;
+        t.mapping <- mapping';
+        invalidate t id);
       t.counters.n_commits <- t.counters.n_commits + 1;
       Telemetry.count t.telemetry ~cat:"engine" "engine.commits" 1)
+
+let compiled_cap = alt_cap
+
+let compiled t r = t.entries.(index_of t r).cached
 
 let stats t =
   {

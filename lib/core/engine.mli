@@ -14,30 +14,48 @@
     - [Set_array a _] dirties the access contributions of the [Direct]
       accesses of [a] (their serving layer moved) and the chain
       transfers of every access of [a] (their outermost source moved);
-      the whole-array fill/drain streams are memoised per
-      [(array, level)] and never recomputed twice.
+      the whole-array fill/drain streams are derived once per
+      [(array, level)] and kept beside the array's home level.
 
-    Totals are then a cheap re-fold of the cached contributions {e in
-    the exact order [Cost.evaluate] folds them} — the engine never
-    subtracts a stale term from a running total. Because every cached
-    term is produced by the same functions [Cost.evaluate] uses and the
-    re-fold preserves the float summation order, {!objective_value} is
-    bit-identical to
+    {b Compiled alternatives.} The engine compiles each placement it
+    sees for an access once, the first time it sees it (keyed by
+    physical identity, so the searches' hoisted alternatives hit every
+    round), into one record: the share groups the placement joins on
+    capacity-bound levels with the buffer it adds to each (lifetime and
+    footprint as plain ints), and its cost terms per home level (the
+    level holding the access's array), derived on first use. A
+    structurally equal but physically distinct placement, or a
+    hand-built chain the searches never generate, compiles a record of
+    its own with the same contents. At most {!compiled_cap} records are
+    kept per access; the oldest age out.
+
+    Totals are then a re-fold of the current records' terms {e in the
+    exact order [Cost.evaluate] folds them}, with loops over
+    accumulators the engine owns — the engine never subtracts a stale
+    term from a running total. Because every cached term is produced by
+    the same functions [Cost.evaluate] uses and the re-fold preserves
+    the float summation order, {!objective_value} is bit-identical to
     [Cost.scalar objective (Cost.evaluate (mapping t))] — the invariant
     {!Mhla_sim.Crosscheck} re-verifies and the fuzz suite hammers. An
     engine-driven search therefore reproduces the oracle-driven search
-    decision-for-decision.
+    decision-for-decision. A probe points the moved access (or the
+    moved array's home) at the new terms, folds, and points it back: no
+    undo closure, no list built.
 
     The engine answers feasibility the same way. [Mapping.occupancy_ok]
     rebuilds every on-chip layer's blocks and sweeps them; the engine
     instead keeps, for each on-chip level with a capacity, a per-slot
     byte profile over the schedule horizon ([In_place]) or a single
     byte total ([Sum]), each [share_key] group's sharers in placements
-    order, and a count of slots over capacity. Candidate and array
-    lifetimes are derived once. {!feasible} re-derives only the
-    share-group blocks a [Set_placement] leaves or joins (one per chain
-    link, old and new), or the one array block of a [Set_array], and
-    rewrites only their slots; {!commit} installs the same delta. *)
+    order with its charged block, and a count of slots over capacity.
+    {!feasible} stages, in scratch buffers the engine owns, the new
+    block of every share group a [Set_placement] leaves or joins (read
+    off the old and new compiled records), swaps the changed ones in,
+    reads the over-capacity count and swaps them back; a [Set_array]
+    charges its one array block the same way. {!commit} installs the
+    staged blocks. Once a search has compiled its alternatives, a check
+    allocates nothing and a probe about four minor words, its boxed
+    result among them (EXT-ENGINE measures both). *)
 
 (** A single search move. Owned here (rather than by [Assign], which
     re-exports it) so the engine does not depend on the search. *)
@@ -115,3 +133,9 @@ val breakdown : t -> Cost.breakdown
     cache; bit-identical to [Cost.evaluate (mapping t)]. *)
 
 val stats : t -> stats
+
+val compiled : t -> Mhla_reuse.Analysis.access_ref -> int
+(** How many alternatives of this access the engine holds compiled;
+    never more than {!compiled_cap}. *)
+
+val compiled_cap : int

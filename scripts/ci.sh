@@ -203,6 +203,25 @@ else
   echo "   (python3 not installed: skipping frontier JSON validation)"
 fi
 
+echo "== search decision gate =="
+# One short paper-pareto benchmark pass: every app's frontier over the
+# 5x5 budget grid must equal perfbench/expected/pareto_frontiers.json
+# exactly, so a change to any search decision fails here, not only in
+# the benchmark pipeline.
+if command -v python3 >/dev/null 2>&1; then
+  bench_line=$(python3 perfbench/run.py --workload paper-pareto --seed 1 \
+    --seconds 1 --trace 0 2>/dev/null | tail -n 1)
+  echo "$bench_line" | python3 -c '
+import json, sys
+d = json.loads(sys.stdin.read())
+if d.get("correct") is not True or d.get("failed") != 0:
+    sys.exit("paper-pareto frontiers drifted from perfbench/expected: "
+             "correct=%s failed=%s" % (d.get("correct"), d.get("failed")))
+' || exit 1
+else
+  echo "   (python3 not installed: skipping the search decision gate)"
+fi
+
 echo "== simulate gate =="
 # The discrete-event simulator must cross-validate the analytic TE
 # gain on real applications: exit 0, agreement reported, and every

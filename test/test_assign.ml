@@ -289,14 +289,18 @@ let test_greedy_engine_equals_oracle_on_kernel () =
       let program = conv () in
       let h = Presets.two_level ~onchip_bytes:budget () in
       List.iter
-        (fun config ->
-          let engine = Assign.greedy ~config program h in
-          let oracle = Assign.greedy ~config ~oracle:true program h in
+        (fun (config, first_improvement) ->
+          let engine = Assign.greedy ~config ~first_improvement program h in
+          let oracle =
+            Assign.greedy ~config ~first_improvement ~oracle:true program h
+          in
           Alcotest.(check bool)
-            (Printf.sprintf "budget %d: identical result" budget)
+            (Printf.sprintf "budget %d%s: identical result" budget
+               (if first_improvement then " first-improving" else ""))
             true
             (fingerprint engine = fingerprint oracle))
-        [ Assign.default_config; cycles_config ])
+        [ (Assign.default_config, false); (cycles_config, false);
+          (Assign.default_config, true) ])
     [ 64; 512; 4096 ]
 
 let test_anneal_engine_equals_oracle () =
@@ -488,6 +492,74 @@ let test_feasible_array_between_levels () =
   Alcotest.(check bool) "off-chip frees L1" true
     (Engine.feasible engine (Engine.Set_array ("tab", None)))
 
+(* The engine compiles each placement it sees once, keyed by physical
+   identity. A placement that is only structurally equal to one of the
+   alternatives, or a hand-built chain the searches never generate,
+   gets a record of its own and must be answered exactly like the
+   hoisted alternatives: check, probe and commit all agree with the
+   from-scratch evaluation of the moved mapping. *)
+let test_engine_foreign_placements () =
+  (* Single-link alternatives, so a two-link chain is foreign. *)
+  let config = { Assign.default_config with Assign.max_chain_length = 1 } in
+  let objective = config.Assign.objective in
+  let m =
+    Mapping.direct (conv ())
+      (Presets.three_level ~l1_bytes:256 ~l2_bytes:4096 ())
+  in
+  let info = List.hd m.Mapping.infos in
+  let r = info.Analysis.ref_ in
+  let alts = Assign.alternatives config m info in
+  let copy = function
+    | Mapping.Direct -> Mapping.Direct
+    | Mapping.Chain links ->
+      Mapping.Chain
+        (List.map
+           (fun (l : Mapping.chain_link) ->
+             { l with Mapping.layer = l.Mapping.layer })
+           links)
+  in
+  let twin = copy (List.nth alts (List.length alts - 1)) in
+  Alcotest.(check bool) "twin is a distinct equal value" true
+    (List.exists (fun p -> p = twin && p != twin) alts);
+  let hand =
+    match
+      List.sort
+        (fun (a : Candidate.t) b -> compare b.Candidate.level a.Candidate.level)
+        info.Analysis.candidates
+    with
+    | inner :: outer :: _ ->
+      Mapping.Chain
+        [ { Mapping.candidate = inner; layer = 0 };
+          { Mapping.candidate = outer; layer = 1 } ]
+    | [] | [ _ ] -> Alcotest.fail "the access has fewer than two candidates"
+  in
+  Alcotest.(check bool) "hand-built chain is foreign" false
+    (List.mem hand alts);
+  let engine = Engine.create ~objective m in
+  let agrees what mv =
+    let moved = Assign.apply_move (Engine.mapping engine) mv in
+    Alcotest.(check bool) (what ^ ": feasible") (Assign.feasible config moved)
+      (Engine.feasible engine mv);
+    Alcotest.(check bool) (what ^ ": probe") true
+      (Engine.probe engine mv = Cost.scalar objective (Cost.evaluate moved))
+  in
+  List.iter
+    (fun (what, p) ->
+      let mv = Engine.Set_placement (r, p) in
+      agrees what mv;
+      Engine.commit engine mv;
+      Alcotest.(check bool) (what ^ ": committed breakdown") true
+        (Engine.breakdown engine = Cost.evaluate (Engine.mapping engine));
+      List.iter (agrees (what ^ " then a search move"))
+        (Assign.moves config (Engine.mapping engine)))
+    [ ("structural twin", twin); ("hand-built chain", hand) ];
+  for _ = 1 to 3 * Engine.compiled_cap do
+    ignore (Engine.probe engine (Engine.Set_placement (r, copy twin)) : float)
+  done;
+  Alcotest.(check int) "fresh copies stay within the cache bound"
+    Engine.compiled_cap (Engine.compiled engine r);
+  agrees "after eviction" (Engine.Set_placement (r, copy hand))
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "assign"
@@ -546,6 +618,8 @@ let () =
             test_feasible_empty_lifetime_widened;
           Alcotest.test_case "array between levels" `Quick
             test_feasible_array_between_levels;
+          Alcotest.test_case "foreign placements" `Quick
+            test_engine_foreign_placements;
           qc prop_engine_feasible_matches_oracle;
         ] );
       ( "exhaustive",

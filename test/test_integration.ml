@@ -86,6 +86,50 @@ let test_full_size_headline_bands () =
     true
     (best_energy >= 60. && best_energy <= 80.)
 
+(* The calibrated full-size runs pinned exactly: cycles and energy
+   after each step (energy as hex floats, so a one-bit drift fails),
+   the evaluations step 1 spent and the moves it applied. The band
+   test above tolerates any drift inside the paper's bands; this one
+   fails on a changed search decision or a reordered float sum. *)
+let calibrated_golden =
+  [ "motion_estimation assign=88836921/0x1.c03c5a02e893ap+27 "
+    ^ "te=77850297/0x1.c03c5a02e893ap+27 evaluations=32 steps=3";
+    "qsdpcm assign=6349545/0x1.89bf7p+23 "
+    ^ "te=6243561/0x1.89bf7p+23 evaluations=311 steps=9";
+    "cavity_detector assign=3165252/0x1.95c68760e933fp+22 "
+    ^ "te=3077720/0x1.95c68760e933fp+22 evaluations=221 steps=9";
+    "wavelet_2d assign=1294012/0x1.4070bep+21 "
+    ^ "te=1235964/0x1.4070bep+21 evaluations=281 steps=9";
+    "jpeg_encoder assign=22154198/0x1.15b5c4df97016p+25 "
+    ^ "te=22071830/0x1.15b5c4df97016p+25 evaluations=213 steps=7";
+    "edge_detection assign=5235739/0x1.05596d3a848e3p+23 "
+    ^ "te=4875291/0x1.05596d3a848e3p+23 evaluations=145 steps=7";
+    "adpcm_coder assign=431846/0x1.4d48548fe1592p+20 "
+    ^ "te=384230/0x1.4d48548fe1592p+20 evaluations=51 steps=4";
+    "mp3_filterbank assign=698770/0x1.4bcfdbd9834a9p+20 "
+    ^ "te=688658/0x1.4bcfdbd9834a9p+20 evaluations=35 steps=3";
+    "voice_compression assign=2007011/0x1.f5f17a0324273p+21 "
+    ^ "te=1965027/0x1.f5f17a0324273p+21 evaluations=120 steps=6";
+  ]
+
+let golden_line (app : Defs.t) =
+  let r =
+    Explore.run
+      (Lazy.force app.Defs.program)
+      (Presets.two_level ~onchip_bytes:app.Defs.onchip_bytes ())
+  in
+  let a = r.Explore.after_assign and t = r.Explore.after_te in
+  Printf.sprintf "%s assign=%d/%h te=%d/%h evaluations=%d steps=%d"
+    app.Defs.name a.Cost.total_cycles a.Cost.total_energy_pj
+    t.Cost.total_cycles t.Cost.total_energy_pj
+    r.Explore.assign.Assign.evaluations
+    (List.length r.Explore.assign.Assign.steps)
+
+let test_calibrated_golden () =
+  Alcotest.(check (list string))
+    "calibrated runs" calibrated_golden
+    (List.map golden_line Apps.all)
+
 let test_dma_less_platform_degrades_gracefully () =
   per_small_app (fun app _ ->
       let r =
@@ -163,6 +207,8 @@ let () =
             test_flow_improves_all_apps;
           Alcotest.test_case "headline bands (full size)" `Slow
             test_full_size_headline_bands;
+          Alcotest.test_case "calibrated runs pinned" `Quick
+            test_calibrated_golden;
           Alcotest.test_case "no-DMA degrades gracefully" `Quick
             test_dma_less_platform_degrades_gracefully;
           Alcotest.test_case "three-level hierarchy" `Quick
