@@ -334,7 +334,7 @@ let ext_esim () =
     "Discrete-event cycle-level DMA/bus simulation of every TE stream\n\
      vs the analytic model: per app, the gain divergence (must stay\n\
      within the documented tolerance) and the simulator's event\n\
-     throughput. doc/TREND.md renders these metrics across revisions.";
+     throughput.";
   let table =
     Table.create
       ~columns:

@@ -37,6 +37,8 @@ module Predictor = Mhla_policy.Predictor
 module Prefetch = Mhla_core.Prefetch
 module Registry = Mhla_policy.Registry
 module Report = Mhla_core.Report
+module Request = Mhla_service.Request
+module Service = Mhla_service.Service
 module Table = Mhla_util.Table
 module Telemetry = Mhla_obs.Telemetry
 module Trace_export = Mhla_obs.Trace_export
@@ -61,6 +63,12 @@ let validate_onchip onchip =
     Error.invalidf ~context:"mhla"
       ~hint:"pass a positive byte count to --onchip"
       "on-chip budget must be positive (got %d)" b
+  | _ -> ()
+
+let check_jobs ?(context = "mhla") = function
+  | Some j when j < 1 ->
+    Error.invalidf ~context ~hint:"pass -j a positive worker count"
+      "jobs must be at least 1 (got %d)" j
   | _ -> ()
 
 (* --- shared options ---------------------------------------------------- *)
@@ -125,9 +133,7 @@ let search_arg =
   Arg.(
     value & opt (some string) None & info [ "search" ] ~docv:"ENGINE" ~doc)
 
-let resolve_search = function
-  | None -> Explore.Greedy
-  | Some s -> Registry.search_of_name ~context:"mhla" s
+let resolve_search = Option.map (Registry.search_of_name ~context:"mhla")
 
 let deadline_arg =
   let doc =
@@ -207,11 +213,23 @@ let with_telemetry ~trace ~verbosity f =
 let config_of objective transfer_mode =
   { Assign.default_config with Assign.objective; transfer_mode }
 
-let hierarchy_of (app : Mhla_apps.Defs.t) ~onchip ~dma =
-  let onchip_bytes =
-    match onchip with Some b -> b | None -> app.Mhla_apps.Defs.onchip_bytes
-  in
-  Mhla_arch.Presets.two_level ~dma ~onchip_bytes ()
+let onchip_of (app : Mhla_apps.Defs.t) = function
+  | Some b -> b
+  | None -> app.Mhla_apps.Defs.onchip_bytes
+
+let hierarchy_of app ~onchip ~dma =
+  Mhla_arch.Presets.two_level ~dma ~onchip_bytes:(onchip_of app onchip) ()
+
+(* Every subcommand that solves builds the request the service would
+   get for its flags, named after the application, and hands it to
+   [Service.run_job]: the flags mean what the wire fields mean. *)
+let app_job name ~onchip ~dma =
+  let app = find_app name in
+  validate_onchip onchip;
+  ( Lazy.force app.Mhla_apps.Defs.program,
+    Request.Two_level { onchip_bytes = onchip_of app onchip; dma } )
+
+let print_json doc = print_endline (Mhla_util.Json.to_string ~indent:2 doc)
 
 (* --- subcommands ------------------------------------------------------- *)
 
@@ -299,62 +317,30 @@ let load_model file =
   in
   Predictor.of_json (Mhla_util.Json.parse_exn content)
 
+(* Policy names resolve here, at the boundary: [--model FILE] is the
+   predictor policy with that fitted model. *)
+let resolve_policy policy model =
+  match (policy, model) with
+  | None, None -> None
+  | (Some "predictor" | None), Some file ->
+    Some (Policy.predictor (load_model file))
+  | Some "predictor", None ->
+    Error.invalidf ~context:"mhla run"
+      ~hint:"the predictor policy needs a fitted model; pass --model FILE \
+             (see mhla fit)"
+      "--policy predictor requires --model"
+  | Some name, None -> Some (Registry.find ~context:"mhla run" name)
+  | Some name, Some _ ->
+    Error.invalidf ~context:"mhla run"
+      "--model only applies to the predictor policy (got --policy %s)" name
+
 let run_cmd =
   let run name onchip dma objective mode search policy model portfolio
       policies jobs deadline_ms verify_live json verbosity trace =
     guarded @@ fun () ->
-    let app = find_app name in
-    validate_onchip onchip;
-    (* The observer reports on stderr only: a --verify-live run's
-       stdout is bit-identical to a plain one (pinned by CI). *)
-    let suppress =
-      if verify_live then load_suppress None
-      else Mhla_analysis.Suppress.empty
-    in
-    (match jobs with
-    | Some j when j < 1 ->
-      Error.invalidf ~context:"mhla" ~hint:"pass -j a positive worker count"
-        "jobs must be at least 1 (got %d)" j
-    | _ -> ());
-    let program = Lazy.force app.Mhla_apps.Defs.program in
-    let hierarchy = hierarchy_of app ~onchip ~dma in
-    let config = config_of objective mode in
-    let checkpoint = checkpoint_of deadline_ms in
-    if portfolio then begin
-      if policy <> None || model <> None || search <> None then
-        Error.invalidf ~context:"mhla run"
-          ~hint:"--portfolio races whole policies; pick the field with \
-                 --policies"
-          "--portfolio conflicts with --policy, --model and --search";
-      let field =
-        match policies with
-        | None -> Registry.default_portfolio
-        | Some names -> List.map (Registry.find ~context:"mhla run") names
-      in
-      let outcome =
-        with_telemetry ~trace ~verbosity @@ fun telemetry ->
-        Portfolio.race ~config ?jobs ~telemetry ?checkpoint ~verify_live
-          ~suppress ~policies:field program hierarchy
-      in
-      if json then
-        print_endline
-          (Mhla_util.Json.to_string ~indent:2
-             (Portfolio.to_json ~id:name outcome))
-      else begin
-        match verbosity with
-        | Quiet -> ()
-        | Normal | Verbose | Debug ->
-          List.iter
-            (fun (e : Portfolio.entry) ->
-              Fmt.pr "  %-18s %.6g%s@." e.Portfolio.policy.Policy.name
-                e.Portfolio.objective
-                (if e == outcome.Portfolio.winner then "  <- winner" else ""))
-            outcome.Portfolio.entrants;
-          print_endline
-            (Report.summary ~name outcome.Portfolio.winner.Portfolio.result)
-      end
-    end
-    else begin
+    let program, arch = app_job name ~onchip ~dma in
+    check_jobs jobs;
+    if not portfolio then begin
       if policies <> None then
         Error.invalidf ~context:"mhla run"
           ~hint:"--policies names the field a --portfolio run races"
@@ -363,70 +349,56 @@ let run_cmd =
         Error.invalidf ~context:"mhla run"
           ~hint:"a single solve has nothing to parallelise; -j drives \
                  --portfolio"
-          "-j requires --portfolio";
-      let chosen =
-        match (policy, model) with
-        | None, None -> None
-        | (Some "predictor" | None), Some file ->
-          Some (Policy.predictor (load_model file))
-        | Some "predictor", None ->
-          Error.invalidf ~context:"mhla run"
-            ~hint:"the predictor policy needs a fitted model; pass --model \
-                   FILE (see mhla fit)"
-            "--policy predictor requires --model"
-        | Some name, None -> Some (Registry.find ~context:"mhla run" name)
-        | Some name, Some _ ->
-          Error.invalidf ~context:"mhla run"
-            "--model only applies to the predictor policy (got --policy %s)"
-            name
-      in
-      (match (chosen, search) with
-      | Some _, Some _ ->
-        Error.invalidf ~context:"mhla run"
-          ~hint:"a policy already fixes the step-1 search"
-          "--policy/--model conflicts with --search"
-      | _ -> ());
-      let result =
-        with_telemetry ~trace ~verbosity @@ fun telemetry ->
-        let live =
-          if verify_live then
-            Some
-              (Mhla_analysis.Live.of_config ~suppress config program
-                 hierarchy)
-          else None
-        in
-        let on_commit =
-          Option.map (fun l m -> Mhla_analysis.Live.on_commit l m) live
-        in
-        let result =
-          match chosen with
-          | Some p ->
-            Policy.run ~config ~telemetry ?checkpoint ?on_commit p program
-              hierarchy
-          | None ->
-            Explore.run ~config
-              ~search:(resolve_search search)
-              ~telemetry ?checkpoint ?on_commit program hierarchy
-        in
-        Option.iter
-          (fun l ->
-            let report = Mhla_analysis.Live.check l result in
-            if verbosity <> Quiet then
-              Fmt.epr "verify-live: %a@." Check.pp_report report)
-          live;
-        result
-      in
-      if json then
+          "-j requires --portfolio"
+    end;
+    let kind =
+      if portfolio then
+        Some
+          (Request.Portfolio
+             {
+               policies =
+                 Option.value policies
+                   ~default:Registry.default_portfolio_names;
+             })
+      else None
+    in
+    let req =
+      Request.make ?kind ~objective ~transfer_mode:mode
+        ?search:(resolve_search search)
+        ?policy:(resolve_policy policy model) ~id:name ~arch program
+    in
+    (* The live report goes to stderr only: a --verify-live run's
+       stdout is bit-identical to a plain one (pinned by CI). *)
+    let live = if verify_live then Some (load_suppress None) else None in
+    let outcome =
+      with_telemetry ~trace ~verbosity @@ fun telemetry ->
+      Service.run_job ~telemetry ?checkpoint:(checkpoint_of deadline_ms) ?jobs
+        ?live req
+    in
+    (match outcome with
+    | Service.Solved { verify = Some report; _ } ->
+      Mhla_analysis.Live.require report;
+      if verbosity <> Quiet then
+        Fmt.epr "verify-live: %a@." Check.pp_report report
+    | _ -> ());
+    if json then print_json (fst (Service.render req outcome))
+    else
+      match (verbosity, outcome) with
+      | Quiet, _ -> ()
+      | _, Service.Raced race ->
+        List.iter
+          (fun (e : Portfolio.entry) ->
+            Fmt.pr "  %-18s %.6g%s@." e.Portfolio.policy.Policy.name
+              e.Portfolio.objective
+              (if e == race.Portfolio.winner then "  <- winner" else ""))
+          race.Portfolio.entrants;
         print_endline
-          (Mhla_util.Json.to_string ~indent:2
-             (Report.result_to_json ~name result))
-      else begin
-        match verbosity with
-        | Quiet -> ()
-        | Verbose | Debug -> print_endline (Report.detailed ~name result)
-        | Normal -> print_endline (Report.summary ~name result)
-      end
-    end
+          (Report.summary ~name race.Portfolio.winner.Portfolio.result)
+      | (Verbose | Debug), Service.Solved { result; _ } ->
+        print_endline (Report.detailed ~name result)
+      | Normal, Service.Solved { result; _ } ->
+        print_endline (Report.summary ~name result)
+      | _, (Service.Frontier _ | Service.Simulated _) -> assert false
   in
   let policy_arg =
     let doc =
@@ -481,15 +453,16 @@ let run_cmd =
 let emit_cmd =
   let run name onchip dma objective mode =
     guarded @@ fun () ->
-    let app = find_app name in
-    validate_onchip onchip;
-    let program = Lazy.force app.Mhla_apps.Defs.program in
-    let hierarchy = hierarchy_of app ~onchip ~dma in
-    let config = config_of objective mode in
-    let result = Explore.run ~config program hierarchy in
-    print_string
-      (Mhla_codegen.Emit.emit ~schedule:result.Explore.te
-         result.Explore.assign.Assign.mapping)
+    let program, arch = app_job name ~onchip ~dma in
+    match
+      Service.run_job
+        (Request.make ~objective ~transfer_mode:mode ~id:name ~arch program)
+    with
+    | Service.Solved { result; _ } ->
+      print_string
+        (Mhla_codegen.Emit.emit ~schedule:result.Explore.te
+           result.Explore.assign.Assign.mapping)
+    | _ -> assert false
   in
   let doc =
     "Emit the MHLA+TE-transformed program as pseudo-C (buffers, DMA \
@@ -504,11 +477,7 @@ let sweep_cmd =
       verbosity trace =
     guarded @@ fun () ->
     let app = find_app name in
-    (match jobs with
-    | Some j when j < 1 ->
-      Error.invalidf ~context:"mhla" ~hint:"pass -j a positive worker count"
-        "jobs must be at least 1 (got %d)" j
-    | _ -> ());
+    check_jobs jobs;
     let program = Lazy.force app.Mhla_apps.Defs.program in
     let sizes = Mhla_arch.Presets.sweep_sizes ~min_bytes ~max_bytes in
     let config = config_of objective mode in
@@ -517,9 +486,7 @@ let sweep_cmd =
       with_telemetry ~trace ~verbosity @@ fun telemetry ->
       Explore.sweep ~config ~dma ?jobs ~telemetry ?checkpoint ~sizes program
     in
-    if json then
-      print_endline
-        (Mhla_util.Json.to_string ~indent:2 (Report.sweep_to_json points))
+    if json then print_json (Report.sweep_to_json points)
     else if verbosity <> Quiet then Table.print (Report.sweep_table points)
   in
   let min_arg =
@@ -549,28 +516,36 @@ let pareto_cmd =
       deadline_ms json verbosity trace =
     guarded @@ fun () ->
     let app = find_app name in
-    (match jobs with
-    | Some j when j < 1 ->
-      Error.invalidf ~context:"mhla" ~hint:"pass -j a positive worker count"
-        "jobs must be at least 1 (got %d)" j
-    | _ -> ());
+    check_jobs jobs;
     let program = Lazy.force app.Mhla_apps.Defs.program in
     let axes =
       match axes with
       | [] -> Mhla_arch.Presets.budget_axes ~levels ~min_bytes ~max_bytes
       | axes -> axes
     in
-    let config = { Assign.default_config with Assign.objective } in
-    let checkpoint = checkpoint_of deadline_ms in
+    (* A pareto job reads only the level count and the DMA flag off its
+       arch; the sizes come from the grid. *)
+    let arch =
+      Request.Multi_level
+        { level_bytes = List.map (List.fold_left max 1) axes; dma }
+    in
+    let req =
+      Request.make
+        ~kind:(Request.Pareto { axes })
+        ~objective
+        ?search:(resolve_search search)
+        ~id:name ~arch program
+    in
     let outcome =
       with_telemetry ~trace ~verbosity @@ fun telemetry ->
-      Explore.pareto ~config ~dma
-        ~search:(resolve_search search)
-        ?jobs ~telemetry ?checkpoint ~axes program
+      match
+        Service.run_job ~telemetry ?checkpoint:(checkpoint_of deadline_ms)
+          ?jobs req
+      with
+      | Service.Frontier outcome -> outcome
+      | _ -> assert false
     in
-    if json then
-      print_endline
-        (Mhla_util.Json.to_string ~indent:2 (Report.pareto_to_json outcome))
+    if json then print_json (Report.pareto_to_json outcome)
     else if verbosity <> Quiet then begin
       Table.print (Report.pareto_table outcome);
       let s = outcome.Explore.stats in
@@ -646,9 +621,7 @@ let figures_cmd =
             Explore.run (Lazy.force app.Mhla_apps.Defs.program) hierarchy ))
         Apps.all
     in
-    if json then
-      print_endline
-        (Mhla_util.Json.to_string ~indent:2 (Report.results_to_json results))
+    if json then print_json (Report.results_to_json results)
     else begin
       print_endline
         "Figure 2 - normalised execution time (out-of-box = 1.00):";
@@ -665,8 +638,7 @@ let robustness_cmd =
   let run name onchip dma objective mode seed trials jitter failure retries
       patience json verbosity trace =
     guarded @@ fun () ->
-    let app = find_app name in
-    validate_onchip onchip;
+    let program, arch = app_job name ~onchip ~dma in
     let faults =
       Mhla_sim.Faults.make
         ~jitter:
@@ -675,19 +647,17 @@ let robustness_cmd =
         ~failure_permille:failure ~max_retries:retries
         ?deadline_patience:patience ~seed:(Int64.of_int seed) ()
     in
-    let program = Lazy.force app.Mhla_apps.Defs.program in
-    let hierarchy = hierarchy_of app ~onchip ~dma in
-    let config = config_of objective mode in
+    let req =
+      Request.make ~objective ~transfer_mode:mode
+        ~fault_spec:{ Request.faults; trials } ~id:name ~arch program
+    in
     let report =
       with_telemetry ~trace ~verbosity @@ fun telemetry ->
-      let result = Explore.run ~config ~telemetry program hierarchy in
-      Mhla_sim.Robustness.analyze ~trials ~telemetry ~faults
-        result.Explore.assign.Assign.mapping result.Explore.te
+      match Service.run_job ~telemetry req with
+      | Service.Solved { robustness = Some report; _ } -> report
+      | _ -> assert false
     in
-    if json then
-      print_endline
-        (Mhla_util.Json.to_string ~indent:2
-           (Mhla_sim.Robustness.to_json report))
+    if json then print_json (Mhla_sim.Robustness.to_json report)
     else if report.Mhla_sim.Robustness.plans = [] then begin
       if verbosity <> Quiet then
         print_endline
@@ -752,42 +722,22 @@ let simulate_cmd =
   let run name onchip dma objective mode channels queue_depth arbitration
       shared_bus invalidate json verbosity trace =
     guarded @@ fun () ->
-    let app = find_app name in
-    validate_onchip onchip;
-    (match channels with
-    | Some c when c < 1 ->
-      Error.invalidf ~context:"mhla"
-        ~hint:"pass a positive channel count to --channels"
-        "channel count must be >= 1 (got %d)" c
-    | _ -> ());
-    (match queue_depth with
-    | Some d when d < 1 ->
-      Error.invalidf ~context:"mhla"
-        ~hint:"pass a positive slot count to --queue-depth"
-        "queue depth must be >= 1 (got %d)" d
-    | _ -> ());
-    let program = Lazy.force app.Mhla_apps.Defs.program in
-    let hierarchy = hierarchy_of app ~onchip ~dma in
-    let config = config_of objective mode in
+    let program, arch = app_job name ~onchip ~dma in
+    let req =
+      Request.make
+        ~kind:(Request.Simulate { channels; queue_depth })
+        ~objective ~transfer_mode:mode ~id:name ~arch program
+    in
     let report =
       with_telemetry ~trace ~verbosity @@ fun telemetry ->
-      let result = Explore.run ~config ~telemetry program hierarchy in
-      let sim_config =
-        let base =
-          Mhla_sim.Event.of_hierarchy ?queue_depth ~arbitration
-            ~shared_bus ~invalidate_on_miss:invalidate hierarchy
-        in
-        match channels with
-        | None -> base
-        | Some channels -> { base with Mhla_sim.Event.channels }
-      in
-      Mhla_sim.Crosscheck.check_event ~telemetry ~config:sim_config
-        result.Explore.assign.Assign.mapping result.Explore.te
+      match
+        Service.run_job ~telemetry ~arbitration ~shared_bus
+          ~invalidate_on_miss:invalidate req
+      with
+      | Service.Simulated { report; _ } -> report
+      | _ -> assert false
     in
-    if json then
-      print_endline
-        (Mhla_util.Json.to_string ~indent:2
-           (Mhla_sim.Crosscheck.event_report_to_json report))
+    if json then print_json (Mhla_sim.Crosscheck.event_report_to_json report)
     else if report.Mhla_sim.Crosscheck.event_checks = [] then begin
       if verbosity <> Quiet then
         print_endline
@@ -1042,9 +992,8 @@ let check_cmd =
       let policy = config.Assign.policy in
       let checked ~telemetry program hierarchy =
         let result =
-          Explore.run ~config
-            ~search:(resolve_search search)
-            ~telemetry program hierarchy
+          Explore.run ~config ?search:(resolve_search search) ~telemetry
+            program hierarchy
         in
         let mapping = result.Explore.assign.Assign.mapping in
         let subject =
@@ -1116,8 +1065,7 @@ let check_cmd =
         in
         Option.iter (fun file -> write_sarif ~file report) sarif;
         if json then
-          print_endline
-            (Mhla_util.Json.to_string ~indent:2 (Check.report_to_json report))
+          print_json (Check.report_to_json report)
         else if verbosity <> Quiet then
           Fmt.pr "%a@." Check.pp_report report;
         if not (Check.ok report) then exit 1)
@@ -1220,11 +1168,7 @@ let fuzz_cmd =
       Error.invalidf ~context:"mhla fuzz"
         ~hint:"pass --count a positive number of programs"
         "count must be at least 1 (got %d)" count;
-    (match jobs with
-    | Some j when j < 1 ->
-      Error.invalidf ~context:"mhla fuzz" ~hint:"pass -j a positive worker count"
-        "jobs must be at least 1 (got %d)" j
-    | _ -> ());
+    check_jobs ~context:"mhla fuzz" jobs;
     let seeds =
       match replay with
       | Some s -> [ s ]
@@ -1436,7 +1380,6 @@ let fit_cmd =
 
 (* --- service (batch / serve / soak) ------------------------------------ *)
 
-module Service = Mhla_service.Service
 module Soak = Mhla_service.Soak
 
 let service_jobs_arg =
@@ -1468,26 +1411,6 @@ let shed_arg =
         ~doc:"When the queue is full, shed new requests with a structured \
               backpressure response instead of blocking the reader.")
 
-let service_config ~telemetry ~jobs ~queue_depth ~default_deadline_ms ~shed
-    ~verify_live ~lint_config =
-  if jobs < 1 then
-    Error.invalidf ~context:"mhla" ~hint:"pass -j a positive worker count"
-      "jobs must be at least 1 (got %d)" jobs;
-  if queue_depth < 1 then
-    Error.invalidf ~context:"mhla"
-      ~hint:"pass --queue-depth a positive capacity"
-      "queue depth must be at least 1 (got %d)" queue_depth;
-  {
-    Service.default_config with
-    Service.jobs;
-    queue_depth;
-    default_deadline_ms;
-    admission = (if shed then Service.Shed else Service.Block);
-    verify_live;
-    suppress = load_suppress lint_config;
-    telemetry;
-  }
-
 let emit_response resp =
   print_endline (Mhla_util.Json.to_string (Mhla_service.Response.to_json resp))
 
@@ -1507,35 +1430,54 @@ let stream_requests config ic =
   Service.shutdown service;
   Service.summary service
 
-let report_summary ~json ~verbosity summary =
+(* The pool that batch and serve share: [with_input stream] hands
+   [stream] the input channel; the summary goes to stderr. *)
+let serve_stream jobs queue_depth default_deadline_ms shed verify_live
+    lint_config json verbosity trace with_input =
+  let summary =
+    with_telemetry ~trace ~verbosity @@ fun telemetry ->
+    check_jobs (Some jobs);
+    if queue_depth < 1 then
+      Error.invalidf ~context:"mhla"
+        ~hint:"pass --queue-depth a positive capacity"
+        "queue depth must be at least 1 (got %d)" queue_depth;
+    with_input
+      (stream_requests
+         {
+           Service.default_config with
+           Service.jobs;
+           queue_depth;
+           default_deadline_ms;
+           admission = (if shed then Service.Shed else Service.Block);
+           verify_live;
+           suppress = load_suppress lint_config;
+           telemetry;
+         })
+  in
   if json then
     Fmt.epr "%s@."
       (Mhla_util.Json.to_string (Service.summary_to_json summary))
   else if verbosity <> Quiet then Fmt.epr "%a@." Service.pp_summary summary
 
+let serve_term =
+  Term.(
+    const serve_stream $ service_jobs_arg $ queue_depth_arg
+    $ default_deadline_ms_arg $ shed_arg $ verify_live_arg $ lint_config_arg
+    $ json_arg $ verbosity_term $ trace_arg)
+
 let batch_cmd =
-  let run file jobs queue_depth default_deadline_ms shed verify_live
-      lint_config json verbosity trace =
+  let run file serve =
     guarded @@ fun () ->
-    let summary =
-      with_telemetry ~trace ~verbosity @@ fun telemetry ->
-      let config =
-        service_config ~telemetry ~jobs ~queue_depth ~default_deadline_ms
-          ~shed ~verify_live ~lint_config
+    serve @@ fun stream ->
+    if file = "-" then stream stdin
+    else
+      let ic =
+        try open_in file
+        with Sys_error m ->
+          Error.invalidf ~context:"mhla batch"
+            ~hint:"pass a readable JSONL file or - for stdin" "%s" m
       in
-      if file = "-" then stream_requests config stdin
-      else
-        let ic =
-          try open_in file
-          with Sys_error m ->
-            Error.invalidf ~context:"mhla batch"
-              ~hint:"pass a readable JSONL file or - for stdin" "%s" m
-        in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> stream_requests config ic)
-    in
-    report_summary ~json ~verbosity summary
+      Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> stream ic)
   in
   let file_arg =
     Arg.(
@@ -1551,29 +1493,16 @@ let batch_cmd =
      a malformed, oversized, crashing or deadline-blown request never takes \
      down the batch. The summary goes to stderr."
   in
-  Cmd.v (Cmd.info "batch" ~doc)
-    Term.(
-      const run $ file_arg $ service_jobs_arg $ queue_depth_arg
-      $ default_deadline_ms_arg $ shed_arg $ verify_live_arg
-      $ lint_config_arg $ json_arg $ verbosity_term $ trace_arg)
+  Cmd.v (Cmd.info "batch" ~doc) Term.(const run $ file_arg $ serve_term)
 
 let serve_cmd =
-  let run use_stdin jobs queue_depth default_deadline_ms shed verify_live
-      lint_config json verbosity trace =
+  let run use_stdin serve =
     guarded @@ fun () ->
     if not use_stdin then
       Error.invalidf ~context:"mhla serve"
         ~hint:"pass --stdin (the only transport currently available)"
         "no transport selected";
-    let summary =
-      with_telemetry ~trace ~verbosity @@ fun telemetry ->
-      let config =
-        service_config ~telemetry ~jobs ~queue_depth ~default_deadline_ms
-          ~shed ~verify_live ~lint_config
-      in
-      stream_requests config stdin
-    in
-    report_summary ~json ~verbosity summary
+    serve (fun stream -> stream stdin)
   in
   let stdin_arg =
     Arg.(
@@ -1588,11 +1517,7 @@ let serve_cmd =
      a supervisor with $(b,--shed) keeping the reader responsive under \
      load."
   in
-  Cmd.v (Cmd.info "serve" ~doc)
-    Term.(
-      const run $ stdin_arg $ service_jobs_arg $ queue_depth_arg
-      $ default_deadline_ms_arg $ shed_arg $ verify_live_arg
-      $ lint_config_arg $ json_arg $ verbosity_term $ trace_arg)
+  Cmd.v (Cmd.info "serve" ~doc) Term.(const run $ stdin_arg $ serve_term)
 
 let soak_cmd =
   let run requests seed jobs queue_depth fault_permille malformed_permille
@@ -1624,8 +1549,7 @@ let soak_cmd =
     else begin
       let outcome = Soak.run ~config () in
       if json then
-        print_endline
-          (Mhla_util.Json.to_string ~indent:2 (Soak.to_json outcome))
+        print_json (Soak.to_json outcome)
       else if verbosity <> Quiet || not (Soak.ok outcome) then
         Fmt.pr "@[<v>%a@]@." Soak.pp outcome;
       if not (Soak.ok outcome) then exit 1

@@ -23,15 +23,18 @@ let finish t (result : Explore.result) =
   Incremental.set_schedule t.inc (Some result.Explore.te);
   Incremental.report t.inc
 
-let check t result =
-  let report = finish t result in
-  (match Verify.errors report with
+let require report =
+  match Verify.errors report with
   | [] -> ()
   | first :: _ as errors ->
     Error.internalf ~context:"verify-live"
       "solver output failed live verification: %d error(s); first: %s"
       (List.length errors)
-      (Fmt.str "%a" Diagnostic.pp first));
+      (Fmt.str "%a" Diagnostic.pp first)
+
+let check t result =
+  let report = finish t result in
+  require report;
   report
 
 let stats t = Incremental.stats t.inc

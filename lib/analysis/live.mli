@@ -36,8 +36,11 @@ val on_commit : t -> Mhla_core.Engine.move -> unit
 val finish : t -> Mhla_core.Explore.result -> Verify.report
 (** Rebase onto the result's mapping, install its TE schedule, report. *)
 
+val require : Verify.report -> unit
+(** @raise Mhla_util.Error.Error (kind [Internal]) when the report
+    carries any error — the live-verification contract. *)
+
 val check : t -> Mhla_core.Explore.result -> Verify.report
-(** {!finish}, then @raise Mhla_util.Error.Error (kind [Internal]) when
-    the report carries any error — the live-verification contract. *)
+(** {!finish}, then {!require}. *)
 
 val stats : t -> Incremental.stats

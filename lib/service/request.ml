@@ -28,7 +28,7 @@ type t = {
   objective : Cost.objective;
   transfer_mode : Candidate.transfer_mode;
   search : Explore.search;
-  policy : string option;
+  policy : Mhla_policy.Policy.t option;
   deadline_ms : int option;
   fault_spec : fault_spec option;
   inject : inject;
@@ -60,10 +60,6 @@ let check_kind ~context ~arch ~transfer_mode ~fault_spec = function
         "the grid has %d axes but the arch has %d on-chip level(s)"
         (List.length axes) expected
   | Portfolio { policies } ->
-    if transfer_mode <> Candidate.Delta then
-      Error.invalidf ~context
-        "a portfolio request cannot set a transfer mode (the \"mode\" \
-         field carries \"portfolio\")";
     if fault_spec <> None then
       Error.invalidf ~context
         "the faults rider applies to a single solve, not a portfolio race";
@@ -75,42 +71,41 @@ let check_kind ~context ~arch ~transfer_mode ~fault_spec = function
       (fun name -> ignore (Mhla_policy.Registry.find ~context name))
       policies
   | Simulate { channels; queue_depth } ->
-    if transfer_mode <> Candidate.Delta then
-      Error.invalidf ~context
-        "a simulate request cannot set a transfer mode (the \"mode\" \
-         field carries \"simulate\")";
     if fault_spec <> None then
       Error.invalidf ~context
         "the faults rider drives the robustness trials, not the event \
          simulator";
-    (match channels with
-    | Some c when c < 1 ->
-      Error.invalidf ~context "channels must be >= 1 (got %d)" c
-    | _ -> ());
-    (match queue_depth with
-    | Some d when d < 1 ->
-      Error.invalidf ~context "queue_depth must be >= 1 (got %d)" d
-    | _ -> ())
+    List.iter
+      (fun (name, value) ->
+        match value with
+        | Some n when n < 1 ->
+          Error.invalidf ~context "%s must be >= 1 (got %d)" name n
+        | _ -> ())
+      [ ("channels", channels); ("queue_depth", queue_depth) ]
 
-let check_policy ~context ~kind ~search = function
-  | None -> ()
-  | Some name ->
-    ignore (Mhla_policy.Registry.find ~context name);
-    (match kind with
-    | Solve | Simulate _ -> ()
-    | Pareto _ | Portfolio _ ->
-      Error.invalidf ~context
-        "the \"policy\" field applies to a single solve");
-    if search <> Explore.Greedy then
-      Error.invalidf ~context
-        "\"policy\" conflicts with \"search\" (the policy already fixes \
-         the step-1 search)"
+(* [search] is the caller's explicit choice, if any: spelling out a
+   search — even the default greedy — next to a policy or a portfolio
+   is a conflict, since both already fix the step-1 search. *)
+let check_policy ~context ~kind ~search policy =
+  (match (policy, kind) with
+  | Some _, (Pareto _ | Portfolio _) ->
+    Error.invalidf ~context "the \"policy\" field applies to a single solve"
+  | _ -> ());
+  match (search, kind, policy) with
+  | None, _, _ | Some _, (Solve | Pareto _ | Simulate _), None -> ()
+  | Some _, Portfolio _, _ ->
+    Error.invalidf ~context
+      "\"search\" conflicts with a portfolio (each raced policy fixes its \
+       own step-1 search)"
+  | Some _, _, Some _ ->
+    Error.invalidf ~context
+      "\"policy\" conflicts with \"search\" (the policy already fixes the \
+       step-1 search)"
 
-let make ?(kind = Solve) ?(objective = Cost.Energy_delay)
-    ?(transfer_mode = Candidate.Delta) ?(search = Explore.Greedy) ?policy
-    ?deadline_ms ?fault_spec ?(inject = No_inject) ~id ~arch program =
-  check_kind ~context:"Request.make" ~arch ~transfer_mode ~fault_spec kind;
-  check_policy ~context:"Request.make" ~kind ~search policy;
+let build ~context ~kind ~objective ~transfer_mode ?search ?policy
+    ?deadline_ms ?fault_spec ~inject ~id ~arch program =
+  check_kind ~context ~arch ~transfer_mode ~fault_spec kind;
+  check_policy ~context ~kind ~search policy;
   {
     id;
     program;
@@ -118,12 +113,18 @@ let make ?(kind = Solve) ?(objective = Cost.Energy_delay)
     kind;
     objective;
     transfer_mode;
-    search;
+    search = Option.value search ~default:Explore.Greedy;
     policy;
     deadline_ms;
     fault_spec;
     inject;
   }
+
+let make ?(kind = Solve) ?(objective = Cost.Energy_delay)
+    ?(transfer_mode = Candidate.Delta) ?search ?policy ?deadline_ms
+    ?fault_spec ?(inject = No_inject) ~id ~arch program =
+  build ~context:"Request.make" ~kind ~objective ~transfer_mode ?search
+    ?policy ?deadline_ms ?fault_spec ~inject ~id ~arch program
 
 let hierarchy t =
   match t.arch with
@@ -183,64 +184,70 @@ let fault_spec_to_json { faults; trials } =
       ("failure_permille", Json.int faults.Faults.failure_permille);
       ("trials", Json.int trials) ]
 
+(* The wire spells the kind in "mode", so a transfer-mode override
+   survives only on a single solve, and a policy only by its registry
+   name. Anything else exists in memory only: rendering it would
+   silently change the job. *)
+let in_memory_only fmt = Error.invalidf ~context:"Request.to_json" fmt
+
 let to_json t =
-  let optional = function
-    | [] -> []
-    | fields -> fields
-  in
+  (match t.kind with
+  | Portfolio _ | Simulate _ when t.transfer_mode <> Candidate.Delta ->
+    in_memory_only "a %s transfer mode on a non-solve job has no wire form"
+      (mode_name t.transfer_mode)
+  | _ -> ());
+  (match t.policy with
+  | Some p when not (List.mem p Mhla_policy.Registry.builtins) ->
+    in_memory_only "policy %S is not a registry policy"
+      p.Mhla_policy.Policy.name
+  | _ -> ());
   Json.obj
     ([ ("id", Json.str t.id);
        ("program", Mhla_ir.Json_codec.program_to_json t.program);
        ("arch", arch_to_json t.arch) ]
-    @ optional
-        (if t.objective = Cost.Energy_delay then []
-         else [ ("objective", Json.str (objective_name t.objective)) ])
-    @ optional
-        (match t.kind with
-        | Pareto { axes } ->
-          [ ("mode", Json.str "pareto");
-            ("grid",
-             Json.arr
-               (List.map (fun axis -> Json.arr (List.map Json.int axis)) axes))
-          ]
-        | Portfolio { policies } ->
-          (* The field is always re-emitted explicitly — even when it
-             came from the default — so of_json ∘ to_json stays the
-             identity whatever the default evolves into. *)
-          [ ("mode", Json.str "portfolio");
-            ("policies", Json.arr (List.map Json.str policies)) ]
-        | Simulate { channels; queue_depth } ->
-          ("mode", Json.str "simulate")
-          :: ((match channels with
-              | None -> []
-              | Some c -> [ ("channels", Json.int c) ])
-             @
-             match queue_depth with
-             | None -> []
-             | Some d -> [ ("queue_depth", Json.int d) ])
-        | Solve ->
-          if t.transfer_mode = Candidate.Delta then []
-          else [ ("mode", Json.str (mode_name t.transfer_mode)) ])
-    @ optional
-        (match t.search with
-        | Explore.Greedy -> []
-        | s -> [ ("search", search_to_json s) ])
-    @ optional
-        (match t.policy with
-        | None -> []
-        | Some p -> [ ("policy", Json.str p) ])
-    @ optional
-        (match t.deadline_ms with
-        | None -> []
-        | Some ms -> [ ("deadline_ms", Json.int ms) ])
-    @ optional
-        (match t.fault_spec with
-        | None -> []
-        | Some fs -> [ ("faults", fault_spec_to_json fs) ])
-    @ optional
-        (match t.inject with
-        | No_inject -> []
-        | Raise -> [ ("inject", Json.str "raise") ]))
+    @ (if t.objective = Cost.Energy_delay then []
+       else [ ("objective", Json.str (objective_name t.objective)) ])
+    @ (match t.kind with
+      | Pareto { axes } ->
+        [ ("mode", Json.str "pareto");
+          ("grid",
+           Json.arr
+             (List.map (fun axis -> Json.arr (List.map Json.int axis)) axes))
+        ]
+      | Portfolio { policies } ->
+        (* The field is always re-emitted explicitly — even when it
+           came from the default — so of_json ∘ to_json stays the
+           identity whatever the default evolves into. *)
+        [ ("mode", Json.str "portfolio");
+          ("policies", Json.arr (List.map Json.str policies)) ]
+      | Simulate { channels; queue_depth } ->
+        ("mode", Json.str "simulate")
+        :: ((match channels with
+            | None -> []
+            | Some c -> [ ("channels", Json.int c) ])
+           @
+           match queue_depth with
+           | None -> []
+           | Some d -> [ ("queue_depth", Json.int d) ])
+      | Solve ->
+        if t.transfer_mode = Candidate.Delta then []
+        else [ ("mode", Json.str (mode_name t.transfer_mode)) ])
+    @ (match t.search with
+      | Explore.Greedy -> []
+      | s -> [ ("search", search_to_json s) ])
+    @ (match t.policy with
+      | None -> []
+      | Some p -> [ ("policy", Json.str p.Mhla_policy.Policy.name) ])
+    @ (match t.deadline_ms with
+      | None -> []
+      | Some ms -> [ ("deadline_ms", Json.int ms) ])
+    @ (match t.fault_spec with
+      | None -> []
+      | Some fs -> [ ("faults", fault_spec_to_json fs) ])
+    @
+    match t.inject with
+    | No_inject -> []
+    | Raise -> [ ("inject", Json.str "raise") ])
 
 (* --- decoding ---------------------------------------------------------- *)
 
@@ -344,13 +351,14 @@ let grid_of_json ~path j =
 (* Search names resolve through the one policy-layer registry, so the
    wire, the CLI and the tests accept exactly the same spellings and
    report unknown names with the same structured error. *)
+let int_field ~path fields name default =
+  match List.assoc_opt name fields with
+  | None -> default
+  | Some v -> as_int ~path:(path ^ "." ^ name) v
+
 let search_of_json ~path j =
   let fields = as_obj ~path j in
-  let get name default =
-    match List.assoc_opt name fields with
-    | None -> default
-    | Some v -> as_int ~path:(path ^ "." ^ name) v
-  in
+  let get = int_field ~path fields in
   Mhla_policy.Registry.search_of_name ~context:"Request.of_json"
     ~seed:(Int64.of_int (get "seed" 42))
     ~iterations:(get "iterations" 4000)
@@ -358,11 +366,7 @@ let search_of_json ~path j =
 
 let fault_spec_of_json ~path j =
   let fields = as_obj ~path j in
-  let get name default =
-    match List.assoc_opt name fields with
-    | None -> default
-    | Some v -> as_int ~path:(path ^ "." ^ name) v
-  in
+  let get = int_field ~path fields in
   let seed = Int64.of_int (get "seed" 42) in
   let jitter = get "jitter" 0 in
   let failure_permille = get "failure_permille" 0 in
@@ -404,10 +408,9 @@ let of_json j =
   let objective =
     Option.value ~default:Cost.Energy_delay (opt "objective" objective_of_json)
   in
+  let mode = opt "mode" as_str in
   let kind, transfer_mode =
-    match
-      Option.map (as_str ~path:"$.mode") (List.assoc_opt "mode" fields)
-    with
+    match mode with
     | None -> (Solve, Candidate.Delta)
     | Some "full" -> (Solve, Candidate.Full)
     | Some "delta" -> (Solve, Candidate.Delta)
@@ -426,44 +429,26 @@ let of_json j =
       in
       (Portfolio { policies }, Candidate.Delta)
     | Some "simulate" ->
-      let opt_int name =
-        Option.map
-          (as_int ~path:("$." ^ name))
-          (List.assoc_opt name fields)
-      in
       ( Simulate
-          { channels = opt_int "channels";
-            queue_depth = opt_int "queue_depth" },
+          { channels = opt "channels" as_int;
+            queue_depth = opt "queue_depth" as_int },
         Candidate.Delta )
     | Some s ->
       fail ~path:"$.mode"
         "bad mode %S (full | delta | pareto | portfolio | simulate)" s
   in
-  (match kind with
-  | Pareto _ -> ()
-  | Solve | Portfolio _ | Simulate _ ->
-    if List.mem_assoc "grid" fields then
-      fail ~path:"$.grid" "only valid when \"mode\" is \"pareto\"");
-  (match kind with
-  | Portfolio _ -> ()
-  | Solve | Pareto _ | Simulate _ ->
-    if List.mem_assoc "policies" fields then
-      fail ~path:"$.policies" "only valid when \"mode\" is \"portfolio\"");
-  (match kind with
-  | Simulate _ -> ()
-  | Solve | Pareto _ | Portfolio _ ->
-    List.iter
-      (fun name ->
-        if List.mem_assoc name fields then
-          fail ~path:("$." ^ name)
-            "only valid when \"mode\" is \"simulate\"")
-      [ "channels"; "queue_depth" ]);
-  (if List.mem_assoc "policy" fields && List.mem_assoc "search" fields then
-     fail ~path:"$.policy"
-       "conflicts with \"search\" (the policy already fixes the step-1 \
-        search)");
-  let search = Option.value ~default:Explore.Greedy (opt "search" search_of_json) in
-  let policy = Option.map (as_str ~path:"$.policy") (List.assoc_opt "policy" fields) in
+  List.iter
+    (fun (name, owner) ->
+      if List.mem_assoc name fields && mode <> Some owner then
+        fail ~path:("$." ^ name) "only valid when \"mode\" is %S" owner)
+    [ ("grid", "pareto"); ("policies", "portfolio");
+      ("channels", "simulate"); ("queue_depth", "simulate") ];
+  let search = opt "search" search_of_json in
+  let policy =
+    Option.map
+      (Mhla_policy.Registry.find ~context:"Request.of_json")
+      (opt "policy" as_str)
+  in
   let deadline_ms = opt "deadline_ms" as_int in
   (match deadline_ms with
   | Some ms when ms < 0 -> fail ~path:"$.deadline_ms" "must be >= 0 (got %d)" ms
@@ -472,21 +457,8 @@ let of_json j =
   let inject =
     Option.value ~default:No_inject (opt "inject" inject_of_json)
   in
-  check_kind ~context:"Request.of_json" ~arch ~transfer_mode ~fault_spec kind;
-  check_policy ~context:"Request.of_json" ~kind ~search policy;
-  {
-    id;
-    program;
-    arch;
-    kind;
-    objective;
-    transfer_mode;
-    search;
-    policy;
-    deadline_ms;
-    fault_spec;
-    inject;
-  }
+  build ~context:"Request.of_json" ~kind ~objective ~transfer_mode ?search
+    ?policy ?deadline_ms ?fault_spec ~inject ~id ~arch program
 
 let id_of_json = function
   | Json.Obj fields -> (

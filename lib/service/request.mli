@@ -47,12 +47,15 @@
     Setting ["mode": "portfolio"] races a field of named policies (see
     {!Mhla_policy.Registry}) over the same solve and answers with the
     best finisher; the optional ["policies"] array picks the field
-    (default: greedy, greedy-first, anneal). A single solve may instead
-    carry ["policy": "name"] to run under one named policy; it
-    conflicts with ["search"], which the policy already fixes. All
-    names resolve through {!Mhla_policy.Registry}, so the wire accepts
-    exactly the spellings the CLI does and rejects unknown ones at
-    decode time.
+    (default: greedy, greedy-first, anneal). A portfolio conflicts with
+    ["search"]: each raced policy fixes its own. A single solve may
+    instead carry ["policy": "name"] to run under one named policy; it
+    conflicts with ["search"] too, which the policy already fixes.
+    Either conflict is a decode error whatever the search names, even
+    the default greedy. All names resolve through
+    {!Mhla_policy.Registry}, so the wire accepts exactly the spellings
+    the CLI does and rejects unknown ones at decode time; [policy]
+    holds the resolved {!Mhla_policy.Policy.t}, not the name.
 
     {v
     { "id": "req-2",
@@ -60,7 +63,16 @@
       "arch": { "onchip_bytes": 2048 },
       "mode": "portfolio",
       "policies": ["greedy", "te-size", "lean"] }
-    v} *)
+    v}
+
+    {b In memory only.} {!make} also builds requests the wire cannot
+    spell, for callers that never serialise them (the CLI):
+    - a transfer mode on a [Portfolio] or [Simulate] kind (the wire's
+      ["mode"] field already holds the kind);
+    - a [policy] outside the registry, such as
+      {!Mhla_policy.Policy.predictor} with a fitted model.
+
+    {!to_json} raises on both rather than silently drop them. *)
 
 type arch =
   | Two_level of { onchip_bytes : int; dma : bool }
@@ -101,9 +113,10 @@ type t = {
   objective : Mhla_core.Cost.objective;
   transfer_mode : Mhla_reuse.Candidate.transfer_mode;
   search : Mhla_core.Explore.search;
-  policy : string option;
-      (** run the solve under one named policy; [Solve] only, mutually
-          exclusive with a non-default [search] *)
+  policy : Mhla_policy.Policy.t option;
+      (** run the solve under this policy, resolved from its name when
+          decoded; [Solve] and [Simulate] only, mutually exclusive with
+          an explicit [search] *)
   deadline_ms : int option;  (** [None]: the service default applies *)
   fault_spec : fault_spec option;
   inject : inject;
@@ -114,7 +127,7 @@ val make :
   ?objective:Mhla_core.Cost.objective ->
   ?transfer_mode:Mhla_reuse.Candidate.transfer_mode ->
   ?search:Mhla_core.Explore.search ->
-  ?policy:string ->
+  ?policy:Mhla_policy.Policy.t ->
   ?deadline_ms:int ->
   ?fault_spec:fault_spec ->
   ?inject:inject ->
@@ -123,15 +136,17 @@ val make :
   Mhla_ir.Program.t ->
   t
 (** Defaults: a single solve, energy-delay, delta transfers, greedy
-    search, no policy, no deadline, no faults, no injection.
+    search, no policy, no deadline, no faults, no injection. {!of_json}
+    applies the same rules, so the wire and in-memory callers reject
+    the same conflicts.
     @raise Mhla_util.Error.Error ([Invalid_input]) when a [Pareto]
     kind carries a non-default transfer mode or a fault rider, or its
     axis count differs from the arch's on-chip level count; when a
     [Portfolio] kind is empty, names an unknown policy, or carries a
-    transfer mode or fault rider; when a [Simulate] kind carries a
-    transfer mode, a fault rider, or a non-positive channel count or
-    queue depth; or when [policy] is unknown, set on a [Pareto] or
-    [Portfolio] kind, or combined with a non-default [search]. *)
+    fault rider, a [policy] or an explicit [search]; when a
+    [Simulate] kind carries a fault rider, or a non-positive channel
+    count or queue depth; or when [policy] is set on a [Pareto] kind or
+    combined with an explicit [search] (even [Greedy]). *)
 
 val hierarchy : t -> Mhla_arch.Hierarchy.t
 (** The {!Mhla_arch.Presets} platform the request names.
@@ -142,7 +157,9 @@ val dma : t -> bool
 
 val to_json : t -> Mhla_util.Json.t
 (** Optional knobs at their defaults are omitted; [of_json ∘ to_json]
-    is the identity on every request. *)
+    is the identity on every request it renders.
+    @raise Mhla_util.Error.Error ([Invalid_input]) on an in-memory-only
+    request (see above). *)
 
 val of_json : Mhla_util.Json.t -> t
 (** @raise Mhla_util.Error.Error ([Invalid_input]) on malformed
@@ -154,4 +171,5 @@ val id_of_json : Mhla_util.Json.t -> string option
     answers. *)
 
 val equal : t -> t -> bool
-(** Wire-level equality: both render to the same JSON. *)
+(** Wire-level equality: both render to the same JSON (so it raises
+    like {!to_json}). *)

@@ -8,7 +8,11 @@ module Report = Mhla_core.Report
 module Pass = Mhla_analysis.Pass
 module Verify = Mhla_analysis.Verify
 module Robustness = Mhla_sim.Robustness
+module Crosscheck = Mhla_sim.Crosscheck
 module Live = Mhla_analysis.Live
+module Policy = Mhla_policy.Policy
+module Portfolio = Mhla_policy.Portfolio
+module Registry = Mhla_policy.Registry
 module Suppress = Mhla_analysis.Suppress
 
 type admission = Block | Shed
@@ -60,7 +64,7 @@ type t = {
   mutable children : Telemetry.t list;
 }
 
-(* --- the direct path --------------------------------------------------- *)
+(* --- the job path ------------------------------------------------------ *)
 
 let solve_config (req : Request.t) =
   {
@@ -72,9 +76,8 @@ let solve_config (req : Request.t) =
 let solve ?telemetry ?reuse ?checkpoint ?on_commit (req : Request.t) =
   let config = solve_config req in
   match req.policy with
-  | Some name ->
-    Mhla_policy.Policy.run ~config ?telemetry ?reuse ?checkpoint ?on_commit
-      (Mhla_policy.Registry.find ~context:"Service.solve" name)
+  | Some policy ->
+    Policy.run ~config ?telemetry ?reuse ?checkpoint ?on_commit policy
       req.program (Request.hierarchy req)
   | None ->
     Explore.run ~config ?telemetry ~search:req.search ?reuse ?checkpoint
@@ -83,34 +86,95 @@ let solve ?telemetry ?reuse ?checkpoint ?on_commit (req : Request.t) =
 let ok_payload (req : Request.t) result =
   Report.result_to_json ~name:req.id result
 
-(* A pareto request explores its whole grid on the worker that owns it
-   ([jobs:1]): the service already runs one domain per worker, and the
-   anytime frontier makes a deadline a soft stop — expiry mid-grid
+(* The anytime frontier makes a deadline a soft stop: expiry mid-grid
    returns the best-so-far surface with [partial: true] rather than a
-   timeout response. *)
-let solve_pareto ?telemetry ?reuse ?checkpoint (req : Request.t) ~axes =
-  let config =
-    { Assign.default_config with objective = req.objective }
-  in
-  Explore.pareto ~config ?telemetry ~search:req.search ~dma:(Request.dma req)
-    ~jobs:1 ?reuse ?checkpoint ~axes req.program
+   timeout. *)
+let solve_pareto ?telemetry ?reuse ?checkpoint ?(jobs = 1) (req : Request.t)
+    ~axes =
+  Explore.pareto ~config:(solve_config req) ?telemetry ~search:req.search
+    ~dma:(Request.dma req) ~jobs ?reuse ?checkpoint ~axes req.program
 
-(* A portfolio request, like a pareto one, keeps its fan-out on the
-   worker that owns it ([jobs:1]): the service parallelises across
-   requests, not within one. Entrant order is the request's, so the
-   deterministic tie-break survives the trip through the wire. *)
-let solve_portfolio ?telemetry ?reuse ?checkpoint (req : Request.t)
-    ~policies =
-  let config =
-    { Assign.default_config with objective = req.objective }
-  in
-  let policies =
-    List.map
-      (Mhla_policy.Registry.find ~context:"Service.solve_portfolio")
-      policies
-  in
-  Mhla_policy.Portfolio.race ~config ~jobs:1 ?telemetry ?reuse ?checkpoint
-    ~policies req.program (Request.hierarchy req)
+type outcome =
+  | Solved of {
+      result : Explore.result;
+      verify : Verify.report option;
+      robustness : Robustness.report option;
+    }
+  | Frontier of Explore.pareto_outcome
+  | Raced of Portfolio.outcome
+  | Simulated of { result : Explore.result; report : Crosscheck.event_report }
+
+let run_job ?telemetry ?reuse ?checkpoint ?jobs ?live ?arbitration
+    ?shared_bus ?invalidate_on_miss (req : Request.t) =
+  match req.kind with
+  | Request.Pareto { axes } ->
+    let jobs =
+      Option.value jobs ~default:(Mhla_util.Domain_pool.recommended_jobs ())
+    in
+    Frontier (solve_pareto ?telemetry ?reuse ?checkpoint ~jobs req ~axes)
+  | Request.Portfolio { policies } ->
+    (* Entrant order is the request's, so the deterministic tie-break
+       survives the trip through the wire. *)
+    Raced
+      (Portfolio.race ~config:(solve_config req) ?jobs ?telemetry ?reuse
+         ?checkpoint ~verify_live:(live <> None) ?suppress:live
+         ~policies:
+           (List.map (Registry.find ~context:"Service.run_job") policies)
+         req.program (Request.hierarchy req))
+  | Request.Simulate { channels; queue_depth } ->
+    (* Divergences ride along as data; they never fail the job. *)
+    let result = solve ?telemetry ?reuse ?checkpoint req in
+    let config =
+      let base =
+        Mhla_sim.Event.of_hierarchy ?queue_depth ?arbitration ?shared_bus
+          ?invalidate_on_miss (Request.hierarchy req)
+      in
+      match channels with
+      | None -> base
+      | Some channels -> { base with Mhla_sim.Event.channels }
+    in
+    Simulated
+      {
+        result;
+        report =
+          Crosscheck.check_event ?telemetry ~config
+            result.Explore.assign.Assign.mapping result.Explore.te;
+      }
+  | Request.Solve ->
+    (* Live verification follows the search move by move at per-move
+       bucket-recompute cost; the observer never feeds back, so the
+       result is bit-identical either way. *)
+    let live =
+      Option.map
+        (fun suppress ->
+          Live.of_config ?reuse ~suppress (solve_config req) req.program
+            (Request.hierarchy req))
+        live
+    in
+    let on_commit = Option.map (fun l move -> Live.on_commit l move) live in
+    let result = solve ?telemetry ?reuse ?checkpoint ?on_commit req in
+    Solved
+      {
+        result;
+        verify = Option.map (fun l -> Live.finish l result) live;
+        robustness =
+          Option.map
+            (fun (fs : Request.fault_spec) ->
+              Robustness.analyze ~trials:fs.trials ?telemetry ~faults:fs.faults
+                result.Explore.assign.Assign.mapping result.Explore.te)
+            req.fault_spec;
+      }
+
+let render (req : Request.t) = function
+  | Solved { result; robustness; _ } ->
+    (ok_payload req result, Option.map Robustness.to_json robustness)
+  | Frontier outcome -> (Report.pareto_to_json outcome, None)
+  | Raced outcome -> (Portfolio.to_json ~id:req.id outcome, None)
+  | Simulated { result; report } ->
+    ( Json.obj
+        [ ("result", ok_payload req result);
+          ("simulate", Crosscheck.event_report_to_json report) ],
+      None )
 
 (* --- bookkeeping (all under [t.lock]) ---------------------------------- *)
 
@@ -192,79 +256,26 @@ let run_request t tele job (req : Request.t) =
     (* Fail fast if the request already overstayed in the queue. *)
     Option.iter (fun cp -> cp ()) checkpoint;
     let reuse = intern_reuse t req.program in
-    match req.kind with
-    | Request.Pareto { axes } ->
-      let outcome =
-        solve_pareto ~telemetry:tele ~reuse ?checkpoint req ~axes
+    let live = if t.cfg.verify_live then Some t.cfg.suppress else None in
+    (* The pool already runs one domain per worker: a job's own fan-out
+       stays on the worker that owns it. *)
+    let outcome =
+      run_job ~telemetry:tele ~reuse ?checkpoint ~jobs:1 ?live req
+    in
+    match outcome with
+    | Solved { verify = Some r; _ } when not (Verify.ok r) ->
+      let errs = Verify.errors r in
+      Response.error ~id ~seq ~elapsed_ns:(elapsed ()) ~code:"verify"
+        (Fmt.str "solution failed live verification: %d error(s); first: %a"
+           (List.length errs) Mhla_analysis.Diagnostic.pp (List.hd errs))
+    | _ ->
+      let verify =
+        match outcome with
+        | Solved { verify; _ } -> Option.map Verify.report_to_json verify
+        | Frontier _ | Raced _ | Simulated _ -> None
       in
-      Response.ok ~id ~seq ~elapsed_ns:(elapsed ())
-        (Report.pareto_to_json outcome)
-    | Request.Portfolio { policies } ->
-      let outcome =
-        solve_portfolio ~telemetry:tele ~reuse ?checkpoint req ~policies
-      in
-      Response.ok ~id ~seq ~elapsed_ns:(elapsed ())
-        (Mhla_policy.Portfolio.to_json ~id outcome)
-    | Request.Simulate { channels; queue_depth } ->
-      (* Solve first (honouring policy/search like a plain solve), then
-         replay the TE schedule on the event simulator and attach the
-         cross-validation report — divergences ride along as data, they
-         never fail the response. *)
-      let result = solve ~telemetry:tele ~reuse ?checkpoint req in
-      let config =
-        let base =
-          Mhla_sim.Event.of_hierarchy ?queue_depth (Request.hierarchy req)
-        in
-        match channels with
-        | None -> base
-        | Some channels -> { base with Mhla_sim.Event.channels }
-      in
-      let report =
-        Mhla_sim.Crosscheck.check_event ~telemetry:tele ~config
-          result.Explore.assign.Assign.mapping result.Explore.te
-      in
-      Response.ok ~id ~seq ~elapsed_ns:(elapsed ())
-        (Json.obj
-           [ ("result", ok_payload req result);
-             ("simulate",
-              Mhla_sim.Crosscheck.event_report_to_json report) ])
-    | Request.Solve -> (
-      (* With live verification on, an incremental verifier follows the
-         search move by move and the response's own solution is checked
-         before it leaves — at per-move bucket-recompute cost, not a
-         from-scratch re-verification. The observer never feeds back,
-         so the [result] payload is bit-identical either way. *)
-      let live =
-        if t.cfg.verify_live then
-          Some
-            (Live.of_config ~reuse ~suppress:t.cfg.suppress
-               (solve_config req) req.program (Request.hierarchy req))
-        else None
-      in
-      let on_commit = Option.map (fun l move -> Live.on_commit l move) live in
-      let result = solve ~telemetry:tele ~reuse ?checkpoint ?on_commit req in
-      let vreport = Option.map (fun l -> Live.finish l result) live in
-      match vreport with
-      | Some r when not (Verify.ok r) ->
-        Response.error ~id ~seq ~elapsed_ns:(elapsed ()) ~code:"verify"
-          (Fmt.str "solution failed live verification: %d error(s); first: %a"
-             (List.length (Verify.errors r))
-             Mhla_analysis.Diagnostic.pp
-             (List.hd (Verify.errors r)))
-      | _ ->
-        let robustness =
-          Option.map
-            (fun (fs : Request.fault_spec) ->
-              Robustness.to_json
-                (Robustness.analyze ~trials:fs.trials ~telemetry:tele
-                   ~faults:fs.faults result.Explore.assign.Assign.mapping
-                   result.Explore.te))
-            req.fault_spec
-        in
-        Response.ok ?robustness
-          ?verify:(Option.map Verify.report_to_json vreport)
-          ~id ~seq ~elapsed_ns:(elapsed ())
-          (ok_payload req result))
+      let result, robustness = render req outcome in
+      Response.ok ?robustness ?verify ~id ~seq ~elapsed_ns:(elapsed ()) result
   end
 
 (* Never raises: every failure mode becomes a structured response. *)

@@ -16,9 +16,9 @@
     Deadlines are measured from submission, so time spent queued
     counts. The solver is checkpointed between search steps (see
     {!Mhla_core.Assign.greedy}); a blown deadline surfaces as a
-    [timeout] response, and an ok response is bit-identical to a
-    direct {!solve} of the same request — the checkpoint never
-    perturbs the search.
+    [timeout] response, and an ok response is bit-identical to
+    {!run_job} on the same request — the checkpoint never perturbs
+    the search.
 
     Reuse analysis ({!Mhla_core.Mapping.precompute}) is interned
     across requests by program digest: a batch sweeping one program
@@ -97,11 +97,13 @@ val summary_to_json : summary -> Mhla_util.Json.t
 val pp_summary : summary Fmt.t
 (** One line: counts then latency percentiles. *)
 
-(** {2 The direct path}
+(** {2 The job path}
 
-    What one worker runs for one decoded request — exposed so the soak
-    harness can replay a request outside the pool and demand a
-    bit-identical payload. *)
+    {!run_job} runs any {!Request.t} end to end and {!render} turns
+    its outcome into an ok response's fields. A worker runs exactly
+    this on each decoded request; the soak harness replays through it;
+    every [mhla] subcommand that solves builds a request from its flags
+    and calls it. So the CLI and the service agree by construction. *)
 
 val solve :
   ?telemetry:Mhla_obs.Telemetry.t ->
@@ -110,26 +112,66 @@ val solve :
   ?on_commit:(Mhla_core.Assign.move -> unit) ->
   Request.t ->
   Mhla_core.Explore.result
-(** Build the request's hierarchy and run the full
-    {!Mhla_core.Explore.run} pipeline under the request's knobs. *)
+(** {!Mhla_core.Explore.run} on the request's hierarchy under its
+    knobs, or {!Mhla_policy.Policy.run} when it names a policy. *)
 
 val ok_payload : Request.t -> Mhla_core.Explore.result -> Mhla_util.Json.t
-(** Exactly the [result] field an ok response for this request
-    carries ({!Mhla_core.Report.result_to_json} under the request
-    id). *)
+(** {!Mhla_core.Report.result_to_json} under the request id: the
+    [result] field of an ok [Solve] response. *)
 
 val solve_pareto :
   ?telemetry:Mhla_obs.Telemetry.t ->
   ?reuse:Mhla_core.Mapping.reuse ->
   ?checkpoint:(unit -> unit) ->
+  ?jobs:int ->
   Request.t ->
   axes:int list list ->
   Mhla_core.Explore.pareto_outcome
-(** What a worker runs for a [mode: pareto] request: the whole
-    {!Mhla_core.Explore.pareto} grid on the calling domain
-    ([jobs:1] — the pool already parallelizes across requests). The
-    request's deadline checkpoint threads through, so expiry mid-grid
-    returns the best-so-far frontier with [partial = true] (the ok
-    payload, {!Mhla_core.Report.pareto_to_json}, carries the marker)
-    instead of a timeout response; only a deadline that fires before
-    the first point times the request out. *)
+(** {!Mhla_core.Explore.pareto} over the grid on [jobs] domains
+    (default 1). Expiry of [checkpoint] mid-grid returns the frontier
+    so far with [partial = true]; only expiry before the first point
+    raises. *)
+
+type outcome =
+  | Solved of {
+      result : Mhla_core.Explore.result;
+      verify : Mhla_analysis.Verify.report option;  (** under [live] *)
+      robustness : Mhla_sim.Robustness.report option;
+          (** the fault rider's trials *)
+    }
+  | Frontier of Mhla_core.Explore.pareto_outcome
+  | Raced of Mhla_policy.Portfolio.outcome
+  | Simulated of {
+      result : Mhla_core.Explore.result;
+      report : Mhla_sim.Crosscheck.event_report;
+    }
+
+val run_job :
+  ?telemetry:Mhla_obs.Telemetry.t ->
+  ?reuse:Mhla_core.Mapping.reuse ->
+  ?checkpoint:(unit -> unit) ->
+  ?jobs:int ->
+  ?live:Mhla_analysis.Suppress.t ->
+  ?arbitration:Mhla_sim.Event.arbitration ->
+  ?shared_bus:bool ->
+  ?invalidate_on_miss:bool ->
+  Request.t ->
+  outcome
+(** One request, by kind: {!solve} plus the fault rider's
+    {!Mhla_sim.Robustness.analyze}, {!solve_pareto},
+    {!Mhla_policy.Portfolio.race}, or {!solve} replayed on
+    {!Mhla_sim.Crosscheck.check_event}. Beside the request come only
+    what the wire cannot spell:
+    - [jobs]: domains a grid or a race fans out over (default
+      {!Mhla_util.Domain_pool.recommended_jobs}; the pool passes 1);
+    - [live]: verify the search incrementally under these
+      suppressions. A [Solve] returns the report in [verify]; a
+      [Portfolio] raises ([Internal]) on a failing entrant. The
+      outcome is otherwise unchanged;
+    - [arbitration], [shared_bus], [invalidate_on_miss]: for
+      {!Mhla_sim.Event.of_hierarchy} on a [Simulate] job.
+
+    @raise Mhla_util.Error.Error ([Deadline]) when [checkpoint] fires. *)
+
+val render : Request.t -> outcome -> Mhla_util.Json.t * Mhla_util.Json.t option
+(** The [result] and [robustness] fields of the ok response. *)

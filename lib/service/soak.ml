@@ -2,7 +2,6 @@ module Json = Mhla_util.Json
 module Telemetry = Mhla_obs.Telemetry
 module Generate = Mhla_gen.Generate
 module Faults = Mhla_sim.Faults
-module Robustness = Mhla_sim.Robustness
 
 type config = {
   requests : int;
@@ -118,15 +117,6 @@ let plan_request cfg st i =
     if String.length line > byte_cap then (Oversized, line)
     else (Valid req, line)
 
-let expected_robustness (req : Request.t) result =
-  Option.map
-    (fun (fs : Request.fault_spec) ->
-      Robustness.to_json
-        (Robustness.analyze ~trials:fs.trials ~faults:fs.faults
-           result.Mhla_core.Explore.assign.Mhla_core.Assign.mapping
-           result.Mhla_core.Explore.te))
-    req.fault_spec
-
 let json_opt_equal a b =
   match (a, b) with
   | None, None -> true
@@ -145,14 +135,13 @@ let check_response i expectation (resp : Response.t) violations checked =
       incr checked;
       (* replay outside the pool: the pooled answer must be
          bit-identical, robustness rider included *)
-      let direct = Service.solve req in
-      let want = Service.ok_payload req direct in
+      let want, robustness = Service.render req (Service.run_job req) in
       (match resp.result with
       | Some got when Json.equal got want -> ()
       | Some _ -> fail "ok payload differs from the direct solve"
       | None -> fail "ok response without a result payload");
-      if not (json_opt_equal resp.robustness (expected_robustness req direct))
-      then fail "robustness rider differs from the direct analysis")
+      if not (json_opt_equal resp.robustness robustness) then
+        fail "robustness rider differs from the direct analysis")
     | s -> fail "expected ok, got %s/%s" (Response.status_name s) code)
   | Poison -> (
     match resp.status with

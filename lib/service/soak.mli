@@ -18,8 +18,8 @@
     + the process survives (trivially, by returning at all);
     + exactly one response per submission, in submission order;
     + every ok response is bit-identical (rendered JSON, robustness
-      rider included) to a fresh direct {!Service.solve} of the same
-      request outside the pool;
+      rider included) to a fresh {!Service.run_job} of the same
+      request outside the pool, rendered by {!Service.render};
     + poisoned requests answer [error]/[exception], zero-deadline
       requests answer [timeout], malformed answer [error]/[json-parse],
       oversized answer [error]/[oversized] — never a crash, never a

@@ -257,32 +257,6 @@ else
   echo "   (python3 not installed: skipping divergence validation)"
 fi
 
-echo "== trend page gate =="
-# doc/TREND.md is generated from bench/history/ by scripts/trend.py;
-# the rendering is deterministic, so re-rendering must reproduce the
-# committed page byte for byte (stale or hand-edited pages fail).
-if command -v python3 >/dev/null 2>&1; then
-  trend_md=/tmp/mhla_ci_trend.md
-  trend_html=/tmp/mhla_ci_trend.html
-  python3 scripts/trend.py --out "$trend_md" --html "$trend_html" \
-    >/dev/null
-  cmp -s "$trend_md" doc/TREND.md || {
-    echo "doc/TREND.md is stale — run 'python3 scripts/trend.py'" >&2
-    exit 1
-  }
-  grep -q "esim" "$trend_md" || {
-    echo "trend page carries no EXT-ESIM metrics" >&2
-    exit 1
-  }
-  grep -q "<table>" "$trend_html" || {
-    echo "trend HTML page carries no tables" >&2
-    exit 1
-  }
-  rm -f "$trend_md" "$trend_html"
-else
-  echo "   (python3 not installed: skipping trend page validation)"
-fi
-
 echo "== fuzz gate =="
 # 200 seeded random programs through the full differential battery
 # (engine, pipeline cross-validation, verifier on both search engines,

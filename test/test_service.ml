@@ -133,7 +133,56 @@ let test_request_decode_errors () =
         (Json.parse_exn "{\"program\": {}, \"arch\": {\"onchip_bytes\": 64}}"));
   check_invalid "bad arch" (fun () ->
       Request.of_json
-        (Json.parse_exn "{\"id\": \"x\", \"program\": {}, \"arch\": {\"weird\": 1}}"))
+        (Json.parse_exn "{\"id\": \"x\", \"program\": {}, \"arch\": {\"weird\": 1}}"));
+  (* Each raced policy fixes its own search: a portfolio that also
+     names one is rejected, not answered with the search ignored. *)
+  List.iter
+    (fun kind ->
+      check_invalid ("portfolio with a " ^ kind ^ " search") (fun () ->
+          Request.of_json
+            (patch
+               [ ("mode", Json.str "portfolio");
+                 ("search", Json.obj [ ("kind", Json.str kind) ]) ])))
+    [ "anneal"; "greedy" ];
+  check_invalid "policy with a search" (fun () ->
+      Request.of_json
+        (patch
+           [ ("policy", Json.str "te-size");
+             ("search", Json.obj [ ("kind", Json.str "greedy") ]) ]))
+
+(* [make] builds what only an in-memory caller needs; [to_json] refuses
+   to render it rather than drop a knob on the way out. *)
+let test_request_in_memory_only () =
+  let case = Gen.case ~profile:Gen.Mixed ~seed:19L () in
+  let make ?kind ?transfer_mode ?search ?policy () =
+    Request.make ?kind ?transfer_mode ?search ?policy ~id:"mem"
+      ~arch:(Request.Two_level { onchip_bytes = 1024; dma = true })
+      case.Gen.program
+  in
+  let portfolio =
+    Request.Portfolio
+      { policies = Mhla_policy.Registry.default_portfolio_names }
+  in
+  let simulate = Request.Simulate { channels = None; queue_depth = None } in
+  List.iter
+    (fun kind ->
+      let req = make ~kind ~transfer_mode:Mhla_reuse.Candidate.Full () in
+      check_invalid "to_json of a non-solve transfer mode" (fun () ->
+          Request.to_json req))
+    [ portfolio; simulate ];
+  let custom =
+    Mhla_policy.Policy.make ~cc_filter:(Mhla_policy.Policy.Top_k 2) "top-2"
+  in
+  check_invalid "to_json of an unregistered policy" (fun () ->
+      Request.to_json (make ~policy:custom ()));
+  let te_size = Mhla_policy.Registry.find "te-size" in
+  let named = make ~policy:te_size () in
+  Alcotest.(check bool) "a registry policy round-trips" true
+    (Request.equal named (Request.of_json (Request.to_json named)));
+  check_invalid "make: portfolio with a search" (fun () ->
+      make ~kind:portfolio ~search:Explore.Greedy ());
+  check_invalid "make: policy with a search" (fun () ->
+      make ~policy:te_size ~search:Explore.Greedy ())
 
 let test_request_pareto_decode_errors () =
   let patch_onto base fields =
@@ -266,36 +315,107 @@ let test_id_salvage () =
 
 (* --- executor ---------------------------------------------------------- *)
 
-let test_service_ok_bit_identical () =
-  let reqs = List.init 4 (fun i -> sample i) in
-  let service =
-    Service.create ~config:{ Service.default_config with jobs = 2 } ()
+(* One generated program as each kind of job the service runs. *)
+let every_kind i =
+  let case = Gen.case ~profile:Gen.Mixed ~seed:(Int64.of_int (100 + i)) () in
+  let budget = case.Gen.onchip_bytes in
+  let make ?kind ?fault_spec label =
+    Request.make ?kind ?fault_spec
+      ~id:(Fmt.str "req-%d-%s" i label)
+      ~arch:(Request.Two_level { onchip_bytes = budget; dma = true })
+      case.Gen.program
   in
+  [
+    make "solve";
+    make "robust"
+      ~fault_spec:
+        {
+          Request.faults =
+            Faults.make
+              ~jitter:(Faults.Uniform { max_extra_cycles = 8 })
+              ~failure_permille:100 ~seed:(Int64.of_int i) ();
+          trials = 3;
+        };
+    make "simulate"
+      ~kind:(Request.Simulate { channels = None; queue_depth = None });
+    make "portfolio"
+      ~kind:
+        (Request.Portfolio
+           { policies = Mhla_policy.Registry.default_portfolio_names });
+    make "pareto"
+      ~kind:
+        (Request.Pareto
+           { axes = [ List.sort_uniq compare [ max 1 (budget / 2); budget ] ]
+           });
+  ]
+
+(* Pool every request, then demand each ok answer equal [run_job] plus
+   [render] on the same request outside the pool. *)
+let check_pooled_equals_direct ?live config reqs =
+  let service = Service.create ~config () in
   List.iter (fun r -> ignore (Service.submit service (line r))) reqs;
   let responses = Service.drain service in
   Service.shutdown service;
   Alcotest.(check int) "one response per request" (List.length reqs)
     (List.length responses);
   List.iteri
-    (fun i (resp : Response.t) ->
+    (fun i ((req : Request.t), (resp : Response.t)) ->
       Alcotest.(check int) (Fmt.str "response %d in order" i) i resp.seq;
-      Alcotest.(check string)
-        (Fmt.str "response %d status" i)
-        "ok"
+      Alcotest.(check string) (Fmt.str "%s status" req.id) "ok"
         (Response.status_name resp.status);
-      let req = List.nth reqs i in
-      Alcotest.(check string) (Fmt.str "response %d id" i) req.Request.id
-        resp.id;
-      let direct = Service.ok_payload req (Service.solve req) in
+      Alcotest.(check string) (Fmt.str "response %d id" i) req.id resp.id;
+      let result, robustness =
+        Service.render req (Service.run_job ~jobs:1 ?live req)
+      in
+      let same a b =
+        match (a, b) with
+        | Some a, Some b -> Json.equal a b
+        | None, None -> true
+        | _ -> false
+      in
       Alcotest.(check bool)
-        (Fmt.str "response %d bit-identical to direct solve" i)
+        (Fmt.str "%s result bit-identical to run_job" req.id)
         true
-        (match resp.result with
-        | Some got -> Json.equal got direct
-        | None -> false))
-    responses;
+        (same resp.result (Some result));
+      Alcotest.(check bool)
+        (Fmt.str "%s robustness bit-identical to run_job" req.id)
+        true
+        (same resp.robustness robustness))
+    (List.combine reqs responses);
   Alcotest.(check int) "nothing left to hand out" 0
     (List.length (Service.ready service))
+
+let test_service_ok_bit_identical () =
+  check_pooled_equals_direct
+    { Service.default_config with jobs = 2 }
+    (List.concat_map every_kind [ 0; 1; 2 ])
+
+(* Live verification rides along a solve and every portfolio entrant;
+   it never changes a result. *)
+let test_service_verify_live () =
+  let reqs =
+    List.filter
+      (fun (r : Request.t) ->
+        match r.kind with
+        | Request.Solve | Request.Portfolio _ -> r.fault_spec = None
+        | Request.Pareto _ | Request.Simulate _ -> false)
+      (every_kind 3)
+  in
+  check_pooled_equals_direct ~live:Mhla_analysis.Suppress.empty
+    { Service.default_config with verify_live = true }
+    reqs;
+  List.iter
+    (fun (req : Request.t) ->
+      Alcotest.(check bool)
+        (req.id ^ ": live verification leaves the result alone")
+        true
+        (Json.equal
+           (fst (Service.render req (Service.run_job ~jobs:1 req)))
+           (fst
+              (Service.render req
+                 (Service.run_job ~jobs:1 ~live:Mhla_analysis.Suppress.empty
+                    req)))))
+    reqs
 
 let test_service_pareto_end_to_end () =
   let case = Gen.case ~profile:Gen.Mixed ~seed:23L () in
@@ -459,6 +579,8 @@ let () =
           Alcotest.test_case "pareto round trip" `Quick
             test_request_pareto_roundtrip;
           Alcotest.test_case "decode errors" `Quick test_request_decode_errors;
+          Alcotest.test_case "in-memory only" `Quick
+            test_request_in_memory_only;
           Alcotest.test_case "pareto decode errors" `Quick
             test_request_pareto_decode_errors;
           Alcotest.test_case "simulate round trip" `Quick
@@ -471,6 +593,8 @@ let () =
         [
           Alcotest.test_case "ok responses bit-identical" `Quick
             test_service_ok_bit_identical;
+          Alcotest.test_case "verify-live on every face" `Quick
+            test_service_verify_live;
           Alcotest.test_case "pareto end to end" `Quick
             test_service_pareto_end_to_end;
           Alcotest.test_case "simulate end to end" `Quick
