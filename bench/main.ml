@@ -1,6 +1,6 @@
 (* Regenerates every table and figure of the paper's evaluation plus the
-   extension experiments of DESIGN.md, then runs Bechamel
-   micro-benchmarks of the tool's own algorithms.
+   extension experiments of DESIGN.md, then times the tool's own
+   algorithms (MICRO).
 
    Usage: dune exec bench/main.exe [-- [--check BASELINE] SECTION ...]
    Sections: FIG2 FIG3 TAB1 EXT-PARETO EXT-ORDER EXT-INPLACE EXT-GREEDY
@@ -22,10 +22,34 @@ let section name description =
   Printf.printf "\n==================== %s ====================\n%s\n\n" name
     description
 
+let median samples = Mhla_util.Stats.percentile samples ~p:50.
+
+(* The one timing helper: median seconds per call of [f] on
+   CLOCK_MONOTONIC. One warm-up call, then the batch size doubles until
+   a batch takes at least 1 ms; that batch and four more of the same
+   size are the samples. *)
+let seconds_per_call f =
+  let batch n =
+    let t0 = Monotonic_clock.now () in
+    for _ = 1 to n do
+      ignore (f ())
+    done;
+    Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9
+  in
+  ignore (f ());
+  let rec size n =
+    let t = batch n in
+    if t >= 1e-3 then (n, t) else size (2 * n)
+  in
+  let n, first = size 1 in
+  median
+    (List.map
+       (fun t -> t /. float_of_int n)
+       (first :: List.init 4 (fun _ -> batch n)))
+
 (* Machine-readable metrics: sections push stable-keyed values here
-   and the driver writes them all to BENCH_<rev>.json after the run
-   ([rev] from MHLA_BENCH_REV, default "dev"), so successive
-   revisions' numbers can be diffed mechanically. *)
+   and the driver writes them all to BENCH_dev.json after the run, so
+   two checkouts' numbers can be diffed mechanically. *)
 let bench_metrics : (string * Mhla_util.Json.t) list ref = ref []
 
 let metric key value = bench_metrics := (key, value) :: !bench_metrics
@@ -34,12 +58,7 @@ let write_metrics () =
   match List.rev !bench_metrics with
   | [] -> ()
   | metrics ->
-    let rev =
-      match Sys.getenv_opt "MHLA_BENCH_REV" with
-      | Some r when r <> "" -> r
-      | Some _ | None -> "dev"
-    in
-    let file = Printf.sprintf "BENCH_%s.json" rev in
+    let file = "BENCH_dev.json" in
     let oc = open_out file in
     Fun.protect
       ~finally:(fun () -> close_out oc)
@@ -103,20 +122,15 @@ let ext_pareto () =
           ("evaluated", Table.Right);
           ("pruned", Table.Right);
           ("frontier", Table.Right);
-          ("wall (s)", Table.Right);
-          ("points/s", Table.Right);
           ("pruning ratio", Table.Right) ]
   in
   List.iter
     (fun name ->
       let app = Apps.find_exn name in
       let program = Lazy.force app.Mhla_apps.Defs.program in
-      let t0 = Unix.gettimeofday () in
       let outcome = Explore.pareto ~axes program in
-      let wall = Unix.gettimeofday () -. t0 in
       let s = outcome.Explore.stats in
       let frontier = Mhla_util.Pareto.Nd.size outcome.Explore.frontier in
-      let points_per_s = float_of_int s.Explore.evaluated /. wall in
       let pruning_ratio =
         float_of_int s.Explore.grid_points
         /. float_of_int (max 1 s.Explore.evaluated)
@@ -126,8 +140,6 @@ let ext_pareto () =
       metric (key "evaluated") (Mhla_util.Json.int s.Explore.evaluated);
       metric (key "pruned") (Mhla_util.Json.int s.Explore.pruned);
       metric (key "frontier_size") (Mhla_util.Json.int frontier);
-      metric (key "wall_s") (Mhla_util.Json.float wall);
-      metric (key "points_per_s") (Mhla_util.Json.float points_per_s);
       metric (key "pruning_ratio") (Mhla_util.Json.float pruning_ratio);
       Table.add_row table
         [ name;
@@ -135,8 +147,6 @@ let ext_pareto () =
           Table.cell_int s.Explore.evaluated;
           Table.cell_int s.Explore.pruned;
           Table.cell_int frontier;
-          Table.cell_float ~decimals:3 wall;
-          Table.cell_float ~decimals:1 points_per_s;
           Table.cell_float pruning_ratio ])
     [ "motion_estimation"; "cavity_detector"; "mp3_filterbank" ];
   Table.print table;
@@ -348,12 +358,11 @@ let ext_esim () =
   in
   List.iter
     (fun (name, (r : Explore.result)) ->
-      let t0 = Unix.gettimeofday () in
-      let report =
+      let check () =
         Mhla_sim.Crosscheck.check_event r.Explore.assign.Assign.mapping
           r.Explore.te
       in
-      let wall = Unix.gettimeofday () -. t0 in
+      let report = check () in
       let checks = report.Mhla_sim.Crosscheck.event_checks in
       let deviation (c : Mhla_sim.Crosscheck.event_check) =
         abs
@@ -390,7 +399,6 @@ let ext_esim () =
       metric (key "agree") (Mhla_util.Json.int agree);
       metric (key "max_gain_dev") (Mhla_util.Json.int max_dev);
       metric (key "cycles") (Mhla_util.Json.int cycles);
-      metric (key "wall_s") (Mhla_util.Json.float wall);
       Table.add_row table
         [ name;
           Table.cell_int (List.length checks);
@@ -399,7 +407,7 @@ let ext_esim () =
           Table.cell_int events;
           Table.cell_int cycles;
           Table.cell_float ~decimals:1
-            (float_of_int cycles /. wall /. 1e6) ])
+            (float_of_int cycles /. seconds_per_call check /. 1e6) ])
     (Lazy.force default_results);
   Table.print table
 
@@ -718,29 +726,18 @@ let ext_wb () =
 let ext_engine () =
   section "EXT-ENGINE"
     "Incremental cost engine vs from-scratch evaluation: objective\n\
-     probes per second over each application's full move set (timed\n\
-     windows), feasibility checks per second over the same moves, and\n\
-     the minor words one probe and one check allocate once the engine\n\
-     has compiled every alternative; then the Domain-parallel size\n\
-     sweep wall-clock. The engine re-folds cached per-unit\n\
-     contributions, so its probes are bit-identical to Cost.evaluate\n\
-     while recomputing only what the move touched.";
+     probes per second over each application's full move set,\n\
+     feasibility checks per second over the same moves, and the minor\n\
+     words one probe and one check allocate once the engine has\n\
+     compiled every alternative; then the Domain-parallel size sweep\n\
+     time. The engine re-folds cached per-unit contributions, so its\n\
+     probes are bit-identical to Cost.evaluate while recomputing only\n\
+     what the move touched.";
   let module Engine = Mhla_core.Engine in
   let module Mapping = Mhla_core.Mapping in
   let config = Assign.default_config in
-  let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9 in
-  let rate_over seconds per_round f =
-    let t0 = now () in
-    let rounds = ref 0 in
-    while now () -. t0 < seconds do
-      f ();
-      incr rounds
-    done;
-    let elapsed = now () -. t0 in
-    float_of_int (!rounds * per_round) /. elapsed
-  in
   (* Minor words per call over a fixed number of rounds: deterministic,
-     unlike the timed windows. *)
+     unlike the timings. *)
   let words_per_call per_round f =
     let rounds = 20 in
     let w0 = Gc.minor_words () in
@@ -777,8 +774,9 @@ let ext_engine () =
       in
       let mvs = Assign.moves config m in
       let n_moves = List.length mvs in
+      let per_second f = float_of_int n_moves /. seconds_per_call f in
       let oracle_rate =
-        rate_over 0.25 n_moves (fun () ->
+        per_second (fun () ->
             List.iter
               (fun mv ->
                 ignore
@@ -794,9 +792,9 @@ let ext_engine () =
       let check_all () =
         List.iter (fun mv -> ignore (Engine.feasible engine mv : bool)) mvs
       in
-      let engine_rate = rate_over 0.25 n_moves probe_all in
+      let engine_rate = per_second probe_all in
       let s = Engine.stats engine in
-      let check_rate = rate_over 0.25 n_moves check_all in
+      let check_rate = per_second check_all in
       let wp = words_per_call n_moves probe_all in
       let wc = words_per_call n_moves check_all in
       calls := !calls + n_moves;
@@ -829,18 +827,16 @@ let ext_engine () =
   let sizes = Mhla_arch.Presets.sweep_sizes ~min_bytes:128 ~max_bytes:8192 in
   let me = Apps.find_exn "motion_estimation" in
   let program = Lazy.force me.Mhla_apps.Defs.program in
-  let wall jobs =
-    let t0 = now () in
-    ignore (Explore.sweep ~jobs ~sizes program : Explore.sweep_point list);
-    now () -. t0
+  let ms jobs =
+    1e3 *. seconds_per_call (fun () -> Explore.sweep ~jobs ~sizes program)
   in
   let jobs = Mhla_util.Domain_pool.recommended_jobs () in
-  let serial = wall 1 in
-  let parallel = wall jobs in
+  let serial = ms 1 in
+  let parallel = ms jobs in
   Printf.printf
     "sweep motion_estimation over %d sizes (128B..8KiB):\n\
-    \  jobs=1  %.3fs\n\
-    \  jobs=%d  %.3fs  (speedup %.2fx on %d recommended domains)\n"
+    \  jobs=1  %.3f ms\n\
+    \  jobs=%d  %.3f ms  (speedup %.2fx on %d recommended domains)\n"
     (List.length sizes) serial jobs parallel (serial /. parallel) jobs
 
 let ext_fault () =
@@ -899,61 +895,31 @@ let ext_fault () =
 
 let micro () =
   section "MICRO"
-    "Bechamel micro-benchmarks of the tool's own algorithms (ns/run).";
-  let open Bechamel in
+    "Median time per call of the tool's own algorithms (ns/run).";
   let me = Apps.find_exn "motion_estimation" in
   let me_program = Lazy.force me.Mhla_apps.Defs.program in
   let hierarchy = Mhla_arch.Presets.two_level ~onchip_bytes:2048 () in
   let mapping = (Assign.greedy me_program hierarchy).Assign.mapping in
-  let tests =
-    [ Test.make ~name:"reuse-analysis(me)"
-        (Staged.stage (fun () ->
-             ignore (Mhla_reuse.Analysis.analyze me_program)));
-      Test.make ~name:"greedy-assign(me)"
-        (Staged.stage (fun () -> ignore (Assign.greedy me_program hierarchy)));
-      Test.make ~name:"te-schedule(me)"
-        (Staged.stage (fun () -> ignore (Prefetch.run mapping)));
-      Test.make ~name:"cost-evaluate(me)"
-        (Staged.stage (fun () -> ignore (Cost.evaluate mapping)));
-      Test.make ~name:"pipeline-sim(1k)"
-        (Staged.stage (fun () ->
-             ignore
-               (Mhla_sim.Pipeline.run
-                  {
-                    Mhla_sim.Pipeline.issues = 1000;
-                    transfer_cycles = 120;
-                    compute_cycles = 150;
-                    lookahead = 1;
-                    setup_cycles = 24;
-                    channels = 2;
-                  }))) ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
-  in
   let table =
     Table.create ~columns:[ ("benchmark", Table.Left); ("ns/run", Table.Right) ]
   in
-  List.iter
-    (fun test ->
-      let results =
-        Benchmark.all cfg instances test
-        |> Analyze.all ols Toolkit.Instance.monotonic_clock
-      in
-      Hashtbl.iter
-        (fun name ols_result ->
-          let estimate =
-            match Analyze.OLS.estimates ols_result with
-            | Some (e :: _) -> Table.cell_float e
-            | Some [] | None -> "n/a"
-          in
-          Table.add_row table [ name; estimate ])
-        results)
-    tests;
+  let bench name f =
+    Table.add_row table [ name; Table.cell_float (1e9 *. seconds_per_call f) ]
+  in
+  bench "reuse-analysis(me)" (fun () -> Mhla_reuse.Analysis.analyze me_program);
+  bench "greedy-assign(me)" (fun () -> Assign.greedy me_program hierarchy);
+  bench "te-schedule(me)" (fun () -> Prefetch.run mapping);
+  bench "cost-evaluate(me)" (fun () -> Cost.evaluate mapping);
+  bench "pipeline-sim(1k)" (fun () ->
+      Mhla_sim.Pipeline.run
+        {
+          Mhla_sim.Pipeline.issues = 1000;
+          transfer_cycles = 120;
+          compute_cycles = 150;
+          lookahead = 1;
+          setup_cycles = 24;
+          channels = 2;
+        });
   Table.print table
 
 let ext_trace () =
@@ -964,24 +930,12 @@ let ext_trace () =
      instrumented flow must stay within noise (<2%) of free. The\n\
      collector column shows the full recording cost for scale.";
   let module Telemetry = Mhla_obs.Telemetry in
-  let calls = 10_000_000 in
-  let t0 = Unix.gettimeofday () in
-  for i = 1 to calls do
-    Telemetry.instant Telemetry.noop ~cat:"bench" "x"
-      ~args:(fun () -> [ ("i", Telemetry.Int i) ])
-  done;
-  Printf.printf "noop instant dispatch: %.2f ns/call over %d calls\n\n"
-    ((Unix.gettimeofday () -. t0) /. float_of_int calls *. 1e9)
-    calls;
-  let rate seconds f =
-    let t0 = Unix.gettimeofday () in
-    let rounds = ref 0 in
-    while Unix.gettimeofday () -. t0 < seconds do
-      f ();
-      incr rounds
-    done;
-    float_of_int !rounds /. (Unix.gettimeofday () -. t0)
-  in
+  Printf.printf "noop instant dispatch: %.2f ns/call\n\n"
+    (1e9
+    *. seconds_per_call (fun () ->
+           Telemetry.instant Telemetry.noop ~cat:"bench" "x"
+             ~args:(fun () -> [ ("i", Telemetry.Int 0) ])));
+  let rate f = 1. /. seconds_per_call f in
   let table =
     Table.create
       ~columns:
@@ -999,15 +953,10 @@ let ext_trace () =
         Mhla_arch.Presets.two_level
           ~onchip_bytes:app.Mhla_apps.Defs.onchip_bytes ()
       in
-      let noop_rate =
-        rate 0.4 (fun () ->
-            ignore (Explore.run program hierarchy : Explore.result))
-      in
+      let noop_rate = rate (fun () -> Explore.run program hierarchy) in
       let coll_rate =
-        rate 0.4 (fun () ->
-            let t = Telemetry.collector () in
-            ignore (Explore.run ~telemetry:t program hierarchy
-                    : Explore.result))
+        rate (fun () ->
+            Explore.run ~telemetry:(Telemetry.collector ()) program hierarchy)
       in
       let events =
         let t = Telemetry.collector () in
@@ -1024,24 +973,18 @@ let ext_trace () =
   Table.print table
 
 let ext_check () =
-  section "EXT-CHECK"
-    "Static verifier cost: one full pass-suite run (bounds, dma-race,\n\
-     capacity, lints) over each application's solved mapping and TE\n\
-     schedule, timed over a 0.25 s window per pass. The verifier\n\
-     re-derives subscript ranges, freedom loops and layer peaks from\n\
-     the IR, so its cost scales with program size, not solver effort.";
   let module Pass = Mhla_analysis.Pass in
   let module Verify = Mhla_analysis.Verify in
-  let us_over seconds f =
-    let t0 = Unix.gettimeofday () in
-    let rounds = ref 0 in
-    while Unix.gettimeofday () -. t0 < seconds do
-      f ();
-      incr rounds
-    done;
-    let elapsed = Unix.gettimeofday () -. t0 in
-    1e6 *. elapsed /. float_of_int !rounds
-  in
+  section "EXT-CHECK"
+    (Printf.sprintf
+       "Static verifier cost: one full pass-suite run over each\n\
+        application's solved mapping and TE schedule, per pass and\n\
+        whole (passes: %s).\n\
+        The verifier re-derives subscript ranges, freedom loops and layer\n\
+        peaks from the IR, so its cost scales with program size, not\n\
+        solver effort."
+       (String.concat ", " Verify.pass_names));
+  let us f = 1e6 *. seconds_per_call f in
   let table =
     Table.create
       ~columns:
@@ -1060,13 +1003,10 @@ let ext_check () =
         List.map
           (fun pass ->
             Table.cell_float ~decimals:1
-              (us_over 0.25 (fun () ->
-                   ignore (Verify.run ~only:[ pass ] subject : Verify.report))))
+              (us (fun () -> Verify.run ~only:[ pass ] subject)))
           Verify.pass_names
       in
-      let suite =
-        us_over 0.25 (fun () -> ignore (Verify.run subject : Verify.report))
-      in
+      let suite = us (fun () -> Verify.run subject) in
       let report = Verify.run subject in
       Table.add_row table
         (name :: per_pass
@@ -1115,23 +1055,15 @@ let ext_check () =
           in
           Incremental.apply inc move;
           let incr_us =
-            us_over 0.08 (fun () ->
+            us (fun () ->
                 Incremental.apply inc move;
-                ignore (Incremental.report inc : Verify.report))
+                Incremental.report inc)
           in
           let full_us =
-            us_over 0.08 (fun () ->
-                ignore
-                  (Verify.run (Pass.of_mapping (Incremental.mapping inc))
-                    : Verify.report))
+            us (fun () -> Verify.run (Pass.of_mapping (Incremental.mapping inc)))
           in
           per_move := (incr_us, full_us) :: !per_move
       done;
-      let median l =
-        match List.sort compare l with
-        | [] -> 0.
-        | sorted -> List.nth sorted (List.length sorted / 2)
-      in
       let incr_med = median (List.map fst !per_move)
       and full_med = median (List.map snd !per_move) in
       let speedup = if incr_med > 0. then full_med /. incr_med else 0. in
@@ -1144,11 +1076,6 @@ let ext_check () =
           Table.cell_float ~decimals:1 speedup ])
     (Lazy.force default_results);
   Table.print itable;
-  let median l =
-    match List.sort compare l with
-    | [] -> 0.
-    | sorted -> List.nth sorted (List.length sorted / 2)
-  in
   let overall = median !speedups in
   Printf.printf "\nmedian per-move speedup, incremental vs full: %.1fx\n"
     overall;
@@ -1165,14 +1092,13 @@ let ext_gen () =
      programs the CI fuzz gate can afford.";
   let module Gen = Mhla_gen.Generate in
   let module Oracle = Mhla_gen.Oracle in
-  let rate_over seconds f =
-    let t0 = Unix.gettimeofday () in
-    let rounds = ref 0 in
-    while Unix.gettimeofday () -. t0 < seconds do
-      f !rounds;
-      incr rounds
-    done;
-    float_of_int !rounds /. (Unix.gettimeofday () -. t0)
+  (* Each call draws the next seed, so the rate covers many programs. *)
+  let rate f =
+    let k = ref 0 in
+    1.
+    /. seconds_per_call (fun () ->
+           incr k;
+           f !k)
   in
   let table =
     Table.create
@@ -1186,15 +1112,9 @@ let ext_gen () =
   List.iter
     (fun (name, profile) ->
       let seed_of k = Int64.of_int (1 + k) in
-      let gen_rate =
-        rate_over 0.3 (fun k ->
-            ignore (Gen.case ~profile ~seed:(seed_of k) () : Gen.case))
-      in
+      let gen_rate = rate (fun k -> Gen.case ~profile ~seed:(seed_of k) ()) in
       let case_rate =
-        rate_over 0.5 (fun k ->
-            ignore
-              (Oracle.run_case ~profile ~seed:(seed_of k) ()
-                : Oracle.outcome))
+        rate (fun k -> Oracle.run_case ~profile ~seed:(seed_of k) ())
       in
       let sample = List.init 50 (fun k -> Gen.case ~profile ~seed:(seed_of k) ()) in
       let mean f =
@@ -1252,15 +1172,19 @@ let ext_serve () =
             Service.jobs; queue_depth; admission }
         ()
     in
-    let t0 = Unix.gettimeofday () in
     List.iter
       (fun line -> ignore (Service.submit service line : [ `Queued | `Shed ]))
       lines;
     ignore (Service.drain service : Mhla_service.Response.t list);
-    let elapsed = Unix.gettimeofday () -. t0 in
     let s = Service.summary service in
     Service.shutdown service;
-    (elapsed, s)
+    s
+  in
+  (* Wall seconds per batch under Block admission, and one batch's
+     latency summary. *)
+  let blocking ~jobs ~queue_depth =
+    let run () = run_batch ~jobs ~queue_depth ~admission:Service.Block in
+    (seconds_per_call run, run ())
   in
   let n = List.length lines in
   let jobs_table =
@@ -1275,9 +1199,7 @@ let ext_serve () =
   let base = ref 0. in
   List.iter
     (fun jobs ->
-      let elapsed, s =
-        run_batch ~jobs ~queue_depth:32 ~admission:Service.Block
-      in
+      let elapsed, s = blocking ~jobs ~queue_depth:32 in
       if jobs = 1 then base := elapsed;
       Table.add_row jobs_table
         [ Table.cell_int jobs;
@@ -1303,9 +1225,7 @@ let ext_serve () =
   in
   List.iter
     (fun queue_depth ->
-      let elapsed, s =
-        run_batch ~jobs:2 ~queue_depth ~admission:Service.Block
-      in
+      let elapsed, s = blocking ~jobs:2 ~queue_depth in
       Table.add_row depth_table
         [ Table.cell_int queue_depth;
           Table.cell_float ~decimals:3 elapsed;
@@ -1326,7 +1246,7 @@ let ext_serve () =
   in
   List.iter
     (fun queue_depth ->
-      let _, s = run_batch ~jobs:1 ~queue_depth ~admission:Service.Shed in
+      let s = run_batch ~jobs:1 ~queue_depth ~admission:Service.Shed in
       Table.add_row shed_table
         [ Table.cell_int queue_depth;
           Table.cell_int s.Service.submitted;
@@ -1359,7 +1279,7 @@ let ext_policy () =
           ("wall -j3 (s)", Table.Right);
           ("speedup", Table.Right) ]
   in
-  let wins = Hashtbl.create 8 in
+  let wins = Hashtbl.create 8 and disagreements = ref [] in
   List.iter
     (fun (app : Mhla_apps.Defs.t) ->
       let name = app.Mhla_apps.Defs.name in
@@ -1368,26 +1288,21 @@ let ext_policy () =
         Mhla_arch.Presets.two_level
           ~onchip_bytes:app.Mhla_apps.Defs.onchip_bytes ()
       in
-      let t0 = Unix.gettimeofday () in
-      let serial = Portfolio.race ~jobs:1 ~policies program hierarchy in
-      let t1 = Unix.gettimeofday () in
-      let parallel = Portfolio.race ~jobs:3 ~policies program hierarchy in
-      let t2 = Unix.gettimeofday () in
-      let wall_j1 = t1 -. t0 and wall_j3 = t2 -. t1 in
+      let race jobs () = Portfolio.race ~jobs ~policies program hierarchy in
+      let serial = race 1 () and parallel = race 3 () in
+      let wall_j1 = seconds_per_call (race 1)
+      and wall_j3 = seconds_per_call (race 3) in
       let winner = serial.Portfolio.winner in
       let wname = winner.Portfolio.policy.Policy.name in
       if
         parallel.Portfolio.winner.Portfolio.policy.Policy.name <> wname
         || parallel.Portfolio.winner.Portfolio.objective
            <> winner.Portfolio.objective
-      then
-        Printf.printf "!! %s: -j1 and -j3 disagree on the winner\n" name;
+      then disagreements := name :: !disagreements;
       Hashtbl.replace wins wname
         (1 + Option.value ~default:0 (Hashtbl.find_opt wins wname));
       let key m = Printf.sprintf "ext_policy.%s.%s" name m in
       metric (key "winner") (Mhla_util.Json.str wname);
-      metric (key "wall_j1_s") (Mhla_util.Json.float wall_j1);
-      metric (key "wall_j3_s") (Mhla_util.Json.float wall_j3);
       Table.add_row table
         [ name;
           wname;
@@ -1397,6 +1312,11 @@ let ext_policy () =
           Table.cell_float (wall_j1 /. Float.max wall_j3 1e-9) ])
     Apps.all;
   Table.print table;
+  if !disagreements <> [] then begin
+    Printf.eprintf "EXT-POLICY: -j1 and -j3 races disagree on the winner: %s\n"
+      (String.concat ", " (List.rev !disagreements));
+    exit 1
+  end;
   List.iter
     (fun (p : Policy.t) ->
       let n =

@@ -342,7 +342,7 @@ done
 rm -f "$trace"
 
 echo "== bench smoke + baseline gate (EXT-ENGINE, EXT-TRACE, EXT-CHECK, EXT-GEN, EXT-SERVE, EXT-PARETO, EXT-POLICY) =="
-# The bench writes BENCH_<rev>.json into its working directory; run it
+# The bench writes BENCH_dev.json into its working directory; run it
 # from a scratch dir so CI never litters the checkout. --check fails
 # the run when any stable metric drifts >15% from the committed
 # bench/baseline.json.
@@ -359,8 +359,7 @@ if command -v python3 >/dev/null 2>&1; then
   python3 -c '
 import json, sys
 m = json.load(open(sys.argv[1]))
-for key in ("ext_pareto.motion_estimation.points_per_s",
-            "ext_pareto.motion_estimation.pruning_ratio",
+for key in ("ext_pareto.motion_estimation.pruning_ratio",
             "ext_policy.motion_estimation.winner",
             "ext_policy.predictor.precision",
             "ext_check.incremental.median_speedup"):
@@ -379,6 +378,17 @@ for app in ("motion_estimation", "qsdpcm", "cavity_detector"):
 ' "$bench_dir/BENCH_dev.json" || exit 1
 else
   echo "   (python3 not installed: skipping bench metrics validation)"
+fi
+# The gate must be live: a baseline whose grid size has drifted has to
+# fail --check with exit 1.
+echo '{"ext_pareto.motion_estimation.grid_points": 50}' \
+  >"$bench_dir/drifted.json"
+rc=0
+(cd "$bench_dir" && "$repo_root/_build/default/bench/main.exe" \
+  --check "$bench_dir/drifted.json" EXT-PARETO >/dev/null 2>&1) || rc=$?
+if [ "$rc" -ne 1 ]; then
+  echo "expected exit 1 for the drifted bench baseline, got $rc" >&2
+  exit 1
 fi
 rm -rf "$bench_dir"
 
