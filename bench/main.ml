@@ -911,14 +911,14 @@ let micro () =
   bench "te-schedule(me)" (fun () -> Prefetch.run mapping);
   bench "cost-evaluate(me)" (fun () -> Cost.evaluate mapping);
   bench "pipeline-sim(1k)" (fun () ->
-      Mhla_sim.Pipeline.run
+      Mhla_sim.Pipeline.run ~channels:2
         {
           Mhla_sim.Pipeline.issues = 1000;
+          bytes_per_issue = 0;
           transfer_cycles = 120;
           compute_cycles = 150;
           lookahead = 1;
           setup_cycles = 24;
-          channels = 2;
         });
   Table.print table
 

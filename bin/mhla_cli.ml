@@ -666,7 +666,7 @@ let robustness_cmd =
     else begin
       if verbosity <> Quiet then Fmt.pr "%a@." Mhla_sim.Robustness.pp report;
       if not report.Mhla_sim.Robustness.all_zero_fault_consistent then begin
-        prerr_endline "mhla: zero-fault simulation drifted from Pipeline.run";
+        prerr_endline "mhla: zero-fault simulation retried or fell back";
         exit (Error.exit_code
                 (Error.make Error.Internal ~context:"mhla robustness"
                    "zero-fault drift"))

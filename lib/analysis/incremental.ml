@@ -41,7 +41,6 @@ type stats = {
 type t = {
   solution : Fixpoint.solution;
   policy : Occupancy.policy;
-  layer_budgets : int list option;
   suppress : Suppress.t;
   fixed : Diagnostic.t list;
   chain : (Analysis.access_ref, Diagnostic.t list) Hashtbl.t;
@@ -58,16 +57,11 @@ type t = {
   plans_rechecked : int ref;
 }
 
-let budget_for t level =
-  match t.layer_budgets with
-  | None -> None
-  | Some budgets -> List.nth_opt budgets level
-
 let recompute_level t level =
   incr t.levels_recomputed;
   Hashtbl.replace t.level level
     (Capacity.check_level t.solution ?schedule:t.schedule ~policy:t.policy
-       ~budget:(budget_for t level) t.mapping ~level)
+       ~budget:None t.mapping ~level)
 
 let recompute_plans t =
   match t.schedule with
@@ -86,8 +80,8 @@ let recompute_plans t =
       Interference.check_priorities schedule
       @ Determinism.check_ties t.mapping schedule
 
-let create ?schedule ?(policy = Occupancy.In_place) ?layer_budgets
-    ?(suppress = Suppress.empty) (m : Mapping.t) =
+let create ?schedule ?(policy = Occupancy.In_place) ?(suppress = Suppress.empty)
+    (m : Mapping.t) =
   let program = m.Mapping.program in
   let solution = Fixpoint.analyze program in
   let fixed =
@@ -100,7 +94,6 @@ let create ?schedule ?(policy = Occupancy.In_place) ?layer_budgets
     {
       solution;
       policy;
-      layer_budgets;
       suppress;
       fixed;
       chain = Hashtbl.create 32;
@@ -235,8 +228,8 @@ let schedule t = t.schedule
 let solution t = t.solution
 
 let subject t =
-  Pass.of_mapping ?schedule:t.schedule ~policy:t.policy
-    ?layer_budgets:t.layer_budgets ~analysis:t.solution t.mapping
+  Pass.of_mapping ?schedule:t.schedule ~policy:t.policy ~analysis:t.solution
+    t.mapping
 
 let stats t =
   {

@@ -21,14 +21,13 @@ type t
 val create :
   ?schedule:Mhla_core.Prefetch.schedule ->
   ?policy:Mhla_lifetime.Occupancy.policy ->
-  ?layer_budgets:int list ->
   ?suppress:Suppress.t ->
   Mhla_core.Mapping.t ->
   t
 (** Position the verifier on a mapping: one fixpoint analysis, every
-    bucket filled from scratch. [policy]/[layer_budgets] must match
-    what the surrounding solve checks against (defaults [In_place],
-    none). *)
+    bucket filled from scratch. [policy] must match what the
+    surrounding solve checks against (default [In_place]); capacity is
+    checked against the hierarchy, with no extra budget vector. *)
 
 val apply : t -> Mhla_core.Engine.move -> unit
 (** Advance by one search move, recomputing only the dirtied buckets:

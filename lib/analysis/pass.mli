@@ -13,10 +13,12 @@ type subject = {
       (** sizing policy the capacity pass recomputes under; must match
           what the solver used (default [In_place]) *)
   layer_budgets : int list option;
-      (** the per-layer budget vector the solve was constrained by,
-          innermost level first, when tighter than the capacities (see
-          {!Mhla_core.Assign.config}); the capacity pass re-checks the
-          mapping against it independently (default [None]) *)
+      (** an exploration budget per on-chip layer, innermost level
+          first, tighter than the hierarchy's capacities; the capacity
+          pass reports a recomputed peak above it as MHLA202 (default
+          [None]). Solvers take no budget vector — they budget a layer
+          by shrinking the hierarchy (see {!Mhla_core.Assign.feasible})
+          — so only a caller that wants this extra check sets it. *)
   analysis : Fixpoint.solution Lazy.t;
       (** the solved abstract interpretation of [program]: forced by
           the first pass that needs a value range or a lifetime

@@ -171,24 +171,42 @@ let search_to_json = function
         ("seed", Json.int (Int64.to_int seed));
         ("iterations", Json.int iterations) ]
 
+(* The wire spells the kind in "mode", so a transfer-mode override
+   survives only on a single solve, a policy only by its registry name,
+   and a fault model only by seed, uniform jitter and failure rate.
+   Anything else exists in memory only: rendering it would silently
+   change the job. *)
+let in_memory_only fmt = Error.invalidf ~context:"Request.to_json" fmt
+
+(* The fault model the wire's three numbers decode to, shared by both
+   directions so that rendering can check it loses nothing. *)
+let wire_faults ~seed ~jitter ~failure_permille =
+  Faults.make
+    ~jitter:
+      (if jitter = 0 then Faults.No_jitter
+       else Faults.Uniform { max_extra_cycles = jitter })
+    ~failure_permille ~seed ()
+
 let fault_spec_to_json { faults; trials } =
+  let seed = Int64.to_int faults.Faults.seed in
   let jitter =
     match faults.Faults.jitter with
-    | Faults.No_jitter -> 0
     | Faults.Uniform { max_extra_cycles } -> max_extra_cycles
-    | Faults.Bursty { extra_cycles; _ } -> extra_cycles
+    | Faults.No_jitter | Faults.Bursty _ -> 0
   in
+  let failure_permille = faults.Faults.failure_permille in
+  if
+    wire_faults ~seed:(Int64.of_int seed) ~jitter ~failure_permille <> faults
+  then
+    in_memory_only
+      "fault model [%s] has no wire form (only its seed, uniform jitter \
+       and failure_permille travel)"
+      (Fmt.to_to_string Faults.pp faults);
   Json.obj
-    [ ("seed", Json.int (Int64.to_int faults.Faults.seed));
+    [ ("seed", Json.int seed);
       ("jitter", Json.int jitter);
-      ("failure_permille", Json.int faults.Faults.failure_permille);
+      ("failure_permille", Json.int failure_permille);
       ("trials", Json.int trials) ]
-
-(* The wire spells the kind in "mode", so a transfer-mode override
-   survives only on a single solve, and a policy only by its registry
-   name. Anything else exists in memory only: rendering it would
-   silently change the job. *)
-let in_memory_only fmt = Error.invalidf ~context:"Request.to_json" fmt
 
 let to_json t =
   (match t.kind with
@@ -372,15 +390,7 @@ let fault_spec_of_json ~path j =
   let failure_permille = get "failure_permille" 0 in
   let trials = get "trials" 4 in
   if trials < 1 then fail ~path "trials must be at least 1 (got %d)" trials;
-  {
-    faults =
-      Faults.make
-        ~jitter:
-          (if jitter = 0 then Faults.No_jitter
-           else Faults.Uniform { max_extra_cycles = jitter })
-        ~failure_permille ~seed ();
-    trials;
-  }
+  { faults = wire_faults ~seed ~jitter ~failure_permille; trials }
 
 let inject_of_json ~path j =
   match as_str ~path j with

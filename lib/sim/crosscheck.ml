@@ -6,7 +6,8 @@ module Prefetch = Mhla_core.Prefetch
 
 type bt_check = {
   check_id : string;
-  params : Pipeline.params;
+  params : Pipeline.stream;
+  channels : int;
   simulated : Pipeline.outcome;
   analytic_stall_cycles : int;
   cold_start_bound : int;
@@ -186,7 +187,7 @@ let stream_of_plan (m : Mapping.t) (plan : Prefetch.plan) =
     | [] -> 0
   in
   {
-    Event.issues = bt.Mapping.issues;
+    Pipeline.issues = bt.Mapping.issues;
     bytes_per_issue = bt.Mapping.bytes_per_issue;
     transfer_cycles = plan.Prefetch.bt_time;
     compute_cycles;
@@ -194,32 +195,21 @@ let stream_of_plan (m : Mapping.t) (plan : Prefetch.plan) =
     setup_cycles;
   }
 
-let pipeline_params ~channels (s : Event.stream) =
-  {
-    Pipeline.issues = s.Event.issues;
-    transfer_cycles = s.Event.transfer_cycles;
-    compute_cycles = s.Event.compute_cycles;
-    lookahead = s.Event.lookahead;
-    setup_cycles = s.Event.setup_cycles;
-    channels;
-  }
-
 let check_of_plan (m : Mapping.t) (plan : Prefetch.plan) =
   let channels = (Event.of_hierarchy m.Mapping.hierarchy).Event.channels in
-  let params = pipeline_params ~channels (stream_of_plan m plan) in
-  let simulated = Pipeline.run params in
-  let faultless = Pipeline.run_faulty Faults.none params in
+  let params = stream_of_plan m plan in
+  let faultless = Pipeline.run_faulty Faults.none ~channels params in
   {
     check_id = plan.Prefetch.bt.Mapping.bt_id;
     params;
-    simulated;
+    channels;
+    simulated = faultless.Pipeline.fault_result;
     analytic_stall_cycles = Pipeline.analytic_stall params;
     cold_start_bound =
       (params.Pipeline.lookahead + 1)
       * (params.Pipeline.transfer_cycles + params.Pipeline.setup_cycles);
     zero_fault_consistent =
-      faultless.Pipeline.fault_result = simulated
-      && faultless.Pipeline.retries = 0
+      faultless.Pipeline.retries = 0
       && faultless.Pipeline.fallbacks = 0
       && faultless.Pipeline.failed_attempts = 0;
   }
@@ -262,7 +252,7 @@ type event_divergence = {
 
 type event_check = {
   event_check_id : string;
-  stream : Event.stream;
+  stream : Pipeline.stream;
   event_config : Event.config;
   analytic_gain_cycles : int;
   schedule_gain_cycles : int;
@@ -302,8 +292,9 @@ let waitstates_of_bt (m : Mapping.t) (bt : Mapping.block_transfer) =
    lookahead-0 baseline. Their difference can therefore drift by at
    most the sum of the two bounds. doc/MODEL.md carries the full
    argument. *)
-let gain_tolerance (s : Event.stream) =
-  (s.Event.lookahead + 2) * (s.Event.transfer_cycles + s.Event.setup_cycles)
+let gain_tolerance (s : Pipeline.stream) =
+  (s.Pipeline.lookahead + 2)
+  * (s.Pipeline.transfer_cycles + s.Pipeline.setup_cycles)
 
 let check_event_plan ?telemetry ?(config : Event.config option)
     (m : Mapping.t) (plan : Prefetch.plan) =
@@ -319,26 +310,21 @@ let check_event_plan ?telemetry ?(config : Event.config option)
       }
   in
   let extended_outcome = Event.run ?telemetry event_config stream in
-  let baseline_outcome =
-    Event.run ?telemetry event_config { stream with Event.lookahead = 0 }
-  in
+  let with_lookahead k = { stream with Pipeline.lookahead = k } in
+  let baseline_outcome = Event.run ?telemetry event_config (with_lookahead 0) in
   let event_gain_cycles =
     baseline_outcome.Event.stall_cycles - extended_outcome.Event.stall_cycles
   in
-  let params k =
-    pipeline_params ~channels:event_config.Event.channels
-      { stream with Event.lookahead = k }
-  in
   let analytic_gain_cycles =
-    Pipeline.analytic_stall (params 0)
-    - Pipeline.analytic_stall (params stream.Event.lookahead)
+    Pipeline.analytic_stall (with_lookahead 0) - Pipeline.analytic_stall stream
   in
   (* The event engine under the neutral configuration must reproduce
      the analytic replay cycle for cycle — on both legs. *)
-  let neutral = Event.neutral ~channels:event_config.Event.channels in
+  let channels = event_config.Event.channels in
+  let neutral = Event.neutral ~channels in
   let neutral_leg k =
-    let o = Event.run ?telemetry neutral { stream with Event.lookahead = k } in
-    let p = Pipeline.run (params k) in
+    let o = Event.run ?telemetry neutral (with_lookahead k) in
+    let p = Pipeline.run ~channels (with_lookahead k) in
     o.Event.total_cycles = p.Pipeline.total_cycles
     && o.Event.stall_cycles = p.Pipeline.stall_cycles
     && o.Event.dma_busy_cycles = p.Pipeline.dma_busy_cycles
@@ -354,7 +340,7 @@ let check_event_plan ?telemetry ?(config : Event.config option)
     extended_outcome;
     baseline_outcome;
     neutral_consistent =
-      neutral_leg stream.Event.lookahead && neutral_leg 0;
+      neutral_leg stream.Pipeline.lookahead && neutral_leg 0;
   }
 
 type event_report = {
@@ -428,11 +414,11 @@ let event_divergence_to_json d =
 let event_check_to_json c =
   Json.obj
     [ ("id", Json.str c.event_check_id);
-      ("issues", Json.int c.stream.Event.issues);
-      ("bytes_per_issue", Json.int c.stream.Event.bytes_per_issue);
-      ("transfer_cycles", Json.int c.stream.Event.transfer_cycles);
-      ("compute_cycles", Json.int c.stream.Event.compute_cycles);
-      ("lookahead", Json.int c.stream.Event.lookahead);
+      ("issues", Json.int c.stream.Pipeline.issues);
+      ("bytes_per_issue", Json.int c.stream.Pipeline.bytes_per_issue);
+      ("transfer_cycles", Json.int c.stream.Pipeline.transfer_cycles);
+      ("compute_cycles", Json.int c.stream.Pipeline.compute_cycles);
+      ("lookahead", Json.int c.stream.Pipeline.lookahead);
       ("channels", Json.int c.event_config.Event.channels);
       ("analytic_gain_cycles", Json.int c.analytic_gain_cycles);
       ("schedule_gain_cycles", Json.int c.schedule_gain_cycles);

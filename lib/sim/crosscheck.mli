@@ -9,7 +9,8 @@
     invariants ({!check_analysis}).
 
     The pipeline check: for every block transfer the TE step planned,
-    build the equivalent {!Pipeline} stream and compare simulated
+    build the equivalent {!Pipeline.stream}, replay it once through
+    {!Pipeline.run_faulty} under {!Faults.none} and compare simulated
     against analytic stalls. The analytic model is a steady-state
     approximation: it ignores the pipeline cold start (the first
     [lookahead+1] buffers cannot be hidden) and DMA channel
@@ -18,15 +19,16 @@
 
 type bt_check = {
   check_id : string;
-  params : Pipeline.params;
+  params : Pipeline.stream;  (** the plan's stream, {!stream_of_plan} *)
+  channels : int;  (** the hierarchy's DMA channels (1 without DMA) *)
   simulated : Pipeline.outcome;
   analytic_stall_cycles : int;
   cold_start_bound : int;
       (** [(lookahead+1) * (transfer + setup)] slack allowed *)
   zero_fault_consistent : bool;
-      (** {!Pipeline.run_faulty} under {!Faults.none} reproduced
-          [simulated] exactly, with zero retries/fallbacks — the fault
-          machinery adds nothing when no faults are configured *)
+      (** the replay that measured [simulated] reported zero retries,
+          fallbacks and failed attempts — the fault machinery adds
+          nothing when no faults are configured *)
 }
 
 val within_bound : bt_check -> bool
@@ -114,7 +116,7 @@ val crosscheck :
     {!check_analysis} on the mapping/schedule pair. *)
 
 val stream_of_plan :
-  Mhla_core.Mapping.t -> Mhla_core.Prefetch.plan -> Event.stream
+  Mhla_core.Mapping.t -> Mhla_core.Prefetch.plan -> Pipeline.stream
 (** The block-transfer stream of one TE plan — the single derivation
     behind every check here and {!Robustness.analyze}: issues and bytes
     from the transfer, [transfer_cycles = bt_time], compute from the
@@ -149,7 +151,7 @@ type event_divergence = {
 
 type event_check = {
   event_check_id : string;
-  stream : Event.stream;  (** the plan, as a simulator stream *)
+  stream : Pipeline.stream;  (** the plan, as a simulator stream *)
   event_config : Event.config;
       (** per-region waitstates installed from the plan's own
           source/destination layers *)

@@ -69,23 +69,7 @@ let validate c =
     if w.beat_bytes < 1 then
       reject "beat bytes must be >= 1 (got %d)" w.beat_bytes
 
-type stream = {
-  issues : int;
-  bytes_per_issue : int;
-  transfer_cycles : int;
-  compute_cycles : int;
-  lookahead : int;
-  setup_cycles : int;
-}
-
-let validate_stream s =
-  let reject fmt = Error.invalidf ~context:"Event.run" fmt in
-  if s.issues <= 0 then reject "issues must be positive (got %d)" s.issues;
-  if s.transfer_cycles < 0 || s.compute_cycles < 0 || s.lookahead < 0
-     || s.setup_cycles < 0 || s.bytes_per_issue < 0
-  then reject "negative stream parameter"
-
-let transfer_latency c s =
+let transfer_latency c (s : Pipeline.stream) =
   match c.waitstates with
   | None -> s.transfer_cycles
   | Some w ->
@@ -195,9 +179,9 @@ type cpu_action =
 let rank_complete = 0
 let rank_cpu = 1
 
-let run ?(telemetry = Telemetry.noop) cfg s =
+let run ?(telemetry = Telemetry.noop) cfg (s : Pipeline.stream) =
   validate cfg;
-  validate_stream s;
+  Pipeline.validate_stream ~context:"Event.run" s;
   Telemetry.span telemetry ~cat:"sim" "sim.event"
     ~args:(fun () ->
       [ ("issues", Telemetry.Int s.issues);
@@ -489,11 +473,3 @@ let outcome_to_json o =
       ("channel_busy_cycles",
        Json.arr (Array.to_list (Array.map Json.int o.channel_busy_cycles)))
     ]
-
-let pp_outcome ppf o =
-  Fmt.pf ppf
-    "total %d, stall %d, dma busy %d, bus wait %d, demand %d, invalidated \
-     %d, deferred %d, events %d"
-    o.total_cycles o.stall_cycles o.dma_busy_cycles o.bus_wait_cycles
-    o.demand_fetches o.invalidated_prefetches o.deferred_issues
-    o.events_processed

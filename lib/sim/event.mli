@@ -1,16 +1,19 @@
 (** Discrete-event, cycle-level DMA/bus simulator (EXT-ESIM).
 
-    {!Pipeline} is an analytic replay: a straight-line loop that knows
-    the closed-form answer it is computing. This module is the
+    {!Pipeline.run_faulty} is a straight-line issue/consume loop that
+    knows the closed-form answer it is computing. This module is the
     adversary that does {e not} know the answer — a classic
     discrete-event engine with a time-ordered event queue, [N] DMA
     channels under an explicit arbitration policy, a {e bounded}
     prefetch queue with optional invalidation on demand miss (the
     GBA-style prefetch buffer), per-region waitstate tables derived
     from {!Mhla_arch} presets, and single-occupancy shared-bus
-    contention accounting. {!Crosscheck.check_event} cross-validates
-    the two: the analytic TE gain must track the event-sim gain within
-    a stated tolerance, and any divergence is reported as a structured
+    contention accounting. Both simulate the same
+    {!Pipeline.stream}. Under {!neutral} this model must reproduce
+    {!Pipeline.run} cycle for cycle, which makes it the independent
+    reference for that loop; {!Crosscheck.check_event} also checks
+    that the analytic TE gain tracks the event-sim gain within a
+    stated tolerance, and any divergence is reported as a structured
     diagnostic, never an assert.
 
     This is the {e contention} model and it is fault-free: injected
@@ -21,9 +24,9 @@
     domain the run is fanned onto. *)
 
 (** How a freed slot picks among free channels. [Earliest_free]
-    mirrors {!Pipeline.run}'s argmin scan (longest-idle channel,
-    lowest index on ties); [Round_robin] rotates from the channel
-    after the last one used. *)
+    mirrors the argmin scan of {!Pipeline.run_faulty}'s issue step
+    (longest-idle channel, lowest index on ties); [Round_robin] rotates
+    from the channel after the last one used. *)
 type arbitration = Earliest_free | Round_robin
 
 (** A waitstate table for one memory region: a transfer of [b] bytes
@@ -77,24 +80,10 @@ val validate : config -> unit
 (** @raise Mhla_util.Error.Error on non-positive channels, queue depth
     or waitstate fields. *)
 
-(** One block-transfer stream, the same shape {!Pipeline.params}
-    describes: [issues] transfers consumed one per iteration,
-    [lookahead] iterations of prefetch distance, [setup_cycles] of CPU
-    work per issue, [compute_cycles] of CPU work per iteration.
-    [bytes_per_issue] sizes waitstate beats; it is ignored when the
-    config carries no waitstate table. *)
-type stream = {
-  issues : int;
-  bytes_per_issue : int;
-  transfer_cycles : int;
-  compute_cycles : int;
-  lookahead : int;
-  setup_cycles : int;
-}
-
-val transfer_latency : config -> stream -> int
-(** Cycles of one transfer under the config's waitstate table, or
-    [stream.transfer_cycles] without one. *)
+val transfer_latency : config -> Pipeline.stream -> int
+(** Cycles of one transfer under the config's waitstate table, or the
+    stream's [transfer_cycles] without one; [bytes_per_issue] sizes the
+    beats. *)
 
 type outcome = {
   total_cycles : int;
@@ -113,11 +102,11 @@ type outcome = {
   channel_busy_cycles : int array;  (** per-channel occupancy *)
 }
 
-val run : ?telemetry:Mhla_obs.Telemetry.t -> config -> stream -> outcome
+val run :
+  ?telemetry:Mhla_obs.Telemetry.t -> config -> Pipeline.stream -> outcome
 (** Simulate one stream. [telemetry] (default noop) records a
     [sim.event] span and per-transfer [esim.*] events; it never changes
     the outcome.
     @raise Mhla_util.Error.Error on an invalid config or stream. *)
 
 val outcome_to_json : outcome -> Mhla_util.Json.t
-val pp_outcome : outcome Fmt.t

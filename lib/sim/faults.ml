@@ -14,8 +14,6 @@ type t = {
   failure_permille : int;
   outages : outage list;
   max_retries : int;
-  backoff_base_cycles : int;
-  backoff_cap_cycles : int;
   deadline_patience : int option;
 }
 
@@ -26,8 +24,6 @@ let none =
     failure_permille = 0;
     outages = [];
     max_retries = 0;
-    backoff_base_cycles = 0;
-    backoff_cap_cycles = 0;
     deadline_patience = None;
   }
 
@@ -54,34 +50,17 @@ let validate t =
     t.outages;
   if t.max_retries < 0 then
     reject "max_retries must be >= 0 (got %d)" t.max_retries;
-  if t.backoff_base_cycles < 0 || t.backoff_cap_cycles < 0 then
-    reject "backoff cycles must be >= 0 (base %d, cap %d)"
-      t.backoff_base_cycles t.backoff_cap_cycles;
   match t.deadline_patience with
   | Some d when d < 0 -> reject "deadline_patience must be >= 0 (got %d)" d
   | _ -> ()
 
 let make ?(jitter = No_jitter) ?(failure_permille = 0) ?(outages = [])
-    ?(max_retries = 3) ?(backoff_base_cycles = 4) ?(backoff_cap_cycles = 64)
-    ?deadline_patience ~seed () =
+    ?(max_retries = 3) ?deadline_patience ~seed () =
   let t =
-    {
-      seed;
-      jitter;
-      failure_permille;
-      outages;
-      max_retries;
-      backoff_base_cycles;
-      backoff_cap_cycles;
-      deadline_patience;
-    }
+    { seed; jitter; failure_permille; outages; max_retries; deadline_patience }
   in
   validate t;
   t
-
-let is_zero t =
-  t.jitter = No_jitter && t.failure_permille = 0 && t.outages = []
-  && t.deadline_patience = None
 
 (* One throwaway generator per (purpose, transfer, attempt): the draw
    for a given attempt never depends on how many draws other transfers
@@ -120,16 +99,14 @@ let attempt_fails t ~transfer ~attempt =
   && Prng.int (derive t ~salt:failure_salt ~transfer ~attempt) ~bound:1000
      < t.failure_permille
 
-let backoff_cycles t ~attempt =
-  if t.backoff_base_cycles = 0 then 0
-  else begin
-    (* Saturating shift: past 62 doublings the cap has long won. *)
-    let doubled =
-      if attempt >= 62 then max_int else t.backoff_base_cycles lsl attempt
-    in
-    let doubled = if doubled < t.backoff_base_cycles then max_int else doubled in
-    min t.backoff_cap_cycles doubled
-  end
+let backoff_base_cycles = 4
+
+let backoff_cap_cycles = 64
+
+(* Past four doublings the cap has won; clamping the shift keeps it
+   from overflowing. *)
+let backoff_cycles ~attempt =
+  min backoff_cap_cycles (backoff_base_cycles lsl min attempt 4)
 
 let outage_release t ~channel ~at =
   (* Windows may abut or overlap; iterate to a fixed point. *)
@@ -157,6 +134,6 @@ let pp ppf t =
     "@[<h>faults: seed %Ld, jitter %a, failure %d/1000, %d outage(s), \
      retries %d (backoff %d..%d)%a@]"
     t.seed pp_jitter t.jitter t.failure_permille (List.length t.outages)
-    t.max_retries t.backoff_base_cycles t.backoff_cap_cycles
+    t.max_retries backoff_base_cycles backoff_cap_cycles
     (Fmt.option (fun ppf d -> Fmt.pf ppf ", patience %d" d))
     t.deadline_patience

@@ -38,10 +38,9 @@ type t = {
       (** per-attempt probability (in 1/1000) that the transfer
           completes corrupt and must be retried *)
   outages : outage list;
-  max_retries : int;  (** retries after the first attempt *)
-  backoff_base_cycles : int;
-      (** wait before retry [n] is [min cap (base * 2^n)] *)
-  backoff_cap_cycles : int;
+  max_retries : int;
+      (** retries after the first attempt; each waits
+          {!backoff_cycles} *)
   deadline_patience : int option;
       (** [Some d]: a consumer that would stall more than [d] cycles
           on a pending transfer abandons it and refetches
@@ -49,34 +48,26 @@ type t = {
 }
 
 val none : t
-(** The zero model: no jitter, no failures, no outages, no deadline.
-    {!Pipeline.run_faulty} under [none] reproduces {!Pipeline.run}
-    cycle for cycle. *)
+(** The zero model: no jitter, no failures, no retries, no outages, no
+    deadline. {!Pipeline.run} is {!Pipeline.run_faulty} under [none]. *)
 
 val make :
   ?jitter:jitter ->
   ?failure_permille:int ->
   ?outages:outage list ->
   ?max_retries:int ->
-  ?backoff_base_cycles:int ->
-  ?backoff_cap_cycles:int ->
   ?deadline_patience:int ->
   seed:int64 ->
   unit ->
   t
-(** Defaults are the [none] fields (with [max_retries = 3],
-    [backoff_base_cycles = 4], [backoff_cap_cycles = 64] as retry
-    policy once faults are enabled).
+(** Defaults are the [none] fields, except [max_retries = 3] as retry
+    policy once faults are enabled.
     @raise Mhla_util.Error.Error on out-of-range parameters. *)
 
 val validate : t -> unit
 (** @raise Mhla_util.Error.Error if [failure_permille] is outside
     [0..1000], any count is negative, or an outage window is
     malformed. *)
-
-val is_zero : t -> bool
-(** No disturbance of any kind: {!Pipeline.run_faulty} degenerates to
-    {!Pipeline.run}. *)
 
 val jitter_cycles : t -> transfer:int -> attempt:int -> int
 (** Extra latency sampled for this attempt. Deterministic in
@@ -86,9 +77,9 @@ val attempt_fails : t -> transfer:int -> attempt:int -> bool
 (** Whether this attempt completes corrupt. Deterministic in
     [(seed, transfer, attempt)]; independent of {!jitter_cycles}. *)
 
-val backoff_cycles : t -> attempt:int -> int
+val backoff_cycles : attempt:int -> int
 (** Idle wait inserted before retrying after failed [attempt]:
-    [min backoff_cap_cycles (backoff_base_cycles * 2^attempt)]. *)
+    [min 64 (4 * 2^attempt)] cycles. *)
 
 val outage_release : t -> channel:int -> at:int -> int
 (** Earliest cycle [>= at] at which [channel] may start a transfer,

@@ -1,12 +1,10 @@
-module Telemetry = Mhla_obs.Telemetry
-
-type params = {
+type stream = {
   issues : int;
+  bytes_per_issue : int;
   transfer_cycles : int;
   compute_cycles : int;
   lookahead : int;
   setup_cycles : int;
-  channels : int;
 }
 
 type outcome = {
@@ -15,77 +13,18 @@ type outcome = {
   dma_busy_cycles : int;
 }
 
-let validate p =
-  let reject fmt = Mhla_util.Error.invalidf ~context:"Pipeline.run" fmt in
-  if p.issues <= 0 then reject "issues must be positive (got %d)" p.issues;
-  if p.transfer_cycles < 0 || p.compute_cycles < 0 || p.lookahead < 0
-     || p.setup_cycles < 0
-  then reject "negative parameter";
-  if p.channels < 1 then reject "channels must be >= 1 (got %d)" p.channels
+let validate_stream ~context s =
+  let reject fmt = Mhla_util.Error.invalidf ~context fmt in
+  if s.issues <= 0 then reject "issues must be positive (got %d)" s.issues;
+  if s.transfer_cycles < 0 || s.compute_cycles < 0 || s.lookahead < 0
+     || s.setup_cycles < 0 || s.bytes_per_issue < 0
+  then reject "negative parameter"
 
-(* Iteration [it] consumes buffer [it]. Transfer [it] is issued by the
-   CPU at the start of iteration [it - lookahead] (time 0 when that is
-   in the past), runs on a single serial DMA channel, and must finish
-   before iteration [it] begins computing. *)
-let run ?(telemetry = Telemetry.noop) p =
-  validate p;
-  Telemetry.span telemetry ~cat:"sim" "sim.pipeline"
-    ~args:(fun () ->
-      [ ("issues", Telemetry.Int p.issues);
-        ("lookahead", Telemetry.Int p.lookahead);
-        ("channels", Telemetry.Int p.channels) ])
-  @@ fun () ->
-  let completion = Array.make p.issues 0 in
-  let cpu = ref 0 in
-  let channel_free = Array.make p.channels 0 in
-  let dma_busy = ref 0 in
-  let stalls = ref 0 in
-  let issue j =
-    (* The CPU programs the engine, then the transfer queues on the
-       earliest-free channel. *)
-    cpu := !cpu + p.setup_cycles;
-    let best = ref 0 in
-    Array.iteri
-      (fun c free -> if free < channel_free.(!best) then best := c)
-      channel_free;
-    let c = !best in
-    let start = max !cpu channel_free.(c) in
-    channel_free.(c) <- start + p.transfer_cycles;
-    dma_busy := !dma_busy + p.transfer_cycles;
-    completion.(j) <- channel_free.(c);
-    Telemetry.instant telemetry ~cat:"sim" "dma.issue"
-      ~args:(fun () ->
-        [ ("transfer", Telemetry.Int j);
-          ("channel", Telemetry.Int c);
-          ("start", Telemetry.Int start);
-          ("finish", Telemetry.Int channel_free.(c)) ])
-  in
-  for it = 0 to p.issues - 1 do
-    (* Transfers whose initiation point is this iteration's start:
-       iteration 0 primes the pipeline with the first lookahead+1
-       buffers, later iterations top it up with one. *)
-    if it = 0 then
-      for j = 0 to min p.lookahead (p.issues - 1) do
-        issue j
-      done
-    else if it + p.lookahead < p.issues then issue (it + p.lookahead);
-    let ready = completion.(it) in
-    if ready > !cpu then begin
-      Telemetry.instant telemetry ~cat:"sim" "dma.stall"
-        ~args:(fun () ->
-          [ ("iteration", Telemetry.Int it);
-            ("cycles", Telemetry.Int (ready - !cpu)) ]);
-      stalls := !stalls + (ready - !cpu);
-      cpu := ready
-    end;
-    Telemetry.instant telemetry ~cat:"sim" "dma.complete"
-      ~args:(fun () ->
-        [ ("transfer", Telemetry.Int it);
-          ("ready", Telemetry.Int ready);
-          ("consumed_at", Telemetry.Int !cpu) ]);
-    cpu := !cpu + p.compute_cycles
-  done;
-  { total_cycles = !cpu; stall_cycles = !stalls; dma_busy_cycles = !dma_busy }
+let validate ~channels s =
+  validate_stream ~context:"Pipeline.run" s;
+  if channels < 1 then
+    Mhla_util.Error.invalidf ~context:"Pipeline.run"
+      "channels must be >= 1 (got %d)" channels
 
 type fault_outcome = {
   fault_result : outcome;
@@ -95,28 +34,25 @@ type fault_outcome = {
   jitter_total_cycles : int;
 }
 
-(* Same issue/consume loop as [run], with every DMA attempt filtered
-   through the fault model. A failed attempt still occupies its channel
-   for the full (jittered) latency — the bus does not know the data is
-   corrupt until the transfer ends — then backs off and retries on the
-   same channel. Exhausted retries leave a [max_int] completion
-   sentinel; the consuming iteration then degrades to a synchronous
-   refetch (CPU pays setup and waits out the whole transfer) instead of
-   blocking forever. [deadline_patience] applies the same fallback to
-   transfers that are merely late. *)
-let run_faulty ?(telemetry = Telemetry.noop) f p =
-  validate p;
+(* Iteration [it] consumes buffer [it]. Transfer [it] is issued by the
+   CPU at the start of iteration [it - lookahead] (time 0 when that is
+   in the past), queues on the earliest-free DMA channel, and must
+   finish before iteration [it] begins computing.
+
+   Every DMA attempt is filtered through the fault model. A failed
+   attempt still occupies its channel for the full (jittered) latency —
+   the bus does not know the data is corrupt until the transfer ends —
+   then backs off and retries on the same channel. Exhausted retries
+   leave a [max_int] completion sentinel; the consuming iteration then
+   degrades to a synchronous refetch (CPU pays setup and waits out the
+   whole transfer) instead of blocking forever. [deadline_patience]
+   applies the same fallback to transfers that are merely late. *)
+let run_faulty f ~channels s =
+  validate ~channels s;
   Faults.validate f;
-  Telemetry.span telemetry ~cat:"sim" "sim.pipeline_faulty"
-    ~args:(fun () ->
-      [ ("issues", Telemetry.Int p.issues);
-        ("lookahead", Telemetry.Int p.lookahead);
-        ("channels", Telemetry.Int p.channels);
-        ("seed", Telemetry.Str (Int64.to_string f.Faults.seed)) ])
-  @@ fun () ->
-  let completion = Array.make p.issues 0 in
+  let completion = Array.make s.issues 0 in
   let cpu = ref 0 in
-  let channel_free = Array.make p.channels 0 in
+  let channel_free = Array.make channels 0 in
   let dma_busy = ref 0 in
   let stalls = ref 0 in
   let retries = ref 0 in
@@ -124,7 +60,9 @@ let run_faulty ?(telemetry = Telemetry.noop) f p =
   let failed_attempts = ref 0 in
   let jitter_total = ref 0 in
   let issue j =
-    cpu := !cpu + p.setup_cycles;
+    (* The CPU programs the engine, then the transfer queues on the
+       earliest-free channel. *)
+    cpu := !cpu + s.setup_cycles;
     let best = ref 0 in
     Array.iteri
       (fun c free -> if free < channel_free.(!best) then best := c)
@@ -137,7 +75,7 @@ let run_faulty ?(telemetry = Telemetry.noop) f p =
       in
       let jitter = Faults.jitter_cycles f ~transfer:j ~attempt in
       jitter_total := !jitter_total + jitter;
-      let latency = p.transfer_cycles + jitter in
+      let latency = s.transfer_cycles + jitter in
       let finish = start + latency in
       channel_free.(c) <- finish;
       dma_busy := !dma_busy + latency;
@@ -146,65 +84,45 @@ let run_faulty ?(telemetry = Telemetry.noop) f p =
         if attempt >= f.Faults.max_retries then max_int
         else begin
           incr retries;
-          Telemetry.instant telemetry ~cat:"sim" "dma.retry"
-            ~args:(fun () ->
-              [ ("transfer", Telemetry.Int j);
-                ("attempt", Telemetry.Int attempt);
-                ("channel", Telemetry.Int c);
-                ("failed_at", Telemetry.Int finish) ]);
           attempt_loop (attempt + 1)
-            (finish + Faults.backoff_cycles f ~attempt)
+            (finish + Faults.backoff_cycles ~attempt)
         end
       end
-      else begin
-        Telemetry.instant telemetry ~cat:"sim" "dma.issue"
-          ~args:(fun () ->
-            [ ("transfer", Telemetry.Int j);
-              ("channel", Telemetry.Int c);
-              ("attempt", Telemetry.Int attempt);
-              ("start", Telemetry.Int start);
-              ("finish", Telemetry.Int finish) ]);
-        finish
-      end
+      else finish
     in
     completion.(j) <- attempt_loop 0 !cpu
   in
   (* Synchronous refetch: the CPU reprograms the engine and sits out
      the whole nominal transfer. The wait is a stall; the reissued
      burst is real bus traffic. *)
-  let fallback ~it ~reason =
+  let fallback () =
     incr fallbacks;
-    Telemetry.instant telemetry ~cat:"sim" "dma.fallback"
-      ~args:(fun () ->
-        [ ("iteration", Telemetry.Int it);
-          ("reason", Telemetry.Str reason) ]);
-    cpu := !cpu + p.setup_cycles;
-    stalls := !stalls + p.transfer_cycles;
-    cpu := !cpu + p.transfer_cycles;
-    dma_busy := !dma_busy + p.transfer_cycles
+    cpu := !cpu + s.setup_cycles;
+    stalls := !stalls + s.transfer_cycles;
+    cpu := !cpu + s.transfer_cycles;
+    dma_busy := !dma_busy + s.transfer_cycles
   in
-  for it = 0 to p.issues - 1 do
+  for it = 0 to s.issues - 1 do
+    (* Transfers whose initiation point is this iteration's start:
+       iteration 0 primes the pipeline with the first lookahead+1
+       buffers, later iterations top it up with one. *)
     if it = 0 then
-      for j = 0 to min p.lookahead (p.issues - 1) do
+      for j = 0 to min s.lookahead (s.issues - 1) do
         issue j
       done
-    else if it + p.lookahead < p.issues then issue (it + p.lookahead);
+    else if it + s.lookahead < s.issues then issue (it + s.lookahead);
     let ready = completion.(it) in
-    if ready = max_int then fallback ~it ~reason:"retries-exhausted"
+    if ready = max_int then fallback ()
     else begin
       match f.Faults.deadline_patience with
-      | Some d when ready - !cpu > d -> fallback ~it ~reason:"deadline"
+      | Some d when ready - !cpu > d -> fallback ()
       | _ ->
         if ready > !cpu then begin
-          Telemetry.instant telemetry ~cat:"sim" "dma.stall"
-            ~args:(fun () ->
-              [ ("iteration", Telemetry.Int it);
-                ("cycles", Telemetry.Int (ready - !cpu)) ]);
           stalls := !stalls + (ready - !cpu);
           cpu := ready
         end
     end;
-    cpu := !cpu + p.compute_cycles
+    cpu := !cpu + s.compute_cycles
   done;
   {
     fault_result =
@@ -219,30 +137,23 @@ let run_faulty ?(telemetry = Telemetry.noop) f p =
     jitter_total_cycles = !jitter_total;
   }
 
-let analytic_stall p =
-  validate p;
-  let hidden = min p.transfer_cycles (p.lookahead * p.compute_cycles) in
-  p.issues * (p.transfer_cycles - hidden)
+let run ~channels s = (run_faulty Faults.none ~channels s).fault_result
 
-let steady_state_stall p =
-  validate p;
-  if p.lookahead = 0 then p.issues * p.transfer_cycles
+let analytic_stall s =
+  validate_stream ~context:"Pipeline.run" s;
+  let hidden = min s.transfer_cycles (s.lookahead * s.compute_cycles) in
+  s.issues * (s.transfer_cycles - hidden)
+
+let steady_state_stall ~channels s =
+  validate ~channels s;
+  if s.lookahead = 0 then s.issues * s.transfer_cycles
   else begin
     (* Up to [lookahead + 1] transfers are in flight at once (the one
        being awaited plus the ones issued ahead), bounded by the
        channel count; each iteration then waits for a
        [transfer / overlap] slice, of which the CPU covers compute plus
        one setup. *)
-    let overlap = min (p.lookahead + 1) p.channels in
-    let service = p.transfer_cycles / overlap in
-    p.issues * max 0 (service - p.compute_cycles - p.setup_cycles)
+    let overlap = min (s.lookahead + 1) channels in
+    let service = s.transfer_cycles / overlap in
+    s.issues * max 0 (service - s.compute_cycles - s.setup_cycles)
   end
-
-let pp_outcome ppf o =
-  Fmt.pf ppf "total %d, stall %d, dma busy %d" o.total_cycles o.stall_cycles
-    o.dma_busy_cycles
-
-let pp_fault_outcome ppf f =
-  Fmt.pf ppf "%a; retries %d, fallbacks %d, failed attempts %d, jitter %d"
-    pp_outcome f.fault_result f.retries f.fallbacks f.failed_attempts
-    f.jitter_total_cycles

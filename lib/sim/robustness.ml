@@ -6,7 +6,6 @@ module Telemetry = Mhla_obs.Telemetry
 
 type plan_robustness = {
   check_id : string;
-  params : Pipeline.params;
   fault_free : Pipeline.outcome;
   slack_margin_cycles : int;
   zero_fault_consistent : bool;
@@ -48,7 +47,10 @@ let plan_of_check telemetry trials faults (c : Crosscheck.bt_check) =
        event instead. *)
     List.init trials (fun trial ->
         let f = trial_faults faults ~trial in
-        let t = Pipeline.run_faulty f c.Crosscheck.params in
+        let t =
+          Pipeline.run_faulty f ~channels:c.Crosscheck.channels
+            c.Crosscheck.params
+        in
         Telemetry.instant telemetry ~cat:"sim" "robustness.trial"
           ~args:(fun () ->
             [ ("transfer", Telemetry.Str c.Crosscheck.check_id);
@@ -73,7 +75,6 @@ let plan_of_check telemetry trials faults (c : Crosscheck.bt_check) =
   let sum f = List.fold_left (fun a t -> a + f t) 0 stalls in
   {
     check_id = c.Crosscheck.check_id;
-    params = c.Crosscheck.params;
     fault_free = c.Crosscheck.simulated;
     slack_margin_cycles =
       c.Crosscheck.cold_start_bound

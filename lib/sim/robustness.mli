@@ -10,14 +10,14 @@
 
 type plan_robustness = {
   check_id : string;  (** the block transfer's id *)
-  params : Pipeline.params;
   fault_free : Pipeline.outcome;  (** {!Pipeline.run} baseline *)
   slack_margin_cycles : int;
       (** [cold_start_bound - |simulated - analytic|]: how far inside
           the tolerated envelope the fault-free stream sits; negative
           means the analytic model already disagrees *)
   zero_fault_consistent : bool;
-      (** zero-fault {!Pipeline.run_faulty} equals [fault_free] exactly *)
+      (** the fault-free replay reported zero retries, fallbacks and
+          failed attempts ({!Crosscheck.bt_check}) *)
   worst_stall_cycles : int;  (** max stall over the trials *)
   mean_stall_cycles : float;  (** mean stall over the trials *)
   worst_inflation : float;

@@ -17,22 +17,12 @@ module Explore = Mhla_core.Explore
 let stream ?(issues = 10) ?(bytes = 0) ?(transfer = 20) ?(compute = 30)
     ?(lookahead = 0) ?(setup = 0) () =
   {
-    Event.issues;
+    Pipeline.issues;
     bytes_per_issue = bytes;
     transfer_cycles = transfer;
     compute_cycles = compute;
     lookahead;
     setup_cycles = setup;
-  }
-
-let params_of ~channels (s : Event.stream) =
-  {
-    Pipeline.issues = s.Event.issues;
-    transfer_cycles = s.Event.transfer_cycles;
-    compute_cycles = s.Event.compute_cycles;
-    lookahead = s.Event.lookahead;
-    setup_cycles = s.Event.setup_cycles;
-    channels;
   }
 
 let outcome_triple (o : Event.outcome) =
@@ -55,15 +45,15 @@ let test_neutral_hand_checked () =
   Alcotest.(check int) "every issue stalls" 200 o.Event.stall_cycles;
   Alcotest.(check int) "makespan" (10 * (20 + 30)) o.Event.total_cycles;
   Alcotest.(check int) "dma busy" (10 * 20) o.Event.dma_busy_cycles;
-  let s1 = { s with Event.lookahead = 1 } in
+  let s1 = { s with Pipeline.lookahead = 1 } in
   let o1 = Event.run (Event.neutral ~channels:1) s1 in
   Alcotest.(check int) "one buffer leaves only the cold start" 20
     o1.Event.stall_cycles;
   Alcotest.check triple "lookahead 0 equals Pipeline.run"
-    (pipeline_triple (Pipeline.run (params_of ~channels:1 s)))
+    (pipeline_triple (Pipeline.run ~channels:1 s))
     (outcome_triple o);
   Alcotest.check triple "lookahead 1 equals Pipeline.run"
-    (pipeline_triple (Pipeline.run (params_of ~channels:1 s1)))
+    (pipeline_triple (Pipeline.run ~channels:1 s1))
     (outcome_triple o1)
 
 let test_neutral_equivalence_grid () =
@@ -87,7 +77,7 @@ let test_neutral_equivalence_grid () =
                             Event.run (Event.neutral ~channels) s
                           in
                           let p =
-                            Pipeline.run (params_of ~channels s)
+                            Pipeline.run ~channels s
                           in
                           Alcotest.check triple
                             (Fmt.str
@@ -109,7 +99,7 @@ let prop_neutral_equivalence =
     (fun (issues, transfer, compute, lookahead, setup, channels) ->
       let s = stream ~issues ~transfer ~compute ~lookahead ~setup () in
       outcome_triple (Event.run (Event.neutral ~channels) s)
-      = pipeline_triple (Pipeline.run (params_of ~channels s)))
+      = pipeline_triple (Pipeline.run ~channels s))
 
 (* --- determinism ------------------------------------------------------- *)
 
@@ -136,16 +126,15 @@ let test_determinism_same_stream () =
     (a.Event.bus_wait_cycles > 0 && a.Event.deferred_issues > 0)
 
 (* The event simulator carries no fault model: faults are
-   Pipeline.run_faulty's alone, and under Faults.none that engine must
-   replay exactly what the neutral event simulation measures. *)
+   Pipeline.run_faulty's alone, and Faults.none must inject nothing
+   into the replay the neutral event simulation is checked against. *)
 let test_zero_faults_inert () =
   let s = stream ~issues:25 ~transfer:40 ~compute:15 ~lookahead:2 ~setup:3 () in
-  let plain = Event.run (Event.neutral ~channels:2) s in
-  let f = Pipeline.run_faulty Faults.none (params_of ~channels:2 s) in
-  Alcotest.check triple "Faults.none adds nothing" (outcome_triple plain)
-    (pipeline_triple f.Pipeline.fault_result);
+  let f = Pipeline.run_faulty Faults.none ~channels:2 s in
   Alcotest.(check int) "no retries" 0 f.Pipeline.retries;
-  Alcotest.(check int) "no fallbacks" 0 f.Pipeline.fallbacks
+  Alcotest.(check int) "no fallbacks" 0 f.Pipeline.fallbacks;
+  Alcotest.(check int) "no failed attempts" 0 f.Pipeline.failed_attempts;
+  Alcotest.(check int) "no jitter" 0 f.Pipeline.jitter_total_cycles
 
 let test_domain_pool_determinism () =
   let streams =
@@ -181,12 +170,12 @@ let test_queue_depth_one_is_nearly_synchronous () =
   let o =
     Event.run { (Event.neutral ~channels:1) with Event.queue_depth = 1 } s
   in
-  let sync = Event.run (Event.neutral ~channels:1) { s with Event.lookahead = 0 } in
+  let sync = Event.run (Event.neutral ~channels:1) { s with Pipeline.lookahead = 0 } in
   (* One slot still pipelines one transfer ahead, so it can only do as
      well as lookahead 1 and at least as well as no prefetch at all. *)
   Alcotest.(check bool) "no better than one buffer" true
     (o.Event.stall_cycles
-    >= (Event.run (Event.neutral ~channels:1) { s with Event.lookahead = 1 })
+    >= (Event.run (Event.neutral ~channels:1) { s with Pipeline.lookahead = 1 })
          .Event.stall_cycles);
   Alcotest.(check bool) "no worse than synchronous" true
     (o.Event.stall_cycles <= sync.Event.stall_cycles)
@@ -322,15 +311,15 @@ let test_hostile_stream_accounts () =
 
 (* The stall cycles a stream's time extension removes, as the event
    simulator measures them. *)
-let te_gain cfg (s : Event.stream) =
-  (Event.run cfg { s with Event.lookahead = 0 }).Event.stall_cycles
+let te_gain cfg (s : Pipeline.stream) =
+  (Event.run cfg { s with Pipeline.lookahead = 0 }).Event.stall_cycles
   - (Event.run cfg s).Event.stall_cycles
 
 let test_te_gain_sign () =
   let s = stream ~issues:30 ~transfer:20 ~compute:30 ~lookahead:2 ~setup:1 () in
   let gain = te_gain (Event.neutral ~channels:2) s in
   Alcotest.(check bool) "prefetch ahead removes stalls" true (gain > 0);
-  let no_room = { s with Event.lookahead = 0 } in
+  let no_room = { s with Pipeline.lookahead = 0 } in
   Alcotest.(check int) "no lookahead, no gain" 0
     (te_gain (Event.neutral ~channels:2) no_room)
 

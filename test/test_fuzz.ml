@@ -390,14 +390,15 @@ let prop_faulty_deterministic_and_finite =
       let gen_params =
         map3
           (fun issues transfer (compute, lookahead, channels) ->
-            {
-              Mhla_sim.Pipeline.issues;
-              transfer_cycles = transfer;
-              compute_cycles = compute;
-              lookahead;
-              setup_cycles = 2;
-              channels;
-            })
+            ( {
+                Mhla_sim.Pipeline.issues;
+                bytes_per_issue = 0;
+                transfer_cycles = transfer;
+                compute_cycles = compute;
+                lookahead;
+                setup_cycles = 2;
+              },
+              channels ))
           (int_range 1 50) (int_range 0 60)
           (triple (int_range 0 60) (int_range 0 4) (int_range 1 3))
       in
@@ -416,9 +417,9 @@ let prop_faulty_deterministic_and_finite =
           (pair (int_range 0 3) (option (int_range 0 100)))
       in
       pair gen_params gen_faults)
-    (fun (p, f) ->
-      let a = Mhla_sim.Pipeline.run_faulty f p in
-      let b = Mhla_sim.Pipeline.run_faulty f p in
+    (fun ((p, channels), f) ->
+      let a = Mhla_sim.Pipeline.run_faulty f ~channels p in
+      let b = Mhla_sim.Pipeline.run_faulty f ~channels p in
       let o = a.Mhla_sim.Pipeline.fault_result in
       a = b
       && o.Mhla_sim.Pipeline.stall_cycles >= 0

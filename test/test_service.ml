@@ -184,6 +184,46 @@ let test_request_in_memory_only () =
   check_invalid "make: policy with a search" (fun () ->
       make ~policy:te_size ~search:Explore.Greedy ())
 
+(* The wire carries a fault model's seed, uniform jitter and failure
+   rate only. A rider with any other knob must refuse to render rather
+   than come back as a different model; the models soak, bench and
+   perfbench send must still round-trip. *)
+let test_request_fault_rider_wire () =
+  let with_faults faults = sample 5 ~fault_spec:{ Request.faults; trials = 4 } in
+  let uniform = Faults.Uniform { max_extra_cycles = 8 } in
+  List.iter
+    (fun (name, faults) ->
+      check_invalid ("to_json of " ^ name) (fun () ->
+          Request.to_json (with_faults faults)))
+    [
+      ("max_retries 5", Faults.make ~jitter:uniform ~max_retries:5 ~seed:1L ());
+      ("deadline_patience 100",
+       Faults.make ~jitter:uniform ~deadline_patience:100 ~seed:1L ());
+      ("an outage",
+       Faults.make
+         ~outages:[ { Faults.channel = 0; from_cycle = 0; until_cycle = 50 } ]
+         ~seed:1L ());
+      ("bursty jitter",
+       Faults.make
+         ~jitter:(Faults.Bursty { permille = 100; extra_cycles = 30 })
+         ~seed:1L ());
+    ];
+  List.iter
+    (fun faults ->
+      let req = with_faults faults in
+      let back = Request.of_json (Request.to_json req) in
+      Alcotest.(check bool) "wire model round-trips" true
+        (match back.Request.fault_spec with
+        | Some fs -> fs.Request.faults = faults
+        | None -> false))
+    [
+      Faults.make ~seed:3L ();
+      Faults.make ~failure_permille:10 ~seed:3L ();
+      Faults.make ~jitter:uniform ~failure_permille:100 ~seed:11L ();
+      Faults.make ~jitter:uniform ~failure_permille:20 ~max_retries:3
+        ~seed:104_729L ();
+    ]
+
 let test_request_pareto_decode_errors () =
   let patch_onto base fields =
     match Json.parse_exn (line base) with
@@ -581,6 +621,8 @@ let () =
           Alcotest.test_case "decode errors" `Quick test_request_decode_errors;
           Alcotest.test_case "in-memory only" `Quick
             test_request_in_memory_only;
+          Alcotest.test_case "fault rider wire form" `Quick
+            test_request_fault_rider_wire;
           Alcotest.test_case "pareto decode errors" `Quick
             test_request_pareto_decode_errors;
           Alcotest.test_case "simulate round trip" `Quick

@@ -15,26 +15,28 @@ module Build = Mhla_ir.Build
 module Presets = Mhla_arch.Presets
 
 let params ?(issues = 10) ?(transfer = 20) ?(compute = 30) ?(lookahead = 0)
-    ?(setup = 0) ?(channels = 1) () =
+    ?(setup = 0) () =
   {
     Pipeline.issues;
+    bytes_per_issue = 0;
     transfer_cycles = transfer;
     compute_cycles = compute;
     lookahead;
     setup_cycles = setup;
-    channels;
   }
+
+let run ?(channels = 1) p = Pipeline.run ~channels p
 
 let test_synchronous_stalls_fully () =
   let p = params ~issues:10 ~transfer:20 ~compute:30 ~lookahead:0 () in
-  let o = Pipeline.run p in
+  let o = run p in
   Alcotest.(check int) "every issue stalls" 200 o.Pipeline.stall_cycles;
   Alcotest.(check int) "analytic agrees exactly" 200 (Pipeline.analytic_stall p);
   Alcotest.(check int) "makespan" (10 * (20 + 30)) o.Pipeline.total_cycles
 
 let test_single_buffer_hides_when_compute_dominates () =
   let p = params ~issues:50 ~transfer:20 ~compute:30 ~lookahead:1 () in
-  let o = Pipeline.run p in
+  let o = run p in
   Alcotest.(check int) "analytic says zero" 0 (Pipeline.analytic_stall p);
   (* Only the cold start (first transfer) can stall. *)
   Alcotest.(check bool) "only cold-start stall" true
@@ -42,7 +44,7 @@ let test_single_buffer_hides_when_compute_dominates () =
 
 let test_transfer_dominates_compute () =
   let p = params ~issues:50 ~transfer:50 ~compute:30 ~lookahead:1 () in
-  let o = Pipeline.run p in
+  let o = run p in
   (* Steady state: each iteration waits transfer - compute = 20. *)
   Alcotest.(check int) "analytic residual" (50 * 20) (Pipeline.analytic_stall p);
   Alcotest.(check bool) "simulated close to analytic" true
@@ -56,27 +58,27 @@ let test_deep_lookahead () =
   (* ...but a single serial channel saturates: the period is the
      transfer time and each issue still waits transfer - compute. *)
   Alcotest.(check int) "steady state: 100 - 30 per issue" (40 * 70)
-    (Pipeline.steady_state_stall p);
-  let o = Pipeline.run p in
+    (Pipeline.steady_state_stall ~channels:1 p);
+  let o = run p in
   Alcotest.(check bool) "simulated matches steady state within slack" true
-    (abs (o.Pipeline.stall_cycles - Pipeline.steady_state_stall p)
+    (abs (o.Pipeline.stall_cycles - Pipeline.steady_state_stall ~channels:1 p)
     <= 4 * 100)
 
 let test_zero_transfer () =
   let p = params ~transfer:0 () in
-  let o = Pipeline.run p in
+  let o = run p in
   Alcotest.(check int) "no stalls" 0 o.Pipeline.stall_cycles;
   Alcotest.(check int) "pure compute" 300 o.Pipeline.total_cycles
 
 let test_setup_charged_to_cpu () =
   let p = params ~issues:10 ~transfer:0 ~compute:10 ~setup:5 () in
-  let o = Pipeline.run p in
+  let o = run p in
   Alcotest.(check int) "setup adds to the makespan" (10 * 15)
     o.Pipeline.total_cycles
 
 let test_dma_busy_accounting () =
   let p = params ~issues:7 ~transfer:13 () in
-  let o = Pipeline.run p in
+  let o = run p in
   Alcotest.(check int) "dma busy = issues x transfer" (7 * 13)
     o.Pipeline.dma_busy_cycles
 
@@ -86,23 +88,22 @@ let test_multi_channel_recovers_deep_lookahead () =
      ceil(100/3) - 30 = 4 per issue; the single-channel pipeline would
      stall 70 per issue. The simulation must land in between and far
      below the single-channel case. *)
-  let p =
-    params ~issues:40 ~transfer:100 ~compute:30 ~lookahead:3 ~channels:3 ()
-  in
+  let p = params ~issues:40 ~transfer:100 ~compute:30 ~lookahead:3 () in
+  let lower = Pipeline.steady_state_stall ~channels:3 p in
   (* overlap = min (3+1) 3 = 3: floor(100/3) - 30 = 3 per issue. *)
   Alcotest.(check int) "lower bound: floor(100/3) - 30 = 3 per issue"
-    (40 * 3) (Pipeline.steady_state_stall p);
-  let single = Pipeline.steady_state_stall { p with Pipeline.channels = 1 } in
-  let o = Pipeline.run p in
+    (40 * 3) lower;
+  let single = Pipeline.steady_state_stall ~channels:1 p in
+  let o = run ~channels:3 p in
   Alcotest.(check bool) "above the work-conservation bound" true
-    (o.Pipeline.stall_cycles + 400 >= Pipeline.steady_state_stall p);
+    (o.Pipeline.stall_cycles + 400 >= lower);
   Alcotest.(check bool) "well below the single-channel stall" true
     (o.Pipeline.stall_cycles < single / 2)
 
 let test_channels_never_hurt () =
   let stall ch =
-    (Pipeline.run
-       (params ~issues:50 ~transfer:80 ~compute:30 ~lookahead:2 ~channels:ch ()))
+    (run ~channels:ch
+       (params ~issues:50 ~transfer:80 ~compute:30 ~lookahead:2 ()))
       .Pipeline.stall_cycles
   in
   Alcotest.(check bool) "2 channels <= 1" true (stall 2 <= stall 1);
@@ -111,13 +112,13 @@ let test_channels_never_hurt () =
 let test_param_validation () =
   Alcotest.check_raises "issues 0"
     (invalid "Pipeline.run" "issues must be positive (got 0)") (fun () ->
-      ignore (Pipeline.run (params ~issues:0 ())));
+      ignore (run (params ~issues:0 ())));
   Alcotest.check_raises "negative"
     (invalid "Pipeline.run" "negative parameter") (fun () ->
-      ignore (Pipeline.run (params ~transfer:(-1) ())));
+      ignore (run (params ~transfer:(-1) ())));
   Alcotest.check_raises "zero channels"
     (invalid "Pipeline.run" "channels must be >= 1 (got 0)") (fun () ->
-      ignore (Pipeline.run (params ~channels:0 ())))
+      ignore (run ~channels:0 (params ())))
 
 let prop_simulated_within_cold_start_bound =
   QCheck2.Test.make
@@ -131,27 +132,19 @@ let prop_simulated_within_cold_start_bound =
           (int_range 1 60) (int_range 0 80)
           (triple (int_range 0 80) (int_range 0 4) (int_range 0 10))
       in
-      let p =
-        map2
-          (fun p channels -> { p with Pipeline.channels })
-          p (int_range 1 4)
-      in
-      p)
-    (fun p ->
-      let o = Pipeline.run p in
+      pair p (int_range 1 4))
+    (fun (p, channels) ->
+      let o = run ~channels p in
       let bound =
         (p.Pipeline.lookahead + 1)
         * (p.Pipeline.transfer_cycles + p.Pipeline.setup_cycles)
       in
-      if p.Pipeline.channels = 1 then
-        abs (o.Pipeline.stall_cycles - Pipeline.steady_state_stall p) <= bound
+      let upper = Pipeline.steady_state_stall ~channels:1 p in
+      if channels = 1 then abs (o.Pipeline.stall_cycles - upper) <= bound
       else begin
         (* Multi-channel: bracket between the work-conservation lower
            bound and the single-channel upper bound. *)
-        let lower = Pipeline.steady_state_stall p in
-        let upper =
-          Pipeline.steady_state_stall { p with Pipeline.channels = 1 }
-        in
+        let lower = Pipeline.steady_state_stall ~channels p in
         o.Pipeline.stall_cycles + bound >= lower
         && o.Pipeline.stall_cycles <= upper + bound
       end)
@@ -164,7 +157,7 @@ let prop_lookahead_monotone =
         (pair (int_range 0 60) (int_range 0 60)))
     (fun (issues, (transfer, compute)) ->
       let stall k =
-        (Pipeline.run (params ~issues ~transfer ~compute ~lookahead:k ()))
+        (run (params ~issues ~transfer ~compute ~lookahead:k ()))
           .Pipeline.stall_cycles
       in
       stall 1 <= stall 0 && stall 2 <= stall 1 && stall 3 <= stall 2)
@@ -177,7 +170,7 @@ let prop_transfer_monotone =
         (pair (int_range 0 60) (int_range 0 3)))
     (fun (issues, (compute, lookahead)) ->
       let stall t =
-        (Pipeline.run (params ~issues ~transfer:t ~compute ~lookahead ()))
+        (run (params ~issues ~transfer:t ~compute ~lookahead ()))
           .Pipeline.stall_cycles
       in
       stall 10 <= stall 20 && stall 20 <= stall 40 && stall 40 <= stall 41)
@@ -193,33 +186,31 @@ let gen_params =
         (int_range 1 60) (int_range 0 80)
         (triple (int_range 0 80) (int_range 0 4) (int_range 0 10))
     in
-    map2 (fun p channels -> { p with Pipeline.channels }) p (int_range 1 4))
+    pair p (int_range 1 4))
 
+(* [Pipeline.run] is [run_faulty Faults.none] by definition; what is
+   left to check is that the zero model injects nothing. *)
 let test_zero_fault_equals_run () =
   List.iter
-    (fun p ->
-      let o = Pipeline.run p in
-      let f = Pipeline.run_faulty Faults.none p in
-      Alcotest.(check bool) "identical outcome" true
-        (f.Pipeline.fault_result = o);
+    (fun (p, channels) ->
+      let f = Pipeline.run_faulty Faults.none ~channels p in
       Alcotest.(check int) "no retries" 0 f.Pipeline.retries;
       Alcotest.(check int) "no fallbacks" 0 f.Pipeline.fallbacks;
+      Alcotest.(check int) "no failed attempts" 0 f.Pipeline.failed_attempts;
       Alcotest.(check int) "no jitter" 0 f.Pipeline.jitter_total_cycles)
     [
-      params ();
-      params ~issues:50 ~transfer:80 ~compute:30 ~lookahead:2 ~setup:5
-        ~channels:2 ();
-      params ~issues:40 ~transfer:100 ~compute:30 ~lookahead:3 ~channels:3 ();
+      (params (), 1);
+      (params ~issues:50 ~transfer:80 ~compute:30 ~lookahead:2 ~setup:5 (), 2);
+      (params ~issues:40 ~transfer:100 ~compute:30 ~lookahead:3 (), 3);
     ]
 
 let prop_zero_fault_identity =
   QCheck2.Test.make
-    ~name:"pipeline: run_faulty under Faults.none is run, cycle for cycle"
+    ~name:"pipeline: run_faulty under Faults.none injects nothing"
     ~count:300 gen_params
-    (fun p ->
-      let f = Pipeline.run_faulty Faults.none p in
-      f.Pipeline.fault_result = Pipeline.run p
-      && f.Pipeline.retries = 0 && f.Pipeline.fallbacks = 0
+    (fun (p, channels) ->
+      let f = Pipeline.run_faulty Faults.none ~channels p in
+      f.Pipeline.retries = 0 && f.Pipeline.fallbacks = 0
       && f.Pipeline.failed_attempts = 0
       && f.Pipeline.jitter_total_cycles = 0)
 
@@ -227,16 +218,16 @@ let prop_jitter_never_helps =
   QCheck2.Test.make
     ~name:"pipeline: jitter-only faults never reduce stalls" ~count:200
     QCheck2.Gen.(pair gen_params (pair (int_range 0 30) (int_range 0 100)))
-    (fun (p, (max_extra, seed)) ->
+    (fun ((p, channels), (max_extra, seed)) ->
       let f =
         Faults.make
           ~jitter:(Faults.Uniform { max_extra_cycles = max_extra })
           ~seed:(Int64.of_int seed) ()
       in
-      let faulty = Pipeline.run_faulty f p in
+      let faulty = Pipeline.run_faulty f ~channels p in
       faulty.Pipeline.fallbacks = 0
       && faulty.Pipeline.fault_result.Pipeline.stall_cycles
-         >= (Pipeline.run p).Pipeline.stall_cycles)
+         >= (run ~channels p).Pipeline.stall_cycles)
 
 let jittery seed =
   Faults.make
@@ -244,14 +235,11 @@ let jittery seed =
     ~failure_permille:200 ~seed ()
 
 let test_faulty_reproducible () =
-  let p =
-    params ~issues:200 ~transfer:40 ~compute:30 ~lookahead:2 ~setup:5
-      ~channels:2 ()
-  in
-  let a = Pipeline.run_faulty (jittery 7L) p in
-  let b = Pipeline.run_faulty (jittery 7L) p in
+  let p = params ~issues:200 ~transfer:40 ~compute:30 ~lookahead:2 ~setup:5 () in
+  let a = Pipeline.run_faulty (jittery 7L) ~channels:2 p in
+  let b = Pipeline.run_faulty (jittery 7L) ~channels:2 p in
   Alcotest.(check bool) "same seed, same trace" true (a = b);
-  let c = Pipeline.run_faulty (jittery 8L) p in
+  let c = Pipeline.run_faulty (jittery 8L) ~channels:2 p in
   Alcotest.(check bool) "different seed, different trace" true (a <> c);
   Alcotest.(check bool) "faults actually injected" true
     (a.Pipeline.failed_attempts > 0 && a.Pipeline.retries > 0);
@@ -263,7 +251,7 @@ let test_faulty_reproducible () =
 let test_fallback_on_exhaustion () =
   let p = params ~issues:10 ~transfer:20 ~compute:30 ~lookahead:1 () in
   let f = Faults.make ~failure_permille:1000 ~max_retries:2 ~seed:1L () in
-  let r = Pipeline.run_faulty f p in
+  let r = Pipeline.run_faulty f ~channels:1 p in
   Alcotest.(check int) "every transfer exhausts its retries" 10
     r.Pipeline.fallbacks;
   Alcotest.(check int) "three attempts each" 30 r.Pipeline.failed_attempts;
@@ -278,8 +266,8 @@ let test_outage_pushes_start () =
       ~outages:[ { Faults.channel = 0; from_cycle = 0; until_cycle = 100 } ]
       ~seed:0L ()
   in
-  let r = Pipeline.run_faulty f p in
-  let base = Pipeline.run p in
+  let r = Pipeline.run_faulty f ~channels:1 p in
+  let base = run p in
   Alcotest.(check bool) "outage adds stalls" true
     (r.Pipeline.fault_result.Pipeline.stall_cycles
     > base.Pipeline.stall_cycles)
@@ -289,7 +277,7 @@ let test_deadline_fallback () =
      transfer; a 10-cycle patience refetches synchronously instead. *)
   let p = params ~issues:5 ~transfer:50 ~compute:10 ~lookahead:0 () in
   let f = Faults.make ~deadline_patience:10 ~seed:0L () in
-  let r = Pipeline.run_faulty f p in
+  let r = Pipeline.run_faulty f ~channels:1 p in
   Alcotest.(check int) "every iteration abandons the late transfer" 5
     r.Pipeline.fallbacks
 
