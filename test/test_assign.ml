@@ -283,6 +283,35 @@ let test_greedy_engine_equals_oracle_on_apps () =
         oracle.Assign.evaluations engine.Assign.evaluations)
     Mhla_apps.Registry.all
 
+(* The paper's trade-off exploration runs the greedy once per memory
+   layer size: every full application over the EXT-PARETO 5x5 L1/L2
+   budget grid, as [Explore.pareto] builds it. Each grid point must
+   take exactly the oracle's decisions and count the same evaluations. *)
+let pareto_axes =
+  [ [ 1024; 4096; 16384; 65536; 262144 ];
+    [ 2048; 8192; 32768; 131072; 524288 ] ]
+
+let test_greedy_engine_equals_oracle_on_pareto_grid () =
+  List.iter
+    (fun (app : Mhla_apps.Defs.t) ->
+      let program = Lazy.force app.Mhla_apps.Defs.program in
+      let reuse = Mapping.precompute program in
+      List.iter
+        (fun budgets ->
+          let h = Presets.multi_level ~level_bytes:budgets () in
+          let engine = Assign.greedy ~reuse program h in
+          let oracle = Assign.greedy ~oracle:true ~reuse program h in
+          let what =
+            Printf.sprintf "%s at %s" app.Mhla_apps.Defs.name
+              (String.concat "/" (List.map string_of_int budgets))
+          in
+          Alcotest.(check bool) (what ^ ": identical result") true
+            (fingerprint engine = fingerprint oracle);
+          Alcotest.(check int) (what ^ ": same evaluation count")
+            oracle.Assign.evaluations engine.Assign.evaluations)
+        (Presets.budget_grid ~axes:pareto_axes))
+    Mhla_apps.Registry.all
+
 let test_greedy_engine_equals_oracle_on_kernel () =
   List.iter
     (fun budget ->
@@ -603,6 +632,8 @@ let () =
         [
           Alcotest.test_case "greedy = oracle on all apps" `Quick
             test_greedy_engine_equals_oracle_on_apps;
+          Alcotest.test_case "greedy = oracle on the pareto grid" `Quick
+            test_greedy_engine_equals_oracle_on_pareto_grid;
           Alcotest.test_case "greedy = oracle on kernel" `Quick
             test_greedy_engine_equals_oracle_on_kernel;
           Alcotest.test_case "annealing = oracle" `Quick
