@@ -824,6 +824,40 @@ let ext_engine () =
   metric "ext_engine.words_per_feasible"
     (Mhla_util.Json.float (!check_words /. float_of_int !calls));
   print_newline ();
+  (* The lazy greedy at each application's calibrated budget: every
+     feasible candidate still counts as an evaluation, but a move is
+     probed only when its cached delta is stale or cannot rule it out
+     of the round. Deterministic, so pinned exactly. *)
+  let probes =
+    Table.create
+      ~columns:
+        [ ("application", Table.Left);
+          ("evaluations", Table.Right);
+          ("greedy probes", Table.Right);
+          ("probed", Table.Right) ]
+  in
+  List.iter
+    (fun (app : Mhla_apps.Defs.t) ->
+      let name = app.Mhla_apps.Defs.name in
+      let r =
+        Assign.greedy
+          (Lazy.force app.Mhla_apps.Defs.program)
+          (Mhla_arch.Presets.two_level
+             ~onchip_bytes:app.Mhla_apps.Defs.onchip_bytes ())
+      in
+      Table.add_row probes
+        [ name;
+          Table.cell_int r.Assign.evaluations;
+          Table.cell_int r.Assign.probes;
+          Table.cell_percent
+            (100. *. float_of_int r.Assign.probes
+            /. float_of_int r.Assign.evaluations) ];
+      metric
+        (Printf.sprintf "ext_engine.%s.greedy_probes" name)
+        (Mhla_util.Json.int r.Assign.probes))
+    Apps.all;
+  Table.print probes;
+  print_newline ();
   let sizes = Mhla_arch.Presets.sweep_sizes ~min_bytes:128 ~max_bytes:8192 in
   let me = Apps.find_exn "motion_estimation" in
   let program = Lazy.force me.Mhla_apps.Defs.program in

@@ -29,6 +29,7 @@ type result = {
   breakdown : Cost.breakdown;
   steps : step list;
   evaluations : int;
+  probes : int;
   full_evaluations : int;
   cache_hits : int;
   cache_misses : int;
@@ -36,17 +37,18 @@ type result = {
 
 let result ?(engine_stats = None) ~full_evaluations mapping breakdown steps
     evaluations =
-  let cache_hits, cache_misses =
+  let probes, cache_hits, cache_misses =
     match engine_stats with
-    | None -> (0, 0)
+    | None -> (evaluations, 0, 0)
     | Some (s : Engine.stats) ->
-      (s.Engine.contribs_reused, s.Engine.contribs_recomputed)
+      (s.Engine.probes, s.Engine.contribs_reused, s.Engine.contribs_recomputed)
   in
   {
     mapping;
     breakdown;
     steps;
     evaluations;
+    probes;
     full_evaluations;
     cache_hits;
     cache_misses;
@@ -184,12 +186,27 @@ let moves config (m : Mapping.t) =
    [skip] marks the moves that would leave their owner as it is — the
    ones [moves] filters out by structural equality with the current
    placement or layer. Committing a move re-marks its owner's moves
-   only. *)
+   only. [array_of] is each move's array (its index in
+   [Program.array_names]): the access's array, or the moved array.
+
+   The rest is the lazy greedy's delta cache, empty until a solve's
+   first round finds an improving move (so a solve that commits
+   nothing allocates none of it): per move, the cycle and energy
+   deltas of its last exact probe and an absolute bound on the
+   energy delta's float error ([infinity]: no valid delta), the
+   round's lower bound on its value, and scratch for the round's
+   pending moves. *)
 type table = {
   all : move array;
   owner : int array;
   first : int array;  (* per owner, its first move; then [Array.length all] *)
   skip : bool array;
+  array_of : int array;
+  mutable dc : int array;
+  mutable de : float array;
+  mutable err : float array;
+  mutable low : float array;
+  mutable pending : int array;
 }
 
 let same_target a b =
@@ -199,6 +216,7 @@ let same_target a b =
   | Set_placement _, Set_array _ | Set_array _, Set_placement _ -> false
 
 let move_table ~alts config (m : Mapping.t) =
+  let targets = array_targets config m in
   let owners =
     Array.of_list
       (List.map
@@ -211,7 +229,19 @@ let move_table ~alts config (m : Mapping.t) =
       @ List.map
           (fun (array, targets) ->
             Array.of_list (List.map (fun l -> Set_array (array, l)) targets))
-          (array_targets config m))
+          targets)
+  in
+  let owner_array =
+    let names = Mhla_ir.Program.array_names m.Mapping.program in
+    let rec index k a = function
+      | [] -> invalid_arg ("Assign.move_table: unknown array " ^ a)
+      | name :: rest -> if name = a then k else index (k + 1) a rest
+    in
+    Array.of_list
+      (List.map
+         (fun ((info : Analysis.info), _) -> index 0 info.Analysis.array names)
+         alts
+      @ List.map (fun (array, _) -> index 0 array names) targets)
   in
   let all = Array.concat (Array.to_list owners) in
   let owner =
@@ -229,7 +259,18 @@ let move_table ~alts config (m : Mapping.t) =
   in
   let at = Array.map (fun ms -> current ms.(0)) owners in
   let skip = Array.mapi (fun k mv -> same_target mv at.(owner.(k))) all in
-  { all; owner; first; skip }
+  {
+    all;
+    owner;
+    first;
+    skip;
+    array_of = Array.map (fun o -> owner_array.(o)) owner;
+    dc = [||];
+    de = [||];
+    err = [||];
+    low = [||];
+    pending = [||];
+  }
 
 (* After committing [all.(k)]: its owner now sits where that move put
    it. *)
@@ -242,9 +283,63 @@ let table_commit table k =
 let feasible config m = Mapping.occupancy_ok ~policy:config.policy m
 
 (* Strict-improvement threshold: relative 1e-9 guards against float
-   noise causing non-termination. *)
-let improves ~current ~candidate =
-  candidate < current -. (1e-9 *. (Float.abs current +. 1.))
+   noise causing non-termination. A candidate improves when its value
+   lies below [threshold current]. *)
+let threshold current = current -. (1e-9 *. (Float.abs current +. 1.))
+
+let improves ~current ~candidate = candidate < threshold current
+
+(* --- the lazy greedy's certified skips ----------------------------------
+
+   Why a cached delta stays valid. A move's cost terms read only its
+   own access entry (or, for [Set_array], its array's accesses) and its
+   array's home level: [Cost.access_contribution] and
+   [Cost.bt_contribution] read nothing of the mapping but the
+   hierarchy, a placement's chain transfers depend only on its links
+   and the home, the whole-array fill/drain streams only on the array
+   and its level, and transfers dedupe only within one array, because
+   every [Candidate.share_key] starts with the array's name. So the
+   multiset of terms a move adds and removes — and with it the exact
+   (real-number) cycle and energy deltas, and the change in the number
+   of terms folded — is the same at every position that differs from
+   the probed one only in other arrays' placements and homes. A commit
+   on array [A] therefore invalidates only [A]'s moves.
+
+   Cycles are ints: a cached [dc] is exact. Energy is a float fold, so
+   the delta carries rounding error, bounded from the fold length:
+
+   - A fold of [T] contributions (the engine's [last_terms]) sums
+     three running totals of at most [T] non-negative terms each and
+     adds the three; recursive summation of non-negative terms errs by
+     at most [(n - 1) u] times the exact sum (u = 2^-53, to first
+     order), so the fold's total [E] is within [(T + 2) u E] of the
+     exact sum of its terms. [fold_error] doubles that — [epsilon_float]
+     is [2u] — which covers the second-order terms and the rounding of
+     the bound's own arithmetic for any [T] below 2^50.
+   - An exact probe at a position with totals [(C, E, T)] that returns
+     [(C', E', T')] stores [dc = C' - C], [de = E' -. E] and
+     [err = fold_error T' E' +. fold_error T E +. eps |de|], a bound on
+     [|de - (exact delta)|] (the last term covers the subtraction).
+   - At a later position [(C, E, T)] the move's estimate is
+     [e = E +. de] against an exact new total within
+     [err +. fold_error T E +. eps |e|] of [e]; its fold, which a probe
+     would return, is within [fold_error T' E'] of that exact total,
+     where [T' <= T + t_max] ([t_max]: the longest probe fold so far)
+     and [E' <= |e| + that bound].
+   - The value adds one multiplication by the exact cycle count
+     [C + dc] for [Energy_delay] (each of the two rounded products
+     errs by at most [u] of itself), none for [Energy], and is exact
+     for [Cycles].
+
+   [lower] subtracts from the estimate the propagated energy bound
+   (for [Energy_delay], twice it times the cycle count) plus [2 eps] of
+   the estimate, which covers the products' rounding and the
+   subtraction's; for [Cycles] the estimate is the exact value. So the exact probe value is never
+   below [low]: a move whose [low] reaches the round's threshold
+   cannot improve, and one whose [low] exceeds an exact value already
+   found cannot win the round. *)
+let fold_error ~terms energy =
+  float_of_int (terms + 2) *. epsilon_float *. energy
 
 (* The two search drivers each exist in two flavours selected by
    [?oracle]: the engine flavour probes moves through the incremental
@@ -344,29 +439,119 @@ let greedy ?(config = default_config) ?(oracle = false)
         ~objective:config.objective start
     in
     let table = move_table ~alts:(all_alternatives config start) config start in
+    let n = Array.length table.all in
+    incr evaluations (* parity with the oracle's initial evaluation *);
+    let start_value = Engine.objective_value engine in
+    (* The current position's exact totals, then the round's best
+       probe's — the next position's after its commit, bit for bit. *)
+    let cycles = ref (Engine.last_cycles engine) in
+    let terms = ref (Engine.last_terms engine) in
+    let energy = [| Engine.last_energy engine; 0. |] in
+    let best_cycles = ref 0 and best_terms = ref 0 in
+    let t_max = ref 0 in
+    (* [low.(j)] for a move with a valid cached delta; see [fold_error]
+       for the margin. *)
+    let lower j =
+      let c = !cycles + table.dc.(j) in
+      let e = energy.(0) +. table.de.(j) in
+      let value =
+        Cost.scalar_of config.objective ~total_cycles:c ~total_energy_pj:e
+      in
+      table.low.(j) <-
+        (match config.objective with
+        | Cost.Cycles -> value
+        | Cost.Energy | Cost.Energy_delay ->
+          let e_err =
+            table.err.(j)
+            +. fold_error ~terms:!terms energy.(0)
+            +. (epsilon_float *. Float.abs e)
+          in
+          let e_err =
+            e_err +. fold_error ~terms:(!terms + !t_max) (Float.abs e +. e_err)
+          in
+          let scale =
+            if config.objective = Cost.Energy then 1. else 2. *. float_of_int c
+          in
+          value -. ((scale *. e_err) +. (2. *. epsilon_float *. Float.abs value)))
+    in
     (* The best move of a round as its table index ([-1]: none improves)
-       and its value, scanning in [moves] order. *)
+       and its value. Every unskipped move's feasibility is checked, in
+       [moves] order. A move with a valid cached delta whose lower bound
+       reaches the threshold is skipped; in steepest mode the others
+       wait until every stale move has been probed, then are probed
+       from the lowest bound up while their bound could still beat the
+       best value found. Every move left unprobed provably neither
+       improves nor wins, and ties go to the earliest move, so the
+       round picks the eager scan's move. *)
     let select ~current =
+      let threshold = threshold current in
       let best = ref (-1) in
       let best_value = ref 0. in
+      let probe j =
+        let value = Engine.probe engine table.all.(j) in
+        if value < threshold && Array.length table.err = 0 then begin
+          table.dc <- Array.make n 0;
+          table.de <- Array.make n 0.;
+          table.err <- Array.make n infinity;
+          table.low <- Array.make n 0.;
+          table.pending <- Array.make n 0
+        end;
+        if Array.length table.err > 0 then begin
+          let t = Engine.last_terms engine in
+          let e = Engine.last_energy engine in
+          let de = e -. energy.(0) in
+          table.dc.(j) <- Engine.last_cycles engine - !cycles;
+          table.de.(j) <- de;
+          table.err.(j) <-
+            fold_error ~terms:t e
+            +. fold_error ~terms:!terms energy.(0)
+            +. (epsilon_float *. Float.abs de);
+          if t > !t_max then t_max := t
+        end;
+        if
+          value < threshold
+          && (!best < 0 || value < !best_value
+             || (value = !best_value && j < !best))
+        then begin
+          best := j;
+          best_value := value;
+          best_cycles := Engine.last_cycles engine;
+          best_terms := Engine.last_terms engine;
+          energy.(1) <- Engine.last_energy engine
+        end
+      in
+      let n_pending = ref 0 in
       let k = ref 0 in
-      while !k < Array.length table.all do
+      while !k < n do
         let j = !k in
         incr k;
-        if not table.skip.(j) then begin
-          let move = table.all.(j) in
-          if Engine.feasible engine move then begin
-            incr evaluations;
-            let value = Engine.probe engine move in
-            if
-              improves ~current ~candidate:value
-              && (!best < 0 || value < !best_value)
-            then begin
-              best := j;
-              best_value := value;
-              if first_improvement then k := Array.length table.all
-            end
+        if (not table.skip.(j)) && Engine.feasible engine table.all.(j) then begin
+          incr evaluations;
+          if Array.length table.err > 0 && table.err.(j) < infinity then begin
+            lower j;
+            if table.low.(j) < threshold then
+              if first_improvement then probe j
+              else begin
+                table.pending.(!n_pending) <- j;
+                incr n_pending
+              end
           end
+          else probe j;
+          if first_improvement && !best >= 0 then k := n
+        end
+      done;
+      while !n_pending > 0 do
+        let m = ref 0 in
+        for q = 1 to !n_pending - 1 do
+          if table.low.(table.pending.(q)) < table.low.(table.pending.(!m))
+          then m := q
+        done;
+        let j = table.pending.(!m) in
+        if !best >= 0 && table.low.(j) > !best_value then n_pending := 0
+        else begin
+          decr n_pending;
+          table.pending.(!m) <- table.pending.(!n_pending);
+          probe j
         end
       done;
       (!best, !best_value)
@@ -380,11 +565,19 @@ let greedy ?(config = default_config) ?(oracle = false)
         let step = mk_step move ~current ~value in
         Engine.commit engine move;
         table_commit table j;
+        (* The commit moved only [array_of.(j)]'s terms. *)
+        if Array.length table.err > 0 then begin
+          let a = table.array_of.(j) in
+          for q = 0 to n - 1 do
+            if table.array_of.(q) = a then table.err.(q) <- infinity
+          done
+        end;
+        cycles := !best_cycles;
+        terms := !best_terms;
+        energy.(0) <- energy.(1);
         on_commit move;
         descend value (step :: steps)
     in
-    incr evaluations (* parity with the oracle's initial evaluation *);
-    let start_value = Engine.objective_value engine in
     let mapping, _, steps = descend start_value [] in
     result
       ~engine_stats:(Some (Engine.stats engine))

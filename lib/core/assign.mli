@@ -49,7 +49,15 @@ type result = {
   mapping : Mapping.t;
   breakdown : Cost.breakdown;
   steps : step list;  (** in application order *)
-  evaluations : int;  (** objective evaluations spent (any flavour) *)
+  evaluations : int;
+      (** objective evaluations spent (any flavour): the feasible
+          candidates considered, whether or not the engine had to
+          probe them *)
+  probes : int;
+      (** engine probes actually run; [= evaluations] on the oracle
+          path. The engine greedy skips the probes its cached deltas
+          certify (see {!greedy}), so it can be far below
+          [evaluations] *)
   full_evaluations : int;
       (** how many of those were from-scratch [Cost.evaluate] runs;
           [= evaluations] on the oracle path, [0] on the engine path *)
@@ -106,7 +114,31 @@ val greedy :
     unless [oracle] (default [false]) forces from-scratch
     [Cost.evaluate] calls; both flavours return identical results (the
     engine is bit-exact), the oracle flavour exists as the reference to
-    test against. The engine flavour also checks each move's
+    test against.
+
+    The engine flavour is a lazy greedy: it re-probes a move only when
+    its value could have changed or when it could win the round. A
+    move's cost terms read only its own access (or array) and its
+    array's home level, and transfers dedupe only within one array
+    (every [share_key] starts with the array's name), so a commit on
+    array [A] leaves the exact cycle and energy deltas of every other
+    array's moves as they were. Each exact probe caches its move's
+    cycle delta (an int, exact), energy delta and a bound on that
+    delta's float error derived from the fold lengths (all energy
+    terms are non-negative); a commit marks only its array's moves
+    stale. Each round checks every unskipped move's feasibility, so
+    [evaluations] counts the same candidates as the oracle; a feasible
+    move with a valid cache gets the estimate [current totals + delta]
+    less its error margin, and is skipped when that lower bound
+    reaches the improvement threshold or — steepest mode — exceeds an
+    exact value already found. The stale moves are probed first, then
+    the rest from the lowest bound up; ties go to the earliest move.
+    Every skipped move provably neither improves nor wins, so the
+    argmin and the first-in-order tie-break are the eager scan's, in
+    both modes. [result.probes] counts the probes actually run. The
+    cache lives in the move table and is allocated when a solve's
+    first round finds an improving move. The engine flavour also
+    checks each move's
     feasibility incrementally ({!Engine.feasible}), never building the
     moved-to mapping; the oracle flavour applies the move and runs
     {!feasible} from scratch. [reuse] shares a precomputed

@@ -304,9 +304,10 @@ let fold t =
     done
   done
 
-let total_cycles t = t.compute + t.s_access_stall + t.s_stall + t.s_setup
+let[@inline] total_cycles t =
+  t.compute + t.s_access_stall + t.s_stall + t.s_setup
 
-let total_energy t = t.sums.(0) +. t.sums.(1) +. t.sums.(2)
+let[@inline] total_energy t = t.sums.(0) +. t.sums.(1) +. t.sums.(2)
 
 (* --- incremental feasibility ------------------------------------------ *)
 
@@ -861,6 +862,12 @@ let commit t move =
         invalidate t id);
       t.counters.n_commits <- t.counters.n_commits + 1;
       Telemetry.count t.telemetry ~cat:"engine" "engine.commits" 1)
+
+let last_cycles = total_cycles
+
+let last_energy = total_energy
+
+let last_terms t = t.folded
 
 let compiled_cap = alt_cap
 

@@ -55,7 +55,25 @@
     charges its one array block the same way. {!commit} installs the
     staged blocks. Once a search has compiled its alternatives, a check
     allocates nothing and a probe about four minor words, its boxed
-    result among them (EXT-ENGINE measures both). *)
+    result among them (EXT-ENGINE measures both).
+
+    {b Independence, and what a caller may skip.} A move's terms are
+    the terms of its own entry (a [Set_placement]) or of its array's
+    entries and fill/drain streams (a [Set_array]), each a function of
+    that entry's placement and its array's home level only; transfers
+    dedupe on keys that start with the array's name. So the exact
+    (real-number) change a move makes to the cycle and energy totals,
+    and to {!last_terms}, depends on no other array's state: a commit
+    on one array leaves every other array's move deltas as they were.
+    [Assign.greedy] builds its lazy rounds on this: it caches each
+    probed move's deltas read off {!last_cycles}/{!last_energy}/
+    {!last_terms}, invalidates only the committed array's moves, and
+    skips a probe when the cached estimate, less a rounding margin
+    derived from the fold lengths, cannot improve on the round's
+    threshold or beat an exact value already found. Cycle deltas are
+    exact ints; the margin covers the float energy fold, whose
+    non-negative terms bound its error by about [T * 2^-53 * E] for a
+    fold of [T] terms and total [E]. *)
 
 (** A single search move. Owned here (rather than by [Assign], which
     re-exports it) so the engine does not depend on the search. *)
@@ -131,6 +149,21 @@ val objective_value : t -> float
 val breakdown : t -> Cost.breakdown
 (** The full cost breakdown at the current position, re-folded from the
     cache; bit-identical to [Cost.evaluate (mapping t)]. *)
+
+val last_cycles : t -> int
+
+val last_energy : t -> float
+
+val last_terms : t -> int
+(** The totals of the engine's last fold — the last {!probe},
+    {!objective_value} or {!breakdown} — read straight from its
+    accumulators, without folding or allocating: total cycles, total
+    energy, and how many per-unit contributions the fold added (each
+    access once, each kept block transfer once). After a probe they
+    are the moved mapping's totals; after a commit of a probed move, a
+    fresh fold would give them again bit for bit. The lazy greedy
+    ([Assign.greedy]) caches each probe's deltas from them and bounds
+    the float error of the energy fold by its length. *)
 
 val stats : t -> stats
 

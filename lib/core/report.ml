@@ -39,9 +39,10 @@ let detailed ~name (r : Explore.result) =
        a.Assign.evaluations
    else
      line
-       "-- assignment steps (%d evaluations; engine cache %d hits / %d \
-        misses, %.1f%% hit rate) --"
-       a.Assign.evaluations a.Assign.cache_hits a.Assign.cache_misses
+       "-- assignment steps (%d evaluations, %d probes; engine cache %d \
+        hits / %d misses, %.1f%% hit rate) --"
+       a.Assign.evaluations a.Assign.probes a.Assign.cache_hits
+       a.Assign.cache_misses
        (100. *. float_of_int a.Assign.cache_hits /. float_of_int total));
   List.iter
     (fun (s : Assign.step) ->

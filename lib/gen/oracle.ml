@@ -60,6 +60,55 @@ let failures ?(mutate = No_mutation) ~onchip_bytes program =
              mismatch(es)"
             ec.Crosscheck.engine_objective ec.Crosscheck.oracle_objective
             ec.Crosscheck.feasibility_mismatches));
+    (* The engine greedy skips every probe its cached deltas certify
+       cannot change the round's decision; it must still take exactly
+       the from-scratch oracle greedy's decisions — on the case's
+       platform (the solve above) and on one with a second, larger
+       on-chip level, where more moves and array re-homings compete. *)
+    (let module Assign = Mhla_core.Assign in
+     let module Mapping = Mhla_core.Mapping in
+     let decisions (a : Assign.result) =
+       let am = a.Assign.mapping in
+       ( List.map
+           (fun (info : Mhla_reuse.Analysis.info) ->
+             Mapping.placement_of am info.Mhla_reuse.Analysis.ref_)
+           am.Mapping.infos,
+         am.Mapping.array_layers,
+         a.Assign.steps,
+         a.Assign.breakdown,
+         a.Assign.evaluations )
+     in
+     let rec first_diff k = function
+       | (e : Assign.step) :: es, (o : Assign.step) :: os ->
+         if e = o then first_diff (k + 1) (es, os)
+         else
+           Fmt.str "step %d: %s (%.17g) <> %s (%.17g)" k e.Assign.description
+             e.Assign.objective_after o.Assign.description
+             o.Assign.objective_after
+       | [], [] -> "same steps, different final state"
+       | _, _ -> Fmt.str "step %d: one search stopped" k
+     in
+     let compare_greedy platform hierarchy (engine : Assign.result) =
+       let oracle = Assign.greedy ~oracle:true program hierarchy in
+       if decisions engine <> decisions oracle then
+         fail "engine"
+           (Fmt.str
+              "greedy decisions diverge from the oracle greedy on %s (%d vs \
+               %d steps, %d vs %d evaluations): %s"
+              platform
+              (List.length engine.Assign.steps)
+              (List.length oracle.Assign.steps)
+              engine.Assign.evaluations oracle.Assign.evaluations
+              (first_diff 1 (engine.Assign.steps, oracle.Assign.steps)))
+     in
+     compare_greedy "the case's platform" hierarchy r.Explore.assign;
+     let two_levels =
+       Mhla_arch.Presets.multi_level
+         ~level_bytes:[ onchip_bytes; 8 * onchip_bytes ]
+         ()
+     in
+     compare_greedy "two on-chip levels" two_levels
+       (Assign.greedy program two_levels));
     (match mutate with
     | Drift_engine ->
       (* Seeded drift: shift the oracle by +1.0 so the differential

@@ -35,7 +35,9 @@ val check_names : string list
     format's program codec is the identity across an
     emit → parse → decode → emit round trip), ["engine"] (incremental cost
     engine bit-identical to [Cost.evaluate] through a churn round
-    trip), ["xval"] (pipeline-simulated vs analytic stalls within the
+    trip, and the engine greedy, which skips the probes its cached
+    deltas certify, taking exactly the oracle greedy's decisions and
+    evaluation count), ["xval"] (pipeline-simulated vs analytic stalls within the
     cold-start bound, zero-fault replay exact), ["verifier-greedy"] and
     ["verifier-anneal"] (the static verifier accepts the greedy and
     annealing solver outputs), ["interp"] (trace-interpreter access

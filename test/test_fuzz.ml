@@ -336,6 +336,103 @@ let prop_engine_matches_oracle =
           !ok)
         p)
 
+(* The lazy greedy against the from-scratch oracle greedy: every
+   decision (placements, promoted arrays, each step's move, gain and
+   objective, the final breakdown) and the evaluation count. The engine
+   flavour skips the probes its cached deltas certify; none of that may
+   show. Returns the agreement and the engine's committed moves. *)
+let greedy_agrees ~reuse p hierarchy (objective, first_improvement) =
+  let config = { Assign.default_config with Assign.objective } in
+  let committed = ref [] in
+  let engine =
+    Assign.greedy ~config ~first_improvement ~reuse
+      ~on_commit:(fun mv -> committed := mv :: !committed)
+      p hierarchy
+  in
+  let oracle =
+    Assign.greedy ~config ~first_improvement ~oracle:true ~reuse p hierarchy
+  in
+  let fingerprint (r : Assign.result) =
+    let m = r.Assign.mapping in
+    ( List.map
+        (fun (info : Analysis.info) -> Mapping.placement_of m info.Analysis.ref_)
+        m.Mapping.infos,
+      m.Mapping.array_layers,
+      r.Assign.steps,
+      r.Assign.breakdown,
+      r.Assign.evaluations )
+  in
+  (fingerprint engine = fingerprint oracle, List.rev !committed)
+
+let greedy_flavours =
+  List.concat_map
+    (fun objective -> [ (objective, false); (objective, true) ])
+    [ Cost.Energy; Cost.Cycles; Cost.Energy_delay ]
+
+let gen_greedy_case =
+  QCheck2.Gen.(triple gen_program (int_range 16 4096) bool)
+
+let greedy_hierarchy budget roomy =
+  if roomy then Presets.multi_level ~level_bytes:[ budget; 8 * budget ] ()
+  else Presets.two_level ~onchip_bytes:budget ()
+
+let prop_greedy_matches_oracle =
+  QCheck2.Test.make ~name:"fuzz: lazy greedy = oracle greedy" ~count:100
+    gen_greedy_case (fun (p, budget, roomy) ->
+      with_program
+        (fun p ->
+          let reuse = Mapping.precompute p in
+          let hierarchy = greedy_hierarchy budget roomy in
+          List.for_all
+            (fun flavour -> fst (greedy_agrees ~reuse p hierarchy flavour))
+            greedy_flavours)
+        p)
+
+(* Whether a commit sequence moves an array whole after having moved
+   one of its accesses: the commit that re-homes the chains (and
+   [Direct] accesses) the earlier placement commits built on. *)
+let array_after_placement (p : Program.t) commits =
+  let infos = Analysis.analyze p in
+  let array_of r =
+    (List.find (fun (i : Analysis.info) -> i.Analysis.ref_ = r) infos)
+      .Analysis.array
+  in
+  let rec scan placed = function
+    | [] -> false
+    | Engine.Set_placement (r, _) :: rest -> scan (array_of r :: placed) rest
+    | Engine.Set_array (a, _) :: rest -> List.mem a placed || scan placed rest
+  in
+  scan [] commits
+
+(* The property's generator, replayed from a fixed seed, must reach
+   runs where a [Set_array] commit follows placement commits on the same
+   array — the commit that invalidates the most cached deltas — and the
+   lazy greedy must match the oracle on each. *)
+let test_array_commit_after_placements () =
+  let rand = Random.State.make [| 20 |] in
+  let hits = ref 0 in
+  for _ = 1 to 200 do
+    let p, budget, roomy = QCheck2.Gen.generate1 ~rand gen_greedy_case in
+    Option.iter
+      (fun p ->
+        let reuse = Mapping.precompute p in
+        let hierarchy = greedy_hierarchy budget roomy in
+        List.iter
+          (fun flavour ->
+            let agrees, commits = greedy_agrees ~reuse p hierarchy flavour in
+            if array_after_placement p commits then begin
+              incr hits;
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: lazy greedy = oracle" p.Program.name)
+                true agrees
+            end)
+          greedy_flavours)
+      p
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "array commits after placements reached (%d runs)" !hits)
+    true (!hits >= 5)
+
 let prop_emit_well_formed =
   QCheck2.Test.make ~name:"fuzz: emitted pseudo-C is well-formed" ~count:60
     QCheck2.Gen.(pair gen_program (int_range 16 512))
@@ -440,6 +537,9 @@ let () =
           qc prop_pipeline_invariants;
           qc prop_crosscheck_agrees;
           qc prop_engine_matches_oracle;
+          qc prop_greedy_matches_oracle;
+          Alcotest.test_case "array commit after placements" `Quick
+            test_array_commit_after_placements;
           qc prop_emit_well_formed;
           qc prop_delta_mode_never_more_traffic;
           qc prop_faulty_deterministic_and_finite;
