@@ -282,7 +282,8 @@ let ext_greedy () =
       let greedy = Assign.greedy ~config program hierarchy in
       let row =
         match
-          Assign.exhaustive ~config ~max_states:2_000_000 program hierarchy
+          Mhla_gen.Reference.exhaustive ~config ~max_states:2_000_000 program
+            hierarchy
         with
         | Ok optimal ->
           let g = greedy.Assign.breakdown.Cost.total_cycles in

@@ -30,28 +30,20 @@ type result = {
   steps : step list;
   evaluations : int;
   probes : int;
-  full_evaluations : int;
   cache_hits : int;
   cache_misses : int;
 }
 
-let result ?(engine_stats = None) ~full_evaluations mapping breakdown steps
-    evaluations =
-  let probes, cache_hits, cache_misses =
-    match engine_stats with
-    | None -> (evaluations, 0, 0)
-    | Some (s : Engine.stats) ->
-      (s.Engine.probes, s.Engine.contribs_reused, s.Engine.contribs_recomputed)
-  in
+let result engine mapping breakdown steps evaluations =
+  let s = Engine.stats engine in
   {
     mapping;
     breakdown;
     steps;
     evaluations;
-    probes;
-    full_evaluations;
-    cache_hits;
-    cache_misses;
+    probes = s.Engine.probes;
+    cache_hits = s.Engine.contribs_reused;
+    cache_misses = s.Engine.contribs_recomputed;
   }
 
 (* Copy chains: pick a strictly-decreasing-level subsequence of the
@@ -165,22 +157,20 @@ let array_moves config (m : Mapping.t) =
 
 (* The placement alternatives of an access depend only on the config
    and the hierarchy's on-chip levels, never on the current placements
-   — so the engine-driven searches compute them once and reuse the
-   {e physically same} values every round, which turns the engine's
-   compiled-alternative lookups into pointer compares. The from-scratch
-   [moves] builds structurally identical lists, so both flavours probe
-   the same moves in the same order. *)
+   — so the searches compute them once and reuse the {e physically
+   same} values every round, which turns the engine's
+   compiled-alternative lookups into pointer compares. [moves] builds
+   structurally identical lists, so the move table holds the moves it
+   returns, in its order. *)
 let all_alternatives config (m : Mapping.t) =
   List.map
     (fun (info : Analysis.info) -> (info, alternatives config m info))
     m.Mapping.infos
 
-let moves_with ~alts config m = placement_moves_of m alts @ array_moves config m
-
 let moves config (m : Mapping.t) =
-  moves_with ~alts:(all_alternatives config m) config m
+  placement_moves_of m (all_alternatives config m) @ array_moves config m
 
-(* The engine flavours' move table: every move [moves] can return,
+(* The searches' move table: every move [moves] can return,
    built once from the hoisted alternatives, in [moves] order. A move's
    owner is its access (infos order) or, past the accesses, its array;
    [skip] marks the moves that would leave their owner as it is — the
@@ -287,8 +277,6 @@ let feasible config m = Mapping.occupancy_ok ~policy:config.policy m
    lies below [threshold current]. *)
 let threshold current = current -. (1e-9 *. (Float.abs current +. 1.))
 
-let improves ~current ~candidate = candidate < threshold current
-
 (* --- the lazy greedy's certified skips ----------------------------------
 
    Why a cached delta stays valid. A move's cost terms read only its
@@ -341,30 +329,26 @@ let improves ~current ~candidate = candidate < threshold current
 let fold_error ~terms energy =
   float_of_int (terms + 2) *. epsilon_float *. energy
 
-(* The two search drivers each exist in two flavours selected by
-   [?oracle]: the engine flavour probes moves through the incremental
-   {!Engine}, the oracle flavour re-runs [Cost.evaluate] from scratch.
-   Both probe the same moves in the same order and compare values the
-   same way, and [Engine.probe] is bit-identical to the full
-   evaluation, so the two flavours take identical decisions and return
-   identical mappings — the property the test suite pins down. *)
+(* Both searches probe moves through the incremental {!Engine}, whose
+   [probe] is bit-identical to a from-scratch [Cost.evaluate]; the
+   tests hold them to from-scratch reference searches that probe the
+   same moves in the same order and compare values the same way. *)
 
 let no_checkpoint () = ()
 
 let no_commit (_ : move) = ()
 
-let greedy ?(config = default_config) ?(oracle = false)
-    ?(first_improvement = false) ?(telemetry = Telemetry.noop) ?reuse
-    ?(checkpoint = no_checkpoint) ?(on_commit = no_commit) program hierarchy =
+let greedy ?(config = default_config) ?(first_improvement = false)
+    ?(telemetry = Telemetry.noop) ?reuse ?(checkpoint = no_checkpoint)
+    ?(on_commit = no_commit) program hierarchy =
   Telemetry.span telemetry ~cat:"assign" "assign.greedy"
     ~args:(fun () ->
-      [ ("oracle", Telemetry.Bool oracle);
-        ("first_improvement", Telemetry.Bool first_improvement);
+      [ ("first_improvement", Telemetry.Bool first_improvement);
         ( "objective",
           Telemetry.Str (Fmt.str "%a" Cost.pp_objective config.objective) )
       ])
   @@ fun () ->
-  let evaluations = ref 0 in
+  let evaluations = ref 1 (* the start position's evaluation *) in
   let start =
     Mapping.direct ~transfer_mode:config.transfer_mode ?reuse program
       hierarchy
@@ -385,243 +369,172 @@ let greedy ?(config = default_config) ?(oracle = false)
           ("objective_after", Telemetry.Float value) ]);
     step
   in
-  if oracle then begin
-    let objective m =
-      incr evaluations;
-      Cost.scalar config.objective (Cost.evaluate m)
+  let engine =
+    Engine.create ~telemetry ~policy:config.policy
+      ~objective:config.objective start
+  in
+  let table = move_table ~alts:(all_alternatives config start) config start in
+  let n = Array.length table.all in
+  let start_value = Engine.objective_value engine in
+  (* The current position's exact totals, then the round's best
+     probe's — the next position's after its commit, bit for bit. *)
+  let cycles = ref (Engine.last_cycles engine) in
+  let terms = ref (Engine.last_terms engine) in
+  let energy = [| Engine.last_energy engine; 0. |] in
+  let best_cycles = ref 0 and best_terms = ref 0 in
+  let t_max = ref 0 in
+  (* [low.(j)] for a move with a valid cached delta; see [fold_error]
+     for the margin. *)
+  let lower j =
+    let c = !cycles + table.dc.(j) in
+    let e = energy.(0) +. table.de.(j) in
+    let value =
+      Cost.scalar_of config.objective ~total_cycles:c ~total_energy_pj:e
     in
-    let rec descend m current steps =
-      checkpoint ();
-      let try_move best move =
-        let next = apply_move m move in
-        if not (feasible config next) then best
-        else begin
-          let value = objective next in
-          match best with
-          | Some (_, _, best_value) when value >= best_value -> best
-          | Some _ | None ->
-            if improves ~current ~candidate:value then Some (move, next, value)
-            else best
+    table.low.(j) <-
+      (match config.objective with
+      | Cost.Cycles -> value
+      | Cost.Energy | Cost.Energy_delay ->
+        let e_err =
+          table.err.(j)
+          +. fold_error ~terms:!terms energy.(0)
+          +. (epsilon_float *. Float.abs e)
+        in
+        let e_err =
+          e_err +. fold_error ~terms:(!terms + !t_max) (Float.abs e +. e_err)
+        in
+        let scale =
+          if config.objective = Cost.Energy then 1. else 2. *. float_of_int c
+        in
+        value -. ((scale *. e_err) +. (2. *. epsilon_float *. Float.abs value)))
+  in
+  (* The best move of a round as its table index ([-1]: none improves)
+     and its value. Every unskipped move's feasibility is checked, in
+     [moves] order. A move with a valid cached delta whose lower bound
+     reaches the threshold is skipped; in steepest mode the others
+     wait until every stale move has been probed, then are probed
+     from the lowest bound up while their bound could still beat the
+     best value found. Every move left unprobed provably neither
+     improves nor wins, and ties go to the earliest move, so the
+     round picks the eager scan's move. *)
+  let select ~current =
+    let threshold = threshold current in
+    let best = ref (-1) in
+    let best_value = ref 0. in
+    let probe j =
+      let value = Engine.probe engine table.all.(j) in
+      if value < threshold && Array.length table.err = 0 then begin
+        table.dc <- Array.make n 0;
+        table.de <- Array.make n 0.;
+        table.err <- Array.make n infinity;
+        table.low <- Array.make n 0.;
+        table.pending <- Array.make n 0
+      end;
+      if Array.length table.err > 0 then begin
+        let t = Engine.last_terms engine in
+        let e = Engine.last_energy engine in
+        let de = e -. energy.(0) in
+        table.dc.(j) <- Engine.last_cycles engine - !cycles;
+        table.de.(j) <- de;
+        table.err.(j) <-
+          fold_error ~terms:t e
+          +. fold_error ~terms:!terms energy.(0)
+          +. (epsilon_float *. Float.abs de);
+        if t > !t_max then t_max := t
+      end;
+      if
+        value < threshold
+        && (!best < 0 || value < !best_value
+           || (value = !best_value && j < !best))
+      then begin
+        best := j;
+        best_value := value;
+        best_cycles := Engine.last_cycles engine;
+        best_terms := Engine.last_terms engine;
+        energy.(1) <- Engine.last_energy engine
+      end
+    in
+    let n_pending = ref 0 in
+    let k = ref 0 in
+    while !k < n do
+      let j = !k in
+      incr k;
+      if (not table.skip.(j)) && Engine.feasible engine table.all.(j) then begin
+        incr evaluations;
+        if Array.length table.err > 0 && table.err.(j) < infinity then begin
+          lower j;
+          if table.low.(j) < threshold then
+            if first_improvement then probe j
+            else begin
+              table.pending.(!n_pending) <- j;
+              incr n_pending
+            end
         end
-      in
-      (* First-improving descent (a policy alternative to steepest):
-         commit the first move that improves, in the deterministic
-         [moves] order, instead of scanning them all. *)
-      let select ms =
-        if first_improvement then
-          List.find_map
-            (fun move ->
-              let next = apply_move m move in
-              if not (feasible config next) then None
-              else begin
-                let value = objective next in
-                if improves ~current ~candidate:value then
-                  Some (move, next, value)
-                else None
-              end)
-            ms
-        else List.fold_left try_move None ms
-      in
-      match select (moves config m) with
-      | None -> (m, current, List.rev steps)
-      | Some (move, next, value) ->
-        on_commit move;
-        descend next value (mk_step move ~current ~value :: steps)
-    in
-    let start_value = objective start in
-    let mapping, _, steps = descend start start_value [] in
-    result ~full_evaluations:!evaluations mapping (Cost.evaluate mapping)
-      steps !evaluations
-  end
-  else begin
-    let engine =
-      Engine.create ~telemetry ~policy:config.policy
-        ~objective:config.objective start
-    in
-    let table = move_table ~alts:(all_alternatives config start) config start in
-    let n = Array.length table.all in
-    incr evaluations (* parity with the oracle's initial evaluation *);
-    let start_value = Engine.objective_value engine in
-    (* The current position's exact totals, then the round's best
-       probe's — the next position's after its commit, bit for bit. *)
-    let cycles = ref (Engine.last_cycles engine) in
-    let terms = ref (Engine.last_terms engine) in
-    let energy = [| Engine.last_energy engine; 0. |] in
-    let best_cycles = ref 0 and best_terms = ref 0 in
-    let t_max = ref 0 in
-    (* [low.(j)] for a move with a valid cached delta; see [fold_error]
-       for the margin. *)
-    let lower j =
-      let c = !cycles + table.dc.(j) in
-      let e = energy.(0) +. table.de.(j) in
-      let value =
-        Cost.scalar_of config.objective ~total_cycles:c ~total_energy_pj:e
-      in
-      table.low.(j) <-
-        (match config.objective with
-        | Cost.Cycles -> value
-        | Cost.Energy | Cost.Energy_delay ->
-          let e_err =
-            table.err.(j)
-            +. fold_error ~terms:!terms energy.(0)
-            +. (epsilon_float *. Float.abs e)
-          in
-          let e_err =
-            e_err +. fold_error ~terms:(!terms + !t_max) (Float.abs e +. e_err)
-          in
-          let scale =
-            if config.objective = Cost.Energy then 1. else 2. *. float_of_int c
-          in
-          value -. ((scale *. e_err) +. (2. *. epsilon_float *. Float.abs value)))
-    in
-    (* The best move of a round as its table index ([-1]: none improves)
-       and its value. Every unskipped move's feasibility is checked, in
-       [moves] order. A move with a valid cached delta whose lower bound
-       reaches the threshold is skipped; in steepest mode the others
-       wait until every stale move has been probed, then are probed
-       from the lowest bound up while their bound could still beat the
-       best value found. Every move left unprobed provably neither
-       improves nor wins, and ties go to the earliest move, so the
-       round picks the eager scan's move. *)
-    let select ~current =
-      let threshold = threshold current in
-      let best = ref (-1) in
-      let best_value = ref 0. in
-      let probe j =
-        let value = Engine.probe engine table.all.(j) in
-        if value < threshold && Array.length table.err = 0 then begin
-          table.dc <- Array.make n 0;
-          table.de <- Array.make n 0.;
-          table.err <- Array.make n infinity;
-          table.low <- Array.make n 0.;
-          table.pending <- Array.make n 0
-        end;
-        if Array.length table.err > 0 then begin
-          let t = Engine.last_terms engine in
-          let e = Engine.last_energy engine in
-          let de = e -. energy.(0) in
-          table.dc.(j) <- Engine.last_cycles engine - !cycles;
-          table.de.(j) <- de;
-          table.err.(j) <-
-            fold_error ~terms:t e
-            +. fold_error ~terms:!terms energy.(0)
-            +. (epsilon_float *. Float.abs de);
-          if t > !t_max then t_max := t
-        end;
-        if
-          value < threshold
-          && (!best < 0 || value < !best_value
-             || (value = !best_value && j < !best))
-        then begin
-          best := j;
-          best_value := value;
-          best_cycles := Engine.last_cycles engine;
-          best_terms := Engine.last_terms engine;
-          energy.(1) <- Engine.last_energy engine
-        end
-      in
-      let n_pending = ref 0 in
-      let k = ref 0 in
-      while !k < n do
-        let j = !k in
-        incr k;
-        if (not table.skip.(j)) && Engine.feasible engine table.all.(j) then begin
-          incr evaluations;
-          if Array.length table.err > 0 && table.err.(j) < infinity then begin
-            lower j;
-            if table.low.(j) < threshold then
-              if first_improvement then probe j
-              else begin
-                table.pending.(!n_pending) <- j;
-                incr n_pending
-              end
-          end
-          else probe j;
-          if first_improvement && !best >= 0 then k := n
-        end
+        else probe j;
+        if first_improvement && !best >= 0 then k := n
+      end
+    done;
+    while !n_pending > 0 do
+      let m = ref 0 in
+      for q = 1 to !n_pending - 1 do
+        if table.low.(table.pending.(q)) < table.low.(table.pending.(!m))
+        then m := q
       done;
-      while !n_pending > 0 do
-        let m = ref 0 in
-        for q = 1 to !n_pending - 1 do
-          if table.low.(table.pending.(q)) < table.low.(table.pending.(!m))
-          then m := q
-        done;
-        let j = table.pending.(!m) in
-        if !best >= 0 && table.low.(j) > !best_value then n_pending := 0
-        else begin
-          decr n_pending;
-          table.pending.(!m) <- table.pending.(!n_pending);
-          probe j
-        end
-      done;
-      (!best, !best_value)
-    in
-    let rec descend current steps =
-      checkpoint ();
-      match select ~current with
-      | -1, _ -> (Engine.mapping engine, current, List.rev steps)
-      | j, value ->
-        let move = table.all.(j) in
-        let step = mk_step move ~current ~value in
-        Engine.commit engine move;
-        table_commit table j;
-        (* The commit moved only [array_of.(j)]'s terms. *)
-        if Array.length table.err > 0 then begin
-          let a = table.array_of.(j) in
-          for q = 0 to n - 1 do
-            if table.array_of.(q) = a then table.err.(q) <- infinity
-          done
-        end;
-        cycles := !best_cycles;
-        terms := !best_terms;
-        energy.(0) <- energy.(1);
-        on_commit move;
-        descend value (step :: steps)
-    in
-    let mapping, _, steps = descend start_value [] in
-    result
-      ~engine_stats:(Some (Engine.stats engine))
-      ~full_evaluations:0 mapping (Engine.breakdown engine) steps
-      !evaluations
-  end
+      let j = table.pending.(!m) in
+      if !best >= 0 && table.low.(j) > !best_value then n_pending := 0
+      else begin
+        decr n_pending;
+        table.pending.(!m) <- table.pending.(!n_pending);
+        probe j
+      end
+    done;
+    (!best, !best_value)
+  in
+  let rec descend current steps =
+    checkpoint ();
+    match select ~current with
+    | -1, _ -> (Engine.mapping engine, current, List.rev steps)
+    | j, value ->
+      let move = table.all.(j) in
+      let step = mk_step move ~current ~value in
+      Engine.commit engine move;
+      table_commit table j;
+      (* The commit moved only [array_of.(j)]'s terms. *)
+      if Array.length table.err > 0 then begin
+        let a = table.array_of.(j) in
+        for q = 0 to n - 1 do
+          if table.array_of.(q) = a then table.err.(q) <- infinity
+        done
+      end;
+      cycles := !best_cycles;
+      terms := !best_terms;
+      energy.(0) <- energy.(1);
+      on_commit move;
+      descend value (step :: steps)
+  in
+  let mapping, _, steps = descend start_value [] in
+  result engine mapping (Engine.breakdown engine) steps !evaluations
 
-let simulated_annealing ?(config = default_config) ?(oracle = false)
+let simulated_annealing ?(config = default_config)
     ?(telemetry = Telemetry.noop) ?reuse ?(checkpoint = no_checkpoint)
     ?(on_commit = no_commit) ?(seed = 42L) ?(iterations = 4000) program
     hierarchy =
   Telemetry.span telemetry ~cat:"assign" "assign.anneal"
     ~args:(fun () ->
-      [ ("oracle", Telemetry.Bool oracle);
-        ("seed", Telemetry.Str (Int64.to_string seed));
+      [ ("seed", Telemetry.Str (Int64.to_string seed));
         ("iterations", Telemetry.Int iterations) ])
   @@ fun () ->
   let prng = Mhla_util.Prng.create ~seed in
-  let evaluations = ref 0 in
-  let full_evaluations = ref 0 in
   let start =
     Mapping.direct ~transfer_mode:config.transfer_mode ?reuse program
       hierarchy
   in
   let engine =
-    if oracle then None
-    else
-      Some
-        (Engine.create ~telemetry ~policy:config.policy
-           ~objective:config.objective start)
+    Engine.create ~telemetry ~policy:config.policy
+      ~objective:config.objective start
   in
-  let objective_full m =
-    incr evaluations;
-    incr full_evaluations;
-    Cost.scalar config.objective (Cost.evaluate m)
-  in
-  let start_value =
-    match engine with
-    | None -> objective_full start
-    | Some e ->
-      incr evaluations;
-      Engine.objective_value e
-  in
-  let current = ref start in
+  let evaluations = ref 1 (* the start position's evaluation *) in
+  let start_value = Engine.objective_value engine in
   let current_value = ref start_value in
   let best = ref start in
   let best_value = ref start_value in
@@ -635,62 +548,30 @@ let simulated_annealing ?(config = default_config) ?(oracle = false)
     else (t_end /. t0) ** (1. /. float_of_int (iterations - 1))
   in
   let temperature = ref t0 in
-  (* Both flavours share the loop and draw the same move: the oracle
-     from the [moves] list (alternatives hoisted, as they are
-     placement-independent), the engine from its move table, whose
-     unskipped moves are that list in order. *)
-  let alts = all_alternatives config start in
-  let table = Option.map (fun _ -> move_table ~alts config start) engine in
+  (* The move is drawn from the table's unskipped moves, which are the
+     [moves] list in order. *)
+  let table = move_table ~alts:(all_alternatives config start) config start in
   let pick () =
-    match table with
-    | None -> (
-      match moves_with ~alts config !current with
-      | [] -> None
-      | all_moves -> Some (Mhla_util.Prng.pick prng all_moves, -1))
-    | Some table -> (
-      let n =
-        Array.fold_left (fun n s -> if s then n else n + 1) 0 table.skip
+    let n = Array.fold_left (fun n s -> if s then n else n + 1) 0 table.skip in
+    if n = 0 then None
+    else
+      let rec nth k seen =
+        if table.skip.(k) then nth (k + 1) seen
+        else if seen = 0 then k
+        else nth (k + 1) (seen - 1)
       in
-      if n = 0 then None
-      else
-        let rec nth k seen =
-          if table.skip.(k) then nth (k + 1) seen
-          else if seen = 0 then k
-          else nth (k + 1) (seen - 1)
-        in
-        let k = nth 0 (Mhla_util.Prng.int prng ~bound:n) in
-        Some (table.all.(k), k))
+      Some (nth 0 (Mhla_util.Prng.int prng ~bound:n))
   in
   for iter = 1 to iterations do
     checkpoint ();
     (match pick () with
     | None -> ()
-    | Some (move, k) ->
-      (* The objective after [move] and how to advance onto it, when
-         the move is feasible. The engine flavour never builds the
-         next mapping for a rejected move. *)
-      let probed =
-        match engine with
-        | None ->
-          let next = apply_move !current move in
-          if feasible config next then
-            Some (objective_full next, fun () -> next)
-          else None
-        | Some e ->
-          if Engine.feasible e move then begin
-            incr evaluations;
-            Some
-              ( Engine.probe e move,
-                fun () ->
-                  Engine.commit e move;
-                  Option.iter (fun table -> table_commit table k) table;
-                  Engine.mapping e )
-          end
-          else None
-      in
-      match probed with
-      | None -> ()
-      | Some (value, advance) ->
+    | Some k ->
+      let move = table.all.(k) in
+      (* A rejected move never builds the next mapping. *)
+      if Engine.feasible engine move then begin
+        incr evaluations;
+        let value = Engine.probe engine move in
         let delta = value -. !current_value in
         let accept =
           delta < 0.
@@ -704,13 +585,13 @@ let simulated_annealing ?(config = default_config) ?(oracle = false)
               ("delta", Telemetry.Float delta);
               ("objective", Telemetry.Float value) ]);
         if accept then begin
-          let next = advance () in
+          Engine.commit engine move;
+          table_commit table k;
           on_commit move;
-          current := next;
           current_value := value;
           if value < !best_value then begin
             let improvement = !best_value -. value in
-            best := next;
+            best := Engine.mapping engine;
             best_value := value;
             Telemetry.instant telemetry ~cat:"assign" "anneal.best"
               ~args:(fun () ->
@@ -725,55 +606,8 @@ let simulated_annealing ?(config = default_config) ?(oracle = false)
               }
               :: !steps
           end
-        end);
+        end
+      end);
     temperature := !temperature *. decay
   done;
-  result
-    ~engine_stats:(Option.map Engine.stats engine)
-    ~full_evaluations:!full_evaluations !best (Cost.evaluate !best)
-    (List.rev !steps) !evaluations
-
-let exhaustive ?(config = default_config) ?reuse ~max_states program
-    hierarchy =
-  let start =
-    Mapping.direct ~transfer_mode:config.transfer_mode ?reuse program
-      hierarchy
-  in
-  let alts =
-    List.map
-      (fun (info : Analysis.info) ->
-        (info.Analysis.ref_, alternatives config start info))
-      start.Mapping.infos
-  in
-  let states =
-    List.fold_left (fun acc (_, ps) -> acc * List.length ps) 1 alts
-  in
-  if states > max_states then
-    Error
-      (Printf.sprintf "exhaustive: %d states exceed the budget of %d" states
-         max_states)
-  else begin
-    let evaluations = ref 0 in
-    let best = ref None in
-    let rec assign m = function
-      | [] ->
-        if feasible config m then begin
-          incr evaluations;
-          let value = Cost.scalar config.objective (Cost.evaluate m) in
-          match !best with
-          | Some (_, best_value) when best_value <= value -> ()
-          | Some _ | None -> best := Some (m, value)
-        end
-      | (ref_, placements) :: rest ->
-        List.iter
-          (fun p -> assign (Mapping.with_placement m ref_ p) rest)
-          placements
-    in
-    assign start alts;
-    match !best with
-    | None -> Error "exhaustive: no feasible mapping (capacity too small?)"
-    | Some (mapping, _) ->
-      Ok
-        (result ~full_evaluations:!evaluations mapping
-           (Cost.evaluate mapping) [] !evaluations)
-  end
+  result engine !best (Cost.evaluate !best) (List.rev !steps) !evaluations

@@ -8,9 +8,9 @@
     whole array to/from an on-chip layer. Feasibility is the in-place-
     optimised occupancy of every on-chip layer.
 
-    {!exhaustive} searches the full placement space (arrays kept
-    off-chip) and is used in tests and the EXT-GREEDY ablation to
-    measure the greedy's optimality gap on small instances. *)
+    Both searches probe moves through the incremental {!Engine}. Their
+    from-scratch references, and the exhaustive search that measures
+    the greedy's optimality gap, live in [Mhla_gen.Reference]. *)
 
 type config = {
   objective : Cost.objective;
@@ -54,13 +54,9 @@ type result = {
           candidates considered, whether or not the engine had to
           probe them *)
   probes : int;
-      (** engine probes actually run; [= evaluations] on the oracle
-          path. The engine greedy skips the probes its cached deltas
-          certify (see {!greedy}), so it can be far below
+      (** engine probes actually run. The greedy skips the probes its
+          cached deltas certify (see {!greedy}), so it can be far below
           [evaluations] *)
-  full_evaluations : int;
-      (** how many of those were from-scratch [Cost.evaluate] runs;
-          [= evaluations] on the oracle path, [0] on the engine path *)
   cache_hits : int;
       (** per-unit contributions the engine reused across probes *)
   cache_misses : int;  (** contributions the engine had to recompute *)
@@ -96,7 +92,6 @@ val feasible : config -> Mapping.t -> bool
 
 val greedy :
   ?config:config ->
-  ?oracle:bool ->
   ?first_improvement:bool ->
   ?telemetry:Mhla_obs.Telemetry.t ->
   ?reuse:Mapping.reuse ->
@@ -110,15 +105,9 @@ val greedy :
     deterministic move order that improves the objective instead of
     scanning every move for the best one (fewer probes per round, more
     rounds, a different — not necessarily worse — local optimum).
-    Probes run through the incremental {!Engine}
-    unless [oracle] (default [false]) forces from-scratch
-    [Cost.evaluate] calls; both flavours return identical results (the
-    engine is bit-exact), the oracle flavour exists as the reference to
-    test against.
 
-    The engine flavour is a lazy greedy: it re-probes a move only when
-    its value could have changed or when it could win the round. A
-    move's cost terms read only its own access (or array) and its
+    The greedy is lazy: it re-probes a move only when its value could
+    have changed or when it could win the round. A move's cost terms read only its own access (or array) and its
     array's home level, and transfers dedupe only within one array
     (every [share_key] starts with the array's name), so a commit on
     array [A] leaves the exact cycle and energy deltas of every other
@@ -127,9 +116,9 @@ val greedy :
     delta's float error derived from the fold lengths (all energy
     terms are non-negative); a commit marks only its array's moves
     stale. Each round checks every unskipped move's feasibility, so
-    [evaluations] counts the same candidates as the oracle; a feasible
-    move with a valid cache gets the estimate [current totals + delta]
-    less its error margin, and is skipped when that lower bound
+    [evaluations] counts every feasible candidate, as an eager scan
+    would; a feasible move with a valid cache gets the estimate
+    [current totals + delta] less its error margin, and is skipped when that lower bound
     reaches the improvement threshold or — steepest mode — exceeds an
     exact value already found. The stale moves are probed first, then
     the rest from the lowest bound up; ties go to the earliest move.
@@ -137,12 +126,10 @@ val greedy :
     argmin and the first-in-order tie-break are the eager scan's, in
     both modes. [result.probes] counts the probes actually run. The
     cache lives in the move table and is allocated when a solve's
-    first round finds an improving move. The engine flavour also
-    checks each move's
-    feasibility incrementally ({!Engine.feasible}), never building the
-    moved-to mapping; the oracle flavour applies the move and runs
-    {!feasible} from scratch. [reuse] shares a precomputed
-    analysis/schedule (see {!Mapping.precompute}). [telemetry] (default noop) records an
+    first round finds an improving move. Each move's feasibility is
+    checked incrementally ({!Engine.feasible}), never building the
+    moved-to mapping. [reuse] shares a precomputed analysis/schedule
+    (see {!Mapping.precompute}). [telemetry] (default noop) records an
     [assign.greedy] span, one [greedy.step] event per applied move and
     the engine's spans/counters; it never changes the result.
     [checkpoint] (default a no-op) is invoked at the top of every
@@ -156,19 +143,8 @@ val greedy :
     same independence contract as [checkpoint] applies: the search
     never lets it change a decision. *)
 
-val exhaustive :
-  ?config:config ->
-  ?reuse:Mapping.reuse ->
-  max_states:int ->
-  Mhla_ir.Program.t ->
-  Mhla_arch.Hierarchy.t ->
-  (result, string) Stdlib.result
-(** Full enumeration over access placements (no array promotion).
-    [Error] when the state count exceeds [max_states]. *)
-
 val simulated_annealing :
   ?config:config ->
-  ?oracle:bool ->
   ?telemetry:Mhla_obs.Telemetry.t ->
   ?reuse:Mapping.reuse ->
   ?checkpoint:(unit -> unit) ->
@@ -184,10 +160,8 @@ val simulated_annealing :
     Deterministic for a given [seed] (default [42L]); [iterations]
     defaults to [4000]. Escapes the local optima steepest descent can
     fall into (see the EXT-SEARCH bench), at ~30x the evaluations.
-    [oracle]/[reuse] as in {!greedy} (the engine flavour checks
-    feasibility incrementally and builds a mapping only for an accepted
-    move); both flavours draw the same pseudo-random sequence and take
-    identical decisions. [telemetry]
+    [reuse] as in {!greedy}; feasibility is checked incrementally and
+    a mapping is built only for an accepted move. [telemetry]
     records an [assign.anneal] span and per-iteration
     [anneal.accept]/[anneal.reject] events carrying the temperature,
     plus [anneal.best] marks on improvements — the annealing trajectory

@@ -24,6 +24,8 @@ let check_names =
    code path, not search quality. *)
 let anneal_iterations = 300
 
+let anneal_seed = 0x5EEDL
+
 let fault_model =
   Faults.make
     ~jitter:(Faults.Uniform { max_extra_cycles = 8 })
@@ -60,11 +62,20 @@ let failures ?(mutate = No_mutation) ~onchip_bytes program =
              mismatch(es)"
             ec.Crosscheck.engine_objective ec.Crosscheck.oracle_objective
             ec.Crosscheck.feasibility_mismatches));
-    (* The engine greedy skips every probe its cached deltas certify
-       cannot change the round's decision; it must still take exactly
-       the from-scratch oracle greedy's decisions — on the case's
-       platform (the solve above) and on one with a second, larger
-       on-chip level, where more moves and array re-homings compete. *)
+    let ra =
+      Explore.run
+        ~search:
+          (Explore.Annealing
+             { seed = anneal_seed; iterations = anneal_iterations })
+        program hierarchy
+    in
+    (* Each production search must take exactly its from-scratch
+       reference's decisions and count the same evaluations: the greedy
+       (which skips every probe its cached deltas certify cannot change
+       a round's decision) on the case's platform (the solve above) and
+       on one with a second, larger on-chip level, where more moves and
+       array re-homings compete; the annealing solve on the case's
+       platform. *)
     (let module Assign = Mhla_core.Assign in
      let module Mapping = Mhla_core.Mapping in
      let decisions (a : Assign.result) =
@@ -85,30 +96,46 @@ let failures ?(mutate = No_mutation) ~onchip_bytes program =
            Fmt.str "step %d: %s (%.17g) <> %s (%.17g)" k e.Assign.description
              e.Assign.objective_after o.Assign.description
              o.Assign.objective_after
-       | [], [] -> "same steps, different final state"
+       | [], [] -> "same steps, different final state or evaluation count"
        | _, _ -> Fmt.str "step %d: one search stopped" k
      in
-     let compare_greedy platform hierarchy (engine : Assign.result) =
-       let oracle = Assign.greedy ~oracle:true program hierarchy in
-       if decisions engine <> decisions oracle then
+     (* Seeded drift: one phantom reference evaluation, so both
+        comparisons must trip — the gate's self-test. *)
+     let drift =
+       match mutate with
+       | Drift_engine -> 1
+       | No_mutation | Drift_interp | Drift_verify -> 0
+     in
+     let compare search platform (engine : Assign.result)
+         (reference : Assign.result) =
+       let reference =
+         { reference with
+           Assign.evaluations = reference.Assign.evaluations + drift }
+       in
+       if decisions engine <> decisions reference then
          fail "engine"
            (Fmt.str
-              "greedy decisions diverge from the oracle greedy on %s (%d vs \
-               %d steps, %d vs %d evaluations): %s"
-              platform
+              "%s decisions diverge from the reference %s on %s (%d vs %d \
+               steps, %d vs %d evaluations): %s"
+              search search platform
               (List.length engine.Assign.steps)
-              (List.length oracle.Assign.steps)
-              engine.Assign.evaluations oracle.Assign.evaluations
-              (first_diff 1 (engine.Assign.steps, oracle.Assign.steps)))
+              (List.length reference.Assign.steps)
+              engine.Assign.evaluations reference.Assign.evaluations
+              (first_diff 1 (engine.Assign.steps, reference.Assign.steps)))
      in
-     compare_greedy "the case's platform" hierarchy r.Explore.assign;
+     compare "greedy" "the case's platform" r.Explore.assign
+       (Reference.greedy program hierarchy);
      let two_levels =
        Mhla_arch.Presets.multi_level
          ~level_bytes:[ onchip_bytes; 8 * onchip_bytes ]
          ()
      in
-     compare_greedy "two on-chip levels" two_levels
-       (Assign.greedy program two_levels));
+     compare "greedy" "two on-chip levels"
+       (Assign.greedy program two_levels)
+       (Reference.greedy program two_levels);
+     compare "annealing" "the case's platform" ra.Explore.assign
+       (Reference.simulated_annealing ~seed:anneal_seed
+          ~iterations:anneal_iterations program hierarchy));
     (match mutate with
     | Drift_engine ->
       (* Seeded drift: shift the oracle by +1.0 so the differential
@@ -140,11 +167,6 @@ let failures ?(mutate = No_mutation) ~onchip_bytes program =
         (Fmt.str "%a"
            (Fmt.list ~sep:Fmt.comma Mhla_analysis.Diagnostic.pp)
            report.Crosscheck.analysis.Crosscheck.analysis_errors);
-    let ra =
-      Explore.run
-        ~search:(Explore.Annealing { seed = 0x5EEDL; iterations = anneal_iterations })
-        program hierarchy
-    in
     let ca =
       Crosscheck.check_analysis ra.Explore.assign.Mhla_core.Assign.mapping
         ra.Explore.te
@@ -232,7 +254,7 @@ let failures ?(mutate = No_mutation) ~onchip_bytes program =
          Policy.make
            ~search:
              (Explore.Annealing
-                { seed = 0x5EEDL; iterations = anneal_iterations })
+                { seed = anneal_seed; iterations = anneal_iterations })
            "anneal";
        ]
      in

@@ -13,7 +13,9 @@ type mutation =
   | No_mutation
   | Drift_engine
       (** compare the incremental engine against an oracle value
-          shifted by +1.0 — the ["engine"] check must fail *)
+          shifted by +1.0, and each search against a reference result
+          with one phantom evaluation — the ["engine"] check must fail,
+          once per comparison *)
   | Drift_interp
       (** expect one more dynamic event than the static model predicts
           — the ["interp"] check must fail *)
@@ -35,10 +37,15 @@ val check_names : string list
     format's program codec is the identity across an
     emit → parse → decode → emit round trip), ["engine"] (incremental cost
     engine bit-identical to [Cost.evaluate] through a churn round
-    trip, and the engine greedy, which skips the probes its cached
-    deltas certify, taking exactly the oracle greedy's decisions and
-    evaluation count), ["xval"] (pipeline-simulated vs analytic stalls within the
-    cold-start bound, zero-fault replay exact), ["verifier-greedy"] and
+    trip; the greedy, which skips the probes its cached deltas
+    certify, taking exactly {!Reference.greedy}'s decisions and
+    evaluation count on the case's platform and on one with a second,
+    8x larger on-chip level; and the case's annealing solve taking
+    exactly {!Reference.simulated_annealing}'s on the same seed,
+    iterations and platform), ["xval"] (pipeline-simulated vs analytic
+    stalls within the cold-start bound, zero-fault replay exact),
+    ["esim"] (the event-driven simulator tracks the analytic TE gain
+    and replays the pipeline exactly), ["verifier-greedy"] and
     ["verifier-anneal"] (the static verifier accepts the greedy and
     annealing solver outputs), ["interp"] (trace-interpreter access
     counts match the static and reuse-analysis counts), ["faults"]

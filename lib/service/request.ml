@@ -377,9 +377,12 @@ let int_field ~path fields name default =
 let search_of_json ~path j =
   let fields = as_obj ~path j in
   let get = int_field ~path fields in
+  let iterations = get "iterations" 4000 in
+  if iterations < 1 then
+    fail ~path "iterations must be at least 1 (got %d)" iterations;
   Mhla_policy.Registry.search_of_name ~context:"Request.of_json"
     ~seed:(Int64.of_int (get "seed" 42))
-    ~iterations:(get "iterations" 4000)
+    ~iterations
     (as_str ~path:(path ^ ".kind") (field ~path fields "kind"))
 
 let fault_spec_of_json ~path j =

@@ -22,6 +22,10 @@
                   "trials": 8 } }
     v}
 
+    The search's ["iterations"] (default 4000) and the faults rider's
+    ["trials"] (default 4) must each be at least 1; anything less is an
+    [Invalid_input] decode error, not a skipped search.
+
     A three-level platform instead:
     [{ "arch": { "l1_bytes": 512, "l2_bytes": 4096, "dma": true } }],
     and a platform of any depth:

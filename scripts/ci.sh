@@ -258,12 +258,21 @@ else
 fi
 
 echo "== fuzz gate =="
-# 200 seeded random programs through the full differential battery
-# (engine, pipeline cross-validation, verifier on both search engines,
-# trace interpreter, fault injection) — deterministic in --seed.
+# 200 seeded random programs through the full differential battery —
+# all 11 checks: json (wire codec round trip), engine (incremental cost
+# engine vs Cost.evaluate, and the greedy and annealing searches vs
+# their from-scratch references), xval (pipeline vs analytic stalls),
+# esim (event simulator vs analytic TE gain), verifier-greedy and
+# verifier-anneal (static verifier on both searches' outputs), interp
+# (trace interpreter vs static access counts), faults (fault-injected
+# pipeline inside the analytic envelope), pareto (branch-and-bound
+# frontier vs brute force), policy (portfolio winner verifies clean,
+# never worse than greedy) and incremental-verify (incremental vs
+# from-scratch verifier) — deterministic in --seed.
 dune exec -- bin/mhla_cli.exe fuzz --seed 42 --count 200 --jobs 2 -q
-# The gate must be live: a seeded engine drift has to fail with exit 1
-# and print a shrunk, replayable counterexample.
+# The gate must be live: a seeded engine drift has to fail with exit 1,
+# trip the annealing comparison as well as the greedy one, and print a
+# shrunk, replayable counterexample.
 rc=0
 fuzz_out=$(dune exec -- bin/mhla_cli.exe fuzz --seed 42 --count 3 --jobs 1 \
   --mutate engine 2>&1) || rc=$?
@@ -277,6 +286,10 @@ echo "$fuzz_out" | grep -q "replay: mhla fuzz --replay=" || {
 }
 echo "$fuzz_out" | grep -q "shrunk reproducer" || {
   echo "seeded engine drift did not print a shrunk reproducer" >&2
+  exit 1
+}
+echo "$fuzz_out" | grep -q "annealing decisions diverge" || {
+  echo "seeded engine drift did not trip the annealing comparison" >&2
   exit 1
 }
 # The incremental-verify differential must be live too: a seeded drift

@@ -10,6 +10,7 @@ module Engine = Mhla_core.Engine
 module Mapping = Mhla_core.Mapping
 module Occupancy = Mhla_lifetime.Occupancy
 module Presets = Mhla_arch.Presets
+module Reference = Mhla_gen.Reference
 
 let conv ?(n = 16) () =
   let open Build in
@@ -178,7 +179,7 @@ let test_exhaustive_matches_or_beats_greedy () =
     { cycles_config with Assign.allow_array_promotion = false }
   in
   let greedy = Assign.greedy ~config program h in
-  match Assign.exhaustive ~config ~max_states:1_000_000 program h with
+  match Reference.exhaustive ~config ~max_states:1_000_000 program h with
   | Error msg -> Alcotest.fail msg
   | Ok optimal ->
     Alcotest.(check bool) "optimal <= greedy" true
@@ -191,7 +192,7 @@ let test_exhaustive_matches_or_beats_greedy () =
 let test_exhaustive_budget_guard () =
   let program = conv () in
   let h = Presets.two_level ~onchip_bytes:512 () in
-  match Assign.exhaustive ~max_states:10 program h with
+  match Reference.exhaustive ~max_states:10 program h with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected the state budget to trip"
 
@@ -201,7 +202,7 @@ let test_exhaustive_feasibility () =
   let config =
     { cycles_config with Assign.allow_array_promotion = false }
   in
-  match Assign.exhaustive ~config ~max_states:1_000_000 program h with
+  match Reference.exhaustive ~config ~max_states:1_000_000 program h with
   | Error msg -> Alcotest.fail msg
   | Ok result ->
     Alcotest.(check bool) "result fits the 64-byte budget" true
@@ -274,7 +275,7 @@ let test_greedy_engine_equals_oracle_on_apps () =
         Presets.two_level ~onchip_bytes:app.Mhla_apps.Defs.onchip_bytes ()
       in
       let engine = Assign.greedy program h in
-      let oracle = Assign.greedy ~oracle:true program h in
+      let oracle = Reference.greedy program h in
       Alcotest.(check bool)
         (app.Mhla_apps.Defs.name ^ ": identical result") true
         (fingerprint engine = fingerprint oracle);
@@ -300,7 +301,7 @@ let test_greedy_engine_equals_oracle_on_pareto_grid () =
         (fun budgets ->
           let h = Presets.multi_level ~level_bytes:budgets () in
           let engine = Assign.greedy ~reuse program h in
-          let oracle = Assign.greedy ~oracle:true ~reuse program h in
+          let oracle = Reference.greedy ~reuse program h in
           let what =
             Printf.sprintf "%s at %s" app.Mhla_apps.Defs.name
               (String.concat "/" (List.map string_of_int budgets))
@@ -321,7 +322,7 @@ let test_greedy_engine_equals_oracle_on_kernel () =
         (fun (config, first_improvement) ->
           let engine = Assign.greedy ~config ~first_improvement program h in
           let oracle =
-            Assign.greedy ~config ~first_improvement ~oracle:true program h
+            Reference.greedy ~config ~first_improvement program h
           in
           Alcotest.(check bool)
             (Printf.sprintf "budget %d%s: identical result" budget
@@ -341,8 +342,7 @@ let test_anneal_engine_equals_oracle () =
         Assign.simulated_annealing ~seed ~iterations:600 program h
       in
       let oracle =
-        Assign.simulated_annealing ~oracle:true ~seed ~iterations:600
-          program h
+        Reference.simulated_annealing ~seed ~iterations:600 program h
       in
       Alcotest.(check bool)
         (Printf.sprintf "budget %d seed %Ld: identical result" budget seed)
@@ -354,13 +354,9 @@ let test_result_evaluation_accounting () =
   let program = conv () in
   let h = Presets.two_level ~onchip_bytes:512 () in
   let engine = Assign.greedy program h in
-  let oracle = Assign.greedy ~oracle:true program h in
-  Alcotest.(check int) "oracle: every evaluation is full"
-    oracle.Assign.evaluations oracle.Assign.full_evaluations;
+  let oracle = Reference.greedy program h in
   Alcotest.(check int) "oracle: no cache traffic" 0
     (oracle.Assign.cache_hits + oracle.Assign.cache_misses);
-  Alcotest.(check int) "engine: no full evaluations" 0
-    engine.Assign.full_evaluations;
   Alcotest.(check bool) "engine: cache exercised" true
     (engine.Assign.cache_hits > 0 && engine.Assign.cache_misses > 0);
   Alcotest.(check bool) "engine: hits dominate on repeated probing" true

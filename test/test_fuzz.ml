@@ -16,6 +16,7 @@ module Prng = Mhla_util.Prng
 module Explore = Mhla_core.Explore
 module Prefetch = Mhla_core.Prefetch
 module Presets = Mhla_arch.Presets
+module Reference = Mhla_gen.Reference
 
 (* --- generator --------------------------------------------------------- *)
 
@@ -336,11 +337,23 @@ let prop_engine_matches_oracle =
           !ok)
         p)
 
-(* The lazy greedy against the from-scratch oracle greedy: every
-   decision (placements, promoted arrays, each step's move, gain and
-   objective, the final breakdown) and the evaluation count. The engine
-   flavour skips the probes its cached deltas certify; none of that may
-   show. Returns the agreement and the engine's committed moves. *)
+(* Every search decision (placements, promoted arrays, each step's
+   move, gain and objective, the final breakdown) and the evaluation
+   count. *)
+let fingerprint (r : Assign.result) =
+  let m = r.Assign.mapping in
+  ( List.map
+      (fun (info : Analysis.info) -> Mapping.placement_of m info.Analysis.ref_)
+      m.Mapping.infos,
+    m.Mapping.array_layers,
+    r.Assign.steps,
+    r.Assign.breakdown,
+    r.Assign.evaluations )
+
+(* The lazy greedy against the from-scratch reference greedy, by
+   [fingerprint]. The greedy skips the probes its cached deltas
+   certify; none of that may show. Returns the agreement and the
+   greedy's committed moves. *)
 let greedy_agrees ~reuse p hierarchy (objective, first_improvement) =
   let config = { Assign.default_config with Assign.objective } in
   let committed = ref [] in
@@ -350,17 +363,7 @@ let greedy_agrees ~reuse p hierarchy (objective, first_improvement) =
       p hierarchy
   in
   let oracle =
-    Assign.greedy ~config ~first_improvement ~oracle:true ~reuse p hierarchy
-  in
-  let fingerprint (r : Assign.result) =
-    let m = r.Assign.mapping in
-    ( List.map
-        (fun (info : Analysis.info) -> Mapping.placement_of m info.Analysis.ref_)
-        m.Mapping.infos,
-      m.Mapping.array_layers,
-      r.Assign.steps,
-      r.Assign.breakdown,
-      r.Assign.evaluations )
+    Reference.greedy ~config ~first_improvement ~reuse p hierarchy
   in
   (fingerprint engine = fingerprint oracle, List.rev !committed)
 
@@ -386,6 +389,33 @@ let prop_greedy_matches_oracle =
           List.for_all
             (fun flavour -> fst (greedy_agrees ~reuse p hierarchy flavour))
             greedy_flavours)
+        p)
+
+(* The engine-driven annealing against the from-scratch reference on
+   the same seed and iteration count, by [fingerprint]: the move table
+   must draw the reference's move from the same pseudo-random stream,
+   and every accept/reject must follow. *)
+let prop_anneal_matches_reference =
+  QCheck2.Test.make ~name:"fuzz: engine annealing = reference annealing"
+    ~count:100
+    QCheck2.Gen.(
+      pair gen_greedy_case (pair (int_range 0 100_000) (int_range 1 400)))
+    (fun ((p, budget, roomy), (seed, iterations)) ->
+      with_program
+        (fun p ->
+          let reuse = Mapping.precompute p in
+          let hierarchy = greedy_hierarchy budget roomy in
+          let seed = Int64.of_int seed in
+          List.for_all
+            (fun objective ->
+              let config = { Assign.default_config with Assign.objective } in
+              fingerprint
+                (Assign.simulated_annealing ~config ~reuse ~seed ~iterations p
+                   hierarchy)
+              = fingerprint
+                  (Reference.simulated_annealing ~config ~reuse ~seed
+                     ~iterations p hierarchy))
+            [ Cost.Energy; Cost.Cycles; Cost.Energy_delay ])
         p)
 
 (* Whether a commit sequence moves an array whole after having moved
@@ -538,6 +568,7 @@ let () =
           qc prop_crosscheck_agrees;
           qc prop_engine_matches_oracle;
           qc prop_greedy_matches_oracle;
+          qc prop_anneal_matches_reference;
           Alcotest.test_case "array commit after placements" `Quick
             test_array_commit_after_placements;
           qc prop_emit_well_formed;

@@ -92,16 +92,36 @@ let test_oracle_clean_on_generated_programs () =
         (seeds 1 8))
     (("mixed", Gen.Mixed) :: profiles)
 
+let contains ~needle s =
+  let n = String.length needle and l = String.length s in
+  let rec go i = i + n <= l && (String.sub s i n = needle || go (i + 1)) in
+  go 0
+
+(* Each seeded drift must fail its check; the engine drift must trip
+   both search comparisons, the greedy's and the annealing's. *)
 let test_mutations_fire () =
   List.iter
-    (fun (mutate, check) ->
+    (fun (mutate, check, details) ->
       let o = Oracle.run_case ~mutate ~profile:Gen.Mixed ~seed:5L () in
-      Alcotest.(check bool)
-        (check ^ " drift detected")
-        true
-        (List.exists (fun (f : Oracle.failure) -> f.Oracle.check = check)
-           o.Oracle.failures))
-    [ (Oracle.Drift_engine, "engine"); (Oracle.Drift_interp, "interp") ]
+      let fired =
+        List.filter
+          (fun (f : Oracle.failure) -> f.Oracle.check = check)
+          o.Oracle.failures
+      in
+      Alcotest.(check bool) (check ^ " drift detected") true (fired <> []);
+      List.iter
+        (fun needle ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s drift: a failure names %S" check needle)
+            true
+            (List.exists
+               (fun (f : Oracle.failure) -> contains ~needle f.Oracle.detail)
+               fired))
+        details)
+    [ ( Oracle.Drift_engine,
+        "engine",
+        [ "greedy decisions diverge"; "annealing decisions diverge" ] );
+      (Oracle.Drift_interp, "interp", []) ]
 
 (* --- shrinker ---------------------------------------------------------- *)
 

@@ -128,6 +128,13 @@ let test_request_decode_errors () =
       Request.of_json (patch [ ("surprise", Json.int 1) ]));
   check_invalid "negative deadline" (fun () ->
       Request.of_json (patch [ ("deadline_ms", Json.int (-1)) ]));
+  check_invalid "non-positive annealing iterations" (fun () ->
+      Request.of_json
+        (patch
+           [ ( "search",
+               Json.obj
+                 [ ("kind", Json.str "anneal"); ("iterations", Json.int (-7)) ]
+             ) ]));
   check_invalid "missing id" (fun () ->
       Request.of_json
         (Json.parse_exn "{\"program\": {}, \"arch\": {\"onchip_bytes\": 64}}"));
