@@ -1296,13 +1296,9 @@ let ext_policy () =
   section "EXT-POLICY"
     "Pluggable policy layer: racing the default portfolio\n\
      (greedy / greedy-first / anneal) per application — winner, wall\n\
-     clock serial vs parallel, win rate — then the corpus-fitted\n\
-     CC-pruning predictor: engine probes spent with and without the\n\
-     filter, and the filter's precision/recall against engine-verified\n\
-     single-placement gains.";
+     clock serial vs parallel, win rate.";
   let module Policy = Mhla_policy.Policy in
   let module Portfolio = Mhla_policy.Portfolio in
-  let module Predictor = Mhla_policy.Predictor in
   let policies = Mhla_policy.Registry.default_portfolio in
   let table =
     Table.create
@@ -1362,108 +1358,7 @@ let ext_policy () =
         (Mhla_util.Json.int n);
       Printf.printf "  %-18s wins %d/%d\n" p.Policy.name n
         (List.length Apps.all))
-    policies;
-  print_newline ();
-  (* The predictor trains on a seeded generated corpus — deliberately
-     disjoint from the nine registry apps it is then judged on. *)
-  let corpus_seed = 0xF17L and corpus_count = 24 in
-  let rng = Mhla_util.Prng.create ~seed:corpus_seed in
-  let rec draw k acc =
-    if k = corpus_count then List.rev acc
-    else draw (k + 1) (Mhla_util.Prng.next_int64 rng :: acc)
-  in
-  let samples =
-    List.concat_map
-      (fun s ->
-        let case =
-          Mhla_gen.Generate.case ~profile:Mhla_gen.Generate.Mixed ~seed:s ()
-        in
-        Predictor.samples case.Mhla_gen.Generate.program
-          (Mhla_arch.Presets.two_level
-             ~onchip_bytes:case.Mhla_gen.Generate.onchip_bytes ()))
-      (draw 0 [])
-  in
-  let model = Predictor.fit samples in
-  Printf.printf
-    "predictor: fitted on %d candidate sample(s) from %d generated \
-     program(s) (seed %Ld)\n\n"
-    (List.length samples) corpus_count corpus_seed;
-  metric "ext_policy.predictor.corpus_samples"
-    (Mhla_util.Json.int (List.length samples));
-  let ptable =
-    Table.create
-      ~columns:
-        [ ("application", Table.Left);
-          ("probes greedy", Table.Right);
-          ("probes filtered", Table.Right);
-          ("saved", Table.Right);
-          ("objective drift %", Table.Right);
-          ("verifier", Table.Left) ]
-  in
-  let tp = ref 0 and fp = ref 0 and fn = ref 0 and tn = ref 0 in
-  List.iter
-    (fun (app : Mhla_apps.Defs.t) ->
-      let name = app.Mhla_apps.Defs.name in
-      let program = Lazy.force app.Mhla_apps.Defs.program in
-      let hierarchy =
-        Mhla_arch.Presets.two_level
-          ~onchip_bytes:app.Mhla_apps.Defs.onchip_bytes ()
-      in
-      let unfiltered = Explore.run program hierarchy in
-      let filtered =
-        Policy.run (Policy.predictor model) program hierarchy
-      in
-      let pg = unfiltered.Explore.assign.Assign.evaluations in
-      let pf = filtered.Explore.assign.Assign.evaluations in
-      let obj (r : Explore.result) =
-        Cost.scalar Cost.Energy_delay r.Explore.after_te
-      in
-      let drift =
-        100. *. (obj filtered -. obj unfiltered) /. obj unfiltered
-      in
-      let check =
-        Mhla_sim.Crosscheck.check_analysis
-          filtered.Explore.assign.Assign.mapping filtered.Explore.te
-      in
-      let clean = check.Mhla_sim.Crosscheck.analysis_clean in
-      let key m = Printf.sprintf "ext_policy.%s.%s" name m in
-      metric (key "probes_greedy") (Mhla_util.Json.int pg);
-      metric (key "probes_predictor") (Mhla_util.Json.int pf);
-      metric (key "predictor_clean") (Mhla_util.Json.bool clean);
-      Table.add_row ptable
-        [ name;
-          Table.cell_int pg;
-          Table.cell_int pf;
-          Table.cell_percent
-            (100. *. float_of_int (pg - pf) /. float_of_int (max 1 pg));
-          Table.cell_float drift;
-          (if clean then "clean" else "DIRTY") ];
-      (* Ground truth for the filter quality is the engine itself: a
-         candidate is genuinely useful when its probed single-placement
-         gain clears the model threshold. *)
-      List.iter
-        (fun (s : Predictor.sample) ->
-          let predicted =
-            Predictor.predict model s.Predictor.features
-            > model.Predictor.threshold
-          in
-          let actual = s.Predictor.gain > model.Predictor.threshold in
-          match (predicted, actual) with
-          | true, true -> incr tp
-          | true, false -> incr fp
-          | false, true -> incr fn
-          | false, false -> incr tn)
-        (Predictor.samples program hierarchy))
-    Apps.all;
-  Table.print ptable;
-  let ratio a b = float_of_int a /. float_of_int (max 1 (a + b)) in
-  let precision = ratio !tp !fp and recall = ratio !tp !fn in
-  metric "ext_policy.predictor.precision" (Mhla_util.Json.float precision);
-  metric "ext_policy.predictor.recall" (Mhla_util.Json.float recall);
-  Printf.printf
-    "predictor filter vs engine-verified gains over the nine apps:\n\
-    \  precision %.3f  recall %.3f  (tp %d fp %d fn %d tn %d)\n"
-    precision recall !tp !fp !fn !tn
+    policies
 
 let sections =
   [ ("FIG2", fig2);

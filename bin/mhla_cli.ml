@@ -4,7 +4,7 @@
      list                      the nine bundled applications
      show APP                  print an application's loop-nest program
      run APP [--onchip N] ...  the full two-step flow with a report
-                               (--policy/--model pick a search policy,
+                               (--policy picks a search policy,
                                --portfolio races a field of them)
      emit APP                  pseudo-C of the transformed program
      sweep APP [--min/--max]   trade-off exploration over on-chip sizes
@@ -15,7 +15,6 @@
                                (EXT-ESIM; --queue-depth/--shared-bus/...)
      check APP [--Werror] ...  static verification of the solver output
      fuzz [--seed] [--count]   differential fuzzing over generated programs
-     fit [--seed] [--count]    fit the CC-pruning predictor on a corpus
      batch FILE.jsonl          solve a JSONL request file, one response each
      serve --stdin             daemon: JSONL requests in, responses out
      soak [--requests N]       chaos soak of the service (CI gate)
@@ -33,7 +32,6 @@ module Error = Mhla_util.Error
 module Explore = Mhla_core.Explore
 module Policy = Mhla_policy.Policy
 module Portfolio = Mhla_policy.Portfolio
-module Predictor = Mhla_policy.Predictor
 module Prefetch = Mhla_core.Prefetch
 module Registry = Mhla_policy.Registry
 module Report = Mhla_core.Report
@@ -303,40 +301,9 @@ let verify_live_arg =
            The observer never feeds back: output is bit-identical to a \
            plain run.")
 
-let load_model file =
-  let content =
-    let ic =
-      try open_in file
-      with Sys_error m ->
-        Error.invalidf ~context:"mhla run"
-          ~hint:"pass --model a JSON file written by mhla fit" "%s" m
-    in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  Predictor.of_json (Mhla_util.Json.parse_exn content)
-
-(* Policy names resolve here, at the boundary: [--model FILE] is the
-   predictor policy with that fitted model. *)
-let resolve_policy policy model =
-  match (policy, model) with
-  | None, None -> None
-  | (Some "predictor" | None), Some file ->
-    Some (Policy.predictor (load_model file))
-  | Some "predictor", None ->
-    Error.invalidf ~context:"mhla run"
-      ~hint:"the predictor policy needs a fitted model; pass --model FILE \
-             (see mhla fit)"
-      "--policy predictor requires --model"
-  | Some name, None -> Some (Registry.find ~context:"mhla run" name)
-  | Some name, Some _ ->
-    Error.invalidf ~context:"mhla run"
-      "--model only applies to the predictor policy (got --policy %s)" name
-
 let run_cmd =
-  let run name onchip dma objective mode search policy model portfolio
-      policies jobs deadline_ms verify_live json verbosity trace =
+  let run name onchip dma objective mode search policy portfolio policies
+      jobs deadline_ms verify_live json verbosity trace =
     guarded @@ fun () ->
     let program, arch = app_job name ~onchip ~dma in
     check_jobs jobs;
@@ -365,7 +332,8 @@ let run_cmd =
     let req =
       Request.make ?kind ~objective ~transfer_mode:mode
         ?search:(resolve_search search)
-        ?policy:(resolve_policy policy model) ~id:name ~arch program
+        ?policy:(Option.map (Registry.find ~context:"mhla run") policy)
+        ~id:name ~arch program
     in
     (* The live report goes to stderr only: a --verify-live run's
        stdout is bit-identical to a plain one (pinned by CI). *)
@@ -403,18 +371,10 @@ let run_cmd =
   let policy_arg =
     let doc =
       "Run under a named policy (search + TE order + CC filter); see the \
-       registry: greedy, greedy-first, anneal, te-fifo, te-size, lean, or \
-       predictor (with $(b,--model))."
+       registry: greedy, greedy-first, anneal, te-fifo, te-size, lean."
     in
     Arg.(
       value & opt (some string) None & info [ "policy" ] ~docv:"NAME" ~doc)
-  in
-  let model_arg =
-    let doc =
-      "Fitted CC-pruning predictor (JSON from $(b,mhla fit)); implies the \
-       predictor policy."
-    in
-    Arg.(value & opt (some string) None & info [ "model" ] ~docv:"FILE" ~doc)
   in
   let portfolio_arg =
     let doc =
@@ -446,9 +406,9 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       const run $ app_arg $ onchip_arg $ dma_arg $ objective_arg $ mode_arg
-      $ search_arg $ policy_arg $ model_arg $ portfolio_arg $ policies_arg
-      $ jobs_arg $ deadline_arg $ verify_live_arg $ json_arg
-      $ verbosity_term $ trace_arg)
+      $ search_arg $ policy_arg $ portfolio_arg $ policies_arg $ jobs_arg
+      $ deadline_arg $ verify_live_arg $ json_arg $ verbosity_term
+      $ trace_arg)
 
 let emit_cmd =
   let run name onchip dma objective mode =
@@ -1283,101 +1243,6 @@ let fuzz_cmd =
       const run $ seed_arg $ count_arg $ profile_arg $ jobs_arg $ replay_arg
       $ mutate_arg $ verbosity_term)
 
-(* --- fit --------------------------------------------------------------- *)
-
-let fit_cmd =
-  let run seed count profile threshold ridge output verbosity =
-    guarded @@ fun () ->
-    if count < 1 then
-      Error.invalidf ~context:"mhla fit"
-        ~hint:"pass --count a positive number of programs"
-        "count must be at least 1 (got %d)" count;
-    (* The corpus is named exactly like the fuzzer's: case seeds drawn
-       from a root PRNG stream, each program solved under its profile
-       budget — so --seed N --count K labels the same training set on
-       every machine and the fitted weights are bit-reproducible. *)
-    let rng = Mhla_util.Prng.create ~seed in
-    let rec draw k acc =
-      if k = count then List.rev acc
-      else draw (k + 1) (Mhla_util.Prng.next_int64 rng :: acc)
-    in
-    let seeds = draw 0 [] in
-    let samples =
-      List.concat_map
-        (fun case_seed ->
-          let case = Gen.case ~profile ~seed:case_seed () in
-          let hierarchy =
-            Mhla_arch.Presets.two_level
-              ~onchip_bytes:case.Gen.onchip_bytes ()
-          in
-          Predictor.samples case.Gen.program hierarchy)
-        seeds
-    in
-    let model = Predictor.fit ~ridge ~threshold samples in
-    let text =
-      Mhla_util.Json.to_string ~indent:2 (Predictor.to_json model)
-    in
-    (match output with
-    | None -> print_endline text
-    | Some file ->
-      let oc =
-        try open_out file
-        with Sys_error m ->
-          Error.invalidf ~context:"mhla fit" ~hint:"pass -o a writable path"
-            "%s" m
-      in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          output_string oc text;
-          output_char oc '\n'));
-    if verbosity <> Quiet then
-      Fmt.epr
-        "fit: %d sample(s) from %d program(s) (profile %s, seed %Ld)@."
-        model.Predictor.samples count (Gen.profile_name profile) seed
-  in
-  let seed_arg =
-    Arg.(value & opt int64 42L
-         & info [ "seed" ] ~docv:"INT64"
-             ~doc:"Root seed of the corpus case-seed stream.")
-  in
-  let count_arg =
-    Arg.(value & opt int 40
-         & info [ "count" ] ~docv:"N"
-             ~doc:"Programs to generate and label.")
-  in
-  let profile_arg =
-    Arg.(value & opt (enum Gen.all_profiles) Gen.Mixed
-         & info [ "profile" ] ~docv:"PROFILE"
-             ~doc:"Difficulty profile of the corpus (see $(b,mhla fuzz)).")
-  in
-  let threshold_arg =
-    Arg.(value & opt float Mhla_policy.Predictor.default_threshold
-         & info [ "threshold" ] ~docv:"GAIN"
-             ~doc:"Keep candidates whose predicted relative gain exceeds \
-                   $(docv); stored in the model.")
-  in
-  let ridge_arg =
-    Arg.(value & opt float 1e-6
-         & info [ "ridge" ] ~docv:"LAMBDA"
-             ~doc:"Ridge regularisation of the least-squares fit.")
-  in
-  let output_arg =
-    Arg.(value & opt (some string) None
-         & info [ "o"; "output" ] ~docv:"FILE"
-             ~doc:"Write the model JSON to $(docv) instead of stdout.")
-  in
-  let doc =
-    "Fit the CC-pruning predictor: generate a seeded corpus of programs, \
-     label every copy candidate with its engine-probed single-placement \
-     gain, and fit the linear model $(b,mhla run --model) loads. \
-     Deterministic in the seed."
-  in
-  Cmd.v (Cmd.info "fit" ~doc)
-    Term.(
-      const run $ seed_arg $ count_arg $ profile_arg $ threshold_arg
-      $ ridge_arg $ output_arg $ verbosity_term)
-
 (* --- service (batch / serve / soak) ------------------------------------ *)
 
 module Soak = Mhla_service.Soak
@@ -1611,4 +1476,4 @@ let () =
        (Cmd.group info
           [ list_cmd; show_cmd; run_cmd; emit_cmd; sweep_cmd; pareto_cmd;
             figures_cmd; robustness_cmd; simulate_cmd; check_cmd; fuzz_cmd;
-            fit_cmd; batch_cmd; serve_cmd; soak_cmd ]))
+            batch_cmd; serve_cmd; soak_cmd ]))

@@ -4,7 +4,7 @@ module Assign = Mhla_core.Assign
 module Explore = Mhla_core.Explore
 module Prefetch = Mhla_core.Prefetch
 
-type cc_filter = Keep_all | Top_k of int | Model of Predictor.model
+type cc_filter = Keep_all | Top_k of int
 
 type t = {
   name : string;
@@ -30,8 +30,6 @@ let te_size = make ~order:Prefetch.By_size "te-size"
 
 let lean = make ~cc_filter:(Top_k 1) "lean"
 
-let predictor model = make ~cc_filter:(Model model) "predictor"
-
 (* Per-access membership in the top-k by reuse factor. The sort is
    stable over [useful_candidates]'s deterministic order (ties keep
    source order), so the kept set is a function of the info alone —
@@ -52,22 +50,18 @@ let top_k_keep ~transfer_mode k (info : Analysis.info) (c : Candidate.t) =
   in
   mem k ranked
 
-let install ~config program p =
+let install ~config p =
   let filter =
     match p.cc_filter with
     | Keep_all -> None
     | Top_k k ->
         Some (top_k_keep ~transfer_mode:config.Assign.transfer_mode k)
-    | Model m ->
-        Some
-          (Predictor.keep m ~transfer_mode:config.Assign.transfer_mode
-             program)
   in
   { config with Assign.cc_filter = filter }
 
 let run ?(config = Assign.default_config) ?telemetry ?reuse ?checkpoint
     ?on_commit p program hierarchy =
   Explore.run
-    ~config:(install ~config program p)
+    ~config:(install ~config p)
     ~order:p.order ~search:p.search ?telemetry ?reuse ?checkpoint ?on_commit
     program hierarchy

@@ -15,17 +15,14 @@
     the policy; {!greedy} reproduces the default pipeline
     bit-identically (the regression tests assert it). Policies are
     plain data so the portfolio can race them and the registry can
-    name them; only the [Model] filter drags a fitted predictor
-    along. *)
+    name them. *)
 
 (** The CC-selection policies. [Keep_all] is the pre-policy behaviour
     (every useful candidate). [Top_k k] keeps, per access, the [k]
     candidates with the highest reuse factor under the config's
-    transfer mode (stable on ties, so deterministic). [Model m]
-    keeps candidates the fitted {!Predictor} expects to improve the
-    objective. [Direct] always remains an alternative, so every
-    filter is safe. *)
-type cc_filter = Keep_all | Top_k of int | Model of Predictor.model
+    transfer mode (stable on ties, so deterministic). [Direct]
+    always remains an alternative, so every filter is safe. *)
+type cc_filter = Keep_all | Top_k of int
 
 type t = {
   name : string;  (** registry key, also used in reports *)
@@ -65,16 +62,11 @@ val lean : t
 (** ["lean"] — greedy step 1 over only the single best candidate per
     access ([Top_k 1]): the cheap end of the probe-budget spectrum. *)
 
-val predictor : Predictor.model -> t
-(** ["predictor"] — greedy step 1 with the fitted model filtering
-    candidates before any engine probe is spent on them. *)
-
 val install :
-  config:Mhla_core.Assign.config -> Mhla_ir.Program.t -> t ->
-  Mhla_core.Assign.config
+  config:Mhla_core.Assign.config -> t -> Mhla_core.Assign.config
 (** The config with this policy's [cc_filter] closure set (closing
-    over the config's transfer mode and the program). [Keep_all]
-    installs [None], keeping the config structurally comparable. *)
+    over the config's transfer mode). [Keep_all] installs [None],
+    keeping the config structurally comparable. *)
 
 val run :
   ?config:Mhla_core.Assign.config ->

@@ -30,9 +30,7 @@ val search_name : Mhla_core.Explore.search -> string
 
 val builtins : Policy.t list
 (** Every nameable policy, in canonical order: greedy, greedy-first,
-    anneal, te-fifo, te-size, lean. (The predictor policy needs a
-    fitted model, so it is built with {!Policy.predictor}, not
-    named here.) *)
+    anneal, te-fifo, te-size, lean. *)
 
 val names : string list
 

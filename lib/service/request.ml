@@ -374,16 +374,35 @@ let int_field ~path fields name default =
   | None -> default
   | Some v -> as_int ~path:(path ^ "." ^ name) v
 
+(* Only annealing takes a seed and an iteration count. Any other field
+   (or those two on another kind) would be decoded and then ignored, so
+   it is rejected at its own path. *)
 let search_of_json ~path j =
   let fields = as_obj ~path j in
   let get = int_field ~path fields in
   let iterations = get "iterations" 4000 in
   if iterations < 1 then
     fail ~path "iterations must be at least 1 (got %d)" iterations;
-  Mhla_policy.Registry.search_of_name ~context:"Request.of_json"
-    ~seed:(Int64.of_int (get "seed" 42))
-    ~iterations
-    (as_str ~path:(path ^ ".kind") (field ~path fields "kind"))
+  let search =
+    Mhla_policy.Registry.search_of_name ~context:"Request.of_json"
+      ~seed:(Int64.of_int (get "seed" 42))
+      ~iterations
+      (as_str ~path:(path ^ ".kind") (field ~path fields "kind"))
+  in
+  let takes =
+    match search with
+    | Explore.Annealing _ -> [ "kind"; "seed"; "iterations" ]
+    | Explore.Greedy | Explore.First_improvement -> [ "kind" ]
+  in
+  List.iter
+    (fun (name, _) ->
+      if not (List.mem name takes) then
+        fail ~path:(path ^ "." ^ name)
+          "the %s search takes no %S field (expected one of: %s)"
+          (Mhla_policy.Registry.search_name search)
+          name (String.concat ", " takes))
+    fields;
+  search
 
 let fault_spec_of_json ~path j =
   let fields = as_obj ~path j in

@@ -24,7 +24,10 @@
 
     The search's ["iterations"] (default 4000) and the faults rider's
     ["trials"] (default 4) must each be at least 1; anything less is an
-    [Invalid_input] decode error, not a skipped search.
+    [Invalid_input] decode error, not a skipped search. Only an
+    ["anneal"] search takes ["seed"] and ["iterations"]: either one on
+    a ["greedy"] or ["first-improvement"] search, like any field a
+    search does not know, is a decode error, not ignored.
 
     A three-level platform instead:
     [{ "arch": { "l1_bytes": 512, "l2_bytes": 4096, "dma": true } }],
@@ -73,8 +76,8 @@
     spell, for callers that never serialise them (the CLI):
     - a transfer mode on a [Portfolio] or [Simulate] kind (the wire's
       ["mode"] field already holds the kind);
-    - a [policy] outside the registry, such as
-      {!Mhla_policy.Policy.predictor} with a fitted model.
+    - a [policy] outside the registry, such as one built with
+      {!Mhla_policy.Policy.make}.
 
     {!to_json} raises on both rather than silently drop them. *)
 

@@ -1,14 +1,12 @@
 (* Tests for the pluggable policy layer: default-policy bit-identity
    against pre-refactor snapshots, portfolio determinism across worker
-   counts, the corpus-fitted pruning predictor, and the name registry. *)
+   counts, and the name registry. *)
 
 module Assign = Mhla_core.Assign
 module Cost = Mhla_core.Cost
 module Explore = Mhla_core.Explore
-module Crosscheck = Mhla_sim.Crosscheck
 module Policy = Mhla_policy.Policy
 module Portfolio = Mhla_policy.Portfolio
-module Predictor = Mhla_policy.Predictor
 module Registry = Mhla_policy.Registry
 module Presets = Mhla_arch.Presets
 
@@ -149,64 +147,6 @@ let test_portfolio_rejects_empty () =
     -> ()
   | _ -> Alcotest.fail "empty portfolio should raise Invalid_input"
 
-let corpus_samples seed count =
-  let rng = Mhla_util.Prng.create ~seed in
-  let rec go k acc =
-    if k = count then List.rev acc
-    else
-      let case_seed = Mhla_util.Prng.next_int64 rng in
-      let case =
-        Mhla_gen.Generate.case ~profile:Mhla_gen.Generate.Mixed
-          ~seed:case_seed ()
-      in
-      let samples =
-        Predictor.samples case.Mhla_gen.Generate.program
-          (Presets.two_level
-             ~onchip_bytes:case.Mhla_gen.Generate.onchip_bytes ())
-      in
-      go (k + 1) (List.rev_append samples acc)
-  in
-  List.rev (go 0 [])
-
-let test_fit_deterministic () =
-  let m1 = Predictor.fit (corpus_samples 0xF17L 6) in
-  let m2 = Predictor.fit (corpus_samples 0xF17L 6) in
-  Alcotest.(check bool)
-    "same corpus -> identical weights" true
-    (m1.Predictor.weights = m2.Predictor.weights);
-  Alcotest.(check int) "sample count recorded" m1.Predictor.samples
-    m2.Predictor.samples;
-  (* And the model survives its own wire format bit-exactly. *)
-  let back = Predictor.of_json (Predictor.to_json m1) in
-  Alcotest.(check bool)
-    "json round trip" true (back.Predictor.weights = m1.Predictor.weights)
-
-let test_predictor_policy_saves_probes_and_verifies () =
-  (* Same corpus the EXT-POLICY bench fits on; the 6-case corpus of the
-     determinism test is too thin for the filter to fire on qsdpcm. *)
-  let model = Predictor.fit (corpus_samples 0xF17L 24) in
-  let app = Mhla_apps.Registry.find_exn "qsdpcm" in
-  let program, hierarchy = app_platform app in
-  let unfiltered = Explore.run program hierarchy in
-  let filtered = Policy.run (Policy.predictor model) program hierarchy in
-  Alcotest.(check bool)
-    "fewer engine probes than unfiltered greedy" true
-    (filtered.Explore.assign.Assign.evaluations
-    < unfiltered.Explore.assign.Assign.evaluations);
-  let check =
-    Crosscheck.check_analysis filtered.Explore.assign.Assign.mapping
-      filtered.Explore.te
-  in
-  Alcotest.(check bool)
-    "filtered solution verifier-clean" true
-    check.Crosscheck.analysis_clean
-
-let test_fit_rejects_empty () =
-  match Predictor.fit [] with
-  | exception Mhla_util.Error.Error { kind = Mhla_util.Error.Invalid_input; _ }
-    -> ()
-  | _ -> Alcotest.fail "fit on empty corpus should raise Invalid_input"
-
 let test_registry_names () =
   Alcotest.(check (list string))
     "builtin names"
@@ -253,13 +193,6 @@ let () =
             test_portfolio_tie_breaks_to_first;
           Alcotest.test_case "rejects empty" `Quick
             test_portfolio_rejects_empty ] );
-      ( "predictor",
-        [ Alcotest.test_case "fit deterministic" `Quick
-            test_fit_deterministic;
-          Alcotest.test_case "saves probes, verifies clean" `Quick
-            test_predictor_policy_saves_probes_and_verifies;
-          Alcotest.test_case "rejects empty corpus" `Quick
-            test_fit_rejects_empty ] );
       ( "registry",
         [ Alcotest.test_case "names and aliases" `Quick test_registry_names;
           Alcotest.test_case "unknown names" `Quick

@@ -135,6 +135,30 @@ let test_request_decode_errors () =
                Json.obj
                  [ ("kind", Json.str "anneal"); ("iterations", Json.int (-7)) ]
              ) ]));
+  (* A seed or an iteration count only means something to annealing:
+     on any other kind it is rejected, not silently ignored, and so is
+     a field no search takes. *)
+  List.iter
+    (fun (kind, field) ->
+      check_invalid (Fmt.str "%s search with %s" kind field) (fun () ->
+          Request.of_json
+            (patch
+               [ ( "search",
+                   Json.obj [ ("kind", Json.str kind); (field, Json.int 9) ] )
+               ])))
+    [ ("greedy", "seed"); ("greedy", "iterations");
+      ("first-improvement", "seed"); ("first-improvement", "iterations");
+      ("anneal", "sed") ];
+  let seeded =
+    Request.of_json
+      (patch
+         [ ( "search",
+             Json.obj [ ("kind", Json.str "anneal"); ("seed", Json.int 9) ] )
+         ])
+  in
+  Alcotest.(check bool) "anneal search with a seed decodes" true
+    (seeded.Request.search
+    = Explore.Annealing { seed = 9L; iterations = 4000 });
   check_invalid "missing id" (fun () ->
       Request.of_json
         (Json.parse_exn "{\"program\": {}, \"arch\": {\"onchip_bytes\": 64}}"));
