@@ -1049,73 +1049,7 @@ let ext_check () =
             Table.cell_int (List.length (Verify.errors report));
             Table.cell_int (List.length (Verify.warnings report)) ]))
     (Lazy.force default_results);
-  Table.print table;
-  (* Incremental in-loop verification: the cost of one move's worth of
-     re-verification under the dirty-tracking verifier, against a full
-     from-scratch suite run at the same mapping. The speedup is what
-     makes --verify-live affordable inside a search loop. *)
-  let module Incremental = Mhla_analysis.Incremental in
-  let module Mapping = Mhla_core.Mapping in
-  let itable =
-    Table.create
-      ~columns:
-        [ ("application", Table.Left);
-          ("moves", Table.Right);
-          ("incr us/move", Table.Right);
-          ("full us/move", Table.Right);
-          ("speedup", Table.Right) ]
-  in
-  let speedups = ref [] in
-  List.iter
-    (fun (name, (_ : Explore.result)) ->
-      let app = Apps.find_exn name in
-      let program = Lazy.force app.Mhla_apps.Defs.program in
-      let hierarchy =
-        Mhla_arch.Presets.two_level
-          ~onchip_bytes:app.Mhla_apps.Defs.onchip_bytes ()
-      in
-      let config = Assign.default_config in
-      let inc =
-        Incremental.create
-          (Mapping.direct ~transfer_mode:config.Assign.transfer_mode program
-             hierarchy)
-      in
-      let per_move = ref [] in
-      for step = 1 to 6 do
-        match Assign.moves config (Incremental.mapping inc) with
-        | [] -> ()
-        | candidates ->
-          let move =
-            List.nth candidates (step * 7 mod List.length candidates)
-          in
-          Incremental.apply inc move;
-          let incr_us =
-            us (fun () ->
-                Incremental.apply inc move;
-                Incremental.report inc)
-          in
-          let full_us =
-            us (fun () -> Verify.run (Pass.of_mapping (Incremental.mapping inc)))
-          in
-          per_move := (incr_us, full_us) :: !per_move
-      done;
-      let incr_med = median (List.map fst !per_move)
-      and full_med = median (List.map snd !per_move) in
-      let speedup = if incr_med > 0. then full_med /. incr_med else 0. in
-      speedups := speedup :: !speedups;
-      Table.add_row itable
-        [ name;
-          Table.cell_int (List.length !per_move);
-          Table.cell_float ~decimals:1 incr_med;
-          Table.cell_float ~decimals:1 full_med;
-          Table.cell_float ~decimals:1 speedup ])
-    (Lazy.force default_results);
-  Table.print itable;
-  let overall = median !speedups in
-  Printf.printf "\nmedian per-move speedup, incremental vs full: %.1fx\n"
-    overall;
-  metric "ext_check.incremental.median_speedup"
-    (Mhla_util.Json.float overall)
+  Table.print table
 
 let ext_gen () =
   section "EXT-GEN"

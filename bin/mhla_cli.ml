@@ -296,10 +296,8 @@ let verify_live_arg =
     value & flag
     & info [ "verify-live" ]
         ~doc:
-          "Run the incremental verifier alongside the solve (re-checked \
-           after every committed move) and fail on any Error diagnostic. \
-           The observer never feeds back: output is bit-identical to a \
-           plain run.")
+          "Verify the solver's answer (mapping + TE schedule) with the \
+           full checker; fail on any Error.")
 
 let run_cmd =
   let run name onchip dma objective mode search policy portfolio policies
@@ -345,7 +343,7 @@ let run_cmd =
     in
     (match outcome with
     | Service.Solved { verify = Some report; _ } ->
-      Mhla_analysis.Live.require report;
+      Mhla_analysis.Verify.require report;
       if verbosity <> Quiet then
         Fmt.epr "verify-live: %a@." Check.pp_report report
     | _ -> ());
@@ -1191,8 +1189,7 @@ let fuzz_cmd =
         (match mutate with
         | Oracle.No_mutation -> ""
         | Oracle.Drift_engine -> " --mutate engine"
-        | Oracle.Drift_interp -> " --mutate interp"
-        | Oracle.Drift_verify -> " --mutate verify");
+        | Oracle.Drift_interp -> " --mutate interp");
       exit 1
   in
   let seed_arg =

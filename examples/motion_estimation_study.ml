@@ -46,7 +46,8 @@ let main () =
   print_endline (Mhla_core.Report.summary ~name:"motion_estimation" result);
   Printf.printf "moves applied by the greedy (in order):\n";
   List.iter
-    (fun (s : Assign.step) -> Printf.printf "  %s\n" s.Assign.description)
+    (fun (s : Assign.step) ->
+      Printf.printf "  %s\n" (Assign.describe_move s.Assign.move))
     result.Explore.assign.Assign.steps;
   Printf.printf "TE plans (greedy order = DMA priority):\n";
   List.iter

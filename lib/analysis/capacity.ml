@@ -123,47 +123,18 @@ let recomputed_peaks ?schedule ?analysis ~policy (m : Mapping.t) =
     (fun level -> (level, level_peak solution ?schedule ~policy m ~level))
     (Hierarchy.on_chip_levels m.Mapping.hierarchy)
 
-(* The per-level unit the incremental verifier recomputes when a move
-   dirties the level: whole-pass output is the concatenation over the
-   on-chip levels. *)
-let check_level solution ?schedule ~policy ~budget (m : Mapping.t) ~level =
+let check_level solution ?schedule ~policy (m : Mapping.t) ~level =
   let peak = level_peak solution ?schedule ~policy m ~level in
   let layer = Hierarchy.layer m.Mapping.hierarchy level in
-  let over_capacity =
-    match layer.Layer.capacity_bytes with
-    | None -> []
-    | Some capacity ->
-      if peak > capacity then
-        [
-          Diagnostic.makef ~code:"MHLA201" ~severity:Diagnostic.Error
-            ~pass:name
-            ~loc:(Diagnostic.location ~layer:level ())
-            "recomputed peak occupancy is %dB but layer %s holds %dB" peak
-            layer.Layer.name capacity;
-        ]
-      else []
-  in
-  let over_budget =
-    match budget with
-    | None -> []
-    | Some budget ->
-      if peak > budget then
-        [
-          Diagnostic.makef ~code:"MHLA202" ~severity:Diagnostic.Error
-            ~pass:name
-            ~loc:(Diagnostic.location ~layer:level ())
-            "recomputed peak occupancy is %dB but the exploration budget \
-             for layer %s is %dB"
-            peak layer.Layer.name budget;
-        ]
-      else []
-  in
-  over_capacity @ over_budget
-
-let budget_for (s : Pass.subject) level =
-  match s.Pass.layer_budgets with
-  | None -> None
-  | Some budgets -> List.nth_opt budgets level
+  match layer.Layer.capacity_bytes with
+  | Some capacity when peak > capacity ->
+    [
+      Diagnostic.makef ~code:"MHLA201" ~severity:Diagnostic.Error ~pass:name
+        ~loc:(Diagnostic.location ~layer:level ())
+        "recomputed peak occupancy is %dB but layer %s holds %dB" peak
+        layer.Layer.name capacity;
+    ]
+  | _ -> []
 
 let run (s : Pass.subject) =
   match s.Pass.mapping with
@@ -172,8 +143,8 @@ let run (s : Pass.subject) =
     let solution = Pass.solution s in
     List.concat_map
       (fun level ->
-        check_level solution ?schedule:s.Pass.schedule ~policy:s.Pass.policy
-          ~budget:(budget_for s level) m ~level)
+        check_level solution ?schedule:s.Pass.schedule ~policy:s.Pass.policy m
+          ~level)
       (Hierarchy.on_chip_levels m.Mapping.hierarchy)
 
 let pass =
@@ -182,8 +153,7 @@ let pass =
     description =
       "per-layer peak occupancy, recomputed from copy lifetimes plus TE \
        extra buffers on the abstract interpretation's timeline, stays \
-       within every on-chip capacity and, when the subject names one, the \
-       per-layer exploration budget";
-    codes = [ "MHLA201"; "MHLA202" ];
+       within every on-chip capacity";
+    codes = [ "MHLA201" ];
     run;
   }

@@ -9,13 +9,12 @@
     — then folds them through {!Mhla_lifetime.Occupancy.peak_bytes}
     under the subject's sizing policy and flags any layer whose peak
     exceeds its capacity (the user constraint both solver steps
-    promised to respect) or, when the subject names one, the
-    exploration budget the solve was constrained by.
+    promised to respect).
 
     Needs the mapping; the schedule is optional (no TE buffers without
     it).
 
-    Codes: [MHLA201], [MHLA202]. *)
+    Code: [MHLA201]. *)
 
 val pass : Pass.t
 
@@ -38,14 +37,3 @@ val level_peak :
   int
 (** Peak occupancy of one level. *)
 
-val check_level :
-  Fixpoint.solution ->
-  ?schedule:Mhla_core.Prefetch.schedule ->
-  policy:Mhla_lifetime.Occupancy.policy ->
-  budget:int option ->
-  Mhla_core.Mapping.t ->
-  level:int ->
-  Diagnostic.t list
-(** Diagnostics for one level — the unit of recomputation the
-    incremental verifier re-runs when a move dirties that level; the
-    whole pass is the concatenation over the on-chip levels. *)

@@ -20,10 +20,4 @@ val pass : Pass.t
 
 val check_ties :
   Mhla_core.Mapping.t -> Mhla_core.Prefetch.schedule -> Diagnostic.t list
-(** [MHLA401] findings — whole-schedule, cheap; the unit the
-    incremental verifier recomputes per schedule change. *)
-
-val check_recurrences :
-  Fixpoint.solution -> Mhla_ir.Program.t -> Diagnostic.t list
-(** [MHLA402] findings — pure function of the program, computed once
-    per incremental session. *)
+(** [MHLA401] findings alone — exposed for tests. *)

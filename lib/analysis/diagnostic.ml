@@ -102,10 +102,6 @@ let catalogue =
     ( "MHLA201", Error,
       "a layer's recomputed peak occupancy (copy lifetimes plus TE extra \
        buffers) exceeds its capacity" );
-    ( "MHLA202", Error,
-      "a layer's recomputed peak occupancy exceeds the per-layer \
-       exploration budget the subject was checked under (a constraint \
-       tighter than the physical capacity)" );
     ( "MHLA203", Error,
       "a granted Time-Extension loop's recomputed span does not enclose \
        the lifetime of the transfer it extends (the prefetch buffer \

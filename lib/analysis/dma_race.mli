@@ -26,9 +26,3 @@ val freedom_of_plan :
   Mhla_core.Mapping.t -> Mhla_core.Prefetch.plan -> string list
 (** The independently recomputed freedom loops of a plan's block
     transfer, innermost first — exposed for tests and reports. *)
-
-val check_plan :
-  Mhla_core.Mapping.t -> Mhla_core.Prefetch.plan -> Diagnostic.t list
-(** All findings of one plan — the per-plan unit the incremental
-    verifier recomputes; the whole pass is the concatenation over the
-    schedule's plans. *)

@@ -54,10 +54,6 @@ let details =
        buffers alive over their granted loops' spans — folded under the \
        subject's sizing policy. The peak exceeds the layer's declared \
        capacity." );
-    ( "MHLA202",
-      "Same recomputation as MHLA201, judged against the per-layer \
-       exploration budget the solve was constrained by — a bound \
-       tighter than the physical capacity." );
     ( "MHLA203",
       "The granted TE loop's span on the fixpoint timeline does not \
        enclose the extended transfer's buffer lifetime: the double \

@@ -75,8 +75,7 @@ type solution
 
 val analyze : Mhla_ir.Program.t -> solution
 (** Build and solve the flow graph of [program] in {!Domain.Env}. Pure
-    function of the program; {!Pass.subject} memoizes one per subject
-    and {!Incremental} shares one across a whole solve. *)
+    function of the program; {!Pass.subject} memoizes one per subject. *)
 
 val stats : solution -> solver_stats
 

@@ -16,11 +16,3 @@
     Codes: [MHLA203], [MHLA204]. *)
 
 val pass : Pass.t
-
-val check_containment :
-  Fixpoint.solution -> Mhla_core.Prefetch.plan -> Diagnostic.t list
-(** [MHLA203] findings of one plan — the per-plan unit the incremental
-    verifier recomputes. *)
-
-val check_priorities : Mhla_core.Prefetch.schedule -> Diagnostic.t list
-(** [MHLA204] findings — whole-schedule, cheap. *)

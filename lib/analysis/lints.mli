@@ -9,22 +9,3 @@
     fail a check run unless promoted with [--Werror]. *)
 
 val pass : Pass.t
-
-(** The pass decomposed into its recomputation units, for the
-    incremental verifier: the program side is fixed per session, chain
-    lints depend only on the placements, transfer lints on the derived
-    block-transfer list. *)
-
-val array_lints : Mhla_ir.Program.t -> Diagnostic.t list
-
-val loop_lints : Mhla_ir.Program.t -> Diagnostic.t list
-
-val chain_lints : Mhla_core.Mapping.t -> Diagnostic.t list
-
-val placement_chain_lints :
-  Mhla_reuse.Analysis.access_ref * Mhla_core.Mapping.placement ->
-  Diagnostic.t list
-(** Chain lints of one placement — pure function of the placement
-    value, the per-access recomputation unit. *)
-
-val transfer_lints : Mhla_core.Mapping.t -> Diagnostic.t list

@@ -3,23 +3,21 @@ type subject = {
   mapping : Mhla_core.Mapping.t option;
   schedule : Mhla_core.Prefetch.schedule option;
   policy : Mhla_lifetime.Occupancy.policy;
-  layer_budgets : int list option;
   analysis : Fixpoint.solution Lazy.t;
 }
 
 let subject ?mapping ?schedule ?(policy = Mhla_lifetime.Occupancy.In_place)
-    ?layer_budgets ?analysis program =
-  let analysis =
-    match analysis with
-    | Some solved -> Lazy.from_val solved
-    | None -> lazy (Fixpoint.analyze program)
-  in
-  { program; mapping; schedule; policy; layer_budgets; analysis }
+    program =
+  {
+    program;
+    mapping;
+    schedule;
+    policy;
+    analysis = lazy (Fixpoint.analyze program);
+  }
 
-let of_mapping ?schedule ?policy ?layer_budgets ?analysis
-    (m : Mhla_core.Mapping.t) =
-  subject ~mapping:m ?schedule ?policy ?layer_budgets ?analysis
-    m.Mhla_core.Mapping.program
+let of_mapping ?schedule ?policy (m : Mhla_core.Mapping.t) =
+  subject ~mapping:m ?schedule ?policy m.Mhla_core.Mapping.program
 
 let solution s = Lazy.force s.analysis
 

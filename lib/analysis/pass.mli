@@ -12,13 +12,6 @@ type subject = {
   policy : Mhla_lifetime.Occupancy.policy;
       (** sizing policy the capacity pass recomputes under; must match
           what the solver used (default [In_place]) *)
-  layer_budgets : int list option;
-      (** an exploration budget per on-chip layer, innermost level
-          first, tighter than the hierarchy's capacities; the capacity
-          pass reports a recomputed peak above it as MHLA202 (default
-          [None]). Solvers take no budget vector — they budget a layer
-          by shrinking the hierarchy (see {!Mhla_core.Assign.feasible})
-          — so only a caller that wants this extra check sets it. *)
   analysis : Fixpoint.solution Lazy.t;
       (** the solved abstract interpretation of [program]: forced by
           the first pass that needs a value range or a lifetime
@@ -29,20 +22,12 @@ val subject :
   ?mapping:Mhla_core.Mapping.t ->
   ?schedule:Mhla_core.Prefetch.schedule ->
   ?policy:Mhla_lifetime.Occupancy.policy ->
-  ?layer_budgets:int list ->
-  ?analysis:Fixpoint.solution ->
   Mhla_ir.Program.t ->
   subject
-(** [analysis] injects an already-solved fixpoint (it must belong to
-    this program) so repeated checks of one program — the incremental
-    verifier's whole life — never re-solve; by default the subject
-    solves lazily on first use. *)
 
 val of_mapping :
   ?schedule:Mhla_core.Prefetch.schedule ->
   ?policy:Mhla_lifetime.Occupancy.policy ->
-  ?layer_budgets:int list ->
-  ?analysis:Fixpoint.solution ->
   Mhla_core.Mapping.t ->
   subject
 (** The mapping's own program becomes the subject's program. *)

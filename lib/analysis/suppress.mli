@@ -10,7 +10,7 @@
 
     Honoured by the CLI (auto-loading [./.mhla-lint], or the file named
     by [--lint-config]), the service (per-config rules applied to
-    in-loop verification) and CI. Suppressed findings are counted, not
+    [--verify-live] answers) and CI. Suppressed findings are counted, not
     silently vanished: every report says how many rules removed. *)
 
 type t

@@ -21,10 +21,9 @@ type report = {
   suppressed : int;
 }
 
-(* The one normalisation both the batch verifier and the incremental
-   one funnel through: total order, exact duplicates collapsed. Two
-   passes proving the same fact from the same evidence is one finding.
-   Byte-stable whatever order (or parallelism) produced the input. *)
+(* Total order, exact duplicates collapsed: two passes proving the same
+   fact from the same evidence is one finding. Byte-stable whatever
+   order (or parallelism) produced the input. *)
 let normalize diagnostics =
   let sorted = List.sort Diagnostic.compare_for_report diagnostics in
   let rec dedupe = function
@@ -43,10 +42,6 @@ let check_known ~what names =
           ~hint:("passes: " ^ String.concat ", " pass_names)
           "unknown pass %S in %s" n what)
     names
-
-let report ?(suppress = Suppress.empty) ~subject ~passes_run diagnostics =
-  let diagnostics, suppressed = Suppress.apply suppress diagnostics in
-  { subject; diagnostics = normalize diagnostics; passes_run; suppressed }
 
 let run ?only ?(skip = []) ?(suppress = Suppress.empty)
     ?(telemetry = Telemetry.noop) (s : Pass.subject) =
@@ -69,10 +64,20 @@ let run ?only ?(skip = []) ?(suppress = Suppress.empty)
         found)
       selected
   in
-  report ~suppress
-    ~subject:s.Pass.program.Mhla_ir.Program.name
-    ~passes_run:(List.map (fun (p : Pass.t) -> p.Pass.name) selected)
-    diagnostics
+  let diagnostics, suppressed = Suppress.apply suppress diagnostics in
+  {
+    subject = s.Pass.program.Mhla_ir.Program.name;
+    diagnostics = normalize diagnostics;
+    passes_run = List.map (fun (p : Pass.t) -> p.Pass.name) selected;
+    suppressed;
+  }
+
+let check_result ?suppress (config : Mhla_core.Assign.config)
+    (result : Mhla_core.Explore.result) =
+  run ?suppress
+    (Pass.of_mapping ~schedule:result.Mhla_core.Explore.te
+       ~policy:config.Mhla_core.Assign.policy
+       result.Mhla_core.Explore.assign.Mhla_core.Assign.mapping)
 
 let promote_warnings r =
   { r with diagnostics = List.map Diagnostic.promote_warnings r.diagnostics }
@@ -86,6 +91,15 @@ let errors r = by_severity Diagnostic.Error r
 let warnings r = by_severity Diagnostic.Warning r
 
 let ok r = errors r = []
+
+let require report =
+  match errors report with
+  | [] -> ()
+  | first :: _ as errors ->
+    Error.internalf ~context:"verify-live"
+      "solver output failed live verification: %d error(s); first: %s"
+      (List.length errors)
+      (Fmt.str "%a" Diagnostic.pp first)
 
 let pp_report ppf r =
   List.iter (fun d -> Fmt.pf ppf "%a@," Diagnostic.pp d) r.diagnostics;

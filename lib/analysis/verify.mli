@@ -10,8 +10,7 @@
     Every report is {e normalised}: diagnostics sorted under
     {!Diagnostic.compare_for_report} with exact duplicates collapsed,
     so the rendered output is byte-stable whatever order — or
-    parallelism — produced the findings, and an incremental report
-    equals a from-scratch one by construction. *)
+    parallelism — produced the findings. *)
 
 val passes : Pass.t list
 (** The registry, in execution order: [bounds], [dma-race], [capacity],
@@ -19,7 +18,7 @@ val passes : Pass.t list
 
 val pass_names : string list
 
-type report = {
+type report = private {
   subject : string;  (** the program's name *)
   diagnostics : Diagnostic.t list;  (** normalised: sorted, deduped *)
   passes_run : string list;
@@ -28,17 +27,7 @@ type report = {
 
 val normalize : Diagnostic.t list -> Diagnostic.t list
 (** Sort under {!Diagnostic.compare_for_report} and collapse exact
-    duplicates — the shared funnel of both the batch and the
-    incremental verifier. *)
-
-val report :
-  ?suppress:Suppress.t ->
-  subject:string ->
-  passes_run:string list ->
-  Diagnostic.t list ->
-  report
-(** Assemble a normalised report from raw findings — the constructor
-    {!Incremental} shares with {!run}. *)
+    duplicates. *)
 
 val run :
   ?only:string list ->
@@ -52,6 +41,21 @@ val run :
     order. [suppress] (default {!Suppress.empty}) drops matching
     findings, counting them in the report.
     @raise Mhla_util.Error.Error for a name not in the registry. *)
+
+val check_result :
+  ?suppress:Suppress.t ->
+  Mhla_core.Assign.config ->
+  Mhla_core.Explore.result ->
+  report
+(** [--verify-live]: {!run} on a solve's answer — its mapping and TE
+    schedule, sized under the config's policy (the subject
+    [Mhla_sim.Crosscheck.check_analysis] builds). *)
+
+val require : report -> unit
+(** @raise Mhla_util.Error.Error (kind [Internal], context
+    ["verify-live"]) when the report carries any error — a bad solver
+    output becomes a structured failure instead of a silently wrong
+    answer. *)
 
 val promote_warnings : report -> report
 (** The [--Werror] promotion applied to every diagnostic. *)

@@ -22,7 +22,7 @@ let default_config =
     cc_filter = None;
   }
 
-type step = { description : string; gain : float; objective_after : float }
+type step = { move : Engine.move; gain : float; objective_after : float }
 
 type result = {
   mapping : Mapping.t;
@@ -336,11 +336,9 @@ let fold_error ~terms energy =
 
 let no_checkpoint () = ()
 
-let no_commit (_ : move) = ()
-
 let greedy ?(config = default_config) ?(first_improvement = false)
     ?(telemetry = Telemetry.noop) ?reuse ?(checkpoint = no_checkpoint)
-    ?(on_commit = no_commit) program hierarchy =
+    program hierarchy =
   Telemetry.span telemetry ~cat:"assign" "assign.greedy"
     ~args:(fun () ->
       [ ("first_improvement", Telemetry.Bool first_improvement);
@@ -354,16 +352,10 @@ let greedy ?(config = default_config) ?(first_improvement = false)
       hierarchy
   in
   let mk_step move ~current ~value =
-    let step =
-      {
-        description = describe_move move;
-        gain = current -. value;
-        objective_after = value;
-      }
-    in
+    let step = { move; gain = current -. value; objective_after = value } in
     Telemetry.instant telemetry ~cat:"assign" "greedy.step"
       ~args:(fun () ->
-        [ ("move", Telemetry.Str step.description);
+        [ ("move", Telemetry.Str (describe_move move));
           ("gain", Telemetry.Float step.gain);
           ("objective_before", Telemetry.Float current);
           ("objective_after", Telemetry.Float value) ]);
@@ -509,7 +501,6 @@ let greedy ?(config = default_config) ?(first_improvement = false)
       cycles := !best_cycles;
       terms := !best_terms;
       energy.(0) <- energy.(1);
-      on_commit move;
       descend value (step :: steps)
   in
   let mapping, _, steps = descend start_value [] in
@@ -517,8 +508,7 @@ let greedy ?(config = default_config) ?(first_improvement = false)
 
 let simulated_annealing ?(config = default_config)
     ?(telemetry = Telemetry.noop) ?reuse ?(checkpoint = no_checkpoint)
-    ?(on_commit = no_commit) ?(seed = 42L) ?(iterations = 4000) program
-    hierarchy =
+    ?(seed = 42L) ?(iterations = 4000) program hierarchy =
   Telemetry.span telemetry ~cat:"assign" "assign.anneal"
     ~args:(fun () ->
       [ ("seed", Telemetry.Str (Int64.to_string seed));
@@ -587,7 +577,6 @@ let simulated_annealing ?(config = default_config)
         if accept then begin
           Engine.commit engine move;
           table_commit table k;
-          on_commit move;
           current_value := value;
           if value < !best_value then begin
             let improvement = !best_value -. value in
@@ -599,12 +588,7 @@ let simulated_annealing ?(config = default_config)
                   ("move", Telemetry.Str (describe_move move));
                   ("objective", Telemetry.Float value) ]);
             steps :=
-              {
-                description = describe_move move;
-                gain = improvement;
-                objective_after = value;
-              }
-              :: !steps
+              { move; gain = improvement; objective_after = value } :: !steps
           end
         end
       end);

@@ -38,9 +38,9 @@ val default_config : config
     reuse), in-place sizing, array promotion on, chains up to depth
     2, no CC filter. *)
 
-(** One applied move, for reporting. *)
+(** One applied move, for reporting ({!describe_move} renders it). *)
 type step = {
-  description : string;
+  move : Engine.move;
   gain : float;  (** objective decrease achieved by the move *)
   objective_after : float;
 }
@@ -48,7 +48,9 @@ type step = {
 type result = {
   mapping : Mapping.t;
   breakdown : Cost.breakdown;
-  steps : step list;  (** in application order *)
+  steps : step list;
+      (** in application order: every committed move for {!greedy},
+          every new best for {!simulated_annealing} *)
   evaluations : int;
       (** objective evaluations spent (any flavour): the feasible
           candidates considered, whether or not the engine had to
@@ -96,7 +98,6 @@ val greedy :
   ?telemetry:Mhla_obs.Telemetry.t ->
   ?reuse:Mapping.reuse ->
   ?checkpoint:(unit -> unit) ->
-  ?on_commit:(move -> unit) ->
   Mhla_ir.Program.t ->
   Mhla_arch.Hierarchy.t ->
   result
@@ -137,18 +138,13 @@ val greedy :
     {!Mhla_util.Error.Error} with kind [Deadline] — to abandon the
     search without corrupting any shared state. As long as it returns
     normally it must not observe or mutate the search, so the result
-    stays independent of how often it fires. [on_commit] (default a
-    no-op) observes every committed move, in order, right after the
-    search's state advances — the hook live verification rides on; the
-    same independence contract as [checkpoint] applies: the search
-    never lets it change a decision. *)
+    stays independent of how often it fires. *)
 
 val simulated_annealing :
   ?config:config ->
   ?telemetry:Mhla_obs.Telemetry.t ->
   ?reuse:Mapping.reuse ->
   ?checkpoint:(unit -> unit) ->
-  ?on_commit:(move -> unit) ->
   ?seed:int64 ->
   ?iterations:int ->
   Mhla_ir.Program.t ->
@@ -166,6 +162,4 @@ val simulated_annealing :
     [anneal.accept]/[anneal.reject] events carrying the temperature,
     plus [anneal.best] marks on improvements — the annealing trajectory
     as observable data. [checkpoint] is invoked before every iteration,
-    and [on_commit] on every {e accepted} move (the search walks the
-    current state; the result is still the best state seen), as in
-    {!greedy}. *)
+    as in {!greedy}. *)

@@ -17,8 +17,7 @@ type search =
   | Annealing of { seed : int64; iterations : int }
 
 let run ?config ?order ?(search = Greedy) ?defer_writebacks
-    ?(telemetry = Telemetry.noop) ?reuse ?checkpoint ?on_commit program
-    hierarchy =
+    ?(telemetry = Telemetry.noop) ?reuse ?checkpoint program hierarchy =
   Telemetry.span telemetry ~cat:"explore" "explore.run"
     ~args:(fun () ->
       [ ("program", Telemetry.Str program.Mhla_ir.Program.name) ])
@@ -37,14 +36,13 @@ let run ?config ?order ?(search = Greedy) ?defer_writebacks
     stage "explore.assign" @@ fun () ->
     match search with
     | Greedy ->
-      Assign.greedy ?config ~telemetry ?reuse ?checkpoint ?on_commit program
-        hierarchy
+      Assign.greedy ?config ~telemetry ?reuse ?checkpoint program hierarchy
     | First_improvement ->
       Assign.greedy ?config ~first_improvement:true ~telemetry ?reuse
-        ?checkpoint ?on_commit program hierarchy
+        ?checkpoint program hierarchy
     | Annealing { seed; iterations } ->
-      Assign.simulated_annealing ?config ~telemetry ?reuse ?checkpoint
-        ?on_commit ~seed ~iterations program hierarchy
+      Assign.simulated_annealing ?config ~telemetry ?reuse ?checkpoint ~seed
+        ~iterations program hierarchy
   in
   let te =
     stage "explore.te" @@ fun () ->

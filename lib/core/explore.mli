@@ -34,7 +34,6 @@ val run :
   ?telemetry:Mhla_obs.Telemetry.t ->
   ?reuse:Mapping.reuse ->
   ?checkpoint:(unit -> unit) ->
-  ?on_commit:(Assign.move -> unit) ->
   Mhla_ir.Program.t ->
   Mhla_arch.Hierarchy.t ->
   result
@@ -47,10 +46,7 @@ val run :
     [explore.evaluate]) and is passed down to {!Assign} and
     {!Prefetch}; it never changes the result. [checkpoint] is handed to
     the step-1 search (see {!Assign.greedy}): a deadline guard may
-    raise from it to abandon the run between search steps. [on_commit]
-    observes every committed step-1 move (see {!Assign.greedy}) — the
-    hook [--verify-live] keeps its incremental verifier current
-    through; it must not change the search's behaviour. *)
+    raise from it to abandon the run between search steps. *)
 
 (** Normalised views used by the paper's figures (baseline = 1.0). *)
 

@@ -46,7 +46,8 @@ let detailed ~name (r : Explore.result) =
        (100. *. float_of_int a.Assign.cache_hits /. float_of_int total));
   List.iter
     (fun (s : Assign.step) ->
-      line "  %s (gain %.1f)" s.Assign.description s.Assign.gain)
+      line "  %s (gain %.1f)" (Assign.describe_move s.Assign.move)
+        s.Assign.gain)
     r.Explore.assign.Assign.steps;
   line "-- TE plans --";
   List.iter

@@ -5,18 +5,17 @@ module Explore = Mhla_core.Explore
 module Faults = Mhla_sim.Faults
 module Robustness = Mhla_sim.Robustness
 
-type mutation = No_mutation | Drift_engine | Drift_interp | Drift_verify
+type mutation = No_mutation | Drift_engine | Drift_interp
 
 let mutation_names =
-  [ ("none", No_mutation); ("engine", Drift_engine); ("interp", Drift_interp);
-    ("verify", Drift_verify) ]
+  [ ("none", No_mutation); ("engine", Drift_engine); ("interp", Drift_interp) ]
 
 type failure = { check : string; detail : string }
 
 let check_names =
   [
     "json"; "engine"; "xval"; "esim"; "verifier-greedy"; "verifier-anneal";
-    "interp"; "faults"; "pareto"; "policy"; "incremental-verify";
+    "interp"; "faults"; "pareto"; "policy";
   ]
 
 (* Kept low: the annealing leg runs once per fuzz case, and the CI gate
@@ -93,9 +92,9 @@ let failures ?(mutate = No_mutation) ~onchip_bytes program =
        | (e : Assign.step) :: es, (o : Assign.step) :: os ->
          if e = o then first_diff (k + 1) (es, os)
          else
-           Fmt.str "step %d: %s (%.17g) <> %s (%.17g)" k e.Assign.description
-             e.Assign.objective_after o.Assign.description
-             o.Assign.objective_after
+           Fmt.str "step %d: %s (%.17g) <> %s (%.17g)" k
+             (Assign.describe_move e.Assign.move) e.Assign.objective_after
+             (Assign.describe_move o.Assign.move) o.Assign.objective_after
        | [], [] -> "same steps, different final state or evaluation count"
        | _, _ -> Fmt.str "step %d: one search stopped" k
      in
@@ -104,7 +103,7 @@ let failures ?(mutate = No_mutation) ~onchip_bytes program =
      let drift =
        match mutate with
        | Drift_engine -> 1
-       | No_mutation | Drift_interp | Drift_verify -> 0
+       | No_mutation | Drift_interp -> 0
      in
      let compare search platform (engine : Assign.result)
          (reference : Assign.result) =
@@ -147,7 +146,7 @@ let failures ?(mutate = No_mutation) ~onchip_bytes program =
         fail "engine"
           (Fmt.str "engine %.17g <> drifted oracle %.17g (seeded +1.0 drift)"
              engine_v drifted)
-    | No_mutation | Drift_interp | Drift_verify -> ());
+    | No_mutation | Drift_interp -> ());
     List.iter
       (fun c ->
         fail "xval" (Fmt.str "%a" Crosscheck.pp_check c))
@@ -185,7 +184,7 @@ let failures ?(mutate = No_mutation) ~onchip_bytes program =
              "dynamic %d <> drifted static %d (seeded +1 event drift)"
              ic.Crosscheck.dynamic_events
              (ic.Crosscheck.static_events + 1))
-    | No_mutation | Drift_engine | Drift_verify ->
+    | No_mutation | Drift_engine ->
       if not ic.Crosscheck.interp_consistent then
         List.iter
           (fun (subject, dynamic, predicted) ->
@@ -278,49 +277,6 @@ let failures ?(mutate = No_mutation) ~onchip_bytes program =
          (Fmt.str "winner %s objective %.17g worse than greedy %.17g"
             winner.Portfolio.policy.Policy.name winner.Portfolio.objective
             greedy_objective));
-    (* The incremental verifier must equal a from-scratch run at every
-       point: after a seeded random walk of legal moves from the
-       all-Direct start, and again after rebasing onto the solved
-       answer with its TE schedule installed. *)
-    (let module Incremental = Mhla_analysis.Incremental in
-     let module Verify = Mhla_analysis.Verify in
-     let module Pass = Mhla_analysis.Pass in
-     let policy = Mhla_lifetime.Occupancy.In_place in
-     let config = Mhla_core.Assign.default_config in
-     let inc =
-       Incremental.create ~policy
-         (Mhla_core.Mapping.direct
-            ~transfer_mode:config.Mhla_core.Assign.transfer_mode program
-            hierarchy)
-     in
-     let rng = Mhla_util.Prng.create ~seed:0xD1FF5EEDL in
-     for _ = 1 to 12 do
-       match Mhla_core.Assign.moves config (Incremental.mapping inc) with
-       | [] -> ()
-       | candidates ->
-         Incremental.apply inc (Mhla_util.Prng.pick rng candidates)
-     done;
-     let diverged label incr full =
-       if incr <> full then
-         fail "incremental-verify"
-           (Fmt.str "%s: incremental report diverged from scratch:@,%a@,vs@,%a"
-              label Verify.pp_report incr Verify.pp_report full)
-     in
-     let walked = Incremental.report inc in
-     diverged "after random walk" walked
-       (Verify.run (Pass.of_mapping ~policy (Incremental.mapping inc)));
-     Incremental.rebase inc m;
-     Incremental.set_schedule inc (Some te);
-     let rebased = Incremental.report inc in
-     let scratch = Verify.run (Pass.of_mapping ~schedule:te ~policy m) in
-     diverged "after rebase onto the solve" rebased scratch;
-     match mutate with
-     | Drift_verify ->
-       (* Seeded drift: the scratch report with one phantom suppression
-          can never equal the incremental one — the gate's self-test. *)
-       diverged "drift" rebased
-         { scratch with Verify.suppressed = scratch.Verify.suppressed + 1 }
-     | No_mutation | Drift_engine | Drift_interp -> ());
     List.rev !fails
   with e -> [ { check = "exception"; detail = Printexc.to_string e } ]
 

@@ -19,13 +19,9 @@ type mutation =
   | Drift_interp
       (** expect one more dynamic event than the static model predicts
           — the ["interp"] check must fail *)
-  | Drift_verify
-      (** compare the incremental verifier's report against a scratch
-          report with one phantom suppression — the
-          ["incremental-verify"] check must fail *)
 
 val mutation_names : (string * mutation) list
-(** CLI-facing names: ["none"], ["engine"], ["interp"], ["verify"]. *)
+(** CLI-facing names: ["none"], ["engine"], ["interp"]. *)
 
 type failure = {
   check : string;  (** one of {!check_names}, or ["exception"] *)
@@ -55,10 +51,7 @@ val check_names : string list
     every grid point), ["policy"] (the winner of a
     greedy/greedy-first/anneal {!Mhla_policy.Portfolio} race verifies
     clean and its objective is never worse than the plain greedy
-    pipeline's), ["incremental-verify"] (the incremental verifier's
-    report equals a from-scratch {!Mhla_analysis.Verify.run} both after
-    a seeded random walk of legal moves and after rebasing onto the
-    solved answer with its TE schedule). Any exception escaping the
+    pipeline's). Any exception escaping the
     battery is caught and reported as a single ["exception"]
     failure. *)
 

@@ -20,11 +20,7 @@ let start (config : Assign.config) ?reuse program hierarchy =
     hierarchy
 
 let step move ~before ~after =
-  {
-    Assign.description = Assign.describe_move move;
-    gain = before -. after;
-    objective_after = after;
-  }
+  { Assign.move; gain = before -. after; objective_after = after }
 
 (* The greedy's strict-improvement rule: a relative 1e-9 margin keeps
    float noise from cycling. *)

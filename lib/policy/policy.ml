@@ -59,9 +59,9 @@ let install ~config p =
   in
   { config with Assign.cc_filter = filter }
 
-let run ?(config = Assign.default_config) ?telemetry ?reuse ?checkpoint
-    ?on_commit p program hierarchy =
+let run ?(config = Assign.default_config) ?telemetry ?reuse ?checkpoint p
+    program hierarchy =
   Explore.run
     ~config:(install ~config p)
-    ~order:p.order ~search:p.search ?telemetry ?reuse ?checkpoint ?on_commit
-    program hierarchy
+    ~order:p.order ~search:p.search ?telemetry ?reuse ?checkpoint program
+    hierarchy

@@ -73,11 +73,9 @@ val run :
   ?telemetry:Mhla_obs.Telemetry.t ->
   ?reuse:Mhla_core.Mapping.reuse ->
   ?checkpoint:(unit -> unit) ->
-  ?on_commit:(Mhla_core.Assign.move -> unit) ->
   t ->
   Mhla_ir.Program.t ->
   Mhla_arch.Hierarchy.t ->
   Mhla_core.Explore.result
 (** The full flow under this policy — [Explore.run] with the config
-    from {!install}, the policy's search and its TE order; [on_commit]
-    is handed to the step-1 search (see {!Mhla_core.Explore.run}). *)
+    from {!install}, the policy's search and its TE order. *)

@@ -38,29 +38,15 @@ let race ?(config = Assign.default_config) ?jobs
       ~args:(fun () -> [ ("policy", Telemetry.Str p.Policy.name) ])
       "portfolio.entrant"
     @@ fun () ->
-    (* Each entrant gets its own in-loop verifier (they run in separate
-       worker domains); the observer never feeds back into the search,
-       so a verified race is bit-identical to a plain one. The policy's
-       [install] only sets the candidate filter — the sizing knobs
-       [of_config] reads are untouched — so the verifier's assumptions
-       match the entrant's search. *)
-    let live =
-      if verify_live then
-        Some
-          (Mhla_analysis.Live.of_config ?reuse ?suppress config program
-             hierarchy)
-      else None
-    in
-    let on_commit =
-      Option.map (fun l move -> Mhla_analysis.Live.on_commit l move) live
-    in
     let result =
-      Policy.run ~config ~telemetry:child ?reuse ?checkpoint ?on_commit p
-        program hierarchy
+      Policy.run ~config ~telemetry:child ?reuse ?checkpoint p program
+        hierarchy
     in
-    Option.iter
-      (fun l -> ignore (Mhla_analysis.Live.check l result))
-      live;
+    (* The policy's [install] only sets the candidate filter, so the
+       race's config carries the sizing policy the entrant searched
+       under. *)
+    if verify_live then
+      Mhla_analysis.Verify.(require (check_result ?suppress config result));
     {
       policy = p;
       result;

@@ -39,11 +39,10 @@ val race :
     supplied). [telemetry] gives each worker domain a child sink (a
     [portfolio.entrant] span per policy, merged deterministically) and
     records the winner as a [portfolio.winner] instant.
-    [verify_live] (default [false]) rides an incremental verifier
-    along every entrant's search and checks each entrant's final
-    result ({!Mhla_analysis.Live}); the observer never changes any
-    entrant's behaviour, so the outcome is bit-identical either way.
-    [suppress] filters the live findings.
+    [verify_live] (default [false]) checks each entrant's result with
+    {!Mhla_analysis.Verify.check_result} once its search is done; the
+    outcome is bit-identical either way. [suppress] filters those
+    findings.
     @raise Mhla_util.Error.Error ([Invalid_input]) on an empty field;
     ([Internal]) when a live-verified entrant's output fails
     verification. *)

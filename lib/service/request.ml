@@ -293,6 +293,16 @@ let field ~path fields name =
   | Some v -> v
   | None -> fail ~path "missing field %S" name
 
+(* A field the decoder never reads would be dropped without a word, so
+   anything outside [allowed] is rejected at its own path. *)
+let only_fields ~path allowed fields =
+  List.iter
+    (fun (name, _) ->
+      if not (List.mem name allowed) then
+        fail ~path:(path ^ "." ^ name) "unknown field %S (expected one of: %s)"
+          name (String.concat ", " allowed))
+    fields
+
 let allowed_top =
   [ "id"; "program"; "arch"; "objective"; "mode"; "grid"; "search";
     "policy"; "policies"; "channels"; "queue_depth"; "deadline_ms";
@@ -406,6 +416,7 @@ let search_of_json ~path j =
 
 let fault_spec_of_json ~path j =
   let fields = as_obj ~path j in
+  only_fields ~path [ "seed"; "jitter"; "failure_permille"; "trials" ] fields;
   let get = int_field ~path fields in
   let seed = Int64.of_int (get "seed" 42) in
   let jitter = get "jitter" 0 in
@@ -422,12 +433,7 @@ let inject_of_json ~path j =
 let of_json j =
   let path = "$" in
   let fields = as_obj ~path j in
-  List.iter
-    (fun (name, _) ->
-      if not (List.mem name allowed_top) then
-        fail ~path "unknown field %S (expected one of: %s)" name
-          (String.concat ", " allowed_top))
-    fields;
+  only_fields ~path allowed_top fields;
   let id = as_str ~path:"$.id" (field ~path fields "id") in
   let program =
     Mhla_ir.Json_codec.program_of_json_exn ~path:"$.program"

@@ -40,7 +40,7 @@ type t = {
   robustness : Mhla_util.Json.t option;
       (** fault-injection report, when the request asked for one *)
   verify : Mhla_util.Json.t option;
-      (** the in-loop verification report of the response's own
+      (** the verification report of the response's own
           solution (a {!Mhla_analysis.Verify.report_to_json} document),
           when the service runs with live verification *)
 }

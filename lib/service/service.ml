@@ -9,7 +9,6 @@ module Pass = Mhla_analysis.Pass
 module Verify = Mhla_analysis.Verify
 module Robustness = Mhla_sim.Robustness
 module Crosscheck = Mhla_sim.Crosscheck
-module Live = Mhla_analysis.Live
 module Policy = Mhla_policy.Policy
 module Portfolio = Mhla_policy.Portfolio
 module Registry = Mhla_policy.Registry
@@ -73,15 +72,15 @@ let solve_config (req : Request.t) =
     transfer_mode = req.transfer_mode;
   }
 
-let solve ?telemetry ?reuse ?checkpoint ?on_commit (req : Request.t) =
+let solve ?telemetry ?reuse ?checkpoint (req : Request.t) =
   let config = solve_config req in
   match req.policy with
   | Some policy ->
-    Policy.run ~config ?telemetry ?reuse ?checkpoint ?on_commit policy
-      req.program (Request.hierarchy req)
+    Policy.run ~config ?telemetry ?reuse ?checkpoint policy req.program
+      (Request.hierarchy req)
   | None ->
     Explore.run ~config ?telemetry ~search:req.search ?reuse ?checkpoint
-      ?on_commit req.program (Request.hierarchy req)
+      req.program (Request.hierarchy req)
 
 let ok_payload (req : Request.t) result =
   Report.result_to_json ~name:req.id result
@@ -141,22 +140,15 @@ let run_job ?telemetry ?reuse ?checkpoint ?jobs ?live ?arbitration
             result.Explore.assign.Assign.mapping result.Explore.te;
       }
   | Request.Solve ->
-    (* Live verification follows the search move by move at per-move
-       bucket-recompute cost; the observer never feeds back, so the
-       result is bit-identical either way. *)
-    let live =
-      Option.map
-        (fun suppress ->
-          Live.of_config ?reuse ~suppress (solve_config req) req.program
-            (Request.hierarchy req))
-        live
-    in
-    let on_commit = Option.map (fun l move -> Live.on_commit l move) live in
-    let result = solve ?telemetry ?reuse ?checkpoint ?on_commit req in
+    let result = solve ?telemetry ?reuse ?checkpoint req in
     Solved
       {
         result;
-        verify = Option.map (fun l -> Live.finish l result) live;
+        verify =
+          Option.map
+            (fun suppress ->
+              Verify.check_result ~suppress (solve_config req) result)
+            live;
         robustness =
           Option.map
             (fun (fs : Request.fault_spec) ->

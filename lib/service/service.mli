@@ -37,9 +37,9 @@ type config = {
       (** longer submissions are rejected ([oversized]) before parse *)
   telemetry : Mhla_obs.Telemetry.t;
   verify_live : bool;
-      (** run an incremental verifier along every [Solve] request's
-          search and check its response's own solution before emitting
-          it: a failing solution becomes a [verify]-coded error
+      (** check every [Solve] request's solution (mapping + TE
+          schedule) with the full verifier before emitting it: a
+          failing solution becomes a [verify]-coded error
           response, a passing one carries its report in the response's
           [verify] field. Never changes the [result] payload. *)
   suppress : Mhla_analysis.Suppress.t;
@@ -109,7 +109,6 @@ val solve :
   ?telemetry:Mhla_obs.Telemetry.t ->
   ?reuse:Mhla_core.Mapping.reuse ->
   ?checkpoint:(unit -> unit) ->
-  ?on_commit:(Mhla_core.Assign.move -> unit) ->
   Request.t ->
   Mhla_core.Explore.result
 (** {!Mhla_core.Explore.run} on the request's hierarchy under its
@@ -164,8 +163,8 @@ val run_job :
     what the wire cannot spell:
     - [jobs]: domains a grid or a race fans out over (default
       {!Mhla_util.Domain_pool.recommended_jobs}; the pool passes 1);
-    - [live]: verify the search incrementally under these
-      suppressions. A [Solve] returns the report in [verify]; a
+    - [live]: verify the answer under these suppressions
+      ({!Mhla_analysis.Verify.check_result}). A [Solve] returns the report in [verify]; a
       [Portfolio] raises ([Internal]) on a failing entrant. The
       outcome is otherwise unchanged;
     - [arbitration], [shared_bus], [invalidate_on_miss]: for

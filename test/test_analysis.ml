@@ -26,7 +26,6 @@ module Dma_race = Mhla_analysis.Dma_race
 module Explain = Mhla_analysis.Explain
 module Explore = Mhla_core.Explore
 module Fixpoint = Mhla_analysis.Fixpoint
-module Incremental = Mhla_analysis.Incremental
 module Itv = Mhla_analysis.Domain.Itv
 module Lifetime = Mhla_lifetime.Schedule
 module Mapping = Mhla_core.Mapping
@@ -55,13 +54,14 @@ let has_code c r = List.mem c (codes r)
 let error_codes r = List.map code_of (Verify.errors r)
 
 (* Solve one registry application end to end (both steps). *)
-let solved ?(search = Explore.Greedy) name =
+let solve_app ?(search = Explore.Greedy) name =
   let app = Apps.find_exn name in
-  let r =
-    Explore.run ~search
-      (Lazy.force app.Defs.program)
-      (Presets.two_level ~onchip_bytes:app.Defs.onchip_bytes ())
-  in
+  Explore.run ~search
+    (Lazy.force app.Defs.program)
+    (Presets.two_level ~onchip_bytes:app.Defs.onchip_bytes ())
+
+let solved ?search name =
+  let r = solve_app ?search name in
   (r.Explore.assign.Assign.mapping, r.Explore.te)
 
 (* --- diagnostics model ------------------------------------------------- *)
@@ -76,7 +76,7 @@ let test_catalogue () =
     (fun c ->
       Alcotest.(check bool) (c ^ " catalogued") true (List.mem c cs))
     [ "MHLA001"; "MHLA002"; "MHLA003"; "MHLA101"; "MHLA102"; "MHLA103";
-      "MHLA104"; "MHLA201"; "MHLA202"; "MHLA301"; "MHLA302"; "MHLA303";
+      "MHLA104"; "MHLA201"; "MHLA301"; "MHLA302"; "MHLA303";
       "MHLA304";
       "MHLA305"; "MHLA306" ];
   (* Every pass declares only catalogued codes, and every catalogued
@@ -284,27 +284,42 @@ let test_capacity_detects_overflow () =
   Alcotest.(check (option int)) "layer located" (Some 0)
     d.Diagnostic.loc.Diagnostic.layer
 
-let test_capacity_checks_exploration_budget () =
-  let m, te = solved "motion_estimation" in
+(* --verify-live's answer check on a solve whose mapping overflows its
+   layer: the hierarchy swapped for one a byte smaller than the
+   recomputed peak, as [mhla check --mutate capacity] builds it. *)
+let test_verify_live_refuses_overflow () =
+  let r = solve_app "motion_estimation" in
+  let config = Assign.default_config in
+  Verify.require (Verify.check_result config r);
+  let m = r.Explore.assign.Assign.mapping in
   let peaks =
-    Capacity.recomputed_peaks ~schedule:te
-      ~policy:Mhla_lifetime.Occupancy.In_place m
+    Capacity.recomputed_peaks ~schedule:r.Explore.te
+      ~policy:config.Assign.policy m
   in
   let peak = List.fold_left (fun acc (_, p) -> max acc p) 0 peaks in
-  Alcotest.(check bool) "something lives on-chip" true (peak > 1);
-  (* The physical capacity still holds, only the tighter exploration
-     budget is exceeded: MHLA202 fires alone. *)
-  let subject budget =
-    Pass.of_mapping ~schedule:te ~layer_budgets:[ budget ] m
+  let hierarchy =
+    Presets.two_level
+      ~dma:(Mhla_arch.Hierarchy.has_dma m.Mapping.hierarchy)
+      ~onchip_bytes:(peak - 1) ()
   in
-  let r = Verify.run ~only:[ "capacity" ] (subject (peak - 1)) in
-  Alcotest.(check (list string)) "MHLA202 fired" [ "MHLA202" ] (codes r);
-  let d = List.hd r.Verify.diagnostics in
-  Alcotest.(check (option int)) "layer located" (Some 0)
-    d.Diagnostic.loc.Diagnostic.layer;
-  (* A budget the mapping honours is clean. *)
-  let r = Verify.run ~only:[ "capacity" ] (subject peak) in
-  Alcotest.(check (list string)) "honoured budget is clean" [] (codes r)
+  let overflowing =
+    {
+      r with
+      Explore.assign =
+        {
+          r.Explore.assign with
+          Assign.mapping = Mapping.with_hierarchy m hierarchy;
+        };
+    }
+  in
+  let report = Verify.check_result config overflowing in
+  Alcotest.(check (list string)) "MHLA201 fired" [ "MHLA201" ]
+    (error_codes report);
+  match Verify.require report with
+  | () -> Alcotest.fail "require accepted an overflowing answer"
+  | exception Mhla_util.Error.Error e ->
+    Alcotest.(check bool) "Internal" true (e.Mhla_util.Error.kind = Internal);
+    Alcotest.(check string) "context" "verify-live" e.Mhla_util.Error.context
 
 (* --- lints ------------------------------------------------------------- *)
 
@@ -682,78 +697,6 @@ let test_sarif_export () =
     (List.length r.Verify.diagnostics)
     (count "\"ruleId\"" s)
 
-(* --- incremental verification ------------------------------------------- *)
-
-let incremental_for config (program : Program.t) hierarchy =
-  Incremental.create
-    (Mapping.direct ~transfer_mode:config.Assign.transfer_mode program
-       hierarchy)
-
-let test_incremental_matches_scratch () =
-  (* The acceptance invariant: after EVERY move of a deterministic walk,
-     and again after rebasing onto the solved mapping with its TE
-     schedule installed, the incremental report equals a from-scratch
-     Verify.run structurally. *)
-  List.iter
-    (fun name ->
-      let app = Apps.find_exn name in
-      let program = Lazy.force app.Defs.program in
-      let hierarchy = Presets.two_level ~onchip_bytes:app.Defs.onchip_bytes () in
-      let config = Assign.default_config in
-      let inc = incremental_for config program hierarchy in
-      let scratch () =
-        Verify.run
-          (Pass.of_mapping
-             ?schedule:(Incremental.schedule inc)
-             (Incremental.mapping inc))
-      in
-      let agree label =
-        Alcotest.(check bool)
-          (Fmt.str "%s: incremental = full %s" name label)
-          true
-          (Incremental.report inc = scratch ())
-      in
-      agree "at the direct start";
-      for step = 1 to 8 do
-        (match Assign.moves config (Incremental.mapping inc) with
-        | [] -> ()
-        | candidates ->
-          Incremental.apply inc
-            (List.nth candidates (step * 7 mod List.length candidates)));
-        agree (Fmt.str "after move %d" step)
-      done;
-      let r =
-        Explore.run program hierarchy
-      in
-      Incremental.rebase inc r.Explore.assign.Assign.mapping;
-      agree "after rebase onto the solve";
-      Incremental.set_schedule inc (Some r.Explore.te);
-      agree "with the TE schedule installed";
-      let stats = Incremental.stats inc in
-      Alcotest.(check bool) (name ^ ": counted its moves") true
-        (stats.Incremental.moves_applied >= 8);
-      Alcotest.(check int) (name ^ ": one schedule update") 1
-        stats.Incremental.schedule_updates)
-    Apps.names
-
-let test_incremental_rejects_foreign_rebase () =
-  let config = Assign.default_config in
-  let h = Presets.two_level ~onchip_bytes:4096 () in
-  let inc = incremental_for config (app_program "motion_estimation") h in
-  let foreign =
-    Mapping.direct ~transfer_mode:config.Assign.transfer_mode
-      (app_program "qsdpcm") h
-  in
-  Alcotest.check_raises "foreign program rejected"
-    (invalid
-       ~hint:
-         "create the verifier from Mapping.direct with the solve's own \
-          transfer mode and hierarchy (see Live.of_config)"
-       "Incremental.rebase"
-       "target mapping solves a different problem (program differs; program \
-        qsdpcm vs motion_estimation)")
-    (fun () -> Incremental.rebase inc foreign)
-
 (* --- normalisation ------------------------------------------------------ *)
 
 let test_normalize_dedups_and_orders () =
@@ -816,8 +759,11 @@ let () =
           Alcotest.test_case "accepts solver" `Quick
             test_capacity_accepts_solver_mapping;
           Alcotest.test_case "overflow" `Quick test_capacity_detects_overflow;
-          Alcotest.test_case "exploration budget" `Quick
-            test_capacity_checks_exploration_budget;
+        ] );
+      ( "verify-live",
+        [
+          Alcotest.test_case "refuses an overflowing answer" `Quick
+            test_verify_live_refuses_overflow;
         ] );
       ("lints", [ Alcotest.test_case "program lints" `Quick test_lints ]);
       ( "driver",
@@ -876,13 +822,6 @@ let () =
             test_explain_rejects_unknown_code;
         ] );
       ("sarif", [ Alcotest.test_case "export" `Quick test_sarif_export ]);
-      ( "incremental",
-        [
-          Alcotest.test_case "matches scratch at every move" `Slow
-            test_incremental_matches_scratch;
-          Alcotest.test_case "rejects foreign rebase" `Quick
-            test_incremental_rejects_foreign_rebase;
-        ] );
       ( "normalize",
         [
           Alcotest.test_case "dedup and order" `Quick

@@ -108,7 +108,7 @@ let test_greedy_deterministic () =
       Assign.greedy (conv ()) (Presets.two_level ~onchip_bytes:512 ())
     in
     ( r.Assign.breakdown.Cost.total_cycles,
-      List.map (fun (s : Assign.step) -> s.Assign.description) r.Assign.steps )
+      List.map (fun (s : Assign.step) -> s.Assign.move) r.Assign.steps )
   in
   let a = run () and b = run () in
   Alcotest.(check bool) "same outcome" true (a = b)

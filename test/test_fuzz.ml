@@ -356,16 +356,12 @@ let fingerprint (r : Assign.result) =
    greedy's committed moves. *)
 let greedy_agrees ~reuse p hierarchy (objective, first_improvement) =
   let config = { Assign.default_config with Assign.objective } in
-  let committed = ref [] in
-  let engine =
-    Assign.greedy ~config ~first_improvement ~reuse
-      ~on_commit:(fun mv -> committed := mv :: !committed)
-      p hierarchy
-  in
+  let engine = Assign.greedy ~config ~first_improvement ~reuse p hierarchy in
   let oracle =
     Reference.greedy ~config ~first_improvement ~reuse p hierarchy
   in
-  (fingerprint engine = fingerprint oracle, List.rev !committed)
+  ( fingerprint engine = fingerprint oracle,
+    List.map (fun (s : Assign.step) -> s.Assign.move) engine.Assign.steps )
 
 let greedy_flavours =
   List.concat_map

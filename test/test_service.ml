@@ -159,6 +159,26 @@ let test_request_decode_errors () =
   Alcotest.(check bool) "anneal search with a seed decodes" true
     (seeded.Request.search
     = Explore.Annealing { seed = 9L; iterations = 4000 });
+  (* The fault rider takes exactly its four knobs: a typo is rejected,
+     not decoded as a rider at jitter 0. *)
+  let rider fields = Request.of_json (patch [ ("faults", Json.obj fields) ]) in
+  check_invalid "faults rider with a typo" (fun () ->
+      rider [ ("seed", Json.int 7); ("jiter", Json.int 8) ]);
+  let full =
+    rider
+      [ ("seed", Json.int 7); ("jitter", Json.int 8);
+        ("failure_permille", Json.int 20); ("trials", Json.int 3) ]
+  in
+  Alcotest.(check bool) "full faults rider decodes" true
+    (full.Request.fault_spec
+    = Some
+        {
+          Request.faults =
+            Faults.make
+              ~jitter:(Faults.Uniform { max_extra_cycles = 8 })
+              ~failure_permille:20 ~seed:7L ();
+          trials = 3;
+        });
   check_invalid "missing id" (fun () ->
       Request.of_json
         (Json.parse_exn "{\"program\": {}, \"arch\": {\"onchip_bytes\": 64}}"));
