@@ -825,37 +825,58 @@ let ext_engine () =
   metric "ext_engine.words_per_feasible"
     (Mhla_util.Json.float (!check_words /. float_of_int !calls));
   print_newline ();
-  (* The lazy greedy at each application's calibrated budget: every
-     feasible candidate still counts as an evaluation, but a move is
-     probed only when its cached delta is stale or cannot rule it out
-     of the round. Deterministic, so pinned exactly. *)
+  (* The lazy greedy and the lazy annealing (Policy.anneal's settings)
+     at each application's calibrated budget: every feasible candidate
+     still counts as an evaluation, but the greedy probes a move only
+     when its cached delta is stale or cannot rule it out of the round,
+     and the annealing only when its cached delta cannot certify a
+     rejection. Deterministic, so pinned exactly. *)
+  let seed, iterations =
+    match Mhla_policy.Policy.anneal.Mhla_policy.Policy.search with
+    | Explore.Annealing { seed; iterations } -> (seed, iterations)
+    | Explore.Greedy | Explore.First_improvement ->
+      invalid_arg "EXT-ENGINE: Policy.anneal does not anneal"
+  in
   let probes =
     Table.create
       ~columns:
         [ ("application", Table.Left);
           ("evaluations", Table.Right);
           ("greedy probes", Table.Right);
+          ("probed", Table.Right);
+          ("anneal evaluations", Table.Right);
+          ("anneal probes", Table.Right);
           ("probed", Table.Right) ]
+  in
+  let share (r : Assign.result) =
+    Table.cell_percent
+      (100. *. float_of_int r.Assign.probes
+      /. float_of_int r.Assign.evaluations)
   in
   List.iter
     (fun (app : Mhla_apps.Defs.t) ->
       let name = app.Mhla_apps.Defs.name in
-      let r =
-        Assign.greedy
-          (Lazy.force app.Mhla_apps.Defs.program)
-          (Mhla_arch.Presets.two_level
-             ~onchip_bytes:app.Mhla_apps.Defs.onchip_bytes ())
+      let program = Lazy.force app.Mhla_apps.Defs.program in
+      let hierarchy =
+        Mhla_arch.Presets.two_level
+          ~onchip_bytes:app.Mhla_apps.Defs.onchip_bytes ()
       in
+      let r = Assign.greedy program hierarchy in
+      let a = Assign.simulated_annealing ~seed ~iterations program hierarchy in
       Table.add_row probes
         [ name;
           Table.cell_int r.Assign.evaluations;
           Table.cell_int r.Assign.probes;
-          Table.cell_percent
-            (100. *. float_of_int r.Assign.probes
-            /. float_of_int r.Assign.evaluations) ];
+          share r;
+          Table.cell_int a.Assign.evaluations;
+          Table.cell_int a.Assign.probes;
+          share a ];
       metric
         (Printf.sprintf "ext_engine.%s.greedy_probes" name)
-        (Mhla_util.Json.int r.Assign.probes))
+        (Mhla_util.Json.int r.Assign.probes);
+      metric
+        (Printf.sprintf "ext_engine.%s.anneal_probes" name)
+        (Mhla_util.Json.int a.Assign.probes))
     Apps.all;
   Table.print probes;
   print_newline ();

@@ -341,12 +341,12 @@ let run_cmd =
       Service.run_job ~telemetry ?checkpoint:(checkpoint_of deadline_ms) ?jobs
         ?live req
     in
-    (match outcome with
-    | Service.Solved { verify = Some report; _ } ->
+    (match Service.live_report outcome with
+    | Some report ->
       Mhla_analysis.Verify.require report;
       if verbosity <> Quiet then
         Fmt.epr "verify-live: %a@." Check.pp_report report
-    | _ -> ());
+    | None -> ());
     if json then print_json (fst (Service.render req outcome))
     else
       match (verbosity, outcome) with

@@ -175,23 +175,34 @@ let moves config (m : Mapping.t) =
    owner is its access (infos order) or, past the accesses, its array;
    [skip] marks the moves that would leave their owner as it is — the
    ones [moves] filters out by structural equality with the current
-   placement or layer. Committing a move re-marks its owner's moves
-   only. [array_of] is each move's array (its index in
-   [Program.array_names]): the access's array, or the moved array.
+   placement or layer — and [live] counts the others, per owner and in
+   [n_live] in all, so the annealing draws its move without a scan.
+   Committing a move re-marks its owner's moves only. [array_of] is
+   each move's array (its index in [Program.array_names]): the
+   access's array, or the moved array.
 
-   The rest is the lazy greedy's delta cache, empty until a solve's
-   first round finds an improving move (so a solve that commits
-   nothing allocates none of it): per move, the cycle and energy
-   deltas of its last exact probe and an absolute bound on the
-   energy delta's float error ([infinity]: no valid delta), the
-   round's lower bound on its value, and scratch for the round's
-   pending moves. *)
+   The rest is the delta cache both searches skip probes with (see
+   [fold_error]): the exact totals of the engine's position ([cycles],
+   [terms], [energy.(0)]) and the longest probe fold so far, then, once
+   [table_cache] has allocated them, per move the cycle and energy
+   deltas of its last exact probe and an absolute bound on the energy
+   delta's float error ([infinity]: no valid delta), the move's lower
+   bound at the position, and scratch for the greedy's pending moves.
+   The greedy allocates the per-move arrays when a solve's first round
+   finds an improving move, so a solve that commits nothing allocates
+   none of them. *)
 type table = {
   all : move array;
   owner : int array;
   first : int array;  (* per owner, its first move; then [Array.length all] *)
   skip : bool array;
+  live : int array;
+  mutable n_live : int;
   array_of : int array;
+  mutable cycles : int;
+  mutable terms : int;
+  energy : float array;
+  mutable t_max : int;
   mutable dc : int array;
   mutable de : float array;
   mutable err : float array;
@@ -249,12 +260,22 @@ let move_table ~alts config (m : Mapping.t) =
   in
   let at = Array.map (fun ms -> current ms.(0)) owners in
   let skip = Array.mapi (fun k mv -> same_target mv at.(owner.(k))) all in
+  let live = Array.make (Array.length owners) 0 in
+  Array.iteri
+    (fun k s -> if not s then live.(owner.(k)) <- live.(owner.(k)) + 1)
+    skip;
   {
     all;
     owner;
     first;
     skip;
+    live;
+    n_live = Array.fold_left ( + ) 0 live;
     array_of = Array.map (fun o -> owner_array.(o)) owner;
+    cycles = 0;
+    terms = 0;
+    energy = [| 0. |];
+    t_max = 0;
     dc = [||];
     de = [||];
     err = [||];
@@ -262,13 +283,19 @@ let move_table ~alts config (m : Mapping.t) =
     pending = [||];
   }
 
-(* After committing [all.(k)]: its owner now sits where that move put
-   it. *)
-let table_commit table k =
-  let o = table.owner.(k) in
-  for j = table.first.(o) to table.first.(o + 1) - 1 do
-    table.skip.(j) <- same_target table.all.(j) table.all.(k)
-  done
+(* The [r]-th unskipped move, [0 <= r < n_live]. *)
+let table_nth table r =
+  let r = ref r and o = ref 0 in
+  while !r >= table.live.(!o) do
+    r := !r - table.live.(!o);
+    incr o
+  done;
+  let k = ref table.first.(!o) in
+  while table.skip.(!k) || !r > 0 do
+    if not table.skip.(!k) then decr r;
+    incr k
+  done;
+  !k
 
 let feasible config m = Mapping.occupancy_ok ~policy:config.policy m
 
@@ -277,7 +304,7 @@ let feasible config m = Mapping.occupancy_ok ~policy:config.policy m
    lies below [threshold current]. *)
 let threshold current = current -. (1e-9 *. (Float.abs current +. 1.))
 
-(* --- the lazy greedy's certified skips ----------------------------------
+(* --- certified skips, shared by the greedy and the annealing -------------
 
    Why a cached delta stays valid. A move's cost terms read only its
    own access entry (or, for [Set_array], its array's accesses) and its
@@ -291,7 +318,8 @@ let threshold current = current -. (1e-9 *. (Float.abs current +. 1.))
    (real-number) cycle and energy deltas, and the change in the number
    of terms folded — is the same at every position that differs from
    the probed one only in other arrays' placements and homes. A commit
-   on array [A] therefore invalidates only [A]'s moves.
+   on array [A] therefore invalidates only [A]'s moves, whether the
+   greedy's descent or an annealing step (uphill or not) made it.
 
    Cycles are ints: a cached [dc] is exact. Energy is a float fold, so
    the delta carries rounding error, bounded from the fold length:
@@ -307,7 +335,8 @@ let threshold current = current -. (1e-9 *. (Float.abs current +. 1.))
    - An exact probe at a position with totals [(C, E, T)] that returns
      [(C', E', T')] stores [dc = C' - C], [de = E' -. E] and
      [err = fold_error T' E' +. fold_error T E +. eps |de|], a bound on
-     [|de - (exact delta)|] (the last term covers the subtraction).
+     [|de - (exact delta)|] (the last term covers the subtraction)
+     ([table_record]).
    - At a later position [(C, E, T)] the move's estimate is
      [e = E +. de] against an exact new total within
      [err +. fold_error T E +. eps |e|] of [e]; its fold, which a probe
@@ -319,15 +348,93 @@ let threshold current = current -. (1e-9 *. (Float.abs current +. 1.))
      errs by at most [u] of itself), none for [Energy], and is exact
      for [Cycles].
 
-   [lower] subtracts from the estimate the propagated energy bound
-   (for [Energy_delay], twice it times the cycle count) plus [2 eps] of
-   the estimate, which covers the products' rounding and the
-   subtraction's; for [Cycles] the estimate is the exact value. So the exact probe value is never
-   below [low]: a move whose [low] reaches the round's threshold
-   cannot improve, and one whose [low] exceeds an exact value already
-   found cannot win the round. *)
+   [table_lower] subtracts from the estimate the propagated energy
+   bound (for [Energy_delay], twice it times the cycle count) plus
+   [2 eps] of the estimate, which covers the products' rounding and the
+   subtraction's; for [Cycles] the estimate is the exact value. So the
+   exact probe value is never below [low]. The greedy skips a move
+   whose [low] reaches the round's threshold (it cannot improve) or
+   exceeds an exact value already found (it cannot win the round); the
+   annealing rejects a move unprobed when [low] already makes the
+   Boltzmann test fail (see [simulated_annealing]). *)
 let fold_error ~terms energy =
   float_of_int (terms + 2) *. epsilon_float *. energy
+
+(* Allocate the per-move cache, every delta stale. *)
+let table_cache table =
+  let n = Array.length table.all in
+  table.dc <- Array.make n 0;
+  table.de <- Array.make n 0.;
+  table.err <- Array.make n infinity;
+  table.low <- Array.make n 0.;
+  table.pending <- Array.make n 0
+
+(* Place the table on the totals of the engine's last fold: the start
+   position's, or those of a probe about to be committed. *)
+let table_at_last_fold table engine =
+  table.cycles <- Engine.last_cycles engine;
+  table.terms <- Engine.last_terms engine;
+  table.energy.(0) <- Engine.last_energy engine
+
+(* After an exact probe of [all.(j)] from the table's position: cache
+   its deltas and their error bound, once the cache is allocated. *)
+let table_record table engine j =
+  if Array.length table.err > 0 then begin
+    let t = Engine.last_terms engine in
+    let e = Engine.last_energy engine in
+    let de = e -. table.energy.(0) in
+    table.dc.(j) <- Engine.last_cycles engine - table.cycles;
+    table.de.(j) <- de;
+    table.err.(j) <-
+      fold_error ~terms:t e
+      +. fold_error ~terms:table.terms table.energy.(0)
+      +. (epsilon_float *. Float.abs de);
+    if t > table.t_max then table.t_max <- t
+  end
+
+(* [low.(j)] for a move with a valid cached delta: a lower bound on the
+   value its exact probe would return at the table's position. *)
+let table_lower objective table j =
+  let c = table.cycles + table.dc.(j) in
+  let e = table.energy.(0) +. table.de.(j) in
+  let value = Cost.scalar_of objective ~total_cycles:c ~total_energy_pj:e in
+  table.low.(j) <-
+    (match objective with
+    | Cost.Cycles -> value
+    | Cost.Energy | Cost.Energy_delay ->
+      let e_err =
+        table.err.(j)
+        +. fold_error ~terms:table.terms table.energy.(0)
+        +. (epsilon_float *. Float.abs e)
+      in
+      let e_err =
+        e_err
+        +. fold_error ~terms:(table.terms + table.t_max) (Float.abs e +. e_err)
+      in
+      let scale =
+        if objective = Cost.Energy then 1. else 2. *. float_of_int c
+      in
+      value -. ((scale *. e_err) +. (2. *. epsilon_float *. Float.abs value)))
+
+(* After committing [all.(k)]: its owner now sits where that move put
+   it, and the cached deltas of its array's moves are stale. The
+   caller moves the table to the new position's totals. *)
+let table_commit table k =
+  let o = table.owner.(k) in
+  let live = ref 0 in
+  for j = table.first.(o) to table.first.(o + 1) - 1 do
+    let skip = (j = k) || same_target table.all.(j) table.all.(k) in
+    table.skip.(j) <- skip;
+    if not skip then incr live
+  done;
+  table.n_live <- table.n_live - table.live.(o) + !live;
+  table.live.(o) <- !live;
+  if Array.length table.err > 0 then begin
+    let a = table.array_of.(k) in
+    for q = 0 to Array.length table.all - 1 do
+      if table.array_of.(q) = a then table.err.(q) <- infinity
+    done
+  end
 
 (* Both searches probe moves through the incremental {!Engine}, whose
    [probe] is bit-identical to a from-scratch [Cost.evaluate]; the
@@ -368,38 +475,11 @@ let greedy ?(config = default_config) ?(first_improvement = false)
   let table = move_table ~alts:(all_alternatives config start) config start in
   let n = Array.length table.all in
   let start_value = Engine.objective_value engine in
-  (* The current position's exact totals, then the round's best
-     probe's — the next position's after its commit, bit for bit. *)
-  let cycles = ref (Engine.last_cycles engine) in
-  let terms = ref (Engine.last_terms engine) in
-  let energy = [| Engine.last_energy engine; 0. |] in
+  table_at_last_fold table engine;
+  (* The round's best probe's totals — the next position's after its
+     commit, bit for bit. *)
   let best_cycles = ref 0 and best_terms = ref 0 in
-  let t_max = ref 0 in
-  (* [low.(j)] for a move with a valid cached delta; see [fold_error]
-     for the margin. *)
-  let lower j =
-    let c = !cycles + table.dc.(j) in
-    let e = energy.(0) +. table.de.(j) in
-    let value =
-      Cost.scalar_of config.objective ~total_cycles:c ~total_energy_pj:e
-    in
-    table.low.(j) <-
-      (match config.objective with
-      | Cost.Cycles -> value
-      | Cost.Energy | Cost.Energy_delay ->
-        let e_err =
-          table.err.(j)
-          +. fold_error ~terms:!terms energy.(0)
-          +. (epsilon_float *. Float.abs e)
-        in
-        let e_err =
-          e_err +. fold_error ~terms:(!terms + !t_max) (Float.abs e +. e_err)
-        in
-        let scale =
-          if config.objective = Cost.Energy then 1. else 2. *. float_of_int c
-        in
-        value -. ((scale *. e_err) +. (2. *. epsilon_float *. Float.abs value)))
-  in
+  let best_energy = [| 0. |] in
   (* The best move of a round as its table index ([-1]: none improves)
      and its value. Every unskipped move's feasibility is checked, in
      [moves] order. A move with a valid cached delta whose lower bound
@@ -415,25 +495,9 @@ let greedy ?(config = default_config) ?(first_improvement = false)
     let best_value = ref 0. in
     let probe j =
       let value = Engine.probe engine table.all.(j) in
-      if value < threshold && Array.length table.err = 0 then begin
-        table.dc <- Array.make n 0;
-        table.de <- Array.make n 0.;
-        table.err <- Array.make n infinity;
-        table.low <- Array.make n 0.;
-        table.pending <- Array.make n 0
-      end;
-      if Array.length table.err > 0 then begin
-        let t = Engine.last_terms engine in
-        let e = Engine.last_energy engine in
-        let de = e -. energy.(0) in
-        table.dc.(j) <- Engine.last_cycles engine - !cycles;
-        table.de.(j) <- de;
-        table.err.(j) <-
-          fold_error ~terms:t e
-          +. fold_error ~terms:!terms energy.(0)
-          +. (epsilon_float *. Float.abs de);
-        if t > !t_max then t_max := t
-      end;
+      if value < threshold && Array.length table.err = 0 then
+        table_cache table;
+      table_record table engine j;
       if
         value < threshold
         && (!best < 0 || value < !best_value
@@ -443,7 +507,7 @@ let greedy ?(config = default_config) ?(first_improvement = false)
         best_value := value;
         best_cycles := Engine.last_cycles engine;
         best_terms := Engine.last_terms engine;
-        energy.(1) <- Engine.last_energy engine
+        best_energy.(0) <- Engine.last_energy engine
       end
     in
     let n_pending = ref 0 in
@@ -454,7 +518,7 @@ let greedy ?(config = default_config) ?(first_improvement = false)
       if (not table.skip.(j)) && Engine.feasible engine table.all.(j) then begin
         incr evaluations;
         if Array.length table.err > 0 && table.err.(j) < infinity then begin
-          lower j;
+          table_lower config.objective table j;
           if table.low.(j) < threshold then
             if first_improvement then probe j
             else begin
@@ -491,16 +555,9 @@ let greedy ?(config = default_config) ?(first_improvement = false)
       let step = mk_step move ~current ~value in
       Engine.commit engine move;
       table_commit table j;
-      (* The commit moved only [array_of.(j)]'s terms. *)
-      if Array.length table.err > 0 then begin
-        let a = table.array_of.(j) in
-        for q = 0 to n - 1 do
-          if table.array_of.(q) = a then table.err.(q) <- infinity
-        done
-      end;
-      cycles := !best_cycles;
-      terms := !best_terms;
-      energy.(0) <- energy.(1);
+      table.cycles <- !best_cycles;
+      table.terms <- !best_terms;
+      table.energy.(0) <- best_energy.(0);
       descend value (step :: steps)
   in
   let mapping, _, steps = descend start_value [] in
@@ -539,59 +596,99 @@ let simulated_annealing ?(config = default_config)
   in
   let temperature = ref t0 in
   (* The move is drawn from the table's unskipped moves, which are the
-     [moves] list in order. *)
+     [moves] list in order; [-1]: there is none. *)
   let table = move_table ~alts:(all_alternatives config start) config start in
+  table_cache table;
+  table_at_last_fold table engine;
   let pick () =
-    let n = Array.fold_left (fun n s -> if s then n else n + 1) 0 table.skip in
-    if n = 0 then None
-    else
-      let rec nth k seen =
-        if table.skip.(k) then nth (k + 1) seen
-        else if seen = 0 then k
-        else nth (k + 1) (seen - 1)
-      in
-      Some (nth 0 (Mhla_util.Prng.int prng ~bound:n))
+    if table.n_live = 0 then -1
+    else table_nth table (Mhla_util.Prng.int prng ~bound:table.n_live)
   in
-  for iter = 1 to iterations do
-    checkpoint ();
-    (match pick () with
-    | None -> ()
-    | Some k ->
-      let move = table.all.(k) in
-      (* A rejected move never builds the next mapping. *)
-      if Engine.feasible engine move then begin
-        incr evaluations;
-        let value = Engine.probe engine move in
-        let delta = value -. !current_value in
-        let accept =
-          delta < 0.
-          || Mhla_util.Prng.float prng < exp (-.delta /. !temperature)
-        in
-        Telemetry.instant telemetry ~cat:"assign"
-          (if accept then "anneal.accept" else "anneal.reject")
+  (* Probe the feasible move [all.(k)] and accept or reject it as the
+     eager loop would; [u] is the uniform already drawn for it, or
+     [nan] when none was. *)
+  let probe_and_decide iter k u =
+    let move = table.all.(k) in
+    let value = Engine.probe engine move in
+    table_record table engine k;
+    let delta = value -. !current_value in
+    let accept =
+      delta < 0.
+      || (if Float.is_nan u then Mhla_util.Prng.float prng else u)
+         < exp (-.delta /. !temperature)
+    in
+    if Telemetry.enabled telemetry then
+      Telemetry.instant telemetry ~cat:"assign"
+        (if accept then "anneal.accept" else "anneal.reject")
+        ~args:(fun () ->
+          [ ("iteration", Telemetry.Int iter);
+            ("temperature", Telemetry.Float !temperature);
+            ("delta", Telemetry.Float delta);
+            ("objective", Telemetry.Float value) ]);
+    if accept then begin
+      table_at_last_fold table engine;
+      Engine.commit engine move;
+      table_commit table k;
+      current_value := value;
+      if value < !best_value then begin
+        let improvement = !best_value -. value in
+        best := Engine.mapping engine;
+        best_value := value;
+        Telemetry.instant telemetry ~cat:"assign" "anneal.best"
           ~args:(fun () ->
             [ ("iteration", Telemetry.Int iter);
-              ("temperature", Telemetry.Float !temperature);
-              ("delta", Telemetry.Float delta);
+              ("move", Telemetry.Str (describe_move move));
               ("objective", Telemetry.Float value) ]);
-        if accept then begin
-          Engine.commit engine move;
-          table_commit table k;
-          current_value := value;
-          if value < !best_value then begin
-            let improvement = !best_value -. value in
-            best := Engine.mapping engine;
-            best_value := value;
-            Telemetry.instant telemetry ~cat:"assign" "anneal.best"
+        steps := { move; gain = improvement; objective_after = value } :: !steps
+      end
+    end
+  in
+  (* A feasible move whose cached delta is fresh has a lower bound
+     [low] on its exact value (see [fold_error]). When
+     [low -. current >= 0.], the exact [delta] is [>= 0.] too, so the
+     eager loop would draw [u] for it: draw it here, at the same point
+     of the stream. [delta >= low -. current] (rounding is monotone),
+     so at a positive temperature [exp (-.delta /. t)] is at most
+     [exp (-.(low -. current) /. t)] up to libm's error, which the
+     relative [1e-9] and the absolute [min_float] (subnormal results)
+     cover: a [u] at or above that bound is a certain rejection, made
+     without a probe. Anything that might be accepted is probed — its
+     commit needs the exact value anyway — and decided with the same
+     [u]. Draws, accepts and [evaluations] are the eager loop's; only
+     the probes drop. *)
+  for iter = 1 to iterations do
+    checkpoint ();
+    let k = pick () in
+    (* A rejected move never builds the next mapping. *)
+    if k >= 0 && Engine.feasible engine table.all.(k) then begin
+      incr evaluations;
+      let delta_low =
+        if table.err.(k) < infinity then begin
+          table_lower config.objective table k;
+          table.low.(k) -. !current_value
+        end
+        else neg_infinity
+      in
+      if delta_low >= 0. then begin
+        let u = Mhla_util.Prng.float prng in
+        if
+          !temperature > 0.
+          && u
+             >= (exp (-.delta_low /. !temperature) *. (1. +. 1e-9))
+                +. Float.min_float
+        then begin
+          if Telemetry.enabled telemetry then
+            Telemetry.instant telemetry ~cat:"assign" "anneal.reject"
               ~args:(fun () ->
                 [ ("iteration", Telemetry.Int iter);
-                  ("move", Telemetry.Str (describe_move move));
-                  ("objective", Telemetry.Float value) ]);
-            steps :=
-              { move; gain = improvement; objective_after = value } :: !steps
-          end
+                  ("temperature", Telemetry.Float !temperature);
+                  ("certified", Telemetry.Bool true);
+                  ("delta_low", Telemetry.Float delta_low) ])
         end
-      end);
+        else probe_and_decide iter k u
+      end
+      else probe_and_decide iter k Float.nan
+    end;
     temperature := !temperature *. decay
   done;
   result engine !best (Cost.evaluate !best) (List.rev !steps) !evaluations

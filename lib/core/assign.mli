@@ -56,8 +56,9 @@ type result = {
           candidates considered, whether or not the engine had to
           probe them *)
   probes : int;
-      (** engine probes actually run. The greedy skips the probes its
-          cached deltas certify (see {!greedy}), so it can be far below
+      (** engine probes actually run. Both searches skip the probes
+          their cached deltas certify (see {!greedy} and
+          {!simulated_annealing}), so it can be far below
           [evaluations] *)
   cache_hits : int;
       (** per-unit contributions the engine reused across probes *)
@@ -157,9 +158,20 @@ val simulated_annealing :
     defaults to [4000]. Escapes the local optima steepest descent can
     fall into (see the EXT-SEARCH bench), at ~30x the evaluations.
     [reuse] as in {!greedy}; feasibility is checked incrementally and
-    a mapping is built only for an accepted move. [telemetry]
-    records an [assign.anneal] span and per-iteration
-    [anneal.accept]/[anneal.reject] events carrying the temperature,
-    plus [anneal.best] marks on improvements — the annealing trajectory
-    as observable data. [checkpoint] is invoked before every iteration,
-    as in {!greedy}. *)
+    a mapping is built only for an accepted move.
+
+    The annealing is lazy on the greedy's delta cache: each exact probe
+    caches its move's deltas, a commit marks only its array's moves
+    stale, and a feasible move whose cached lower bound already puts
+    it uphill gets its uniform draw at the point the eager loop would
+    draw it; when that draw fails the Boltzmann test even against the
+    bound (with a margin for [exp]'s rounding), the move is rejected
+    without a probe. Every move that might be accepted is probed. The
+    draws, [evaluations], steps and result are the eager loop's; only
+    [probes] and the cache counters drop. [telemetry] records an
+    [assign.anneal] span and per-iteration [anneal.accept]/
+    [anneal.reject] events carrying the temperature, the delta and the
+    objective — a certified rejection carries [certified: true] and
+    the bound [delta_low] instead — plus [anneal.best] marks on
+    improvements: the annealing trajectory as observable data.
+    [checkpoint] is invoked before every iteration, as in {!greedy}. *)

@@ -65,12 +65,14 @@
     (real-number) change a move makes to the cycle and energy totals,
     and to {!last_terms}, depends on no other array's state: a commit
     on one array leaves every other array's move deltas as they were.
-    [Assign.greedy] builds its lazy rounds on this: it caches each
-    probed move's deltas read off {!last_cycles}/{!last_energy}/
-    {!last_terms}, invalidates only the committed array's moves, and
-    skips a probe when the cached estimate, less a rounding margin
-    derived from the fold lengths, cannot improve on the round's
-    threshold or beat an exact value already found. Cycle deltas are
+    Both searches build on this. [Assign.greedy] and
+    [Assign.simulated_annealing] cache each probed move's deltas read
+    off {!last_cycles}/{!last_energy}/{!last_terms} and invalidate only
+    the committed array's moves. The greedy skips a probe when the
+    cached estimate, less a rounding margin derived from the fold
+    lengths, cannot improve on the round's threshold or beat an exact
+    value already found; the annealing skips one when that lower bound
+    already makes the move's Boltzmann test fail. Cycle deltas are
     exact ints; the margin covers the float energy fold, whose
     non-negative terms bound its error by about [T * 2^-53 * E] for a
     fold of [T] terms and total [E]. *)
@@ -161,9 +163,10 @@ val last_terms : t -> int
     energy, and how many per-unit contributions the fold added (each
     access once, each kept block transfer once). After a probe they
     are the moved mapping's totals; after a commit of a probed move, a
-    fresh fold would give them again bit for bit. The lazy greedy
-    ([Assign.greedy]) caches each probe's deltas from them and bounds
-    the float error of the energy fold by its length. *)
+    fresh fold would give them again bit for bit. Both lazy searches
+    ([Assign.greedy], [Assign.simulated_annealing]) cache each probe's
+    deltas from them and bound the float error of the energy fold by
+    its length. *)
 
 val stats : t -> stats
 

@@ -7,7 +7,12 @@ module Telemetry = Mhla_obs.Telemetry
 module Error = Mhla_util.Error
 module Json = Mhla_util.Json
 
-type entry = { policy : Policy.t; result : Explore.result; objective : float }
+type entry = {
+  policy : Policy.t;
+  result : Explore.result;
+  objective : float;
+  verify : Mhla_analysis.Verify.report option;
+}
 
 type outcome = { winner : entry; entrants : entry list }
 
@@ -45,12 +50,21 @@ let race ?(config = Assign.default_config) ?jobs
     (* The policy's [install] only sets the candidate filter, so the
        race's config carries the sizing policy the entrant searched
        under. *)
-    if verify_live then
-      Mhla_analysis.Verify.(require (check_result ?suppress config result));
+    let verify =
+      if verify_live then begin
+        let report =
+          Mhla_analysis.Verify.check_result ?suppress config result
+        in
+        Mhla_analysis.Verify.require report;
+        Some report
+      end
+      else None
+    in
     {
       policy = p;
       result;
       objective = Cost.scalar config.Assign.objective result.Explore.after_te;
+      verify;
     }
   in
   (* Entrants come back in field order whatever [jobs] is, and the fold

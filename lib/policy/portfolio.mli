@@ -18,6 +18,9 @@ type entry = {
   objective : float;
       (** [Cost.scalar config.objective result.after_te] — what the
           race is judged on *)
+  verify : Mhla_analysis.Verify.report option;
+      (** under [verify_live], the entrant's (passing) check of its
+          result; [None] otherwise *)
 }
 
 type outcome = { winner : entry; entrants : entry list (** entrant order *) }
@@ -40,9 +43,10 @@ val race :
     [portfolio.entrant] span per policy, merged deterministically) and
     records the winner as a [portfolio.winner] instant.
     [verify_live] (default [false]) checks each entrant's result with
-    {!Mhla_analysis.Verify.check_result} once its search is done; the
-    outcome is bit-identical either way. [suppress] filters those
-    findings.
+    {!Mhla_analysis.Verify.check_result} once its search is done and
+    keeps the report in the entry's [verify] (so the winner carries
+    its own); the race and {!to_json} are bit-identical either way.
+    [suppress] filters those findings.
     @raise Mhla_util.Error.Error ([Invalid_input]) on an empty field;
     ([Internal]) when a live-verified entrant's output fails
     verification. *)

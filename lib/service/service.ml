@@ -157,6 +157,12 @@ let run_job ?telemetry ?reuse ?checkpoint ?jobs ?live ?arbitration
             req.fault_spec;
       }
 
+let live_report = function
+  | Solved { verify; _ }
+  | Raced { Portfolio.winner = { Portfolio.verify; _ }; _ } ->
+    verify
+  | Frontier _ | Simulated _ -> None
+
 let render (req : Request.t) = function
   | Solved { result; robustness; _ } ->
     (ok_payload req result, Option.map Robustness.to_json robustness)
@@ -254,18 +260,14 @@ let run_request t tele job (req : Request.t) =
     let outcome =
       run_job ~telemetry:tele ~reuse ?checkpoint ~jobs:1 ?live req
     in
-    match outcome with
-    | Solved { verify = Some r; _ } when not (Verify.ok r) ->
+    match live_report outcome with
+    | Some r when not (Verify.ok r) ->
       let errs = Verify.errors r in
       Response.error ~id ~seq ~elapsed_ns:(elapsed ()) ~code:"verify"
         (Fmt.str "solution failed live verification: %d error(s); first: %a"
            (List.length errs) Mhla_analysis.Diagnostic.pp (List.hd errs))
-    | _ ->
-      let verify =
-        match outcome with
-        | Solved { verify; _ } -> Option.map Verify.report_to_json verify
-        | Frontier _ | Raced _ | Simulated _ -> None
-      in
+    | verify ->
+      let verify = Option.map Verify.report_to_json verify in
       let result, robustness = render req outcome in
       Response.ok ?robustness ?verify ~id ~seq ~elapsed_ns:(elapsed ()) result
   end

@@ -38,10 +38,12 @@ type config = {
   telemetry : Mhla_obs.Telemetry.t;
   verify_live : bool;
       (** check every [Solve] request's solution (mapping + TE
-          schedule) with the full verifier before emitting it: a
-          failing solution becomes a [verify]-coded error
-          response, a passing one carries its report in the response's
-          [verify] field. Never changes the [result] payload. *)
+          schedule), and every [Portfolio] entrant's, with the full
+          verifier before emitting it: a failing solve becomes a
+          [verify]-coded error response (a failing entrant an
+          [internal] one), a passing answer carries its report (a
+          race's: the winner's) in the response's [verify] field.
+          Never changes the [result] payload. *)
   suppress : Mhla_analysis.Suppress.t;
       (** suppression rules applied to both the pre-solve program
           verification and the live verification *)
@@ -164,13 +166,20 @@ val run_job :
     - [jobs]: domains a grid or a race fans out over (default
       {!Mhla_util.Domain_pool.recommended_jobs}; the pool passes 1);
     - [live]: verify the answer under these suppressions
-      ({!Mhla_analysis.Verify.check_result}). A [Solve] returns the report in [verify]; a
-      [Portfolio] raises ([Internal]) on a failing entrant. The
-      outcome is otherwise unchanged;
+      ({!Mhla_analysis.Verify.check_result}). A [Solve] returns the
+      report in [verify]; a [Portfolio] raises ([Internal]) on a
+      failing entrant and returns each entrant's passing report in its
+      entry's [verify] (see {!live_report}). The outcome is otherwise
+      unchanged;
     - [arbitration], [shared_bus], [invalidate_on_miss]: for
       {!Mhla_sim.Event.of_hierarchy} on a [Simulate] job.
 
     @raise Mhla_util.Error.Error ([Deadline]) when [checkpoint] fires. *)
+
+val live_report : outcome -> Mhla_analysis.Verify.report option
+(** The [live] report of an outcome: a [Solved]'s [verify], or a
+    [Raced] winner's; [None] without [live] and for the other kinds.
+    {!run_request} answers it in the response's [verify] field. *)
 
 val render : Request.t -> outcome -> Mhla_util.Json.t * Mhla_util.Json.t option
 (** The [result] and [robustness] fields of the ok response. *)

@@ -350,6 +350,47 @@ let test_anneal_engine_equals_oracle () =
         (fingerprint engine = fingerprint oracle))
     [ (128, 7L); (512, 7L); (512, 1234L) ]
 
+(* A silent fallback to eager annealing keeps every decision, so only
+   the probe count shows it: on a mid-size application, under every
+   objective and two seeds, the lazy annealing must take the
+   reference's decisions while probing fewer moves than it evaluates.
+   The start's evaluation is no probe, so the eager loop probes
+   [evaluations - 1] moves, one per feasible draw; the lazy one probes
+   44-58 % of them here, and the check wants under two thirds. *)
+let test_anneal_lazy_on_app () =
+  let app = Mhla_apps.Registry.find_exn "wavelet_2d" in
+  let program = Lazy.force app.Mhla_apps.Defs.program in
+  let h = Presets.two_level ~onchip_bytes:app.Mhla_apps.Defs.onchip_bytes () in
+  let reuse = Mapping.precompute program in
+  List.iter
+    (fun objective ->
+      let config = { Assign.default_config with Assign.objective } in
+      List.iter
+        (fun seed ->
+          let what =
+            Fmt.str "%a seed %Ld" Cost.pp_objective objective seed
+          in
+          let engine =
+            Assign.simulated_annealing ~config ~reuse ~seed ~iterations:4000
+              program h
+          in
+          let oracle =
+            Reference.simulated_annealing ~config ~reuse ~seed
+              ~iterations:4000 program h
+          in
+          Alcotest.(check bool) (what ^ ": identical result") true
+            (fingerprint engine = fingerprint oracle);
+          Alcotest.(check int) (what ^ ": same evaluation count")
+            oracle.Assign.evaluations engine.Assign.evaluations;
+          let draws = engine.Assign.evaluations - 1 in
+          Alcotest.(check bool)
+            (Fmt.str "%s: probes %d < 2/3 of %d feasible draws" what
+               engine.Assign.probes draws)
+            true
+            (3 * engine.Assign.probes < 2 * draws))
+        [ 42L; 7L ])
+    [ Cost.Energy; Cost.Cycles; Cost.Energy_delay ]
+
 let test_result_evaluation_accounting () =
   let program = conv () in
   let h = Presets.two_level ~onchip_bytes:512 () in
@@ -634,6 +675,8 @@ let () =
             test_greedy_engine_equals_oracle_on_kernel;
           Alcotest.test_case "annealing = oracle" `Quick
             test_anneal_engine_equals_oracle;
+          Alcotest.test_case "annealing lazy on an app" `Quick
+            test_anneal_lazy_on_app;
           Alcotest.test_case "evaluation accounting" `Quick
             test_result_evaluation_accounting;
         ] );

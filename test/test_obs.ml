@@ -184,6 +184,61 @@ let test_noop_byte_identity () =
         (Telemetry.events t <> []))
     Apps.all
 
+(* The annealing trace accounts for every feasible draw: a probed one
+   is an [anneal.accept] or [anneal.reject] with its [delta], a
+   rejection certified from a cached delta is an [anneal.reject] with
+   [certified: true] and a non-negative [delta_low] bound, and the
+   certified ones are exactly the draws left unprobed. *)
+let test_anneal_trace_accounts_for_draws () =
+  let app = Apps.find_exn "cavity_detector" in
+  let program = Lazy.force app.Mhla_apps.Defs.program in
+  let hierarchy =
+    Mhla_arch.Presets.two_level ~onchip_bytes:app.Mhla_apps.Defs.onchip_bytes
+      ()
+  in
+  let module Assign = Mhla_core.Assign in
+  let t = collector () in
+  let traced = Assign.simulated_annealing ~telemetry:t program hierarchy in
+  let plain = Assign.simulated_annealing program hierarchy in
+  Alcotest.(check bool) "same result with telemetry on" true
+    (traced.Assign.steps = plain.Assign.steps
+    && traced.Assign.breakdown = plain.Assign.breakdown
+    && traced.Assign.probes = plain.Assign.probes);
+  let decisions =
+    List.filter
+      (fun (e : Telemetry.event) ->
+        e.Telemetry.name = "anneal.accept"
+        || e.Telemetry.name = "anneal.reject")
+      (Telemetry.events t)
+  in
+  let certified, probed =
+    List.partition
+      (fun (e : Telemetry.event) ->
+        List.assoc_opt "certified" e.Telemetry.args
+        = Some (Telemetry.Bool true))
+      decisions
+  in
+  Alcotest.(check int) "one decision per feasible draw"
+    (traced.Assign.evaluations - 1)
+    (List.length decisions);
+  Alcotest.(check int) "one probed decision per probe" traced.Assign.probes
+    (List.length probed);
+  Alcotest.(check bool) "some rejections certified" true (certified <> []);
+  List.iter
+    (fun (e : Telemetry.event) ->
+      Alcotest.(check string) "a certified decision rejects" "anneal.reject"
+        e.Telemetry.name;
+      match List.assoc_opt "delta_low" e.Telemetry.args with
+      | Some (Telemetry.Float d) ->
+        Alcotest.(check bool) "delta_low >= 0" true (d >= 0.)
+      | _ -> Alcotest.fail "a certified rejection carries no delta_low")
+    certified;
+  List.iter
+    (fun (e : Telemetry.event) ->
+      Alcotest.(check bool) "a probed decision carries its delta" true
+        (List.mem_assoc "delta" e.Telemetry.args))
+    probed
+
 (* --- worker-sink merge ------------------------------------------------- *)
 
 let test_merge_deterministic () =
@@ -308,6 +363,8 @@ let () =
         [
           Alcotest.test_case "reports byte-identical with telemetry" `Slow
             test_noop_byte_identity;
+          Alcotest.test_case "annealing trace accounts for every draw"
+            `Quick test_anneal_trace_accounts_for_draws;
         ] );
       ( "merge",
         [

@@ -508,6 +508,52 @@ let test_service_verify_live () =
                     req)))))
     reqs
 
+(* A raced request under live verification answers the winner's report
+   in the response's [verify] field, as a solve does; without it, no
+   field. *)
+let test_service_portfolio_verify_live () =
+  let req =
+    List.find
+      (fun (r : Request.t) ->
+        match r.kind with Request.Portfolio _ -> true | _ -> false)
+      (every_kind 4)
+  in
+  let live = Mhla_analysis.Suppress.empty in
+  let outcome = Service.run_job ~jobs:1 ~live req in
+  let winner =
+    match outcome with
+    | Service.Raced o -> o.Mhla_policy.Portfolio.winner
+    | _ -> Alcotest.fail "a portfolio request did not race"
+  in
+  let report =
+    match Service.live_report outcome with
+    | Some r -> r
+    | None -> Alcotest.fail "a live race carries no report"
+  in
+  Alcotest.(check bool) "the winner's own report" true
+    (winner.Mhla_policy.Portfolio.verify = Some report);
+  Alcotest.(check bool) "the winner's report passes" true
+    (Mhla_analysis.Verify.ok report);
+  let answer config =
+    let service = Service.create ~config () in
+    ignore (Service.submit service (line req));
+    let responses = Service.drain service in
+    Service.shutdown service;
+    match responses with
+    | [ resp ] ->
+      Alcotest.(check string) "status" "ok"
+        (Response.status_name resp.Response.status);
+      resp.Response.verify
+    | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs)
+  in
+  (match answer { Service.default_config with verify_live = true } with
+  | Some v ->
+    Alcotest.(check bool) "verify field = the winner's report" true
+      (Json.equal v (Mhla_analysis.Verify.report_to_json report))
+  | None -> Alcotest.fail "a live portfolio response has no verify field");
+  Alcotest.(check bool) "no verify field without live verification" true
+    (answer Service.default_config = None)
+
 let test_service_pareto_end_to_end () =
   let case = Gen.case ~profile:Gen.Mixed ~seed:23L () in
   let axes = [ [ 128; 512; 2048 ] ] in
@@ -688,6 +734,8 @@ let () =
             test_service_ok_bit_identical;
           Alcotest.test_case "verify-live on every face" `Quick
             test_service_verify_live;
+          Alcotest.test_case "portfolio verify-live report" `Quick
+            test_service_portfolio_verify_live;
           Alcotest.test_case "pareto end to end" `Quick
             test_service_pareto_end_to_end;
           Alcotest.test_case "simulate end to end" `Quick
