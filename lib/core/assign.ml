@@ -190,7 +190,9 @@ let moves config (m : Mapping.t) =
    bound at the position, and scratch for the greedy's pending moves.
    The greedy allocates the per-move arrays when a solve's first round
    finds an improving move, so a solve that commits nothing allocates
-   none of them. *)
+   none of them. The annealing also allocates, with [table_verdicts],
+   a feasibility verdict per move and the position it was taken at
+   (see [table_feasible]). *)
 type table = {
   all : move array;
   owner : int array;
@@ -208,6 +210,9 @@ type table = {
   mutable err : float array;
   mutable low : float array;
   mutable pending : int array;
+  mutable position : int;  (* bumped by every commit *)
+  mutable checked : int array;  (* the position of each move's verdict *)
+  mutable fits : bool array;
 }
 
 let same_target a b =
@@ -281,6 +286,9 @@ let move_table ~alts config (m : Mapping.t) =
     err = [||];
     low = [||];
     pending = [||];
+    position = 0;
+    checked = [||];
+    fits = [||];
   }
 
 (* The [r]-th unskipped move, [0 <= r < n_live]. *)
@@ -369,6 +377,12 @@ let table_cache table =
   table.low <- Array.make n 0.;
   table.pending <- Array.make n 0
 
+(* Allocate the per-move feasibility verdicts, none taken. *)
+let table_verdicts table =
+  let n = Array.length table.all in
+  table.checked <- Array.make n (-1);
+  table.fits <- Array.make n false
+
 (* Place the table on the totals of the engine's last fold: the start
    position's, or those of a probe about to be committed. *)
 let table_at_last_fold table engine =
@@ -416,10 +430,24 @@ let table_lower objective table j =
       in
       value -. ((scale *. e_err) +. (2. *. epsilon_float *. Float.abs value)))
 
+(* [Engine.feasible engine all.(k)], once [table_verdicts] has run: the
+   engine's occupancy state changes only on a commit, so a verdict
+   taken since the last [table_commit] is still exact. *)
+let table_feasible table engine k =
+  if table.checked.(k) = table.position then table.fits.(k)
+  else begin
+    let ok = Engine.feasible engine table.all.(k) in
+    table.checked.(k) <- table.position;
+    table.fits.(k) <- ok;
+    ok
+  end
+
 (* After committing [all.(k)]: its owner now sits where that move put
-   it, and the cached deltas of its array's moves are stale. The
-   caller moves the table to the new position's totals. *)
+   it, the cached deltas of its array's moves are stale, and so is
+   every feasibility verdict. The caller moves the table to the new
+   position's totals. *)
 let table_commit table k =
+  table.position <- table.position + 1;
   let o = table.owner.(k) in
   let live = ref 0 in
   for j = table.first.(o) to table.first.(o + 1) - 1 do
@@ -599,6 +627,7 @@ let simulated_annealing ?(config = default_config)
      [moves] list in order; [-1]: there is none. *)
   let table = move_table ~alts:(all_alternatives config start) config start in
   table_cache table;
+  table_verdicts table;
   table_at_last_fold table engine;
   let pick () =
     if table.n_live = 0 then -1
@@ -654,13 +683,14 @@ let simulated_annealing ?(config = default_config)
      cover: a [u] at or above that bound is a certain rejection, made
      without a probe. Anything that might be accepted is probed — its
      commit needs the exact value anyway — and decided with the same
-     [u]. Draws, accepts and [evaluations] are the eager loop's; only
-     the probes drop. *)
+     [u]. Every draw still gets its feasibility verdict, reused from the
+     table while no commit intervenes ([table_feasible]). Draws,
+     accepts and [evaluations] are the eager loop's; only the probes
+     and the repeated checks drop. *)
   for iter = 1 to iterations do
     checkpoint ();
     let k = pick () in
-    (* A rejected move never builds the next mapping. *)
-    if k >= 0 && Engine.feasible engine table.all.(k) then begin
+    if k >= 0 && table_feasible table engine k then begin
       incr evaluations;
       let delta_low =
         if table.err.(k) < infinity then begin

@@ -141,8 +141,15 @@ type counters = {
 
 type t = {
   objective : Cost.objective;
-  mutable mapping : Mapping.t;
-  entries : entry array;  (* in [mapping.infos] order *)
+  (* The mapping [create] was given. Every cost term is derived from
+     its program, hierarchy, transfer mode and infos, which no move
+     changes; its placements and promoted arrays are the start
+     position's only. *)
+  base : Mapping.t;
+  (* The current position's mapping, once [mapping] has built it;
+     [None] after a commit. *)
+  mutable built : Mapping.t option;
+  entries : entry array;  (* in [base.infos] order *)
   index : (Analysis.access_ref, int) Hashtbl.t;
   (* The searches probe every alternative of one access in a row, all
      carrying the physically same [access_ref]: remembering the last
@@ -152,7 +159,7 @@ type t = {
   arrays : array_state array;
   array_ids : (string, int) Hashtbl.t;
   homes : int array;  (* by array id: the level holding it *)
-  (* The promoted arrays in [mapping.array_layers] order, kept with the
+  (* The promoted arrays in [array_layers] order, kept with the
      same remove-then-prepend discipline as [Mapping.with_array_layer]:
      their fill/drain transfers are folded in this order, and float
      sums are order-sensitive. [saved_order] is a probe's copy. *)
@@ -207,7 +214,7 @@ let intern_key t key =
 
 let cached_bt t bt =
   let c_stall, c_setup, c_energy, c_dma =
-    Cost.bt_contribution ~dma:t.dma t.mapping bt
+    Cost.bt_contribution ~dma:t.dma t.base bt
   in
   t.counters.n_recomputed <- t.counters.n_recomputed + 1;
   let key_id = intern_key t (Mapping.bt_dedupe_key bt) in
@@ -223,7 +230,7 @@ let ensure_terms t (e : entry) a home =
       | Mapping.Chain (link :: _) -> link.Mapping.layer
       | Mapping.Chain [] -> assert false
     in
-    let stall, energy = Cost.access_contribution t.mapping ~level e.info in
+    let stall, energy = Cost.access_contribution t.base ~level e.info in
     a.stall.(home) <- stall;
     a.energy.(home) <- energy;
     t.counters.n_recomputed <- t.counters.n_recomputed + 1;
@@ -234,7 +241,7 @@ let ensure_terms t (e : entry) a home =
         Array.of_list
           (List.map (cached_bt t)
              (Mapping.transfers_of_chain
-                ~transfer_mode:t.mapping.Mapping.transfer_mode ~home links)));
+                ~transfer_mode:t.base.Mapping.transfer_mode ~home links)));
     a.known.(home) <- true
   end
 
@@ -250,7 +257,7 @@ let promoted t id level =
     let bts =
       Array.of_list
         (List.map (cached_bt t)
-           (Mapping.promoted_transfers t.mapping ~array:st.name ~level))
+           (Mapping.promoted_transfers t.base ~array:st.name ~level))
     in
     st.promoted.(level) <- Some bts;
     bts
@@ -722,7 +729,8 @@ let create ?(telemetry = Telemetry.noop) ?(policy = Occupancy.In_place)
   let t =
     {
       objective;
-      mapping = m;
+      base = m;
+      built = Some m;
       entries;
       index;
       last_ref = { Analysis.stmt = ""; index = -1 };
@@ -793,7 +801,27 @@ let create ?(telemetry = Telemetry.noop) ?(policy = Occupancy.In_place)
   Array.iteri (fun i _ -> refresh t i) entries;
   t
 
-let mapping t = t.mapping
+(* Placements in entry (= infos) order, each the physical placement
+   its last commit installed; promoted arrays in [order], the latest
+   first. Exactly what the [Mapping.with_placement] /
+   [Mapping.with_array_layer] calls of the same commits build. *)
+let mapping t =
+  match t.built with
+  | Some m -> m
+  | None ->
+    let placements =
+      Array.fold_right
+        (fun e acc -> (e.info.Analysis.ref_, e.alt.placement) :: acc)
+        t.entries []
+    in
+    let array_layers =
+      List.init t.n_order (fun k ->
+          let id = t.order.(k) in
+          (t.arrays.(id).name, t.homes.(id)))
+    in
+    let m = Mapping.with_layout t.base ~placements ~array_layers in
+    t.built <- Some m;
+    m
 
 let breakdown t =
   fold t;
@@ -842,24 +870,21 @@ let commit t move =
   Telemetry.span t.telemetry ~cat:"engine" "engine.commit"
     ~args:(fun () -> [ ("move", Telemetry.Str (move_kind move)) ])
     (fun () ->
-      (* Validate through the real [Mapping] update first: if it rejects
-         the move we raise before any cached state is dirtied. *)
+      (* Validate as the real [Mapping] update would first: if it
+         rejects the move we raise before any state is dirtied. *)
       (match move with
       | Set_placement (r, p) ->
-        let mapping' = Mapping.with_placement t.mapping r p in
+        Mapping.check_placement t.base r p;
         let i = index_of t r in
         install t i (alt_of t i p);
-        t.mapping <- mapping';
         refresh t i
       | Set_array (array, target) ->
-        let mapping' =
-          Mapping.with_array_layer t.mapping ~array ~layer:target
-        in
+        Mapping.check_array_layer t.base ~array ~layer:target;
         let id = array_id t array in
         charge_array t id target 1;
         move_array t id target;
-        t.mapping <- mapping';
         invalidate t id);
+      t.built <- None;
       t.counters.n_commits <- t.counters.n_commits + 1;
       Telemetry.count t.telemetry ~cat:"engine" "engine.commits" 1)
 

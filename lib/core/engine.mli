@@ -115,10 +115,15 @@ val create :
     disabled sink leaves every result bit-identical. *)
 
 val mapping : t -> Mapping.t
-(** The mapping the engine is positioned on — the genuine [Mapping.t],
-    built through the same [Mapping.with_placement] /
-    [Mapping.with_array_layer] calls an oracle search would make, so
-    downstream steps (TE, reports) see an identical value. *)
+(** The mapping the engine is positioned on, built on demand: the
+    first call after a {!commit} assembles it from each access's
+    current placement and the promoted arrays (latest promotion first),
+    later calls return that value until the next commit. It is
+    structurally equal to what the same moves' [Mapping.with_placement]
+    / [Mapping.with_array_layer] calls build from the mapping given to
+    {!create}, so downstream steps (TE, reports) see an identical value.
+    A search that reads it only on a new best pays for one list build
+    per best, not per commit. *)
 
 val probe : t -> move -> float
 (** The objective of [mapping t] with [move] applied, recomputing only
@@ -141,9 +146,12 @@ val feasible : t -> move -> bool
 
 val commit : t -> move -> unit
 (** Advance the engine's position by [move], keeping the cached
-    contributions it does not touch.
-    @raise Mhla_util.Error.Error if the underlying [Mapping] update
-    rejects the move; the engine is unchanged in that case. *)
+    contributions it does not touch. The move is validated as the
+    [Mapping] update would validate it ([Mapping.check_placement] /
+    [Mapping.check_array_layer]), but no mapping is rebuilt: {!mapping}
+    builds it when next asked.
+    @raise Mhla_util.Error.Error if the [Mapping] update would reject
+    the move; the engine is unchanged in that case. *)
 
 val objective_value : t -> float
 (** [Cost.scalar objective] of {!breakdown}. *)

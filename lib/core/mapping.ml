@@ -73,27 +73,37 @@ let validate_chain t info links =
   in
   check_order links
 
-let with_placement t ref_ placement =
+let check_placement t ref_ placement =
   let info = find_info t ref_ in
-  (match placement with
+  match placement with
   | Direct -> ()
-  | Chain links -> validate_chain t info links);
+  | Chain links -> validate_chain t info links
+
+let with_placement t ref_ placement =
+  check_placement t ref_ placement;
   let replace (r, p) =
     if Analysis.compare_access_ref r ref_ = 0 then (r, placement) else (r, p)
   in
   { t with placements = List.map replace t.placements }
 
-let with_array_layer t ~array ~layer =
+let check_array_layer t ~array ~layer =
   if Mhla_ir.Program.find_array t.program array = None then
     Error.invalidf ~context:"Mapping" "unknown array %s" array;
-  let main = Hierarchy.main_memory_level t.hierarchy in
+  match layer with
+  | None -> ()
+  | Some level ->
+    if level < 0 || level >= Hierarchy.main_memory_level t.hierarchy then
+      Error.invalidf ~context:"Mapping" "level %d is not on-chip" level
+
+let with_array_layer t ~array ~layer =
+  check_array_layer t ~array ~layer;
   let array_layers = List.remove_assoc array t.array_layers in
   match layer with
   | None -> { t with array_layers }
-  | Some level ->
-    if level < 0 || level >= main then
-      Error.invalidf ~context:"Mapping" "level %d is not on-chip" level;
-    { t with array_layers = (array, level) :: array_layers }
+  | Some level -> { t with array_layers = (array, level) :: array_layers }
+
+let with_layout t ~placements ~array_layers =
+  { t with placements; array_layers }
 
 let placement_of t ref_ =
   match

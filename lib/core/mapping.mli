@@ -68,6 +68,26 @@ val with_array_layer : t -> array:string -> layer:int option -> t
     @raise Mhla_util.Error.Error for an unknown array or the off-chip
     level. *)
 
+val check_placement : t -> Mhla_reuse.Analysis.access_ref -> placement -> unit
+(** The validation {!with_placement} runs, without the update.
+    @raise Mhla_util.Error.Error exactly when {!with_placement} would. *)
+
+val check_array_layer : t -> array:string -> layer:int option -> unit
+(** The validation {!with_array_layer} runs, without the update.
+    @raise Mhla_util.Error.Error exactly when {!with_array_layer}
+    would. *)
+
+val with_layout :
+  t ->
+  placements:(Mhla_reuse.Analysis.access_ref * placement) list ->
+  array_layers:(string * int) list ->
+  t
+(** [t] with its placements and promoted arrays replaced wholesale,
+    unchecked: the lists must be ones a sequence of {!with_placement}
+    and {!with_array_layer} calls from [t] produces (placements in
+    [infos] order, the latest promotion first). {!Engine.mapping}
+    rebuilds its position through this. *)
+
 val placement_of : t -> Mhla_reuse.Analysis.access_ref -> placement
 
 val array_layer : t -> string -> int

@@ -104,13 +104,15 @@ let compare a b =
   | 0 -> String_map.compare Stdlib.compare a.coeffs b.coeffs
   | c -> c
 
-let pp ppf e =
-  let pp_term ppf (name, c) =
-    if c = 1 then Fmt.string ppf name else Fmt.pf ppf "%d*%s" c name
+let to_string e =
+  let term (name, c) =
+    if c = 1 then name else string_of_int c ^ "*" ^ name
   in
-  let terms = String_map.bindings e.coeffs in
-  match (terms, e.const) with
-  | [], c -> Fmt.int ppf c
-  | terms, 0 -> Fmt.(list ~sep:(any " + ") pp_term) ppf terms
-  | terms, c ->
-    Fmt.pf ppf "%a + %d" Fmt.(list ~sep:(any " + ") pp_term) terms c
+  let terms =
+    String.concat " + " (List.map term (String_map.bindings e.coeffs))
+  in
+  if terms = "" then string_of_int e.const
+  else if e.const = 0 then terms
+  else terms ^ " + " ^ string_of_int e.const
+
+let pp ppf e = Fmt.string ppf (to_string e)

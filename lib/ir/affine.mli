@@ -65,4 +65,10 @@ val equal : t -> t -> bool
 
 val compare : t -> t -> int
 
+val to_string : t -> string
+(** Terms in iterator order joined by [" + "], a coefficient other
+    than 1 written [c*i], then a non-zero constant: ["2*i + j + -3"];
+    a constant-only form is just the constant. *)
+
 val pp : t Fmt.t
+(** Prints {!to_string}. *)

@@ -89,17 +89,19 @@ let make ~decl ~loops ~stmt ~access_index ~level (access : Mhla_ir.Access.t) =
     let whole_array =
       footprint_bytes = Mhla_ir.Array_decl.size_bytes decl && level = 0
     in
-    if whole_array then
-      Printf.sprintf "%s@whole" access.Mhla_ir.Access.array
+    let array = access.Mhla_ir.Access.array in
+    if whole_array then array ^ "@whole"
     else
-      Fmt.str "%s@%d:%a:%a" access.Mhla_ir.Access.array level
-        Fmt.(option string)
-        (if level = 0 then None else Some (fst (List.nth loops (level - 1))))
-        Fmt.(list ~sep:(any ";") Mhla_ir.Affine.pp)
-        access.Mhla_ir.Access.index
+      String.concat ""
+        [ array; "@"; string_of_int level; ":";
+          Option.value refresh_iter ~default:""; ":";
+          String.concat ";"
+            (List.map Mhla_ir.Affine.to_string access.Mhla_ir.Access.index) ]
   in
   {
-    id = Printf.sprintf "%s/%d@%d" stmt access_index level;
+    id =
+      String.concat ""
+        [ stmt; "/"; string_of_int access_index; "@"; string_of_int level ];
     stmt;
     access_index;
     array = access.Mhla_ir.Access.array;

@@ -58,7 +58,6 @@ type t = {
   mutable n_timeout : int;
   mutable n_shed : int;
   mutable latencies_ns : int list;
-  intern : (string, Mapping.reuse) Hashtbl.t;
   mutable workers : unit Domain.t list;
   mutable children : Telemetry.t list;
 }
@@ -195,32 +194,6 @@ let record t resp =
   record_locked t resp;
   Mutex.unlock t.lock
 
-(* Reuse analysis is program-only (the sweep already hoists one across
-   all its points), so one precompute serves every request naming the
-   same program. Keyed on the canonical JSON rendering — total on any
-   program, unlike a structural digest of closures-bearing values.
-   Computed outside the lock; on a race the first insert wins. *)
-let intern_reuse t program =
-  let key = Json.to_string (Mhla_ir.Json_codec.program_to_json program) in
-  Mutex.lock t.lock;
-  match Hashtbl.find_opt t.intern key with
-  | Some r ->
-    Mutex.unlock t.lock;
-    r
-  | None ->
-    Mutex.unlock t.lock;
-    let fresh = Mapping.precompute program in
-    Mutex.lock t.lock;
-    let r =
-      match Hashtbl.find_opt t.intern key with
-      | Some prior -> prior
-      | None ->
-        Hashtbl.add t.intern key fresh;
-        fresh
-    in
-    Mutex.unlock t.lock;
-    r
-
 (* --- one request, one response ----------------------------------------- *)
 
 let run_request t tele job (req : Request.t) =
@@ -253,7 +226,9 @@ let run_request t tele job (req : Request.t) =
     in
     (* Fail fast if the request already overstayed in the queue. *)
     Option.iter (fun cp -> cp ()) checkpoint;
-    let reuse = intern_reuse t req.program in
+    (* Reuse analysis is program-only: one per request serves every
+       solve it runs (a race's entrants, a grid's points). *)
+    let reuse = Mapping.precompute req.program in
     let live = if t.cfg.verify_live then Some t.cfg.suppress else None in
     (* The pool already runs one domain per worker: a job's own fan-out
        stays on the worker that owns it. *)
@@ -348,7 +323,6 @@ let create ?(config = default_config) () =
       n_timeout = 0;
       n_shed = 0;
       latencies_ns = [];
-      intern = Hashtbl.create 8;
       workers = [];
       children = [];
     }

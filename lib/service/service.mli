@@ -20,9 +20,10 @@
     {!run_job} on the same request — the checkpoint never perturbs
     the search.
 
-    Reuse analysis ({!Mhla_core.Mapping.precompute}) is interned
-    across requests by program digest: a batch sweeping one program
-    over many platforms pays for the program-only analysis once. *)
+    Each request runs reuse analysis ({!Mhla_core.Mapping.precompute})
+    once and shares it with every solve it makes: a portfolio's
+    entrants, a grid's points. Nothing is kept across requests, so a
+    long-running service holds no per-program state. *)
 
 (** Admission policy once the queue is full. *)
 type admission = Block | Shed

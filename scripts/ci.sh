@@ -224,6 +224,25 @@ else
   echo "   (python3 not installed: skipping the search decision gate)"
 fi
 
+echo "== service decision gate =="
+# One short serve-mixed benchmark pass: every anneal, portfolio,
+# simulate and fault-rider response the service gives must equal a
+# direct replay of the same request, so a change to a search decision
+# or to the service's job path fails here too.
+if command -v python3 >/dev/null 2>&1; then
+  bench_line=$(python3 perfbench/run.py --workload serve-mixed --seed 1 \
+    --seconds 1 --trace 0 2>/dev/null | tail -n 1)
+  echo "$bench_line" | python3 -c '
+import json, sys
+d = json.loads(sys.stdin.read())
+if d.get("correct") is not True or d.get("failed") != 0:
+    sys.exit("serve-mixed responses drifted from their direct replays: "
+             "correct=%s failed=%s" % (d.get("correct"), d.get("failed")))
+' || exit 1
+else
+  echo "   (python3 not installed: skipping the service decision gate)"
+fi
+
 echo "== simulate gate =="
 # The discrete-event simulator must cross-validate the analytic TE
 # gain on real applications: exit 0, agreement reported, and every

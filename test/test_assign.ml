@@ -391,6 +391,115 @@ let test_anneal_lazy_on_app () =
         [ 42L; 7L ])
     [ Cost.Energy; Cost.Cycles; Cost.Energy_delay ]
 
+(* Every placement alternative of every access and every array target,
+   including the moves that leave their owner where it is. *)
+let move_universe config (m : Mapping.t) =
+  List.concat_map
+    (fun (info : Analysis.info) ->
+      List.map
+        (fun p -> Engine.Set_placement (info.Analysis.ref_, p))
+        (Assign.alternatives config m info))
+    m.Mapping.infos
+  @ List.concat_map
+      (fun array ->
+        Engine.Set_array (array, None)
+        :: List.map
+             (fun l -> Engine.Set_array (array, Some l))
+             (Mhla_arch.Hierarchy.on_chip_levels m.Mapping.hierarchy))
+      (Mhla_ir.Program.array_names m.Mapping.program)
+
+(* The engine builds its mapping only when asked. After a seeded run of
+   commits, promotions and demotions among them, read every few
+   commits, it must be the very value the oracle's [Mapping] updates
+   build for the same moves: placements in infos order, promoted
+   arrays latest first. *)
+let test_engine_mapping_on_demand () =
+  let config = Assign.default_config in
+  let m =
+    Mapping.direct (conv ~n:8 ())
+      (Presets.three_level ~l1_bytes:256 ~l2_bytes:4096 ())
+  in
+  let universe = Array.of_list (move_universe config m) in
+  let engine = Engine.create ~objective:config.Assign.objective m in
+  let rng = Mhla_util.Prng.create ~seed:11L in
+  let folded = ref m and arrays = ref 0 in
+  for step = 1 to 60 do
+    let mv =
+      universe.(Mhla_util.Prng.int rng ~bound:(Array.length universe))
+    in
+    (match mv with Engine.Set_array _ -> incr arrays | _ -> ());
+    Engine.commit engine mv;
+    folded := Assign.apply_move !folded mv;
+    if step mod 7 = 0 || step = 60 then begin
+      Alcotest.(check bool)
+        (Printf.sprintf "step %d: mapping" step)
+        true
+        (Engine.mapping engine = !folded);
+      Alcotest.(check bool)
+        (Printf.sprintf "step %d: breakdown" step)
+        true
+        (Engine.breakdown engine = Cost.evaluate !folded)
+    end
+  done;
+  Alcotest.(check bool) "the walk moved arrays" true (!arrays >= 5);
+  Alcotest.(check bool) "an array ended promoted" true
+    ((Engine.mapping engine).Mapping.array_layers <> [])
+
+(* A commit validates the move as [Mapping] does and raises before any
+   state changes: the engine stays on its position, mapping and
+   breakdown alike, whether or not its mapping was built. *)
+let test_engine_invalid_commit () =
+  let config = Assign.default_config in
+  let m =
+    Mapping.direct (conv ~n:8 ()) (Presets.two_level ~onchip_bytes:4096 ())
+  in
+  let info = List.hd m.Mapping.infos in
+  let r = info.Analysis.ref_ in
+  let chain = List.nth (Assign.alternatives config m info) 1 in
+  let valid =
+    [ Engine.Set_placement (r, chain); Engine.Set_array ("coeff", Some 0) ]
+  in
+  let main = Mhla_arch.Hierarchy.main_memory_level m.Mapping.hierarchy in
+  let invalid =
+    [ ("unknown access",
+       Engine.Set_placement ({ Analysis.stmt = "zzz"; index = 0 }, chain));
+      ("empty chain", Engine.Set_placement (r, Mapping.Chain []));
+      ("foreign candidate",
+       Engine.Set_placement
+         (r, Mapping.Chain
+               [ { Mapping.candidate =
+                     List.hd (List.nth m.Mapping.infos 1).Analysis.candidates;
+                   layer = 0 } ]));
+      ("off-chip chain layer",
+       Engine.Set_placement
+         (r, Mapping.Chain
+               [ { Mapping.candidate = List.hd info.Analysis.candidates;
+                   layer = main } ]));
+      ("unknown array", Engine.Set_array ("zzz", Some 0));
+      ("off-chip level", Engine.Set_array ("image", Some main)) ]
+  in
+  let engine = Engine.create ~objective:config.Assign.objective m in
+  List.iter (Engine.commit engine) valid;
+  let expected = List.fold_left Assign.apply_move m valid in
+  List.iter
+    (fun (what, mv) ->
+      List.iter
+        (fun built ->
+          (* Re-promoting the one promoted array changes nothing but
+             leaves the mapping to be rebuilt. *)
+          Engine.commit engine (Engine.Set_array ("coeff", Some 0));
+          if built then ignore (Engine.mapping engine : Mapping.t);
+          let what = Printf.sprintf "%s (built: %b)" what built in
+          (match Engine.commit engine mv with
+          | exception Mhla_util.Error.Error _ -> ()
+          | () -> Alcotest.failf "%s: commit accepted an invalid move" what);
+          Alcotest.(check bool) (what ^ ": mapping unchanged") true
+            (Engine.mapping engine = expected);
+          Alcotest.(check bool) (what ^ ": breakdown unchanged") true
+            (Engine.breakdown engine = Cost.evaluate expected))
+        [ false; true ])
+    invalid
+
 let test_result_evaluation_accounting () =
   let program = conv () in
   let h = Presets.two_level ~onchip_bytes:512 () in
@@ -679,6 +788,10 @@ let () =
             test_anneal_lazy_on_app;
           Alcotest.test_case "evaluation accounting" `Quick
             test_result_evaluation_accounting;
+          Alcotest.test_case "mapping on demand" `Quick
+            test_engine_mapping_on_demand;
+          Alcotest.test_case "invalid commit leaves the engine" `Quick
+            test_engine_invalid_commit;
         ] );
       ( "feasibility",
         [

@@ -93,6 +93,38 @@ let test_affine_equal_compare () =
   Alcotest.(check bool) "structurally equal" true (Affine.equal a b);
   Alcotest.(check int) "compare equal" 0 (Affine.compare a b)
 
+(* The Format printer [Affine.pp] used before it printed through
+   [Affine.to_string]: the keys built from these strings must not move. *)
+let format_pp ppf e =
+  let pp_term ppf (name, c) =
+    if c = 1 then Fmt.string ppf name else Fmt.pf ppf "%d*%s" c name
+  in
+  let terms =
+    List.map (fun name -> (name, Affine.coeff e name)) (Affine.iterators e)
+  in
+  match (terms, Affine.constant_part e) with
+  | [], c -> Fmt.int ppf c
+  | terms, 0 -> Fmt.(list ~sep:(any " + ") pp_term) ppf terms
+  | terms, c ->
+    Fmt.pf ppf "%a + %d" Fmt.(list ~sep:(any " + ") pp_term) terms c
+
+let test_affine_to_string () =
+  let v ?coeff name = Affine.var ?coeff name in
+  let sum = List.fold_left Affine.add (Affine.const 0) in
+  List.iter
+    (fun (expected, e) ->
+      Alcotest.(check string) expected expected (Affine.to_string e);
+      Alcotest.(check string) (expected ^ " (Format)") expected
+        (Fmt.str "%a" format_pp e);
+      Alcotest.(check string) (expected ^ " (pp)") expected
+        (Fmt.str "%a" Affine.pp e))
+    [ ("0", Affine.const 0);
+      ("-7", Affine.const (-7));
+      ("i", v "i");
+      ("-2*i + j", sum [ v "j"; v ~coeff:(-2) "i" ]);
+      ("16*by + y + -3", sum [ v "y"; v ~coeff:16 "by"; Affine.const (-3) ]);
+      ("2*xs + 1", Affine.offset 1 (v ~coeff:2 "xs")) ]
+
 let affine_gen =
   QCheck2.Gen.(
     let term =
@@ -121,6 +153,10 @@ let prop_eval_within_min_max =
       let env name = (salt + String.length name) mod 6 in
       let v = Affine.eval e ~env in
       Affine.min_value e ~trip <= v && v <= Affine.max_value e ~trip)
+
+let prop_to_string_matches_format =
+  QCheck2.Test.make ~name:"affine: to_string = the Format printer" ~count:200
+    affine_gen (fun e -> Affine.to_string e = Fmt.str "%a" format_pp e)
 
 let prop_extent_spans_min_max =
   QCheck2.Test.make ~name:"affine: extent = max - min when all free"
@@ -333,7 +369,9 @@ let () =
           Alcotest.test_case "rename" `Quick test_affine_rename;
           Alcotest.test_case "equal / compare" `Quick
             test_affine_equal_compare;
+          Alcotest.test_case "to_string" `Quick test_affine_to_string;
           qc prop_eval_additive;
+          qc prop_to_string_matches_format;
           qc prop_eval_within_min_max;
           qc prop_extent_spans_min_max;
         ] );

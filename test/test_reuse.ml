@@ -194,6 +194,24 @@ let test_share_keys () =
   Alcotest.(check bool) "different levels do not share" true
     (key 0 0 <> key 0 1)
 
+(* Candidate ids and share keys are pinned text: the engine's share
+   groups and the bench's golden outputs key on them. *)
+let test_share_keys_pinned () =
+  let program = Lazy.force (Mhla_apps.Registry.find_exn "qsdpcm").program in
+  let infos = Analysis.analyze program in
+  let info =
+    match Analysis.find infos { Analysis.stmt = "subsample"; index = 3 } with
+    | Some info -> info
+    | None -> Alcotest.fail "qsdpcm has no subsample/3"
+  in
+  List.iter
+    (fun (level, id, key) ->
+      let c = candidate_at info level in
+      Alcotest.(check string) "id" id c.Candidate.id;
+      Alcotest.(check string) "share key" key c.Candidate.share_key)
+    [ (0, "subsample/3@0", "cur@0::2*ys + 1;2*xs + 1");
+      (2, "subsample/3@2", "cur@2:xs:2*ys + 1;2*xs + 1") ]
+
 (* --- Analysis --------------------------------------------------------- *)
 
 let test_analysis_covers_all_accesses () =
@@ -300,6 +318,7 @@ let () =
           Alcotest.test_case "level range" `Quick
             test_candidate_level_out_of_range;
           Alcotest.test_case "share keys" `Quick test_share_keys;
+          Alcotest.test_case "share keys pinned" `Quick test_share_keys_pinned;
           qc prop_candidate_monotone;
           qc prop_candidate_issue_growth;
         ] );
