@@ -1232,8 +1232,8 @@ let fuzz_cmd =
      each on a two-level DMA platform, and assert every cross-model \
      invariant (incremental engine vs Cost.evaluate, simulated vs analytic \
      stalls, static verifier on greedy and annealing outputs, trace \
-     interpreter vs predicted access counts, fault-injected degradation). \
-     On a failure, prints a shrunk Build-DSL reproducer and exits 1."
+     interpreter vs predicted access counts). On a failure, prints a \
+     shrunk Build-DSL reproducer and exits 1."
   in
   Cmd.v (Cmd.info "fuzz" ~doc)
     Term.(

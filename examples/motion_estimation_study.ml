@@ -56,13 +56,10 @@ let main () =
 
   (* Validate the TE arithmetic against the event-driven simulator. *)
   header "Event-driven cross-check";
-  let report =
-    Mhla_sim.Crosscheck.crosscheck result.Explore.assign.Assign.mapping
-      result.Explore.te
-  in
   List.iter
     (fun c -> Fmt.pr "  %a@." Mhla_sim.Crosscheck.pp_check c)
-    report.Mhla_sim.Crosscheck.checks;
+    (Mhla_sim.Crosscheck.pipeline_checks result.Explore.assign.Assign.mapping
+       result.Explore.te);
 
   header "Design points (cycles)";
   Printf.printf "  out-of-the-box : %d\n"

@@ -21,17 +21,29 @@ let study name =
   (* Interesting sizes only: the energy/size Pareto frontier. Bigger
      scratchpads capture more reuse but cost more per access, so the
      frontier has a genuine knee. *)
-  let frontier = Explore.pareto_energy points in
+  let frontier =
+    Pareto.Nd.of_list
+      (List.map
+         (fun (p : Explore.sweep_point) ->
+           Pareto.Nd.point
+             ~objectives:
+               [| float_of_int p.Explore.onchip_bytes;
+                  p.Explore.point_result.Explore.after_assign
+                    .Cost.total_energy_pj |]
+             p)
+         points)
+  in
+  (* Lexicographic order over [| bytes; energy |]: by increasing size,
+     so the last point has the lowest energy. *)
+  let frontier = List.map Pareto.Nd.objectives (Pareto.Nd.to_list frontier) in
   Printf.printf "\nenergy/size Pareto frontier:\n";
   List.iter
-    (fun (p : _ Pareto.point) ->
-      Printf.printf "  %6.0f B -> %12.0f pJ\n" p.Pareto.x p.Pareto.y)
-    (Pareto.to_list frontier);
-  match Pareto.min_y frontier with
-  | Some best ->
-    Printf.printf "sweet spot: %.0f B on-chip (%.0f pJ)\n" best.Pareto.x
-      best.Pareto.y
-  | None -> ()
+    (fun v -> Printf.printf "  %6.0f B -> %12.0f pJ\n" v.(0) v.(1))
+    frontier;
+  match List.rev frontier with
+  | best :: _ ->
+    Printf.printf "sweet spot: %.0f B on-chip (%.0f pJ)\n" best.(0) best.(1)
+  | [] -> ()
 
 let main () =
   List.iter study [ "motion_estimation"; "cavity_detector"; "jpeg_encoder" ]

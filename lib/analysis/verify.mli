@@ -47,9 +47,11 @@ val check_result :
   Mhla_core.Assign.config ->
   Mhla_core.Explore.result ->
   report
-(** [--verify-live]: {!run} on a solve's answer — its mapping and TE
-    schedule, sized under the config's policy (the subject
-    [Mhla_sim.Crosscheck.check_analysis] builds). *)
+(** {!run} on a solve's answer — its mapping and TE schedule, sized
+    under the config's policy. [--verify-live] calls it on every
+    answer, and the fuzz oracle's ["verifier-greedy"],
+    ["verifier-anneal"] and ["policy"] checks on every generated
+    program's. *)
 
 val require : report -> unit
 (** @raise Mhla_util.Error.Error (kind [Internal], context

@@ -353,19 +353,3 @@ let pareto ?config ?order ?(dma = true) ?search ?jobs
     partial = Atomic.get expired;
   }
 
-let pareto_energy points =
-  let to_point p =
-    Mhla_util.Pareto.point
-      ~x:(float_of_int p.onchip_bytes)
-      ~y:p.point_result.after_assign.Cost.total_energy_pj p
-  in
-  Mhla_util.Pareto.of_list (List.map to_point points)
-
-let pareto_cycles points =
-  let to_point p =
-    Mhla_util.Pareto.point
-      ~x:(float_of_int p.onchip_bytes)
-      ~y:(float_of_int p.point_result.after_te.Cost.total_cycles)
-      p
-  in
-  Mhla_util.Pareto.of_list (List.map to_point points)

@@ -111,12 +111,6 @@ val sweep :
     clock, which is). A raise abandons that point; unstarted points are
     then skipped at the pool's cancellation check. *)
 
-val pareto_energy : sweep_point list -> sweep_point Mhla_util.Pareto.t
-(** Frontier of (on-chip bytes, energy after step 1). *)
-
-val pareto_cycles : sweep_point list -> sweep_point Mhla_util.Pareto.t
-(** Frontier of (on-chip bytes, cycles after step 2). *)
-
 (** {2 Per-layer budget-vector exploration}
 
     The full design-space search the paper's "thorough trade-off

@@ -1,9 +1,10 @@
+module Assign = Mhla_core.Assign
 module Cost = Mhla_core.Cost
 module Crosscheck = Mhla_sim.Crosscheck
 module Engine = Mhla_core.Engine
 module Explore = Mhla_core.Explore
-module Faults = Mhla_sim.Faults
-module Robustness = Mhla_sim.Robustness
+module Mapping = Mhla_core.Mapping
+module Verify = Mhla_analysis.Verify
 
 type mutation = No_mutation | Drift_engine | Drift_interp
 
@@ -15,7 +16,7 @@ type failure = { check : string; detail : string }
 let check_names =
   [
     "json"; "engine"; "xval"; "esim"; "verifier-greedy"; "verifier-anneal";
-    "interp"; "faults"; "pareto"; "policy";
+    "interp"; "pareto"; "policy";
   ]
 
 (* Kept low: the annealing leg runs once per fuzz case, and the CI gate
@@ -25,17 +26,148 @@ let anneal_iterations = 300
 
 let anneal_seed = 0x5EEDL
 
-let fault_model =
-  Faults.make
-    ~jitter:(Faults.Uniform { max_extra_cycles = 8 })
-    ~failure_permille:20 ~max_retries:3 ~deadline_patience:5_000 ~seed:0x5EEDL
-    ()
+type engine_check = {
+  engine_objective : float;
+  oracle_objective : float;
+  feasibility_mismatches : int;
+  engine_consistent : bool;
+}
+
+(* Churn an incremental engine through a round trip of every placement
+   and every array promotion, bit-comparing its cached objective
+   against the from-scratch oracle after each commit, and its
+   incremental feasibility answer against [Mapping.occupancy_ok] before
+   each one. Any drift in the dirty-tracking (a contribution not
+   invalidated, a fold order that diverged, a layer profile out of
+   step) surfaces as a mismatch. Pushing each unpromoted array
+   on-chip in turn crosses infeasible positions, so both answers are
+   exercised. *)
+let check_engine ?(objective = Cost.Energy_delay) (m : Mapping.t) =
+  let e = Engine.create ~objective m in
+  let consistent = ref true in
+  let mismatches = ref 0 in
+  let agree () =
+    let engine_v = Engine.objective_value e in
+    let oracle_v = Cost.scalar objective (Cost.evaluate (Engine.mapping e)) in
+    if not (Float.equal engine_v oracle_v) then consistent := false
+  in
+  agree ();
+  let commit move =
+    if
+      Engine.feasible e move
+      <> Mapping.occupancy_ok (Assign.apply_move (Engine.mapping e) move)
+    then incr mismatches;
+    Engine.commit e move;
+    agree ()
+  in
+  List.iter
+    (fun (ref_, placement) ->
+      if placement <> Mapping.Direct then begin
+        commit (Engine.Set_placement (ref_, Mapping.Direct));
+        commit (Engine.Set_placement (ref_, placement))
+      end)
+    m.Mapping.placements;
+  let on_chip = Mhla_arch.Hierarchy.on_chip_levels m.Mapping.hierarchy in
+  List.iter
+    (fun (array, level) ->
+      commit (Engine.Set_array (array, None));
+      commit (Engine.Set_array (array, Some level)))
+    m.Mapping.array_layers;
+  (match on_chip with
+  | first :: _ ->
+    (* Also push every unpromoted array on-chip and back: exercises
+       the promoted fill/drain cache from a cold start. *)
+    List.iter
+      (fun array ->
+        if List.assoc_opt array m.Mapping.array_layers = None then begin
+          commit (Engine.Set_array (array, Some first));
+          commit (Engine.Set_array (array, None))
+        end)
+      (Mhla_ir.Program.array_names m.Mapping.program)
+  | [] -> ());
+  {
+    engine_objective = Engine.objective_value e;
+    oracle_objective = Cost.scalar objective (Cost.evaluate (Engine.mapping e));
+    feasibility_mismatches = !mismatches;
+    engine_consistent = !consistent && !mismatches = 0;
+  }
+
+type interp_check = {
+  dynamic_events : int;
+  static_events : int;
+  interp_mismatches : (string * int * int) list;
+  interp_consistent : bool;
+}
+
+(* Execute the program for real and compare the event counts against
+   every level of the static model: the whole-program total, each
+   statement's [executions * accesses] and each array's
+   [total_accesses], then each reuse-analysis info's [executions] (the
+   quantity every candidate's [accesses_served] equals, i.e. the reuse
+   counts the mapping's block-transfer arithmetic is built on). *)
+let check_interp (m : Mapping.t) =
+  let program = m.Mapping.program in
+  let dynamic_events = Mhla_trace.Interp.count_events program in
+  let static_events = Mhla_ir.Program.total_access_count program in
+  let by_stmt = Mhla_trace.Interp.count_by_stmt program in
+  let by_array = Mhla_trace.Interp.count_by_array program in
+  let dyn assoc key = Option.value ~default:0 (List.assoc_opt key assoc) in
+  let mismatches = ref [] in
+  let expect subject ~dynamic ~predicted =
+    if dynamic <> predicted then
+      mismatches := (subject, dynamic, predicted) :: !mismatches
+  in
+  expect "total" ~dynamic:dynamic_events ~predicted:static_events;
+  List.iter
+    (fun (ctx : Mhla_ir.Program.context) ->
+      let s = ctx.Mhla_ir.Program.stmt in
+      expect
+        ("stmt:" ^ s.Mhla_ir.Stmt.name)
+        ~dynamic:(dyn by_stmt s.Mhla_ir.Stmt.name)
+        ~predicted:
+          (Mhla_ir.Program.executions ctx
+          * List.length s.Mhla_ir.Stmt.accesses))
+    (Mhla_ir.Program.contexts program);
+  List.iter
+    (fun array ->
+      expect ("array:" ^ array) ~dynamic:(dyn by_array array)
+        ~predicted:(Mhla_ir.Program.total_accesses program ~array))
+    (Mhla_ir.Program.array_names program);
+  List.iter
+    (fun (info : Mhla_reuse.Analysis.info) ->
+      let stmt = info.Mhla_reuse.Analysis.ref_.Mhla_reuse.Analysis.stmt in
+      let accesses =
+        match Mhla_ir.Program.find_context program ~stmt with
+        | Some ctx ->
+          List.length ctx.Mhla_ir.Program.stmt.Mhla_ir.Stmt.accesses
+        | None -> 0
+      in
+      expect
+        (Fmt.str "access:%a" Mhla_reuse.Analysis.pp_access_ref
+           info.Mhla_reuse.Analysis.ref_)
+        ~dynamic:(if accesses = 0 then 0 else dyn by_stmt stmt / accesses)
+        ~predicted:info.Mhla_reuse.Analysis.executions)
+    m.Mapping.infos;
+  let interp_mismatches = List.rev !mismatches in
+  {
+    dynamic_events;
+    static_events;
+    interp_mismatches;
+    interp_consistent = interp_mismatches = [];
+  }
+
+(* The verifier's [Error]-severity findings on a solve's answer: a
+   generated solver output that fails to verify clean is a solver bug. *)
+let verifier_errors result =
+  Verify.errors (Verify.check_result Assign.default_config result)
+
+let pp_errors = Fmt.list ~sep:Fmt.comma Mhla_analysis.Diagnostic.pp
 
 let failures ?(mutate = No_mutation) ~onchip_bytes program =
   try
     let hierarchy = Mhla_arch.Presets.two_level ~onchip_bytes () in
     let r = Explore.run program hierarchy in
-    let m = r.Explore.assign.Mhla_core.Assign.mapping in
+    let m = r.Explore.assign.Assign.mapping in
     let te = r.Explore.te in
     let fails = ref [] in
     let fail check detail = fails := { check; detail } :: !fails in
@@ -52,15 +184,14 @@ let failures ?(mutate = No_mutation) ~onchip_bytes program =
        let back = Mhla_util.Json.to_string (Codec.program_to_json (Codec.program_of_json_exn doc)) in
        if not (String.equal rendered back) then
          fail "json" "program changed across a wire round trip");
-    let report = Crosscheck.crosscheck m te in
-    (let ec = report.Crosscheck.engine in
-     if not ec.Crosscheck.engine_consistent then
+    (let ec = check_engine m in
+     if not ec.engine_consistent then
        fail "engine"
          (Fmt.str
             "engine %.17g <> oracle %.17g after churn, %d feasibility \
              mismatch(es)"
-            ec.Crosscheck.engine_objective ec.Crosscheck.oracle_objective
-            ec.Crosscheck.feasibility_mismatches));
+            ec.engine_objective ec.oracle_objective
+            ec.feasibility_mismatches));
     let ra =
       Explore.run
         ~search:
@@ -75,9 +206,7 @@ let failures ?(mutate = No_mutation) ~onchip_bytes program =
        on one with a second, larger on-chip level, where more moves and
        array re-homings compete; the annealing solve on the case's
        platform. *)
-    (let module Assign = Mhla_core.Assign in
-     let module Mapping = Mhla_core.Mapping in
-     let decisions (a : Assign.result) =
+    (let decisions (a : Assign.result) =
        let am = a.Assign.mapping in
        ( List.map
            (fun (info : Mhla_reuse.Analysis.info) ->
@@ -149,8 +278,9 @@ let failures ?(mutate = No_mutation) ~onchip_bytes program =
     | No_mutation | Drift_interp -> ());
     List.iter
       (fun c ->
-        fail "xval" (Fmt.str "%a" Crosscheck.pp_check c))
-      report.Crosscheck.disagreements;
+        if not (Crosscheck.agrees c) then
+          fail "xval" (Fmt.str "%a" Crosscheck.pp_check c))
+      (Crosscheck.pipeline_checks m te);
     (* The discrete-event simulator is an independent implementation of
        the same machine: on every generated program the analytic TE
        gain must track the event-driven one within the documented
@@ -161,47 +291,29 @@ let failures ?(mutate = No_mutation) ~onchip_bytes program =
        (fun d ->
          fail "esim" (Fmt.str "%a" Crosscheck.pp_event_divergence d))
        er.Crosscheck.event_divergences);
-    if not report.Crosscheck.analysis.Crosscheck.analysis_clean then
-      fail "verifier-greedy"
-        (Fmt.str "%a"
-           (Fmt.list ~sep:Fmt.comma Mhla_analysis.Diagnostic.pp)
-           report.Crosscheck.analysis.Crosscheck.analysis_errors);
-    let ca =
-      Crosscheck.check_analysis ra.Explore.assign.Mhla_core.Assign.mapping
-        ra.Explore.te
-    in
-    if not ca.Crosscheck.analysis_clean then
-      fail "verifier-anneal"
-        (Fmt.str "%a"
-           (Fmt.list ~sep:Fmt.comma Mhla_analysis.Diagnostic.pp)
-           ca.Crosscheck.analysis_errors);
-    let ic = Crosscheck.check_interp m in
+    (match verifier_errors r with
+    | [] -> ()
+    | errors -> fail "verifier-greedy" (Fmt.str "%a" pp_errors errors));
+    (match verifier_errors ra with
+    | [] -> ()
+    | errors -> fail "verifier-anneal" (Fmt.str "%a" pp_errors errors));
+    let ic = check_interp m in
     (match mutate with
     | Drift_interp ->
-      if ic.Crosscheck.dynamic_events <> ic.Crosscheck.static_events + 1 then
+      if ic.dynamic_events <> ic.static_events + 1 then
         fail "interp"
           (Fmt.str
              "dynamic %d <> drifted static %d (seeded +1 event drift)"
-             ic.Crosscheck.dynamic_events
-             (ic.Crosscheck.static_events + 1))
+             ic.dynamic_events
+             (ic.static_events + 1))
     | No_mutation | Drift_engine ->
-      if not ic.Crosscheck.interp_consistent then
+      if not ic.interp_consistent then
         List.iter
           (fun (subject, dynamic, predicted) ->
             fail "interp"
               (Fmt.str "%s: dynamic %d <> predicted %d" subject dynamic
                  predicted))
-          ic.Crosscheck.interp_mismatches);
-    let rob = Robustness.analyze ~trials:4 ~faults:fault_model m te in
-    if not rob.Robustness.all_zero_fault_consistent then
-      fail "faults" "zero-fault replay drifted from the fault-free pipeline";
-    List.iter
-      (fun (p : Robustness.plan_robustness) ->
-        if p.Robustness.slack_margin_cycles < 0 then
-          fail "faults"
-            (Fmt.str "%s: fault-free stream outside the analytic envelope (%d)"
-               p.Robustness.check_id p.Robustness.slack_margin_cycles))
-      rob.Robustness.plans;
+          ic.interp_mismatches);
     (* The frontier engine must agree with brute force: on a tiny
        single-axis grid, Explore.pareto (pruning, shared snapshot and
        all) must render exactly the frontier a plain fold of
@@ -259,16 +371,12 @@ let failures ?(mutate = No_mutation) ~onchip_bytes program =
      in
      let outcome = Portfolio.race ~jobs:1 ~policies program hierarchy in
      let winner = outcome.Portfolio.winner in
-     let cp =
-       Crosscheck.check_analysis
-         winner.Portfolio.result.Explore.assign.Mhla_core.Assign.mapping
-         winner.Portfolio.result.Explore.te
-     in
-     if not cp.Crosscheck.analysis_clean then
+     (match verifier_errors winner.Portfolio.result with
+     | [] -> ()
+     | errors ->
        fail "policy"
          (Fmt.str "winner %s: %a" winner.Portfolio.policy.Policy.name
-            (Fmt.list ~sep:Fmt.comma Mhla_analysis.Diagnostic.pp)
-            cp.Crosscheck.analysis_errors);
+            pp_errors errors));
      let greedy_objective =
        Cost.scalar Cost.Energy_delay r.Explore.after_te
      in

@@ -29,7 +29,7 @@ type failure = {
 }
 
 val check_names : string list
-(** The battery, in execution order: ["json"] (the service wire
+(** The nine checks, in execution order: ["json"] (the service wire
     format's program codec is the identity across an
     emit → parse → decode → emit round trip), ["engine"] (incremental cost
     engine bit-identical to [Cost.evaluate] through a churn round
@@ -39,21 +39,43 @@ val check_names : string list
     8x larger on-chip level; and the case's annealing solve taking
     exactly {!Reference.simulated_annealing}'s on the same seed,
     iterations and platform), ["xval"] (pipeline-simulated vs analytic
-    stalls within the cold-start bound, zero-fault replay exact),
+    stalls within the cold-start bound, zero-fault replay exact — so a
+    stream with a negative {!Mhla_sim.Robustness} slack margin or a
+    zero-fault drift fails here),
     ["esim"] (the event-driven simulator tracks the analytic TE gain
     and replays the pipeline exactly), ["verifier-greedy"] and
     ["verifier-anneal"] (the static verifier accepts the greedy and
-    annealing solver outputs), ["interp"] (trace-interpreter access
-    counts match the static and reuse-analysis counts), ["faults"]
-    (fault-injected pipeline degrades without breaking the analytic
-    envelope), ["pareto"] (the branch-and-bound frontier over a tiny
-    budget grid is exactly the brute-force fold of the full flow over
-    every grid point), ["policy"] (the winner of a
+    annealing solver outputs, under {!Mhla_analysis.Verify.check_result}),
+    ["interp"] (trace-interpreter access counts match the static and
+    reuse-analysis counts), ["pareto"] (the branch-and-bound frontier
+    over a tiny budget grid is exactly the brute-force fold of the full
+    flow over every grid point), ["policy"] (the winner of a
     greedy/greedy-first/anneal {!Mhla_policy.Portfolio} race verifies
     clean and its objective is never worse than the plain greedy
-    pipeline's). Any exception escaping the
-    battery is caught and reported as a single ["exception"]
-    failure. *)
+    pipeline's). Any exception escaping the battery is caught and
+    reported as a single ["exception"] failure. *)
+
+type engine_check = {
+  engine_objective : float;  (** incremental engine, after churn *)
+  oracle_objective : float;  (** from-scratch [Cost.evaluate], same point *)
+  feasibility_mismatches : int;
+      (** churn moves for which [Engine.feasible] disagreed with
+          [Mapping.occupancy_ok] of the applied move *)
+  engine_consistent : bool;
+      (** the two objectives were [Float.equal] (bit-identical) after
+          {e every} commit of the churn, not just at the end, and there
+          were no feasibility mismatches *)
+}
+
+val check_engine :
+  ?objective:Mhla_core.Cost.objective -> Mhla_core.Mapping.t -> engine_check
+(** Drive an incremental {!Mhla_core.Engine} through a round trip of
+    every placement and every array promotion of the mapping (plus a
+    cold promote/demote of each unpromoted array), comparing its cached
+    objective against the oracle after each commit and its
+    {!Mhla_core.Engine.feasible} answer against the from-scratch
+    occupancy check before each one. [objective] defaults to
+    [Energy_delay]. The first half of the ["engine"] check. *)
 
 val failures :
   ?mutate:mutation -> onchip_bytes:int -> Mhla_ir.Program.t -> failure list

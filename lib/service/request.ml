@@ -321,28 +321,31 @@ let arch_of_json ~path j =
   in
   let names = List.map fst fields in
   let known = List.filter (fun n -> n <> "dma") names in
+  (* A size the energy model cannot price is a decode error at its own
+     path, not a failure deep inside the solve. *)
+  let size ~path j =
+    let b = as_int ~path j in
+    if b <= 0 then fail ~path "sizes must be > 0 (got %d)" b;
+    b
+  in
+  let size_field name =
+    size ~path:(path ^ "." ^ name) (field ~path fields name)
+  in
   match List.sort compare known with
   | [ "onchip_bytes" ] ->
-    Two_level
-      {
-        onchip_bytes =
-          as_int ~path:(path ^ ".onchip_bytes")
-            (field ~path fields "onchip_bytes");
-        dma;
-      }
+    Two_level { onchip_bytes = size_field "onchip_bytes"; dma }
   | [ "l1_bytes"; "l2_bytes" ] ->
     Three_level
       {
-        l1_bytes =
-          as_int ~path:(path ^ ".l1_bytes") (field ~path fields "l1_bytes");
-        l2_bytes =
-          as_int ~path:(path ^ ".l2_bytes") (field ~path fields "l2_bytes");
+        l1_bytes = size_field "l1_bytes";
+        l2_bytes = size_field "l2_bytes";
         dma;
       }
   | [ "level_bytes" ] ->
     let path' = path ^ ".level_bytes" in
     let level_bytes =
-      List.map (as_int ~path:path')
+      List.mapi
+        (fun i j -> size ~path:(Printf.sprintf "%s[%d]" path' i) j)
         (as_arr ~path:path' (field ~path fields "level_bytes"))
     in
     if level_bytes = [] then fail ~path:path' "must name at least one level";

@@ -1,6 +1,4 @@
-module Assign = Mhla_core.Assign
 module Cost = Mhla_core.Cost
-module Engine = Mhla_core.Engine
 module Mapping = Mhla_core.Mapping
 module Prefetch = Mhla_core.Prefetch
 
@@ -19,154 +17,6 @@ let within_bound c =
   <= c.cold_start_bound
 
 let agrees c = within_bound c && c.zero_fault_consistent
-
-type engine_check = {
-  engine_objective : float;
-  oracle_objective : float;
-  feasibility_mismatches : int;
-  engine_consistent : bool;
-}
-
-(* Churn an incremental engine through a round trip of every placement
-   and every array promotion, bit-comparing its cached objective
-   against the from-scratch oracle after each commit, and its
-   incremental feasibility answer against [Mapping.occupancy_ok] before
-   each one. Any drift in the dirty-tracking (a contribution not
-   invalidated, a fold order that diverged, a layer profile out of
-   step) surfaces as a mismatch. Pushing each unpromoted array
-   on-chip in turn crosses infeasible positions, so both answers are
-   exercised. *)
-let check_engine ?(objective = Cost.Energy_delay) (m : Mapping.t) =
-  let e = Engine.create ~objective m in
-  let consistent = ref true in
-  let mismatches = ref 0 in
-  let agree () =
-    let engine_v = Engine.objective_value e in
-    let oracle_v = Cost.scalar objective (Cost.evaluate (Engine.mapping e)) in
-    if not (Float.equal engine_v oracle_v) then consistent := false
-  in
-  agree ();
-  let commit move =
-    if
-      Engine.feasible e move
-      <> Mapping.occupancy_ok (Assign.apply_move (Engine.mapping e) move)
-    then incr mismatches;
-    Engine.commit e move;
-    agree ()
-  in
-  List.iter
-    (fun (ref_, placement) ->
-      if placement <> Mapping.Direct then begin
-        commit (Engine.Set_placement (ref_, Mapping.Direct));
-        commit (Engine.Set_placement (ref_, placement))
-      end)
-    m.Mapping.placements;
-  let on_chip = Mhla_arch.Hierarchy.on_chip_levels m.Mapping.hierarchy in
-  List.iter
-    (fun (array, level) ->
-      commit (Engine.Set_array (array, None));
-      commit (Engine.Set_array (array, Some level)))
-    m.Mapping.array_layers;
-  (match on_chip with
-  | first :: _ ->
-    (* Also push every unpromoted array on-chip and back: exercises
-       the promoted fill/drain cache from a cold start. *)
-    List.iter
-      (fun array ->
-        if List.assoc_opt array m.Mapping.array_layers = None then begin
-          commit (Engine.Set_array (array, Some first));
-          commit (Engine.Set_array (array, None))
-        end)
-      (Mhla_ir.Program.array_names m.Mapping.program)
-  | [] -> ());
-  {
-    engine_objective = Engine.objective_value e;
-    oracle_objective = Cost.scalar objective (Cost.evaluate (Engine.mapping e));
-    feasibility_mismatches = !mismatches;
-    engine_consistent = !consistent && !mismatches = 0;
-  }
-
-type analysis_check = {
-  analysis_errors : Mhla_analysis.Diagnostic.t list;
-  analysis_clean : bool;
-}
-
-let check_analysis ?policy (m : Mapping.t) schedule =
-  let subject = Mhla_analysis.Pass.of_mapping ~schedule ?policy m in
-  let report = Mhla_analysis.Verify.run subject in
-  let analysis_errors = Mhla_analysis.Verify.errors report in
-  { analysis_errors; analysis_clean = analysis_errors = [] }
-
-type interp_check = {
-  dynamic_events : int;
-  static_events : int;
-  interp_mismatches : (string * int * int) list;
-  interp_consistent : bool;
-}
-
-(* Execute the program for real and compare the event counts against
-   every level of the static model: the whole-program total, each
-   statement's [executions * accesses] and each array's
-   [total_accesses], then each reuse-analysis info's [executions] (the
-   quantity every candidate's [accesses_served] equals, i.e. the reuse
-   counts the mapping's block-transfer arithmetic is built on). *)
-let check_interp (m : Mapping.t) =
-  let program = m.Mapping.program in
-  let dynamic_events = Mhla_trace.Interp.count_events program in
-  let static_events = Mhla_ir.Program.total_access_count program in
-  let by_stmt = Mhla_trace.Interp.count_by_stmt program in
-  let by_array = Mhla_trace.Interp.count_by_array program in
-  let dyn assoc key = Option.value ~default:0 (List.assoc_opt key assoc) in
-  let mismatches = ref [] in
-  let expect subject ~dynamic ~predicted =
-    if dynamic <> predicted then
-      mismatches := (subject, dynamic, predicted) :: !mismatches
-  in
-  expect "total" ~dynamic:dynamic_events ~predicted:static_events;
-  List.iter
-    (fun (ctx : Mhla_ir.Program.context) ->
-      let s = ctx.Mhla_ir.Program.stmt in
-      expect
-        ("stmt:" ^ s.Mhla_ir.Stmt.name)
-        ~dynamic:(dyn by_stmt s.Mhla_ir.Stmt.name)
-        ~predicted:
-          (Mhla_ir.Program.executions ctx
-          * List.length s.Mhla_ir.Stmt.accesses))
-    (Mhla_ir.Program.contexts program);
-  List.iter
-    (fun array ->
-      expect ("array:" ^ array) ~dynamic:(dyn by_array array)
-        ~predicted:(Mhla_ir.Program.total_accesses program ~array))
-    (Mhla_ir.Program.array_names program);
-  List.iter
-    (fun (info : Mhla_reuse.Analysis.info) ->
-      let stmt = info.Mhla_reuse.Analysis.ref_.Mhla_reuse.Analysis.stmt in
-      let accesses =
-        match Mhla_ir.Program.find_context program ~stmt with
-        | Some ctx ->
-          List.length ctx.Mhla_ir.Program.stmt.Mhla_ir.Stmt.accesses
-        | None -> 0
-      in
-      expect
-        (Fmt.str "access:%a" Mhla_reuse.Analysis.pp_access_ref
-           info.Mhla_reuse.Analysis.ref_)
-        ~dynamic:(if accesses = 0 then 0 else dyn by_stmt stmt / accesses)
-        ~predicted:info.Mhla_reuse.Analysis.executions)
-    m.Mapping.infos;
-  let interp_mismatches = List.rev !mismatches in
-  {
-    dynamic_events;
-    static_events;
-    interp_mismatches;
-    interp_consistent = interp_mismatches = [];
-  }
-
-type report = {
-  checks : bt_check list;
-  disagreements : bt_check list;
-  engine : engine_check;
-  analysis : analysis_check;
-}
 
 (* The one derivation of a TE plan's block-transfer stream, shared by
    the analytic pipeline check, the event check and the robustness
@@ -220,15 +70,6 @@ let pipeline_checks m (schedule : Prefetch.schedule) =
       if p.Prefetch.bt.Mapping.issues > 0 then Some (check_of_plan m p)
       else None)
     schedule.Prefetch.plans
-
-let crosscheck ?objective m schedule =
-  let checks = pipeline_checks m schedule in
-  {
-    checks;
-    disagreements = List.filter (fun c -> not (agrees c)) checks;
-    engine = check_engine ?objective m;
-    analysis = check_analysis m schedule;
-  }
 
 let pp_check ppf c =
   Fmt.pf ppf "%s: simulated stall %d, analytic %d (bound %d)%s %s" c.check_id

@@ -1,12 +1,7 @@
-(** Differential validation of the analytic models — the battery
-    behind EXT-XVAL, the integration tests and [mhla fuzz].
-
-    Four independent check families, bundled by {!crosscheck}:
-    event-driven pipeline vs analytic stalls (the original EXT-XVAL
-    check), the incremental {!Mhla_core.Engine} vs from-scratch
-    [Cost.evaluate] ({!check_engine}), the trace interpreter's dynamic
-    counts vs the static ones ({!check_interp}), and analysis-level
-    invariants ({!check_analysis}).
+(** Differential validation of the analytic TE model against the two
+    DMA simulators — the battery behind EXT-XVAL, EXT-ESIM, the
+    integration tests and the ["xval"] and ["esim"] checks of
+    [mhla fuzz].
 
     The pipeline check: for every block transfer the TE step planned,
     build the equivalent {!Pipeline.stream}, replay it once through
@@ -15,7 +10,8 @@
     approximation: it ignores the pipeline cold start (the first
     [lookahead+1] buffers cannot be hidden) and DMA channel
     serialisation, so per-stream agreement is required only up to
-    [cold_start_bound]. *)
+    [cold_start_bound]. The event check ({!check_event}) compares the
+    time extensions' gain with the {!Event} simulator's. *)
 
 type bt_check = {
   check_id : string;
@@ -35,85 +31,8 @@ val within_bound : bt_check -> bool
 (** [|simulated - analytic| <= cold_start_bound]. *)
 
 val agrees : bt_check -> bool
-(** {!within_bound} and [zero_fault_consistent]; checks failing either
-    way land in [disagreements]. *)
-
-type engine_check = {
-  engine_objective : float;  (** incremental engine, after churn *)
-  oracle_objective : float;  (** from-scratch [Cost.evaluate], same point *)
-  feasibility_mismatches : int;
-      (** churn moves for which [Engine.feasible] disagreed with
-          [Mapping.occupancy_ok] of the applied move *)
-  engine_consistent : bool;
-      (** the two objectives were [Float.equal] (bit-identical) after
-          {e every} commit of the churn, not just at the end, and there
-          were no feasibility mismatches *)
-}
-
-val check_engine :
-  ?objective:Mhla_core.Cost.objective -> Mhla_core.Mapping.t -> engine_check
-(** Drive an incremental {!Mhla_core.Engine} through a round trip of
-    every placement and every array promotion of the mapping (plus a
-    cold promote/demote of each unpromoted array), comparing its cached
-    objective against the oracle after each commit and its
-    {!Mhla_core.Engine.feasible} answer against the from-scratch
-    occupancy check before each one. [objective]
-    defaults to [Energy_delay]. Engine drift is reported as a
-    disagreement in {!crosscheck}'s report alongside the zero-fault
-    check. *)
-
-type analysis_check = {
-  analysis_errors : Mhla_analysis.Diagnostic.t list;
-      (** [Error]-severity diagnostics from the full static-verifier
-          pass suite (warnings and infos are not collected here) *)
-  analysis_clean : bool;  (** [analysis_errors = []] *)
-}
-
-val check_analysis :
-  ?policy:Mhla_lifetime.Occupancy.policy ->
-  Mhla_core.Mapping.t ->
-  Mhla_core.Prefetch.schedule ->
-  analysis_check
-(** Run every {!Mhla_analysis.Verify} pass over the solved mapping and
-    its TE schedule. A fuzz-generated solver output that fails to
-    verify clean is a solver bug — the static verifier doubles as a
-    bug detector for {!Mhla_core.Assign} and {!Mhla_core.Prefetch}. *)
-
-type interp_check = {
-  dynamic_events : int;  (** events {!Mhla_trace.Interp.fold} produced *)
-  static_events : int;  (** {!Mhla_ir.Program.total_access_count} *)
-  interp_mismatches : (string * int * int) list;
-      (** [(subject, dynamic, predicted)] for every disagreeing count;
-          subjects are ["total"], ["stmt:NAME"], ["array:NAME"] and
-          ["access:STMT/IDX"] *)
-  interp_consistent : bool;  (** [interp_mismatches = []] *)
-}
-
-val check_interp : Mhla_core.Mapping.t -> interp_check
-(** Execute the mapping's program with the {!Mhla_trace.Interp}
-    reference interpreter and compare its event counts against the
-    static model at every granularity: the program total, each
-    statement's [executions * accesses], each array's
-    [total_accesses], and each reuse-analysis access's [executions] —
-    the per-access reuse count every candidate's [accesses_served]
-    (and hence the mapping's block-transfer arithmetic) is built on.
-    The differential fuzz gate ([mhla fuzz]) runs this on every
-    generated program. *)
-
-type report = {
-  checks : bt_check list;
-  disagreements : bt_check list;
-  engine : engine_check;  (** incremental-vs-oracle cost drift *)
-  analysis : analysis_check;  (** static verifier on the same outputs *)
-}
-
-val crosscheck :
-  ?objective:Mhla_core.Cost.objective ->
-  Mhla_core.Mapping.t ->
-  Mhla_core.Prefetch.schedule ->
-  report
-(** {!pipeline_checks}, plus {!check_engine} on the mapping and
-    {!check_analysis} on the mapping/schedule pair. *)
+(** {!within_bound} and [zero_fault_consistent]: a check failing
+    either way is a disagreement. *)
 
 val stream_of_plan :
   Mhla_core.Mapping.t -> Mhla_core.Prefetch.plan -> Pipeline.stream

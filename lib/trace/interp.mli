@@ -48,9 +48,8 @@ val count_by_stmt : Mhla_ir.Program.t -> (string * int) list
 (** Dynamic access events grouped by statement name, in first-execution
     order. A statement whose loops never reach it (impossible for valid
     programs — trips are positive) would be absent. Each statement's
-    count is [executions * length accesses], which is what
-    {!Mhla_sim.Crosscheck.check_interp} asserts against the static
-    model. *)
+    count is [executions * length accesses], which the ["interp"] check
+    of [Mhla_gen.Oracle] asserts against the static model. *)
 
 val count_by_array : Mhla_ir.Program.t -> (string * int) list
 (** Dynamic access events grouped by array, in first-touch order; each

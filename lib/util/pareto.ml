@@ -89,56 +89,3 @@ module Nd = struct
     in
     Fmt.pf ppf "@[<v>%a@]" (Fmt.list pp_point) t
 end
-
-type 'a point = { x : float; y : float; payload : 'a }
-
-let point ~x ~y payload = { x; y; payload }
-
-let dominates p q =
-  p.x <= q.x && p.y <= q.y && (p.x < q.x || p.y < q.y)
-
-(* The 2-D frontier is the N-d frontier over [|x; y|] vectors; the
-   lexicographic storage order coincides with the historical "strictly
-   increasing x, strictly decreasing y" invariant (equal-x points
-   cannot coexist on a 2-D frontier — one dominates the other). *)
-type 'a t = 'a point Nd.t
-
-let to_nd p = Nd.point ~objectives:[| p.x; p.y |] p
-
-let empty = Nd.empty
-
-let size = Nd.size
-
-let is_empty = Nd.is_empty
-
-let add p t = Nd.add (to_nd p) t
-
-let of_list points = List.fold_left (fun t p -> add p t) empty points
-
-let to_list t = List.map Nd.payload (Nd.to_list t)
-
-let min_y t =
-  let better acc p =
-    match acc with
-    | None -> Some p
-    | Some q -> if p.y < q.y then Some p else acc
-  in
-  List.fold_left better None (to_list t)
-
-let best_under ~x_max t =
-  let better acc p =
-    if p.x > x_max then acc
-    else
-      match acc with
-      | None -> Some p
-      | Some q -> if p.y < q.y then Some p else acc
-  in
-  List.fold_left better None (to_list t)
-
-let mem_dominated p t = Nd.mem_dominated (to_nd p) t
-
-let pp ~payload ppf t =
-  let pp_point ppf p =
-    Fmt.pf ppf "(%g, %g) %a" p.x p.y payload p.payload
-  in
-  Fmt.pf ppf "@[<v>%a@]" (Fmt.list pp_point) (to_list t)

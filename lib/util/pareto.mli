@@ -1,10 +1,9 @@
 (** Pareto frontiers over any number of minimised objectives.
 
-    The {!Nd} core keeps the non-dominated subset of points whose
-    objectives are float vectors of one shared dimension; the
-    two-dimensional API below is a thin specialization of it (kept as
-    the historical interface — most of the tool's frontiers are
-    (size, cost) curves).
+    {!Nd} keeps the non-dominated subset of points whose objectives are
+    float vectors of one shared dimension. A (size, cost) curve is the
+    two-dimensional case: its lexicographic order is by increasing
+    size.
 
     A point [p] {e dominates} [q] when [p] is no worse than [q] on
     every objective and strictly better on at least one. *)
@@ -62,48 +61,3 @@ module Nd : sig
 
   val pp : payload:'a Fmt.t -> 'a t Fmt.t
 end
-
-(** {2 Two-dimensional frontiers (specialization)} *)
-
-type 'a point = {
-  x : float;  (** first objective, minimised (e.g. on-chip bytes) *)
-  y : float;  (** second objective, minimised (e.g. energy or cycles) *)
-  payload : 'a;  (** the solution the point stands for *)
-}
-
-val point : x:float -> y:float -> 'a -> 'a point
-
-val dominates : 'a point -> 'b point -> bool
-(** [dominates p q] is true when [p] is at least as good as [q] on both
-    axes and strictly better on one. *)
-
-type 'a t
-(** A Pareto frontier, kept sorted by increasing [x]. *)
-
-val empty : 'a t
-
-val size : 'a t -> int
-
-val is_empty : 'a t -> bool
-
-val add : 'a point -> 'a t -> 'a t
-(** [add p front] inserts [p] unless it is dominated; points that [p]
-    dominates are dropped. Points with equal [(x, y)] are kept once
-    (first writer wins). *)
-
-val of_list : 'a point list -> 'a t
-
-val to_list : 'a t -> 'a point list
-(** Sorted by increasing [x] (hence decreasing-or-equal [y]). *)
-
-val min_y : 'a t -> 'a point option
-(** The point with the smallest second objective, if any. *)
-
-val best_under : x_max:float -> 'a t -> 'a point option
-(** [best_under ~x_max front] is the point with the smallest [y] among
-    the points whose [x] does not exceed [x_max]. *)
-
-val mem_dominated : 'a point -> 'a t -> bool
-(** Whether some frontier point dominates the argument. *)
-
-val pp : payload:'a Fmt.t -> 'a t Fmt.t

@@ -280,15 +280,15 @@ fi
 
 echo "== fuzz gate =="
 # 200 seeded random programs through the full differential battery —
-# all 10 checks: json (wire codec round trip), engine (incremental cost
+# all 9 checks: json (wire codec round trip), engine (incremental cost
 # engine vs Cost.evaluate, and the greedy and annealing searches vs
-# their from-scratch references), xval (pipeline vs analytic stalls),
-# esim (event simulator vs analytic TE gain), verifier-greedy and
-# verifier-anneal (static verifier on both searches' outputs), interp
-# (trace interpreter vs static access counts), faults (fault-injected
-# pipeline inside the analytic envelope), pareto (branch-and-bound
-# frontier vs brute force) and policy (portfolio winner verifies clean,
-# never worse than greedy) — deterministic in --seed.
+# their from-scratch references), xval (pipeline vs analytic stalls,
+# zero-fault replay exact), esim (event simulator vs analytic TE gain),
+# verifier-greedy and verifier-anneal (static verifier on both
+# searches' outputs), interp (trace interpreter vs static access
+# counts), pareto (branch-and-bound frontier vs brute force) and policy
+# (portfolio winner verifies clean, never worse than greedy) —
+# deterministic in --seed.
 dune exec -- bin/mhla_cli.exe fuzz --seed 42 --count 200 --jobs 2 -q
 # The gate must be live: a seeded engine drift has to fail with exit 1,
 # trip the annealing comparison as well as the greedy one, and print a
@@ -310,6 +310,23 @@ echo "$fuzz_out" | grep -q "shrunk reproducer" || {
 }
 echo "$fuzz_out" | grep -q "annealing decisions diverge" || {
   echo "seeded engine drift did not trip the annealing comparison" >&2
+  exit 1
+}
+# The same for the trace-interpreter check: a seeded +1 event drift
+# must fail it with exit 1 and a replay line.
+rc=0
+fuzz_out=$(dune exec -- bin/mhla_cli.exe fuzz --seed 42 --count 3 --jobs 1 \
+  --mutate interp 2>&1) || rc=$?
+if [ "$rc" -ne 1 ]; then
+  echo "expected exit 1 for the seeded interp drift, got $rc" >&2
+  exit 1
+fi
+echo "$fuzz_out" | grep -q "^  interp: " || {
+  echo "seeded interp drift did not fail the interp check" >&2
+  exit 1
+}
+echo "$fuzz_out" | grep -q "replay: mhla fuzz --replay=" || {
+  echo "seeded interp drift did not print a replay line" >&2
   exit 1
 }
 

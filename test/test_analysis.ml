@@ -404,15 +404,6 @@ let test_verifier_accepts_solver () =
         searches)
     Apps.names
 
-let test_crosscheck_hook () =
-  let m, te = solved "cavity_detector" in
-  let check = Mhla_sim.Crosscheck.check_analysis m te in
-  Alcotest.(check bool) "solver output verifies clean" true
-    check.Mhla_sim.Crosscheck.analysis_clean;
-  let report = Mhla_sim.Crosscheck.crosscheck m te in
-  Alcotest.(check bool) "crosscheck carries the analysis verdict" true
-    report.Mhla_sim.Crosscheck.analysis.Mhla_sim.Crosscheck.analysis_clean
-
 (* --- fixpoint (abstract interpretation) -------------------------------- *)
 
 let rec node_names (stmts, iters) = function
@@ -777,7 +768,6 @@ let () =
         [
           Alcotest.test_case "verifier accepts solver" `Slow
             test_verifier_accepts_solver;
-          Alcotest.test_case "crosscheck hook" `Quick test_crosscheck_hook;
         ] );
       ( "fixpoint",
         [

@@ -147,22 +147,6 @@ let test_sweep_duplicate_sizes () =
   Alcotest.(check bool) "dedup + sort to the same points" true
     (sweep_fingerprint canonical = sweep_fingerprint messy)
 
-let test_pareto_frontiers () =
-  let sizes = [ 128; 256; 512; 1024; 2048 ] in
-  let points = Explore.sweep ~sizes (kernel ()) in
-  let fe = Explore.pareto_energy points in
-  let fc = Explore.pareto_cycles points in
-  Alcotest.(check bool) "energy frontier non-empty" true
-    (not (Pareto.is_empty fe));
-  Alcotest.(check bool) "cycles frontier non-empty" true
-    (not (Pareto.is_empty fc));
-  (* Frontier points must come from the sweep. *)
-  List.iter
-    (fun (p : _ Pareto.point) ->
-      Alcotest.(check bool) "payload is a sweep point" true
-        (List.memq p.Pareto.payload points))
-    (Pareto.to_list fe)
-
 (* --- pareto over budget vectors ---------------------------------------- *)
 
 module Nd = Pareto.Nd
@@ -391,7 +375,6 @@ let () =
             test_sweep_more_jobs_than_sizes;
           Alcotest.test_case "duplicate sizes" `Quick
             test_sweep_duplicate_sizes;
-          Alcotest.test_case "pareto" `Quick test_pareto_frontiers;
         ] );
       ( "pareto",
         [

@@ -284,15 +284,14 @@ let prop_crosscheck_agrees =
         (fun p ->
           let hierarchy = Presets.two_level ~onchip_bytes:budget () in
           let r = Explore.run p hierarchy in
-          let report =
-            Mhla_sim.Crosscheck.crosscheck r.Explore.assign.Assign.mapping
-              r.Explore.te
-          in
-          report.Mhla_sim.Crosscheck.disagreements = []
-          && report.Mhla_sim.Crosscheck.engine
-               .Mhla_sim.Crosscheck.engine_consistent
-          && report.Mhla_sim.Crosscheck.analysis
-               .Mhla_sim.Crosscheck.analysis_clean)
+          let m = r.Explore.assign.Assign.mapping in
+          List.for_all Mhla_sim.Crosscheck.agrees
+            (Mhla_sim.Crosscheck.pipeline_checks m r.Explore.te)
+          && (Mhla_gen.Oracle.check_engine m)
+               .Mhla_gen.Oracle.engine_consistent
+          && Mhla_analysis.Verify.errors
+               (Mhla_analysis.Verify.check_result Assign.default_config r)
+             = [])
         p)
 
 (* The incremental engine's whole contract: probing a move returns the

@@ -185,6 +185,32 @@ let test_request_decode_errors () =
   check_invalid "bad arch" (fun () ->
       Request.of_json
         (Json.parse_exn "{\"id\": \"x\", \"program\": {}, \"arch\": {\"weird\": 1}}"));
+  (* A size the energy model cannot price is rejected at its own path,
+     not answered with an error from inside the solve. *)
+  let with_arch arch =
+    match ok with
+    | Json.Obj base ->
+      Json.obj
+        (List.map
+           (fun (k, v) ->
+             if k = "arch" then (k, Json.parse_exn arch) else (k, v))
+           base)
+    | _ -> assert false
+  in
+  List.iter
+    (fun (arch, path) ->
+      match Request.of_json (with_arch arch) with
+      | _ -> Alcotest.failf "arch %s: expected Invalid_input" arch
+      | exception Error.Error e ->
+        Alcotest.(check bool)
+          (arch ^ ": Invalid_input at " ^ path)
+          true
+          (e.Error.kind = Error.Invalid_input
+          && String.starts_with ~prefix:(path ^ ":") e.Error.message))
+    [ ("{\"onchip_bytes\": 0}", "$.arch.onchip_bytes");
+      ("{\"onchip_bytes\": -5}", "$.arch.onchip_bytes");
+      ("{\"level_bytes\": [1024, 0]}", "$.arch.level_bytes[1]");
+      ("{\"l1_bytes\": -1, \"l2_bytes\": 4096}", "$.arch.l1_bytes") ];
   (* Each raced policy fixes its own search: a portfolio that also
      names one is rejected, not answered with the search ignored. *)
   List.iter

@@ -8,6 +8,7 @@ module Pipeline = Mhla_sim.Pipeline
 module Faults = Mhla_sim.Faults
 module Robustness = Mhla_sim.Robustness
 module Crosscheck = Mhla_sim.Crosscheck
+module Oracle = Mhla_gen.Oracle
 module Assign = Mhla_core.Assign
 module Explore = Mhla_core.Explore
 module Prefetch = Mhla_core.Prefetch
@@ -300,28 +301,22 @@ let kernel () =
 
 let test_crosscheck_agrees () =
   let r = Explore.run (kernel ()) (Presets.two_level ~onchip_bytes:512 ()) in
-  let report =
-    Crosscheck.crosscheck r.Explore.assign.Assign.mapping r.Explore.te
-  in
-  Alcotest.(check bool) "some BTs checked" true
-    (List.length report.Crosscheck.checks > 0);
-  Alcotest.(check int) "no disagreements" 0
-    (List.length report.Crosscheck.disagreements);
+  let m = r.Explore.assign.Assign.mapping in
+  let checks = Crosscheck.pipeline_checks m r.Explore.te in
+  Alcotest.(check bool) "some BTs checked" true (List.length checks > 0);
   List.iter
-    (fun c ->
-      Alcotest.(check bool) "within bound" true (Crosscheck.within_bound c))
-    report.Crosscheck.checks;
+    (fun c -> Alcotest.(check bool) "agrees" true (Crosscheck.agrees c))
+    checks;
   Alcotest.(check bool) "incremental engine never drifts" true
-    report.Crosscheck.engine.Crosscheck.engine_consistent
+    (Oracle.check_engine m).Oracle.engine_consistent
 
 let test_check_engine_kernel_and_apps () =
   let consistent name (m : Mhla_core.Mapping.t) =
-    let c = Crosscheck.check_engine m in
+    let c = Oracle.check_engine m in
     Alcotest.(check bool) (name ^ ": consistent under churn") true
-      c.Crosscheck.engine_consistent;
+      c.Oracle.engine_consistent;
     Alcotest.(check bool) (name ^ ": objectives bit-equal") true
-      (Float.equal c.Crosscheck.engine_objective
-         c.Crosscheck.oracle_objective)
+      (Float.equal c.Oracle.engine_objective c.Oracle.oracle_objective)
   in
   let r = Explore.run (kernel ()) (Presets.two_level ~onchip_bytes:512 ()) in
   consistent "kernel" r.Explore.assign.Assign.mapping;
@@ -363,7 +358,9 @@ let test_robustness_report () =
    hand-hostile plan (deep extension, transfer time many times the
    compute it hides behind) saturates the channels so the simulated
    stalls drift far outside the cold-start bound — and the crosscheck
-   must say so. *)
+   must say so. It is also the stream, and the only one, whose
+   robustness slack margin goes negative: the fuzz oracle's [xval]
+   check is what catches a negative margin. *)
 let test_crosscheck_catches_saturation () =
   let r = Explore.run (kernel ()) (Presets.two_level ~onchip_bytes:512 ()) in
   let m = r.Explore.assign.Assign.mapping in
@@ -385,17 +382,29 @@ let test_crosscheck_catches_saturation () =
     let schedule =
       { Prefetch.plans = [ hostile ]; order = Prefetch.Fifo }
     in
-    let report = Crosscheck.crosscheck m schedule in
-    Alcotest.(check int) "one check" 1 (List.length report.Crosscheck.checks);
+    let checks = Crosscheck.pipeline_checks m schedule in
+    Alcotest.(check int) "one check" 1 (List.length checks);
+    let disagreements =
+      List.filter (fun c -> not (Crosscheck.agrees c)) checks
+    in
     Alcotest.(check int) "flagged as disagreement" 1
-      (List.length report.Crosscheck.disagreements);
+      (List.length disagreements);
     List.iter
       (fun c ->
         Alcotest.(check bool) "outside the bound" false
           (Crosscheck.within_bound c);
         Alcotest.(check bool) "zero-fault machinery still consistent" true
           c.Crosscheck.zero_fault_consistent)
-      report.Crosscheck.disagreements
+      disagreements;
+    let rob = Robustness.analyze ~trials:1 ~faults:Faults.none m schedule in
+    Alcotest.(check (list string)) "negative slack = disagreement"
+      (List.map (fun c -> c.Crosscheck.check_id) disagreements)
+      (List.filter_map
+         (fun (p : Robustness.plan_robustness) ->
+           if p.Robustness.slack_margin_cycles < 0 then
+             Some p.Robustness.check_id
+           else None)
+         rob.Robustness.plans)
 
 let test_crosscheck_all_apps () =
   List.iter
@@ -403,13 +412,19 @@ let test_crosscheck_all_apps () =
       let program = Lazy.force app.Mhla_apps.Defs.small in
       let h = Presets.two_level ~onchip_bytes:256 () in
       let r = Explore.run program h in
-      let report =
-        Crosscheck.crosscheck r.Explore.assign.Assign.mapping r.Explore.te
-      in
-      Alcotest.(check int)
-        (app.Mhla_apps.Defs.name ^ ": agreement")
-        0
-        (List.length report.Crosscheck.disagreements))
+      let m = r.Explore.assign.Assign.mapping in
+      let name = app.Mhla_apps.Defs.name in
+      Alcotest.(check bool) (name ^ ": agreement") true
+        (List.for_all Crosscheck.agrees
+           (Crosscheck.pipeline_checks m r.Explore.te));
+      List.iter
+        (fun (p : Robustness.plan_robustness) ->
+          Alcotest.(check bool)
+            (name ^ ": " ^ p.Robustness.check_id ^ " slack >= 0")
+            true
+            (p.Robustness.slack_margin_cycles >= 0))
+        (Robustness.analyze ~trials:1 ~faults:Faults.none m r.Explore.te)
+          .Robustness.plans)
     Mhla_apps.Registry.all
 
 (* EXT-FAULT pin: the robustness report of every app's small program on

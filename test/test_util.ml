@@ -11,94 +11,67 @@ module Table = Mhla_util.Table
 
 let check_float = Alcotest.(check (float 1e-9))
 
-(* --- Pareto ----------------------------------------------------------- *)
+(* --- Pareto: two objectives ------------------------------------------- *)
+
+(* Most of the tool's frontiers are (size, cost) curves: the 2-D shape
+   of [Pareto.Nd], whose lexicographic order is then "by increasing x". *)
+
+module Nd = Pareto.Nd
+
+let pt x y payload = Nd.point ~objectives:[| x; y |] payload
 
 let test_pareto_dominates () =
-  let p = Pareto.point ~x:1. ~y:2. () in
-  let q = Pareto.point ~x:2. ~y:3. () in
-  Alcotest.(check bool) "p dominates q" true (Pareto.dominates p q);
-  Alcotest.(check bool) "q does not dominate p" false (Pareto.dominates q p);
-  Alcotest.(check bool) "no self domination" false (Pareto.dominates p p)
+  let p = pt 1. 2. () in
+  let q = pt 2. 3. () in
+  Alcotest.(check bool) "p dominates q" true (Nd.dominates p q);
+  Alcotest.(check bool) "q does not dominate p" false (Nd.dominates q p);
+  Alcotest.(check bool) "no self domination" false (Nd.dominates p p)
 
 let test_pareto_add_keeps_non_dominated () =
-  let front =
-    Pareto.of_list
-      [ Pareto.point ~x:1. ~y:10. "a";
-        Pareto.point ~x:2. ~y:5. "b";
-        Pareto.point ~x:3. ~y:1. "c" ]
-  in
-  Alcotest.(check int) "all three kept" 3 (Pareto.size front);
-  let front = Pareto.add (Pareto.point ~x:2. ~y:0.5 "d") front in
+  let front = Nd.of_list [ pt 1. 10. "a"; pt 2. 5. "b"; pt 3. 1. "c" ] in
+  Alcotest.(check int) "all three kept" 3 (Nd.size front);
+  let front = Nd.add (pt 2. 0.5 "d") front in
   (* d dominates b and c *)
-  Alcotest.(check int) "dominated points dropped" 2 (Pareto.size front)
+  Alcotest.(check int) "dominated points dropped" 2 (Nd.size front)
 
 let test_pareto_sorted_by_x () =
-  let front =
-    Pareto.of_list
-      [ Pareto.point ~x:3. ~y:1. "c";
-        Pareto.point ~x:1. ~y:10. "a";
-        Pareto.point ~x:2. ~y:5. "b" ]
-  in
-  let xs = List.map (fun (p : _ Pareto.point) -> p.Pareto.x) (Pareto.to_list front) in
+  let front = Nd.of_list [ pt 3. 1. "c"; pt 1. 10. "a"; pt 2. 5. "b" ] in
+  let xs = List.map (fun p -> (Nd.objectives p).(0)) (Nd.to_list front) in
   Alcotest.(check (list (float 0.))) "sorted" [ 1.; 2.; 3. ] xs
 
-let test_pareto_min_y_and_best_under () =
-  let front =
-    Pareto.of_list
-      [ Pareto.point ~x:1. ~y:10. "a";
-        Pareto.point ~x:2. ~y:5. "b";
-        Pareto.point ~x:4. ~y:1. "c" ]
-  in
-  (match Pareto.min_y front with
-  | Some p -> Alcotest.(check string) "global min" "c" p.Pareto.payload
-  | None -> Alcotest.fail "expected a point");
-  (match Pareto.best_under ~x_max:2.5 front with
-  | Some p -> Alcotest.(check string) "best under budget" "b" p.Pareto.payload
-  | None -> Alcotest.fail "expected a point");
-  Alcotest.(check bool)
-    "nothing under tiny budget" true
-    (Pareto.best_under ~x_max:0.5 front = None)
-
 let test_pareto_empty () =
-  Alcotest.(check bool) "empty" true (Pareto.is_empty Pareto.empty);
-  Alcotest.(check bool) "min_y none" true (Pareto.min_y Pareto.empty = None)
+  Alcotest.(check bool) "empty" true (Nd.is_empty Nd.empty);
+  Alcotest.(check int) "no points" 0 (List.length (Nd.to_list Nd.empty))
 
 let pareto_points_gen =
   QCheck2.Gen.(
     list_size (int_range 0 40)
       (map2
-         (fun x y -> Pareto.point ~x:(float_of_int x) ~y:(float_of_int y) ())
+         (fun x y -> pt (float_of_int x) (float_of_int y) ())
          (int_range 0 20) (int_range 0 20)))
 
 let prop_pareto_no_internal_domination =
   QCheck2.Test.make ~name:"pareto: no frontier point dominates another"
     ~count:200 pareto_points_gen (fun points ->
-      let front = Pareto.to_list (Pareto.of_list points) in
+      let front = Nd.to_list (Nd.of_list points) in
       List.for_all
         (fun p ->
-          List.for_all
-            (fun q -> p == q || not (Pareto.dominates p q))
-            front)
+          List.for_all (fun q -> p == q || not (Nd.dominates p q)) front)
         front)
 
 let prop_pareto_covers_inputs =
   QCheck2.Test.make
     ~name:"pareto: every input is on the frontier or dominated" ~count:200
     pareto_points_gen (fun points ->
-      let front = Pareto.of_list points in
+      let front = Nd.of_list points in
       let on_front p =
         List.exists
-          (fun (q : _ Pareto.point) ->
-            q.Pareto.x = p.Pareto.x && q.Pareto.y = p.Pareto.y)
-          (Pareto.to_list front)
+          (fun q -> Nd.objectives q = Nd.objectives p)
+          (Nd.to_list front)
       in
-      List.for_all
-        (fun p -> on_front p || Pareto.mem_dominated p front)
-        points)
+      List.for_all (fun p -> on_front p || Nd.mem_dominated p front) points)
 
 (* --- Pareto.Nd --------------------------------------------------------- *)
-
-module Nd = Pareto.Nd
 
 let expect_invalid name f =
   match f () with
@@ -659,8 +632,6 @@ let () =
           Alcotest.test_case "add drops dominated" `Quick
             test_pareto_add_keeps_non_dominated;
           Alcotest.test_case "sorted by x" `Quick test_pareto_sorted_by_x;
-          Alcotest.test_case "min_y / best_under" `Quick
-            test_pareto_min_y_and_best_under;
           Alcotest.test_case "empty" `Quick test_pareto_empty;
           qc prop_pareto_no_internal_domination;
           qc prop_pareto_covers_inputs;
