@@ -1,3 +1,4 @@
+module Affine = Mhla_ir.Affine
 module Array_decl = Mhla_ir.Array_decl
 module Program = Mhla_ir.Program
 
@@ -6,14 +7,23 @@ let name = "bounds"
 let diag ~code ?loc ?trail fmt =
   Diagnostic.makef ~code ~severity:Diagnostic.Error ~pass:name ?loc ?trail fmt
 
-(* Value ranges come from the solved abstract interpretation: the
-   fixpoint environment at the owning statement binds every enclosing
-   iterator to its full domain, and the affine evaluation in the
-   interval domain is exact — the same answers the old per-check
-   [Affine.min_value]/[max_value] enumeration produced, now derived
-   once and shared (the equivalence is pinned by a property test). *)
-let check_access solution (ctx : Program.context) program k
-    (a : Mhla_ir.Access.t) =
+(* How a subscript's range was derived: each iterator's sweep and
+   coefficient, then the resulting closed-form range. *)
+let range_trail (ctx : Program.context) e (lo, hi) =
+  let trip iter =
+    match List.assoc_opt iter ctx.Program.loops with Some t -> t | None -> 1
+  in
+  List.map
+    (fun iter ->
+      Printf.sprintf "iterator %s in [0, %d] (coefficient %d)" iter
+        (trip iter - 1) (Affine.coeff e iter))
+    (Affine.iterators e)
+  @ [
+      Printf.sprintf "affine value [%d, %d] at statement %s" lo hi
+        ctx.Program.stmt.Mhla_ir.Stmt.name;
+    ]
+
+let check_access (ctx : Program.context) program k (a : Mhla_ir.Access.t) =
   let stmt = ctx.Program.stmt.Mhla_ir.Stmt.name in
   let loc ?dim () =
     Diagnostic.location ~array:a.Mhla_ir.Access.array ~stmt ~access_index:k
@@ -32,55 +42,38 @@ let check_access solution (ctx : Program.context) program k
           (List.length dims);
       ]
     else begin
-      let check_dim d (e, extent) =
-        match Fixpoint.eval solution ~stmt e with
-        | Domain.Itv.Bot -> []
-        | Domain.Itv.Range (lo_b, hi_b) -> (
-          match (lo_b, hi_b) with
-          | Domain.Itv.Fin lo, Domain.Itv.Fin hi ->
-            let trail () = Fixpoint.range_trail solution ~stmt e in
-            let out_high =
-              if hi >= extent then
-                Some
-                  (diag ~code:"MHLA001" ~loc:(loc ~dim:d ())
-                     ~trail:(trail ())
-                     "subscript sweeps [%d, %d] but the dimension extent \
-                      is %d"
-                     lo hi extent)
-              else None
-            in
-            let out_low =
-              if lo < 0 then
-                Some
-                  (diag ~code:"MHLA002" ~loc:(loc ~dim:d ())
-                     ~trail:(trail ())
-                     "subscript sweeps [%d, %d], below the array" lo hi)
-              else None
-            in
-            List.filter_map Fun.id [ out_high; out_low ]
-          | _ ->
-            (* Unbounded ranges cannot arise from the guarded loop
-               domains; treat one as an overflow finding so the checker
-               stays sound if a future domain loses precision. *)
-            [
-              diag ~code:"MHLA001" ~loc:(loc ~dim:d ())
-                ~trail:(Fixpoint.range_trail solution ~stmt e)
-                "subscript range is unbounded but the dimension extent is \
-                 %d"
-                extent;
-            ])
+      let check_dim d ((e, extent), (lo, hi)) =
+        let trail () = range_trail ctx e (lo, hi) in
+        let out_high =
+          if hi >= extent then
+            Some
+              (diag ~code:"MHLA001" ~loc:(loc ~dim:d ()) ~trail:(trail ())
+                 "subscript sweeps [%d, %d] but the dimension extent is %d"
+                 lo hi extent)
+          else None
+        in
+        let out_low =
+          if lo < 0 then
+            Some
+              (diag ~code:"MHLA002" ~loc:(loc ~dim:d ()) ~trail:(trail ())
+                 "subscript sweeps [%d, %d], below the array" lo hi)
+          else None
+        in
+        List.filter_map Fun.id [ out_high; out_low ]
       in
       List.concat
-        (List.mapi check_dim (List.combine a.Mhla_ir.Access.index dims))
+        (List.mapi check_dim
+           (List.combine
+              (List.combine a.Mhla_ir.Access.index dims)
+              (Pass.access_box ctx.Program.loops a)))
     end
 
 let run (s : Pass.subject) =
-  let solution = Pass.solution s in
   Program.fold_stmts s.Pass.program ~init:[] ~f:(fun acc ctx ->
       let here =
         List.concat
           (List.mapi
-             (check_access solution ctx s.Pass.program)
+             (check_access ctx s.Pass.program)
              ctx.Program.stmt.Mhla_ir.Stmt.accesses)
       in
       acc @ here)
@@ -89,9 +82,9 @@ let pass =
   {
     Pass.name;
     description =
-      "every affine subscript's value range, derived from the interval \
-       fixpoint over the loop nest, stays within the declared dimension \
-       extents";
+      "every affine subscript's value range, the closed-form min and max \
+       over its statement's iteration box, stays within the declared \
+       dimension extents";
     codes = [ "MHLA001"; "MHLA002"; "MHLA003" ];
     run;
   }

@@ -7,14 +7,15 @@ module Mapping = Mhla_core.Mapping
 module Occupancy = Mhla_lifetime.Occupancy
 module Prefetch = Mhla_core.Prefetch
 module Program = Mhla_ir.Program
+module Schedule = Mhla_lifetime.Schedule
 
 let name = "capacity"
 
 (* The buffers alive on one level, their lifetimes taken from the
-   abstract interpretation's timeline. Candidates sharing a
-   [share_key] hold the same data in the same rhythm: one buffer,
-   alive over the hull of the sharers' lifetimes. *)
-let placement_blocks solution (m : Mapping.t) ~level =
+   program-order timeline. Candidates sharing a [share_key] hold the
+   same data in the same rhythm: one buffer, alive over the hull of
+   the sharers' lifetimes. *)
+let placement_blocks timeline (m : Mapping.t) ~level =
   let shared = Hashtbl.create 16 in
   let order = ref [] in
   List.iter
@@ -26,7 +27,7 @@ let placement_blocks solution (m : Mapping.t) ~level =
           (fun (link : Mapping.chain_link) ->
             if link.Mapping.layer = level then begin
               let c = link.Mapping.candidate in
-              let interval = Fixpoint.candidate_interval solution c in
+              let interval = Schedule.candidate_interval timeline c in
               let key = c.Candidate.share_key in
               match Hashtbl.find_opt shared key with
               | None ->
@@ -50,7 +51,7 @@ let placement_blocks solution (m : Mapping.t) ~level =
     m.Mapping.placements;
   List.rev_map (fun key -> Hashtbl.find shared key) !order
 
-let promoted_blocks solution (m : Mapping.t) ~level =
+let promoted_blocks timeline (m : Mapping.t) ~level =
   List.filter_map
     (fun (array, l) ->
       if l <> level then None
@@ -61,7 +62,7 @@ let promoted_blocks solution (m : Mapping.t) ~level =
           Some
             {
               Occupancy.label = array;
-              interval = Fixpoint.array_interval solution array;
+              interval = Schedule.array_interval timeline array;
               bytes = Array_decl.size_bytes decl;
             })
     m.Mapping.array_layers
@@ -71,7 +72,7 @@ let promoted_blocks solution (m : Mapping.t) ~level =
    a delta-mode transfer only re-primes the sliding window's new part;
    any other step needs a whole-footprint buffer. A granted loop the
    program does not know is the dma-race pass's finding, not ours. *)
-let te_blocks solution (m : Mapping.t) (schedule : Prefetch.schedule) ~level =
+let te_blocks timeline (m : Mapping.t) (schedule : Prefetch.schedule) ~level =
   List.concat_map
     (fun (plan : Prefetch.plan) ->
       let bt = plan.Prefetch.bt in
@@ -80,7 +81,7 @@ let te_blocks solution (m : Mapping.t) (schedule : Prefetch.schedule) ~level =
         let c = bt.Mapping.bt_candidate in
         List.filter_map
           (fun iter ->
-            match Fixpoint.loop_interval solution iter with
+            match Schedule.loop_interval timeline iter with
             | exception Not_found -> None
             | interval ->
               let sliding =
@@ -102,29 +103,25 @@ let te_blocks solution (m : Mapping.t) (schedule : Prefetch.schedule) ~level =
       end)
     schedule.Prefetch.plans
 
-let level_peak solution ?schedule ~policy (m : Mapping.t) ~level =
+let level_peak timeline ?schedule ~policy (m : Mapping.t) ~level =
   let blocks =
-    placement_blocks solution m ~level
-    @ promoted_blocks solution m ~level
+    placement_blocks timeline m ~level
+    @ promoted_blocks timeline m ~level
     @
     match schedule with
     | None -> []
-    | Some s -> te_blocks solution m s ~level
+    | Some s -> te_blocks timeline m s ~level
   in
   Occupancy.peak_bytes policy blocks
 
-let recomputed_peaks ?schedule ?analysis ~policy (m : Mapping.t) =
-  let solution =
-    match analysis with
-    | Some s -> s
-    | None -> Fixpoint.analyze m.Mapping.program
-  in
+let recomputed_peaks ?schedule ~policy (m : Mapping.t) =
+  let timeline = Schedule.of_program m.Mapping.program in
   List.map
-    (fun level -> (level, level_peak solution ?schedule ~policy m ~level))
+    (fun level -> (level, level_peak timeline ?schedule ~policy m ~level))
     (Hierarchy.on_chip_levels m.Mapping.hierarchy)
 
-let check_level solution ?schedule ~policy (m : Mapping.t) ~level =
-  let peak = level_peak solution ?schedule ~policy m ~level in
+let check_level timeline ?schedule ~policy (m : Mapping.t) ~level =
+  let peak = level_peak timeline ?schedule ~policy m ~level in
   let layer = Hierarchy.layer m.Mapping.hierarchy level in
   match layer.Layer.capacity_bytes with
   | Some capacity when peak > capacity ->
@@ -140,10 +137,10 @@ let run (s : Pass.subject) =
   match s.Pass.mapping with
   | None -> []
   | Some m ->
-    let solution = Pass.solution s in
+    let timeline = Pass.timeline s in
     List.concat_map
       (fun level ->
-        check_level solution ?schedule:s.Pass.schedule ~policy:s.Pass.policy m
+        check_level timeline ?schedule:s.Pass.schedule ~policy:s.Pass.policy m
           ~level)
       (Hierarchy.on_chip_levels m.Mapping.hierarchy)
 
@@ -152,8 +149,8 @@ let pass =
     Pass.name;
     description =
       "per-layer peak occupancy, recomputed from copy lifetimes plus TE \
-       extra buffers on the abstract interpretation's timeline, stays \
-       within every on-chip capacity";
+       extra buffers on the program-order timeline, stays within every \
+       on-chip capacity";
     codes = [ "MHLA201" ];
     run;
   }

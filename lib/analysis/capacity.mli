@@ -1,15 +1,15 @@
 (** Layer-capacity checker.
 
     Recomputes every on-chip layer's peak occupancy from first
-    principles: the timeline derived by the abstract interpretation
-    ({!Fixpoint.analyze}), the lifetime interval and buffer size of
-    every placed copy (shared buffers appear once, over the hull of
-    their sharers' lifetimes) and of every promoted array, {e plus} the
-    extra double buffers every granted Time-Extension loop keeps alive
-    — then folds them through {!Mhla_lifetime.Occupancy.peak_bytes}
-    under the subject's sizing policy and flags any layer whose peak
-    exceeds its capacity (the user constraint both solver steps
-    promised to respect).
+    principles: the program-order timeline
+    ({!Mhla_lifetime.Schedule.of_program}), the lifetime interval and
+    buffer size of every placed copy (shared buffers appear once, over
+    the hull of their sharers' lifetimes) and of every promoted array,
+    {e plus} the extra double buffers every granted Time-Extension loop
+    keeps alive — then folds them through
+    {!Mhla_lifetime.Occupancy.peak_bytes} under the subject's sizing
+    policy and flags any layer whose peak exceeds its capacity (the
+    user constraint both solver steps promised to respect).
 
     Needs the mapping; the schedule is optional (no TE buffers without
     it).
@@ -20,20 +20,8 @@ val pass : Pass.t
 
 val recomputed_peaks :
   ?schedule:Mhla_core.Prefetch.schedule ->
-  ?analysis:Fixpoint.solution ->
   policy:Mhla_lifetime.Occupancy.policy ->
   Mhla_core.Mapping.t ->
   (int * int) list
 (** [(level, peak_bytes)] for every on-chip level — exposed for tests
-    and the bench. Without [?analysis] the mapping's program is
-    re-analysed from scratch. *)
-
-val level_peak :
-  Fixpoint.solution ->
-  ?schedule:Mhla_core.Prefetch.schedule ->
-  policy:Mhla_lifetime.Occupancy.policy ->
-  Mhla_core.Mapping.t ->
-  level:int ->
-  int
-(** Peak occupancy of one level. *)
-
+    and the [--mutate capacity] self-test. *)

@@ -71,24 +71,16 @@ let check_ties (m : Mapping.t) (schedule : Prefetch.schedule) =
 (* A statement that reads and writes overlapping regions of one array
    carries a recurrence: its iterations are ordered, so any reordering
    transformation (and any tool assuming iteration independence) must
-   be told. Boxes come from the interval fixpoint, one per subscript. *)
-let overlapping_boxes b1 b2 =
-  List.length b1 = List.length b2
-  && List.for_all2
-       (fun i1 i2 ->
-         match Domain.Itv.meet i1 i2 with
-         | Domain.Itv.Bot -> false
-         | Domain.Itv.Range _ -> true)
-       b1 b2
+   be told. Boxes are the closed-form subscript ranges over the
+   statement's loops, one per subscript. *)
+let pp_box ppf box =
+  Fmt.(list ~sep:(any " x ") (fun ppf (lo, hi) -> pf ppf "[%d, %d]" lo hi))
+    ppf box
 
-let pp_box ppf box = Fmt.(list ~sep:(any " x ") Domain.Itv.pp) ppf box
-
-let check_recurrences solution (program : Program.t) =
+let check_recurrences (program : Program.t) =
   Program.fold_stmts program ~init:[] ~f:(fun acc ctx ->
       let stmt = ctx.Program.stmt.Stmt.name in
-      let box (a : Access.t) =
-        List.map (Fixpoint.eval solution ~stmt) a.Access.index
-      in
+      let box = Pass.access_box ctx.Program.loops in
       let reads, writes =
         List.partition
           (fun (a : Access.t) -> a.Access.direction = Access.Read)
@@ -110,7 +102,8 @@ let check_recurrences solution (program : Program.t) =
                   List.find_map
                     (fun r ->
                       let wb = box w and rb = box r in
-                      if overlapping_boxes wb rb then Some (rb, wb) else None)
+                      if Pass.boxes_intersect wb rb then Some (rb, wb)
+                      else None)
                     (of_array reads))
                 (of_array writes)
             in
@@ -133,9 +126,7 @@ let check_recurrences solution (program : Program.t) =
       acc @ here)
 
 let run (s : Pass.subject) =
-  let recurrences =
-    check_recurrences (Pass.solution s) s.Pass.program
-  in
+  let recurrences = check_recurrences s.Pass.program in
   match (s.Pass.mapping, s.Pass.schedule) with
   | Some m, Some schedule -> recurrences @ check_ties m schedule
   | _ -> recurrences
@@ -147,7 +138,7 @@ let pass =
       "schedule-determinism advisories: transfers tying on the recomputed \
        scheduling key (priority then follows enumeration order) and \
        statements whose read and write regions of one array overlap (a \
-       recurrence, per the interval fixpoint)";
+       recurrence, per the closed-form subscript ranges)";
     codes = [ "MHLA401"; "MHLA402" ];
     run;
   }

@@ -10,8 +10,9 @@
       never tie (input order {e is} the defined order), and fetches
       never tie against drains (the partition is deliberate).
     - [MHLA402]: a statement reads and writes overlapping regions of
-      one array, per the interval fixpoint's subscript boxes — a
-      recurrence, so the statement's iterations are not independent.
+      one array, per the closed-form subscript boxes ({!Pass.access_box})
+      — a recurrence, so the statement's iterations are not
+      independent.
       Program-only; needs no solver output.
 
     Codes: [MHLA401], [MHLA402]. *)

@@ -59,7 +59,8 @@ type t = {
   message : string;
   trail : string list;
       (** provenance: how the finding was derived (iterator ranges,
-          fixpoint facts), one step per line; often empty *)
+          subscript boxes, timeline spans), one step per line; often
+          empty *)
 }
 
 val make :

@@ -1,5 +1,4 @@
 module Access = Mhla_ir.Access
-module Affine = Mhla_ir.Affine
 module Candidate = Mhla_reuse.Candidate
 module Cost = Mhla_core.Cost
 module Hierarchy = Mhla_arch.Hierarchy
@@ -12,22 +11,6 @@ let name = "dma-race"
 
 let diag ~code ?loc fmt =
   Diagnostic.makef ~code ~severity:Diagnostic.Error ~pass:name ?loc fmt
-
-(* Per-dimension value ranges of an access over its loops' full
-   domains. Iterators outside [loops] are held at a single point. *)
-let access_box (loops : (string * int) list) (a : Access.t) =
-  let trip iter =
-    match List.assoc_opt iter loops with Some t -> t | None -> 1
-  in
-  List.map
-    (fun e -> (Affine.min_value e ~trip, Affine.max_value e ~trip))
-    a.Access.index
-
-let boxes_intersect b1 b2 =
-  List.length b1 = List.length b2
-  && List.for_all2
-       (fun (lo1, hi1) (lo2, hi2) -> lo1 <= hi2 && lo2 <= hi1)
-       b1 b2
 
 (* Does advancing the transfer across one iteration of [iter] race a
    conflicting access? A prefetch races producers of the region it
@@ -46,8 +29,8 @@ let loop_racy program ~iter ~array ~source_box ~drain ~owner =
                 (not is_owner)
                 && a.Access.array = array
                 && (Access.is_write a || drain)
-                && boxes_intersect source_box
-                     (access_box ctx.Program.loops a))
+                && Pass.boxes_intersect source_box
+                     (Pass.access_box ctx.Program.loops a))
               (List.mapi
                  (fun k a -> (k, a))
                  ctx.Program.stmt.Stmt.accesses))
@@ -70,7 +53,7 @@ let freedom_of_plan (m : Mapping.t) (plan : Prefetch.plan) =
         match
           List.nth_opt ctx.Program.stmt.Stmt.accesses c.Candidate.access_index
         with
-        | Some a -> access_box loops a
+        | Some a -> Pass.access_box loops a
         | None -> []
       in
       (* [loops] is outermost-first; orient the prefix ending at the

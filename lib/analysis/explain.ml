@@ -14,12 +14,14 @@ type entry = {
 let details =
   [
     ( "MHLA001",
-      "The interval fixpoint binds every enclosing iterator to its full \
-       range [0, trip-1]; evaluating the affine subscript over those \
-       ranges is exact, and its maximum reaches at or past the declared \
-       extent. The finding's trail lists each contributing iterator \
-       range. Fix the subscript or the declaration; out-of-bounds \
-       footprints corrupt every downstream size estimate." );
+      "Every enclosing iterator sweeps its full range [0, trip-1], so \
+       the affine subscript's exact range is the closed form: the \
+       constant plus each positive (for the maximum) or negative (for \
+       the minimum) coefficient times trip-1. Its maximum reaches at or \
+       past the declared extent. The finding's trail lists each \
+       contributing iterator range. Fix the subscript or the \
+       declaration; out-of-bounds footprints corrupt every downstream \
+       size estimate." );
     ( "MHLA002",
       "Same derivation as MHLA001, for the minimum: the subscript's \
        derived lower bound is negative." );
@@ -48,18 +50,18 @@ let details =
        store." );
     ( "MHLA201",
       "The pass recomputes the layer's peak occupancy from first \
-       principles on the abstract interpretation's timeline: every \
-       placed buffer over its lifetime (shared buffers once, over the \
-       hull of their sharers), every promoted array, plus the TE double \
-       buffers alive over their granted loops' spans — folded under the \
-       subject's sizing policy. The peak exceeds the layer's declared \
+       principles on the program-order timeline: every placed buffer \
+       over its lifetime (shared buffers once, over the hull of their \
+       sharers), every promoted array, plus the TE double buffers alive \
+       over their granted loops' spans — folded under the subject's \
+       sizing policy. The peak exceeds the layer's declared \
        capacity." );
     ( "MHLA203",
-      "The granted TE loop's span on the fixpoint timeline does not \
-       enclose the extended transfer's buffer lifetime: the double \
+      "The granted TE loop's span on the program-order timeline does \
+       not enclose the extended transfer's buffer lifetime: the double \
        buffer is alive during a program phase its data does not belong \
        to, interfering with whatever lives there. Both spans are \
-       derived from the analysis, never read off the plan." );
+       derived from the loop tree, never read off the plan." );
     ( "MHLA204",
       "The greedy TE pass assigns DMA priorities by position; plans \
        whose priorities are not the contiguous sequence 0..n-1 in \
@@ -89,8 +91,8 @@ let details =
        priority is an accident of input order — harmless, but worth \
        knowing when two runs differ." );
     ( "MHLA402",
-      "The interval fixpoint's subscript boxes of one statement's read \
-       and write of the same array overlap: the statement carries a \
+      "The closed-form subscript boxes of one statement's read and \
+       write of the same array overlap: the statement carries a \
        recurrence, so its iterations are ordered and \
        iteration-reordering transforms are not sound." );
   ]

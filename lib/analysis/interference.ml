@@ -2,6 +2,7 @@ module Candidate = Mhla_reuse.Candidate
 module Interval = Mhla_util.Interval
 module Mapping = Mhla_core.Mapping
 module Prefetch = Mhla_core.Prefetch
+module Schedule = Mhla_lifetime.Schedule
 
 let name = "interference"
 
@@ -10,15 +11,15 @@ let name = "interference"
    loop, so every granted span must enclose the buffer's own lifetime.
    A span that does not means the plan's double buffer dies while the
    data it guards is still live — lifetimes interfere. Recomputed
-   entirely from the fixpoint's timeline, never from the plan's own
+   entirely from the program-order timeline, never from the plan's own
    claims. *)
-let check_containment solution (plan : Prefetch.plan) =
+let check_containment timeline (plan : Prefetch.plan) =
   let bt = plan.Prefetch.bt in
   let c = bt.Mapping.bt_candidate in
-  let lifetime = Fixpoint.candidate_interval solution c in
+  let lifetime = Schedule.candidate_interval timeline c in
   List.filter_map
     (fun iter ->
-      match Fixpoint.loop_interval solution iter with
+      match Schedule.loop_interval timeline iter with
       | exception Not_found ->
         (* A granted loop the program does not know is the dma-race
            pass's finding (freedom mismatch), not an interference. *)
@@ -37,7 +38,7 @@ let check_containment solution (plan : Prefetch.plan) =
                     ~bt:bt.Mapping.bt_id ~iter ())
                ~trail:
                  [
-                   Fmt.str "granted loop %s spans %a at the fixpoint" iter
+                   Fmt.str "granted loop %s spans %a on the timeline" iter
                      Interval.pp span;
                    Fmt.str "the extended transfer's buffer lives over %a"
                      Interval.pp lifetime;
@@ -74,8 +75,8 @@ let run (s : Pass.subject) =
   match s.Pass.schedule with
   | None -> []
   | Some schedule ->
-    let solution = Pass.solution s in
-    List.concat_map (check_containment solution) schedule.Prefetch.plans
+    let timeline = Pass.timeline s in
+    List.concat_map (check_containment timeline) schedule.Prefetch.plans
     @ check_priorities schedule
 
 let pass =
@@ -83,8 +84,8 @@ let pass =
     Pass.name;
     description =
       "TE double buffers do not interfere: every granted loop's span, \
-       recomputed on the abstract interpretation's timeline, encloses the \
-       extended buffer's lifetime, and DMA priorities are the contiguous \
+       recomputed on the program-order timeline, encloses the extended \
+       buffer's lifetime, and DMA priorities are the contiguous \
        greedy sequence";
     codes = [ "MHLA203"; "MHLA204" ];
     run;

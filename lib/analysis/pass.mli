@@ -3,7 +3,14 @@
     A {!subject} bundles a program with (optionally) the solver outputs
     to verify against it: a mapping from step 1 and a TE schedule from
     step 2. Passes that need an absent part emit nothing — a plain
-    program can still be linted and bounds-checked. *)
+    program can still be linted and bounds-checked.
+
+    Every fact a pass re-derives comes straight off the loop tree. The
+    IR has constant trip counts, affine subscripts and a fixed
+    statement order, so an iteration space is a box, a subscript's
+    range is the closed form {!Mhla_ir.Affine.min_value} /
+    {!Mhla_ir.Affine.max_value} over it ({!access_box}), and lifetimes
+    are intervals of the program-order {!Mhla_lifetime.Schedule}. *)
 
 type subject = {
   program : Mhla_ir.Program.t;
@@ -12,10 +19,9 @@ type subject = {
   policy : Mhla_lifetime.Occupancy.policy;
       (** sizing policy the capacity pass recomputes under; must match
           what the solver used (default [In_place]) *)
-  analysis : Fixpoint.solution Lazy.t;
-      (** the solved abstract interpretation of [program]: forced by
-          the first pass that needs a value range or a lifetime
-          interval, shared by all of them *)
+  timeline : Mhla_lifetime.Schedule.t Lazy.t;
+      (** the program-order timeline of [program]: built by the first
+          pass that needs a lifetime interval, shared by all of them *)
 }
 
 val subject :
@@ -32,8 +38,17 @@ val of_mapping :
   subject
 (** The mapping's own program becomes the subject's program. *)
 
-val solution : subject -> Fixpoint.solution
-(** Force and return the subject's abstract interpretation. *)
+val timeline : subject -> Mhla_lifetime.Schedule.t
+(** Force and return the subject's timeline. *)
+
+val access_box :
+  (string * int) list -> Mhla_ir.Access.t -> (int * int) list
+(** [access_box loops a] is the per-dimension [(min, max)] of [a]'s
+    subscripts when every iterator in [loops] (as [(iterator, trip)])
+    sweeps [0 .. trip-1]; an iterator outside [loops] is held at 0. *)
+
+val boxes_intersect : (int * int) list -> (int * int) list -> bool
+(** Two boxes of the same rank overlap in every dimension. *)
 
 (** One checker pass. *)
 type t = {

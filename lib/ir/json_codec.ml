@@ -31,6 +31,14 @@ let as_int ~path = function
   | Json.Int k -> k
   | j -> fail ~path "expected an integer, found %s" (kind_name j)
 
+(* A size or trip count the IR cannot hold is a decode error at its own
+   path, not a failure from [Array_decl.make] or [Program.make_exn]
+   that names no field. *)
+let as_positive ~path j =
+  let k = as_int ~path j in
+  if k <= 0 then fail ~path "must be > 0 (got %d)" k;
+  k
+
 let field ~path fields name =
   match List.assoc_opt name fields with
   | Some v -> v
@@ -131,11 +139,11 @@ let array_decl_of_json ~path j =
   let name = as_str ~path:(sub path ".name") (field ~path fields "name") in
   let dims =
     List.mapi
-      (fun k d -> as_int ~path:(sub path ".dims[%d]" k) d)
+      (fun k d -> as_positive ~path:(sub path ".dims[%d]" k) d)
       (as_arr ~path:(sub path ".dims") (field ~path fields "dims"))
   in
   let element_bytes =
-    as_int ~path:(sub path ".element_bytes")
+    as_positive ~path:(sub path ".element_bytes")
       (field ~path fields "element_bytes")
   in
   Array_decl.make ~name ~dims ~element_bytes
@@ -181,7 +189,9 @@ let rec node_of_json ~path j =
     let fields = as_obj ~path payload in
     check_fields ~path ~allowed:[ "iter"; "trip"; "body" ] fields;
     let iter = as_str ~path:(sub path ".iter") (field ~path fields "iter") in
-    let trip = as_int ~path:(sub path ".trip") (field ~path fields "trip") in
+    let trip =
+      as_positive ~path:(sub path ".trip") (field ~path fields "trip")
+    in
     let body =
       List.mapi
         (fun k child -> node_of_json ~path:(sub path ".body[%d]" k) child)

@@ -26,7 +26,9 @@
     v}
 
     Every field is mandatory; affine subscripts are a constant plus
-    [(iterator, coefficient)] terms sorted by iterator name. *)
+    [(iterator, coefficient)] terms sorted by iterator name. A
+    non-positive [dims] entry, [element_bytes] or [trip] is rejected at
+    its own path (["$.arrays[0].element_bytes: must be > 0 (got 0)"]). *)
 
 val affine_to_json : Affine.t -> Mhla_util.Json.t
 

@@ -77,6 +77,24 @@ if [ "$rc" -ne 1 ]; then
   echo "expected exit 1 for the seeded TE race, got $rc" >&2
   exit 1
 fi
+# ...and so must a subscript pushed past its extent (bounds, MHLA001)
+# and a layer one byte below its recomputed peak (capacity, MHLA201),
+# each named by its code in the JSON report.
+for pair in bounds:MHLA001 capacity:MHLA201; do
+  mutation=${pair%%:*}
+  code=${pair#*:}
+  rc=0
+  out=$(dune exec -- bin/mhla_cli.exe check motion_estimation \
+    --mutate "$mutation" --json 2>/dev/null) || rc=$?
+  if [ "$rc" -ne 1 ]; then
+    echo "expected exit 1 for --mutate $mutation, got $rc" >&2
+    exit 1
+  fi
+  echo "$out" | grep -q "\"code\": \"$code\"" || {
+    echo "--mutate $mutation did not report $code" >&2
+    exit 1
+  }
+done
 # ...export well-formed SARIF 2.1.0 with a populated rules table and
 # one fully-located result per finding...
 sarif=/tmp/mhla_ci_check.sarif

@@ -25,8 +25,6 @@ module Diagnostic = Mhla_analysis.Diagnostic
 module Dma_race = Mhla_analysis.Dma_race
 module Explain = Mhla_analysis.Explain
 module Explore = Mhla_core.Explore
-module Fixpoint = Mhla_analysis.Fixpoint
-module Itv = Mhla_analysis.Domain.Itv
 module Lifetime = Mhla_lifetime.Schedule
 module Mapping = Mhla_core.Mapping
 module Pass = Mhla_analysis.Pass
@@ -37,8 +35,6 @@ module Sarif = Mhla_analysis.Sarif
 module Stmt = Mhla_ir.Stmt
 module Suppress = Mhla_analysis.Suppress
 module Verify = Mhla_analysis.Verify
-
-let app_program name = Lazy.force (Apps.find_exn name).Defs.program
 
 let contains ~needle hay =
   let n = String.length needle and h = String.length hay in
@@ -155,7 +151,14 @@ let test_bounds_detects_overflow () =
   Alcotest.(check (option string)) "array located" (Some "a")
     d.Diagnostic.loc.Diagnostic.array;
   Alcotest.(check (option int)) "dimension located" (Some 0)
-    d.Diagnostic.loc.Diagnostic.dim
+    d.Diagnostic.loc.Diagnostic.dim;
+  Alcotest.(check string) "message"
+    "subscript sweeps [8, 15] but the dimension extent is 8"
+    d.Diagnostic.message;
+  Alcotest.(check (list string)) "trail"
+    [ "iterator i in [0, 7] (coefficient 1)";
+      "affine value [8, 15] at statement s" ]
+    d.Diagnostic.trail
 
 let test_bounds_detects_underflow () =
   let r = Verify.run ~only:[ "bounds" ] (Pass.subject (oob_low_program ())) in
@@ -169,7 +172,15 @@ let test_bounds_accepts_in_range () =
       [ loop "i" 8 [ stmt "s" [ rd "a" [ i "i" ] ] ] ]
   in
   let r = Verify.run ~only:[ "bounds" ] (Pass.subject p) in
-  Alcotest.(check (list string)) "silent on valid program" [] (codes r)
+  Alcotest.(check (list string)) "silent on valid program" [] (codes r);
+  (* One past the last element is already out of bounds. *)
+  let edge =
+    program "edge"
+      ~arrays:[ array "a" [ 8 ] ]
+      [ loop "i" 8 [ stmt "s" [ rd "a" [ i "i" +$ c 1 ] ] ] ]
+  in
+  let r = Verify.run ~only:[ "bounds" ] (Pass.subject edge) in
+  Alcotest.(check (list string)) "max = extent fires" [ "MHLA001" ] (codes r)
 
 (* --- dma-race ---------------------------------------------------------- *)
 
@@ -404,97 +415,58 @@ let test_verifier_accepts_solver () =
         searches)
     Apps.names
 
-(* --- fixpoint (abstract interpretation) -------------------------------- *)
+(* --- closed-form ranges ------------------------------------------------- *)
 
-let rec node_names (stmts, iters) = function
-  | Program.Stmt s -> (s.Stmt.name :: stmts, iters)
+let rec node_iters iters = function
+  | Program.Stmt _ -> iters
   | Program.Loop l ->
-    List.fold_left node_names (stmts, l.Program.iter :: iters) l.Program.body
+    List.fold_left node_iters (l.Program.iter :: iters) l.Program.body
 
-let program_names (p : Program.t) =
-  List.fold_left node_names ([], []) p.Program.body
+let program_iters (p : Program.t) =
+  List.fold_left node_iters [] p.Program.body
 
-let test_fixpoint_timeline_matches_enumeration () =
-  (* The worklist fixpoint re-derives the lifetime timeline that
-     {!Mhla_lifetime.Schedule} computes by direct enumeration; on every
-     registry application the two must agree interval-for-interval —
-     the capacity pass's occupancy recomputation rides on this. *)
-  List.iter
-    (fun name ->
-      let program = app_program name in
-      let sol = Fixpoint.analyze program in
-      let sched = Lifetime.of_program program in
-      Alcotest.(check int)
-        (name ^ ": horizon")
-        (Lifetime.horizon sched) (Fixpoint.horizon sol);
-      let stmts, iters = program_names program in
-      List.iter
-        (fun s ->
-          Alcotest.(check bool)
-            (name ^ "/" ^ s ^ ": stmt interval")
-            true
-            (Lifetime.stmt_interval sched s = Fixpoint.stmt_interval sol s))
-        stmts;
-      List.iter
-        (fun it ->
-          Alcotest.(check bool)
-            (name ^ "/" ^ it ^ ": loop interval")
-            true
-            (Lifetime.loop_interval sched it = Fixpoint.loop_interval sol it))
-        iters;
-      List.iter
-        (fun (a : Mhla_ir.Array_decl.t) ->
-          let arr = a.Mhla_ir.Array_decl.name in
-          Alcotest.(check bool)
-            (name ^ "/" ^ arr ^ ": array interval")
-            true
-            (Lifetime.array_interval sched arr
-            = Fixpoint.array_interval sol arr))
-        program.Program.arrays)
-    Apps.names
+(* A random access of rank 1..2 over a loop nest of up to three
+   iterators: trips 1..6, coefficients -4..4, constants -8..8. *)
+let nest_access_gen =
+  QCheck2.Gen.(
+    let* trips = list_size (int_range 0 3) (int_range 1 6) in
+    let loops = List.mapi (fun k t -> (Printf.sprintf "i%d" k, t)) trips in
+    let subscript =
+      let* coeffs = list_repeat (List.length loops) (int_range (-4) 4) in
+      let+ const = int_range (-8) 8 in
+      List.fold_left2
+        (fun e (it, _) c -> Affine.add e (Affine.var ~coeff:c it))
+        (Affine.const const) loops coeffs
+    in
+    let+ index = list_size (int_range 1 2) subscript in
+    (loops, Access.make ~array:"a" ~direction:Access.Read ~index))
 
-let test_fixpoint_eval_matches_enumeration () =
-  (* At every statement of every application, the interval the fixpoint
-     assigns to each affine subscript is exactly the min/max over the
-     enclosing iteration space — value ranges are derived, not
-     enumerated, and they lose nothing. *)
-  List.iter
-    (fun name ->
-      let program = app_program name in
-      let sol = Fixpoint.analyze program in
-      List.iter
-        (fun (ctx : Program.context) ->
-          let trip it =
-            match List.assoc_opt it ctx.Program.loops with
-            | Some t -> t
-            | None -> 1
-          in
-          let stmt = ctx.Program.stmt.Stmt.name in
-          List.iter
-            (fun (a : Access.t) ->
-              List.iter
-                (fun e ->
-                  let itv = Fixpoint.eval sol ~stmt e in
-                  Alcotest.(check (option int))
-                    (Fmt.str "%s/%s/%s: lo" name stmt a.Access.array)
-                    (Some (Affine.min_value e ~trip))
-                    (Itv.lo_int itv);
-                  Alcotest.(check (option int))
-                    (Fmt.str "%s/%s/%s: hi" name stmt a.Access.array)
-                    (Some (Affine.max_value e ~trip))
-                    (Itv.hi_int itv))
-                a.Access.index)
-            ctx.Program.stmt.Stmt.accesses)
-        (Program.contexts program))
-    Apps.names
+(* Every point of the iteration space, as an environment. *)
+let rec points = function
+  | [] -> [ [] ]
+  | (it, trip) :: rest ->
+    List.concat_map
+      (fun env -> List.init trip (fun v -> (it, v) :: env))
+      (points rest)
 
-let test_fixpoint_converges_finitely () =
-  (* Widening must terminate and narrowing must recover every iterator
-     to its exact [0, trip-1] guard — no residual infinities. *)
-  let sol = Fixpoint.analyze (app_program "mp3_filterbank") in
-  let stats = Fixpoint.stats sol in
-  Alcotest.(check bool) "visited nodes" true (stats.Fixpoint.visits > 0);
-  Alcotest.(check bool) "bounded sweeps" true (stats.Fixpoint.sweeps <= 4)
+let prop_access_box_enumerated =
+  QCheck2.Test.make ~name:"access box = brute-force min/max" ~count:300
+    ~print:(fun (loops, (a : Access.t)) ->
+      Fmt.str "loops [%s], index [%s]"
+        (String.concat "; "
+           (List.map (fun (it, t) -> Printf.sprintf "%s:%d" it t) loops))
+        (String.concat "; " (List.map Affine.to_string a.Access.index)))
+    nest_access_gen
+    (fun (loops, a) ->
+      let envs = points loops in
+      let enumerated e =
+        let values =
+          List.map (fun env -> Affine.eval e ~env:(fun it -> List.assoc it env))
+            envs
+        in
+        (List.fold_left min max_int values, List.fold_left max min_int values)
+      in
+      Pass.access_box loops a = List.map enumerated a.Access.index)
 
 (* --- interference ------------------------------------------------------- *)
 
@@ -522,23 +494,24 @@ let test_interference_detects_priority_hole () =
 
 let test_interference_detects_misgrant () =
   (* Grant a plan an iterator from a disjoint loop nest: that loop's
-     span on the fixpoint timeline cannot enclose the candidate's
+     span on the program-order timeline cannot enclose the candidate's
      buffer lifetime, so containment (MHLA203) must fire. *)
   let module I = Mhla_util.Interval in
   let found =
     List.find_map
       (fun name ->
         let m, te = solved name in
-        let sol = Fixpoint.analyze m.Mapping.program in
-        let _, iters = program_names m.Mapping.program in
+        let timeline = Lifetime.of_program m.Mapping.program in
+        let iters = program_iters m.Mapping.program in
         List.find_map
           (fun (p : Prefetch.plan) ->
             let life =
-              Fixpoint.candidate_interval sol p.Prefetch.bt.Mapping.bt_candidate
+              Lifetime.candidate_interval timeline
+                p.Prefetch.bt.Mapping.bt_candidate
             in
             List.find_map
               (fun it ->
-                let span = Fixpoint.loop_interval sol it in
+                let span = Lifetime.loop_interval timeline it in
                 if span.I.lo <= life.I.lo && life.I.hi <= span.I.hi then None
                 else Some (m, te, p, it))
               iters)
@@ -769,15 +742,8 @@ let () =
           Alcotest.test_case "verifier accepts solver" `Slow
             test_verifier_accepts_solver;
         ] );
-      ( "fixpoint",
-        [
-          Alcotest.test_case "timeline matches enumeration" `Quick
-            test_fixpoint_timeline_matches_enumeration;
-          Alcotest.test_case "eval matches enumeration" `Quick
-            test_fixpoint_eval_matches_enumeration;
-          Alcotest.test_case "converges finitely" `Quick
-            test_fixpoint_converges_finitely;
-        ] );
+      ( "ranges",
+        [ QCheck_alcotest.to_alcotest prop_access_box_enumerated ] );
       ( "interference",
         [
           Alcotest.test_case "accepts solver" `Slow

@@ -187,30 +187,50 @@ let test_request_decode_errors () =
         (Json.parse_exn "{\"id\": \"x\", \"program\": {}, \"arch\": {\"weird\": 1}}"));
   (* A size the energy model cannot price is rejected at its own path,
      not answered with an error from inside the solve. *)
-  let with_arch arch =
+  let with_field key text =
     match ok with
     | Json.Obj base ->
       Json.obj
         (List.map
-           (fun (k, v) ->
-             if k = "arch" then (k, Json.parse_exn arch) else (k, v))
+           (fun (k, v) -> if k = key then (k, Json.parse_exn text) else (k, v))
            base)
     | _ -> assert false
   in
+  let rejected_at path doc =
+    match Request.of_json doc with
+    | _ -> Alcotest.failf "expected Invalid_input at %s" path
+    | exception Error.Error e ->
+      Alcotest.(check bool)
+        ("Invalid_input at " ^ path)
+        true
+        (e.Error.kind = Error.Invalid_input
+        && String.starts_with ~prefix:(path ^ ":") e.Error.message)
+  in
   List.iter
-    (fun (arch, path) ->
-      match Request.of_json (with_arch arch) with
-      | _ -> Alcotest.failf "arch %s: expected Invalid_input" arch
-      | exception Error.Error e ->
-        Alcotest.(check bool)
-          (arch ^ ": Invalid_input at " ^ path)
-          true
-          (e.Error.kind = Error.Invalid_input
-          && String.starts_with ~prefix:(path ^ ":") e.Error.message))
+    (fun (arch, path) -> rejected_at path (with_field "arch" arch))
     [ ("{\"onchip_bytes\": 0}", "$.arch.onchip_bytes");
       ("{\"onchip_bytes\": -5}", "$.arch.onchip_bytes");
       ("{\"level_bytes\": [1024, 0]}", "$.arch.level_bytes[1]");
       ("{\"l1_bytes\": -1, \"l2_bytes\": 4096}", "$.arch.l1_bytes") ];
+  (* The same for the program: a size or trip count the IR cannot hold
+     fails at its own path, not inside [Array_decl] or [Program]. *)
+  let tiny dim bytes trip =
+    Printf.sprintf
+      "{\"name\": \"tiny\", \"arrays\": [{\"name\": \"a\", \"dims\": \
+       [%d, 4], \"element_bytes\": %d}], \"body\": [{\"loop\": {\"iter\": \
+       \"i\", \"trip\": %d, \"body\": [{\"stmt\": {\"name\": \"s\", \
+       \"work\": 1, \"accesses\": [{\"array\": \"a\", \"dir\": \"read\", \
+       \"index\": [{\"const\": 0, \"terms\": []}, {\"const\": 0, \
+       \"terms\": []}]}]}}]}}]}"
+      dim bytes trip
+  in
+  ignore (Request.of_json (with_field "program" (tiny 8 2 3)) : Request.t);
+  List.iter
+    (fun ((dim, bytes, trip), path) ->
+      rejected_at path (with_field "program" (tiny dim bytes trip)))
+    [ ((8, 0, 3), "$.program.arrays[0].element_bytes");
+      ((0, 2, 3), "$.program.arrays[0].dims[0]");
+      ((8, 2, 0), "$.program.body[0].loop.trip") ];
   (* Each raced policy fixes its own search: a portfolio that also
      names one is rejected, not answered with the search ignored. *)
   List.iter
