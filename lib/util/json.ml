@@ -127,13 +127,25 @@ exception Parse of int * string
 (* (offset, reason) — positions are resolved to line/column once, at
    the catch site, so the hot path never tracks lines. *)
 
+(* One shared [Some c] per byte, so [peek] allocates nothing. *)
+let some_char = Array.init 256 (fun k -> Some (Char.chr k))
+
+(* An integer of at most this many digits fits an OCaml [int] (max_int
+   has 19), so its value is accumulated while scanning; a longer one
+   goes through [int_of_string_opt], which knows the exact bound. *)
+let max_safe_digits = 18
+
 let parse input =
   let n = String.length input in
   let pos = ref 0 in
   let fail ?at reason =
     raise (Parse ((match at with Some p -> p | None -> !pos), reason))
   in
-  let peek () = if !pos < n then Some input.[!pos] else None in
+  let peek () =
+    if !pos < n then Array.unsafe_get some_char (Char.code input.[!pos])
+    else None
+  in
+  let looking_at c = !pos < n && input.[!pos] = c in
   let advance () = incr pos in
   let expect c =
     match peek () with
@@ -152,17 +164,18 @@ let parse input =
   let literal word value =
     let start = !pos in
     let len = String.length word in
-    if start + len <= n && String.sub input start len = word then begin
+    let rec matches k =
+      k = len || (input.[start + k] = word.[k] && matches (k + 1))
+    in
+    if start + len <= n && matches 0 then begin
       pos := start + len;
       value
     end
     else fail ~at:start (Printf.sprintf "expected %s" word)
   in
-  (* One decoded string; [pos] sits on the opening quote. *)
-  let parse_string () =
-    let start = !pos in
-    expect '"';
-    let buf = Buffer.create 16 in
+  (* The rest of a string from its first escape or control character:
+     [start] is its opening quote and [buf] holds what came before. *)
+  let decode_string ~start buf =
     let hex4 () =
       if !pos + 4 > n then fail "truncated \\u escape";
       let v = ref 0 in
@@ -256,20 +269,48 @@ let parse input =
     in
     go ()
   in
+  (* One string; [pos] sits on the opening quote. A string without
+     escapes is a slice of the input. *)
+  let parse_string () =
+    let start = !pos in
+    expect '"';
+    let first = !pos in
+    while
+      !pos < n
+      &&
+      match input.[!pos] with
+      | '"' | '\\' -> false
+      | c -> Char.code c >= 0x20
+    do
+      advance ()
+    done;
+    if !pos < n && input.[!pos] = '"' then begin
+      advance ();
+      String.sub input first (!pos - 1 - first)
+    end
+    else begin
+      let buf = Buffer.create (16 + !pos - first) in
+      Buffer.add_substring buf input first (!pos - first);
+      decode_string ~start buf
+    end
+  in
+  let digits () =
+    let d0 = !pos in
+    while !pos < n && match input.[!pos] with '0' .. '9' -> true | _ -> false
+    do
+      advance ()
+    done;
+    if !pos = d0 then fail "expected digit"
+  in
   let parse_number () =
     let start = !pos in
-    if peek () = Some '-' then advance ();
-    let digits () =
-      let d0 = !pos in
-      while !pos < n && match input.[!pos] with '0' .. '9' -> true | _ -> false
-      do
-        advance ()
-      done;
-      if !pos = d0 then fail "expected digit"
-    in
+    let negative = looking_at '-' in
+    if negative then advance ();
+    let int_start = !pos in
     digits ();
+    let int_digits = !pos - int_start in
     let is_float = ref false in
-    if peek () = Some '.' then begin
+    if looking_at '.' then begin
       is_float := true;
       advance ();
       digits ()
@@ -281,14 +322,20 @@ let parse input =
       (match peek () with Some ('+' | '-') -> advance () | _ -> ());
       digits ()
     | _ -> ());
-    let text = String.sub input start (!pos - start) in
     if !is_float then begin
-      match float_of_string_opt text with
+      match float_of_string_opt (String.sub input start (!pos - start)) with
       | Some f when Float.is_finite f -> Float f
       | Some _ | None -> fail ~at:start "number out of range"
     end
+    else if int_digits <= max_safe_digits then begin
+      let v = ref 0 in
+      for k = int_start to int_start + int_digits - 1 do
+        v := (!v * 10) + (Char.code input.[k] - Char.code '0')
+      done;
+      Int (if negative then - !v else !v)
+    end
     else
-      match int_of_string_opt text with
+      match int_of_string_opt (String.sub input start (!pos - start)) with
       | Some k -> Int k
       | None -> fail ~at:start "integer out of range"
   in
@@ -301,65 +348,62 @@ let parse input =
     | Some '{' ->
       advance ();
       skip_ws ();
-      if peek () = Some '}' then begin
+      if looking_at '}' then begin
         advance ();
         Obj []
       end
-      else begin
-        let fields = ref [] in
-        let rec members () =
-          skip_ws ();
-          let key_at = !pos in
-          if peek () <> Some '"' then fail "expected object key";
-          let key = parse_string () in
-          if List.mem_assoc key !fields then
-            fail ~at:key_at (Printf.sprintf "duplicate key %S" key);
-          skip_ws ();
-          expect ':';
-          let value = parse_value (depth + 1) in
-          fields := (key, value) :: !fields;
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            members ()
-          | Some '}' -> advance ()
-          | Some c -> fail (Printf.sprintf "expected ',' or '}', found %C" c)
-          | None -> fail "unterminated object"
-        in
-        members ();
-        Obj (List.rev !fields)
-      end
+      else Obj (members depth [])
     | Some '[' ->
       advance ();
       skip_ws ();
-      if peek () = Some ']' then begin
+      if looking_at ']' then begin
         advance ();
         Arr []
       end
-      else begin
-        let items = ref [] in
-        let rec elements () =
-          let value = parse_value (depth + 1) in
-          items := value :: !items;
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            elements ()
-          | Some ']' -> advance ()
-          | Some c -> fail (Printf.sprintf "expected ',' or ']', found %C" c)
-          | None -> fail "unterminated array"
-        in
-        elements ();
-        Arr (List.rev !items)
-      end
+      else Arr (elements depth [])
     | Some '"' -> Str (parse_string ())
     | Some 't' -> literal "true" (Bool true)
     | Some 'f' -> literal "false" (Bool false)
     | Some 'n' -> literal "null" Null
     | Some ('-' | '0' .. '9') -> parse_number ()
     | Some c -> fail (Printf.sprintf "unexpected character %C" c)
+  (* An object's members from the one after [fields] (reversed) on,
+     through the closing brace. *)
+  and members depth fields =
+    skip_ws ();
+    let key_at = !pos in
+    if not (looking_at '"') then fail "expected object key";
+    let key = parse_string () in
+    if List.mem_assoc key fields then
+      fail ~at:key_at (Printf.sprintf "duplicate key %S" key);
+    skip_ws ();
+    expect ':';
+    let value = parse_value (depth + 1) in
+    let fields = (key, value) :: fields in
+    skip_ws ();
+    match peek () with
+    | Some ',' ->
+      advance ();
+      members depth fields
+    | Some '}' ->
+      advance ();
+      List.rev fields
+    | Some c -> fail (Printf.sprintf "expected ',' or '}', found %C" c)
+    | None -> fail "unterminated object"
+  (* An array's elements after [items] (reversed), through the closing
+     bracket. *)
+  and elements depth items =
+    let items = parse_value (depth + 1) :: items in
+    skip_ws ();
+    match peek () with
+    | Some ',' ->
+      advance ();
+      elements depth items
+    | Some ']' ->
+      advance ();
+      List.rev items
+    | Some c -> fail (Printf.sprintf "expected ',' or ']', found %C" c)
+    | None -> fail "unterminated array"
   in
   let position_of offset =
     let offset = min offset n in

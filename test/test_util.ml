@@ -450,6 +450,49 @@ let test_json_parse_positions () =
   check_parse_error ~line:1 ~col:3 ~reason:"unescaped control character"
     "\"a\nb\""
 
+(* A string without escapes is sliced out of the input and a short
+   integer accumulated while scanning; these pin that both fast paths
+   hand over to the general ones with the same values and positions. *)
+let test_json_parse_strings () =
+  check_parses (Json.str "") "\"\"";
+  check_parses (Json.str "plain") "\"plain\"";
+  check_parses (Json.str "plain\nafter") "\"plain\\nafter\"";
+  check_parses (Json.str "plain\"q\\/A") "\"plain\\\"q\\\\\\/\\u0041\"";
+  check_parses (Json.str "caf\xc3\xa9") "\"caf\xc3\xa9\"";
+  check_parses
+    (Json.obj [ ("k\tey", Json.str "v") ])
+    "{\"k\\tey\":\"v\"}";
+  check_parse_error ~line:1 ~col:7 ~reason:"bad escape" "\"plain\\q\"";
+  check_parse_error ~line:1 ~col:7 ~reason:"unescaped control character"
+    "\"plain\x01x\"";
+  check_parse_error ~line:1 ~col:9 ~reason:"unescaped control character"
+    "\"pl\\nain\tx\"";
+  check_parse_error ~line:1 ~col:7 ~reason:"unterminated string"
+    "{\"k\": \"plain";
+  check_parse_error ~line:1 ~col:7 ~reason:"unterminated string"
+    "{\"k\": \"pl\\nain";
+  check_parse_error ~line:1 ~col:7 ~reason:"truncated escape"
+    "\"plain\\"
+
+let test_json_parse_integers () =
+  check_parses (Json.int 0) "-0";
+  check_parses (Json.int 7) "007";
+  check_parses (Json.int 999_999_999_999_999_999) "999999999999999999";
+  check_parses (Json.int (-999_999_999_999_999_999)) "-999999999999999999";
+  check_parses (Json.int 1_234_567_890_123_456_789) "1234567890123456789";
+  check_parses (Json.int max_int) (string_of_int max_int);
+  check_parses (Json.int min_int) "-4611686018427387904";
+  check_parses (Json.arr [ Json.int 12; Json.int (-3) ]) "[12,-3]";
+  check_parse_error ~line:1 ~col:1 ~reason:"integer out of range"
+    "4611686018427387904";
+  check_parse_error ~line:1 ~col:1 ~reason:"integer out of range"
+    "-4611686018427387905";
+  check_parse_error ~line:1 ~col:1 ~reason:"integer out of range"
+    "9999999999999999999";
+  check_parse_error ~line:1 ~col:5 ~reason:"integer out of range"
+    "[1, 12345678901234567890]";
+  check_parse_error ~line:1 ~col:2 ~reason:"expected digit" "-x"
+
 let test_json_parse_depth_cap () =
   let deep k = String.make k '[' ^ String.make k ']' in
   (match Json.parse (deep Json.max_depth) with
@@ -462,13 +505,23 @@ let test_json_parse_depth_cap () =
 
 let gen_json_doc =
   (* All-Int documents with distinct object keys: the fragment on which
-     [parse] is the exact inverse of [to_string]. *)
+     [parse] is the exact inverse of [to_string]. Strings mix plain
+     runs with quotes, backslashes, control characters (rendered as
+     escapes) and high bytes, so both string paths are exercised. *)
   QCheck2.Gen.(
     sized_size (int_range 0 4) @@ fix (fun self size ->
+        let str_char =
+          frequency
+            [ (6, printable);
+              (1, oneofl [ '"'; '\\'; '/' ]);
+              (1, char_range '\000' '\031');
+              (1, char_range '\128' '\255') ]
+        in
         let leaf =
           oneof
             [ map Json.int (int_range (-1000) 1000);
-              map Json.str (string_size ~gen:printable (int_range 0 6));
+              map Json.int (oneofl [ max_int; min_int; 0 ]);
+              map Json.str (string_size ~gen:str_char (int_range 0 12));
               map Json.bool bool;
               return Json.null ]
         in
@@ -693,6 +746,8 @@ let () =
           Alcotest.test_case "parse values" `Quick test_json_parse_values;
           Alcotest.test_case "parse error positions" `Quick
             test_json_parse_positions;
+          Alcotest.test_case "parse strings" `Quick test_json_parse_strings;
+          Alcotest.test_case "parse integers" `Quick test_json_parse_integers;
           Alcotest.test_case "parse depth cap" `Quick
             test_json_parse_depth_cap;
           qc prop_json_parse_inverts_render;
