@@ -1,8 +1,30 @@
 module Json = Mhla_util.Json
 module Error = Mhla_util.Error
 
+(* Where a value sits in the document. Decoding adds one node per step
+   down and renders the text (["$.body[0].loop.trip"]) only when a
+   decode fails. *)
+type path = Root of string | Field of path * string | Index of path * int
+
+let rec add_path buf = function
+  | Root s -> Buffer.add_string buf s
+  | Field (p, name) ->
+    add_path buf p;
+    Buffer.add_char buf '.';
+    Buffer.add_string buf name
+  | Index (p, k) ->
+    add_path buf p;
+    Buffer.add_char buf '[';
+    Buffer.add_string buf (string_of_int k);
+    Buffer.add_char buf ']'
+
+let path_to_string path =
+  let buf = Buffer.create 64 in
+  add_path buf path;
+  Buffer.contents buf
+
 let fail ~path fmt =
-  Error.invalidf ~context:"Json_codec" ("%s: " ^^ fmt) path
+  Error.invalidf ~context:"Json_codec" ("%s: " ^^ fmt) (path_to_string path)
 
 (* --- decoding helpers -------------------------------------------------- *)
 
@@ -54,7 +76,13 @@ let check_fields ~path ~allowed fields =
           (String.concat ", " allowed))
     fields
 
-let sub path fmt = Printf.ksprintf (fun s -> path ^ s) fmt
+(* [field] and its value decoded by [decode] at the field's path. *)
+let get decode ~path fields name =
+  decode ~path:(Field (path, name)) (field ~path fields name)
+
+(* The elements of an array, each decoded at its own index. *)
+let items decode ~path j =
+  List.mapi (fun k item -> decode ~path:(Index (path, k)) item) (as_arr ~path j)
 
 (* --- affine ------------------------------------------------------------ *)
 
@@ -70,27 +98,27 @@ let affine_to_json e =
                    ("coeff", Json.int (Affine.coeff e it)) ])
              (Affine.iterators e)) ) ]
 
-let affine_of_json ~path j =
+let affine_at ~path j =
   let fields = as_obj ~path j in
   check_fields ~path ~allowed:[ "const"; "terms" ] fields;
-  let const = as_int ~path:(sub path ".const") (field ~path fields "const") in
-  let terms =
-    as_arr ~path:(sub path ".terms") (field ~path fields "terms")
-  in
-  List.fold_left
-    (fun acc (k, term) ->
-      let path = sub path ".terms[%d]" k in
+  let const = get as_int ~path fields "const" in
+  let terms_path = Field (path, "terms") in
+  let terms = as_arr ~path:terms_path (field ~path fields "terms") in
+  let rec add_terms acc k = function
+    | [] -> acc
+    | term :: rest ->
+      let path = Index (terms_path, k) in
       let fields = as_obj ~path term in
       check_fields ~path ~allowed:[ "iter"; "coeff" ] fields;
-      let iter = as_str ~path:(sub path ".iter") (field ~path fields "iter") in
-      let coeff =
-        as_int ~path:(sub path ".coeff") (field ~path fields "coeff")
-      in
+      let iter = get as_str ~path fields "iter" in
+      let coeff = get as_int ~path fields "coeff" in
       if Affine.coeff acc iter <> 0 then
         fail ~path "iterator %S appears in two terms" iter;
-      Affine.add acc (Affine.var ~coeff iter))
-    (Affine.const const)
-    (List.mapi (fun k t -> (k, t)) terms)
+      add_terms (Affine.add acc (Affine.var ~coeff iter)) (k + 1) rest
+  in
+  add_terms (Affine.const const) 0 terms
+
+let affine_of_json ~path j = affine_at ~path:(Root path) j
 
 (* --- accesses ---------------------------------------------------------- *)
 
@@ -109,21 +137,19 @@ let access_to_json (a : Access.t) =
       ("dir", Json.str (direction_to_string a.Access.direction));
       ("index", Json.arr (List.map affine_to_json a.Access.index)) ]
 
-let access_of_json ~path j =
+let access_at ~path j =
   let fields = as_obj ~path j in
   check_fields ~path ~allowed:[ "array"; "dir"; "index" ] fields;
-  let array = as_str ~path:(sub path ".array") (field ~path fields "array") in
-  let dir_path = sub path ".dir" in
+  let array = get as_str ~path fields "array" in
   let direction =
-    direction_of_string ~path:dir_path
-      (as_str ~path:dir_path (field ~path fields "dir"))
+    get
+      (fun ~path j -> direction_of_string ~path (as_str ~path j))
+      ~path fields "dir"
   in
-  let index =
-    List.mapi
-      (fun k e -> affine_of_json ~path:(sub path ".index[%d]" k) e)
-      (as_arr ~path:(sub path ".index") (field ~path fields "index"))
-  in
+  let index = get (items affine_at) ~path fields "index" in
   Access.make ~array ~direction ~index
+
+let access_of_json ~path j = access_at ~path:(Root path) j
 
 (* --- arrays ------------------------------------------------------------ *)
 
@@ -133,20 +159,15 @@ let array_decl_to_json (a : Array_decl.t) =
       ("dims", Json.arr (List.map Json.int a.Array_decl.dims));
       ("element_bytes", Json.int a.Array_decl.element_bytes) ]
 
-let array_decl_of_json ~path j =
+let array_decl_at ~path j =
   let fields = as_obj ~path j in
   check_fields ~path ~allowed:[ "name"; "dims"; "element_bytes" ] fields;
-  let name = as_str ~path:(sub path ".name") (field ~path fields "name") in
-  let dims =
-    List.mapi
-      (fun k d -> as_positive ~path:(sub path ".dims[%d]" k) d)
-      (as_arr ~path:(sub path ".dims") (field ~path fields "dims"))
-  in
-  let element_bytes =
-    as_positive ~path:(sub path ".element_bytes")
-      (field ~path fields "element_bytes")
-  in
+  let name = get as_str ~path fields "name" in
+  let dims = get (items as_positive) ~path fields "dims" in
+  let element_bytes = get as_positive ~path fields "element_bytes" in
   Array_decl.make ~name ~dims ~element_bytes
+
+let array_decl_of_json ~path j = array_decl_at ~path:(Root path) j
 
 (* --- loop tree --------------------------------------------------------- *)
 
@@ -168,40 +189,30 @@ let rec node_to_json = function
               ("body", Json.arr (List.map node_to_json l.Program.body)) ] )
       ]
 
-let rec node_of_json ~path j =
+let rec node_at ~path j =
   match as_obj ~path j with
   | [ ("stmt", payload) ] ->
-    let path = sub path ".stmt" in
+    let path = Field (path, "stmt") in
     let fields = as_obj ~path payload in
     check_fields ~path ~allowed:[ "name"; "work"; "accesses" ] fields;
-    let name = as_str ~path:(sub path ".name") (field ~path fields "name") in
-    let work_cycles =
-      as_int ~path:(sub path ".work") (field ~path fields "work")
-    in
-    let accesses =
-      List.mapi
-        (fun k a -> access_of_json ~path:(sub path ".accesses[%d]" k) a)
-        (as_arr ~path:(sub path ".accesses") (field ~path fields "accesses"))
-    in
+    let name = get as_str ~path fields "name" in
+    let work_cycles = get as_int ~path fields "work" in
+    let accesses = get (items access_at) ~path fields "accesses" in
     Program.Stmt (Stmt.make ~name ~work_cycles ~accesses)
   | [ ("loop", payload) ] ->
-    let path = sub path ".loop" in
+    let path = Field (path, "loop") in
     let fields = as_obj ~path payload in
     check_fields ~path ~allowed:[ "iter"; "trip"; "body" ] fields;
-    let iter = as_str ~path:(sub path ".iter") (field ~path fields "iter") in
-    let trip =
-      as_positive ~path:(sub path ".trip") (field ~path fields "trip")
-    in
-    let body =
-      List.mapi
-        (fun k child -> node_of_json ~path:(sub path ".body[%d]" k) child)
-        (as_arr ~path:(sub path ".body") (field ~path fields "body"))
-    in
+    let iter = get as_str ~path fields "iter" in
+    let trip = get as_positive ~path fields "trip" in
+    let body = get (items node_at) ~path fields "body" in
     Program.Loop { Program.iter; trip; body }
   | _ ->
     fail ~path
       "expected an object with exactly one of the fields \"loop\" or \
        \"stmt\""
+
+let node_of_json ~path j = node_at ~path:(Root path) j
 
 (* --- programs ---------------------------------------------------------- *)
 
@@ -212,19 +223,12 @@ let program_to_json (p : Program.t) =
       ("body", Json.arr (List.map node_to_json p.Program.body)) ]
 
 let program_of_json_exn ?(path = "$") j =
+  let path = Root path in
   let fields = as_obj ~path j in
   check_fields ~path ~allowed:[ "name"; "arrays"; "body" ] fields;
-  let name = as_str ~path:(sub path ".name") (field ~path fields "name") in
-  let arrays =
-    List.mapi
-      (fun k a -> array_decl_of_json ~path:(sub path ".arrays[%d]" k) a)
-      (as_arr ~path:(sub path ".arrays") (field ~path fields "arrays"))
-  in
-  let body =
-    List.mapi
-      (fun k nd -> node_of_json ~path:(sub path ".body[%d]" k) nd)
-      (as_arr ~path:(sub path ".body") (field ~path fields "body"))
-  in
+  let name = get as_str ~path fields "name" in
+  let arrays = get (items array_decl_at) ~path fields "arrays" in
+  let body = get (items node_at) ~path fields "body" in
   Program.make_exn ~name ~arrays ~body
 
 let program_of_json ?path j =

@@ -2,7 +2,7 @@
 
     A {!t} owns a fixed pool of worker domains behind a bounded job
     queue. Callers {!submit} raw JSONL lines; workers parse, decode,
-    verify (through the {!Mhla_analysis} passes), solve, and record
+    verify (through the {!gate_passes}), solve, and record
     exactly one {!Response.t} per submission — every failure mode
     (malformed JSON, rejected program, blown deadline, injected crash)
     becomes a structured response, never an escaped exception and never
@@ -24,6 +24,12 @@
     once and shares it with every solve it makes: a portfolio's
     entrants, a grid's points. Nothing is kept across requests, so a
     long-running service holds no per-program state. *)
+
+val gate_passes : string list
+(** The verifier passes a program must pass before it is solved:
+    [bounds], [capacity], [dma-race] and [interference], the ones that
+    can emit an [Error]. The other passes emit only warnings and notes,
+    which the gate would drop. *)
 
 (** Admission policy once the queue is full. *)
 type admission = Block | Shed

@@ -247,6 +247,68 @@ let test_request_decode_errors () =
            [ ("policy", Json.str "te-size");
              ("search", Json.obj [ ("kind", Json.str "greedy") ]) ]))
 
+(* Decode errors name the failing node by its full path; the whole
+   message, context included, is pinned at every nesting depth. *)
+let test_request_decode_paths () =
+  let request ?(dims_b = "[4, 4]") ?(terms0 = {|[{"iter": "i", "coeff": 1}]|})
+      ?(coeff1 = "1") ?(dir = {|"write"|}) ?(trip_m = "2")
+      ?(arch = {|{"onchip_bytes": 64}|}) () =
+    Printf.sprintf
+      {|{"id": "deep", "arch": %s, "program": {"name": "deep", "arrays": [
+          {"name": "a", "dims": [16], "element_bytes": 1},
+          {"name": "b", "dims": %s, "element_bytes": 2}],
+        "body": [
+          {"loop": {"iter": "i", "trip": 4, "body": [
+            {"stmt": {"name": "s0", "work": 1, "accesses": [
+              {"array": "b", "dir": "read", "index": [
+                {"const": 0, "terms": %s},
+                {"const": 0, "terms": [{"iter": "i", "coeff": %s}]}]},
+              {"array": "a", "dir": %s, "index": [
+                {"const": 0, "terms": [{"iter": "i", "coeff": 4}]}]}]}}]}},
+          {"loop": {"iter": "k", "trip": 2, "body": [
+            {"loop": {"iter": "m", "trip": %s, "body": [
+              {"stmt": {"name": "s1", "work": 1, "accesses": [
+                {"array": "a", "dir": "read", "index": [
+                  {"const": 0, "terms": [{"iter": "k", "coeff": 1}]}]}]}}]}}]}}]}}|}
+      arch dims_b terms0 coeff1 dir trip_m
+  in
+  ignore (Request.of_json (Json.parse_exn (request ())) : Request.t);
+  let s0 = "$.program.body[0].loop.body[0].stmt" in
+  List.iter
+    (fun (text, expected) ->
+      match Request.of_json (Json.parse_exn text) with
+      | _ -> Alcotest.failf "expected a decode error: %s" expected
+      | exception Error.Error e ->
+        Alcotest.(check string) "message" expected (Error.to_string e))
+    [ ( request ~coeff1:{|"1"|} (),
+        "Json_codec: " ^ s0
+        ^ ".accesses[0].index[1].terms[0].coeff: expected an integer, \
+           found string" );
+      ( request ~terms0:{|[{"iter": "i"}]|} (),
+        "Json_codec: " ^ s0
+        ^ ".accesses[0].index[0].terms[0]: missing field \"coeff\"" );
+      ( request
+          ~terms0:{|[{"iter": "i", "coeff": 1}, {"iter": "i", "coeff": 2}]|}
+          (),
+        "Json_codec: " ^ s0
+        ^ ".accesses[0].index[0].terms[1]: iterator \"i\" appears in two \
+           terms" );
+      ( request ~dir:{|"rw"|} (),
+        "Json_codec: " ^ s0
+        ^ ".accesses[1].dir: bad direction \"rw\" (expected \"read\" or \
+           \"write\")" );
+      ( request ~dir:"3" (),
+        "Json_codec: " ^ s0 ^ ".accesses[1].dir: expected a string, found int"
+      );
+      ( request ~dims_b:"[4, 4, 0]" (),
+        "Json_codec: $.program.arrays[1].dims[2]: must be > 0 (got 0)" );
+      ( request ~trip_m:"0" (),
+        "Json_codec: $.program.body[1].loop.body[0].loop.trip: must be > 0 \
+         (got 0)" );
+      ( request ~arch:{|{"level_bytes": [64, 0]}|} (),
+        "Request.of_json: $.arch.level_bytes[1]: sizes must be > 0 (got 0)" )
+    ]
+
 (* [make] builds what only an in-memory caller needs; [to_json] refuses
    to render it rather than drop a knob on the way out. *)
 let test_request_in_memory_only () =
@@ -736,6 +798,91 @@ let test_deadline_module () =
 
 (* --- chaos soak -------------------------------------------------------- *)
 
+(* --- the pre-solve gate ---------------------------------------------- *)
+
+module Verify = Mhla_analysis.Verify
+module Pass = Mhla_analysis.Pass
+module Diagnostic = Mhla_analysis.Diagnostic
+
+(* The gate skips every pass outside [Service.gate_passes] because none
+   of them can emit an Error: a future Error code in one of them fails
+   here instead of slipping past the gate. *)
+let test_gate_skips_only_non_errors () =
+  let skipped =
+    List.filter
+      (fun (p : Pass.t) -> not (List.mem p.Pass.name Service.gate_passes))
+      Verify.passes
+  in
+  Alcotest.(check (list string)) "skipped passes" [ "determinism"; "lints" ]
+    (List.map (fun (p : Pass.t) -> p.Pass.name) skipped);
+  List.iter
+    (fun (p : Pass.t) ->
+      List.iter
+        (fun code ->
+          match Diagnostic.catalogue_entry code with
+          | Some (_, severity, _) ->
+            Alcotest.(check bool)
+              (Fmt.str "%s (%s) is not an Error" code p.Pass.name)
+              true
+              (severity <> Diagnostic.Error)
+          | None -> Alcotest.failf "%s is not catalogued" code)
+        p.Pass.codes)
+    skipped
+
+(* Every third program gets a subscript past its array's extent, so
+   the gate has errors to agree on. *)
+let out_of_extent (p : Mhla_ir.Program.t) =
+  let module P = Mhla_ir.Program in
+  let shifted = ref false in
+  let shift (a : Mhla_ir.Access.t) =
+    match a.Mhla_ir.Access.index with
+    | e :: rest when not !shifted ->
+      shifted := true;
+      Mhla_ir.Access.make ~array:a.Mhla_ir.Access.array
+        ~direction:a.Mhla_ir.Access.direction
+        ~index:(Mhla_ir.Affine.add e (Mhla_ir.Affine.const 1000) :: rest)
+    | _ -> a
+  in
+  let rec node = function
+    | P.Stmt s ->
+      P.Stmt
+        (Mhla_ir.Stmt.make ~name:s.Mhla_ir.Stmt.name
+           ~work_cycles:s.Mhla_ir.Stmt.work_cycles
+           ~accesses:(List.map shift s.Mhla_ir.Stmt.accesses))
+    | P.Loop l -> P.Loop { l with P.body = List.map node l.P.body }
+  in
+  P.make_exn ~name:p.P.name ~arrays:p.P.arrays ~body:(List.map node p.P.body)
+
+let test_gate_errors_match_full_run () =
+  let errors ?only program =
+    List.map (Fmt.to_to_string Diagnostic.pp)
+      (Verify.errors (Verify.run ?only (Pass.subject program)))
+  in
+  let rejected = ref 0 in
+  let agree name program =
+    let full = errors program in
+    if full <> [] then incr rejected;
+    Alcotest.(check (list string)) name full
+      (errors ~only:Service.gate_passes program)
+  in
+  for i = 0 to 999 do
+    let case = Gen.case ~profile:Gen.Mixed ~seed:(Int64.of_int (500 + i)) () in
+    let program = case.Gen.program in
+    agree (Fmt.str "mixed %d" i)
+      (if i mod 3 = 0 then out_of_extent program else program)
+  done;
+  Alcotest.(check bool) "shifted subscripts are rejected" true
+    (!rejected >= 334);
+  List.iter
+    (fun line ->
+      match Json.parse line with
+      | Error _ -> ()
+      | Ok doc -> (
+        match Request.of_json doc with
+        | exception Error.Error _ -> ()
+        | req -> agree req.Request.id req.Request.program))
+    (Soak.lines { Soak.default_config with Soak.requests = 300; seed = 7 })
+
 let test_soak () =
   let outcome =
     Soak.run
@@ -762,6 +909,8 @@ let () =
           Alcotest.test_case "pareto round trip" `Quick
             test_request_pareto_roundtrip;
           Alcotest.test_case "decode errors" `Quick test_request_decode_errors;
+          Alcotest.test_case "decode error paths" `Quick
+            test_request_decode_paths;
           Alcotest.test_case "in-memory only" `Quick
             test_request_in_memory_only;
           Alcotest.test_case "fault rider wire form" `Quick
@@ -793,6 +942,13 @@ let () =
           Alcotest.test_case "backpressure sheds" `Quick
             test_service_sheds_under_pressure;
           Alcotest.test_case "deadline module" `Quick test_deadline_module;
+        ] );
+      ( "gate",
+        [
+          Alcotest.test_case "skips only non-error passes" `Quick
+            test_gate_skips_only_non_errors;
+          Alcotest.test_case "errors match the full run" `Quick
+            test_gate_errors_match_full_run;
         ] );
       ("soak", [ Alcotest.test_case "chaos soak" `Slow test_soak ]);
     ]
