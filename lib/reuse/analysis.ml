@@ -26,10 +26,8 @@ let info_of_access program (ctx : Mhla_ir.Program.context) index
   in
   let stmt = ctx.Mhla_ir.Program.stmt.Mhla_ir.Stmt.name in
   let loops = ctx.Mhla_ir.Program.loops in
-  let depth = List.length loops in
   let candidates =
-    List.init (depth + 1) (fun level ->
-        Candidate.make ~decl ~loops ~stmt ~access_index:index ~level access)
+    Candidate.of_access ~decl ~loops ~stmt ~access_index:index access
   in
   {
     ref_ = { stmt; index };

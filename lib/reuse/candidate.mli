@@ -56,16 +56,14 @@ val reuse_factor : transfer_mode -> t -> float
 (** Element accesses served per element transferred; > 1 means the
     candidate amortises its traffic. *)
 
-val make :
+val of_access :
   decl:Mhla_ir.Array_decl.t ->
   loops:(string * int) list ->
   stmt:string ->
   access_index:int ->
-  level:int ->
   Mhla_ir.Access.t ->
-  t
-(** Build the candidate at [level] for an access whose enclosing loops
-    are [loops] (outermost first).
-    @raise Mhla_util.Error.Error when [level] is out of range. *)
+  t list
+(** The candidates at levels [0 .. n] (in that order) of an access
+    whose [n] enclosing loops are [loops] (outermost first). *)
 
 val pp : t Fmt.t

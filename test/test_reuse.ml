@@ -1,9 +1,6 @@
 (* Tests for the data-reuse analysis: footprints, copy candidates and
    per-access candidate chains, hand-checked on a 3x3 convolution. *)
 
-let invalid ?hint context message =
-  Mhla_util.Error.(Error (make ?hint Invalid_input ~context message))
-
 module Affine = Mhla_ir.Affine
 module Build = Mhla_ir.Build
 module Footprint = Mhla_reuse.Footprint
@@ -158,14 +155,27 @@ let test_candidate_reuse_factor () =
   Alcotest.(check bool) "level 0 high reuse" true
     (Candidate.reuse_factor Candidate.Full c0 > 8.)
 
-let test_candidate_level_out_of_range () =
-  let decl = Build.array "a" [ 4 ] in
-  let access = Build.(rd "a" [ i "i" ]) in
-  Alcotest.check_raises "level 2 of depth-1 nest"
-    (invalid "Candidate.make" "level 2 out of range 0..1") (fun () ->
-      ignore
-        (Candidate.make ~decl ~loops:[ ("i", 4) ] ~stmt:"s" ~access_index:0
-           ~level:2 access))
+(* One candidate per level 0 .. depth, outermost refresh loop first. *)
+let test_candidate_level_range () =
+  let decl = Build.array "a" [ 4; 4 ] in
+  let access = Build.(rd "a" [ i "i"; i "j" ]) in
+  let chain =
+    Candidate.of_access ~decl ~loops:[ ("i", 4); ("j", 4) ] ~stmt:"s"
+      ~access_index:1 access
+  in
+  Alcotest.(check (list int)) "levels" [ 0; 1; 2 ]
+    (List.map (fun (c : Candidate.t) -> c.Candidate.level) chain);
+  Alcotest.(check (list string)) "ids" [ "s/1@0"; "s/1@1"; "s/1@2" ]
+    (List.map (fun (c : Candidate.t) -> c.Candidate.id) chain);
+  Alcotest.(check (list (option string))) "refresh loops"
+    [ None; Some "i"; Some "j" ]
+    (List.map (fun (c : Candidate.t) -> c.Candidate.refresh_iter) chain);
+  Alcotest.(check (list string)) "share keys"
+    [ "a@whole"; "a@1:i:i;j"; "a@2:j:i;j" ]
+    (List.map (fun (c : Candidate.t) -> c.Candidate.share_key) chain);
+  Alcotest.(check int) "no loops: one candidate" 1
+    (List.length
+       (Candidate.of_access ~decl ~loops:[] ~stmt:"s" ~access_index:0 access))
 
 let test_share_keys () =
   let open Build in
@@ -315,8 +325,7 @@ let () =
           Alcotest.test_case "delta line buffer" `Quick
             test_candidate_delta_line_buffer;
           Alcotest.test_case "reuse factor" `Quick test_candidate_reuse_factor;
-          Alcotest.test_case "level range" `Quick
-            test_candidate_level_out_of_range;
+          Alcotest.test_case "level range" `Quick test_candidate_level_range;
           Alcotest.test_case "share keys" `Quick test_share_keys;
           Alcotest.test_case "share keys pinned" `Quick test_share_keys_pinned;
           qc prop_candidate_monotone;
