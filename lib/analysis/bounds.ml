@@ -81,10 +81,6 @@ let run (s : Pass.subject) =
 let pass =
   {
     Pass.name;
-    description =
-      "every affine subscript's value range, the closed-form min and max \
-       over its statement's iteration box, stays within the declared \
-       dimension extents";
     codes = [ "MHLA001"; "MHLA002"; "MHLA003" ];
     run;
   }

@@ -147,10 +147,6 @@ let run (s : Pass.subject) =
 let pass =
   {
     Pass.name;
-    description =
-      "per-layer peak occupancy, recomputed from copy lifetimes plus TE \
-       extra buffers on the program-order timeline, stays within every \
-       on-chip capacity";
     codes = [ "MHLA201" ];
     run;
   }

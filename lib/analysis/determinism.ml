@@ -134,11 +134,6 @@ let run (s : Pass.subject) =
 let pass =
   {
     Pass.name;
-    description =
-      "schedule-determinism advisories: transfers tying on the recomputed \
-       scheduling key (priority then follows enumeration order) and \
-       statements whose read and write regions of one array overlap (a \
-       recurrence, per the closed-form subscript ranges)";
     codes = [ "MHLA401"; "MHLA402" ];
     run;
   }

@@ -151,10 +151,6 @@ let run (s : Pass.subject) =
 let pass =
   {
     Pass.name;
-    description =
-      "every granted Time Extension stays within the freedom loops \
-       recomputed from writer/reader positions, with enough double \
-       buffers for its prefetch distance";
     codes = [ "MHLA101"; "MHLA102"; "MHLA103"; "MHLA104" ];
     run;
   }

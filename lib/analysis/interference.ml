@@ -82,11 +82,6 @@ let run (s : Pass.subject) =
 let pass =
   {
     Pass.name;
-    description =
-      "TE double buffers do not interfere: every granted loop's span, \
-       recomputed on the program-order timeline, encloses the extended \
-       buffer's lifetime, and DMA priorities are the contiguous \
-       greedy sequence";
     codes = [ "MHLA203"; "MHLA204" ];
     run;
   }

@@ -136,9 +136,6 @@ let run (s : Pass.subject) =
 let pass =
   {
     Pass.name;
-    description =
-      "non-fatal smells: dead or write-only arrays, unused iterators, \
-       trip-1 loops, shadowed chain links, zero-benefit transfers";
     codes = [ "MHLA301"; "MHLA302"; "MHLA303"; "MHLA304"; "MHLA305";
               "MHLA306" ];
     run;

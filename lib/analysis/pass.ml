@@ -40,7 +40,6 @@ let boxes_intersect b1 b2 =
 
 type t = {
   name : string;
-  description : string;
   codes : string list;
   run : subject -> Diagnostic.t list;
 }

@@ -53,7 +53,6 @@ val boxes_intersect : (int * int) list -> (int * int) list -> bool
 (** One checker pass. *)
 type t = {
   name : string;  (** stable, e.g. ["bounds"] — the enable/disable key *)
-  description : string;
   codes : string list;  (** catalogue codes this pass can emit *)
   run : subject -> Diagnostic.t list;
 }
