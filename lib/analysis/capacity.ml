@@ -115,9 +115,9 @@ let level_peak timeline ?schedule ~policy (m : Mapping.t) ~level =
   Occupancy.peak_bytes policy blocks
 
 let recomputed_peaks ?schedule ~policy (m : Mapping.t) =
-  let timeline = Schedule.of_program m.Mapping.program in
   List.map
-    (fun level -> (level, level_peak timeline ?schedule ~policy m ~level))
+    (fun level ->
+      (level, level_peak m.Mapping.schedule ?schedule ~policy m ~level))
     (Hierarchy.on_chip_levels m.Mapping.hierarchy)
 
 let check_level timeline ?schedule ~policy (m : Mapping.t) ~level =

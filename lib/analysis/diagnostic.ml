@@ -63,7 +63,9 @@ let pp_location ppf l =
     | `S s -> Fmt.pf ppf "%s=%s" k s
     | `I i -> Fmt.pf ppf "%s=%d" k i
   in
-  Fmt.(list ~sep:sp pp_field) ppf (loc_fields l)
+  (* A plain space, not a break hint: a diagnostic stays on one line
+     whatever the margin. *)
+  Fmt.(list ~sep:(any " ") pp_field) ppf (loc_fields l)
 
 type t = {
   code : string;

@@ -19,8 +19,14 @@ let subject ?mapping ?schedule ?(policy = Mhla_lifetime.Occupancy.In_place)
     timeline = lazy (Schedule.of_program program);
   }
 
+(* A mapping carries the timeline of its own program (built once by
+   [Mapping.precompute]); the subject shares it rather than walking the
+   loop tree again. *)
 let of_mapping ?schedule ?policy (m : Mhla_core.Mapping.t) =
-  subject ~mapping:m ?schedule ?policy m.Mhla_core.Mapping.program
+  {
+    (subject ~mapping:m ?schedule ?policy m.Mhla_core.Mapping.program) with
+    timeline = Lazy.from_val m.Mhla_core.Mapping.schedule;
+  }
 
 let timeline s = Lazy.force s.timeline
 

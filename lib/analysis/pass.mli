@@ -36,7 +36,10 @@ val of_mapping :
   ?policy:Mhla_lifetime.Occupancy.policy ->
   Mhla_core.Mapping.t ->
   subject
-(** The mapping's own program becomes the subject's program. *)
+(** The mapping's own program becomes the subject's program, and the
+    mapping's cached [schedule] (that program's timeline) its
+    timeline, so verifying an answer does not walk the
+    loop tree a second time. *)
 
 val timeline : subject -> Mhla_lifetime.Schedule.t
 (** Force and return the subject's timeline. *)

@@ -41,6 +41,9 @@ let default_config =
 
 type job = { seq : int; line : string; submitted_ns : int }
 
+(* The counters the waits poll are [Atomic]s, so a spinning domain
+   can read them without the lock; each is written under [lock] at the
+   same point as the state it mirrors. *)
 type t = {
   cfg : config;
   lock : Mutex.t;
@@ -48,9 +51,10 @@ type t = {
   not_full : Condition.t;
   advanced : Condition.t;  (* broadcast whenever a response lands *)
   queue : job Queue.t;
-  mutable closed : bool;
-  mutable next_seq : int;
-  mutable completed : int;
+  queued : int Atomic.t;  (* [Queue.length queue] *)
+  closed : bool Atomic.t;
+  next_seq : int Atomic.t;
+  completed : int Atomic.t;
   results : (int, Response.t) Hashtbl.t;
   mutable emit_from : int;  (* next seq [ready] will hand out *)
   mutable n_ok : int;
@@ -186,7 +190,7 @@ let record_locked t (resp : Response.t) =
   | Response.Timeout -> t.n_timeout <- t.n_timeout + 1
   | Response.Shed -> t.n_shed <- t.n_shed + 1);
   t.latencies_ns <- resp.elapsed_ns :: t.latencies_ns;
-  t.completed <- t.completed + 1;
+  Atomic.incr t.completed;
   Condition.broadcast t.advanced
 
 let record t resp =
@@ -286,14 +290,52 @@ let process t tele job =
               Response.error ~id ~seq ~elapsed_ns:(elapsed ())
                 ~code:"exception" (Printexc.to_string e))))
 
+(* --- waiting ------------------------------------------------------------ *)
+
+let spin_budget_ns = 200_000
+
+(* Clock reads are rarer than polls: one per this many turns. *)
+let polls_per_clock_read = 32
+
+(* [await t cond until] is called and returns with [t.lock] held, and
+   returns once [until t] holds. A handoff between domains is usually
+   over within microseconds, so a waiter that would park first drops
+   the lock and polls [until] for up to {!spin_budget_ns}: a futex
+   wake-up costs more than the wait itself. [until] reads only
+   [Atomic]s, so the poll needs no lock, and [Domain.cpu_relax] keeps
+   the spinning domain answering stop-the-world collections. Then the
+   plain condition loop re-checks [until] under the lock, so whatever
+   the spin saw, no wake-up is lost. *)
+let await t cond until =
+  if not (until t) then begin
+    Mutex.unlock t.lock;
+    let stop = Deadline.now_ns () + spin_budget_ns in
+    let rec spin turns =
+      if until t then ()
+      else begin
+        Domain.cpu_relax ();
+        if turns > 0 then spin (turns - 1)
+        else if Deadline.now_ns () < stop then spin polls_per_clock_read
+      end
+    in
+    spin polls_per_clock_read;
+    Mutex.lock t.lock;
+    while not (until t) do
+      Condition.wait cond t.lock
+    done
+  end
+
+let has_job_or_closed t = Atomic.get t.queued > 0 || Atomic.get t.closed
+let has_room t = Atomic.get t.queued < t.cfg.queue_depth
+let all_answered t = Atomic.get t.completed >= Atomic.get t.next_seq
+
 let rec worker_loop t tele =
   Mutex.lock t.lock;
-  while Queue.is_empty t.queue && not t.closed do
-    Condition.wait t.not_empty t.lock
-  done;
+  await t t.not_empty has_job_or_closed;
   if Queue.is_empty t.queue then Mutex.unlock t.lock
   else begin
     let job = Queue.pop t.queue in
+    Atomic.decr t.queued;
     Condition.signal t.not_full;
     Mutex.unlock t.lock;
     record t (process t tele job);
@@ -317,9 +359,10 @@ let create ?(config = default_config) () =
       not_full = Condition.create ();
       advanced = Condition.create ();
       queue = Queue.create ();
-      closed = false;
-      next_seq = 0;
-      completed = 0;
+      queued = Atomic.make 0;
+      closed = Atomic.make false;
+      next_seq = Atomic.make 0;
+      completed = Atomic.make 0;
       results = Hashtbl.create 64;
       emit_from = 0;
       n_ok = 0;
@@ -342,15 +385,14 @@ let create ?(config = default_config) () =
 let submit t line =
   let submitted_ns = Deadline.now_ns () in
   Mutex.lock t.lock;
-  if t.closed then begin
+  if Atomic.get t.closed then begin
     Mutex.unlock t.lock;
     Error.invalidf ~context:"Service.submit"
       "the service is shut down; create a fresh one"
   end;
   match t.cfg.admission with
-  | Shed when Queue.length t.queue >= t.cfg.queue_depth ->
-    let seq = t.next_seq in
-    t.next_seq <- seq + 1;
+  | Shed when not (has_room t) ->
+    let seq = Atomic.fetch_and_add t.next_seq 1 in
     record_locked t
       (Response.shed ~id:"" ~seq
          ~elapsed_ns:(Deadline.now_ns () - submitted_ns)
@@ -358,12 +400,10 @@ let submit t line =
     Mutex.unlock t.lock;
     `Shed
   | Shed | Block ->
-    while Queue.length t.queue >= t.cfg.queue_depth do
-      Condition.wait t.not_full t.lock
-    done;
-    let seq = t.next_seq in
-    t.next_seq <- seq + 1;
+    await t t.not_full has_room;
+    let seq = Atomic.fetch_and_add t.next_seq 1 in
     Queue.push { seq; line; submitted_ns } t.queue;
+    Atomic.incr t.queued;
     Condition.signal t.not_empty;
     Mutex.unlock t.lock;
     `Queued
@@ -387,18 +427,16 @@ let ready t =
 
 let drain t =
   Mutex.lock t.lock;
-  while t.completed < t.next_seq do
-    Condition.wait t.advanced t.lock
-  done;
+  await t t.advanced all_answered;
   let r = pop_ready_locked t in
   Mutex.unlock t.lock;
   r
 
 let shutdown t =
   Mutex.lock t.lock;
-  if t.closed then Mutex.unlock t.lock
+  if Atomic.get t.closed then Mutex.unlock t.lock
   else begin
-    t.closed <- true;
+    Atomic.set t.closed true;
     Condition.broadcast t.not_empty;
     Condition.broadcast t.not_full;
     Mutex.unlock t.lock;
@@ -435,7 +473,7 @@ let summary t =
   in
   let s =
     {
-      submitted = t.next_seq;
+      submitted = Atomic.get t.next_seq;
       ok = t.n_ok;
       errors = t.n_error;
       timeouts = t.n_timeout;

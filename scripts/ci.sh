@@ -7,6 +7,23 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# A lost wake-up in the service would hang its callers rather than fail
+# them, so every invocation that drives a live service runs under this
+# bound and fails CI with a message when it runs out. fd 3 keeps the
+# message visible when the caller discards the command's stderr.
+exec 3>&2
+service_timeout_s=600
+bounded() {
+  brc=0
+  timeout "$service_timeout_s" "$@" || brc=$?
+  if [ "$brc" -eq 124 ]; then
+    echo "TIMEOUT after ${service_timeout_s}s (a lost wake-up in the" \
+      "service?): $*" >&3
+    exit 1
+  fi
+  return "$brc"
+}
+
 if command -v ocamlformat >/dev/null 2>&1; then
   echo "== dune fmt =="
   dune build @fmt || {
@@ -248,8 +265,8 @@ echo "== service decision gate =="
 # direct replay of the same request, so a change to a search decision
 # or to the service's job path fails here too.
 if command -v python3 >/dev/null 2>&1; then
-  bench_line=$(python3 perfbench/run.py --workload serve-mixed --seed 1 \
-    --seconds 1 --trace 0 2>/dev/null | tail -n 1)
+  bench_line=$(bounded python3 perfbench/run.py --workload serve-mixed \
+    --seed 1 --seconds 1 --trace 0 2>/dev/null | tail -n 1)
   echo "$bench_line" | python3 -c '
 import json, sys
 d = json.loads(sys.stdin.read())
@@ -354,7 +371,8 @@ echo "== soak gate =="
 # payloads) through a live 2-worker service; every isolation invariant
 # (exactly one in-order response per request, ok payloads bit-identical
 # to direct solves) must hold.
-dune exec -- bin/mhla_cli.exe soak --requests 200 --seed 42 --jobs 2 -q
+bounded dune exec -- bin/mhla_cli.exe soak --requests 200 --seed 42 \
+  --jobs 2 -q
 # The same chaos mix must survive the CLI path end to end: one JSONL
 # response per request, exit 0, and the hostile classes answered with
 # structured errors rather than a dead process.
@@ -362,12 +380,20 @@ soak_reqs=/tmp/mhla_ci_soak_reqs.jsonl
 soak_resps=/tmp/mhla_ci_soak_resps.jsonl
 dune exec -- bin/mhla_cli.exe soak --requests 200 --seed 42 \
   --emit-jsonl >"$soak_reqs"
-dune exec -- bin/mhla_cli.exe batch "$soak_reqs" --jobs 2 \
+bounded dune exec -- bin/mhla_cli.exe batch "$soak_reqs" --jobs 2 \
   >"$soak_resps" 2>/dev/null
 reqs=$(wc -l <"$soak_reqs")
 resps=$(wc -l <"$soak_resps")
 if [ "$reqs" -ne "$resps" ]; then
   echo "soak batch: $reqs request(s) but $resps response(s)" >&2
+  exit 1
+fi
+# The daemon transport answers the same mix line for line.
+bounded dune exec -- bin/mhla_cli.exe serve --stdin --jobs 2 -q \
+  <"$soak_reqs" >"$soak_resps"
+resps=$(wc -l <"$soak_resps")
+if [ "$reqs" -ne "$resps" ]; then
+  echo "soak serve --stdin: $reqs request(s) but $resps response(s)" >&2
   exit 1
 fi
 grep -q '"code":"exception"' "$soak_resps" || {

@@ -129,6 +129,22 @@ let test_diagnostic_json () =
       Alcotest.(check bool) (needle ^ " serialised") true (contains ~needle s))
     [ "MHLA001"; "error"; "bounds"; "out of bounds" ]
 
+(* Past Format's margin a break hint would split the line; a
+   diagnostic travels as one line on the wire and in [check] output. *)
+let test_diagnostic_one_line () =
+  let long c = String.make 60 c in
+  let d =
+    Diagnostic.make ~code:"MHLA001" ~severity:Diagnostic.Error ~pass:"bounds"
+      ~loc:
+        (Diagnostic.location ~array:(long 'a') ~stmt:(long 's') ~access_index:3
+           ~dim:2 ~bt:(long 'b') ~layer:1 ~iter:(long 'i') ())
+      (String.concat " " (List.init 40 (Fmt.str "word%d")))
+  in
+  let s = Fmt.str "%a" Diagnostic.pp d in
+  Alcotest.(check bool) "no newline" false (String.contains s '\n');
+  Alcotest.(check bool) "fields joined by one space" true
+    (contains ~needle:"access=3 dim=2 bt=" s)
+
 (* --- bounds ------------------------------------------------------------ *)
 
 let oob_high_program () =
@@ -696,6 +712,8 @@ let () =
           Alcotest.test_case "severity order" `Quick test_severity_order;
           Alcotest.test_case "promote warnings" `Quick test_promote_warnings;
           Alcotest.test_case "json" `Quick test_diagnostic_json;
+          Alcotest.test_case "prints on one line" `Quick
+            test_diagnostic_one_line;
         ] );
       ( "bounds",
         [

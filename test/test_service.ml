@@ -548,8 +548,24 @@ let every_kind i =
            });
   ]
 
-(* Pool every request, then demand each ok answer equal [run_job] plus
-   [render] on the same request outside the pool. *)
+(* An ok answer must equal [run_job] plus [render] on the same request
+   outside the pool. *)
+let check_direct ?live (req : Request.t) (resp : Response.t) =
+  Alcotest.(check string) (req.id ^ " status") "ok"
+    (Response.status_name resp.status);
+  let result, robustness =
+    Service.render req (Service.run_job ~jobs:1 ?live req)
+  in
+  Alcotest.(check bool)
+    (req.id ^ " result bit-identical to run_job")
+    true
+    (Option.equal Json.equal resp.result (Some result));
+  Alcotest.(check bool)
+    (req.id ^ " robustness bit-identical to run_job")
+    true
+    (Option.equal Json.equal resp.robustness robustness)
+
+(* Pool every request, then check each answer against a direct run. *)
 let check_pooled_equals_direct ?live config reqs =
   let service = Service.create ~config () in
   List.iter (fun r -> ignore (Service.submit service (line r))) reqs;
@@ -560,26 +576,8 @@ let check_pooled_equals_direct ?live config reqs =
   List.iteri
     (fun i ((req : Request.t), (resp : Response.t)) ->
       Alcotest.(check int) (Fmt.str "response %d in order" i) i resp.seq;
-      Alcotest.(check string) (Fmt.str "%s status" req.id) "ok"
-        (Response.status_name resp.status);
       Alcotest.(check string) (Fmt.str "response %d id" i) req.id resp.id;
-      let result, robustness =
-        Service.render req (Service.run_job ~jobs:1 ?live req)
-      in
-      let same a b =
-        match (a, b) with
-        | Some a, Some b -> Json.equal a b
-        | None, None -> true
-        | _ -> false
-      in
-      Alcotest.(check bool)
-        (Fmt.str "%s result bit-identical to run_job" req.id)
-        true
-        (same resp.result (Some result));
-      Alcotest.(check bool)
-        (Fmt.str "%s robustness bit-identical to run_job" req.id)
-        true
-        (same resp.robustness robustness))
+      check_direct ?live req resp)
     (List.combine reqs responses);
   Alcotest.(check int) "nothing left to hand out" 0
     (List.length (Service.ready service))
@@ -796,6 +794,122 @@ let test_deadline_module () =
   let t1 = Deadline.now_ns () in
   Alcotest.(check bool) "clock is monotone" true (t0 <= t1)
 
+(* --- the submit/drain handoff -------------------------------------------- *)
+
+(* Submit one line and drain its one response. *)
+let round_trip service l =
+  ignore (Service.submit service l : [ `Queued | `Shed ]);
+  match Service.drain service with
+  | [ resp ] -> resp
+  | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs)
+
+(* Keep the client busy (not parked) for [ns], so the worker outwaits
+   its spin budget and parks. *)
+let busy_wait ns =
+  let stop = Deadline.now_ns () + ns in
+  while Deadline.now_ns () < stop do
+    Domain.cpu_relax ()
+  done
+
+(* One request in flight at a time: every wait is a short handoff, so
+   both sides answer from the spin. *)
+let test_handoff_round_trips () =
+  let solves = Array.init 4 (fun i -> sample i) in
+  let lines = Array.map line solves in
+  let service = Service.create () in
+  for i = 0 to 1_999 do
+    let resp =
+      round_trip service (if i mod 2 = 0 then "x" else lines.(i / 2 mod 4))
+    in
+    Alcotest.(check int) (Fmt.str "round trip %d seq" i) i resp.Response.seq;
+    if i mod 2 = 0 then begin
+      Alcotest.(check string) (Fmt.str "round trip %d id" i) "" resp.id;
+      Alcotest.(check (option string))
+        (Fmt.str "round trip %d code" i)
+        (Some "json-parse") resp.code
+    end
+    else begin
+      let req = solves.(i / 2 mod 4) in
+      Alcotest.(check string) (Fmt.str "round trip %d id" i) req.id resp.id;
+      Alcotest.(check string)
+        (Fmt.str "round trip %d status" i)
+        "ok"
+        (Response.status_name resp.status)
+    end
+  done;
+  Service.shutdown service
+
+(* A portfolio over a full application outlasts the spin budget, so the
+   client parks on it; the idle gaps after it park the worker. *)
+let test_handoff_park_path () =
+  let app = Mhla_apps.Registry.find_exn "motion_estimation" in
+  let slow =
+    Request.make
+      ~kind:
+        (Request.Portfolio
+           { policies = Mhla_policy.Registry.default_portfolio_names })
+      ~id:"slow-portfolio"
+      ~arch:(Request.Two_level { onchip_bytes = app.onchip_bytes; dma = true })
+      (Lazy.force app.program)
+  in
+  let service = Service.create () in
+  let t0 = Deadline.now_ns () in
+  let resp = round_trip service (line slow) in
+  Alcotest.(check bool) "the slow request outlasts the spin budget" true
+    (Deadline.now_ns () - t0 > Service.spin_budget_ns);
+  check_direct slow resp;
+  List.iter
+    (fun i ->
+      busy_wait (2 * Service.spin_budget_ns);
+      let req = sample i in
+      let resp = round_trip service (line req) in
+      Alcotest.(check int) (req.id ^ " seq") (i + 1) resp.seq;
+      check_direct req resp)
+    [ 0; 1; 2 ];
+  Service.shutdown service
+
+let test_handoff_shutdown () =
+  Service.shutdown (Service.create ());
+  Service.shutdown
+    (Service.create ~config:{ Service.default_config with jobs = 4 } ());
+  List.iter
+    (fun jobs ->
+      let service =
+        Service.create ~config:{ Service.default_config with jobs } ()
+      in
+      ignore (round_trip service "x" : Response.t);
+      busy_wait (2 * Service.spin_budget_ns);
+      Service.shutdown service;
+      check_invalid
+        (Fmt.str "submit after an idle shutdown (jobs %d)" jobs)
+        (fun () -> Service.submit service "x"))
+    [ 1; 4 ]
+
+(* The wire bytes of a response less its timing: [elapsed_ns], and a
+   timeout's message, which only says how far past due it ran. *)
+let timing_free (resp : Response.t) =
+  let message =
+    if resp.status = Response.Timeout then None else resp.message
+  in
+  Json.to_string (Response.to_json { resp with elapsed_ns = 0; message })
+
+let test_handoff_jobs_agree () =
+  let lines = Soak.lines { Soak.default_config with requests = 300; seed = 7 } in
+  let answer jobs =
+    let service =
+      Service.create ~config:{ Service.default_config with jobs } ()
+    in
+    List.iter (fun l -> ignore (Service.submit service l)) lines;
+    let responses = Service.drain service in
+    Service.shutdown service;
+    List.map timing_free responses
+  in
+  let one = answer 1 in
+  Alcotest.(check int) "one response per line" (List.length lines)
+    (List.length one);
+  Alcotest.(check (list string)) "jobs = 4 answers the bytes of jobs = 1" one
+    (answer 4)
+
 (* --- chaos soak -------------------------------------------------------- *)
 
 (* --- the pre-solve gate ---------------------------------------------- *)
@@ -949,6 +1063,17 @@ let () =
             test_gate_skips_only_non_errors;
           Alcotest.test_case "errors match the full run" `Quick
             test_gate_errors_match_full_run;
+        ] );
+      ( "handoff",
+        [
+          Alcotest.test_case "2,000 round trips in order" `Quick
+            test_handoff_round_trips;
+          Alcotest.test_case "slow request parks, answers stay direct" `Quick
+            test_handoff_park_path;
+          Alcotest.test_case "shutdown fresh and idle" `Quick
+            test_handoff_shutdown;
+          Alcotest.test_case "jobs = 4 answers the soak like jobs = 1" `Quick
+            test_handoff_jobs_agree;
         ] );
       ("soak", [ Alcotest.test_case "chaos soak" `Slow test_soak ]);
     ]
