@@ -51,6 +51,7 @@ type t = {
   not_full : Condition.t;
   advanced : Condition.t;  (* broadcast whenever a response lands *)
   queue : job Queue.t;
+  spin_ns : int;  (* how long [await] spins before it parks *)
   queued : int Atomic.t;  (* [Queue.length queue] *)
   closed : bool Atomic.t;
   next_seq : int Atomic.t;
@@ -300,26 +301,28 @@ let polls_per_clock_read = 32
 (* [await t cond until] is called and returns with [t.lock] held, and
    returns once [until t] holds. A handoff between domains is usually
    over within microseconds, so a waiter that would park first drops
-   the lock and polls [until] for up to {!spin_budget_ns}: a futex
-   wake-up costs more than the wait itself. [until] reads only
-   [Atomic]s, so the poll needs no lock, and [Domain.cpu_relax] keeps
-   the spinning domain answering stop-the-world collections. Then the
-   plain condition loop re-checks [until] under the lock, so whatever
-   the spin saw, no wake-up is lost. *)
+   the lock and polls [until] for up to [t.spin_ns]: a futex wake-up
+   costs more than the wait itself. [until] reads only [Atomic]s, so
+   the poll needs no lock, and [Domain.cpu_relax] keeps the spinning
+   domain answering stop-the-world collections. Then the plain
+   condition loop re-checks [until] under the lock, so whatever the
+   spin saw, no wake-up is lost. *)
 let await t cond until =
   if not (until t) then begin
-    Mutex.unlock t.lock;
-    let stop = Deadline.now_ns () + spin_budget_ns in
-    let rec spin turns =
-      if until t then ()
-      else begin
-        Domain.cpu_relax ();
-        if turns > 0 then spin (turns - 1)
-        else if Deadline.now_ns () < stop then spin polls_per_clock_read
-      end
-    in
-    spin polls_per_clock_read;
-    Mutex.lock t.lock;
+    if t.spin_ns > 0 then begin
+      Mutex.unlock t.lock;
+      let stop = Deadline.now_ns () + t.spin_ns in
+      let rec spin turns =
+        if until t then ()
+        else begin
+          Domain.cpu_relax ();
+          if turns > 0 then spin (turns - 1)
+          else if Deadline.now_ns () < stop then spin polls_per_clock_read
+        end
+      in
+      spin polls_per_clock_read;
+      Mutex.lock t.lock
+    end;
     while not (until t) do
       Condition.wait cond t.lock
     done
@@ -359,6 +362,15 @@ let create ?(config = default_config) () =
       not_full = Condition.create ();
       advanced = Condition.create ();
       queue = Queue.create ();
+      (* A spinning domain takes a CPU. That pays only while every
+         domain of the service (the workers and one client) has a CPU
+         of its own: on one CPU each wait would burn its whole budget
+         while the domain it waits for cannot run, and [mhla batch]
+         with more domains than CPUs ran about 11 % slower. *)
+      spin_ns =
+        (if config.jobs < Domain.recommended_domain_count () then
+           spin_budget_ns
+         else 0);
       queued = Atomic.make 0;
       closed = Atomic.make false;
       next_seq = Atomic.make 0;
@@ -400,7 +412,12 @@ let submit t line =
     Mutex.unlock t.lock;
     `Shed
   | Shed | Block ->
-    await t t.not_full has_room;
+    (* No spin here: a slot frees only when a worker finishes a whole
+       job, and a full queue keeps the workers busy meanwhile, so a
+       quick wake-up gains nothing. *)
+    while not (has_room t) do
+      Condition.wait t.not_full t.lock
+    done;
     let seq = Atomic.fetch_and_add t.next_seq 1 in
     Queue.push { seq; line; submitted_ns } t.queue;
     Atomic.incr t.queued;

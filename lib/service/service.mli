@@ -84,16 +84,22 @@ val drain : t -> Response.t list
 
 (** {2 Waiting}
 
-    Every wait in the service — a worker's for a job, {!drain}'s for
-    the answers, a [Block]ed {!submit}'s for a queue slot — first
-    spins for up to {!spin_budget_ns}, polling lock-free counters
-    (jobs queued, responses completed, shut down) with
-    [Domain.cpu_relax] between polls, so the spinning domain still
-    joins stop-the-world collections. A one-request round trip then
-    costs about 4 µs instead of the two futex wake-ups (about 18 µs)
-    of parking at once. Only then does the waiter park on its
-    condition variable, which re-checks the same state under the
-    lock, so no wake-up is lost whatever the spin saw.
+    A worker's wait for a job and {!drain}'s wait for the answers first
+    spin for up to {!spin_budget_ns}, polling lock-free counters (jobs
+    queued, responses completed, shut down) with [Domain.cpu_relax]
+    between polls, so the spinning domain still joins stop-the-world
+    collections. A one-request round trip then costs about 4 µs
+    instead of the two futex wake-ups (about 18 µs) of parking at
+    once. Only then does the waiter park on its condition variable,
+    which re-checks the same state under the lock, so no wake-up is
+    lost whatever the spin saw. A [Block]ed {!submit} parks at once:
+    its slot frees only when a worker finishes a whole job.
+
+    A service spins only when each of its domains, the [jobs] workers
+    and one client, can have a CPU of its own
+    ([jobs < Domain.recommended_domain_count ()]); otherwise it parks
+    at once, as a spinner would hold a CPU that the domain it waits
+    for needs.
 
     The CPU this costs: each domain spins at most one budget each time
     a wait starts. An idle service is parked: its workers stop
@@ -101,8 +107,8 @@ val drain : t -> Response.t list
     it starts waiting on a request that takes longer. *)
 
 val spin_budget_ns : int
-(** 200 µs. Long enough to cover a submit/drain handoff and a small
-    request's solve; short against anything that has to park anyway. *)
+(** 200 µs: long enough to cover a submit/drain handoff and a small
+    request's solve, short against anything that has to park anyway. *)
 
 val shutdown : t -> unit
 (** {!drain} leftovers are kept; waits for workers to exit, joins

@@ -812,7 +812,7 @@ let busy_wait ns =
   done
 
 (* One request in flight at a time: every wait is a short handoff, so
-   both sides answer from the spin. *)
+   on more than one CPU both sides answer from the spin. *)
 let test_handoff_round_trips () =
   let solves = Array.init 4 (fun i -> sample i) in
   let lines = Array.map line solves in
