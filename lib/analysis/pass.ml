@@ -9,6 +9,9 @@ type subject = {
   timeline : Schedule.t Lazy.t;
 }
 
+(* A mapping carries the timeline of its own program (built once by
+   [Mapping.precompute]); the subject shares it rather than walking the
+   loop tree again. *)
 let subject ?mapping ?schedule ?(policy = Mhla_lifetime.Occupancy.In_place)
     program =
   {
@@ -16,17 +19,14 @@ let subject ?mapping ?schedule ?(policy = Mhla_lifetime.Occupancy.In_place)
     mapping;
     schedule;
     policy;
-    timeline = lazy (Schedule.of_program program);
+    timeline =
+      (match mapping with
+      | Some m -> Lazy.from_val m.Mhla_core.Mapping.schedule
+      | None -> lazy (Schedule.of_program program));
   }
 
-(* A mapping carries the timeline of its own program (built once by
-   [Mapping.precompute]); the subject shares it rather than walking the
-   loop tree again. *)
 let of_mapping ?schedule ?policy (m : Mhla_core.Mapping.t) =
-  {
-    (subject ~mapping:m ?schedule ?policy m.Mhla_core.Mapping.program) with
-    timeline = Lazy.from_val m.Mhla_core.Mapping.schedule;
-  }
+  subject ~mapping:m ?schedule ?policy m.Mhla_core.Mapping.program
 
 let timeline s = Lazy.force s.timeline
 

@@ -20,8 +20,10 @@ type subject = {
       (** sizing policy the capacity pass recomputes under; must match
           what the solver used (default [In_place]) *)
   timeline : Mhla_lifetime.Schedule.t Lazy.t;
-      (** the program-order timeline of [program]: built by the first
-          pass that needs a lifetime interval, shared by all of them *)
+      (** the program-order timeline of [program]: the mapping's cached
+          [schedule] when there is a mapping, otherwise built by the
+          first pass that needs a lifetime interval; shared by all of
+          them *)
 }
 
 val subject :
@@ -30,16 +32,16 @@ val subject :
   ?policy:Mhla_lifetime.Occupancy.policy ->
   Mhla_ir.Program.t ->
   subject
+(** A [mapping] must be one of [program]: the subject takes the
+    mapping's cached [schedule] as its timeline, so verifying an
+    answer does not walk the loop tree a second time. *)
 
 val of_mapping :
   ?schedule:Mhla_core.Prefetch.schedule ->
   ?policy:Mhla_lifetime.Occupancy.policy ->
   Mhla_core.Mapping.t ->
   subject
-(** The mapping's own program becomes the subject's program, and the
-    mapping's cached [schedule] (that program's timeline) its
-    timeline, so verifying an answer does not walk the
-    loop tree a second time. *)
+(** The mapping's own program becomes the subject's program. *)
 
 val timeline : subject -> Mhla_lifetime.Schedule.t
 (** Force and return the subject's timeline. *)

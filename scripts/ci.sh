@@ -388,23 +388,31 @@ if [ "$reqs" -ne "$resps" ]; then
   echo "soak batch: $reqs request(s) but $resps response(s)" >&2
   exit 1
 fi
-# The daemon transport answers the same mix line for line.
-bounded dune exec -- bin/mhla_cli.exe serve --stdin --jobs 2 -q \
-  <"$soak_reqs" >"$soak_resps"
-resps=$(wc -l <"$soak_resps")
+# The daemon transport answers the same mix line for line. It runs one
+# worker, the default, so this bounded pass drives the wait that spins
+# before it parks (a service spins only when each of its domains has a
+# CPU).
+soak_serve=/tmp/mhla_ci_soak_serve.jsonl
+bounded dune exec -- bin/mhla_cli.exe serve --stdin -q \
+  <"$soak_reqs" >"$soak_serve"
+resps=$(wc -l <"$soak_serve")
 if [ "$reqs" -ne "$resps" ]; then
   echo "soak serve --stdin: $reqs request(s) but $resps response(s)" >&2
   exit 1
 fi
-grep -q '"code":"exception"' "$soak_resps" || {
-  echo "poisoned request did not yield a structured exception response" >&2
-  exit 1
-}
-grep -q '"code":"json-parse"' "$soak_resps" || {
-  echo "malformed request did not yield a structured json-parse response" >&2
-  exit 1
-}
-rm -f "$soak_reqs" "$soak_resps"
+for out in "$soak_resps" "$soak_serve"; do
+  grep -q '"code":"exception"' "$out" || {
+    echo "$out: poisoned request did not yield a structured exception" \
+      "response" >&2
+    exit 1
+  }
+  grep -q '"code":"json-parse"' "$out" || {
+    echo "$out: malformed request did not yield a structured json-parse" \
+      "response" >&2
+    exit 1
+  }
+done
+rm -f "$soak_reqs" "$soak_resps" "$soak_serve"
 
 echo "== trace smoke =="
 trace=/tmp/mhla_ci_trace.json
