@@ -20,8 +20,8 @@
      soak [--requests N]       chaos soak of the service (CI gate)
 
    Exit codes: 0 success, 1 check/soak found errors, 2 invalid input,
-   3 unsupported request, 4 capacity exceeded, 70 internal error,
-   75 deadline exceeded (see Mhla_util.Error). *)
+   4 capacity exceeded, 70 internal error, 75 deadline exceeded (see
+   Mhla_util.Error). *)
 
 module Apps = Mhla_apps.Registry
 module Assign = Mhla_core.Assign

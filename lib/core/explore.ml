@@ -182,7 +182,7 @@ let rec chunk n = function
     region :: chunk n rest
 
 let pareto ?config ?order ?(dma = true) ?search ?jobs
-    ?(telemetry = Telemetry.noop) ?checkpoint ?reuse ?on_point ~axes program
+    ?(telemetry = Telemetry.noop) ?checkpoint ?reuse ~axes program
     =
   let grid = Mhla_arch.Presets.budget_grid ~axes in
   Telemetry.span telemetry ~cat:"pareto" "explore.pareto"
@@ -263,7 +263,6 @@ let pareto ?config ?order ?(dma = true) ?search ?jobs
                (String.concat "," (List.map string_of_int budgets)));
             ("cycles", Telemetry.Int r.after_te.Cost.total_cycles);
             ("energy_pj", Telemetry.Float r.after_te.Cost.total_energy_pj) ]);
-      Option.iter (fun f -> f p) on_point;
       `Evaluated p
     end
   in

@@ -154,7 +154,6 @@ val pareto :
   ?telemetry:Mhla_obs.Telemetry.t ->
   ?checkpoint:(unit -> unit) ->
   ?reuse:Mapping.reuse ->
-  ?on_point:(pareto_point -> unit) ->
   axes:int list list ->
   Mhla_ir.Program.t ->
   pareto_outcome
@@ -178,13 +177,10 @@ val pareto :
     much was pruned, a timing-dependent quantity) may differ between
     runs with [jobs > 1].
 
-    [on_point] fires from worker domains as each point is solved (the
-    anytime emission hook: combine with {!pareto_objectives} to stream
-    frontier updates); it must be thread-safe. [telemetry] records a
-    [pareto.region] span per region, [pareto.point] /
-    [pareto.region_pruned] instants, and each worker's stream under
-    its own child sink; with [jobs > 1] the pruning events are
-    timing-dependent, unlike {!sweep}'s.
+    [telemetry] records a [pareto.region] span per region,
+    [pareto.point] / [pareto.region_pruned] instants, and each worker's
+    stream under its own child sink; with [jobs > 1] the pruning events
+    are timing-dependent, unlike {!sweep}'s.
 
     [checkpoint] (typically a deadline guard) is passed to every
     point's {!run}; a raise with kind [Deadline] abandons the search

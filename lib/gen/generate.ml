@@ -20,19 +20,23 @@ let profile_name = function
   | Te_hostile -> "te-hostile"
   | Mixed -> "mixed"
 
+(* Size and shape bounds of generated programs. All counts are upper
+   bounds; draws are uniform unless the profile biases them. *)
 type knobs = {
-  max_nests : int;
-  max_depth : int;
+  max_nests : int;  (* sibling top-level loop nests *)
+  max_depth : int;  (* loop-nesting depth per nest *)
   trip_lo : int;
-  trip_hi : int;
+  trip_hi : int;  (* per-loop trip-count range *)
   max_nest_iterations : int;
+      (* cap on a nest's product of trips, so the reference interpreter
+         stays fast on every generated program *)
   max_arrays : int;
-  max_stmts : int;
-  max_accesses : int;
-  max_coeff : int;
-  max_offset : int;
-  max_work : int;
-  element_bytes : int list;
+  max_stmts : int;  (* statements per nest *)
+  max_accesses : int;  (* accesses per statement *)
+  max_coeff : int;  (* subscript coefficient bound *)
+  max_offset : int;  (* subscript constant bound *)
+  max_work : int;  (* per-statement compute cycles bound *)
+  element_bytes : int list;  (* element sizes drawn per array *)
 }
 
 let default_knobs =
@@ -292,12 +296,10 @@ let budget_for ~profile (p : Program.t) =
   in
   max 24 (total * pct / 100)
 
-let case ?knobs ~profile ~seed () =
+let case ~profile ~seed () =
   let rng = Prng.create ~seed in
   let resolved = resolve rng profile in
-  let knobs =
-    match knobs with Some k -> k | None -> knobs_of_profile resolved
-  in
+  let knobs = knobs_of_profile resolved in
   let program = generate rng ~knobs ~profile:resolved ~seed in
   {
     seed;
@@ -306,5 +308,3 @@ let case ?knobs ~profile ~seed () =
     program;
     onchip_bytes = budget_for ~profile:resolved program;
   }
-
-let program ?knobs ~profile ~seed () = (case ?knobs ~profile ~seed ()).program

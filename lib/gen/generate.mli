@@ -37,31 +37,6 @@ val all_profiles : (string * profile) list
 
 val profile_name : profile -> string
 
-(** Size and shape bounds of generated programs. All counts are upper
-    bounds; draws are uniform unless the profile biases them. *)
-type knobs = {
-  max_nests : int;  (** sibling top-level loop nests *)
-  max_depth : int;  (** loop-nesting depth per nest *)
-  trip_lo : int;
-  trip_hi : int;  (** per-loop trip-count range *)
-  max_nest_iterations : int;
-      (** cap on a nest's product of trips, so the reference
-          interpreter stays fast on every generated program *)
-  max_arrays : int;
-  max_stmts : int;  (** statements per nest *)
-  max_accesses : int;  (** accesses per statement *)
-  max_coeff : int;  (** subscript coefficient bound *)
-  max_offset : int;  (** subscript constant bound *)
-  max_work : int;  (** per-statement compute cycles bound *)
-  element_bytes : int list;  (** element sizes drawn per array *)
-}
-
-val default_knobs : knobs
-
-val knobs_of_profile : profile -> knobs
-(** [default_knobs] with the profile's bias applied (e.g.
-    [Capacity_tight] widens trips and coefficients). *)
-
 (** One generated fuzz case: the program plus the budget the
     differential driver solves it under. *)
 type case = {
@@ -79,10 +54,7 @@ val budget_for : profile:profile -> Mhla_ir.Program.t -> int
     Pure in the program — the shrinker re-derives it per candidate, so
     a shrunk counterexample replays under its own natural budget. *)
 
-val case : ?knobs:knobs -> profile:profile -> seed:int64 -> unit -> case
-(** Deterministic: equal arguments yield byte-identical programs.
-    [knobs] defaults to {!knobs_of_profile} of the resolved profile. *)
-
-val program :
-  ?knobs:knobs -> profile:profile -> seed:int64 -> unit -> Mhla_ir.Program.t
-(** [(case ... ()).program]. *)
+val case : profile:profile -> seed:int64 -> unit -> case
+(** Deterministic: equal arguments yield byte-identical programs. The
+    resolved profile biases the size and shape bounds (e.g.
+    [Capacity_tight] widens trips and coefficients). *)

@@ -396,8 +396,8 @@ type outcome = {
   failures : failure list;
 }
 
-let run_case ?knobs ?mutate ~profile ~seed () =
-  let case = Generate.case ?knobs ~profile ~seed () in
+let run_case ?mutate ~profile ~seed () =
+  let case = Generate.case ~profile ~seed () in
   let fs =
     failures ?mutate ~onchip_bytes:case.Generate.onchip_bytes
       case.Generate.program

@@ -91,7 +91,6 @@ type outcome = {
 }
 
 val run_case :
-  ?knobs:Generate.knobs ->
   ?mutate:mutation ->
   profile:Generate.profile ->
   seed:int64 ->

@@ -26,7 +26,9 @@ let path_to_string path =
 let fail ~path fmt =
   Error.invalidf ~context:"Json_codec" ("%s: " ^^ fmt) (path_to_string path)
 
-(* --- decoding helpers -------------------------------------------------- *)
+(* --- the decode kit ------------------------------------------------------ *)
+
+type fields = (string * Json.t) list
 
 let kind_name : Json.t -> string = function
   | Json.Obj _ -> "object"
@@ -53,6 +55,10 @@ let as_int ~path = function
   | Json.Int k -> k
   | j -> fail ~path "expected an integer, found %s" (kind_name j)
 
+let as_bool ~path = function
+  | Json.Bool b -> b
+  | j -> fail ~path "expected a boolean, found %s" (kind_name j)
+
 (* A size or trip count the IR cannot hold is a decode error at its own
    path, not a failure from [Array_decl.make] or [Program.make_exn]
    that names no field. *)
@@ -61,26 +67,40 @@ let as_positive ~path j =
   if k <= 0 then fail ~path "must be > 0 (got %d)" k;
   k
 
+let as_at_least ~lo ~path j =
+  let k = as_int ~path j in
+  if k < lo then fail ~path "must be >= %d (got %d)" lo k;
+  k
+
+let as_in_range ~lo ~hi ~path j =
+  let k = as_int ~path j in
+  if k < lo || k > hi then fail ~path "must be in %d..%d (got %d)" lo hi k;
+  k
+
 let field ~path fields name =
   match List.assoc_opt name fields with
   | Some v -> v
   | None -> fail ~path "missing field %S" name
 
-(* Unknown fields are rejected: a misspelled optional knob silently
-   ignored is the classic wire-format failure mode. *)
+(* Unknown fields are rejected at their own path: a misspelled optional
+   knob silently ignored is the classic wire-format failure mode. *)
 let check_fields ~path ~allowed fields =
   List.iter
     (fun (name, _) ->
       if not (List.mem name allowed) then
-        fail ~path "unknown field %S (expected one of: %s)" name
+        fail ~path:(Field (path, name))
+          "unknown field %S (expected one of: %s)" name
           (String.concat ", " allowed))
     fields
 
-(* [field] and its value decoded by [decode] at the field's path. *)
 let get decode ~path fields name =
   decode ~path:(Field (path, name)) (field ~path fields name)
 
-(* The elements of an array, each decoded at its own index. *)
+let get_opt decode ~path fields name =
+  match List.assoc_opt name fields with
+  | Some v -> Some (decode ~path:(Field (path, name)) v)
+  | None -> None
+
 let items decode ~path j =
   List.mapi (fun k item -> decode ~path:(Index (path, k)) item) (as_arr ~path j)
 
@@ -98,7 +118,7 @@ let affine_to_json e =
                    ("coeff", Json.int (Affine.coeff e it)) ])
              (Affine.iterators e)) ) ]
 
-let affine_at ~path j =
+let affine_of_json ~path j =
   let fields = as_obj ~path j in
   check_fields ~path ~allowed:[ "const"; "terms" ] fields;
   let const = get as_int ~path fields "const" in
@@ -118,8 +138,6 @@ let affine_at ~path j =
   in
   add_terms (Affine.const const) 0 terms
 
-let affine_of_json ~path j = affine_at ~path:(Root path) j
-
 (* --- accesses ---------------------------------------------------------- *)
 
 let direction_to_string = function
@@ -137,7 +155,7 @@ let access_to_json (a : Access.t) =
       ("dir", Json.str (direction_to_string a.Access.direction));
       ("index", Json.arr (List.map affine_to_json a.Access.index)) ]
 
-let access_at ~path j =
+let access_of_json ~path j =
   let fields = as_obj ~path j in
   check_fields ~path ~allowed:[ "array"; "dir"; "index" ] fields;
   let array = get as_str ~path fields "array" in
@@ -146,10 +164,8 @@ let access_at ~path j =
       (fun ~path j -> direction_of_string ~path (as_str ~path j))
       ~path fields "dir"
   in
-  let index = get (items affine_at) ~path fields "index" in
+  let index = get (items affine_of_json) ~path fields "index" in
   Access.make ~array ~direction ~index
-
-let access_of_json ~path j = access_at ~path:(Root path) j
 
 (* --- arrays ------------------------------------------------------------ *)
 
@@ -159,15 +175,13 @@ let array_decl_to_json (a : Array_decl.t) =
       ("dims", Json.arr (List.map Json.int a.Array_decl.dims));
       ("element_bytes", Json.int a.Array_decl.element_bytes) ]
 
-let array_decl_at ~path j =
+let array_decl_of_json ~path j =
   let fields = as_obj ~path j in
   check_fields ~path ~allowed:[ "name"; "dims"; "element_bytes" ] fields;
   let name = get as_str ~path fields "name" in
   let dims = get (items as_positive) ~path fields "dims" in
   let element_bytes = get as_positive ~path fields "element_bytes" in
   Array_decl.make ~name ~dims ~element_bytes
-
-let array_decl_of_json ~path j = array_decl_at ~path:(Root path) j
 
 (* --- loop tree --------------------------------------------------------- *)
 
@@ -189,7 +203,7 @@ let rec node_to_json = function
               ("body", Json.arr (List.map node_to_json l.Program.body)) ] )
       ]
 
-let rec node_at ~path j =
+let rec node_of_json ~path j =
   match as_obj ~path j with
   | [ ("stmt", payload) ] ->
     let path = Field (path, "stmt") in
@@ -197,7 +211,7 @@ let rec node_at ~path j =
     check_fields ~path ~allowed:[ "name"; "work"; "accesses" ] fields;
     let name = get as_str ~path fields "name" in
     let work_cycles = get as_int ~path fields "work" in
-    let accesses = get (items access_at) ~path fields "accesses" in
+    let accesses = get (items access_of_json) ~path fields "accesses" in
     Program.Stmt (Stmt.make ~name ~work_cycles ~accesses)
   | [ ("loop", payload) ] ->
     let path = Field (path, "loop") in
@@ -205,14 +219,12 @@ let rec node_at ~path j =
     check_fields ~path ~allowed:[ "iter"; "trip"; "body" ] fields;
     let iter = get as_str ~path fields "iter" in
     let trip = get as_positive ~path fields "trip" in
-    let body = get (items node_at) ~path fields "body" in
+    let body = get (items node_of_json) ~path fields "body" in
     Program.Loop { Program.iter; trip; body }
   | _ ->
     fail ~path
       "expected an object with exactly one of the fields \"loop\" or \
        \"stmt\""
-
-let node_of_json ~path j = node_at ~path:(Root path) j
 
 (* --- programs ---------------------------------------------------------- *)
 
@@ -222,16 +234,10 @@ let program_to_json (p : Program.t) =
       ("arrays", Json.arr (List.map array_decl_to_json p.Program.arrays));
       ("body", Json.arr (List.map node_to_json p.Program.body)) ]
 
-let program_of_json_exn ?(path = "$") j =
-  let path = Root path in
+let program_of_json_exn ?(path = Root "$") j =
   let fields = as_obj ~path j in
   check_fields ~path ~allowed:[ "name"; "arrays"; "body" ] fields;
   let name = get as_str ~path fields "name" in
-  let arrays = get (items array_decl_at) ~path fields "arrays" in
-  let body = get (items node_at) ~path fields "body" in
+  let arrays = get (items array_decl_of_json) ~path fields "arrays" in
+  let body = get (items node_of_json) ~path fields "body" in
   Program.make_exn ~name ~arrays ~body
-
-let program_of_json ?path j =
-  match Error.catch (fun () -> program_of_json_exn ?path j) with
-  | Ok p -> Ok p
-  | Result.Error _ as e -> e

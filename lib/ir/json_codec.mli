@@ -1,13 +1,13 @@
-(** JSON encoding of whole programs — the service wire format's
-    program payload.
+(** The service wire format's JSON decoder: the program payload's codec
+    and the path-typed kit every wire decoder is written on.
 
     [Gen.Snippet] proves programs serialise to OCaml source; this
     module is the machine-facing equivalent: a stable JSON shape that
-    [program_of_json] decodes back through the validating
+    {!program_of_json_exn} decodes back through the validating
     {!Program.make}, so a decoded program carries exactly the
     invariants a built one does (unique names, positive trips,
     declared arrays, in-scope iterators). {!program_to_json} ∘
-    {!program_of_json} and the reverse composition are both the
+    {!program_of_json_exn} and the reverse composition are both the
     identity — the round-trip law the fuzz battery's ["json"] check
     asserts on every generated program.
 
@@ -28,34 +28,80 @@
     Every field is mandatory; affine subscripts are a constant plus
     [(iterator, coefficient)] terms sorted by iterator name. A
     non-positive [dims] entry, [element_bytes] or [trip] is rejected at
-    its own path (["$.arrays[0].element_bytes: must be > 0 (got 0)"]). *)
+    its own path (["$.arrays[0].element_bytes: must be > 0 (got 0)"]).
 
-val affine_to_json : Affine.t -> Mhla_util.Json.t
+    {b The decode kit.} The rest of a request
+    ({!Mhla_service.Request.of_json}) decodes with the same functions,
+    so every wire decode failure reads
+    ["Json_codec: <path>: <message>"]: an {!Mhla_util.Error.Error} of
+    kind [Invalid_input] and context ["Json_codec"]. Each decoder takes
+    the [path] of the value it reads and descends with [Field]/[Index];
+    the text is rendered only when a decode fails. *)
 
-val affine_of_json : path:string -> Mhla_util.Json.t -> Affine.t
-(** @raise Mhla_util.Error.Error ([Invalid_input]) on a malformed
-    payload; [path] (e.g. ["$.body[0].loop"]) prefixes the message so
-    the error names the offending node. *)
+type path = Root of string | Field of path * string | Index of path * int
+(** Where a value sits in the document: [Field (Root "$", "arch")]
+    renders as ["$.arch"], [Index (p, 2)] as ["<p>[2]"]. *)
 
-val access_to_json : Access.t -> Mhla_util.Json.t
+val fail : path:path -> ('a, unit, string, 'b) format4 -> 'a
+(** Raise the decode error ["Json_codec: <path>: <message>"]. *)
 
-val access_of_json : path:string -> Mhla_util.Json.t -> Access.t
+type fields = (string * Mhla_util.Json.t) list
+(** An object's members, in document order. *)
 
-val array_decl_to_json : Array_decl.t -> Mhla_util.Json.t
+val as_obj : path:path -> Mhla_util.Json.t -> fields
 
-val array_decl_of_json : path:string -> Mhla_util.Json.t -> Array_decl.t
+val as_arr : path:path -> Mhla_util.Json.t -> Mhla_util.Json.t list
 
-val node_to_json : Program.node -> Mhla_util.Json.t
+val as_str : path:path -> Mhla_util.Json.t -> string
 
-val node_of_json : path:string -> Mhla_util.Json.t -> Program.node
+val as_int : path:path -> Mhla_util.Json.t -> int
+
+val as_bool : path:path -> Mhla_util.Json.t -> bool
+(** Each [as_*] rejects any other JSON kind with ["expected a string,
+    found int"] and the like. *)
+
+val as_positive : path:path -> Mhla_util.Json.t -> int
+(** An integer > 0; ["must be > 0 (got 0)"] otherwise. *)
+
+val as_at_least : lo:int -> path:path -> Mhla_util.Json.t -> int
+(** An integer >= [lo]; ["must be >= 1 (got 0)"] otherwise. *)
+
+val as_in_range : lo:int -> hi:int -> path:path -> Mhla_util.Json.t -> int
+(** An integer in [lo..hi]; ["must be in 0..1000 (got 2000)"]
+    otherwise. *)
+
+val field : path:path -> fields -> string -> Mhla_util.Json.t
+(** A mandatory member of the object at [path]; ["missing field "x""]
+    at [path] when absent. *)
+
+val check_fields : path:path -> allowed:string list -> fields -> unit
+(** Reject the first member outside [allowed], at its own path
+    (["$.budget: unknown field "budget" (expected one of: ...)"]): a
+    field the decoder never reads would otherwise be dropped without a
+    word. *)
+
+val get :
+  (path:path -> Mhla_util.Json.t -> 'a) -> path:path -> fields -> string -> 'a
+(** [get decode ~path fields name]: the mandatory member [name],
+    decoded at its own path. *)
+
+val get_opt :
+  (path:path -> Mhla_util.Json.t -> 'a) ->
+  path:path ->
+  fields ->
+  string ->
+  'a option
+(** Like {!get} for an optional member: [None] when absent. *)
+
+val items :
+  (path:path -> Mhla_util.Json.t -> 'a) -> path:path -> Mhla_util.Json.t ->
+  'a list
+(** The elements of the array at [path], each decoded at its own
+    index. *)
 
 val program_to_json : Program.t -> Mhla_util.Json.t
 
-val program_of_json :
-  ?path:string -> Mhla_util.Json.t -> (Program.t, Mhla_util.Error.t) result
-(** Decode and validate ([path] defaults to ["$"]). All structural and
-    semantic rejections come back as [Error] with kind
-    [Invalid_input]; nothing is raised. *)
-
-val program_of_json_exn : ?path:string -> Mhla_util.Json.t -> Program.t
-(** @raise Mhla_util.Error.Error as {!program_of_json} reports. *)
+val program_of_json_exn : ?path:path -> Mhla_util.Json.t -> Program.t
+(** Decode and validate the program at [path] (default [Root "$"]).
+    @raise Mhla_util.Error.Error ([Invalid_input]) on every structural
+    and semantic rejection. *)

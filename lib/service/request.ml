@@ -269,69 +269,32 @@ let to_json t =
 
 (* --- decoding ---------------------------------------------------------- *)
 
-let fail ~path fmt =
-  Error.invalidf ~context:"Request.of_json" ("%s: " ^^ fmt) path
-
-let as_obj ~path = function
-  | Json.Obj fields -> fields
-  | _ -> fail ~path "expected an object"
-
-let as_str ~path = function
-  | Json.Str s -> s
-  | _ -> fail ~path "expected a string"
-
-let as_int ~path = function
-  | Json.Int k -> k
-  | _ -> fail ~path "expected an integer"
-
-let as_bool ~path = function
-  | Json.Bool b -> b
-  | _ -> fail ~path "expected a boolean"
-
-let field ~path fields name =
-  match List.assoc_opt name fields with
-  | Some v -> v
-  | None -> fail ~path "missing field %S" name
-
-(* A field the decoder never reads would be dropped without a word, so
-   anything outside [allowed] is rejected at its own path. *)
-let only_fields ~path allowed fields =
-  List.iter
-    (fun (name, _) ->
-      if not (List.mem name allowed) then
-        fail ~path:(path ^ "." ^ name) "unknown field %S (expected one of: %s)"
-          name (String.concat ", " allowed))
-    fields
+(* Every field decodes on the program codec's kit, so any decode
+   failure reads "Json_codec: <path>: <message>", the path built as the
+   decoder descends. *)
+module Codec = Mhla_ir.Json_codec
 
 let allowed_top =
   [ "id"; "program"; "arch"; "objective"; "mode"; "grid"; "search";
     "policy"; "policies"; "channels"; "queue_depth"; "deadline_ms";
     "faults"; "inject" ]
 
-let as_arr ~path = function
-  | Json.Arr xs -> xs
-  | _ -> fail ~path "expected an array"
+(* A size the energy model cannot price is a decode error at its own
+   path, not a failure deep inside the solve. *)
+let size ~path j =
+  let b = Codec.as_int ~path j in
+  if b <= 0 then Codec.fail ~path "sizes must be > 0 (got %d)" b;
+  b
 
 let arch_of_json ~path j =
-  let fields = as_obj ~path j in
+  let fields = Codec.as_obj ~path j in
   let dma =
-    match List.assoc_opt "dma" fields with
-    | None -> true
-    | Some b -> as_bool ~path:(path ^ ".dma") b
+    Option.value ~default:true (Codec.get_opt Codec.as_bool ~path fields "dma")
   in
-  let names = List.map fst fields in
-  let known = List.filter (fun n -> n <> "dma") names in
-  (* A size the energy model cannot price is a decode error at its own
-     path, not a failure deep inside the solve. *)
-  let size ~path j =
-    let b = as_int ~path j in
-    if b <= 0 then fail ~path "sizes must be > 0 (got %d)" b;
-    b
-  in
-  let size_field name =
-    size ~path:(path ^ "." ^ name) (field ~path fields name)
-  in
-  match List.sort compare known with
+  let size_field = Codec.get size ~path fields in
+  match
+    List.sort compare (List.filter (( <> ) "dma") (List.map fst fields))
+  with
   | [ "onchip_bytes" ] ->
     Two_level { onchip_bytes = size_field "onchip_bytes"; dma }
   | [ "l1_bytes"; "l2_bytes" ] ->
@@ -342,65 +305,55 @@ let arch_of_json ~path j =
         dma;
       }
   | [ "level_bytes" ] ->
-    let path' = path ^ ".level_bytes" in
-    let level_bytes =
-      List.mapi
-        (fun i j -> size ~path:(Printf.sprintf "%s[%d]" path' i) j)
-        (as_arr ~path:path' (field ~path fields "level_bytes"))
-    in
-    if level_bytes = [] then fail ~path:path' "must name at least one level";
+    let level_bytes = Codec.get (Codec.items size) ~path fields "level_bytes" in
+    if level_bytes = [] then
+      Codec.fail ~path:(Codec.Field (path, "level_bytes"))
+        "must name at least one level";
     Multi_level { level_bytes; dma }
   | _ ->
-    fail ~path
+    Codec.fail ~path
       "expected {\"onchip_bytes\", \"dma\"?}, {\"l1_bytes\", \"l2_bytes\", \
        \"dma\"?} or {\"level_bytes\", \"dma\"?}"
 
 let objective_of_json ~path j =
-  match as_str ~path j with
+  match Codec.as_str ~path j with
   | "energy" -> Cost.Energy
   | "cycles" -> Cost.Cycles
   | "energy-delay" -> Cost.Energy_delay
   | s ->
-    fail ~path "bad objective %S (energy | cycles | energy-delay)" s
+    Codec.fail ~path "bad objective %S (energy | cycles | energy-delay)" s
 
 let grid_of_json ~path j =
-  let axes =
-    List.mapi
-      (fun i axis ->
-        let path = Printf.sprintf "%s[%d]" path i in
-        let sizes = List.map (as_int ~path) (as_arr ~path axis) in
-        if sizes = [] then fail ~path "an axis must name at least one size";
-        List.iter
-          (fun b -> if b <= 0 then fail ~path "sizes must be > 0 (got %d)" b)
-          sizes;
-        sizes)
-      (as_arr ~path j)
+  let axis ~path j =
+    let sizes = Codec.items Codec.as_int ~path j in
+    if sizes = [] then Codec.fail ~path "an axis must name at least one size";
+    List.iter
+      (fun b -> if b <= 0 then Codec.fail ~path "sizes must be > 0 (got %d)" b)
+      sizes;
+    sizes
   in
-  if axes = [] then fail ~path "the grid must name at least one axis";
+  let axes = Codec.items axis ~path j in
+  if axes = [] then Codec.fail ~path "the grid must name at least one axis";
   axes
 
 (* Search names resolve through the one policy-layer registry, so the
    wire, the CLI and the tests accept exactly the same spellings and
-   report unknown names with the same structured error. *)
-let int_field ~path fields name default =
-  match List.assoc_opt name fields with
-  | None -> default
-  | Some v -> as_int ~path:(path ^ "." ^ name) v
-
-(* Only annealing takes a seed and an iteration count. Any other field
-   (or those two on another kind) would be decoded and then ignored, so
-   it is rejected at its own path. *)
+   report unknown names with the same structured error. Only annealing
+   takes a seed and an iteration count. Any other field (or those two
+   on another kind) would be decoded and then ignored, so it is
+   rejected at its own path. *)
 let search_of_json ~path j =
-  let fields = as_obj ~path j in
-  let get = int_field ~path fields in
-  let iterations = get "iterations" 4000 in
-  if iterations < 1 then
-    fail ~path "iterations must be at least 1 (got %d)" iterations;
+  let fields = Codec.as_obj ~path j in
+  let iterations =
+    Codec.get_opt (Codec.as_at_least ~lo:1) ~path fields "iterations"
+  in
+  let kind = Codec.get Codec.as_str ~path fields "kind" in
+  let seed = Codec.get_opt Codec.as_int ~path fields "seed" in
   let search =
     Mhla_policy.Registry.search_of_name ~context:"Request.of_json"
-      ~seed:(Int64.of_int (get "seed" 42))
-      ~iterations
-      (as_str ~path:(path ^ ".kind") (field ~path fields "kind"))
+      ~seed:(Int64.of_int (Option.value seed ~default:42))
+      ~iterations:(Option.value iterations ~default:4000)
+      kind
   in
   let takes =
     match search with
@@ -410,90 +363,94 @@ let search_of_json ~path j =
   List.iter
     (fun (name, _) ->
       if not (List.mem name takes) then
-        fail ~path:(path ^ "." ^ name)
+        Codec.fail ~path:(Codec.Field (path, name))
           "the %s search takes no %S field (expected one of: %s)"
           (Mhla_policy.Registry.search_name search)
           name (String.concat ", " takes))
     fields;
   search
 
+(* Each knob is range-checked at its own path here, so the rider never
+   reaches [Faults.validate], whose errors name no field. *)
 let fault_spec_of_json ~path j =
-  let fields = as_obj ~path j in
-  only_fields ~path [ "seed"; "jitter"; "failure_permille"; "trials" ] fields;
-  let get = int_field ~path fields in
-  let seed = Int64.of_int (get "seed" 42) in
-  let jitter = get "jitter" 0 in
-  let failure_permille = get "failure_permille" 0 in
-  let trials = get "trials" 4 in
-  if trials < 1 then fail ~path "trials must be at least 1 (got %d)" trials;
-  { faults = wire_faults ~seed ~jitter ~failure_permille; trials }
+  let fields = Codec.as_obj ~path j in
+  Codec.check_fields ~path
+    ~allowed:[ "seed"; "jitter"; "failure_permille"; "trials" ]
+    fields;
+  let seed = Codec.get_opt Codec.as_int ~path fields "seed" in
+  let jitter = Codec.get_opt (Codec.as_at_least ~lo:0) ~path fields "jitter" in
+  let failure_permille =
+    Codec.get_opt (Codec.as_in_range ~lo:0 ~hi:1000) ~path fields
+      "failure_permille"
+  in
+  let trials = Codec.get_opt (Codec.as_at_least ~lo:1) ~path fields "trials" in
+  {
+    faults =
+      wire_faults
+        ~seed:(Int64.of_int (Option.value seed ~default:42))
+        ~jitter:(Option.value jitter ~default:0)
+        ~failure_permille:(Option.value failure_permille ~default:0);
+    trials = Option.value trials ~default:4;
+  }
 
 let inject_of_json ~path j =
-  match as_str ~path j with
+  match Codec.as_str ~path j with
   | "raise" -> Raise
-  | s -> fail ~path "bad inject %S" s
+  | s -> Codec.fail ~path "bad inject %S" s
 
 let of_json j =
-  let path = "$" in
-  let fields = as_obj ~path j in
-  only_fields ~path allowed_top fields;
-  let id = as_str ~path:"$.id" (field ~path fields "id") in
+  let path = Codec.Root "$" in
+  let fields = Codec.as_obj ~path j in
+  Codec.check_fields ~path ~allowed:allowed_top fields;
+  let id = Codec.get Codec.as_str ~path fields "id" in
   let program =
-    Mhla_ir.Json_codec.program_of_json_exn ~path:"$.program"
-      (field ~path fields "program")
+    Codec.program_of_json_exn
+      ~path:(Codec.Field (path, "program"))
+      (Codec.field ~path fields "program")
   in
-  let arch = arch_of_json ~path:"$.arch" (field ~path fields "arch") in
-  let opt name decode =
-    Option.map (decode ~path:("$." ^ name)) (List.assoc_opt name fields)
-  in
+  let arch = Codec.get arch_of_json ~path fields "arch" in
+  let opt name decode = Codec.get_opt decode ~path fields name in
   let objective =
     Option.value ~default:Cost.Energy_delay (opt "objective" objective_of_json)
   in
-  let mode = opt "mode" as_str in
+  let mode = opt "mode" Codec.as_str in
   let kind, transfer_mode =
     match mode with
     | None -> (Solve, Candidate.Delta)
     | Some "full" -> (Solve, Candidate.Full)
     | Some "delta" -> (Solve, Candidate.Delta)
     | Some "pareto" ->
-      let axes =
-        grid_of_json ~path:"$.grid" (field ~path fields "grid")
-      in
-      (Pareto { axes }, Candidate.Delta)
+      (Pareto { axes = Codec.get grid_of_json ~path fields "grid" },
+       Candidate.Delta)
     | Some "portfolio" ->
       let policies =
-        match List.assoc_opt "policies" fields with
-        | None -> Mhla_policy.Registry.default_portfolio_names
-        | Some j ->
-          let path = "$.policies" in
-          List.map (as_str ~path) (as_arr ~path j)
+        Option.value ~default:Mhla_policy.Registry.default_portfolio_names
+          (opt "policies" (Codec.items Codec.as_str))
       in
       (Portfolio { policies }, Candidate.Delta)
     | Some "simulate" ->
       ( Simulate
-          { channels = opt "channels" as_int;
-            queue_depth = opt "queue_depth" as_int },
+          { channels = opt "channels" Codec.as_int;
+            queue_depth = opt "queue_depth" Codec.as_int },
         Candidate.Delta )
     | Some s ->
-      fail ~path:"$.mode"
+      Codec.fail ~path:(Codec.Field (path, "mode"))
         "bad mode %S (full | delta | pareto | portfolio | simulate)" s
   in
   List.iter
     (fun (name, owner) ->
       if List.mem_assoc name fields && mode <> Some owner then
-        fail ~path:("$." ^ name) "only valid when \"mode\" is %S" owner)
+        Codec.fail ~path:(Codec.Field (path, name))
+          "only valid when \"mode\" is %S" owner)
     [ ("grid", "pareto"); ("policies", "portfolio");
       ("channels", "simulate"); ("queue_depth", "simulate") ];
   let search = opt "search" search_of_json in
   let policy =
     Option.map
       (Mhla_policy.Registry.find ~context:"Request.of_json")
-      (opt "policy" as_str)
+      (opt "policy" Codec.as_str)
   in
-  let deadline_ms = opt "deadline_ms" as_int in
-  (match deadline_ms with
-  | Some ms when ms < 0 -> fail ~path:"$.deadline_ms" "must be >= 0 (got %d)" ms
-  | _ -> ());
+  let deadline_ms = opt "deadline_ms" (Codec.as_at_least ~lo:0) in
   let fault_spec = opt "faults" fault_spec_of_json in
   let inject =
     Option.value ~default:No_inject (opt "inject" inject_of_json)

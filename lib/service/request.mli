@@ -23,11 +23,14 @@
     v}
 
     The search's ["iterations"] (default 4000) and the faults rider's
-    ["trials"] (default 4) must each be at least 1; anything less is an
-    [Invalid_input] decode error, not a skipped search. Only an
-    ["anneal"] search takes ["seed"] and ["iterations"]: either one on
-    a ["greedy"] or ["first-improvement"] search, like any field a
-    search does not know, is a decode error, not ignored.
+    ["trials"] (default 4) must each be at least 1, its ["jitter"]
+    (default 0) at least 0 and its ["failure_permille"] (default 0) in
+    0..1000; anything else is an [Invalid_input] decode error at the
+    field's own path (["$.faults.trials: must be >= 1 (got 0)"]), not a
+    skipped search. Only an ["anneal"] search takes ["seed"] and
+    ["iterations"]: either one on a ["greedy"] or
+    ["first-improvement"] search, like any field a search does not
+    know, is a decode error, not ignored.
 
     A three-level platform instead:
     [{ "arch": { "l1_bytes": 512, "l2_bytes": 4096, "dma": true } }],
@@ -169,8 +172,12 @@ val to_json : t -> Mhla_util.Json.t
     request (see above). *)
 
 val of_json : Mhla_util.Json.t -> t
-(** @raise Mhla_util.Error.Error ([Invalid_input]) on malformed
-    payloads, with a [$.field] path in the message. *)
+(** Decoded on {!Mhla_ir.Json_codec}'s kit, program and envelope alike.
+    @raise Mhla_util.Error.Error ([Invalid_input]) on a malformed
+    payload as ["Json_codec: <path>: <message>"] (["$.budget: unknown
+    field ..."], ["$.arch.level_bytes[1]: sizes must be > 0 (got 0)"]);
+    on a rule {!make} also checks, or an unknown search or policy
+    name, with the context ["Request.of_json"]. *)
 
 val id_of_json : Mhla_util.Json.t -> string option
 (** Salvage the [id] of a document that may not decode fully, so even

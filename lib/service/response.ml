@@ -75,13 +75,3 @@ let to_json t =
     match t.verify with
     | None -> []
     | Some v -> [ ("verify", v) ])
-
-let status_of_json = function
-  | Json.Obj fields -> (
-    match List.assoc_opt "status" fields with
-    | Some (Json.Str "ok") -> Some Ok
-    | Some (Json.Str "error") -> Some Error
-    | Some (Json.Str "timeout") -> Some Timeout
-    | Some (Json.Str "shed") -> Some Shed
-    | Some _ | None -> None)
-  | _ -> None

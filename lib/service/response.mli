@@ -31,8 +31,8 @@ type t = {
   status : status;
   code : string option;
       (** diagnostic class on non-[Ok]: ["json-parse"], ["decode"],
-          ["oversized"], ["verify"], ["invalid input"],
-          ["unsupported"], ["capacity"], ["internal"], ["exception"],
+          ["oversized"], ["verify"], ["invalid input"], ["capacity"],
+          ["internal"], ["exception"],
           ["deadline"], ["backpressure"] *)
   message : string option;
   elapsed_ns : int;  (** submit-to-answer, queueing included *)
@@ -68,7 +68,3 @@ val status_name : status -> string
 
 val to_json : t -> Mhla_util.Json.t
 
-val status_of_json : Mhla_util.Json.t -> status option
-(** Classify a response document by its [status] field — what the CI
-    soak gate and the tests use to count outcomes without re-modelling
-    the whole payload. *)

@@ -1,4 +1,4 @@
-type kind = Invalid_input | Unsupported | Capacity | Deadline | Internal
+type kind = Invalid_input | Capacity | Deadline | Internal
 
 type t = {
   kind : kind;
@@ -20,8 +20,6 @@ let failf ?hint kind ~context fmt =
 
 let invalidf ?hint ~context fmt = failf ?hint Invalid_input ~context fmt
 
-let unsupportedf ?hint ~context fmt = failf ?hint Unsupported ~context fmt
-
 let capacityf ?hint ~context fmt = failf ?hint Capacity ~context fmt
 
 let deadlinef ?hint ~context fmt = failf ?hint Deadline ~context fmt
@@ -30,7 +28,6 @@ let internalf ?hint ~context fmt = failf ?hint Internal ~context fmt
 
 let kind_label = function
   | Invalid_input -> "invalid input"
-  | Unsupported -> "unsupported"
   | Capacity -> "capacity"
   | Deadline -> "deadline"
   | Internal -> "internal"
@@ -38,7 +35,6 @@ let kind_label = function
 let exit_code t =
   match t.kind with
   | Invalid_input -> 2
-  | Unsupported -> 3
   | Capacity -> 4
   | Deadline -> 75
   | Internal -> 70

@@ -11,7 +11,6 @@
 (** Broad failure classes, each with a stable CLI exit code. *)
 type kind =
   | Invalid_input  (** the caller passed a malformed or out-of-range value *)
-  | Unsupported  (** valid input, but a combination the tool does not model *)
   | Capacity  (** a size / resource budget cannot be satisfied *)
   | Deadline  (** a caller-imposed time budget expired before completion *)
   | Internal  (** an invariant the library promised to keep was broken *)
@@ -37,9 +36,6 @@ val invalidf :
 (** [invalidf ~context fmt ...] raises {!Error} with
     kind {!Invalid_input} and the formatted message. *)
 
-val unsupportedf :
-  ?hint:string -> context:string -> ('a, unit, string, 'b) format4 -> 'a
-
 val capacityf :
   ?hint:string -> context:string -> ('a, unit, string, 'b) format4 -> 'a
 
@@ -50,13 +46,12 @@ val internalf :
   ?hint:string -> context:string -> ('a, unit, string, 'b) format4 -> 'a
 
 val kind_label : kind -> string
-(** ["invalid input"], ["unsupported"], ["capacity"], ["deadline"] or
-    ["internal"]. *)
+(** ["invalid input"], ["capacity"], ["deadline"] or ["internal"]. *)
 
 val exit_code : t -> int
-(** Stable CLI exit codes: [Invalid_input] → 2, [Unsupported] → 3,
-    [Capacity] → 4, [Deadline] → 75 (EX_TEMPFAIL — the same request may
-    succeed with a larger budget), [Internal] → 70 (EX_SOFTWARE). *)
+(** Stable CLI exit codes: [Invalid_input] → 2, [Capacity] → 4,
+    [Deadline] → 75 (EX_TEMPFAIL — the same request may succeed with a
+    larger budget), [Internal] → 70 (EX_SOFTWARE). *)
 
 val to_string : t -> string
 (** ["context: message (hint: ...)"]. *)

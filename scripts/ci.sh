@@ -58,12 +58,27 @@ dune exec -- bin/mhla_cli.exe sweep motion_estimation -j 2 --min 256 \
   --max 1024 >/dev/null
 dune exec -- bin/mhla_cli.exe run motion_estimation --search annealing \
   >/dev/null
-rc=0
-dune exec -- bin/mhla_cli.exe run no_such_app >/dev/null 2>&1 || rc=$?
-if [ "$rc" -ne 2 ]; then
-  echo "expected exit 2 for an unknown application, got $rc" >&2
-  exit 1
-fi
+# The error exits, each case rejected in a different layer: the app
+# registry, the CLI's budget check, the budget grid, the search
+# registry, the service's worker count (2) and the deadline guard (75).
+# The gates below check exit 1.
+expect_exit() {
+  want=$1
+  shift
+  rc=0
+  bounded dune exec -- bin/mhla_cli.exe "$@" </dev/null >/dev/null 2>&1 \
+    || rc=$?
+  if [ "$rc" -ne "$want" ]; then
+    echo "expected exit $want for 'mhla $*', got $rc" >&2
+    exit 1
+  fi
+}
+expect_exit 2 run no_such_app
+expect_exit 2 run motion_estimation --onchip 0
+expect_exit 2 pareto motion_estimation --level 0,128
+expect_exit 2 run motion_estimation --search bogus
+expect_exit 2 serve --stdin -j 0
+expect_exit 75 run qsdpcm --deadline-ms 0
 
 echo "== check gate =="
 # The static verifier must accept every bundled application...

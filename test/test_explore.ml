@@ -235,17 +235,6 @@ let test_pareto_contains_run_results () =
         = result_fingerprint rerun))
     (Nd.to_list outcome.Explore.frontier)
 
-let test_pareto_on_point_fires_per_evaluation () =
-  let fired = ref 0 in
-  let outcome =
-    Explore.pareto ~jobs:1
-      ~on_point:(fun (_ : Explore.pareto_point) -> incr fired)
-      ~axes:[ [ 256; 1024 ]; [ 512; 2048 ] ]
-      (kernel ())
-  in
-  Alcotest.(check int) "one callback per evaluated point"
-    outcome.Explore.stats.Explore.evaluated !fired
-
 let test_pareto_deadline_returns_partial () =
   let calls = ref 0 in
   let checkpoint () =
@@ -384,8 +373,6 @@ let () =
             test_pareto_jobs_identical;
           Alcotest.test_case "contains Explore.run results" `Quick
             test_pareto_contains_run_results;
-          Alcotest.test_case "on_point per evaluation" `Quick
-            test_pareto_on_point_fires_per_evaluation;
           Alcotest.test_case "deadline returns partial" `Quick
             test_pareto_deadline_returns_partial;
           Alcotest.test_case "rejects bad axes" `Quick

@@ -252,9 +252,9 @@ let test_request_decode_errors () =
 let test_request_decode_paths () =
   let request ?(dims_b = "[4, 4]") ?(terms0 = {|[{"iter": "i", "coeff": 1}]|})
       ?(coeff1 = "1") ?(dir = {|"write"|}) ?(trip_m = "2")
-      ?(arch = {|{"onchip_bytes": 64}|}) () =
+      ?(arch = {|{"onchip_bytes": 64}|}) ?(extra = "") () =
     Printf.sprintf
-      {|{"id": "deep", "arch": %s, "program": {"name": "deep", "arrays": [
+      {|{"id": "deep",%s "arch": %s, "program": {"name": "deep", "arrays": [
           {"name": "a", "dims": [16], "element_bytes": 1},
           {"name": "b", "dims": %s, "element_bytes": 2}],
         "body": [
@@ -270,7 +270,7 @@ let test_request_decode_paths () =
               {"stmt": {"name": "s1", "work": 1, "accesses": [
                 {"array": "a", "dir": "read", "index": [
                   {"const": 0, "terms": [{"iter": "k", "coeff": 1}]}]}]}}]}}]}}]}}|}
-      arch dims_b terms0 coeff1 dir trip_m
+      extra arch dims_b terms0 coeff1 dir trip_m
   in
   ignore (Request.of_json (Json.parse_exn (request ())) : Request.t);
   let s0 = "$.program.body[0].loop.body[0].stmt" in
@@ -293,6 +293,10 @@ let test_request_decode_paths () =
         "Json_codec: " ^ s0
         ^ ".accesses[0].index[0].terms[1]: iterator \"i\" appears in two \
            terms" );
+      ( request ~terms0:{|[{"iter": "i", "coeff": 1, "scale": 2}]|} (),
+        "Json_codec: " ^ s0
+        ^ ".accesses[0].index[0].terms[0].scale: unknown field \"scale\" \
+           (expected one of: iter, coeff)" );
       ( request ~dir:{|"rw"|} (),
         "Json_codec: " ^ s0
         ^ ".accesses[1].dir: bad direction \"rw\" (expected \"read\" or \
@@ -306,8 +310,23 @@ let test_request_decode_paths () =
         "Json_codec: $.program.body[1].loop.body[0].loop.trip: must be > 0 \
          (got 0)" );
       ( request ~arch:{|{"level_bytes": [64, 0]}|} (),
-        "Request.of_json: $.arch.level_bytes[1]: sizes must be > 0 (got 0)" )
-    ]
+        "Json_codec: $.arch.level_bytes[1]: sizes must be > 0 (got 0)" );
+      ( request ~extra:{| "search": {"kind": "anneal", "seed": "x"},|} (),
+        "Json_codec: $.search.seed: expected an integer, found string" );
+      ( request ~extra:{| "budget": 1,|} (),
+        "Json_codec: $.budget: unknown field \"budget\" (expected one of: id, \
+         program, arch, objective, mode, grid, search, policy, policies, \
+         channels, queue_depth, deadline_ms, faults, inject)" );
+      (* The rider's and the search's bounds, each at its own field. *)
+      ( request ~extra:{| "faults": {"trials": 0},|} (),
+        "Json_codec: $.faults.trials: must be >= 1 (got 0)" );
+      ( request ~extra:{| "search": {"kind": "anneal", "iterations": 0},|} (),
+        "Json_codec: $.search.iterations: must be >= 1 (got 0)" );
+      ( request ~extra:{| "faults": {"jitter": -1},|} (),
+        "Json_codec: $.faults.jitter: must be >= 0 (got -1)" );
+      ( request ~extra:{| "faults": {"failure_permille": 2000},|} (),
+        "Json_codec: $.faults.failure_permille: must be in 0..1000 (got \
+         2000)" ) ]
 
 (* [make] builds what only an in-memory caller needs; [to_json] refuses
    to render it rather than drop a knob on the way out. *)
