@@ -55,14 +55,6 @@ let guarded f =
    benchmarks and tests all report unknown names the same way. *)
 let find_app = Apps.find_exn
 
-let validate_onchip onchip =
-  match onchip with
-  | Some b when b <= 0 ->
-    Error.invalidf ~context:"mhla"
-      ~hint:"pass a positive byte count to --onchip"
-      "on-chip budget must be positive (got %d)" b
-  | _ -> ()
-
 let check_jobs ?(context = "mhla") = function
   | Some j when j < 1 ->
     Error.invalidf ~context ~hint:"pass -j a positive worker count"
@@ -211,21 +203,17 @@ let with_telemetry ~trace ~verbosity f =
 let config_of objective transfer_mode =
   { Assign.default_config with Assign.objective; transfer_mode }
 
-let onchip_of (app : Mhla_apps.Defs.t) = function
-  | Some b -> b
-  | None -> app.Mhla_apps.Defs.onchip_bytes
-
-let hierarchy_of app ~onchip ~dma =
-  Mhla_arch.Presets.two_level ~dma ~onchip_bytes:(onchip_of app onchip) ()
-
 (* Every subcommand that solves builds the request the service would
    get for its flags, named after the application, and hands it to
-   [Service.run_job]: the flags mean what the wire fields mean. *)
+   [Service.run_job]: the flags mean what the wire fields mean, and
+   [Request.make] rejects a bad value at its wire path. *)
 let app_job name ~onchip ~dma =
   let app = find_app name in
-  validate_onchip onchip;
+  let onchip_bytes =
+    Option.value onchip ~default:app.Mhla_apps.Defs.onchip_bytes
+  in
   ( Lazy.force app.Mhla_apps.Defs.program,
-    Request.Two_level { onchip_bytes = onchip_of app onchip; dma } )
+    Request.Two_level { onchip_bytes; dma } )
 
 let print_json doc = print_endline (Mhla_util.Json.to_string ~indent:2 doc)
 
@@ -331,7 +319,7 @@ let run_cmd =
       Request.make ?kind ~objective ~transfer_mode:mode
         ?search:(resolve_search search)
         ?policy:(Option.map (Registry.find ~context:"mhla run") policy)
-        ~id:name ~arch program
+        ?deadline_ms ~id:name ~arch program
     in
     (* The live report goes to stderr only: a --verify-live run's
        stdout is bit-identical to a plain one (pinned by CI). *)
@@ -492,7 +480,7 @@ let pareto_cmd =
         ~kind:(Request.Pareto { axes })
         ~objective
         ?search:(resolve_search search)
-        ~id:name ~arch program
+        ?deadline_ms ~id:name ~arch program
     in
     let outcome =
       with_telemetry ~trace ~verbosity @@ fun telemetry ->
@@ -573,7 +561,8 @@ let figures_cmd =
       List.map
         (fun (app : Mhla_apps.Defs.t) ->
           let hierarchy =
-            hierarchy_of app ~onchip:None ~dma:true
+            Mhla_arch.Presets.two_level
+              ~onchip_bytes:app.Mhla_apps.Defs.onchip_bytes ()
           in
           ( app.Mhla_apps.Defs.name,
             Explore.run (Lazy.force app.Mhla_apps.Defs.program) hierarchy ))
@@ -1013,10 +1002,10 @@ let check_cmd =
                      --corpus N / --explain CODE"
               "no application named"
         in
-        let app = find_app name in
-        validate_onchip onchip;
-        let program = Lazy.force app.Mhla_apps.Defs.program in
-        let hierarchy = hierarchy_of app ~onchip ~dma in
+        let program, arch = app_job name ~onchip ~dma in
+        let hierarchy =
+          Request.hierarchy (Request.make ~id:name ~arch program)
+        in
         let report =
           with_telemetry ~trace ~verbosity @@ fun telemetry ->
           checked ~telemetry program hierarchy

@@ -67,16 +67,6 @@ let as_positive ~path j =
   if k <= 0 then fail ~path "must be > 0 (got %d)" k;
   k
 
-let as_at_least ~lo ~path j =
-  let k = as_int ~path j in
-  if k < lo then fail ~path "must be >= %d (got %d)" lo k;
-  k
-
-let as_in_range ~lo ~hi ~path j =
-  let k = as_int ~path j in
-  if k < lo || k > hi then fail ~path "must be in %d..%d (got %d)" lo hi k;
-  k
-
 let field ~path fields name =
   match List.assoc_opt name fields with
   | Some v -> v

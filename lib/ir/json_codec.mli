@@ -63,13 +63,6 @@ val as_bool : path:path -> Mhla_util.Json.t -> bool
 val as_positive : path:path -> Mhla_util.Json.t -> int
 (** An integer > 0; ["must be > 0 (got 0)"] otherwise. *)
 
-val as_at_least : lo:int -> path:path -> Mhla_util.Json.t -> int
-(** An integer >= [lo]; ["must be >= 1 (got 0)"] otherwise. *)
-
-val as_in_range : lo:int -> hi:int -> path:path -> Mhla_util.Json.t -> int
-(** An integer in [lo..hi]; ["must be in 0..1000 (got 2000)"]
-    otherwise. *)
-
 val field : path:path -> fields -> string -> Mhla_util.Json.t
 (** A mandatory member of the object at [path]; ["missing field "x""]
     at [path] when absent. *)

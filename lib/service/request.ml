@@ -70,18 +70,11 @@ let check_kind ~context ~arch ~transfer_mode ~fault_spec = function
     List.iter
       (fun name -> ignore (Mhla_policy.Registry.find ~context name))
       policies
-  | Simulate { channels; queue_depth } ->
+  | Simulate _ ->
     if fault_spec <> None then
       Error.invalidf ~context
         "the faults rider drives the robustness trials, not the event \
-         simulator";
-    List.iter
-      (fun (name, value) ->
-        match value with
-        | Some n when n < 1 ->
-          Error.invalidf ~context "%s must be >= 1 (got %d)" name n
-        | _ -> ())
-      [ ("channels", channels); ("queue_depth", queue_depth) ]
+         simulator"
 
 (* [search] is the caller's explicit choice, if any: spelling out a
    search — even the default greedy — next to a policy or a portfolio
@@ -102,23 +95,109 @@ let check_policy ~context ~kind ~search policy =
       "\"policy\" conflicts with \"search\" (the policy already fixes the \
        step-1 search)"
 
+(* --- value ranges -------------------------------------------------------- *)
+
+(* Every value range is checked here, on the assembled record, so [make]
+   and [of_json] reject the same values with the same text, at the
+   leaf's wire path. An indexed path is built only when a check fails. *)
+module Codec = Mhla_ir.Json_codec
+
+let wire = Codec.Root "$"
+
+let arch_at = Codec.Field (wire, "arch")
+
+let grid_at = Codec.Field (wire, "grid")
+
+let faults_at = Codec.Field (wire, "faults")
+
+let not_a_size ~path b = Codec.fail ~path "sizes must be > 0 (got %d)" b
+
+let below lo ~path k = Codec.fail ~path "must be >= %d (got %d)" lo k
+
+let rec check_axis i j = function
+  | [] -> ()
+  | b :: rest ->
+    if b <= 0 then
+      not_a_size ~path:(Codec.Index (Codec.Index (grid_at, i), j)) b;
+    check_axis i (j + 1) rest
+
+let check_ranges t =
+  (match t.arch with
+  | Two_level { onchip_bytes = b; _ } when b <= 0 ->
+    not_a_size ~path:(Codec.Field (arch_at, "onchip_bytes")) b
+  | Three_level { l1_bytes = b; _ } when b <= 0 ->
+    not_a_size ~path:(Codec.Field (arch_at, "l1_bytes")) b
+  | Three_level { l2_bytes = b; _ } when b <= 0 ->
+    not_a_size ~path:(Codec.Field (arch_at, "l2_bytes")) b
+  | Multi_level { level_bytes = []; _ } ->
+    Codec.fail ~path:(Codec.Field (arch_at, "level_bytes"))
+      "must name at least one level"
+  | Multi_level { level_bytes; _ } ->
+    List.iteri
+      (fun k b ->
+        if b <= 0 then
+          not_a_size
+            ~path:(Codec.Index (Codec.Field (arch_at, "level_bytes"), k))
+            b)
+      level_bytes
+  | Two_level _ | Three_level _ -> ());
+  (match t.kind with
+  | Pareto { axes = [] } ->
+    Codec.fail ~path:grid_at "the grid must name at least one axis"
+  | Pareto { axes } ->
+    List.iteri
+      (fun i axis ->
+        if axis = [] then
+          Codec.fail ~path:(Codec.Index (grid_at, i))
+            "an axis must name at least one size";
+        check_axis i 0 axis)
+      axes
+  | Simulate { channels = Some k; _ } when k < 1 ->
+    below 1 ~path:(Codec.Field (wire, "channels")) k
+  | Simulate { queue_depth = Some k; _ } when k < 1 ->
+    below 1 ~path:(Codec.Field (wire, "queue_depth")) k
+  | _ -> ());
+  (match (t.search, t.deadline_ms) with
+  | Explore.Annealing { iterations = k; _ }, _ when k < 1 ->
+    below 1 ~path:(Codec.Field (Codec.Field (wire, "search"), "iterations")) k
+  | _, Some k when k < 0 ->
+    below 0 ~path:(Codec.Field (wire, "deadline_ms")) k
+  | _ -> ());
+  match t.fault_spec with
+  | Some
+      { faults = { Faults.jitter = Faults.Uniform { max_extra_cycles = k }; _ };
+        _ }
+    when k < 0 ->
+    below 0 ~path:(Codec.Field (faults_at, "jitter")) k
+  | Some { faults = { Faults.failure_permille = p; _ }; _ }
+    when p < 0 || p > 1000 ->
+    Codec.fail ~path:(Codec.Field (faults_at, "failure_permille"))
+      "must be in 0..1000 (got %d)" p
+  | Some { trials = k; _ } when k < 1 ->
+    below 1 ~path:(Codec.Field (faults_at, "trials")) k
+  | _ -> ()
+
 let build ~context ~kind ~objective ~transfer_mode ?search ?policy
     ?deadline_ms ?fault_spec ~inject ~id ~arch program =
+  let t =
+    {
+      id;
+      program;
+      arch;
+      kind;
+      objective;
+      transfer_mode;
+      search = Option.value search ~default:Explore.Greedy;
+      policy;
+      deadline_ms;
+      fault_spec;
+      inject;
+    }
+  in
+  check_ranges t;
   check_kind ~context ~arch ~transfer_mode ~fault_spec kind;
   check_policy ~context ~kind ~search policy;
-  {
-    id;
-    program;
-    arch;
-    kind;
-    objective;
-    transfer_mode;
-    search = Option.value search ~default:Explore.Greedy;
-    policy;
-    deadline_ms;
-    fault_spec;
-    inject;
-  }
+  t
 
 let make ?(kind = Solve) ?(objective = Cost.Energy_delay)
     ?(transfer_mode = Candidate.Delta) ?search ?policy ?deadline_ms
@@ -161,6 +240,21 @@ let arch_to_json = function
       [ ("level_bytes", Json.arr (List.map Json.int level_bytes));
         ("dma", Json.bool dma) ]
 
+(* The wire spells the kind in "mode", so a transfer-mode override
+   survives only on a single solve, a policy only by its registry name,
+   a fault model only by seed, uniform jitter and failure rate, and a
+   seed only if it fits a JSON integer (OCaml's 63-bit [int]).
+   Anything else exists in memory only: rendering it would silently
+   change the job. *)
+let in_memory_only fmt = Error.invalidf ~context:"Request.to_json" fmt
+
+let wire_seed what seed =
+  let s = Int64.to_int seed in
+  if Int64.of_int s <> seed then
+    in_memory_only "the %s seed %Ld does not fit the wire's 63-bit integer"
+      what seed;
+  s
+
 let search_to_json = function
   | Explore.Greedy -> Json.obj [ ("kind", Json.str "greedy") ]
   | Explore.First_improvement ->
@@ -168,27 +262,24 @@ let search_to_json = function
   | Explore.Annealing { seed; iterations } ->
     Json.obj
       [ ("kind", Json.str "anneal");
-        ("seed", Json.int (Int64.to_int seed));
+        ("seed", Json.int (wire_seed "anneal" seed));
         ("iterations", Json.int iterations) ]
 
-(* The wire spells the kind in "mode", so a transfer-mode override
-   survives only on a single solve, a policy only by its registry name,
-   and a fault model only by seed, uniform jitter and failure rate.
-   Anything else exists in memory only: rendering it would silently
-   change the job. *)
-let in_memory_only fmt = Error.invalidf ~context:"Request.to_json" fmt
-
 (* The fault model the wire's three numbers decode to, shared by both
-   directions so that rendering can check it loses nothing. *)
+   directions so that rendering can check it loses nothing. It skips
+   [Faults.make]'s validation, whose errors name no field, so that
+   [check_ranges] reports a bad knob at its wire path. *)
 let wire_faults ~seed ~jitter ~failure_permille =
-  Faults.make
-    ~jitter:
+  {
+    (Faults.make ~seed ()) with
+    Faults.jitter =
       (if jitter = 0 then Faults.No_jitter
-       else Faults.Uniform { max_extra_cycles = jitter })
-    ~failure_permille ~seed ()
+       else Faults.Uniform { max_extra_cycles = jitter });
+    failure_permille;
+  }
 
 let fault_spec_to_json { faults; trials } =
-  let seed = Int64.to_int faults.Faults.seed in
+  let seed = wire_seed "fault" faults.Faults.seed in
   let jitter =
     match faults.Faults.jitter with
     | Faults.Uniform { max_extra_cycles } -> max_extra_cycles
@@ -271,45 +362,30 @@ let to_json t =
 
 (* Every field decodes on the program codec's kit, so any decode
    failure reads "Json_codec: <path>: <message>", the path built as the
-   decoder descends. *)
-module Codec = Mhla_ir.Json_codec
+   decoder descends. Decoding checks shapes and types only; [build]
+   checks the values. *)
+
+let ints = Codec.items Codec.as_int
 
 let allowed_top =
   [ "id"; "program"; "arch"; "objective"; "mode"; "grid"; "search";
     "policy"; "policies"; "channels"; "queue_depth"; "deadline_ms";
     "faults"; "inject" ]
 
-(* A size the energy model cannot price is a decode error at its own
-   path, not a failure deep inside the solve. *)
-let size ~path j =
-  let b = Codec.as_int ~path j in
-  if b <= 0 then Codec.fail ~path "sizes must be > 0 (got %d)" b;
-  b
-
 let arch_of_json ~path j =
   let fields = Codec.as_obj ~path j in
   let dma =
     Option.value ~default:true (Codec.get_opt Codec.as_bool ~path fields "dma")
   in
-  let size_field = Codec.get size ~path fields in
+  let size name = Codec.get Codec.as_int ~path fields name in
   match
     List.sort compare (List.filter (( <> ) "dma") (List.map fst fields))
   with
-  | [ "onchip_bytes" ] ->
-    Two_level { onchip_bytes = size_field "onchip_bytes"; dma }
+  | [ "onchip_bytes" ] -> Two_level { onchip_bytes = size "onchip_bytes"; dma }
   | [ "l1_bytes"; "l2_bytes" ] ->
-    Three_level
-      {
-        l1_bytes = size_field "l1_bytes";
-        l2_bytes = size_field "l2_bytes";
-        dma;
-      }
+    Three_level { l1_bytes = size "l1_bytes"; l2_bytes = size "l2_bytes"; dma }
   | [ "level_bytes" ] ->
-    let level_bytes = Codec.get (Codec.items size) ~path fields "level_bytes" in
-    if level_bytes = [] then
-      Codec.fail ~path:(Codec.Field (path, "level_bytes"))
-        "must name at least one level";
-    Multi_level { level_bytes; dma }
+    Multi_level { level_bytes = Codec.get ints ~path fields "level_bytes"; dma }
   | _ ->
     Codec.fail ~path
       "expected {\"onchip_bytes\", \"dma\"?}, {\"l1_bytes\", \"l2_bytes\", \
@@ -323,19 +399,6 @@ let objective_of_json ~path j =
   | s ->
     Codec.fail ~path "bad objective %S (energy | cycles | energy-delay)" s
 
-let grid_of_json ~path j =
-  let axis ~path j =
-    let sizes = Codec.items Codec.as_int ~path j in
-    if sizes = [] then Codec.fail ~path "an axis must name at least one size";
-    List.iter
-      (fun b -> if b <= 0 then Codec.fail ~path "sizes must be > 0 (got %d)" b)
-      sizes;
-    sizes
-  in
-  let axes = Codec.items axis ~path j in
-  if axes = [] then Codec.fail ~path "the grid must name at least one axis";
-  axes
-
 (* Search names resolve through the one policy-layer registry, so the
    wire, the CLI and the tests accept exactly the same spellings and
    report unknown names with the same structured error. Only annealing
@@ -344,9 +407,7 @@ let grid_of_json ~path j =
    rejected at its own path. *)
 let search_of_json ~path j =
   let fields = Codec.as_obj ~path j in
-  let iterations =
-    Codec.get_opt (Codec.as_at_least ~lo:1) ~path fields "iterations"
-  in
+  let iterations = Codec.get_opt Codec.as_int ~path fields "iterations" in
   let kind = Codec.get Codec.as_str ~path fields "kind" in
   let seed = Codec.get_opt Codec.as_int ~path fields "seed" in
   let search =
@@ -370,27 +431,21 @@ let search_of_json ~path j =
     fields;
   search
 
-(* Each knob is range-checked at its own path here, so the rider never
-   reaches [Faults.validate], whose errors name no field. *)
 let fault_spec_of_json ~path j =
   let fields = Codec.as_obj ~path j in
   Codec.check_fields ~path
     ~allowed:[ "seed"; "jitter"; "failure_permille"; "trials" ]
     fields;
-  let seed = Codec.get_opt Codec.as_int ~path fields "seed" in
-  let jitter = Codec.get_opt (Codec.as_at_least ~lo:0) ~path fields "jitter" in
-  let failure_permille =
-    Codec.get_opt (Codec.as_in_range ~lo:0 ~hi:1000) ~path fields
-      "failure_permille"
+  let int name ~default =
+    Option.value ~default (Codec.get_opt Codec.as_int ~path fields name)
   in
-  let trials = Codec.get_opt (Codec.as_at_least ~lo:1) ~path fields "trials" in
   {
     faults =
       wire_faults
-        ~seed:(Int64.of_int (Option.value seed ~default:42))
-        ~jitter:(Option.value jitter ~default:0)
-        ~failure_permille:(Option.value failure_permille ~default:0);
-    trials = Option.value trials ~default:4;
+        ~seed:(Int64.of_int (int "seed" ~default:42))
+        ~jitter:(int "jitter" ~default:0)
+        ~failure_permille:(int "failure_permille" ~default:0);
+    trials = int "trials" ~default:4;
   }
 
 let inject_of_json ~path j =
@@ -399,7 +454,7 @@ let inject_of_json ~path j =
   | s -> Codec.fail ~path "bad inject %S" s
 
 let of_json j =
-  let path = Codec.Root "$" in
+  let path = wire in
   let fields = Codec.as_obj ~path j in
   Codec.check_fields ~path ~allowed:allowed_top fields;
   let id = Codec.get Codec.as_str ~path fields "id" in
@@ -420,7 +475,7 @@ let of_json j =
     | Some "full" -> (Solve, Candidate.Full)
     | Some "delta" -> (Solve, Candidate.Delta)
     | Some "pareto" ->
-      (Pareto { axes = Codec.get grid_of_json ~path fields "grid" },
+      (Pareto { axes = Codec.get (Codec.items ints) ~path fields "grid" },
        Candidate.Delta)
     | Some "portfolio" ->
       let policies =
@@ -450,7 +505,7 @@ let of_json j =
       (Mhla_policy.Registry.find ~context:"Request.of_json")
       (opt "policy" Codec.as_str)
   in
-  let deadline_ms = opt "deadline_ms" (Codec.as_at_least ~lo:0) in
+  let deadline_ms = opt "deadline_ms" Codec.as_int in
   let fault_spec = opt "faults" fault_spec_of_json in
   let inject =
     Option.value ~default:No_inject (opt "inject" inject_of_json)

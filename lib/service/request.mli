@@ -22,13 +22,10 @@
                   "trials": 8 } }
     v}
 
-    The search's ["iterations"] (default 4000) and the faults rider's
-    ["trials"] (default 4) must each be at least 1, its ["jitter"]
-    (default 0) at least 0 and its ["failure_permille"] (default 0) in
-    0..1000; anything else is an [Invalid_input] decode error at the
-    field's own path (["$.faults.trials: must be >= 1 (got 0)"]), not a
-    skipped search. Only an ["anneal"] search takes ["seed"] and
-    ["iterations"]: either one on a ["greedy"] or
+    The search's ["iterations"] default to 4000 and the faults
+    rider's ["trials"] to 4, its ["jitter"] and ["failure_permille"]
+    to 0; {!make} lists every value range. Only an ["anneal"] search
+    takes ["seed"] and ["iterations"]: either one on a ["greedy"] or
     ["first-improvement"] search, like any field a search does not
     know, is a decode error, not ignored.
 
@@ -80,9 +77,11 @@
     - a transfer mode on a [Portfolio] or [Simulate] kind (the wire's
       ["mode"] field already holds the kind);
     - a [policy] outside the registry, such as one built with
-      {!Mhla_policy.Policy.make}.
+      {!Mhla_policy.Policy.make};
+    - an anneal or fault seed outside OCaml's 63-bit [int], which a
+      JSON integer cannot hold.
 
-    {!to_json} raises on both rather than silently drop them. *)
+    {!to_json} raises on all three rather than silently drop them. *)
 
 type arch =
   | Two_level of { onchip_bytes : int; dma : bool }
@@ -148,19 +147,25 @@ val make :
 (** Defaults: a single solve, energy-delay, delta transfers, greedy
     search, no policy, no deadline, no faults, no injection. {!of_json}
     applies the same rules, so the wire and in-memory callers reject
-    the same conflicts.
+    the same values and conflicts with the same text.
+    @raise Mhla_util.Error.Error ([Invalid_input]) on a value out of
+    range, as ["Json_codec: <wire path>: <message>"] at the leaf's path
+    (["$.grid[1][0]: sizes must be > 0 (got -1)"]): an arch or grid
+    size not > 0; an empty [level_bytes], grid or axis; [channels],
+    [queue_depth], anneal [iterations] or rider [trials] below 1; a
+    negative [deadline_ms] or uniform jitter; a [failure_permille]
+    outside 0..1000.
     @raise Mhla_util.Error.Error ([Invalid_input]) when a [Pareto]
     kind carries a non-default transfer mode or a fault rider, or its
     axis count differs from the arch's on-chip level count; when a
     [Portfolio] kind is empty, names an unknown policy, or carries a
     fault rider, a [policy] or an explicit [search]; when a
-    [Simulate] kind carries a fault rider, or a non-positive channel
-    count or queue depth; or when [policy] is set on a [Pareto] kind or
-    combined with an explicit [search] (even [Greedy]). *)
+    [Simulate] kind carries a fault rider; or when [policy] is set on a
+    [Pareto] kind or combined with an explicit [search] (even
+    [Greedy]). *)
 
 val hierarchy : t -> Mhla_arch.Hierarchy.t
-(** The {!Mhla_arch.Presets} platform the request names.
-    @raise Mhla_util.Error.Error on non-positive byte budgets. *)
+(** The {!Mhla_arch.Presets} platform the request names. *)
 
 val dma : t -> bool
 (** The arch's DMA flag, whichever variant carries it. *)
@@ -172,12 +177,14 @@ val to_json : t -> Mhla_util.Json.t
     request (see above). *)
 
 val of_json : Mhla_util.Json.t -> t
-(** Decoded on {!Mhla_ir.Json_codec}'s kit, program and envelope alike.
+(** Decoded on {!Mhla_ir.Json_codec}'s kit, program and envelope
+    alike, then checked by {!make}'s rules with its text.
     @raise Mhla_util.Error.Error ([Invalid_input]) on a malformed
-    payload as ["Json_codec: <path>: <message>"] (["$.budget: unknown
-    field ..."], ["$.arch.level_bytes[1]: sizes must be > 0 (got 0)"]);
-    on a rule {!make} also checks, or an unknown search or policy
-    name, with the context ["Request.of_json"]. *)
+    payload or a value out of range as ["Json_codec: <path>: <message>"]
+    (["$.budget: unknown field ..."], ["$.arch.level_bytes[1]: sizes
+    must be > 0 (got 0)"]); on a conflict {!make} also rejects, or an
+    unknown search or policy name, with the context
+    ["Request.of_json"]. *)
 
 val id_of_json : Mhla_util.Json.t -> string option
 (** Salvage the [id] of a document that may not decode fully, so even

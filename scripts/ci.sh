@@ -58,20 +58,32 @@ dune exec -- bin/mhla_cli.exe sweep motion_estimation -j 2 --min 256 \
   --max 1024 >/dev/null
 dune exec -- bin/mhla_cli.exe run motion_estimation --search annealing \
   >/dev/null
-# The error exits, each case rejected in a different layer: the app
-# registry, the CLI's budget check, the budget grid, the search
-# registry, the service's worker count (2) and the deadline guard (75).
-# The gates below check exit 1.
+# The error exits: invalid input (2) from the app registry, the search
+# registry and the service's worker count, and from Request.make, which
+# names a bad value by its wire path ("-e PATH" checks stderr for it),
+# then the deadline guard (75). The gates below check exit 1.
 expect_exit() {
   want=$1
   shift
+  needle=
+  if [ "$1" = "-e" ]; then
+    needle=$2
+    shift 2
+  fi
   rc=0
-  bounded dune exec -- bin/mhla_cli.exe "$@" </dev/null >/dev/null 2>&1 \
-    || rc=$?
+  err=$(bounded dune exec -- bin/mhla_cli.exe "$@" </dev/null 2>&1 \
+    >/dev/null) || rc=$?
   if [ "$rc" -ne "$want" ]; then
     echo "expected exit $want for 'mhla $*', got $rc" >&2
     exit 1
   fi
+  case "$err" in
+    *"$needle"*) ;;
+    *)
+      echo "expected '$needle' on stderr of 'mhla $*', got: $err" >&2
+      exit 1
+      ;;
+  esac
 }
 expect_exit 2 run no_such_app
 expect_exit 2 run motion_estimation --onchip 0
@@ -79,6 +91,11 @@ expect_exit 2 pareto motion_estimation --level 0,128
 expect_exit 2 run motion_estimation --search bogus
 expect_exit 2 serve --stdin -j 0
 expect_exit 75 run qsdpcm --deadline-ms 0
+expect_exit 2 -e '$.deadline_ms' run motion_estimation --deadline-ms=-1
+expect_exit 2 -e '$.faults.trials' robustness motion_estimation --trials 0
+expect_exit 2 -e '$.channels' simulate motion_estimation --channels 0
+expect_exit 2 -e '$.arch.onchip_bytes' check motion_estimation --onchip 0
+expect_exit 2 -e '$.grid[0][0]' pareto motion_estimation --level 0,128
 
 echo "== check gate =="
 # The static verifier must accept every bundled application...

@@ -126,15 +126,6 @@ let test_request_decode_errors () =
   in
   check_invalid "unknown field" (fun () ->
       Request.of_json (patch [ ("surprise", Json.int 1) ]));
-  check_invalid "negative deadline" (fun () ->
-      Request.of_json (patch [ ("deadline_ms", Json.int (-1)) ]));
-  check_invalid "non-positive annealing iterations" (fun () ->
-      Request.of_json
-        (patch
-           [ ( "search",
-               Json.obj
-                 [ ("kind", Json.str "anneal"); ("iterations", Json.int (-7)) ]
-             ) ]));
   (* A seed or an iteration count only means something to annealing:
      on any other kind it is rejected, not silently ignored, and so is
      a field no search takes. *)
@@ -185,8 +176,8 @@ let test_request_decode_errors () =
   check_invalid "bad arch" (fun () ->
       Request.of_json
         (Json.parse_exn "{\"id\": \"x\", \"program\": {}, \"arch\": {\"weird\": 1}}"));
-  (* A size the energy model cannot price is rejected at its own path,
-     not answered with an error from inside the solve. *)
+  (* A size or trip count the IR cannot hold fails at its own path, not
+     inside [Array_decl] or [Program]. *)
   let with_field key text =
     match ok with
     | Json.Obj base ->
@@ -206,14 +197,6 @@ let test_request_decode_errors () =
         (e.Error.kind = Error.Invalid_input
         && String.starts_with ~prefix:(path ^ ":") e.Error.message)
   in
-  List.iter
-    (fun (arch, path) -> rejected_at path (with_field "arch" arch))
-    [ ("{\"onchip_bytes\": 0}", "$.arch.onchip_bytes");
-      ("{\"onchip_bytes\": -5}", "$.arch.onchip_bytes");
-      ("{\"level_bytes\": [1024, 0]}", "$.arch.level_bytes[1]");
-      ("{\"l1_bytes\": -1, \"l2_bytes\": 4096}", "$.arch.l1_bytes") ];
-  (* The same for the program: a size or trip count the IR cannot hold
-     fails at its own path, not inside [Array_decl] or [Program]. *)
   let tiny dim bytes trip =
     Printf.sprintf
       "{\"name\": \"tiny\", \"arrays\": [{\"name\": \"a\", \"dims\": \
@@ -251,10 +234,10 @@ let test_request_decode_errors () =
    message, context included, is pinned at every nesting depth. *)
 let test_request_decode_paths () =
   let request ?(dims_b = "[4, 4]") ?(terms0 = {|[{"iter": "i", "coeff": 1}]|})
-      ?(coeff1 = "1") ?(dir = {|"write"|}) ?(trip_m = "2")
-      ?(arch = {|{"onchip_bytes": 64}|}) ?(extra = "") () =
+      ?(coeff1 = "1") ?(dir = {|"write"|}) ?(trip_m = "2") ?(extra = "") () =
     Printf.sprintf
-      {|{"id": "deep",%s "arch": %s, "program": {"name": "deep", "arrays": [
+      {|{"id": "deep",%s "arch": {"onchip_bytes": 64},
+        "program": {"name": "deep", "arrays": [
           {"name": "a", "dims": [16], "element_bytes": 1},
           {"name": "b", "dims": %s, "element_bytes": 2}],
         "body": [
@@ -270,7 +253,7 @@ let test_request_decode_paths () =
               {"stmt": {"name": "s1", "work": 1, "accesses": [
                 {"array": "a", "dir": "read", "index": [
                   {"const": 0, "terms": [{"iter": "k", "coeff": 1}]}]}]}}]}}]}}]}}|}
-      extra arch dims_b terms0 coeff1 dir trip_m
+      extra dims_b terms0 coeff1 dir trip_m
   in
   ignore (Request.of_json (Json.parse_exn (request ())) : Request.t);
   let s0 = "$.program.body[0].loop.body[0].stmt" in
@@ -309,24 +292,12 @@ let test_request_decode_paths () =
       ( request ~trip_m:"0" (),
         "Json_codec: $.program.body[1].loop.body[0].loop.trip: must be > 0 \
          (got 0)" );
-      ( request ~arch:{|{"level_bytes": [64, 0]}|} (),
-        "Json_codec: $.arch.level_bytes[1]: sizes must be > 0 (got 0)" );
       ( request ~extra:{| "search": {"kind": "anneal", "seed": "x"},|} (),
         "Json_codec: $.search.seed: expected an integer, found string" );
       ( request ~extra:{| "budget": 1,|} (),
         "Json_codec: $.budget: unknown field \"budget\" (expected one of: id, \
          program, arch, objective, mode, grid, search, policy, policies, \
-         channels, queue_depth, deadline_ms, faults, inject)" );
-      (* The rider's and the search's bounds, each at its own field. *)
-      ( request ~extra:{| "faults": {"trials": 0},|} (),
-        "Json_codec: $.faults.trials: must be >= 1 (got 0)" );
-      ( request ~extra:{| "search": {"kind": "anneal", "iterations": 0},|} (),
-        "Json_codec: $.search.iterations: must be >= 1 (got 0)" );
-      ( request ~extra:{| "faults": {"jitter": -1},|} (),
-        "Json_codec: $.faults.jitter: must be >= 0 (got -1)" );
-      ( request ~extra:{| "faults": {"failure_permille": 2000},|} (),
-        "Json_codec: $.faults.failure_permille: must be in 0..1000 (got \
-         2000)" ) ]
+         channels, queue_depth, deadline_ms, faults, inject)" ) ]
 
 (* [make] builds what only an in-memory caller needs; [to_json] refuses
    to render it rather than drop a knob on the way out. *)
@@ -422,12 +393,6 @@ let test_request_pareto_decode_errors () =
         (patch
            [ ("mode", Json.str "pareto");
              ("grid", grid [ [ 128 ]; [ 256 ] ]) ]));
-  check_invalid "empty axis" (fun () ->
-      Request.of_json
-        (patch [ ("mode", Json.str "pareto"); ("grid", grid [ [] ]) ]));
-  check_invalid "non-positive size" (fun () ->
-      Request.of_json
-        (patch [ ("mode", Json.str "pareto"); ("grid", grid [ [ 0; 64 ] ]) ]));
   check_invalid "faults rider on a pareto surface" (fun () ->
       Request.of_json
         (patch_onto
@@ -437,11 +402,7 @@ let test_request_pareto_decode_errors () =
                   Request.faults = Faults.make ~failure_permille:10 ~seed:3L ();
                   trials = 4;
                 })
-           [ ("mode", Json.str "pareto"); ("grid", grid [ [ 128; 512 ] ]) ]));
-  check_invalid "empty level_bytes" (fun () ->
-      Request.of_json
-        (Json.parse_exn
-           "{\"id\": \"x\", \"program\": {}, \"arch\": {\"level_bytes\": []}}"))
+           [ ("mode", Json.str "pareto"); ("grid", grid [ [ 128; 512 ] ]) ]))
 
 let test_request_simulate_roundtrip () =
   let case = Gen.case ~profile:Gen.Mixed ~seed:29L () in
@@ -474,18 +435,286 @@ let test_request_simulate_decode_errors () =
       Request.of_json (patch [ ("channels", Json.int 2) ]));
   check_invalid "queue_depth without simulate mode" (fun () ->
       Request.of_json (patch [ ("queue_depth", Json.int 2) ]));
-  check_invalid "non-positive channels" (fun () ->
-      Request.of_json
-        (patch [ ("mode", Json.str "simulate"); ("channels", Json.int 0) ]));
-  check_invalid "non-positive queue depth" (fun () ->
-      Request.of_json
-        (patch
-           [ ("mode", Json.str "simulate"); ("queue_depth", Json.int (-1)) ]));
   check_invalid "grid on a simulate request" (fun () ->
       Request.of_json
         (patch
            [ ("mode", Json.str "simulate");
              ("grid", Json.arr [ Json.arr [ Json.int 128 ] ]) ]))
+
+(* Every value range lives in [Request.make]: one row per rule, and
+   the wire form of the same value, patched into a valid document,
+   must fail with the same text at the leaf's own path. *)
+let test_request_ranges_agree () =
+  let case = Gen.case ~profile:Gen.Mixed ~seed:37L () in
+  let two_level = Request.Two_level { onchip_bytes = 1024; dma = true } in
+  let make ?(arch = two_level) ?kind ?search ?deadline_ms ?fault_spec () =
+    Request.make ?kind ?search ?deadline_ms ?fault_spec ~id:"range" ~arch
+      case.Gen.program
+  in
+  let base =
+    match Request.to_json (make ()) with
+    | Json.Obj fields -> fields
+    | _ -> assert false
+  in
+  let patched overrides =
+    Json.obj
+      (List.filter (fun (k, _) -> not (List.mem_assoc k overrides)) base
+      @ overrides)
+  in
+  (* Each in-memory builder takes a final [()] so a row holds it
+     unapplied. *)
+  let on_arch arch () = make ~arch () in
+  let pareto axes () = make ~kind:(Request.Pareto { axes }) () in
+  let simulate channels queue_depth () =
+    make ~kind:(Request.Simulate { channels; queue_depth }) ()
+  in
+  let rider ?(trials = 4) faults () =
+    make ~fault_spec:{ Request.faults; trials } ()
+  in
+  let ints l = Json.arr (List.map Json.int l) in
+  let arch fields = [ ("arch", Json.obj fields) ] in
+  let grid axes =
+    [ ("mode", Json.str "pareto"); ("grid", Json.arr (List.map ints axes)) ]
+  in
+  let sim field k = [ ("mode", Json.str "simulate"); (field, Json.int k) ] in
+  let faults field k = [ ("faults", Json.obj [ (field, Json.int k) ]) ] in
+  let seeded = Faults.make ~seed:42L () in
+  let rows =
+    [ ( "$.arch.onchip_bytes: sizes must be > 0 (got 0)",
+        on_arch (Request.Two_level { onchip_bytes = 0; dma = true }),
+        arch [ ("onchip_bytes", Json.int 0) ] );
+      ( "$.arch.l1_bytes: sizes must be > 0 (got -1)",
+        on_arch
+          (Request.Three_level { l1_bytes = -1; l2_bytes = 4096; dma = true }),
+        arch [ ("l1_bytes", Json.int (-1)); ("l2_bytes", Json.int 4096) ] );
+      ( "$.arch.l2_bytes: sizes must be > 0 (got 0)",
+        on_arch
+          (Request.Three_level { l1_bytes = 512; l2_bytes = 0; dma = true }),
+        arch [ ("l1_bytes", Json.int 512); ("l2_bytes", Json.int 0) ] );
+      ( "$.arch.level_bytes[1]: sizes must be > 0 (got 0)",
+        on_arch (Request.Multi_level { level_bytes = [ 1024; 0 ]; dma = true }),
+        arch [ ("level_bytes", ints [ 1024; 0 ]) ] );
+      ( "$.arch.level_bytes: must name at least one level",
+        on_arch (Request.Multi_level { level_bytes = []; dma = true }),
+        arch [ ("level_bytes", ints []) ] );
+      ( "$.grid: the grid must name at least one axis",
+        pareto [],
+        grid [] );
+      ( "$.grid[0]: an axis must name at least one size",
+        pareto [ [] ],
+        grid [ [] ] );
+      ( "$.grid[0][1]: sizes must be > 0 (got 0)",
+        pareto [ [ 64; 0 ] ],
+        grid [ [ 64; 0 ] ] );
+      ( "$.channels: must be >= 1 (got 0)",
+        simulate (Some 0) None,
+        sim "channels" 0 );
+      ( "$.queue_depth: must be >= 1 (got -1)",
+        simulate None (Some (-1)),
+        sim "queue_depth" (-1) );
+      ( "$.search.iterations: must be >= 1 (got 0)",
+        (fun () ->
+          make ~search:(Explore.Annealing { seed = 42L; iterations = 0 }) ()),
+        [ ( "search",
+            Json.obj [ ("kind", Json.str "anneal"); ("iterations", Json.int 0) ]
+          ) ] );
+      ( "$.deadline_ms: must be >= 0 (got -1)",
+        (fun () -> make ~deadline_ms:(-1) ()),
+        [ ("deadline_ms", Json.int (-1)) ] );
+      ( "$.faults.trials: must be >= 1 (got 0)",
+        rider ~trials:0 seeded,
+        faults "trials" 0 );
+      ( "$.faults.jitter: must be >= 0 (got -1)",
+        rider
+          { seeded with Faults.jitter = Faults.Uniform { max_extra_cycles = -1 } },
+        faults "jitter" (-1) );
+      ( "$.faults.failure_permille: must be in 0..1000 (got 1001)",
+        rider { seeded with Faults.failure_permille = 1001 },
+        faults "failure_permille" 1001 );
+      ( "$.faults.failure_permille: must be in 0..1000 (got -1)",
+        rider { seeded with Faults.failure_permille = -1 },
+        faults "failure_permille" (-1) ) ]
+  in
+  let message name f =
+    match f () with
+    | (_ : Request.t) -> Alcotest.failf "%s: expected Invalid_input" name
+    | exception Error.Error e ->
+      Alcotest.(check bool)
+        (name ^ ": kind is Invalid_input")
+        true
+        (e.Error.kind = Error.Invalid_input);
+      Error.to_string e
+  in
+  List.iter
+    (fun (expected, in_memory, wire) ->
+      let expected = "Json_codec: " ^ expected in
+      Alcotest.(check string)
+        ("make: " ^ expected) expected
+        (message "make" in_memory);
+      Alcotest.(check string)
+        ("of_json: " ^ expected) expected
+        (message "of_json" (fun () -> Request.of_json (patched wire))))
+    rows
+
+(* A JSON integer holds OCaml's 63-bit [int]: a wider seed must refuse
+   to render rather than come back as a different seed. *)
+let test_request_seed_wire () =
+  let wide = 0x4000_0000_0000_0000L in
+  let anneal seed = sample 3 ~search:(Explore.Annealing { seed; iterations = 50 }) in
+  let rider seed =
+    sample 5 ~fault_spec:{ Request.faults = Faults.make ~seed (); trials = 2 }
+  in
+  check_invalid "to_json of a 64-bit anneal seed" (fun () ->
+      Request.to_json (anneal wide));
+  check_invalid "to_json of a 64-bit fault seed" (fun () ->
+      Request.to_json (rider wide));
+  List.iter
+    (fun seed ->
+      let req = anneal seed in
+      Alcotest.(check bool)
+        (Fmt.str "anneal seed %Ld round-trips" seed)
+        true
+        ((Request.of_json (Request.to_json req)).Request.search
+        = req.Request.search);
+      let req = rider seed in
+      Alcotest.(check bool)
+        (Fmt.str "fault seed %Ld round-trips" seed)
+        true
+        ((Request.of_json (Request.to_json req)).Request.fault_spec
+        = req.Request.fault_spec))
+    [ Int64.of_int max_int; Int64.of_int min_int; -1L ]
+
+(* For every request [make] accepts, decoding its rendering gives back
+   each field, seeds included, not only the same rendering. *)
+let roundtrip_programs =
+  List.map
+    (fun seed -> (Gen.case ~profile:Gen.Mixed ~seed ()).Gen.program)
+    [ 41L; 43L; 47L ]
+
+let request_gen =
+  QCheck2.Gen.(
+    let size = int_range 1 (1 lsl 20) in
+    let seed =
+      oneof
+        [ map Int64.of_int int;
+          oneofl [ 0L; Int64.of_int max_int; Int64.of_int min_int ] ]
+    in
+    let* dma = bool in
+    let* arch =
+      oneof
+        [ map (fun onchip_bytes -> Request.Two_level { onchip_bytes; dma }) size;
+          map2
+            (fun l1_bytes l2_bytes ->
+              Request.Three_level { l1_bytes; l2_bytes; dma })
+            size size;
+          map
+            (fun level_bytes -> Request.Multi_level { level_bytes; dma })
+            (list_size (int_range 1 3) size) ]
+    in
+    let levels =
+      match arch with
+      | Request.Two_level _ -> 1
+      | Request.Three_level _ -> 2
+      | Request.Multi_level { level_bytes; _ } -> List.length level_bytes
+    in
+    let* kind =
+      oneof
+        [ pure Request.Solve;
+          map
+            (fun axes -> Request.Pareto { axes })
+            (list_repeat levels (list_size (int_range 1 4) size));
+          map
+            (fun policies -> Request.Portfolio { policies })
+            (list_size (int_range 1 3)
+               (oneofl Mhla_policy.Registry.names));
+          map2
+            (fun channels queue_depth ->
+              Request.Simulate { channels; queue_depth })
+            (opt (int_range 1 8)) (opt (int_range 1 16)) ]
+    in
+    let search =
+      opt
+        (oneof
+           [ pure Explore.Greedy; pure Explore.First_improvement;
+             map2
+               (fun seed iterations -> Explore.Annealing { seed; iterations })
+               seed (int_range 1 10_000) ])
+    in
+    let* search, policy =
+      match kind with
+      | Request.Portfolio _ -> pure (None, None)
+      | Request.Pareto _ -> map (fun s -> (s, None)) search
+      | Request.Solve | Request.Simulate _ ->
+        oneof
+          [ map (fun s -> (s, None)) search;
+            map
+              (fun p -> (None, Some p))
+              (oneofl Mhla_policy.Registry.builtins) ]
+    in
+    let* transfer_mode =
+      match kind with
+      | Request.Solve ->
+        oneofl [ Mhla_reuse.Candidate.Delta; Mhla_reuse.Candidate.Full ]
+      | _ -> pure Mhla_reuse.Candidate.Delta
+    in
+    let* fault_spec =
+      match kind with
+      | Request.Solve ->
+        opt
+          (let* seed = seed in
+           let* jitter = int_range 0 64 in
+           let* failure_permille = int_range 0 1000 in
+           let+ trials = int_range 1 16 in
+           {
+             Request.faults =
+               Faults.make
+                 ~jitter:
+                   (if jitter = 0 then Faults.No_jitter
+                    else Faults.Uniform { max_extra_cycles = jitter })
+                 ~failure_permille ~seed ();
+             trials;
+           })
+      | _ -> pure None
+    in
+    let* objective =
+      oneofl
+        [ Mhla_core.Cost.Energy; Mhla_core.Cost.Cycles;
+          Mhla_core.Cost.Energy_delay ]
+    in
+    let* deadline_ms = opt (int_range 0 100_000) in
+    let* inject = oneofl [ Request.No_inject; Request.Raise ] in
+    let* id = string_size ~gen:printable (int_range 0 8) in
+    let+ program = oneofl roundtrip_programs in
+    Request.make ~kind ~objective ~transfer_mode ?search ?policy ?deadline_ms
+      ?fault_spec ~inject ~id ~arch program)
+
+let prop_request_roundtrip =
+  QCheck2.Test.make ~count:200 ~name:"of_json (to_json r) = r, field by field"
+    ~print:line request_gen (fun r ->
+      let b = Request.of_json (Json.parse_exn (line r)) in
+      let policy_name = Option.map (fun p -> p.Mhla_policy.Policy.name) in
+      let differing =
+        List.filter_map
+          (fun (name, same) -> if same then None else Some name)
+          [ ("id", r.Request.id = b.Request.id);
+            ( "program",
+              Json.equal
+                (Mhla_ir.Json_codec.program_to_json r.Request.program)
+                (Mhla_ir.Json_codec.program_to_json b.Request.program) );
+            ("arch", r.Request.arch = b.Request.arch);
+            ("kind", r.Request.kind = b.Request.kind);
+            ("objective", r.Request.objective = b.Request.objective);
+            ("transfer_mode", r.Request.transfer_mode = b.Request.transfer_mode);
+            ("search", r.Request.search = b.Request.search);
+            ( "policy",
+              policy_name r.Request.policy = policy_name b.Request.policy );
+            ("deadline_ms", r.Request.deadline_ms = b.Request.deadline_ms);
+            ("fault_spec", r.Request.fault_spec = b.Request.fault_spec);
+            ("inject", r.Request.inject = b.Request.inject) ]
+      in
+      differing = []
+      || QCheck2.Test.fail_reportf "fields differ after the round trip: %s"
+           (String.concat ", " differing))
 
 let test_service_simulate_end_to_end () =
   let case = Gen.case ~profile:Gen.Mixed ~seed:31L () in
@@ -1054,6 +1283,10 @@ let () =
             test_request_simulate_roundtrip;
           Alcotest.test_case "simulate decode errors" `Quick
             test_request_simulate_decode_errors;
+          Alcotest.test_case "make and of_json share every range" `Quick
+            test_request_ranges_agree;
+          Alcotest.test_case "seed wire form" `Quick test_request_seed_wire;
+          QCheck_alcotest.to_alcotest prop_request_roundtrip;
           Alcotest.test_case "id salvage" `Quick test_id_salvage;
         ] );
       ( "executor",
