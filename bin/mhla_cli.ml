@@ -200,13 +200,11 @@ let with_telemetry ~trace ~verbosity f =
             (fun () -> Trace_export.write oc t))
       (fun () -> f t)
 
-let config_of objective transfer_mode =
-  { Assign.default_config with Assign.objective; transfer_mode }
-
 (* Every subcommand that solves builds the request the service would
    get for its flags, named after the application, and hands it to
-   [Service.run_job]: the flags mean what the wire fields mean, and
-   [Request.make] rejects a bad value at its wire path. *)
+   [Service.run_job] ([sweep], which no request kind spells, only
+   checks its flags through one): the flags mean what the wire fields
+   mean, and [Request.make] rejects a bad value at its wire path. *)
 let app_job name ~onchip ~dma =
   let app = find_app name in
   let onchip_bytes =
@@ -214,6 +212,12 @@ let app_job name ~onchip ~dma =
   in
   ( Lazy.force app.Mhla_apps.Defs.program,
     Request.Two_level { onchip_bytes; dma } )
+
+(* The flow's result for a [Solve] request, through the job path. *)
+let solved ?telemetry req =
+  match Service.run_job ?telemetry req with
+  | Service.Solved { result; _ } -> result
+  | _ -> assert false
 
 let print_json doc = print_endline (Mhla_util.Json.to_string ~indent:2 doc)
 
@@ -400,15 +404,12 @@ let emit_cmd =
   let run name onchip dma objective mode =
     guarded @@ fun () ->
     let program, arch = app_job name ~onchip ~dma in
-    match
-      Service.run_job
-        (Request.make ~objective ~transfer_mode:mode ~id:name ~arch program)
-    with
-    | Service.Solved { result; _ } ->
-      print_string
-        (Mhla_codegen.Emit.emit ~schedule:result.Explore.te
-           result.Explore.assign.Assign.mapping)
-    | _ -> assert false
+    let result =
+      solved (Request.make ~objective ~transfer_mode:mode ~id:name ~arch program)
+    in
+    print_string
+      (Mhla_codegen.Emit.emit ~schedule:result.Explore.te
+         result.Explore.assign.Assign.mapping)
   in
   let doc =
     "Emit the MHLA+TE-transformed program as pseudo-C (buffers, DMA \
@@ -426,11 +427,18 @@ let sweep_cmd =
     check_jobs jobs;
     let program = Lazy.force app.Mhla_apps.Defs.program in
     let sizes = Mhla_arch.Presets.sweep_sizes ~min_bytes ~max_bytes in
-    let config = config_of objective mode in
-    let checkpoint = checkpoint_of deadline_ms in
+    (* No request kind sweeps; the request of the smallest point checks
+       the flags the wire shares, at their wire paths. *)
+    let req =
+      Request.make ~objective ~transfer_mode:mode ?deadline_ms ~id:name
+        ~arch:(Request.Two_level { onchip_bytes = min_bytes; dma })
+        program
+    in
+    let checkpoint = checkpoint_of req.Request.deadline_ms in
     let points =
       with_telemetry ~trace ~verbosity @@ fun telemetry ->
-      Explore.sweep ~config ~dma ?jobs ~telemetry ?checkpoint ~sizes program
+      Explore.sweep ~config:(Service.solve_config req) ~dma ?jobs ~telemetry
+        ?checkpoint ~sizes program
     in
     if json then print_json (Report.sweep_to_json points)
     else if verbosity <> Quiet then Table.print (Report.sweep_table points)
@@ -560,12 +568,9 @@ let figures_cmd =
     let results =
       List.map
         (fun (app : Mhla_apps.Defs.t) ->
-          let hierarchy =
-            Mhla_arch.Presets.two_level
-              ~onchip_bytes:app.Mhla_apps.Defs.onchip_bytes ()
-          in
-          ( app.Mhla_apps.Defs.name,
-            Explore.run (Lazy.force app.Mhla_apps.Defs.program) hierarchy ))
+          let name = app.Mhla_apps.Defs.name in
+          let program, arch = app_job name ~onchip:None ~dma:true in
+          (name, solved (Request.make ~id:name ~arch program)))
         Apps.all
     in
     if json then print_json (Report.results_to_json results)
@@ -935,17 +940,16 @@ let check_cmd =
       let suppress = load_suppress lint_config in
       let only = match only with [] -> None | l -> Some l in
       let skip = match skip with [] -> None | l -> Some l in
-      let config = config_of objective mode in
-      let policy = config.Assign.policy in
-      let checked ~telemetry program hierarchy =
-        let result =
-          Explore.run ~config ?search:(resolve_search search) ~telemetry
-            program hierarchy
+      let checked ~telemetry ~id ~arch program =
+        let req =
+          Request.make ~objective ~transfer_mode:mode
+            ?search:(resolve_search search) ~id ~arch program
         in
+        let result = solved ~telemetry req in
         let mapping = result.Explore.assign.Assign.mapping in
         let subject =
-          mutated_subject ~policy ~program ~mapping ~te:result.Explore.te
-            mutate
+          mutated_subject ~policy:(Service.solve_config req).Assign.policy
+            ~program ~mapping ~te:result.Explore.te mutate
         in
         let report = Check.run ?only ?skip ~suppress ~telemetry subject in
         if werror then Check.promote_warnings report else report
@@ -971,11 +975,14 @@ let check_cmd =
           List.init count (fun _ -> Mhla_util.Prng.next_int64 rng)
           |> List.map (fun case_seed ->
                  let case = Gen.case ~profile ~seed:case_seed () in
-                 let hierarchy =
-                   Mhla_arch.Presets.two_level
-                     ~onchip_bytes:case.Gen.onchip_bytes ()
+                 let arch =
+                   Request.Two_level
+                     { onchip_bytes = case.Gen.onchip_bytes; dma = true }
                  in
-                 (case_seed, checked ~telemetry case.Gen.program hierarchy))
+                 ( case_seed,
+                   checked ~telemetry
+                     ~id:(Fmt.str "case-%Ld" case_seed)
+                     ~arch case.Gen.program ))
         in
         let failing =
           List.filter (fun (_, r) -> not (Check.ok r)) reports
@@ -1003,12 +1010,9 @@ let check_cmd =
               "no application named"
         in
         let program, arch = app_job name ~onchip ~dma in
-        let hierarchy =
-          Request.hierarchy (Request.make ~id:name ~arch program)
-        in
         let report =
           with_telemetry ~trace ~verbosity @@ fun telemetry ->
-          checked ~telemetry program hierarchy
+          checked ~telemetry ~id:name ~arch program
         in
         Option.iter (fun file -> write_sarif ~file report) sarif;
         if json then
@@ -1287,11 +1291,6 @@ let serve_stream jobs queue_depth default_deadline_ms shed verify_live
     lint_config json verbosity trace with_input =
   let summary =
     with_telemetry ~trace ~verbosity @@ fun telemetry ->
-    check_jobs (Some jobs);
-    if queue_depth < 1 then
-      Error.invalidf ~context:"mhla"
-        ~hint:"pass --queue-depth a positive capacity"
-        "queue depth must be at least 1 (got %d)" queue_depth;
     with_input
       (stream_requests
          {

@@ -1,40 +1,30 @@
-type params = {
-  sram_base_pj : float;
-  sram_slope_pj : float;
-  sram_write_factor : float;
-  sram_bandwidth : int;
-  sdram_access_pj : float;
-  sdram_latency_cycles : int;
-  sdram_bandwidth : int;
-  sdram_burst_energy_factor : float;
-}
+(* The model's constants; DESIGN.md §2 gives their provenance. *)
 
-let default_params =
-  {
-    sram_base_pj = 5.5;
-    sram_slope_pj = 2.0;
-    sram_write_factor = 1.1;
-    sram_bandwidth = 8;
-    sdram_access_pj = 24.0;
-    sdram_latency_cycles = 8;
-    sdram_bandwidth = 1;
-    sdram_burst_energy_factor = 0.45;
-  }
+let sram_base_pj = 5.5
 
-let sram_read_energy_pj ?(params = default_params) ~capacity_bytes () =
+let sram_slope_pj = 2.0
+
+let sram_write_factor = 1.1
+
+let sram_bandwidth = 8
+
+let sdram_access_pj = 24.0
+
+let sdram_latency_cycles = 8
+
+let sdram_bandwidth = 1
+
+let sdram_burst_energy_factor = 0.45
+
+let sram_read_energy_pj ~capacity_bytes =
   if capacity_bytes <= 0 then
     Mhla_util.Error.invalidf ~context:"Energy_model.sram_read_energy_pj"
       "non-positive capacity";
-  params.sram_base_pj
-  +. (params.sram_slope_pj *. sqrt (float_of_int capacity_bytes /. 1024.))
+  sram_base_pj +. (sram_slope_pj *. sqrt (float_of_int capacity_bytes /. 1024.))
 
 (* One cycle up to 8 KiB, plus one per quadrupling: the log-depth of the
    decoder/word-line tree. *)
-(* The latency ladder is technology-independent in this model (the
-   [params] argument is kept for signature symmetry with the energy
-   functions). *)
-let sram_latency_cycles ?(params = default_params) ~capacity_bytes () =
-  ignore params;
+let sram_latency_cycles ~capacity_bytes =
   if capacity_bytes <= 0 then
     Mhla_util.Error.invalidf ~context:"Energy_model.sram_latency_cycles"
       "non-positive capacity";
@@ -44,18 +34,17 @@ let sram_latency_cycles ?(params = default_params) ~capacity_bytes () =
   in
   grow 1 8192
 
-let sram_layer ?(params = default_params) ~name ~capacity_bytes () =
-  let read = sram_read_energy_pj ~params ~capacity_bytes () in
+let sram_layer ~name ~capacity_bytes =
+  let read = sram_read_energy_pj ~capacity_bytes in
   Layer.make ~burst_energy_factor:1.0 ~name ~location:Layer.On_chip
     ~capacity_bytes:(Some capacity_bytes) ~read_energy_pj:read
-    ~write_energy_pj:(read *. params.sram_write_factor)
-    ~latency_cycles:(sram_latency_cycles ~params ~capacity_bytes ())
-    ~bandwidth_bytes_per_cycle:params.sram_bandwidth
+    ~write_energy_pj:(read *. sram_write_factor)
+    ~latency_cycles:(sram_latency_cycles ~capacity_bytes)
+    ~bandwidth_bytes_per_cycle:sram_bandwidth
 
-let sdram_layer ?(params = default_params) ~name () =
-  Layer.make ~burst_energy_factor:params.sdram_burst_energy_factor ~name
+let sdram_layer ~name =
+  Layer.make ~burst_energy_factor:sdram_burst_energy_factor ~name
     ~location:Layer.Off_chip ~capacity_bytes:None
-    ~read_energy_pj:params.sdram_access_pj
-    ~write_energy_pj:params.sdram_access_pj
-    ~latency_cycles:params.sdram_latency_cycles
-    ~bandwidth_bytes_per_cycle:params.sdram_bandwidth
+    ~read_energy_pj:sdram_access_pj ~write_energy_pj:sdram_access_pj
+    ~latency_cycles:sdram_latency_cycles
+    ~bandwidth_bytes_per_cycle:sdram_bandwidth

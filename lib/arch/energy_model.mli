@@ -1,37 +1,23 @@
-(** Parametric memory energy/latency model.
+(** The memory energy/latency model.
 
     Substitution note (see DESIGN.md §2): the authors used vendor
     datasheet numbers inside ATOMIUM. We use a CACTI-style analytic
-    model: on-chip SRAM access energy and latency grow with the square
-    root / logarithm of capacity, off-chip SDRAM pays a large fixed
-    cost. Default constants give an off-chip/on-chip energy ratio of
-    roughly 10–25x for realistic scratchpad sizes, matching what the
-    MHLA papers report for 130 nm-era platforms. *)
+    model with fixed constants: an on-chip SRAM read costs
+    5.5 pJ + 2.0 pJ per sqrt(KiB) of capacity (writes 1.1x that) at
+    8 bytes/cycle, with one cycle of latency up to 8 KiB plus one per
+    quadrupling; an off-chip SDRAM access costs 24 pJ and 8 cycles at
+    1 byte/cycle, and a DMA burst pays 0.45x that per element. This
+    gives an off-chip/on-chip energy ratio of roughly 10–25x for
+    realistic scratchpad sizes, matching what the MHLA papers report
+    for 130 nm-era platforms. *)
 
-type params = {
-  sram_base_pj : float;  (** energy floor of a tiny SRAM read *)
-  sram_slope_pj : float;  (** added pJ per sqrt(KiB) of capacity *)
-  sram_write_factor : float;  (** write energy = factor * read energy *)
-  sram_bandwidth : int;  (** on-chip port width, bytes per cycle *)
-  sdram_access_pj : float;  (** energy of one off-chip random access *)
-  sdram_latency_cycles : int;
-  sdram_bandwidth : int;  (** off-chip burst bandwidth, bytes/cycle *)
-  sdram_burst_energy_factor : float;
-      (** per-element energy of a DMA burst relative to a random
-          access; bursts amortise the row activation *)
-}
-
-val default_params : params
-
-val sram_layer :
-  ?params:params -> name:string -> capacity_bytes:int -> unit -> Layer.t
-(** An on-chip scratchpad layer of the given capacity, with energy and
-    latency derived from [params].
+val sram_layer : name:string -> capacity_bytes:int -> Layer.t
+(** An on-chip scratchpad layer of the given capacity.
     @raise Mhla_util.Error.Error on a non-positive capacity. *)
 
-val sdram_layer : ?params:params -> name:string -> unit -> Layer.t
+val sdram_layer : name:string -> Layer.t
 (** The unbounded off-chip layer. *)
 
-val sram_read_energy_pj : ?params:params -> capacity_bytes:int -> unit -> float
+val sram_read_energy_pj : capacity_bytes:int -> float
 
-val sram_latency_cycles : ?params:params -> capacity_bytes:int -> unit -> int
+val sram_latency_cycles : capacity_bytes:int -> int

@@ -2,17 +2,17 @@ let default_dma = Dma.make ~setup_cycles:10 ~setup_energy_pj:6.0 ~channels:2
 
 let two_level ?(dma = true) ~onchip_bytes () =
   let layers =
-    [ Energy_model.sram_layer ~name:"SP" ~capacity_bytes:onchip_bytes ();
-      Energy_model.sdram_layer ~name:"SDRAM" () ]
+    [ Energy_model.sram_layer ~name:"SP" ~capacity_bytes:onchip_bytes;
+      Energy_model.sdram_layer ~name:"SDRAM" ]
   in
   if dma then Hierarchy.make ~dma:default_dma layers
   else Hierarchy.make layers
 
 let three_level ?(dma = true) ~l1_bytes ~l2_bytes () =
   let layers =
-    [ Energy_model.sram_layer ~name:"L1" ~capacity_bytes:l1_bytes ();
-      Energy_model.sram_layer ~name:"L2" ~capacity_bytes:l2_bytes ();
-      Energy_model.sdram_layer ~name:"SDRAM" () ]
+    [ Energy_model.sram_layer ~name:"L1" ~capacity_bytes:l1_bytes;
+      Energy_model.sram_layer ~name:"L2" ~capacity_bytes:l2_bytes;
+      Energy_model.sdram_layer ~name:"SDRAM" ]
   in
   if dma then Hierarchy.make ~dma:default_dma layers
   else Hierarchy.make layers
@@ -27,15 +27,12 @@ let multi_level ?(dma = true) ~level_bytes () =
       (fun i bytes ->
         Energy_model.sram_layer
           ~name:(Printf.sprintf "L%d" (i + 1))
-          ~capacity_bytes:bytes ())
+          ~capacity_bytes:bytes)
       level_bytes
-    @ [ Energy_model.sdram_layer ~name:"SDRAM" () ]
+    @ [ Energy_model.sdram_layer ~name:"SDRAM" ]
   in
   if dma then Hierarchy.make ~dma:default_dma layers
   else Hierarchy.make layers
-
-let four_level ?dma ~l1_bytes ~l2_bytes ~l3_bytes () =
-  multi_level ?dma ~level_bytes:[ l1_bytes; l2_bytes; l3_bytes ] ()
 
 let budget_grid ~axes =
   if axes = [] then

@@ -20,11 +20,6 @@ val multi_level : ?dma:bool -> level_bytes:int list -> unit -> Hierarchy.t
     @raise Mhla_util.Error.Error on an empty list or a non-positive
     budget. *)
 
-val four_level :
-  ?dma:bool -> l1_bytes:int -> l2_bytes:int -> l3_bytes:int -> unit ->
-  Hierarchy.t
-(** Three on-chip scratchpads over off-chip SDRAM. *)
-
 val budget_grid : axes:int list list -> int list list
 (** All per-layer budget vectors of a grid: [axes] lists the candidate
     sizes of each on-chip level (level 0 first). Each axis is deduped

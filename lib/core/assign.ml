@@ -9,7 +9,7 @@ type config = {
   policy : Mhla_lifetime.Occupancy.policy;
   allow_array_promotion : bool;
   max_chain_length : int;
-  cc_filter : (Analysis.info -> Candidate.t -> bool) option;
+  cc_top_k : int option;
 }
 
 let default_config =
@@ -19,7 +19,7 @@ let default_config =
     policy = Mhla_lifetime.Occupancy.In_place;
     allow_array_promotion = true;
     max_chain_length = 2;
-    cc_filter = None;
+    cc_top_k = None;
   }
 
 type step = { move : Engine.move; gain : float; objective_after : float }
@@ -52,15 +52,24 @@ let result engine mapping breakdown steps evaluations =
 let chains config (m : Mapping.t) (info : Analysis.info) =
   let on_chip = Hierarchy.on_chip_levels m.Mapping.hierarchy in
   let candidates = Analysis.useful_candidates info in
-  (* The CC-selection policy hook: a filter only narrows the chain
-     space ([Direct] always survives in [alternatives]), so any filter
-     is safe — at worst the search degenerates to the out-of-the-box
-     mapping. [None] (the default) keeps every useful candidate and is
-     bit-identical to the pre-policy behaviour. *)
+  (* CC selection only narrows the chain space ([Direct] always
+     survives in [alternatives]), so at worst the search degenerates
+     to the out-of-the-box mapping. The ranking is a stable sort, so
+     ties keep source order and the kept set, listed in source order,
+     is a function of the info alone. *)
   let candidates =
-    match config.cc_filter with
+    match config.cc_top_k with
     | None -> candidates
-    | Some keep -> List.filter (keep info) candidates
+    | Some k ->
+      let reuse (c : Candidate.t) =
+        Candidate.reuse_factor config.transfer_mode c
+      in
+      let ranked =
+        List.stable_sort (fun a b -> Float.compare (reuse b) (reuse a))
+          candidates
+      in
+      let kept = List.filteri (fun i _ -> i < k) ranked in
+      List.filter (fun c -> List.memq c kept) candidates
   in
   let depth_cap = min config.max_chain_length (List.length on_chip) in
   (* Build chains inner-to-outer: each extension picks a candidate of

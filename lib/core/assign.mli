@@ -20,23 +20,20 @@ type config = {
   max_chain_length : int;
       (** cap on copy-chain depth; the hierarchy's on-chip depth is
           also always a cap *)
-  cc_filter : (Mhla_reuse.Analysis.info -> Mhla_reuse.Candidate.t -> bool)
-              option;
-      (** the CC-selection policy hook: when set, only candidates the
-          filter keeps enter the copy-chain space. [Direct] always
-          remains an alternative, so any filter is safe (it narrows
-          the search, never breaks it). [None] (the default) keeps
-          every useful candidate — bit-identical to the pre-policy
-          behaviour. A config carrying a filter closure is no longer
-          structurally comparable; compare configs only at their
-          defaults. *)
+  cc_top_k : int option;
+      (** CC selection: [Some k] keeps, per access, only the [k] useful
+          candidates with the highest reuse factor under
+          [transfer_mode] (a stable ranking, so ties keep source
+          order) in the copy-chain space. [Direct] always remains an
+          alternative, so this narrows the search, never breaks it.
+          [None] (the default) keeps every useful candidate. *)
 }
 
 val default_config : config
 (** Energy-delay objective (the balanced trade-off point the figures
     report), [Delta] transfers (the full technique with inter-copy
     reuse), in-place sizing, array promotion on, chains up to depth
-    2, no CC filter. *)
+    2, every useful candidate kept. *)
 
 (** One applied move, for reporting ({!describe_move} renders it). *)
 type step = {

@@ -94,7 +94,7 @@ let energy_gain_percent r =
 
 type sweep_point = { onchip_bytes : int; point_result : result }
 
-let sweep ?config ?order ?(dma = true) ?search ?jobs
+let sweep ?config ?(dma = true) ?jobs
     ?(telemetry = Telemetry.noop) ?checkpoint ~sizes program =
   (* Duplicate sizes would burn a worker domain on identical work;
      dedupe and sort so the fan-out sees each platform once. *)
@@ -119,8 +119,7 @@ let sweep ?config ?order ?(dma = true) ?search ?jobs
     {
       onchip_bytes;
       point_result =
-        run ?config ?order ?search ~telemetry:child ?checkpoint ~reuse
-          program hierarchy;
+        run ?config ~telemetry:child ?checkpoint ~reuse program hierarchy;
     }
   in
   (* Each worker domain records into its own child sink (sinks are not
@@ -181,7 +180,7 @@ let rec chunk n = function
     let region, rest = take n [] l in
     region :: chunk n rest
 
-let pareto ?config ?order ?(dma = true) ?search ?jobs
+let pareto ?config ?(dma = true) ?search ?jobs
     ?(telemetry = Telemetry.noop) ?checkpoint ?reuse ~axes program
     =
   let grid = Mhla_arch.Presets.budget_grid ~axes in
@@ -246,8 +245,8 @@ let pareto ?config ?order ?(dma = true) ?search ?jobs
     if prunable ~size ~lb_cycles ~lb_energy then `Pruned
     else begin
       let r =
-        run ?config ?order ?search ~telemetry:child ?checkpoint ~reuse
-          program hierarchy
+        run ?config ?search ~telemetry:child ?checkpoint ~reuse program
+          hierarchy
       in
       let p = { budgets; point_result = r } in
       insert_entry

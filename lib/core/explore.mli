@@ -75,16 +75,15 @@ type sweep_point = { onchip_bytes : int; point_result : result }
 
 val sweep :
   ?config:Assign.config ->
-  ?order:Prefetch.order ->
   ?dma:bool ->
-  ?search:search ->
   ?jobs:int ->
   ?telemetry:Mhla_obs.Telemetry.t ->
   ?checkpoint:(unit -> unit) ->
   sizes:int list ->
   Mhla_ir.Program.t ->
   sweep_point list
-(** Two-level platforms of each size ([dma] defaults to [true]).
+(** The greedy flow ({!run} with its default search and TE order) on
+    two-level platforms of each size ([dma] defaults to [true]).
     [sizes] is deduped and sorted ascending before fanning out, so a
     duplicated size never burns a worker domain on identical work;
     points come back in that normalised order.
@@ -147,7 +146,6 @@ val pareto_objectives : pareto_point -> float array
 
 val pareto :
   ?config:Assign.config ->
-  ?order:Prefetch.order ->
   ?dma:bool ->
   ?search:search ->
   ?jobs:int ->

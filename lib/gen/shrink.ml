@@ -307,7 +307,11 @@ let candidates (p : Program.t) =
   in
   deletes @ inlines @ trip_edits @ dim_edits @ stmt_edits
 
-let run ?(max_attempts = 20_000) ~predicate program =
+(* A safety stop only: every accepted edit strictly shrinks the program,
+   so termination does not depend on it. *)
+let max_attempts = 20_000
+
+let run ~predicate program =
   if not (predicate program) then program
   else begin
     let attempts = ref 0 in

@@ -18,7 +18,6 @@
     runs and machines. *)
 
 val run :
-  ?max_attempts:int ->
   predicate:(Mhla_ir.Program.t -> bool) ->
   Mhla_ir.Program.t ->
   Mhla_ir.Program.t
@@ -26,6 +25,6 @@ val run :
     locally minimal program on which the predicate still holds; if the
     predicate rejects [p] itself, [p] is returned unchanged. The
     predicate must not raise — wrap checkers that can throw.
-    [max_attempts] (default 20000) bounds the number of candidate
-    evaluations as a safety stop; every accepted edit strictly
-    decreases program size, so termination does not depend on it. *)
+    At most 20000 candidate evaluations are made, as a safety stop;
+    every accepted edit strictly decreases program size, so
+    termination does not depend on it. *)

@@ -131,16 +131,6 @@ let total_access_count t =
 
 let array_names t = List.map (fun (a : Array_decl.t) -> a.name) t.arrays
 
-let used_arrays t =
-  let touched =
-    fold_stmts t ~init:[] ~f:(fun acc ctx ->
-        List.fold_left
-          (fun acc (a : Access.t) ->
-            if List.mem a.array acc then acc else a.array :: acc)
-          acc ctx.stmt.Stmt.accesses)
-  in
-  List.filter (fun name -> List.mem name touched) (array_names t)
-
 let stmt_names t =
   List.map (fun ctx -> ctx.stmt.Stmt.name) (contexts t)
 

@@ -58,12 +58,6 @@ val total_access_count : t -> int
 
 val array_names : t -> string list
 
-val used_arrays : t -> string list
-(** Declared arrays with at least one access, in declaration order —
-    the complement of the dead arrays the [lints] pass warns about.
-    The workload generator's shrinker uses this to drop declarations
-    that lost their last access. *)
-
 val stmt_names : t -> string list
 
 val iterator_trip : t -> string -> int option

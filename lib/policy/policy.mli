@@ -4,8 +4,8 @@
     were previously hard-wired call-site arguments:
 
     - {e CC selection} — which copy candidates even enter the chain
-      space ({!cc_filter}, installed into
-      {!Mhla_core.Assign.config}'s [cc_filter] hook);
+      space ([cc_top_k], set as {!Mhla_core.Assign.config}'s
+      [cc_top_k]);
     - {e layer assignment} — which step-1 search walks the move space
       ({!Mhla_core.Explore.search});
     - {e TE ordering} — how block transfers are granted slack
@@ -17,24 +17,20 @@
     plain data so the portfolio can race them and the registry can
     name them. *)
 
-(** The CC-selection policies. [Keep_all] is the pre-policy behaviour
-    (every useful candidate). [Top_k k] keeps, per access, the [k]
-    candidates with the highest reuse factor under the config's
-    transfer mode (stable on ties, so deterministic). [Direct]
-    always remains an alternative, so every filter is safe. *)
-type cc_filter = Keep_all | Top_k of int
-
 type t = {
   name : string;  (** registry key, also used in reports *)
   search : Mhla_core.Explore.search;
   order : Mhla_core.Prefetch.order;
-  cc_filter : cc_filter;
+  cc_top_k : int option;
+      (** [Some k] keeps, per access, the [k] candidates with the
+          highest reuse factor (see {!Mhla_core.Assign.config});
+          [None] keeps every useful candidate *)
 }
 
 val make :
   ?search:Mhla_core.Explore.search ->
   ?order:Mhla_core.Prefetch.order ->
-  ?cc_filter:cc_filter ->
+  ?cc_top_k:int ->
   string ->
   t
 (** Defaults reproduce {!greedy}: steepest descent, time-over-size TE
@@ -60,13 +56,7 @@ val te_size : t
 
 val lean : t
 (** ["lean"] — greedy step 1 over only the single best candidate per
-    access ([Top_k 1]): the cheap end of the probe-budget spectrum. *)
-
-val install :
-  config:Mhla_core.Assign.config -> t -> Mhla_core.Assign.config
-(** The config with this policy's [cc_filter] closure set (closing
-    over the config's transfer mode). [Keep_all] installs [None],
-    keeping the config structurally comparable. *)
+    access ([cc_top_k = Some 1]): the cheap end of the probe-budget spectrum. *)
 
 val run :
   ?config:Mhla_core.Assign.config ->
@@ -77,5 +67,6 @@ val run :
   Mhla_ir.Program.t ->
   Mhla_arch.Hierarchy.t ->
   Mhla_core.Explore.result
-(** The full flow under this policy — [Explore.run] with the config
-    from {!install}, the policy's search and its TE order. *)
+(** The full flow under this policy — [Explore.run] with [config]'s
+    [cc_top_k] replaced by the policy's, the policy's search and its
+    TE order. *)

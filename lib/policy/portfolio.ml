@@ -47,7 +47,7 @@ let race ?(config = Assign.default_config) ?jobs
       Policy.run ~config ~telemetry:child ?reuse ?checkpoint p program
         hierarchy
     in
-    (* The policy's [install] only sets the candidate filter, so the
+    (* [Policy.run] only replaces the config's [cc_top_k], so the
        race's config carries the sizing policy the entrant searched
        under. *)
     let verify =

@@ -65,9 +65,3 @@ let array_footprint_bytes infos ~array =
     else acc
   in
   List.fold_left pick 0 infos
-
-let pp_info ppf i =
-  Fmt.pf ppf "@[<v>%a -> %s (%d execs, %d loops)@,%a@]" pp_access_ref i.ref_
-    i.array i.executions (List.length i.loops)
-    Fmt.(list Candidate.pp)
-    i.candidates

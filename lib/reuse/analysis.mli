@@ -38,5 +38,3 @@ val useful_candidates : info -> Candidate.t list
 val array_footprint_bytes : info list -> array:string -> int
 (** Peak buffer a whole-array copy of [array] would need: the size of
     the declared array (what the out-of-the-box code keeps off-chip). *)
-
-val pp_info : info Fmt.t

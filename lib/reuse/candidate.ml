@@ -112,8 +112,3 @@ let of_access ~decl ~loops ~stmt ~access_index (access : Mhla_ir.Access.t) =
            ~refresh_iter:(Some iter) inner
   in
   from 0 ~issues:1 ~outer:1 ~refresh_iter:None loops
-
-let pp ppf t =
-  Fmt.pf ppf "%s: %a %s, %dB buf, %d issues x %dB (served %d)" t.id
-    Mhla_ir.Access.pp_direction t.direction t.array t.footprint_bytes
-    t.issues t.bytes_per_issue t.accesses_served

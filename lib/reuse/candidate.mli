@@ -65,5 +65,3 @@ val of_access :
   t list
 (** The candidates at levels [0 .. n] (in that order) of an access
     whose [n] enclosing loops are [loops] (outermost first). *)
-
-val pp : t Fmt.t

@@ -283,7 +283,7 @@ let fault_spec_to_json { faults; trials } =
   let jitter =
     match faults.Faults.jitter with
     | Faults.Uniform { max_extra_cycles } -> max_extra_cycles
-    | Faults.No_jitter | Faults.Bursty _ -> 0
+    | Faults.No_jitter -> 0
   in
   let failure_permille = faults.Faults.failure_permille in
   if

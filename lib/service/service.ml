@@ -354,6 +354,11 @@ let create ?(config = default_config) () =
   if config.queue_depth < 1 then
     Error.invalidf ~context:"Service.create"
       "queue_depth must be >= 1 (got %d)" config.queue_depth;
+  (match config.default_deadline_ms with
+  | Some ms when ms < 0 ->
+    Error.invalidf ~context:"Service.create"
+      "default_deadline_ms must be >= 0 (got %d)" ms
+  | _ -> ());
   let t =
     {
       cfg = config;

@@ -65,7 +65,7 @@ type t
 val create : ?config:config -> unit -> t
 (** Spawns the worker domains immediately.
     @raise Mhla_util.Error.Error ([Invalid_input]) on non-positive
-    [jobs] or [queue_depth]. *)
+    [jobs] or [queue_depth], or a negative [default_deadline_ms]. *)
 
 val submit : t -> string -> [ `Queued | `Shed ]
 (** Enqueue one raw request line. [`Shed] only under the [Shed]
@@ -141,6 +141,11 @@ val pp_summary : summary Fmt.t
     this on each decoded request; the soak harness replays through it;
     every [mhla] subcommand that solves builds a request from its flags
     and calls it. So the CLI and the service agree by construction. *)
+
+val solve_config : Request.t -> Mhla_core.Assign.config
+(** {!Mhla_core.Assign.default_config} under the request's objective
+    and transfer mode: the config every job of the request solves
+    under. *)
 
 val solve :
   ?telemetry:Mhla_obs.Telemetry.t ->

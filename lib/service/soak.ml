@@ -9,10 +9,7 @@ type config = {
   jobs : int;
   queue_depth : int;
   fault_permille : int;
-  poison_permille : int;
   malformed_permille : int;
-  oversized_permille : int;
-  zero_deadline_permille : int;
   telemetry : Telemetry.t;
 }
 
@@ -23,10 +20,7 @@ let default_config =
     jobs = 2;
     queue_depth = 8;
     fault_permille = 100;
-    poison_permille = 50;
     malformed_permille = 50;
-    oversized_permille = 20;
-    zero_deadline_permille = 30;
     telemetry = Telemetry.noop;
   }
 
@@ -93,14 +87,20 @@ let build_request cfg st i ~poison ~zero_deadline =
     ~inject:(if poison then Request.Raise else Request.No_inject)
     ~id:(Fmt.str "soak-%d" i) ~arch case.Generate.program
 
+let poison_permille = 50
+
+let oversized_permille = 20
+
+let zero_deadline_permille = 30
+
 (* The classes partition [0, 1000): poison first, then malformed,
    oversized, zero-deadline; everything else is a valid solve. *)
 let plan_request cfg st i =
   let r = Random.State.int st 1000 in
-  let p = cfg.poison_permille in
+  let p = poison_permille in
   let m = p + cfg.malformed_permille in
-  let o = m + cfg.oversized_permille in
-  let z = o + cfg.zero_deadline_permille in
+  let o = m + oversized_permille in
+  let z = o + zero_deadline_permille in
   if r < p then
     let req = build_request cfg st i ~poison:true ~zero_deadline:false in
     (Poison, Json.to_string (Request.to_json req))

@@ -5,13 +5,16 @@
     the seed:
 
     - well-formed generator programs ({!Mhla_gen.Generate}) under their
-      natural budget, some with a seeded {!Mhla_sim.Faults} robustness
-      rider;
+      natural budget, [fault_permille] of them with a seeded
+      {!Mhla_sim.Faults} robustness rider;
     - poisoned requests ([inject = Raise]) that crash the worker
-      mid-request;
-    - zero-deadline requests that must time out deterministically;
-    - malformed JSON (truncations, bad escapes, plain garbage);
-    - oversized payloads beyond the service's request-byte cap.
+      mid-request (a fixed 50‰);
+    - zero-deadline requests that must time out deterministically (a
+      fixed 30‰);
+    - malformed JSON (truncations, bad escapes, plain garbage),
+      [malformed_permille] of them;
+    - oversized payloads beyond the service's request-byte cap (a
+      fixed 20‰).
 
     Invariants checked, each violation a sentence in [violations]:
 
@@ -31,16 +34,13 @@ type config = {
   jobs : int;
   queue_depth : int;
   fault_permille : int;  (** share carrying a robustness rider *)
-  poison_permille : int;  (** share with [inject = Raise] *)
   malformed_permille : int;
-  oversized_permille : int;
-  zero_deadline_permille : int;
   telemetry : Mhla_obs.Telemetry.t;
 }
 
 val default_config : config
-(** 200 requests, seed 42, 2 jobs, depth 8, 100‰ faults, 50‰ poison,
-    50‰ malformed, 20‰ oversized, 30‰ zero-deadline, noop telemetry. *)
+(** 200 requests, seed 42, 2 jobs, depth 8, 100‰ faults, 50‰
+    malformed, noop telemetry. *)
 
 type outcome = {
   summary : Service.summary;

@@ -4,15 +4,11 @@ module Prng = Mhla_util.Prng
 type jitter =
   | No_jitter
   | Uniform of { max_extra_cycles : int }
-  | Bursty of { permille : int; extra_cycles : int }
-
-type outage = { channel : int; from_cycle : int; until_cycle : int }
 
 type t = {
   seed : int64;
   jitter : jitter;
   failure_permille : int;
-  outages : outage list;
   max_retries : int;
   deadline_patience : int option;
 }
@@ -22,7 +18,6 @@ let none =
     seed = 0L;
     jitter = No_jitter;
     failure_permille = 0;
-    outages = [];
     max_retries = 0;
     deadline_patience = None;
   }
@@ -33,32 +28,18 @@ let validate t =
   | No_jitter -> ()
   | Uniform { max_extra_cycles } ->
     if max_extra_cycles < 0 then
-      reject "jitter max_extra_cycles must be >= 0 (got %d)" max_extra_cycles
-  | Bursty { permille; extra_cycles } ->
-    if permille < 0 || permille > 1000 then
-      reject "jitter permille must be in 0..1000 (got %d)" permille;
-    if extra_cycles < 0 then
-      reject "jitter extra_cycles must be >= 0 (got %d)" extra_cycles);
+      reject "jitter max_extra_cycles must be >= 0 (got %d)" max_extra_cycles);
   if t.failure_permille < 0 || t.failure_permille > 1000 then
     reject "failure_permille must be in 0..1000 (got %d)" t.failure_permille;
-  List.iter
-    (fun o ->
-      if o.channel < 0 then reject "outage channel must be >= 0 (got %d)" o.channel;
-      if o.until_cycle < o.from_cycle then
-        reject "outage window ends (%d) before it starts (%d)" o.until_cycle
-          o.from_cycle)
-    t.outages;
   if t.max_retries < 0 then
     reject "max_retries must be >= 0 (got %d)" t.max_retries;
   match t.deadline_patience with
   | Some d when d < 0 -> reject "deadline_patience must be >= 0 (got %d)" d
   | _ -> ()
 
-let make ?(jitter = No_jitter) ?(failure_permille = 0) ?(outages = [])
-    ?(max_retries = 3) ?deadline_patience ~seed () =
-  let t =
-    { seed; jitter; failure_permille; outages; max_retries; deadline_patience }
-  in
+let make ?(jitter = No_jitter) ?(failure_permille = 0) ?(max_retries = 3)
+    ?deadline_patience ~seed () =
+  let t = { seed; jitter; failure_permille; max_retries; deadline_patience } in
   validate t;
   t
 
@@ -86,13 +67,6 @@ let jitter_cycles t ~transfer ~attempt =
       Prng.int
         (derive t ~salt:jitter_salt ~transfer ~attempt)
         ~bound:(max_extra_cycles + 1)
-  | Bursty { permille; extra_cycles } ->
-    if permille = 0 || extra_cycles = 0 then 0
-    else if
-      Prng.int (derive t ~salt:jitter_salt ~transfer ~attempt) ~bound:1000
-      < permille
-    then extra_cycles
-    else 0
 
 let attempt_fails t ~transfer ~attempt =
   t.failure_permille > 0
@@ -108,32 +82,15 @@ let backoff_cap_cycles = 64
 let backoff_cycles ~attempt =
   min backoff_cap_cycles (backoff_base_cycles lsl min attempt 4)
 
-let outage_release t ~channel ~at =
-  (* Windows may abut or overlap; iterate to a fixed point. *)
-  let rec settle at =
-    match
-      List.find_opt
-        (fun o ->
-          o.channel = channel && o.from_cycle <= at && at < o.until_cycle)
-        t.outages
-    with
-    | Some o -> settle o.until_cycle
-    | None -> at
-  in
-  settle at
-
 let pp_jitter ppf = function
   | No_jitter -> Fmt.string ppf "none"
   | Uniform { max_extra_cycles } ->
     Fmt.pf ppf "uniform(0..%d)" max_extra_cycles
-  | Bursty { permille; extra_cycles } ->
-    Fmt.pf ppf "bursty(%d/1000 x %d)" permille extra_cycles
 
 let pp ppf t =
   Fmt.pf ppf
-    "@[<h>faults: seed %Ld, jitter %a, failure %d/1000, %d outage(s), \
-     retries %d (backoff %d..%d)%a@]"
-    t.seed pp_jitter t.jitter t.failure_permille (List.length t.outages)
-    t.max_retries backoff_base_cycles backoff_cap_cycles
+    "@[<h>faults: seed %Ld, jitter %a, failure %d/1000, retries %d \
+     (backoff %d..%d)%a@]"
+    t.seed pp_jitter t.jitter t.failure_permille t.max_retries backoff_base_cycles backoff_cap_cycles
     (Fmt.option (fun ppf d -> Fmt.pf ppf ", patience %d" d))
     t.deadline_patience

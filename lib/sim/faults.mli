@@ -1,10 +1,9 @@
 (** Deterministic fault models for the DMA pipeline simulator.
 
     Real platforms do not deliver the nominal transfer latency every
-    time: bus contention jitters it, transient errors force retries,
-    and a channel can drop out entirely for a window (power gating,
-    arbitration starvation). This module describes those disturbances
-    as pure data plus deterministic sampling functions, so that
+    time: bus contention jitters it and transient errors force
+    retries. This module describes those disturbances as pure data
+    plus deterministic sampling functions, so that
     {!Pipeline.run_faulty} replays the exact same fault trace for a
     given seed — reproducible robustness experiments, not Monte Carlo
     noise.
@@ -19,17 +18,6 @@ type jitter =
   | No_jitter
   | Uniform of { max_extra_cycles : int }
       (** uniform in [\[0, max_extra_cycles\]] per attempt *)
-  | Bursty of { permille : int; extra_cycles : int }
-      (** with probability [permille/1000] the attempt takes
-          [extra_cycles] longer; otherwise nominal *)
-
-type outage = {
-  channel : int;  (** which DMA channel is down *)
-  from_cycle : int;  (** first cycle of the window (inclusive) *)
-  until_cycle : int;  (** first cycle after the window (exclusive) *)
-}
-(** A window during which a channel cannot {e start} a transfer;
-    attempts arriving inside it are pushed to [until_cycle]. *)
 
 type t = {
   seed : int64;  (** root of every random draw *)
@@ -37,7 +25,6 @@ type t = {
   failure_permille : int;
       (** per-attempt probability (in 1/1000) that the transfer
           completes corrupt and must be retried *)
-  outages : outage list;
   max_retries : int;
       (** retries after the first attempt; each waits
           {!backoff_cycles} *)
@@ -48,13 +35,12 @@ type t = {
 }
 
 val none : t
-(** The zero model: no jitter, no failures, no retries, no outages, no
-    deadline. {!Pipeline.run} is {!Pipeline.run_faulty} under [none]. *)
+(** The zero model: no jitter, no failures, no retries, no deadline.
+    {!Pipeline.run} is {!Pipeline.run_faulty} under [none]. *)
 
 val make :
   ?jitter:jitter ->
   ?failure_permille:int ->
-  ?outages:outage list ->
   ?max_retries:int ->
   ?deadline_patience:int ->
   seed:int64 ->
@@ -66,8 +52,7 @@ val make :
 
 val validate : t -> unit
 (** @raise Mhla_util.Error.Error if [failure_permille] is outside
-    [0..1000], any count is negative, or an outage window is
-    malformed. *)
+    [0..1000] or any count is negative. *)
 
 val jitter_cycles : t -> transfer:int -> attempt:int -> int
 (** Extra latency sampled for this attempt. Deterministic in
@@ -80,10 +65,5 @@ val attempt_fails : t -> transfer:int -> attempt:int -> bool
 val backoff_cycles : attempt:int -> int
 (** Idle wait inserted before retrying after failed [attempt]:
     [min 64 (4 * 2^attempt)] cycles. *)
-
-val outage_release : t -> channel:int -> at:int -> int
-(** Earliest cycle [>= at] at which [channel] may start a transfer,
-    pushing past every outage window that covers the candidate start
-    (windows may chain). *)
 
 val pp : t Fmt.t

@@ -69,10 +69,7 @@ let run_faulty f ~channels s =
       channel_free;
     let c = !best in
     let rec attempt_loop attempt earliest =
-      let start =
-        Faults.outage_release f ~channel:c
-          ~at:(max earliest channel_free.(c))
-      in
+      let start = max earliest channel_free.(c) in
       let jitter = Faults.jitter_cycles f ~transfer:j ~attempt in
       jitter_total := !jitter_total + jitter;
       let latency = s.transfer_cycles + jitter in

@@ -56,8 +56,8 @@ val run_faulty : Faults.t -> channels:int -> stream -> fault_outcome
 (** Replay the stream on [channels] concurrent DMA channels, each
     transfer queued on the earliest-free one, with every DMA attempt
     filtered through the fault model: latency jitter stretches
-    attempts, failed attempts occupy their channel then retry after
-    capped exponential backoff, and outage windows delay starts. When
+    attempts, and failed attempts occupy their channel then retry
+    after capped exponential backoff. When
     a transfer exhausts its retries — or outstays [deadline_patience] —
     the consuming iteration falls back to a synchronous refetch (setup
     + full transfer, all stall) instead of diverging. Deterministic in

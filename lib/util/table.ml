@@ -1,11 +1,9 @@
 type align = Left | Right
 
-type row = Cells of string list | Separator
-
 type t = {
   headers : string list;
   aligns : align list;
-  mutable rows : row list;  (* reverse order *)
+  mutable rows : string list list;  (* reverse order *)
 }
 
 let create ~columns =
@@ -15,18 +13,14 @@ let add_row t cells =
   if List.length cells <> List.length t.headers then
     Error.invalidf ~context:"Table.add_row" "%d cells for %d columns"
       (List.length cells) (List.length t.headers);
-  t.rows <- Cells cells :: t.rows
-
-let add_separator t = t.rows <- Separator :: t.rows
+  t.rows <- cells :: t.rows
 
 let column_widths t =
   let widths = Array.of_list (List.map String.length t.headers) in
-  let widen = function
-    | Separator -> ()
-    | Cells cells ->
-      List.iteri
-        (fun i cell -> widths.(i) <- max widths.(i) (String.length cell))
-        cells
+  let widen cells =
+    List.iteri
+      (fun i cell -> widths.(i) <- max widths.(i) (String.length cell))
+      cells
   in
   List.iter widen t.rows;
   widths
@@ -47,21 +41,9 @@ let render t =
       cells;
     Buffer.add_char buf '\n'
   in
-  let rule () =
-    Array.iteri
-      (fun i w ->
-        if i > 0 then Buffer.add_string buf "  ";
-        Buffer.add_string buf (String.make w '-'))
-      widths;
-    Buffer.add_char buf '\n'
-  in
   emit_cells t.headers;
-  rule ();
-  let emit_row = function
-    | Cells cells -> emit_cells cells
-    | Separator -> rule ()
-  in
-  List.iter emit_row (List.rev t.rows);
+  emit_cells (Array.to_list (Array.map (fun w -> String.make w '-') widths));
+  List.iter emit_cells (List.rev t.rows);
   Buffer.contents buf
 
 let print t = print_string (render t)

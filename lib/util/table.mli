@@ -14,9 +14,6 @@ val add_row : t -> string list -> unit
 (** @raise Error.Error when the row width does not match the
     header. *)
 
-val add_separator : t -> unit
-(** A horizontal rule between row groups. *)
-
 val render : t -> string
 (** The whole table, headers included, newline-terminated rows. *)
 

@@ -12,9 +12,9 @@ module Hierarchy = Mhla_arch.Hierarchy
 module Presets = Mhla_arch.Presets
 
 let sram ?(capacity = 1024) name =
-  Energy_model.sram_layer ~name ~capacity_bytes:capacity ()
+  Energy_model.sram_layer ~name ~capacity_bytes:capacity
 
-let sdram name = Energy_model.sdram_layer ~name ()
+let sdram name = Energy_model.sdram_layer ~name
 
 (* --- Layer ------------------------------------------------------------ *)
 
@@ -77,7 +77,7 @@ let test_dma_validation () =
 (* --- Energy model ----------------------------------------------------- *)
 
 let test_energy_monotone_in_capacity () =
-  let e c = Energy_model.sram_read_energy_pj ~capacity_bytes:c () in
+  let e c = Energy_model.sram_read_energy_pj ~capacity_bytes:c in
   Alcotest.(check bool) "bigger SRAM costs more" true (e 4096 > e 512);
   Alcotest.(check bool) "strictly increasing" true
     (List.for_all2 ( < )
@@ -85,7 +85,7 @@ let test_energy_monotone_in_capacity () =
        (List.map e [ 512; 2048; 8192; 32768 ]))
 
 let test_latency_steps () =
-  let l c = Energy_model.sram_latency_cycles ~capacity_bytes:c () in
+  let l c = Energy_model.sram_latency_cycles ~capacity_bytes:c in
   Alcotest.(check int) "small is 1 cycle" 1 (l 8192);
   Alcotest.(check int) "one step up" 2 (l 8193);
   Alcotest.(check int) "32k" 2 (l 32768);
@@ -95,7 +95,7 @@ let test_latency_steps () =
 let test_energy_model_rejects_bad_capacity () =
   Alcotest.check_raises "zero"
     (invalid "Energy_model.sram_read_energy_pj" "non-positive capacity")
-    (fun () -> ignore (Energy_model.sram_read_energy_pj ~capacity_bytes:0 ()))
+    (fun () -> ignore (Energy_model.sram_read_energy_pj ~capacity_bytes:0))
 
 let test_sdram_layer_shape () =
   let l = sdram "mm" in
@@ -196,15 +196,6 @@ let test_presets_multi_level () =
        ~hint:"give one byte budget per on-chip level" "no on-chip levels")
     (fun () -> ignore (Presets.multi_level ~level_bytes:[] ()))
 
-let test_presets_four_level () =
-  let h = Presets.four_level ~l1_bytes:256 ~l2_bytes:2048 ~l3_bytes:16384 () in
-  Alcotest.(check int) "levels" 4 (Hierarchy.levels h);
-  (* Same platform as the generic constructor. *)
-  let m = Presets.multi_level ~level_bytes:[ 256; 2048; 16384 ] () in
-  Alcotest.(check (list string)) "same layer names"
-    (List.map (fun l -> (Hierarchy.layer m l).Layer.name) [ 0; 1; 2; 3 ])
-    (List.map (fun l -> (Hierarchy.layer h l).Layer.name) [ 0; 1; 2; 3 ])
-
 let test_presets_budget_grid () =
   Alcotest.(check (list (list int))) "first axis varies slowest"
     [ [ 1; 10 ]; [ 1; 20 ]; [ 2; 10 ]; [ 2; 20 ] ]
@@ -277,7 +268,6 @@ let () =
           Alcotest.test_case "two level" `Quick test_presets_two_level;
           Alcotest.test_case "three level" `Quick test_presets_three_level;
           Alcotest.test_case "multi level" `Quick test_presets_multi_level;
-          Alcotest.test_case "four level" `Quick test_presets_four_level;
           Alcotest.test_case "budget grid" `Quick test_presets_budget_grid;
           Alcotest.test_case "budget axes" `Quick test_presets_budget_axes;
           Alcotest.test_case "sweep sizes" `Quick test_presets_sweep_sizes;

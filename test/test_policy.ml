@@ -69,9 +69,8 @@ let test_default_policies_bit_identical () =
         a.Explore.after_te.Cost.total_cycles)
     Mhla_apps.Registry.all
 
-(* The other built-in policies on the same nine apps, recorded before
-   the CC filter became plain data on [Assign.config]: (assign cycles,
-   te cycles, te energy) per app. [lean] exercises the top-k filter,
+(* The other built-in policies on the same platforms: (assign cycles,
+   te cycles, te energy) per app. [lean] pins the top-k CC selection,
    [te-fifo] and [te-size] the two non-default TE orders. *)
 let policy_snapshots =
   [ ( Policy.lean,

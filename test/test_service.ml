@@ -320,7 +320,7 @@ let test_request_in_memory_only () =
           Request.to_json req))
     [ portfolio; simulate ];
   let custom =
-    Mhla_policy.Policy.make ~cc_filter:(Mhla_policy.Policy.Top_k 2) "top-2"
+    Mhla_policy.Policy.make ~cc_top_k:2 "top-2"
   in
   check_invalid "to_json of an unregistered policy" (fun () ->
       Request.to_json (make ~policy:custom ()));
@@ -348,14 +348,6 @@ let test_request_fault_rider_wire () =
       ("max_retries 5", Faults.make ~jitter:uniform ~max_retries:5 ~seed:1L ());
       ("deadline_patience 100",
        Faults.make ~jitter:uniform ~deadline_patience:100 ~seed:1L ());
-      ("an outage",
-       Faults.make
-         ~outages:[ { Faults.channel = 0; from_cycle = 0; until_cycle = 50 } ]
-         ~seed:1L ());
-      ("bursty jitter",
-       Faults.make
-         ~jitter:(Faults.Bursty { permille = 100; extra_cycles = 30 })
-         ~seed:1L ());
     ];
   List.iter
     (fun faults ->
@@ -1133,6 +1125,29 @@ let test_handoff_shutdown () =
         (fun () -> Service.submit service "x"))
     [ 1; 4 ]
 
+(* [Service.create] is the one validator of a service's config: each
+   bad field is rejected by name, before any worker spawns. *)
+let test_create_rejects_bad_config () =
+  List.iter
+    (fun (field, config) ->
+      match Service.create ~config () with
+      | service ->
+        Service.shutdown service;
+        Alcotest.failf "%s: expected Invalid_input" field
+      | exception Error.Error e ->
+        Alcotest.(check bool) (field ^ ": Invalid_input") true
+          (e.Error.kind = Error.Invalid_input);
+        Alcotest.(check bool) (field ^ ": the message names it") true
+          (String.starts_with ~prefix:field e.Error.message))
+    [ ("jobs", { Service.default_config with jobs = 0 });
+      ("queue_depth", { Service.default_config with queue_depth = 0 });
+      ( "default_deadline_ms",
+        { Service.default_config with default_deadline_ms = Some (-1) } ) ];
+  Service.shutdown
+    (Service.create
+       ~config:{ Service.default_config with default_deadline_ms = Some 0 }
+       ())
+
 (* The wire bytes of a response less its timing: [elapsed_ns], and a
    timeout's message, which only says how far past due it ran. *)
 let timing_free (resp : Response.t) =
@@ -1324,6 +1339,8 @@ let () =
             test_handoff_park_path;
           Alcotest.test_case "shutdown fresh and idle" `Quick
             test_handoff_shutdown;
+          Alcotest.test_case "create rejects a bad config" `Quick
+            test_create_rejects_bad_config;
           Alcotest.test_case "jobs = 4 answers the soak like jobs = 1" `Quick
             test_handoff_jobs_agree;
         ] );

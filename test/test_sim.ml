@@ -260,19 +260,6 @@ let test_fallback_on_exhaustion () =
   Alcotest.(check int) "each iteration refetches synchronously" (10 * 20)
     r.Pipeline.fault_result.Pipeline.stall_cycles
 
-let test_outage_pushes_start () =
-  let p = params ~issues:4 ~transfer:10 ~compute:10 ~lookahead:1 () in
-  let f =
-    Faults.make
-      ~outages:[ { Faults.channel = 0; from_cycle = 0; until_cycle = 100 } ]
-      ~seed:0L ()
-  in
-  let r = Pipeline.run_faulty f ~channels:1 p in
-  let base = run p in
-  Alcotest.(check bool) "outage adds stalls" true
-    (r.Pipeline.fault_result.Pipeline.stall_cycles
-    > base.Pipeline.stall_cycles)
-
 let test_deadline_fallback () =
   (* No lookahead: every iteration would stall the full 50-cycle
      transfer; a 10-cycle patience refetches synchronously instead. *)
@@ -501,8 +488,6 @@ let () =
             test_faulty_reproducible;
           Alcotest.test_case "retry exhaustion falls back" `Quick
             test_fallback_on_exhaustion;
-          Alcotest.test_case "outage delays starts" `Quick
-            test_outage_pushes_start;
           Alcotest.test_case "deadline fallback" `Quick test_deadline_fallback;
           Alcotest.test_case "robustness report" `Quick test_robustness_report;
           Alcotest.test_case "robustness pinned on the nine apps" `Quick
