@@ -1339,10 +1339,10 @@ let () =
             test_handoff_park_path;
           Alcotest.test_case "shutdown fresh and idle" `Quick
             test_handoff_shutdown;
-          Alcotest.test_case "create rejects a bad config" `Quick
-            test_create_rejects_bad_config;
           Alcotest.test_case "jobs = 4 answers the soak like jobs = 1" `Quick
             test_handoff_jobs_agree;
+          Alcotest.test_case "create rejects a bad config" `Quick
+            test_create_rejects_bad_config;
         ] );
       ("soak", [ Alcotest.test_case "chaos soak" `Slow test_soak ]);
     ]
