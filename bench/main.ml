@@ -245,17 +245,17 @@ let ext_inplace () =
       in
       let in_place = run Mhla_lifetime.Occupancy.In_place in
       let summed = run Mhla_lifetime.Occupancy.Sum in
-      let peak policy (r : Explore.result) =
-        Mhla_lifetime.Occupancy.peak_bytes policy
-          (Mhla_core.Mapping.layer_blocks r.Explore.assign.Assign.mapping
-             ~level:0)
+      let peak (r : Explore.result) =
+        let m = r.Explore.assign.Assign.mapping in
+        Mhla_lifetime.Occupancy.peak_bytes m.Mhla_core.Mapping.policy
+          (Mhla_core.Mapping.layer_blocks m ~level:0)
       in
       Table.add_row table
         [ app.Mhla_apps.Defs.name;
           Table.cell_percent (Explore.assign_time_gain_percent in_place);
           Table.cell_percent (Explore.assign_time_gain_percent summed);
-          Table.cell_int (peak Mhla_lifetime.Occupancy.In_place in_place);
-          Table.cell_int (peak Mhla_lifetime.Occupancy.Sum summed) ])
+          Table.cell_int (peak in_place);
+          Table.cell_int (peak summed) ])
     Apps.all;
   Table.print table
 

@@ -851,8 +851,8 @@ let mutate_te (m : Mhla_core.Mapping.t) (schedule : Prefetch.schedule) =
 (* Swap in a hierarchy one byte smaller than the recomputed peak while
    keeping every placement: the capacity pass must flag the layer
    (MHLA201). *)
-let mutate_capacity (m : Mhla_core.Mapping.t) schedule policy =
-  let peaks = Mhla_analysis.Capacity.recomputed_peaks ~schedule ~policy m in
+let mutate_capacity (m : Mhla_core.Mapping.t) schedule =
+  let peaks = Mhla_analysis.Capacity.recomputed_peaks ~schedule m in
   let peak = List.fold_left (fun acc (_, p) -> max acc p) 0 peaks in
   if peak <= 1 then
     Error.invalidf ~context:"mhla check"
@@ -896,17 +896,15 @@ let mutate_lints (program : Mhla_ir.Program.t) =
         ])
     ~body:program.P.body
 
-let mutated_subject ~policy ~program ~mapping ~te = function
-  | No_mutation -> Check_pass.of_mapping ~schedule:te ~policy mapping
-  | Mutate_bounds -> Check_pass.subject ~policy (mutate_bounds program)
-  | Mutate_te ->
-    Check_pass.of_mapping ~schedule:(mutate_te mapping te) ~policy mapping
+let mutated_subject ~program ~mapping ~te = function
+  | No_mutation -> Check_pass.of_mapping ~schedule:te mapping
+  | Mutate_bounds -> Check_pass.subject (mutate_bounds program)
+  | Mutate_te -> Check_pass.of_mapping ~schedule:(mutate_te mapping te) mapping
   | Mutate_capacity ->
-    Check_pass.of_mapping ~schedule:te ~policy
-      (mutate_capacity mapping te policy)
+    Check_pass.of_mapping ~schedule:te (mutate_capacity mapping te)
   | Mutate_interference ->
-    Check_pass.of_mapping ~schedule:(mutate_interference te) ~policy mapping
-  | Mutate_lints -> Check_pass.subject ~policy (mutate_lints program)
+    Check_pass.of_mapping ~schedule:(mutate_interference te) mapping
+  | Mutate_lints -> Check_pass.subject (mutate_lints program)
 
 let write_sarif ~file report =
   let doc =
@@ -948,8 +946,7 @@ let check_cmd =
         let result = solved ~telemetry req in
         let mapping = result.Explore.assign.Assign.mapping in
         let subject =
-          mutated_subject ~policy:(Service.solve_config req).Assign.policy
-            ~program ~mapping ~te:result.Explore.te mutate
+          mutated_subject ~program ~mapping ~te:result.Explore.te mutate
         in
         let report = Check.run ?only ?skip ~suppress ~telemetry subject in
         if werror then Check.promote_warnings report else report

@@ -29,44 +29,37 @@ let check_access (ctx : Program.context) program k (a : Mhla_ir.Access.t) =
     Diagnostic.location ~array:a.Mhla_ir.Access.array ~stmt ~access_index:k
       ?dim ()
   in
-  match Program.find_array program a.Mhla_ir.Access.array with
-  | None ->
-    [ diag ~code:"MHLA003" ~loc:(loc ()) "access names an undeclared array" ]
-  | Some decl ->
-    let dims = decl.Array_decl.dims in
-    if List.length a.Mhla_ir.Access.index <> List.length dims then
-      [
-        diag ~code:"MHLA003" ~loc:(loc ())
-          "access has %d subscripts, array has rank %d"
-          (List.length a.Mhla_ir.Access.index)
-          (List.length dims);
-      ]
-    else begin
-      let check_dim d ((e, extent), (lo, hi)) =
-        let trail () = range_trail ctx e (lo, hi) in
-        let out_high =
-          if hi >= extent then
-            Some
-              (diag ~code:"MHLA001" ~loc:(loc ~dim:d ()) ~trail:(trail ())
-                 "subscript sweeps [%d, %d] but the dimension extent is %d"
-                 lo hi extent)
-          else None
-        in
-        let out_low =
-          if lo < 0 then
-            Some
-              (diag ~code:"MHLA002" ~loc:(loc ~dim:d ()) ~trail:(trail ())
-                 "subscript sweeps [%d, %d], below the array" lo hi)
-          else None
-        in
-        List.filter_map Fun.id [ out_high; out_low ]
-      in
-      List.concat
-        (List.mapi check_dim
-           (List.combine
-              (List.combine a.Mhla_ir.Access.index dims)
-              (Pass.access_box ctx.Program.loops a)))
-    end
+  (* [Program.make] rejects an undeclared array and a subscript count
+     that differs from the rank, so neither can reach this pass. *)
+  let dims =
+    match Program.find_array program a.Mhla_ir.Access.array with
+    | Some decl -> decl.Array_decl.dims
+    | None -> assert false
+  in
+  let check_dim d ((e, extent), (lo, hi)) =
+    let trail () = range_trail ctx e (lo, hi) in
+    let out_high =
+      if hi >= extent then
+        Some
+          (diag ~code:"MHLA001" ~loc:(loc ~dim:d ()) ~trail:(trail ())
+             "subscript sweeps [%d, %d] but the dimension extent is %d" lo hi
+             extent)
+      else None
+    in
+    let out_low =
+      if lo < 0 then
+        Some
+          (diag ~code:"MHLA002" ~loc:(loc ~dim:d ()) ~trail:(trail ())
+             "subscript sweeps [%d, %d], below the array" lo hi)
+      else None
+    in
+    List.filter_map Fun.id [ out_high; out_low ]
+  in
+  List.concat
+    (List.mapi check_dim
+       (List.combine
+          (List.combine a.Mhla_ir.Access.index dims)
+          (Pass.access_box ctx.Program.loops a)))
 
 let run (s : Pass.subject) =
   Program.fold_stmts s.Pass.program ~init:[] ~f:(fun acc ctx ->
@@ -81,6 +74,6 @@ let run (s : Pass.subject) =
 let pass =
   {
     Pass.name;
-    codes = [ "MHLA001"; "MHLA002"; "MHLA003" ];
+    codes = [ "MHLA001"; "MHLA002" ];
     run;
   }

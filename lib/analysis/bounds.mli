@@ -7,7 +7,8 @@
     dimension extents — trusting only the IR, never the analysis that
     fed the solver.
 
-    Codes: [MHLA001] (max past the extent), [MHLA002] (min below zero),
-    [MHLA003] (undeclared array or rank mismatch). *)
+    Codes: [MHLA001] (max past the extent), [MHLA002] (min below zero).
+    An undeclared array or a rank mismatch never reaches the pass:
+    {!Mhla_ir.Program.make} rejects both. *)
 
 val pass : Pass.t

@@ -103,7 +103,7 @@ let te_blocks timeline (m : Mapping.t) (schedule : Prefetch.schedule) ~level =
       end)
     schedule.Prefetch.plans
 
-let level_peak timeline ?schedule ~policy (m : Mapping.t) ~level =
+let level_peak timeline ?schedule (m : Mapping.t) ~level =
   let blocks =
     placement_blocks timeline m ~level
     @ promoted_blocks timeline m ~level
@@ -112,16 +112,15 @@ let level_peak timeline ?schedule ~policy (m : Mapping.t) ~level =
     | None -> []
     | Some s -> te_blocks timeline m s ~level
   in
-  Occupancy.peak_bytes policy blocks
+  Occupancy.peak_bytes m.Mapping.policy blocks
 
-let recomputed_peaks ?schedule ~policy (m : Mapping.t) =
+let recomputed_peaks ?schedule (m : Mapping.t) =
   List.map
-    (fun level ->
-      (level, level_peak m.Mapping.schedule ?schedule ~policy m ~level))
+    (fun level -> (level, level_peak m.Mapping.schedule ?schedule m ~level))
     (Hierarchy.on_chip_levels m.Mapping.hierarchy)
 
-let check_level timeline ?schedule ~policy (m : Mapping.t) ~level =
-  let peak = level_peak timeline ?schedule ~policy m ~level in
+let check_level timeline ?schedule (m : Mapping.t) ~level =
+  let peak = level_peak timeline ?schedule m ~level in
   let layer = Hierarchy.layer m.Mapping.hierarchy level in
   match layer.Layer.capacity_bytes with
   | Some capacity when peak > capacity ->
@@ -140,8 +139,7 @@ let run (s : Pass.subject) =
     let timeline = Pass.timeline s in
     List.concat_map
       (fun level ->
-        check_level timeline ?schedule:s.Pass.schedule ~policy:s.Pass.policy m
-          ~level)
+        check_level timeline ?schedule:s.Pass.schedule m ~level)
       (Hierarchy.on_chip_levels m.Mapping.hierarchy)
 
 let pass =

@@ -84,9 +84,6 @@ let catalogue =
       "a subscript's maximum value reaches past the declared dimension \
        extent" );
     ("MHLA002", Error, "a subscript's minimum value is below zero");
-    ( "MHLA003", Error,
-      "an access names an undeclared array or its subscript count differs \
-       from the declared rank" );
     ( "MHLA101", Error,
       "a granted Time-Extension loop is not within the freedom prefix \
        recomputed from writer/reader positions (the prefetch crosses a data \

@@ -25,10 +25,6 @@ let details =
     ( "MHLA002",
       "Same derivation as MHLA001, for the minimum: the subscript's \
        derived lower bound is negative." );
-    ( "MHLA003",
-      "Structural check during the bounds pass: the access names an \
-       array the program never declares, or its subscript count differs \
-       from the declared rank. No ranges are involved." );
     ( "MHLA101",
       "The checker recomputes the transfer's freedom loops from scratch \
        — walking outward from the refresh loop until a loop carries a \

@@ -5,28 +5,25 @@ type subject = {
   program : Mhla_ir.Program.t;
   mapping : Mhla_core.Mapping.t option;
   schedule : Mhla_core.Prefetch.schedule option;
-  policy : Mhla_lifetime.Occupancy.policy;
   timeline : Schedule.t Lazy.t;
 }
 
 (* A mapping carries the timeline of its own program (built once by
    [Mapping.precompute]); the subject shares it rather than walking the
    loop tree again. *)
-let subject ?mapping ?schedule ?(policy = Mhla_lifetime.Occupancy.In_place)
-    program =
+let subject ?mapping ?schedule program =
   {
     program;
     mapping;
     schedule;
-    policy;
     timeline =
       (match mapping with
       | Some m -> Lazy.from_val m.Mhla_core.Mapping.schedule
       | None -> lazy (Schedule.of_program program));
   }
 
-let of_mapping ?schedule ?policy (m : Mhla_core.Mapping.t) =
-  subject ~mapping:m ?schedule ?policy m.Mhla_core.Mapping.program
+let of_mapping ?schedule (m : Mhla_core.Mapping.t) =
+  subject ~mapping:m ?schedule m.Mhla_core.Mapping.program
 
 let timeline s = Lazy.force s.timeline
 

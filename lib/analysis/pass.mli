@@ -3,7 +3,9 @@
     A {!subject} bundles a program with (optionally) the solver outputs
     to verify against it: a mapping from step 1 and a TE schedule from
     step 2. Passes that need an absent part emit nothing — a plain
-    program can still be linted and bounds-checked.
+    program can still be linted and bounds-checked. The capacity pass
+    sizes layers under the mapping's own policy, the one the solver
+    sized them under.
 
     Every fact a pass re-derives comes straight off the loop tree. The
     IR has constant trip counts, affine subscripts and a fixed
@@ -16,9 +18,6 @@ type subject = {
   program : Mhla_ir.Program.t;
   mapping : Mhla_core.Mapping.t option;
   schedule : Mhla_core.Prefetch.schedule option;
-  policy : Mhla_lifetime.Occupancy.policy;
-      (** sizing policy the capacity pass recomputes under; must match
-          what the solver used (default [In_place]) *)
   timeline : Mhla_lifetime.Schedule.t Lazy.t;
       (** the program-order timeline of [program]: the mapping's cached
           [schedule] when there is a mapping, otherwise built by the
@@ -29,7 +28,6 @@ type subject = {
 val subject :
   ?mapping:Mhla_core.Mapping.t ->
   ?schedule:Mhla_core.Prefetch.schedule ->
-  ?policy:Mhla_lifetime.Occupancy.policy ->
   Mhla_ir.Program.t ->
   subject
 (** A [mapping] must be one of [program]: the subject takes the
@@ -38,7 +36,6 @@ val subject :
 
 val of_mapping :
   ?schedule:Mhla_core.Prefetch.schedule ->
-  ?policy:Mhla_lifetime.Occupancy.policy ->
   Mhla_core.Mapping.t ->
   subject
 (** The mapping's own program becomes the subject's program. *)

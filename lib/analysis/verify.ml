@@ -72,11 +72,9 @@ let run ?only ?(skip = []) ?(suppress = Suppress.empty)
     suppressed;
   }
 
-let check_result ?suppress (config : Mhla_core.Assign.config)
-    (result : Mhla_core.Explore.result) =
+let check_result ?suppress (result : Mhla_core.Explore.result) =
   run ?suppress
     (Pass.of_mapping ~schedule:result.Mhla_core.Explore.te
-       ~policy:config.Mhla_core.Assign.policy
        result.Mhla_core.Explore.assign.Mhla_core.Assign.mapping)
 
 let promote_warnings r =

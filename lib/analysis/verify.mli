@@ -44,11 +44,10 @@ val run :
 
 val check_result :
   ?suppress:Suppress.t ->
-  Mhla_core.Assign.config ->
   Mhla_core.Explore.result ->
   report
 (** {!run} on a solve's answer — its mapping and TE schedule, sized
-    under the config's policy. [--verify-live] calls it on every
+    under the mapping's policy. [--verify-live] calls it on every
     answer, and the fuzz oracle's ["verifier-greedy"],
     ["verifier-anneal"] and ["policy"] checks on every generated
     program's. *)

@@ -314,8 +314,6 @@ let table_nth table r =
   done;
   !k
 
-let feasible config m = Mapping.occupancy_ok ~policy:config.policy m
-
 (* Strict-improvement threshold: relative 1e-9 guards against float
    noise causing non-termination. A candidate improves when its value
    lies below [threshold current]. *)
@@ -492,8 +490,8 @@ let greedy ?(config = default_config) ?(first_improvement = false)
   @@ fun () ->
   let evaluations = ref 1 (* the start position's evaluation *) in
   let start =
-    Mapping.direct ~transfer_mode:config.transfer_mode ?reuse program
-      hierarchy
+    Mapping.direct ~transfer_mode:config.transfer_mode ~policy:config.policy
+      ?reuse program hierarchy
   in
   let mk_step move ~current ~value =
     let step = { move; gain = current -. value; objective_after = value } in
@@ -506,8 +504,7 @@ let greedy ?(config = default_config) ?(first_improvement = false)
     step
   in
   let engine =
-    Engine.create ~telemetry ~policy:config.policy
-      ~objective:config.objective start
+    Engine.create ~telemetry ~objective:config.objective start
   in
   let table = move_table ~alts:(all_alternatives config start) config start in
   let n = Array.length table.all in
@@ -610,12 +607,11 @@ let simulated_annealing ?(config = default_config)
   @@ fun () ->
   let prng = Mhla_util.Prng.create ~seed in
   let start =
-    Mapping.direct ~transfer_mode:config.transfer_mode ?reuse program
-      hierarchy
+    Mapping.direct ~transfer_mode:config.transfer_mode ~policy:config.policy
+      ?reuse program hierarchy
   in
   let engine =
-    Engine.create ~telemetry ~policy:config.policy
-      ~objective:config.objective start
+    Engine.create ~telemetry ~objective:config.objective start
   in
   let evaluations = ref 1 (* the start position's evaluation *) in
   let start_value = Engine.objective_value engine in

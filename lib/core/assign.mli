@@ -5,8 +5,9 @@
     the largest cost gain until no move improves the objective — the
     exploration engine of the MHLA tool. Moves are: serve an access
     through a copy chain (or revert it to Direct), and promote/demote a
-    whole array to/from an on-chip layer. Feasibility is the in-place-
-    optimised occupancy of every on-chip layer.
+    whole array to/from an on-chip layer. Feasibility is
+    [Mapping.occupancy_ok]: every on-chip layer's occupancy, sized
+    under the mapping's policy, within its capacity.
 
     Both searches probe moves through the incremental {!Engine}. Their
     from-scratch references, and the exhaustive search that measures
@@ -16,6 +17,9 @@ type config = {
   objective : Cost.objective;
   transfer_mode : Mhla_reuse.Candidate.transfer_mode;
   policy : Mhla_lifetime.Occupancy.policy;
+      (** the sizing policy, the one place a caller sets it: the
+          searches hand it to [Mapping.direct], so the mapping they
+          return carries it into TE and the verifier *)
   allow_array_promotion : bool;
   max_chain_length : int;
       (** cap on copy-chain depth; the hierarchy's on-chip depth is
@@ -83,12 +87,6 @@ val moves : config -> Mapping.t -> move list
 (** Every move the searches consider from this mapping, deterministic
     order: placement changes for each access, then array
     promotions/demotions (when allowed). *)
-
-val feasible : config -> Mapping.t -> bool
-(** Occupancy of every on-chip layer within its capacity under the
-    config's policy ([Mapping.occupancy_ok]), checked from scratch. To
-    budget a layer below its physical size, shrink the hierarchy (what
-    {!Explore.pareto} does per grid point). *)
 
 val greedy :
   ?config:config ->

@@ -660,8 +660,8 @@ let span_bounds policy (iv : Interval.t) =
     let lo = iv.Interval.lo in
     (lo, if Interval.is_empty iv then lo + 1 else iv.Interval.hi)
 
-let create ?(telemetry = Telemetry.noop) ?(policy = Occupancy.In_place)
-    ~objective (m : Mapping.t) =
+let create ?(telemetry = Telemetry.noop) ~objective (m : Mapping.t) =
+  let policy = m.Mapping.policy in
   let h = m.Mapping.hierarchy in
   let schedule = m.Mapping.schedule in
   let main = Hierarchy.main_memory_level h in

@@ -100,14 +100,13 @@ type t
 
 val create :
   ?telemetry:Mhla_obs.Telemetry.t ->
-  ?policy:Mhla_lifetime.Occupancy.policy ->
   objective:Cost.objective ->
   Mapping.t ->
   t
 (** An engine positioned on the given mapping. All contributions and
-    the occupancy state are computed once, eagerly. [policy] (default
-    [In_place], as for [Mapping.occupancy_ok]) is the sizing
-    {!feasible} checks against. [telemetry] (default
+    the occupancy state are computed once, eagerly. {!feasible} sizes
+    layers under the mapping's [policy], as [Mapping.occupancy_ok]
+    does. [telemetry] (default
     {!Mhla_obs.Telemetry.noop}) receives [engine.create] /
     [engine.probe] / [engine.commit] spans and the
     [engine.probes]/[engine.commits]/[engine.cache_hits]/
@@ -135,9 +134,8 @@ val probe : t -> move -> float
 
 val feasible : t -> move -> bool
 (** Whether [mapping t] with [move] applied fits every on-chip layer
-    under the engine's policy; the engine's position is unchanged.
-    Exactly [Mapping.occupancy_ok ~policy (Assign.apply_move (mapping t) move)]
-    — which is [Assign.feasible] for a config carrying the same policy —
+    under the mapping's policy; the engine's position is unchanged.
+    Exactly [Mapping.occupancy_ok (Assign.apply_move (mapping t) move)]
     at every position, infeasible ones included: the engine merges
     share-group sharers as [Mapping.layer_blocks] does (hull of the
     non-empty lifetimes, largest footprint) and widens an empty

@@ -23,25 +23,28 @@ let run ?config ?order ?(search = Greedy) ?defer_writebacks
       [ ("program", Telemetry.Str program.Mhla_ir.Program.name) ])
   @@ fun () ->
   let stage name f = Telemetry.span telemetry ~cat:"explore" name f in
-  let transfer_mode =
-    match config with
-    | Some c -> c.Assign.transfer_mode
-    | None -> Assign.default_config.Assign.transfer_mode
+  let ({ Assign.transfer_mode; policy; _ } as config) =
+    Option.value config ~default:Assign.default_config
+  in
+  (* The baseline and the search share one reuse analysis. *)
+  let reuse =
+    match reuse with Some r -> r | None -> Mapping.precompute program
   in
   let baseline =
     stage "explore.baseline" @@ fun () ->
-    Cost.evaluate (Mapping.direct ~transfer_mode ?reuse program hierarchy)
+    Cost.evaluate
+      (Mapping.direct ~transfer_mode ~policy ~reuse program hierarchy)
   in
   let assign =
     stage "explore.assign" @@ fun () ->
     match search with
     | Greedy ->
-      Assign.greedy ?config ~telemetry ?reuse ?checkpoint program hierarchy
+      Assign.greedy ~config ~telemetry ~reuse ?checkpoint program hierarchy
     | First_improvement ->
-      Assign.greedy ?config ~first_improvement:true ~telemetry ?reuse
+      Assign.greedy ~config ~first_improvement:true ~telemetry ~reuse
         ?checkpoint program hierarchy
     | Annealing { seed; iterations } ->
-      Assign.simulated_annealing ?config ~telemetry ?reuse ?checkpoint ~seed
+      Assign.simulated_annealing ~config ~telemetry ~reuse ?checkpoint ~seed
         ~iterations program hierarchy
   in
   let te =

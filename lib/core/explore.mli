@@ -40,7 +40,10 @@ val run :
 (** [search] defaults to [Greedy]; [defer_writebacks] (default
     [false]) also lets TE hide buffer drains (see {!Prefetch.run}). [reuse]
     shares a {!Mapping.precompute} of the same program (the sweep
-    hoists one across all its points). [telemetry] (default noop) wraps
+    hoists one across all its points); without it the run computes one
+    and shares it between the baseline and the search. The baseline and
+    the search both size layers under [config]'s policy, and TE reads it
+    off the search's mapping. [telemetry] (default noop) wraps
     each pipeline stage in a span ([explore.run] around
     [explore.baseline] / [explore.assign] / [explore.te] /
     [explore.evaluate]) and is passed down to {!Assign} and

@@ -17,6 +17,7 @@ type t = {
   program : Mhla_ir.Program.t;
   hierarchy : Hierarchy.t;
   transfer_mode : Candidate.transfer_mode;
+  policy : Occupancy.policy;
   infos : Analysis.info list;
   placements : (Analysis.access_ref * placement) list;
   array_layers : (string * int) list;
@@ -26,7 +27,8 @@ type t = {
 let precompute program : reuse =
   { infos = Analysis.analyze program; schedule = Schedule.of_program program }
 
-let direct ?(transfer_mode = Candidate.Full) ?reuse program hierarchy =
+let direct ?(transfer_mode = Candidate.Full) ?(policy = Occupancy.In_place)
+    ?reuse program hierarchy =
   let ({ infos; schedule } : reuse) =
     match reuse with Some r -> r | None -> precompute program
   in
@@ -34,6 +36,7 @@ let direct ?(transfer_mode = Candidate.Full) ?reuse program hierarchy =
     program;
     hierarchy;
     transfer_mode;
+    policy;
     infos;
     placements = List.map (fun (i : Analysis.info) -> (i.ref_, Direct)) infos;
     array_layers = [];
@@ -317,7 +320,7 @@ let layer_blocks t ~level =
   in
   chain_blocks @ array_blocks
 
-let occupancy_ok ?(policy = Occupancy.In_place) ?(extra = []) t =
+let occupancy_ok ?(extra = []) t =
   let ok level =
     let layer = Hierarchy.layer t.hierarchy level in
     match layer.Mhla_arch.Layer.capacity_bytes with
@@ -328,7 +331,7 @@ let occupancy_ok ?(policy = Occupancy.In_place) ?(extra = []) t =
           (fun (l, block) -> if l = level then Some block else None)
           extra
       in
-      Occupancy.fits policy ~capacity (layer_blocks t ~level @ extras)
+      Occupancy.fits t.policy ~capacity (layer_blocks t ~level @ extras)
   in
   List.for_all ok (Hierarchy.on_chip_levels t.hierarchy)
 

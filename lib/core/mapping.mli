@@ -4,7 +4,13 @@
     any) serves it and on which layer each buffer of its copy chain
     lives; arrays themselves may also be promoted from the off-chip
     store to an on-chip layer. From a mapping the block transfers, the
-    layer occupancies and the cost breakdown all follow. *)
+    layer occupancies and the cost breakdown all follow.
+
+    A mapping also carries the sizing policy its layers are checked
+    under ({!Mhla_lifetime.Occupancy.policy}), set once by {!direct}
+    and kept by every update. Step 1's engine, step 2's Time
+    Extensions and the verifier's capacity pass all read it from here,
+    so the three size a layer the same way. *)
 
 (** One buffer of a copy chain. *)
 type chain_link = {
@@ -36,6 +42,8 @@ type t = private {
   program : Mhla_ir.Program.t;
   hierarchy : Mhla_arch.Hierarchy.t;
   transfer_mode : Mhla_reuse.Candidate.transfer_mode;
+  policy : Mhla_lifetime.Occupancy.policy;
+      (** how a layer's occupancy is sized against its capacity *)
   infos : Mhla_reuse.Analysis.info list;
   placements : (Mhla_reuse.Analysis.access_ref * placement) list;
   array_layers : (string * int) list;
@@ -49,12 +57,14 @@ val precompute : Mhla_ir.Program.t -> reuse
 
 val direct :
   ?transfer_mode:Mhla_reuse.Candidate.transfer_mode ->
+  ?policy:Mhla_lifetime.Occupancy.policy ->
   ?reuse:reuse ->
   Mhla_ir.Program.t ->
   Mhla_arch.Hierarchy.t ->
   t
 (** The out-of-the-box mapping: every access Direct, every array
-    off-chip. [transfer_mode] defaults to [Full]. [reuse] (when given)
+    off-chip. [transfer_mode] defaults to [Full], [policy] to
+    [In_place]; every update below keeps both. [reuse] (when given)
     must be {!precompute} of the same program; it skips the analysis
     and scheduling passes. *)
 
@@ -143,13 +153,14 @@ val layer_blocks : t -> level:int -> Mhla_lifetime.Occupancy.block list
     their lifetimes (for in-place sizing). *)
 
 val occupancy_ok :
-  ?policy:Mhla_lifetime.Occupancy.policy ->
   ?extra:(int * Mhla_lifetime.Occupancy.block) list ->
   t ->
   bool
-(** Every on-chip layer within capacity; [extra] adds transient blocks
-    (e.g. TE double buffers) as [(level, block)]. [policy] defaults to
-    [In_place]. *)
+(** Every on-chip layer within capacity under the mapping's [policy],
+    checked from scratch; [extra] adds transient blocks (e.g. TE double
+    buffers) as [(level, block)]. To budget a layer below its physical
+    size, shrink the hierarchy (what {!Explore.pareto} does per grid
+    point). *)
 
 val with_hierarchy : t -> Mhla_arch.Hierarchy.t -> t
 (** The same placements evaluated against another platform with the

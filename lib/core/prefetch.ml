@@ -144,9 +144,8 @@ let sort_plans order raw =
     by (fun (bt, _, _, _) -> float_of_int bt.Mapping.bytes_per_issue)
   | By_time -> by (fun (_, t, _, _) -> float_of_int t)
 
-let run ?(order = By_time_over_size) ?(policy = Occupancy.In_place)
-    ?(defer_writebacks = false) ?(telemetry = Telemetry.noop)
-    (m : Mapping.t) =
+let run ?(order = By_time_over_size) ?(defer_writebacks = false)
+    ?(telemetry = Telemetry.noop) (m : Mapping.t) =
   Telemetry.span telemetry ~cat:"te" "te.run" @@ fun () ->
   let sched = m.Mapping.schedule in
   let eligible =
@@ -206,7 +205,7 @@ let run ?(order = By_time_over_size) ?(policy = Occupancy.In_place)
         (extras, List.rev granted, hidden, limit)
       | iter :: rest ->
         let candidate_extras = buffer_for iter :: extras in
-        if not (Mapping.occupancy_ok ~policy ~extra:candidate_extras m) then
+        if not (Mapping.occupancy_ok ~extra:candidate_extras m) then
           (extras, List.rev granted, hidden, Size_bound)
         else begin
           let cycles = Cost.loop_iteration_cycles m ~iter in

@@ -14,7 +14,8 @@
     - a BT is extended loop by loop, innermost outward. Each step needs
       one more buffer of the copy's footprint on the destination layer
       (longer copy lifetime); if that overflows the user's on-chip size
-      constraint the extension stops. Each granted step hides one
+      constraint, sized under the mapping's policy as step 1 sized it,
+      the extension stops. Each granted step hides one
       iteration's worth of CPU cycles of that loop; the BT stops early
       once fully hidden;
     - finally DMA priorities follow the greedy order.
@@ -55,13 +56,12 @@ type schedule = {
 
 val run :
   ?order:order ->
-  ?policy:Mhla_lifetime.Occupancy.policy ->
   ?defer_writebacks:bool ->
   ?telemetry:Mhla_obs.Telemetry.t ->
   Mapping.t ->
   schedule
-(** Defaults: the paper's [By_time_over_size] order, in-place sizing,
-    and — like the paper — prefetching of reads only.
+(** Defaults: the paper's [By_time_over_size] order and — like the
+    paper — prefetching of reads only.
     [defer_writebacks] additionally plans the symmetric extension the
     paper leaves as future work: a buffer's drain to the off-chip store
     is deferred into the following iterations (the buffer lives one

@@ -159,7 +159,7 @@ let check_interp (m : Mapping.t) =
 (* The verifier's [Error]-severity findings on a solve's answer: a
    generated solver output that fails to verify clean is a solver bug. *)
 let verifier_errors result =
-  Verify.errors (Verify.check_result Assign.default_config result)
+  Verify.errors (Verify.check_result result)
 
 let pp_errors = Fmt.list ~sep:Fmt.comma Mhla_analysis.Diagnostic.pp
 

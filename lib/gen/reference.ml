@@ -16,8 +16,8 @@ let result mapping steps evaluations =
   }
 
 let start (config : Assign.config) ?reuse program hierarchy =
-  Mapping.direct ~transfer_mode:config.Assign.transfer_mode ?reuse program
-    hierarchy
+  Mapping.direct ~transfer_mode:config.Assign.transfer_mode
+    ~policy:config.Assign.policy ?reuse program hierarchy
 
 let step move ~before ~after =
   { Assign.move; gain = before -. after; objective_after = after }
@@ -37,7 +37,7 @@ let greedy ?(config = Assign.default_config) ?(first_improvement = false)
   (* The feasible moved-to mapping and its value. *)
   let probe m move =
     let next = Assign.apply_move m move in
-    if Assign.feasible config next then Some (move, next, value next) else None
+    if Mapping.occupancy_ok next then Some (move, next, value next) else None
   in
   let rec descend m current steps =
     let improving = function
@@ -94,7 +94,7 @@ let simulated_annealing ?(config = Assign.default_config) ?reuse
     | moves ->
       let move = Prng.pick prng moves in
       let next = Assign.apply_move !current move in
-      if Assign.feasible config next then begin
+      if Mapping.occupancy_ok next then begin
         let v = value next in
         let delta = v -. !current_value in
         if delta < 0. || Prng.float prng < exp (-.delta /. !temperature)
@@ -133,7 +133,7 @@ let exhaustive ?(config = Assign.default_config) ?reuse ~max_states program
     let best = ref None in
     let rec assign m = function
       | [] ->
-        if Assign.feasible config m then begin
+        if Mapping.occupancy_ok m then begin
           incr evaluations;
           let v = Cost.scalar config.Assign.objective (Cost.evaluate m) in
           match !best with

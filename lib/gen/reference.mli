@@ -2,8 +2,8 @@
     for {!Mhla_core.Assign}.
 
     Each search here is a plain loop over {!Mhla_core.Assign.moves},
-    {!Mhla_core.Assign.apply_move}, {!Mhla_core.Assign.feasible} and
-    {!Mhla_core.Cost.evaluate}: every candidate is built as a mapping
+    {!Mhla_core.Assign.apply_move}, {!Mhla_core.Mapping.occupancy_ok}
+    and {!Mhla_core.Cost.evaluate}: every candidate is built as a mapping
     and costed in full, with no incremental engine, no move table and no
     loop shared with the production searches. [greedy] and
     [simulated_annealing] probe the same moves in the same order and

@@ -47,14 +47,9 @@ let race ?(config = Assign.default_config) ?jobs
       Policy.run ~config ~telemetry:child ?reuse ?checkpoint p program
         hierarchy
     in
-    (* [Policy.run] only replaces the config's [cc_top_k], so the
-       race's config carries the sizing policy the entrant searched
-       under. *)
     let verify =
       if verify_live then begin
-        let report =
-          Mhla_analysis.Verify.check_result ?suppress config result
-        in
+        let report = Mhla_analysis.Verify.check_result ?suppress result in
         Mhla_analysis.Verify.require report;
         Some report
       end

@@ -150,8 +150,7 @@ let run_job ?telemetry ?reuse ?checkpoint ?jobs ?live ?arbitration
         result;
         verify =
           Option.map
-            (fun suppress ->
-              Verify.check_result ~suppress (solve_config req) result)
+            (fun suppress -> Verify.check_result ~suppress result)
             live;
         robustness =
           Option.map
@@ -201,9 +200,7 @@ let record t resp =
 
 (* --- one request, one response ----------------------------------------- *)
 
-(* [determinism] emits only Info and [lints] only Warning and Info;
-   the gate reads nothing but errors. *)
-let gate_passes = [ "bounds"; "capacity"; "dma-race"; "interference" ]
+let gate_passes = [ "bounds" ]
 
 let run_request t tele job (req : Request.t) =
   let elapsed () = Deadline.now_ns () - job.submitted_ns in

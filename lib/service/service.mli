@@ -27,9 +27,11 @@
 
 val gate_passes : string list
 (** The verifier passes a program must pass before it is solved:
-    [bounds], [capacity], [dma-race] and [interference], the ones that
-    can emit an [Error]. The other passes emit only warnings and notes,
-    which the gate would drop. *)
+    [bounds] alone. The gate checks the bare program, with no mapping
+    and no TE schedule, and on such a subject [bounds] is the only pass
+    that can emit an [Error]: [capacity], [dma-race] and [interference]
+    need a solver output and emit nothing without one, and the other
+    passes emit only warnings and notes, which the gate would drop. *)
 
 (** Admission policy once the queue is full. *)
 type admission = Block | Shed

@@ -52,7 +52,7 @@ let address layout program ~array ~indices =
   in
   base + (element_offset decl ~indices * decl.Mhla_ir.Array_decl.element_bytes)
 
-let fold ?only_stmt (program : Mhla_ir.Program.t) ~init ~f =
+let fold (program : Mhla_ir.Program.t) ~init ~f =
   let bases = layout program in
   let env = Hashtbl.create 16 in
   let lookup name =
@@ -62,28 +62,25 @@ let fold ?only_stmt (program : Mhla_ir.Program.t) ~init ~f =
   in
   let acc = ref init in
   let run_stmt (s : Mhla_ir.Stmt.t) =
-    match only_stmt with
-    | Some name when name <> s.Mhla_ir.Stmt.name -> ()
-    | Some _ | None ->
-      List.iter
-        (fun (a : Mhla_ir.Access.t) ->
-          let indices =
-            List.map (fun e -> Mhla_ir.Affine.eval e ~env:lookup) a.Mhla_ir.Access.index
-          in
-          let address =
-            address bases program ~array:a.Mhla_ir.Access.array ~indices
-          in
-          let decl = find_decl program a.Mhla_ir.Access.array in
-          acc :=
-            f !acc
-              {
-                stmt = s.Mhla_ir.Stmt.name;
-                array = a.Mhla_ir.Access.array;
-                direction = a.Mhla_ir.Access.direction;
-                address;
-                element_bytes = decl.Mhla_ir.Array_decl.element_bytes;
-              })
-        s.Mhla_ir.Stmt.accesses
+    List.iter
+      (fun (a : Mhla_ir.Access.t) ->
+        let indices =
+          List.map (fun e -> Mhla_ir.Affine.eval e ~env:lookup) a.Mhla_ir.Access.index
+        in
+        let address =
+          address bases program ~array:a.Mhla_ir.Access.array ~indices
+        in
+        let decl = find_decl program a.Mhla_ir.Access.array in
+        acc :=
+          f !acc
+            {
+              stmt = s.Mhla_ir.Stmt.name;
+              array = a.Mhla_ir.Access.array;
+              direction = a.Mhla_ir.Access.direction;
+              address;
+              element_bytes = decl.Mhla_ir.Array_decl.element_bytes;
+            })
+      s.Mhla_ir.Stmt.accesses
   in
   let rec run_node = function
     | Mhla_ir.Program.Stmt s -> run_stmt s
@@ -97,8 +94,7 @@ let fold ?only_stmt (program : Mhla_ir.Program.t) ~init ~f =
   List.iter run_node program.Mhla_ir.Program.body;
   !acc
 
-let count_events ?only_stmt program =
-  fold ?only_stmt program ~init:0 ~f:(fun n _ -> n + 1)
+let count_events program = fold program ~init:0 ~f:(fun n _ -> n + 1)
 
 (* Grouped event counts, in first-seen order. The keys come from the
    event stream itself, so a statement or array the execution never

@@ -31,18 +31,16 @@ val address :
     out-of-bounds index. *)
 
 val fold :
-  ?only_stmt:string ->
   Mhla_ir.Program.t ->
   init:'a ->
   f:('a -> event -> 'a) ->
   'a
 (** Execute the program in source order and fold over every access
-    event. [only_stmt] restricts the events to one statement (the
-    loops still iterate fully).
+    event.
     @raise Mhla_util.Error.Error when a subscript leaves the array bounds —
     an IR modelling bug worth failing loudly on. *)
 
-val count_events : ?only_stmt:string -> Mhla_ir.Program.t -> int
+val count_events : Mhla_ir.Program.t -> int
 
 val count_by_stmt : Mhla_ir.Program.t -> (string * int) list
 (** Dynamic access events grouped by statement name, in first-execution

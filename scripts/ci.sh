@@ -59,9 +59,10 @@ dune exec -- bin/mhla_cli.exe sweep motion_estimation -j 2 --min 256 \
 dune exec -- bin/mhla_cli.exe run motion_estimation --search annealing \
   >/dev/null
 # The error exits: invalid input (2) from the app registry, the search
-# registry and Service.create, which names a bad config field, and from
+# registry and Service.create, which names a bad config field, from
 # Request.make, which names a bad value by its wire path ("-e NEEDLE"
-# checks stderr for it), then the deadline guard (75). The gates below check exit 1.
+# checks stderr for it), and from the diagnostic catalogue, which no
+# longer holds the retired MHLA003; then the deadline guard (75). The gates below check exit 1.
 expect_exit() {
   want=$1
   shift
@@ -98,6 +99,7 @@ expect_exit 2 -e '$.arch.onchip_bytes' check motion_estimation --onchip 0
 expect_exit 2 -e '$.grid[0][0]' pareto motion_estimation --level 0,128
 expect_exit 2 -e default_deadline_ms serve --stdin --default-deadline-ms=-1
 expect_exit 2 -e '$.deadline_ms' sweep motion_estimation --deadline-ms=-1
+expect_exit 2 -e 'unknown diagnostic code' check --explain MHLA003
 
 echo "== check gate =="
 # The static verifier must accept every bundled application...

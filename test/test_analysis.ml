@@ -71,7 +71,7 @@ let test_catalogue () =
   List.iter
     (fun c ->
       Alcotest.(check bool) (c ^ " catalogued") true (List.mem c cs))
-    [ "MHLA001"; "MHLA002"; "MHLA003"; "MHLA101"; "MHLA102"; "MHLA103";
+    [ "MHLA001"; "MHLA002"; "MHLA101"; "MHLA102"; "MHLA103";
       "MHLA104"; "MHLA201"; "MHLA301"; "MHLA302"; "MHLA303";
       "MHLA304";
       "MHLA305"; "MHLA306" ];
@@ -295,8 +295,7 @@ let test_capacity_accepts_solver_mapping () =
 let test_capacity_detects_overflow () =
   let m, te = solved "motion_estimation" in
   let peaks =
-    Capacity.recomputed_peaks ~schedule:te
-      ~policy:Mhla_lifetime.Occupancy.In_place m
+    Capacity.recomputed_peaks ~schedule:te m
   in
   let peak = List.fold_left (fun acc (_, p) -> max acc p) 0 peaks in
   Alcotest.(check bool) "something lives on-chip" true (peak > 1);
@@ -311,17 +310,49 @@ let test_capacity_detects_overflow () =
   Alcotest.(check (option int)) "layer located" (Some 0)
     d.Diagnostic.loc.Diagnostic.layer
 
+(* A solve sized under [Sum] plans its Time Extensions under [Sum] too,
+   so its answer passes the capacity check it was sized for. Planned in
+   place instead, TE granted buffers that only fit in place: MHLA201 on
+   cavity_detector, wavelet_2d and jpeg_encoder, and on 8 of the Mixed
+   seeds 1-300 (44 and 54 the first). *)
+let sum_config =
+  { Assign.default_config with Assign.policy = Mhla_lifetime.Occupancy.Sum }
+
+let test_sum_solves_verify_clean () =
+  List.iter
+    (fun (app : Defs.t) ->
+      let r =
+        Explore.run ~config:sum_config
+          (Lazy.force app.Defs.program)
+          (Presets.two_level ~onchip_bytes:app.Defs.onchip_bytes ())
+      in
+      Alcotest.(check (list string)) app.Defs.name []
+        (error_codes (Verify.check_result r)))
+    Apps.all
+
+let test_sum_generated_verify_clean () =
+  for seed = 1 to 300 do
+    let case =
+      Mhla_gen.Generate.case ~profile:Mhla_gen.Generate.Mixed
+        ~seed:(Int64.of_int seed) ()
+    in
+    let r =
+      Explore.run ~config:sum_config case.Mhla_gen.Generate.program
+        (Presets.two_level ~onchip_bytes:case.Mhla_gen.Generate.onchip_bytes ())
+    in
+    Alcotest.(check (list string)) (Fmt.str "mixed seed %d" seed) []
+      (error_codes (Verify.check_result r))
+  done
+
 (* --verify-live's answer check on a solve whose mapping overflows its
    layer: the hierarchy swapped for one a byte smaller than the
    recomputed peak, as [mhla check --mutate capacity] builds it. *)
 let test_verify_live_refuses_overflow () =
   let r = solve_app "motion_estimation" in
-  let config = Assign.default_config in
-  Verify.require (Verify.check_result config r);
+  Verify.require (Verify.check_result r);
   let m = r.Explore.assign.Assign.mapping in
   let peaks =
-    Capacity.recomputed_peaks ~schedule:r.Explore.te
-      ~policy:config.Assign.policy m
+    Capacity.recomputed_peaks ~schedule:r.Explore.te m
   in
   let peak = List.fold_left (fun acc (_, p) -> max acc p) 0 peaks in
   let hierarchy =
@@ -339,7 +370,7 @@ let test_verify_live_refuses_overflow () =
         };
     }
   in
-  let report = Verify.check_result config overflowing in
+  let report = Verify.check_result overflowing in
   Alcotest.(check (list string)) "MHLA201 fired" [ "MHLA201" ]
     (error_codes report);
   match Verify.require report with
@@ -741,6 +772,10 @@ let () =
           Alcotest.test_case "accepts solver" `Quick
             test_capacity_accepts_solver_mapping;
           Alcotest.test_case "overflow" `Quick test_capacity_detects_overflow;
+          Alcotest.test_case "sum solves on the nine apps" `Quick
+            test_sum_solves_verify_clean;
+          Alcotest.test_case "sum solves on generated programs" `Quick
+            test_sum_generated_verify_clean;
         ] );
       ( "verify-live",
         [

@@ -165,8 +165,10 @@ let test_greedy_sum_policy_feasible () =
   let result =
     Assign.greedy ~config (conv ()) (Presets.two_level ~onchip_bytes:512 ())
   in
+  Alcotest.(check bool) "the mapping carries Sum" true
+    (result.Assign.mapping.Mapping.policy = Occupancy.Sum);
   Alcotest.(check bool) "feasible under Sum" true
-    (Mapping.occupancy_ok ~policy:Occupancy.Sum result.Assign.mapping)
+    (Mapping.occupancy_ok result.Assign.mapping)
 
 (* --- exhaustive ------------------------------------------------------- *)
 
@@ -528,9 +530,9 @@ let prop_greedy_never_worse_than_direct =
 
 (* [Engine.feasible] against the from-scratch check, for one move at the
    engine's current position. *)
-let feasible_agrees config engine mv =
+let feasible_agrees engine mv =
   Engine.feasible engine mv
-  = Assign.feasible config (Assign.apply_move (Engine.mapping engine) mv)
+  = Mapping.occupancy_ok (Assign.apply_move (Engine.mapping engine) mv)
 
 let gen_profiles =
   [| Mhla_gen.Generate.Reuse_rich; Mhla_gen.Generate.Capacity_tight;
@@ -561,8 +563,8 @@ let prop_engine_feasible_matches_oracle =
       let policy = if sum then Occupancy.Sum else Occupancy.In_place in
       let config = { Assign.default_config with Assign.policy } in
       let engine =
-        Engine.create ~policy ~objective:config.Assign.objective
-          (Mapping.direct program hierarchy)
+        Engine.create ~objective:config.Assign.objective
+          (Mapping.direct ~policy program hierarchy)
       in
       let rng = Mhla_util.Prng.create ~seed:(Int64.of_int (seed + 1)) in
       let ok = ref true in
@@ -570,7 +572,7 @@ let prop_engine_feasible_matches_oracle =
         match Assign.moves config (Engine.mapping engine) with
         | [] -> ()
         | moves ->
-          if not (List.for_all (feasible_agrees config engine) moves) then
+          if not (List.for_all (feasible_agrees engine) moves) then
             ok := false;
           Engine.commit engine (Mhla_util.Prng.pick rng moves)
       done;
@@ -602,9 +604,10 @@ let test_feasible_shared_hull_shrinks () =
     (fun (policy, (here, drop_s1, drop_s2)) ->
       let config = { Assign.default_config with Assign.policy } in
       let m =
-        Mapping.direct (shared_table ()) (Presets.two_level ~onchip_bytes:12 ())
+        Mapping.direct ~policy (shared_table ())
+          (Presets.two_level ~onchip_bytes:12 ())
       in
-      let engine = Engine.create ~policy ~objective:config.Assign.objective m in
+      let engine = Engine.create ~objective:config.Assign.objective m in
       let r1, c1 = whole_chain m "s1" ~layer:0 in
       let r2, c2 = whole_chain m "s2" ~layer:0 in
       List.iter (Engine.commit engine)
@@ -616,7 +619,7 @@ let test_feasible_shared_hull_shrinks () =
       List.iter
         (fun (what, mv, expected) ->
           Alcotest.(check bool) (what ^ " agrees") true
-            (feasible_agrees config engine mv);
+            (feasible_agrees engine mv);
           Alcotest.(check bool) what expected (Engine.feasible engine mv))
         [ ("the hull covers slot 1", stay, here);
           ("dropping s1 keeps slot 1", drop r1, drop_s1);
@@ -641,7 +644,7 @@ let test_feasible_empty_lifetime_widened () =
   Alcotest.(check bool) "idle alone fits" true (Engine.feasible engine idle);
   Engine.commit engine (Engine.Set_array ("used", Some 0));
   Alcotest.(check bool) "widened idle collides with used" true
-    (feasible_agrees config engine idle);
+    (feasible_agrees engine idle);
   Alcotest.(check bool) "16 bytes in slot 0" false
     (Engine.feasible engine idle)
 
@@ -656,12 +659,12 @@ let test_feasible_array_between_levels () =
   Alcotest.(check bool) "fits in L2" true (Engine.feasible engine (to_level 1));
   Engine.commit engine (to_level 1);
   Alcotest.(check bool) "L2 -> L1 agrees" true
-    (feasible_agrees config engine (to_level 0));
+    (feasible_agrees engine (to_level 0));
   Alcotest.(check bool) "too big for L1" false
     (Engine.feasible engine (to_level 0));
   Engine.commit engine (to_level 0);
   Alcotest.(check bool) "L1 -> L2 agrees" true
-    (feasible_agrees config engine (to_level 1));
+    (feasible_agrees engine (to_level 1));
   Alcotest.(check bool) "back to L2 frees L1" true
     (Engine.feasible engine (to_level 1));
   Alcotest.(check bool) "off-chip frees L1" true
@@ -713,7 +716,7 @@ let test_engine_foreign_placements () =
   let engine = Engine.create ~objective m in
   let agrees what mv =
     let moved = Assign.apply_move (Engine.mapping engine) mv in
-    Alcotest.(check bool) (what ^ ": feasible") (Assign.feasible config moved)
+    Alcotest.(check bool) (what ^ ": feasible") (Mapping.occupancy_ok moved)
       (Engine.feasible engine mv);
     Alcotest.(check bool) (what ^ ": probe") true
       (Engine.probe engine mv = Cost.scalar objective (Cost.evaluate moved))

@@ -290,7 +290,7 @@ let prop_crosscheck_agrees =
           && (Mhla_gen.Oracle.check_engine m)
                .Mhla_gen.Oracle.engine_consistent
           && Mhla_analysis.Verify.errors
-               (Mhla_analysis.Verify.check_result Assign.default_config r)
+               (Mhla_analysis.Verify.check_result r)
              = [])
         p)
 

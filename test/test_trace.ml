@@ -95,12 +95,6 @@ let test_event_count_all_apps_small () =
         (Interp.count_events p))
     Mhla_apps.Registry.all
 
-let test_only_stmt_filter () =
-  let p = conv ~n:4 () in
-  Alcotest.(check int) "mac events only"
-    (3 * 4 * 4 * 9)
-    (Interp.count_events ~only_stmt:"mac" p)
-
 (* --- footprints vs touched addresses ----------------------------------- *)
 
 let test_touched_matches_footprint_conv () =
@@ -332,7 +326,6 @@ let () =
             test_event_count_matches_static;
           Alcotest.test_case "count all apps" `Quick
             test_event_count_all_apps_small;
-          Alcotest.test_case "stmt filter" `Quick test_only_stmt_filter;
         ] );
       ( "footprints",
         [
