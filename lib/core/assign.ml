@@ -197,11 +197,12 @@ let moves config (m : Mapping.t) =
    deltas of its last exact probe and an absolute bound on the energy
    delta's float error ([infinity]: no valid delta), the move's lower
    bound at the position, and scratch for the greedy's pending moves.
-   The greedy allocates the per-move arrays when a solve's first round
-   finds an improving move, so a solve that commits nothing allocates
-   none of them. The annealing also allocates, with [table_verdicts],
-   a feasibility verdict per move and the position it was taken at
-   (see [table_feasible]). *)
+   The greedy turns the cache on ([cached]) when a solve's first round
+   finds an improving move, so a solve that commits nothing caches
+   nothing; the per-move arrays are allocated the first time, and
+   kept across the solves of one {!state}. The annealing also
+   allocates, with [table_verdicts], a feasibility verdict per move and
+   the position it was taken at (see [table_feasible]). *)
 type table = {
   all : move array;
   owner : int array;
@@ -214,6 +215,7 @@ type table = {
   mutable terms : int;
   energy : float array;
   mutable t_max : int;
+  mutable cached : bool;
   mutable dc : int array;
   mutable de : float array;
   mutable err : float array;
@@ -268,28 +270,19 @@ let move_table ~alts config (m : Mapping.t) =
   for k = Array.length all - 1 downto 0 do
     first.(owner.(k)) <- k
   done;
-  let current = function
-    | Set_placement (r, _) -> Set_placement (r, Mapping.placement_of m r)
-    | Set_array (a, _) -> Set_array (a, array_target m a)
-  in
-  let at = Array.map (fun ms -> current ms.(0)) owners in
-  let skip = Array.mapi (fun k mv -> same_target mv at.(owner.(k))) all in
-  let live = Array.make (Array.length owners) 0 in
-  Array.iteri
-    (fun k s -> if not s then live.(owner.(k)) <- live.(owner.(k)) + 1)
-    skip;
   {
     all;
     owner;
     first;
-    skip;
-    live;
-    n_live = Array.fold_left ( + ) 0 live;
+    skip = Array.make (Array.length all) false;
+    live = Array.make (Array.length owners) 0;
+    n_live = 0;
     array_of = Array.map (fun o -> owner_array.(o)) owner;
     cycles = 0;
     terms = 0;
     energy = [| 0. |];
     t_max = 0;
+    cached = false;
     dc = [||];
     de = [||];
     err = [||];
@@ -299,6 +292,35 @@ let move_table ~alts config (m : Mapping.t) =
     checked = [||];
     fits = [||];
   }
+
+(* Place the table on start mapping [m] as if just built for it: the
+   moves that leave their owner as [m] has it are skipped, the delta
+   cache is off and empty, and bumping [position] makes every
+   feasibility verdict stale. *)
+let table_seat table (m : Mapping.t) =
+  let current = function
+    | Set_placement (r, _) -> Set_placement (r, Mapping.placement_of m r)
+    | Set_array (a, _) -> Set_array (a, array_target m a)
+  in
+  Array.fill table.live 0 (Array.length table.live) 0;
+  let o = ref (-1) and at = ref (Set_array ("", None)) in
+  Array.iteri
+    (fun k mv ->
+      if table.owner.(k) <> !o then begin
+        o := table.owner.(k);
+        at := current mv
+      end;
+      let skip = same_target mv !at in
+      table.skip.(k) <- skip;
+      if not skip then table.live.(!o) <- table.live.(!o) + 1)
+    table.all;
+  table.n_live <- Array.fold_left ( + ) 0 table.live;
+  table.cycles <- 0;
+  table.terms <- 0;
+  table.energy.(0) <- 0.;
+  table.t_max <- 0;
+  table.cached <- false;
+  table.position <- table.position + 1
 
 (* The [r]-th unskipped move, [0 <= r < n_live]. *)
 let table_nth table r =
@@ -375,20 +397,27 @@ let threshold current = current -. (1e-9 *. (Float.abs current +. 1.))
 let fold_error ~terms energy =
   float_of_int (terms + 2) *. epsilon_float *. energy
 
-(* Allocate the per-move cache, every delta stale. *)
+(* Turn the per-move cache on, every delta stale. *)
 let table_cache table =
   let n = Array.length table.all in
-  table.dc <- Array.make n 0;
-  table.de <- Array.make n 0.;
-  table.err <- Array.make n infinity;
-  table.low <- Array.make n 0.;
-  table.pending <- Array.make n 0
+  if Array.length table.err = n then Array.fill table.err 0 n infinity
+  else begin
+    table.dc <- Array.make n 0;
+    table.de <- Array.make n 0.;
+    table.err <- Array.make n infinity;
+    table.low <- Array.make n 0.;
+    table.pending <- Array.make n 0
+  end;
+  table.cached <- true
 
-(* Allocate the per-move feasibility verdicts, none taken. *)
+(* Allocate the per-move feasibility verdicts, none taken; verdicts
+   kept from an earlier solve are stale already ([table_seat]). *)
 let table_verdicts table =
   let n = Array.length table.all in
-  table.checked <- Array.make n (-1);
-  table.fits <- Array.make n false
+  if Array.length table.checked <> n then begin
+    table.checked <- Array.make n (-1);
+    table.fits <- Array.make n false
+  end
 
 (* Place the table on the totals of the engine's last fold: the start
    position's, or those of a probe about to be committed. *)
@@ -398,9 +427,9 @@ let table_at_last_fold table engine =
   table.energy.(0) <- Engine.last_energy engine
 
 (* After an exact probe of [all.(j)] from the table's position: cache
-   its deltas and their error bound, once the cache is allocated. *)
+   its deltas and their error bound, once the cache is on. *)
 let table_record table engine j =
-  if Array.length table.err > 0 then begin
+  if table.cached then begin
     let t = Engine.last_terms engine in
     let e = Engine.last_energy engine in
     let de = e -. table.energy.(0) in
@@ -464,7 +493,7 @@ let table_commit table k =
   done;
   table.n_live <- table.n_live - table.live.(o) + !live;
   table.live.(o) <- !live;
-  if Array.length table.err > 0 then begin
+  if table.cached then begin
     let a = table.array_of.(k) in
     for q = 0 to Array.length table.all - 1 do
       if table.array_of.(q) = a then table.err.(q) <- infinity
@@ -478,9 +507,53 @@ let table_commit table k =
 
 let no_checkpoint () = ()
 
-let greedy ?(config = default_config) ?(first_improvement = false)
-    ?(telemetry = Telemetry.noop) ?reuse ?(checkpoint = no_checkpoint)
-    program hierarchy =
+(* The part of a solve that outlives it: the engine and the move table,
+   built on the first hierarchy and re-seated on each later one of the
+   same shape. *)
+type solver = { engine : Engine.t; table : table }
+
+type state = {
+  config : config;
+  program : Mhla_ir.Program.t;
+  reuse : Mapping.reuse;
+  mutable solver : solver option;
+}
+
+let prepare ?(config = default_config) ?reuse program =
+  let reuse =
+    match reuse with Some r -> r | None -> Mapping.precompute program
+  in
+  { config; program; reuse; solver = None }
+
+(* The out-of-the-box mapping on [hierarchy], and the state's engine
+   and move table seated on it — built first when the state has none,
+   or none of the hierarchy's shape. *)
+let seat ~telemetry st hierarchy =
+  let config = st.config in
+  let start =
+    Mapping.direct ~transfer_mode:config.transfer_mode ~policy:config.policy
+      ~reuse:st.reuse st.program hierarchy
+  in
+  let solver =
+    match st.solver with
+    | Some s when Engine.compatible s.engine start ->
+      Engine.reseat ~telemetry s.engine start;
+      s
+    | Some _ | None ->
+      let engine = Engine.create ~telemetry ~objective:config.objective start in
+      let table =
+        move_table ~alts:(all_alternatives config start) config start
+      in
+      let s = { engine; table } in
+      st.solver <- Some s;
+      s
+  in
+  table_seat solver.table start;
+  (start, solver)
+
+let greedy_on ?(first_improvement = false) ?(telemetry = Telemetry.noop)
+    ?(checkpoint = no_checkpoint) st hierarchy =
+  let config = st.config in
   Telemetry.span telemetry ~cat:"assign" "assign.greedy"
     ~args:(fun () ->
       [ ("first_improvement", Telemetry.Bool first_improvement);
@@ -489,10 +562,6 @@ let greedy ?(config = default_config) ?(first_improvement = false)
       ])
   @@ fun () ->
   let evaluations = ref 1 (* the start position's evaluation *) in
-  let start =
-    Mapping.direct ~transfer_mode:config.transfer_mode ~policy:config.policy
-      ?reuse program hierarchy
-  in
   let mk_step move ~current ~value =
     let step = { move; gain = current -. value; objective_after = value } in
     Telemetry.instant telemetry ~cat:"assign" "greedy.step"
@@ -503,10 +572,7 @@ let greedy ?(config = default_config) ?(first_improvement = false)
           ("objective_after", Telemetry.Float value) ]);
     step
   in
-  let engine =
-    Engine.create ~telemetry ~objective:config.objective start
-  in
-  let table = move_table ~alts:(all_alternatives config start) config start in
+  let _, { engine; table } = seat ~telemetry st hierarchy in
   let n = Array.length table.all in
   let start_value = Engine.objective_value engine in
   table_at_last_fold table engine;
@@ -529,8 +595,7 @@ let greedy ?(config = default_config) ?(first_improvement = false)
     let best_value = ref 0. in
     let probe j =
       let value = Engine.probe engine table.all.(j) in
-      if value < threshold && Array.length table.err = 0 then
-        table_cache table;
+      if value < threshold && not table.cached then table_cache table;
       table_record table engine j;
       if
         value < threshold
@@ -551,7 +616,7 @@ let greedy ?(config = default_config) ?(first_improvement = false)
       incr k;
       if (not table.skip.(j)) && Engine.feasible engine table.all.(j) then begin
         incr evaluations;
-        if Array.length table.err > 0 && table.err.(j) < infinity then begin
+        if table.cached && table.err.(j) < infinity then begin
           table_lower config.objective table j;
           if table.low.(j) < threshold then
             if first_improvement then probe j
@@ -597,22 +662,23 @@ let greedy ?(config = default_config) ?(first_improvement = false)
   let mapping, _, steps = descend start_value [] in
   result engine mapping (Engine.breakdown engine) steps !evaluations
 
-let simulated_annealing ?(config = default_config)
-    ?(telemetry = Telemetry.noop) ?reuse ?(checkpoint = no_checkpoint)
-    ?(seed = 42L) ?(iterations = 4000) program hierarchy =
+let greedy ?config ?first_improvement ?telemetry ?reuse ?checkpoint program
+    hierarchy =
+  greedy_on ?first_improvement ?telemetry ?checkpoint
+    (prepare ?config ?reuse program)
+    hierarchy
+
+let simulated_annealing_on ?(telemetry = Telemetry.noop)
+    ?(checkpoint = no_checkpoint) ?(seed = 42L) ?(iterations = 4000) st
+    hierarchy =
+  let config = st.config in
   Telemetry.span telemetry ~cat:"assign" "assign.anneal"
     ~args:(fun () ->
       [ ("seed", Telemetry.Str (Int64.to_string seed));
         ("iterations", Telemetry.Int iterations) ])
   @@ fun () ->
   let prng = Mhla_util.Prng.create ~seed in
-  let start =
-    Mapping.direct ~transfer_mode:config.transfer_mode ~policy:config.policy
-      ?reuse program hierarchy
-  in
-  let engine =
-    Engine.create ~telemetry ~objective:config.objective start
-  in
+  let start, { engine; table } = seat ~telemetry st hierarchy in
   let evaluations = ref 1 (* the start position's evaluation *) in
   let start_value = Engine.objective_value engine in
   let current_value = ref start_value in
@@ -630,7 +696,6 @@ let simulated_annealing ?(config = default_config)
   let temperature = ref t0 in
   (* The move is drawn from the table's unskipped moves, which are the
      [moves] list in order; [-1]: there is none. *)
-  let table = move_table ~alts:(all_alternatives config start) config start in
   table_cache table;
   table_verdicts table;
   table_at_last_fold table engine;
@@ -727,3 +792,9 @@ let simulated_annealing ?(config = default_config)
     temperature := !temperature *. decay
   done;
   result engine !best (Cost.evaluate !best) (List.rev !steps) !evaluations
+
+let simulated_annealing ?config ?telemetry ?reuse ?checkpoint ?seed
+    ?iterations program hierarchy =
+  simulated_annealing_on ?telemetry ?checkpoint ?seed ?iterations
+    (prepare ?config ?reuse program)
+    hierarchy

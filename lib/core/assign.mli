@@ -88,6 +88,54 @@ val moves : config -> Mapping.t -> move list
     order: placement changes for each access, then array
     promotions/demotions (when allowed). *)
 
+(** {2 Solve state}
+
+    A budget exploration solves one program on many hierarchies that
+    differ only in their capacities. Most of a solve's set-up depends
+    on the program, its reuse analysis and the config alone: the
+    placement alternatives of every access, the move table, and the
+    {!Engine}'s entries, share groups, compiled alternatives and block
+    transfers. A [state] keeps that part and re-seats it on each
+    hierarchy ({!Engine.reseat}), so only the capacity-dependent part —
+    level profiles, cost terms, the table's skip marks, delta cache and
+    verdicts — is redone per point. A state is built on its first
+    hierarchy, and built again when a later hierarchy has another
+    number of levels or other capacity-bound levels. Every solve through
+    a state returns exactly what the same solve from a fresh state
+    returns; {!Explore.pareto} and {!Explore.sweep} keep one per worker
+    domain. A state is mutable and belongs to one domain at a time. *)
+
+type state
+
+val prepare :
+  ?config:config -> ?reuse:Mapping.reuse -> Mhla_ir.Program.t -> state
+(** An empty state for [program] under [config] (default
+    {!default_config}). [reuse] must be {!Mapping.precompute} of the
+    program; without it the state computes one. Nothing else is built
+    until the first solve. *)
+
+val greedy_on :
+  ?first_improvement:bool ->
+  ?telemetry:Mhla_obs.Telemetry.t ->
+  ?checkpoint:(unit -> unit) ->
+  state ->
+  Mhla_arch.Hierarchy.t ->
+  result
+(** {!greedy} through a state: [greedy ~config ~reuse program h] is
+    [greedy_on (prepare ~config ~reuse program) h]. A solve abandoned
+    by a raising [checkpoint] leaves the state fit for the next one. *)
+
+val simulated_annealing_on :
+  ?telemetry:Mhla_obs.Telemetry.t ->
+  ?checkpoint:(unit -> unit) ->
+  ?seed:int64 ->
+  ?iterations:int ->
+  state ->
+  Mhla_arch.Hierarchy.t ->
+  result
+(** {!simulated_annealing} through a state, as {!greedy_on} is
+    {!greedy}'s. *)
+
 val greedy :
   ?config:config ->
   ?first_improvement:bool ->
@@ -126,7 +174,9 @@ val greedy :
     first round finds an improving move. Each move's feasibility is
     checked incrementally ({!Engine.feasible}), never building the
     moved-to mapping. [reuse] shares a precomputed analysis/schedule
-    (see {!Mapping.precompute}). [telemetry] (default noop) records an
+    (see {!Mapping.precompute}). Each call builds a fresh {!state}; a
+    caller solving many hierarchies shares one through {!greedy_on}.
+    [telemetry] (default noop) records an
     [assign.greedy] span, one [greedy.step] event per applied move and
     the engine's spans/counters; it never changes the result.
     [checkpoint] (default a no-op) is invoked at the top of every

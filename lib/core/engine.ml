@@ -18,18 +18,24 @@ type stats = {
   entries_invalidated : int;
 }
 
-(* One cached block-transfer contribution, exactly the tuple
+(* One block transfer and its cached contribution, exactly the tuple
    [Cost.bt_contribution] returns (hidden = 0: the searches never
-   overlap transfers — that is TE's job, after assignment). The dedupe
-   key is interned to a dense int id once, when the transfer is
-   derived; the totals fold then dedupes with a generation-stamped
-   array instead of hashing keys per probe. *)
+   overlap transfers — that is TE's job, after assignment). The
+   transfer and its dedupe key depend on no capacity, so both are kept
+   for the engine's life: the key is interned to a dense int id once,
+   and the totals fold dedupes with a generation-stamped array instead
+   of hashing keys per probe. The contribution is re-derived in place
+   once per seat (see [seat]). Its two energies sit in an all-float
+   record, which OCaml stores unboxed, so a derivation stores no fresh
+   float into a record that has outlived the minor heap. *)
+type energies = { mutable c_energy : float; mutable c_dma : float }
+
 type cached_bt = {
   key_id : int;
-  c_stall : int;
-  c_setup : int;
-  c_energy : float;
-  c_dma : float;
+  bt : Mapping.block_transfer;
+  mutable c_stall : int;
+  mutable c_setup : int;
+  c_pj : energies;
 }
 
 (* --- occupancy state ----------------------------------------------------
@@ -40,7 +46,7 @@ type cached_bt = {
    counts the slots over capacity. A move re-derives only the blocks it
    touches and rewrites only their slots. *)
 
-type profile = { capacity : int; load : int array }
+type profile = { mutable capacity : int; load : int array }
 
 (* One chain link's buffer as its share group sees it: the owning
    entry, the candidate's lifetime [lo, hi) and its footprint. *)
@@ -63,7 +69,8 @@ type group = {
 
 (* One access alternative compiled for one entry: everything a check
    or a probe needs, derived the first time the engine sees the
-   placement (by physical identity) and reused every round after.
+   placement (by physical identity) and reused every round after, and
+   every seat after.
 
    - [groups]/[sharers]: one slot per chain link held on a
      capacity-bound level, link order — the share groups this placement
@@ -71,15 +78,17 @@ type group = {
    - the cost terms by home level (the level holding the entry's
      array): the access contribution and the chain transfers, which
      depend on the home only through a [Direct] access's serving layer
-     and the outermost link's source. Filled on first use ([known]). *)
+     and the outermost link's source. The transfers of a home are
+     derived on its first use; the terms on the first use at each seat
+     ([known] holds the seat they were derived at). *)
 type alt = {
   placement : Mapping.placement;
   groups : group array;
   sharers : sharer array;
-  known : bool array;
+  known : int array;
   stall : int array;
   energy : float array;
-  bts : cached_bt array array;
+  bts : cached_bt array array;  (* [||] until derived: a chain has some *)
 }
 
 type entry = {
@@ -120,8 +129,8 @@ type occ = {
 }
 
 (* A program array: its whole-array block, the entries whose terms its
-   home moves, and its fill/drain terms per level, derived on first
-   use. *)
+   home moves, and its fill/drain streams per level, derived on first
+   use, with the seat their terms were derived at. *)
 type array_state = {
   name : string;
   a_lo : int;
@@ -129,6 +138,7 @@ type array_state = {
   a_bytes : int;
   dirty : int array;
   promoted : cached_bt array option array;  (* by level *)
+  p_known : int array;  (* by level *)
 }
 
 type counters = {
@@ -141,11 +151,14 @@ type counters = {
 
 type t = {
   objective : Cost.objective;
-  (* The mapping [create] was given. Every cost term is derived from
-     its program, hierarchy, transfer mode and infos, which no move
-     changes; its placements and promoted arrays are the start
+  (* The mapping the engine was last seated on. Every cost term is
+     derived from its program, hierarchy, transfer mode and infos, which
+     no move changes; its placements and promoted arrays are the start
      position's only. *)
-  base : Mapping.t;
+  mutable base : Mapping.t;
+  (* Bumped by every seat: a cost term stamped with an older seat was
+     derived against another hierarchy and is derived again. *)
+  mutable seated : int;
   (* The current position's mapping, once [mapping] has built it;
      [None] after a commit. *)
   mutable built : Mapping.t option;
@@ -179,15 +192,15 @@ type t = {
   mutable folded : int;
   main : int;
   levels : int;
-  dma : Mhla_arch.Dma.t option;
+  mutable dma : Mhla_arch.Dma.t option;
   compute : int;
   counters : counters;
-  telemetry : Telemetry.t;
+  mutable telemetry : Telemetry.t;
   occ : occ;
 }
 
 (* What a cache lookup that misses returns, and every entry's
-   alternative until [create] installs its placement. *)
+   alternative until a seat installs its placement. *)
 let no_alt =
   {
     placement = Mapping.Direct;
@@ -212,18 +225,34 @@ let intern_key t key =
     end;
     id
 
-let cached_bt t bt =
-  let c_stall, c_setup, c_energy, c_dma =
-    Cost.bt_contribution ~dma:t.dma t.base bt
+let cached_bts t bts =
+  Array.of_list
+    (List.map
+       (fun bt ->
+         {
+           key_id = intern_key t (Mapping.bt_dedupe_key bt);
+           bt;
+           c_stall = 0;
+           c_setup = 0;
+           c_pj = { c_energy = 0.; c_dma = 0. };
+         })
+       bts)
+
+(* Derive [c]'s contribution on the current seat's hierarchy. *)
+let derive t c =
+  let stall, setup, energy, dma =
+    Cost.bt_contribution ~dma:t.dma t.base c.bt
   in
-  t.counters.n_recomputed <- t.counters.n_recomputed + 1;
-  let key_id = intern_key t (Mapping.bt_dedupe_key bt) in
-  { key_id; c_stall; c_setup; c_energy; c_dma }
+  c.c_stall <- stall;
+  c.c_setup <- setup;
+  c.c_pj.c_energy <- energy;
+  c.c_pj.c_dma <- dma;
+  t.counters.n_recomputed <- t.counters.n_recomputed + 1
 
 (* Derive [a]'s cost terms for an entry whose array sits on [home],
-   unless an earlier probe already did. *)
+   unless an earlier probe at this seat already did. *)
 let ensure_terms t (e : entry) a home =
-  if not a.known.(home) then begin
+  if a.known.(home) <> t.seated then begin
     let level =
       match a.placement with
       | Mapping.Direct -> home
@@ -234,15 +263,19 @@ let ensure_terms t (e : entry) a home =
     a.stall.(home) <- stall;
     a.energy.(home) <- energy;
     t.counters.n_recomputed <- t.counters.n_recomputed + 1;
-    a.bts.(home) <-
-      (match a.placement with
-      | Mapping.Direct -> [||]
-      | Mapping.Chain links ->
-        Array.of_list
-          (List.map (cached_bt t)
-             (Mapping.transfers_of_chain
-                ~transfer_mode:t.base.Mapping.transfer_mode ~home links)));
-    a.known.(home) <- true
+    (match a.placement with
+    | Mapping.Direct -> ()
+    | Mapping.Chain links ->
+      if Array.length a.bts.(home) = 0 then
+        a.bts.(home) <-
+          cached_bts t
+            (Mapping.transfers_of_chain
+               ~transfer_mode:t.base.Mapping.transfer_mode ~home links);
+      let bts = a.bts.(home) in
+      for k = 0 to Array.length bts - 1 do
+        derive t bts.(k)
+      done);
+    a.known.(home) <- t.seated
   end
 
 let refresh t i =
@@ -251,22 +284,29 @@ let refresh t i =
 
 let promoted t id level =
   let st = t.arrays.(id) in
-  match st.promoted.(level) with
-  | Some bts -> bts
-  | None ->
-    let bts =
-      Array.of_list
-        (List.map (cached_bt t)
-           (Mapping.promoted_transfers t.base ~array:st.name ~level))
-    in
-    st.promoted.(level) <- Some bts;
-    bts
+  let bts =
+    match st.promoted.(level) with
+    | Some bts -> bts
+    | None ->
+      let bts =
+        cached_bts t (Mapping.promoted_transfers t.base ~array:st.name ~level)
+      in
+      st.promoted.(level) <- Some bts;
+      bts
+  in
+  if st.p_known.(level) <> t.seated then begin
+    for k = 0 to Array.length bts - 1 do
+      derive t bts.(k)
+    done;
+    st.p_known.(level) <- t.seated
+  end;
+  bts
 
 let add_bt t c =
   t.s_stall <- t.s_stall + c.c_stall;
   t.s_setup <- t.s_setup + c.c_setup;
-  t.sums.(1) <- t.sums.(1) +. c.c_energy;
-  t.sums.(2) <- t.sums.(2) +. c.c_dma;
+  t.sums.(1) <- t.sums.(1) +. c.c_pj.c_energy;
+  t.sums.(2) <- t.sums.(2) +. c.c_pj.c_dma;
   t.folded <- t.folded + 1
 
 (* Re-fold the cached contributions into the accumulators, in the
@@ -521,7 +561,7 @@ let compile t i p =
     placement = p;
     groups;
     sharers = Array.of_list (List.map snd joins);
-    known = Array.make t.levels false;
+    known = Array.make t.levels 0;
     stall = Array.make t.levels 0;
     energy = Array.make t.levels 0.;
     bts = Array.make t.levels [||];
@@ -660,7 +700,14 @@ let span_bounds policy (iv : Interval.t) =
     let lo = iv.Interval.lo in
     (lo, if Interval.is_empty iv then lo + 1 else iv.Interval.hi)
 
-let create ?(telemetry = Telemetry.noop) ~objective (m : Mapping.t) =
+let capacity h level = (Hierarchy.layer h level).Mhla_arch.Layer.capacity_bytes
+
+(* Everything of an engine that depends only on the program, its reuse
+   analysis, the transfer mode, the sizing policy and the shape of the
+   hierarchy (its levels, and which of them are capacity-bound): the
+   entries and their index, the array states, the share groups and the
+   key table. A seat fills in the rest. *)
+let build ~objective (m : Mapping.t) =
   let policy = m.Mapping.policy in
   let h = m.Mapping.hierarchy in
   let schedule = m.Mapping.schedule in
@@ -709,6 +756,7 @@ let create ?(telemetry = Telemetry.noop) ~objective (m : Mapping.t) =
                     (fun i -> entries.(i).array = id)
                     (List.init (Array.length entries) Fun.id));
              promoted = Array.make levels None;
+             p_known = Array.make levels 0;
            })
          decls)
   in
@@ -717,89 +765,157 @@ let create ?(telemetry = Telemetry.noop) ~objective (m : Mapping.t) =
     (fun i e -> Hashtbl.replace index e.info.Analysis.ref_ i)
     entries;
   let n_arrays = Array.length arrays in
-  let homes = Array.make n_arrays main in
-  let order = Array.make n_arrays 0 in
+  {
+    objective;
+    base = m;
+    seated = 0;
+    built = None;
+    entries;
+    index;
+    last_ref = { Analysis.stmt = ""; index = -1 };
+    last_index = -1;
+    arrays;
+    array_ids;
+    homes = Array.make n_arrays main;
+    order = Array.make n_arrays 0;
+    n_order = 0;
+    saved_order = Array.make n_arrays 0;
+    key_ids = Hashtbl.create 16;
+    stamps = Array.make 16 0;
+    generation = 0;
+    s_access_stall = 0;
+    s_stall = 0;
+    s_setup = 0;
+    sums = Array.make 3 0.;
+    folded = 0;
+    main;
+    levels;
+    dma = None;
+    compute = Mhla_ir.Program.total_work_cycles m.Mapping.program;
+    counters =
+      {
+        n_probes = 0;
+        n_commits = 0;
+        n_reused = 0;
+        n_recomputed = 0;
+        n_invalidated = 0;
+      };
+    telemetry = Telemetry.noop;
+    occ =
+      {
+        policy;
+        schedule;
+        profiles =
+          Array.init levels (fun level ->
+              if level = main then None
+              else
+                Option.map
+                  (fun capacity -> { capacity; load = Array.make slots 0 })
+                  (capacity h level));
+        groups = Hashtbl.create 64;
+        over = 0;
+        aff = [||];
+        n_aff = 0;
+        n_on = [||];
+        n_lo = [||];
+        n_hi = [||];
+        n_bytes = [||];
+        f_on = false;
+        f_lo = 0;
+        f_hi = 0;
+        f_bytes = 0;
+      };
+  }
+
+let compatible t (m : Mapping.t) =
+  let b = t.base in
+  m.Mapping.program == b.Mapping.program
+  && m.Mapping.infos == b.Mapping.infos
+  && m.Mapping.schedule == b.Mapping.schedule
+  && m.Mapping.transfer_mode = b.Mapping.transfer_mode
+  && m.Mapping.policy = b.Mapping.policy
+  && Hierarchy.levels m.Mapping.hierarchy = t.levels
+  &&
+  let rec bounded_alike level =
+    level = t.levels
+    || (level = t.main
+       || Option.is_some t.occ.profiles.(level)
+          = Option.is_some (capacity m.Mapping.hierarchy level))
+       && bounded_alike (level + 1)
+  in
+  bounded_alike 0
+
+(* Position the engine on [m] as if it had just been built for it: the
+   level profiles take [m]'s capacities and no load, every group and
+   entry is emptied, the homes and the promotion order are [m]'s, the
+   counters restart, and bumping [seated] marks every cost term stale,
+   so each is derived again, by the same functions, the first time a
+   fold needs it. The compiled alternatives, the transfers and their
+   key ids carry over. *)
+let seat ~telemetry t (m : Mapping.t) =
+  t.telemetry <- telemetry;
+  Telemetry.span telemetry ~cat:"engine" "engine.create" @@ fun () ->
+  let h = m.Mapping.hierarchy in
+  t.base <- m;
+  t.built <- Some m;
+  t.seated <- t.seated + 1;
+  t.dma <- (if Hierarchy.has_dma h then Some (Hierarchy.dma_exn h) else None);
+  let c = t.counters in
+  c.n_probes <- 0;
+  c.n_commits <- 0;
+  c.n_reused <- 0;
+  c.n_recomputed <- 0;
+  c.n_invalidated <- 0;
+  let occ = t.occ in
+  (* [m]'s bounded levels are the built ones ([compatible]). *)
+  Array.iteri
+    (fun level -> function
+      | None -> ()
+      | Some p ->
+        Array.fill p.load 0 (Array.length p.load) 0;
+        p.capacity <- Option.get (capacity h level))
+    occ.profiles;
+  occ.over <- 0 (* capacities are positive: empty profiles fit *);
+  Hashtbl.iter
+    (fun _ (g : group) ->
+      g.sharers <- [];
+      g.c_on <- false;
+      g.c_lo <- 0;
+      g.c_hi <- 0;
+      g.c_bytes <- 0)
+    occ.groups;
+  Array.iter (fun e -> e.alt <- no_alt) t.entries;
+  Array.fill t.homes 0 (Array.length t.homes) t.main;
   List.iteri
     (fun k (array, level) ->
-      let id = Hashtbl.find array_ids array in
-      homes.(id) <- level;
-      order.(k) <- id)
+      let id = array_id t array in
+      t.homes.(id) <- level;
+      t.order.(k) <- id)
     m.Mapping.array_layers;
-  Telemetry.span telemetry ~cat:"engine" "engine.create" @@ fun () ->
-  let t =
-    {
-      objective;
-      base = m;
-      built = Some m;
-      entries;
-      index;
-      last_ref = { Analysis.stmt = ""; index = -1 };
-      last_index = -1;
-      arrays;
-      array_ids;
-      homes;
-      order;
-      n_order = List.length m.Mapping.array_layers;
-      saved_order = Array.make n_arrays 0;
-      key_ids = Hashtbl.create 16;
-      stamps = Array.make 16 0;
-      generation = 0;
-      s_access_stall = 0;
-      s_stall = 0;
-      s_setup = 0;
-      sums = Array.make 3 0.;
-      folded = 0;
-      main;
-      levels;
-      dma = (if Hierarchy.has_dma h then Some (Hierarchy.dma_exn h) else None);
-      compute = Mhla_ir.Program.total_work_cycles m.Mapping.program;
-      counters =
-        {
-          n_probes = 0;
-          n_commits = 0;
-          n_reused = 0;
-          n_recomputed = 0;
-          n_invalidated = 0;
-        };
-      telemetry;
-      occ =
-        {
-          policy;
-          schedule;
-          profiles =
-            Array.init levels (fun level ->
-                if level = main then None
-                else
-                  Option.map
-                    (fun capacity -> { capacity; load = Array.make slots 0 })
-                    (Hierarchy.layer h level).Mhla_arch.Layer.capacity_bytes);
-          groups = Hashtbl.create 64;
-          over = 0 (* capacities are positive: empty profiles fit *);
-          aff = [||];
-          n_aff = 0;
-          n_on = [||];
-          n_lo = [||];
-          n_hi = [||];
-          n_bytes = [||];
-          f_on = false;
-          f_lo = 0;
-          f_hi = 0;
-          f_bytes = 0;
-        };
-    }
-  in
-  (* Entries join their groups in entry order, as [Mapping.layer_blocks]
-     meets them. *)
-  Array.iteri
-    (fun i (e : entry) ->
-      install t i (alt_of t i (Mapping.placement_of m e.info.Analysis.ref_)))
-    entries;
+  t.n_order <- List.length m.Mapping.array_layers;
+  (* Placements are in infos (= entry) order, so entries join their
+     groups in the order [Mapping.layer_blocks] meets them. *)
+  List.iter
+    (fun (r, p) ->
+      let i = index_of t r in
+      install t i (alt_of t i p))
+    m.Mapping.placements;
   for k = 0 to t.n_order - 1 do
-    let st = arrays.(order.(k)) in
-    charge t.occ homes.(order.(k)) 1 st.a_lo st.a_hi st.a_bytes
+    let id = t.order.(k) in
+    let st = t.arrays.(id) in
+    charge occ t.homes.(id) 1 st.a_lo st.a_hi st.a_bytes
   done;
-  Array.iteri (fun i _ -> refresh t i) entries;
+  Array.iteri (fun i _ -> refresh t i) t.entries
+
+let create ?(telemetry = Telemetry.noop) ~objective m =
+  let t = build ~objective m in
+  seat ~telemetry t m;
   t
+
+let reseat ?(telemetry = Telemetry.noop) t m =
+  if not (compatible t m) then
+    invalid_arg "Engine.reseat: mapping of another program or shape";
+  seat ~telemetry t m
 
 (* Placements in entry (= infos) order, each the physical placement
    its last commit installed; promoted arrays in [order], the latest

@@ -22,12 +22,30 @@
     physical identity, so the searches' hoisted alternatives hit every
     round), into one record: the share groups the placement joins on
     capacity-bound levels with the buffer it adds to each (lifetime and
-    footprint as plain ints), and its cost terms per home level (the
-    level holding the access's array), derived on first use. A
-    structurally equal but physically distinct placement, or a
-    hand-built chain the searches never generate, compiles a record of
-    its own with the same contents. At most {!compiled_cap} records are
-    kept per access; the oldest age out.
+    footprint as plain ints), and, per home level (the level holding
+    the access's array), its chain transfers with their interned dedupe
+    keys and its cost terms, all derived on first use. A structurally
+    equal but physically distinct placement, or a hand-built chain the
+    searches never generate, compiles a record of its own with the
+    same contents. At most {!compiled_cap} records are kept per access;
+    the oldest age out.
+
+    {b Once per program, once per hierarchy.} A budget exploration
+    solves one program on many hierarchies of one shape, so an engine
+    can be {!reseat}ed instead of created again. What depends only on
+    the program, its reuse analysis, the transfer mode, the policy and
+    the hierarchy's shape is built once and kept: the access entries
+    and their index, the arrays with their block spans and dirty lists,
+    the share groups, the compiled alternatives, every derived block
+    transfer and its dedupe-key id. What depends on the hierarchy is
+    reset by each seat: the level profiles take the new capacities with
+    no load, the groups and entries are emptied and refilled from the
+    start mapping, the homes and promotion order are the start
+    mapping's, the counters restart, and every cost term (access
+    contribution, chain and fill/drain transfer contribution) is marked
+    stale and derived again by the same [Cost] functions the first time
+    a fold needs it. A reseated engine therefore gives every result and
+    every counter a created one gives.
 
     Totals are then a re-fold of the current records' terms {e in the
     exact order [Cost.evaluate] folds them}, with loops over
@@ -83,7 +101,8 @@ type move =
   | Set_placement of Mhla_reuse.Analysis.access_ref * Mapping.placement
   | Set_array of string * int option
 
-(** Counters accumulated since {!create}. [contribs_reused] vs
+(** Counters accumulated since the engine was last seated ({!create}
+    or {!reseat}). [contribs_reused] vs
     [contribs_recomputed] is the cache hit/miss split over the
     per-unit contributions folded by probes; [entries_invalidated]
     counts cached access entries dirtied by [Set_array] applications
@@ -103,15 +122,34 @@ val create :
   objective:Cost.objective ->
   Mapping.t ->
   t
-(** An engine positioned on the given mapping. All contributions and
-    the occupancy state are computed once, eagerly. {!feasible} sizes
-    layers under the mapping's [policy], as [Mapping.occupancy_ok]
-    does. [telemetry] (default
-    {!Mhla_obs.Telemetry.noop}) receives [engine.create] /
-    [engine.probe] / [engine.commit] spans and the
+(** An engine positioned on the given mapping: it builds the
+    hierarchy-independent state, then seats it on the mapping as
+    {!reseat} does. The current position's contributions and the
+    occupancy state are computed eagerly. {!feasible} sizes layers
+    under the mapping's [policy], as [Mapping.occupancy_ok] does.
+    [telemetry] (default {!Mhla_obs.Telemetry.noop}) receives an
+    [engine.create] span around the seat, [engine.probe] /
+    [engine.commit] spans and the
     [engine.probes]/[engine.commits]/[engine.cache_hits]/
     [engine.cache_misses]/[engine.entries_invalidated] counters; a
     disabled sink leaves every result bit-identical. *)
+
+val compatible : t -> Mapping.t -> bool
+(** Whether {!reseat} accepts the mapping: the physically same program,
+    infos and schedule as the mapping the engine was created on, the
+    same transfer mode and policy, and a hierarchy with as many levels
+    whose capacity-bound levels are the same ones. Capacities,
+    latencies, energies and the DMA engine may all differ. *)
+
+val reseat : ?telemetry:Mhla_obs.Telemetry.t -> t -> Mapping.t -> unit
+(** Position the engine on another start mapping, typically the same
+    program on another budget point: afterwards it answers every query,
+    and counts every probe and term in {!stats}, exactly as
+    [create ~objective m] would. The hierarchy-independent state is
+    kept; the rest is reset, and the cost terms are derived again when
+    first needed. [telemetry] replaces the engine's sink and gets the
+    same [engine.create] span as {!create}.
+    @raise Invalid_argument unless [compatible t m]. *)
 
 val mapping : t -> Mapping.t
 (** The mapping the engine is positioned on, built on demand: the
@@ -120,7 +158,8 @@ val mapping : t -> Mapping.t
     later calls return that value until the next commit. It is
     structurally equal to what the same moves' [Mapping.with_placement]
     / [Mapping.with_array_layer] calls build from the mapping given to
-    {!create}, so downstream steps (TE, reports) see an identical value.
+    {!create} or {!reseat}, so downstream steps (TE, reports) see an
+    identical value.
     A search that reads it only on a new best pays for one list build
     per best, not per commit. *)
 

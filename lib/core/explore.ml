@@ -16,20 +16,13 @@ type search =
   | First_improvement
   | Annealing of { seed : int64; iterations : int }
 
-let run ?config ?order ?(search = Greedy) ?defer_writebacks
-    ?(telemetry = Telemetry.noop) ?reuse ?checkpoint program hierarchy =
-  Telemetry.span telemetry ~cat:"explore" "explore.run"
-    ~args:(fun () ->
-      [ ("program", Telemetry.Str program.Mhla_ir.Program.name) ])
-  @@ fun () ->
+(* The flow on [hierarchy] through solve state [st], which must be
+   [Assign.prepare ~config ~reuse program]. The caller opens the
+   [explore.run] span ([run_span]). *)
+let solve st ~config ~reuse ?order ?(search = Greedy) ?defer_writebacks
+    ~telemetry ?checkpoint program hierarchy =
   let stage name f = Telemetry.span telemetry ~cat:"explore" name f in
-  let ({ Assign.transfer_mode; policy; _ } as config) =
-    Option.value config ~default:Assign.default_config
-  in
-  (* The baseline and the search share one reuse analysis. *)
-  let reuse =
-    match reuse with Some r -> r | None -> Mapping.precompute program
-  in
+  let { Assign.transfer_mode; policy; _ } = config in
   let baseline =
     stage "explore.baseline" @@ fun () ->
     Cost.evaluate
@@ -38,14 +31,13 @@ let run ?config ?order ?(search = Greedy) ?defer_writebacks
   let assign =
     stage "explore.assign" @@ fun () ->
     match search with
-    | Greedy ->
-      Assign.greedy ~config ~telemetry ~reuse ?checkpoint program hierarchy
+    | Greedy -> Assign.greedy_on ~telemetry ?checkpoint st hierarchy
     | First_improvement ->
-      Assign.greedy ~config ~first_improvement:true ~telemetry ~reuse
-        ?checkpoint program hierarchy
+      Assign.greedy_on ~first_improvement:true ~telemetry ?checkpoint st
+        hierarchy
     | Annealing { seed; iterations } ->
-      Assign.simulated_annealing ~config ~telemetry ~reuse ?checkpoint ~seed
-        ~iterations program hierarchy
+      Assign.simulated_annealing_on ~telemetry ?checkpoint ~seed ~iterations
+        st hierarchy
   in
   let te =
     stage "explore.te" @@ fun () ->
@@ -63,6 +55,25 @@ let run ?config ?order ?(search = Greedy) ?defer_writebacks
     after_te = Prefetch.evaluate assign.Assign.mapping te;
     ideal = Cost.ideal assign.Assign.mapping;
   }
+
+let run_span telemetry program f =
+  Telemetry.span telemetry ~cat:"explore" "explore.run"
+    ~args:(fun () ->
+      [ ("program", Telemetry.Str program.Mhla_ir.Program.name) ])
+    f
+
+let run ?config ?order ?search ?defer_writebacks
+    ?(telemetry = Telemetry.noop) ?reuse ?checkpoint program hierarchy =
+  run_span telemetry program @@ fun () ->
+  let config = Option.value config ~default:Assign.default_config in
+  (* The baseline and the search share one reuse analysis. *)
+  let reuse =
+    match reuse with Some r -> r | None -> Mapping.precompute program
+  in
+  solve
+    (Assign.prepare ~config ~reuse program)
+    ~config ~reuse ?order ?search ?defer_writebacks ~telemetry ?checkpoint
+    program hierarchy
 
 let normalised_cycles r (b : Cost.breakdown) =
   float_of_int b.Cost.total_cycles
@@ -114,7 +125,8 @@ let sweep ?config ?(dma = true) ?jobs
     Telemetry.span telemetry ~cat:"sweep" "sweep.precompute" @@ fun () ->
     Mapping.precompute program
   in
-  let point child onchip_bytes =
+  let config = Option.value config ~default:Assign.default_config in
+  let point (child, st) onchip_bytes =
     Telemetry.span child ~cat:"sweep" "sweep.point"
       ~args:(fun () -> [ ("onchip_bytes", Telemetry.Int onchip_bytes) ])
     @@ fun () ->
@@ -122,17 +134,23 @@ let sweep ?config ?(dma = true) ?jobs
     {
       onchip_bytes;
       point_result =
-        run ?config ~telemetry:child ?checkpoint ~reuse program hierarchy;
+        ( run_span child program @@ fun () ->
+          solve st ~config ~reuse ~telemetry:child ?checkpoint program
+            hierarchy );
     }
   in
   (* Each worker domain records into its own child sink (sinks are not
-     thread-safe); the children merge back in worker order after the
-     join, which makes the final event multiset independent of [jobs]. *)
+     thread-safe) and solves through its own {!Assign.state}; the
+     children merge back in worker order after the join, which makes
+     the final event multiset independent of [jobs]. *)
   Mhla_util.Domain_pool.map_with ?jobs
-    ~init:(fun i -> Telemetry.child telemetry ~tid:(i + 1))
-    ~around:(fun child k ->
+    ~init:(fun i ->
+      ( Telemetry.child telemetry ~tid:(i + 1),
+        Assign.prepare ~config ~reuse program ))
+    ~around:(fun (child, _) k ->
       Telemetry.span child ~cat:"sweep" "sweep.worker" k)
-    ~finish:(Telemetry.merge_children telemetry)
+    ~finish:(fun workers ->
+      Telemetry.merge_children telemetry (List.map fst workers))
     point sizes
 
 (* --- per-layer budget-vector exploration ------------------------------- *)
@@ -243,12 +261,14 @@ let pareto ?config ?(dma = true) ?search ?jobs
     in
     (hierarchy, size, lb_cycles, lb_energy)
   in
-  let solve_point child budgets =
+  let config = Option.value config ~default:Assign.default_config in
+  let solve_point (child, st) budgets =
     let hierarchy, size, lb_cycles, lb_energy = bound budgets in
     if prunable ~size ~lb_cycles ~lb_energy then `Pruned
     else begin
       let r =
-        run ?config ?search ~telemetry:child ?checkpoint ~reuse program
+        run_span child program @@ fun () ->
+        solve st ~config ~reuse ?search ~telemetry:child ?checkpoint program
           hierarchy
       in
       let p = { budgets; point_result = r } in
@@ -268,7 +288,7 @@ let pareto ?config ?(dma = true) ?search ?jobs
       `Evaluated p
     end
   in
-  let do_region child region =
+  let do_region ((child, _) as worker) region =
     let min_corner = List.hd region in
     Telemetry.span child ~cat:"pareto" "pareto.region"
       ~args:(fun () ->
@@ -294,7 +314,7 @@ let pareto ?config ?(dma = true) ?search ?jobs
             (fun budgets ->
               if Atomic.get expired then `Skipped
               else
-                match solve_point child budgets with
+                match solve_point worker budgets with
                 | cell -> cell
                 | exception
                     Mhla_util.Error.Error
@@ -305,12 +325,16 @@ let pareto ?config ?(dma = true) ?search ?jobs
             region )
     end
   in
+  (* One child sink and one {!Assign.state} per worker domain. *)
   let per_region =
     Mhla_util.Domain_pool.map_with ?jobs
-      ~init:(fun i -> Telemetry.child telemetry ~tid:(i + 1))
-      ~around:(fun child k ->
+      ~init:(fun i ->
+        ( Telemetry.child telemetry ~tid:(i + 1),
+          Assign.prepare ~config ~reuse program ))
+      ~around:(fun (child, _) k ->
         Telemetry.span child ~cat:"pareto" "pareto.worker" k)
-      ~finish:(Telemetry.merge_children telemetry)
+      ~finish:(fun workers ->
+        Telemetry.merge_children telemetry (List.map fst workers))
       do_region regions
   in
   (* The result frontier is folded from the evaluated points in

@@ -94,8 +94,12 @@ val sweep :
     Points are independent, so they run on a {!Mhla_util.Domain_pool}
     of [jobs] worker domains (default
     [Domain.recommended_domain_count]); the reuse analysis is computed
-    once and shared. Results are identical for every [jobs] value —
-    [jobs:1] is plain [List.map].
+    once and shared, and each worker solves its points through one
+    {!Assign.state}, re-seated per point, so the program's search
+    set-up is built once per worker, not once per point. Each point's
+    result is exactly {!run}'s there, counters included, and results
+    are identical for every [jobs] value — [jobs:1] is plain
+    [List.map].
 
     [telemetry] (default noop) gives each worker domain its own child
     sink (one [sweep.worker] span per worker, a [sweep.point] span with
@@ -162,7 +166,9 @@ val pareto :
     size list per on-chip level, see
     {!Mhla_arch.Presets.budget_grid}); each explored vector runs the
     full {!run} flow on the {!Mhla_arch.Presets.multi_level} platform
-    it names, sharing one reuse precompute.
+    it names, sharing one reuse precompute. Each worker domain solves
+    its points through one {!Assign.state}, as {!sweep}'s do; every
+    point's result is exactly {!run}'s there.
 
     Pruning: a region (a run of the grid along the innermost axis) is
     discarded when some already-evaluated point has strictly smaller

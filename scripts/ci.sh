@@ -252,29 +252,54 @@ done
 # ...emit a well-formed JSON document with a non-empty frontier, and
 # produce the same frontier regardless of worker count (stats such as
 # pruned counts are timing-dependent under -j > 1; the frontier is
-# not allowed to be).
+# not allowed to be), on the grid above and on every application over
+# the paper-pareto 5x5 grid. Each worker solves its points through one
+# reused solve state, so this also pins per app that a reused state
+# solves as a fresh one does.
+apps=$(dune exec -- bin/mhla_cli.exe list 2>/dev/null | tail -n +3 \
+  | awk '{print $1}')
 if command -v python3 >/dev/null 2>&1; then
   pareto_j1=/tmp/mhla_ci_pareto_j1.json
   pareto_j4=/tmp/mhla_ci_pareto_j4.json
-  dune exec -- bin/mhla_cli.exe pareto motion_estimation \
-    --level "$pareto_grid" -j 1 --json >"$pareto_j1"
-  dune exec -- bin/mhla_cli.exe pareto motion_estimation \
-    --level "$pareto_grid" -j 4 --json >"$pareto_j4"
-  python3 -c '
+  same_frontier() {
+    app=$1
+    shift
+    dune exec -- bin/mhla_cli.exe pareto "$app" "$@" -j 1 --json \
+      >"$pareto_j1"
+    dune exec -- bin/mhla_cli.exe pareto "$app" "$@" -j 4 --json \
+      >"$pareto_j4"
+    python3 -c '
 import json, sys
+app = sys.argv[3]
 j1 = json.load(open(sys.argv[1]))
 j4 = json.load(open(sys.argv[2]))
 if not j1["frontier"]:
-    sys.exit("pareto --json returned an empty frontier")
+    sys.exit("pareto --json returned an empty frontier on " + app)
 if j1["partial"] or j4["partial"]:
-    sys.exit("an undeadlined pareto run reported partial=true")
+    sys.exit("an undeadlined pareto run reported partial=true on " + app)
 if j1["frontier"] != j4["frontier"]:
-    sys.exit("-j 1 and -j 4 disagree on the frontier")
-' "$pareto_j1" "$pareto_j4" || exit 1
+    sys.exit("-j 1 and -j 4 disagree on the frontier of " + app)
+' "$pareto_j1" "$pareto_j4" "$app" || exit 1
+  }
+  same_frontier motion_estimation --level "$pareto_grid"
+  for app in $apps; do
+    same_frontier "$app" --level 1024,4096,16384,65536,262144 \
+      --level 2048,8192,32768,131072,524288
+  done
   rm -f "$pareto_j1" "$pareto_j4"
 else
   echo "   (python3 not installed: skipping frontier JSON validation)"
 fi
+# ...and a size sweep prints the same bytes at -j 1 and -j 2 on every
+# application: sweep points carry no timing-dependent statistics.
+for app in $apps; do
+  sweep_j1=$(dune exec -- bin/mhla_cli.exe sweep "$app" -j 1)
+  sweep_j2=$(dune exec -- bin/mhla_cli.exe sweep "$app" -j 2)
+  if [ "$sweep_j1" != "$sweep_j2" ]; then
+    echo "mhla sweep $app: -j 1 and -j 2 print different reports" >&2
+    exit 1
+  fi
+done
 
 echo "== search decision gate =="
 # One short paper-pareto benchmark pass: every app's frontier over the

@@ -738,6 +738,127 @@ let test_engine_foreign_placements () =
     Engine.compiled_cap (Engine.compiled engine r);
   agrees "after eviction" (Engine.Set_placement (r, copy hand))
 
+(* --- one solve state, many hierarchies --------------------------------- *)
+
+type search = Steepest | First | Anneal
+
+let solve_on search st h =
+  match search with
+  | Steepest -> Assign.greedy_on st h
+  | First -> Assign.greedy_on ~first_improvement:true st h
+  | Anneal -> Assign.simulated_annealing_on ~iterations:300 st h
+
+let solve_fresh search ~config ~reuse program h =
+  match search with
+  | Steepest -> Assign.greedy ~config ~reuse program h
+  | First -> Assign.greedy ~config ~first_improvement:true ~reuse program h
+  | Anneal ->
+    Assign.simulated_annealing ~config ~iterations:300 ~reuse program h
+
+(* A random budget-vector sequence for a two-level on-chip hierarchy:
+   a vector, the same grown fourfold, then (from length 3 on) the first
+   vector again — a repeat, and a shrink after a growth — followed by
+   random picks from a small pool, which repeat often. *)
+let gen_budget_sequence =
+  QCheck2.Gen.(
+    let factor = oneofl [ 1; 2; 4 ] in
+    let vector = pair factor factor in
+    pair vector (list_size (int_range 0 3) vector))
+
+let budget_hierarchies base ((f1, f2), rest) n =
+  let h (a, b) =
+    Presets.multi_level ~level_bytes:[ max 1 (base * a / 4); base * b ] ()
+  in
+  let first = (f1, f2) in
+  let seq =
+    first :: (4 * f1, 4 * f2) :: (if n >= 3 then first :: rest else [])
+  in
+  List.map h (List.filteri (fun i _ -> i < n) seq)
+
+(* Solving a sequence of budget points through one state returns, point
+   for point, exactly what a fresh solve returns: the mapping, the
+   breakdown, the steps and every counter. *)
+let prop_state_equals_fresh =
+  QCheck2.Test.make ~name:"assign: one state over many budgets = fresh solves"
+    ~count:30
+    QCheck2.Gen.(
+      quad
+        (pair (int_range 0 100_000) (int_range 0 2))
+        (pair bool (oneofl [ Steepest; First; Anneal ]))
+        gen_budget_sequence (int_range 2 5))
+    (fun ((seed, profile), (sum, search), budgets, n) ->
+      let case =
+        Mhla_gen.Generate.case ~profile:gen_profiles.(profile)
+          ~seed:(Int64.of_int seed) ()
+      in
+      let program = case.Mhla_gen.Generate.program in
+      let policy = if sum then Occupancy.Sum else Occupancy.In_place in
+      let config = { Assign.default_config with Assign.policy } in
+      let reuse = Mapping.precompute program in
+      let st = Assign.prepare ~config ~reuse program in
+      List.for_all
+        (fun h ->
+          solve_on search st h = solve_fresh search ~config ~reuse program h)
+        (budget_hierarchies case.Mhla_gen.Generate.onchip_bytes budgets n))
+
+(* A checkpoint that raises a deadline on its [n]-th call. *)
+let expire_after n =
+  let calls = ref 0 in
+  fun () ->
+    incr calls;
+    if !calls >= n then
+      raise Mhla_util.Error.(Error (make Deadline ~context:"test" "expired"))
+
+(* A solve abandoned mid-search leaves a committed, half-walked position
+   behind; the next solve through the same state must not see it. *)
+let test_state_after_abort () =
+  let program = conv () in
+  let reuse = Mapping.precompute program in
+  let config = Assign.default_config in
+  let st = Assign.prepare ~config ~reuse program in
+  let small = Presets.multi_level ~level_bytes:[ 256; 2048 ] () in
+  let large = Presets.multi_level ~level_bytes:[ 1024; 8192 ] () in
+  let aborted what f =
+    match f () with
+    | (_ : Assign.result) -> Alcotest.failf "%s: expected a Deadline" what
+    | exception Mhla_util.Error.Error { kind = Mhla_util.Error.Deadline; _ } ->
+      ()
+  in
+  let full = Assign.greedy ~config ~reuse program large in
+  Alcotest.(check bool) "the greedy takes several rounds" true
+    (List.length full.Assign.steps >= 3);
+  aborted "greedy" (fun () ->
+      Assign.greedy_on ~checkpoint:(expire_after 3) st large);
+  List.iter
+    (fun (what, h) ->
+      Alcotest.(check bool) what true
+        (Assign.greedy_on st h = Assign.greedy ~config ~reuse program h))
+    [ ("greedy after an aborted greedy, same point", large);
+      ("greedy, another point", small) ];
+  aborted "annealing" (fun () ->
+      Assign.simulated_annealing_on ~iterations:500
+        ~checkpoint:(expire_after 200) st small);
+  Alcotest.(check bool) "annealing after an aborted annealing" true
+    (Assign.simulated_annealing_on ~iterations:500 st small
+    = Assign.simulated_annealing ~config ~iterations:500 ~reuse program small)
+
+(* A hierarchy of another shape (another level count, here) is solved
+   on a state built for it; the next point of the first shape still
+   matches a fresh solve. *)
+let test_state_shape_change () =
+  let program = conv () in
+  let reuse = Mapping.precompute program in
+  let config = Assign.default_config in
+  let st = Assign.prepare ~config ~reuse program in
+  List.iter
+    (fun h ->
+      Alcotest.(check bool) "equals a fresh solve" true
+        (Assign.greedy_on st h = Assign.greedy ~config ~reuse program h))
+    [ Presets.two_level ~onchip_bytes:512 ();
+      Presets.multi_level ~level_bytes:[ 256; 2048 ] ();
+      Presets.two_level ~onchip_bytes:2048 ();
+      Presets.two_level ~dma:false ~onchip_bytes:1024 () ]
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "assign"
@@ -814,5 +935,12 @@ let () =
             test_exhaustive_matches_or_beats_greedy;
           Alcotest.test_case "budget guard" `Quick test_exhaustive_budget_guard;
           Alcotest.test_case "feasibility" `Quick test_exhaustive_feasibility;
+        ] );
+      ( "state",
+        [
+          qc prop_state_equals_fresh;
+          Alcotest.test_case "solve after an abort" `Quick
+            test_state_after_abort;
+          Alcotest.test_case "shape change" `Quick test_state_shape_change;
         ] );
     ]

@@ -151,11 +151,18 @@ let test_sweep_duplicate_sizes () =
 
 module Nd = Pareto.Nd
 
+(* Everything a solve decides and counts: the breakdowns, the steps,
+   the layout (placements and promoted arrays), the TE schedule, and the
+   search's evaluation, probe and cache counters. A solve state reused
+   across points must reproduce all of them. *)
 let result_fingerprint (r : Explore.result) =
-  ( r.Explore.after_assign,
-    r.Explore.after_te,
-    r.Explore.assign.Assign.steps,
-    r.Explore.assign.Assign.mapping.Mhla_core.Mapping.array_layers )
+  let a = r.Explore.assign in
+  let m = a.Assign.mapping in
+  ( (r.Explore.after_assign, r.Explore.after_te, a.Assign.steps),
+    (m.Mhla_core.Mapping.placements, m.Mhla_core.Mapping.array_layers),
+    r.Explore.te,
+    (a.Assign.evaluations, a.Assign.probes, a.Assign.cache_hits,
+     a.Assign.cache_misses) )
 
 let frontier_fingerprint frontier =
   List.map
@@ -252,6 +259,66 @@ let test_pareto_deadline_returns_partial () =
   check_stats_conserved outcome;
   Alcotest.(check bool) "some points were abandoned" true
     (outcome.Explore.stats.Explore.deadline_skipped > 0)
+
+(* The paper-pareto workload's grid: every frontier point of a pareto
+   and every point of a sweep, solved through a worker's shared state,
+   equals a fresh [Explore.run] at that point, at one and two workers. *)
+let paper_axes =
+  [ [ 1024; 4096; 16384; 65536; 262144 ];
+    [ 2048; 8192; 32768; 131072; 524288 ] ]
+
+let apps () =
+  List.map
+    (fun (d : Mhla_apps.Defs.t) ->
+      (d.Mhla_apps.Defs.name, Lazy.force d.Mhla_apps.Defs.program))
+    Mhla_apps.Registry.all
+
+let test_pareto_points_fresh_on_apps () =
+  List.iter
+    (fun (name, program) ->
+      List.iter
+        (fun jobs ->
+          let outcome = Explore.pareto ~jobs ~axes:paper_axes program in
+          List.iter
+            (fun p ->
+              let pt = Nd.payload p in
+              let fresh =
+                Explore.run program
+                  (Presets.multi_level ~level_bytes:pt.Explore.budgets ())
+              in
+              let budgets =
+                String.concat "," (List.map string_of_int pt.Explore.budgets)
+              in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s -j %d [%s] = fresh run" name jobs budgets)
+                true
+                (result_fingerprint pt.Explore.point_result
+                = result_fingerprint fresh))
+            (Nd.to_list outcome.Explore.frontier))
+        [ 1; 2 ])
+    (apps ())
+
+let test_sweep_points_fresh_on_apps () =
+  let sizes = Presets.sweep_sizes ~min_bytes:128 ~max_bytes:16384 in
+  List.iter
+    (fun (name, program) ->
+      List.iter
+        (fun jobs ->
+          List.iter
+            (fun (p : Explore.sweep_point) ->
+              let fresh =
+                Explore.run program
+                  (Presets.two_level ~onchip_bytes:p.Explore.onchip_bytes ())
+              in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s -j %d %d B = fresh run" name jobs
+                   p.Explore.onchip_bytes)
+                true
+                (result_fingerprint p.Explore.point_result
+                = result_fingerprint fresh))
+            (Explore.sweep ~jobs ~sizes program))
+        [ 1; 2 ])
+    (apps ())
 
 let test_pareto_rejects_bad_axes () =
   let expect_invalid name f =
@@ -364,6 +431,8 @@ let () =
             test_sweep_more_jobs_than_sizes;
           Alcotest.test_case "duplicate sizes" `Quick
             test_sweep_duplicate_sizes;
+          Alcotest.test_case "points = fresh runs on the apps" `Quick
+            test_sweep_points_fresh_on_apps;
         ] );
       ( "pareto",
         [
@@ -377,6 +446,8 @@ let () =
             test_pareto_deadline_returns_partial;
           Alcotest.test_case "rejects bad axes" `Quick
             test_pareto_rejects_bad_axes;
+          Alcotest.test_case "frontier = fresh runs on the apps" `Quick
+            test_pareto_points_fresh_on_apps;
         ] );
       ( "report",
         [ Alcotest.test_case "rendering" `Quick test_report_rendering;
