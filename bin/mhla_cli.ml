@@ -360,8 +360,9 @@ let run_cmd =
   in
   let policy_arg =
     let doc =
-      "Run under a named policy (search + TE order + CC filter); see the \
-       registry: greedy, greedy-first, anneal, te-fifo, te-size, lean."
+      Printf.sprintf
+        "Run under a named policy (search + CC filter), one of: %s."
+        (String.concat ", " Registry.names)
     in
     Arg.(
       value & opt (some string) None & info [ "policy" ] ~docv:"NAME" ~doc)
@@ -375,8 +376,9 @@ let run_cmd =
   in
   let policies_arg =
     let doc =
-      "Comma-separated policy names for $(b,--portfolio); default: greedy, \
-       greedy-first, anneal."
+      Printf.sprintf
+        "Comma-separated policy names for $(b,--portfolio); default: %s."
+        (String.concat ", " Registry.default_portfolio_names)
     in
     Arg.(
       value

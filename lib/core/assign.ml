@@ -8,7 +8,6 @@ type config = {
   transfer_mode : Candidate.transfer_mode;
   policy : Mhla_lifetime.Occupancy.policy;
   allow_array_promotion : bool;
-  max_chain_length : int;
   cc_top_k : int option;
 }
 
@@ -18,7 +17,6 @@ let default_config =
     transfer_mode = Candidate.Delta;
     policy = Mhla_lifetime.Occupancy.In_place;
     allow_array_promotion = true;
-    max_chain_length = 2;
     cc_top_k = None;
   }
 
@@ -46,6 +44,10 @@ let result engine mapping breakdown steps evaluations =
     cache_misses = s.Engine.contribs_recomputed;
   }
 
+(* The longest copy chain considered: a copy of a copy. The
+   hierarchy's on-chip depth also caps it. *)
+let chain_depth_cap = 2
+
 (* Copy chains: pick a strictly-decreasing-level subsequence of the
    useful candidates and a strictly-increasing run of on-chip layers.
    The innermost link (first) serves the accesses. *)
@@ -71,7 +73,7 @@ let chains config (m : Mapping.t) (info : Analysis.info) =
       let kept = List.filteri (fun i _ -> i < k) ranked in
       List.filter (fun c -> List.memq c kept) candidates
   in
-  let depth_cap = min config.max_chain_length (List.length on_chip) in
+  let depth_cap = min chain_depth_cap (List.length on_chip) in
   (* Build chains inner-to-outer: each extension picks a candidate of
      strictly lower level and a strictly higher layer. *)
   let rec extend chain level_floor layer_floor length acc =

@@ -21,9 +21,6 @@ type config = {
           searches hand it to [Mapping.direct], so the mapping they
           return carries it into TE and the verifier *)
   allow_array_promotion : bool;
-  max_chain_length : int;
-      (** cap on copy-chain depth; the hierarchy's on-chip depth is
-          also always a cap *)
   cc_top_k : int option;
       (** CC selection: [Some k] keeps, per access, only the [k] useful
           candidates with the highest reuse factor under
@@ -36,8 +33,8 @@ type config = {
 val default_config : config
 (** Energy-delay objective (the balanced trade-off point the figures
     report), [Delta] transfers (the full technique with inter-copy
-    reuse), in-place sizing, array promotion on, chains up to depth
-    2, every useful candidate kept. *)
+    reuse), in-place sizing, array promotion on, every useful
+    candidate kept. *)
 
 (** One applied move, for reporting ({!describe_move} renders it). *)
 type step = {
@@ -69,8 +66,9 @@ type result = {
 val alternatives :
   config -> Mapping.t -> Mhla_reuse.Analysis.info -> Mapping.placement list
 (** All placements considered for an access: [Direct] plus every
-    level-monotone copy chain over the on-chip layers (length capped by
-    [max_chain_length]). Deterministic order. *)
+    level-monotone copy chain over the on-chip layers, at most two
+    links long (and no longer than the hierarchy's on-chip depth).
+    Deterministic order. *)
 
 (** A search move, shared with the incremental engine (which owns the
     type; this is a re-export). *)

@@ -19,7 +19,7 @@ type search =
 (* The flow on [hierarchy] through solve state [st], which must be
    [Assign.prepare ~config ~reuse program]. The caller opens the
    [explore.run] span ([run_span]). *)
-let solve st ~config ~reuse ?order ?(search = Greedy) ?defer_writebacks
+let solve st ~config ~reuse ?(search = Greedy) ?defer_writebacks
     ~telemetry ?checkpoint program hierarchy =
   let stage name f = Telemetry.span telemetry ~cat:"explore" name f in
   let { Assign.transfer_mode; policy; _ } = config in
@@ -41,8 +41,7 @@ let solve st ~config ~reuse ?order ?(search = Greedy) ?defer_writebacks
   in
   let te =
     stage "explore.te" @@ fun () ->
-    Prefetch.run ?order ?defer_writebacks ~telemetry
-      assign.Assign.mapping
+    Prefetch.run ?defer_writebacks ~telemetry assign.Assign.mapping
   in
   stage "explore.evaluate" @@ fun () ->
   {
@@ -62,7 +61,7 @@ let run_span telemetry program f =
       [ ("program", Telemetry.Str program.Mhla_ir.Program.name) ])
     f
 
-let run ?config ?order ?search ?defer_writebacks
+let run ?config ?search ?defer_writebacks
     ?(telemetry = Telemetry.noop) ?reuse ?checkpoint program hierarchy =
   run_span telemetry program @@ fun () ->
   let config = Option.value config ~default:Assign.default_config in
@@ -72,7 +71,7 @@ let run ?config ?order ?search ?defer_writebacks
   in
   solve
     (Assign.prepare ~config ~reuse program)
-    ~config ~reuse ?order ?search ?defer_writebacks ~telemetry ?checkpoint
+    ~config ~reuse ?search ?defer_writebacks ~telemetry ?checkpoint
     program hierarchy
 
 let normalised_cycles r (b : Cost.breakdown) =

@@ -28,7 +28,6 @@ type search =
 
 val run :
   ?config:Assign.config ->
-  ?order:Prefetch.order ->
   ?search:search ->
   ?defer_writebacks:bool ->
   ?telemetry:Mhla_obs.Telemetry.t ->
@@ -37,8 +36,10 @@ val run :
   Mhla_ir.Program.t ->
   Mhla_arch.Hierarchy.t ->
   result
-(** [search] defaults to [Greedy]; [defer_writebacks] (default
-    [false]) also lets TE hide buffer drains (see {!Prefetch.run}). [reuse]
+(** [search] defaults to [Greedy]; TE grants slack in the paper's
+    [BT_time / size] order ({!Prefetch.run}'s default).
+    [defer_writebacks] (default [false]) also lets TE hide buffer
+    drains (see {!Prefetch.run}). [reuse]
     shares a {!Mapping.precompute} of the same program (the sweep
     hoists one across all its points); without it the run computes one
     and shares it between the baseline and the search. The baseline and
@@ -85,7 +86,7 @@ val sweep :
   sizes:int list ->
   Mhla_ir.Program.t ->
   sweep_point list
-(** The greedy flow ({!run} with its default search and TE order) on
+(** The greedy flow ({!run} with its default search) on
     two-level platforms of each size ([dma] defaults to [true]).
     [sizes] is deduped and sorted ascending before fanning out, so a
     duplicated size never burns a worker domain on identical work;

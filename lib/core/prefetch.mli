@@ -46,7 +46,10 @@ type plan = {
 }
 
 (** How the BT list is ordered before the greedy pass. The paper uses
-    [By_time_over_size]; the others are the EXT-ORDER ablation. *)
+    [By_time_over_size], and so does every solver flow
+    ({!Explore.run}, the policies, the service). The other orders are
+    the input of the ablations only: bench EXT-ORDER and
+    [examples/prefetch_tuning.ml]. *)
 type order = By_time_over_size | Fifo | By_size | By_time
 
 type schedule = {

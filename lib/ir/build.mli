@@ -27,7 +27,7 @@ val ( *$ ) : Affine.t -> int -> Affine.t
 (** Scaling by a constant (right operand). *)
 
 val array : ?element_bytes:int -> string -> int list -> Array_decl.t
-(** [element_bytes] defaults to 1 (byte-sized pixels/samples). *)
+(** [element_bytes] defaults to 1 (one byte per pixel or sample). *)
 
 val rd : string -> Affine.t list -> Access.t
 

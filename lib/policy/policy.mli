@@ -1,18 +1,20 @@
 (** First-class search policies.
 
-    A policy bundles the three decision points of the MHLA flow that
+    A policy bundles the two decision points of the MHLA flow that
     were previously hard-wired call-site arguments:
 
     - {e CC selection} — which copy candidates even enter the chain
       space ([cc_top_k], set as {!Mhla_core.Assign.config}'s
       [cc_top_k]);
     - {e layer assignment} — which step-1 search walks the move space
-      ({!Mhla_core.Explore.search});
-    - {e TE ordering} — how block transfers are granted slack
-      ({!Mhla_core.Prefetch.order}).
+      ({!Mhla_core.Explore.search}).
 
-    [run] is {!Mhla_core.Explore.run} with the three knobs set from
-    the policy; {!greedy} reproduces the default pipeline
+    Time Extensions always grant slack in the paper's
+    [BT_time / size] order; the other orders of
+    {!Mhla_core.Prefetch.order} are ablations, not policies.
+
+    [run] is {!Mhla_core.Explore.run} with the two knobs set from the
+    policy; {!greedy} reproduces the default pipeline
     bit-identically (the regression tests assert it). Policies are
     plain data so the portfolio can race them and the registry can
     name them. *)
@@ -20,7 +22,6 @@
 type t = {
   name : string;  (** registry key, also used in reports *)
   search : Mhla_core.Explore.search;
-  order : Mhla_core.Prefetch.order;
   cc_top_k : int option;
       (** [Some k] keeps, per access, the [k] candidates with the
           highest reuse factor (see {!Mhla_core.Assign.config});
@@ -29,12 +30,11 @@ type t = {
 
 val make :
   ?search:Mhla_core.Explore.search ->
-  ?order:Mhla_core.Prefetch.order ->
   ?cc_top_k:int ->
   string ->
   t
-(** Defaults reproduce {!greedy}: steepest descent, time-over-size TE
-    ordering, no CC filtering. *)
+(** Defaults reproduce {!greedy}: steepest descent, no CC
+    filtering. *)
 
 (** {2 The built-in policies} (see {!Registry.builtins}) *)
 
@@ -47,12 +47,6 @@ val greedy_first : t
 
 val anneal : t
 (** ["anneal"] — simulated annealing, seed 42, 4000 iterations. *)
-
-val te_fifo : t
-(** ["te-fifo"] — greedy step 1, program-order TE grants. *)
-
-val te_size : t
-(** ["te-size"] — greedy step 1, biggest-transfer-first TE grants. *)
 
 val lean : t
 (** ["lean"] — greedy step 1 over only the single best candidate per
@@ -68,5 +62,4 @@ val run :
   Mhla_arch.Hierarchy.t ->
   Mhla_core.Explore.result
 (** The full flow under this policy — [Explore.run] with [config]'s
-    [cc_top_k] replaced by the policy's, the policy's search and its
-    TE order. *)
+    [cc_top_k] replaced by the policy's, and the policy's search. *)

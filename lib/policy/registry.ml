@@ -23,14 +23,7 @@ let search_name = function
   | Explore.Annealing _ -> "anneal"
 
 let builtins =
-  [
-    Policy.greedy;
-    Policy.greedy_first;
-    Policy.anneal;
-    Policy.te_fifo;
-    Policy.te_size;
-    Policy.lean;
-  ]
+  [ Policy.greedy; Policy.greedy_first; Policy.anneal; Policy.lean ]
 
 let names = List.map (fun (p : Policy.t) -> p.Policy.name) builtins
 

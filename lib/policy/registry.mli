@@ -30,7 +30,7 @@ val search_name : Mhla_core.Explore.search -> string
 
 val builtins : Policy.t list
 (** Every nameable policy, in canonical order: greedy, greedy-first,
-    anneal, te-fifo, te-size, lean. *)
+    anneal, lean. *)
 
 val names : string list
 

@@ -69,7 +69,7 @@
       "program": { ... },
       "arch": { "onchip_bytes": 2048 },
       "mode": "portfolio",
-      "policies": ["greedy", "te-size", "lean"] }
+      "policies": ["greedy", "anneal", "lean"] }
     v}
 
     {b In memory only.} {!make} also builds requests the wire cannot

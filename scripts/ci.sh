@@ -90,6 +90,7 @@ expect_exit 2 run no_such_app
 expect_exit 2 run motion_estimation --onchip 0
 expect_exit 2 pareto motion_estimation --level 0,128
 expect_exit 2 run motion_estimation --search bogus
+expect_exit 2 -e 'unknown policy' run qsdpcm --policy te-size
 expect_exit 2 serve --stdin -j 0
 expect_exit 75 run qsdpcm --deadline-ms 0
 expect_exit 2 -e '$.deadline_ms' run motion_estimation --deadline-ms=-1

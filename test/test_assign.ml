@@ -50,22 +50,29 @@ let test_alternatives_chains_are_valid () =
         (Assign.alternatives Assign.default_config m info))
     m.Mapping.infos
 
+(* Chains are at most two links long. Three on-chip layers and three
+   candidate levels would allow a three-link chain, so here the cap,
+   not the platform, is what binds. *)
 let test_alternatives_respect_chain_cap () =
-  let h = Presets.three_level ~l1_bytes:256 ~l2_bytes:4096 () in
+  let h = Presets.multi_level ~level_bytes:[ 256; 1024; 4096 ] () in
   let m = Mapping.direct (conv ()) h in
   let info = List.hd m.Mapping.infos in
-  let max_len config =
+  let levels =
+    List.sort_uniq compare
+      (List.map (fun (c : Candidate.t) -> c.Candidate.level)
+         (Analysis.useful_candidates info))
+  in
+  Alcotest.(check bool) "three candidate levels" true
+    (List.length levels >= 3);
+  let max_len =
     List.fold_left
       (fun acc -> function
         | Mapping.Direct -> acc
         | Mapping.Chain links -> max acc (List.length links))
       0
-      (Assign.alternatives config m info)
+      (Assign.alternatives Assign.default_config m info)
   in
-  Alcotest.(check int) "cap 1" 1
-    (max_len { Assign.default_config with Assign.max_chain_length = 1 });
-  Alcotest.(check int) "cap 2" 2
-    (max_len { Assign.default_config with Assign.max_chain_length = 2 })
+  Alcotest.(check int) "cap 2" 2 max_len
 
 (* --- greedy ----------------------------------------------------------- *)
 
@@ -677,8 +684,9 @@ let test_feasible_array_between_levels () =
    hoisted alternatives: check, probe and commit all agree with the
    from-scratch evaluation of the moved mapping. *)
 let test_engine_foreign_placements () =
-  (* Single-link alternatives, so a two-link chain is foreign. *)
-  let config = { Assign.default_config with Assign.max_chain_length = 1 } in
+  (* One candidate per access, so a chain through two candidates is
+     foreign. *)
+  let config = { Assign.default_config with Assign.cc_top_k = Some 1 } in
   let objective = config.Assign.objective in
   let m =
     Mapping.direct (conv ())

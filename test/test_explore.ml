@@ -65,16 +65,13 @@ let test_baseline_is_out_of_the_box () =
   Alcotest.(check int) "baseline pays no dma" 0
     r.Explore.baseline.Cost.dma_setup_cycles
 
-let test_config_and_order_plumbing () =
+let test_config_plumbing () =
   let config =
     { Assign.default_config with Assign.objective = Cost.Energy }
   in
   let r =
-    Explore.run ~config ~order:Prefetch.Fifo (kernel ())
-      (Presets.two_level ~onchip_bytes:512 ())
+    Explore.run ~config (kernel ()) (Presets.two_level ~onchip_bytes:512 ())
   in
-  Alcotest.(check bool) "order recorded" true
-    (r.Explore.te.Prefetch.order = Prefetch.Fifo);
   Alcotest.(check bool) "energy objective no worse" true
     (r.Explore.after_assign.Cost.total_energy_pj
     <= r.Explore.baseline.Cost.total_energy_pj)
@@ -420,7 +417,7 @@ let () =
           Alcotest.test_case "baseline shape" `Quick
             test_baseline_is_out_of_the_box;
           Alcotest.test_case "config plumbing" `Quick
-            test_config_and_order_plumbing;
+            test_config_plumbing;
         ] );
       ( "sweep",
         [

@@ -69,64 +69,39 @@ let test_default_policies_bit_identical () =
         a.Explore.after_te.Cost.total_cycles)
     Mhla_apps.Registry.all
 
-(* The other built-in policies on the same platforms: (assign cycles,
-   te cycles, te energy) per app. [lean] pins the top-k CC selection,
-   [te-fifo] and [te-size] the two non-default TE orders. *)
-let policy_snapshots =
-  [ ( Policy.lean,
-      [ ("motion_estimation", (175787091, 175787091, 351574441.27445877));
-        ("qsdpcm", (14446080, 14446080, 29044224.));
-        ("cavity_detector", (6717828, 6717828, 12756672.));
-        ("wavelet_2d", (2227228, 2227228, 4185695.75));
-        ("jpeg_encoder", (33859958, 33859958, 63537101.590126254));
-        ("edge_detection", (8798235, 8798235, 15933981.754730145));
-        ("adpcm_coder", (673254, 673254, 1285936.8832875376));
-        ("mp3_filterbank", (1164306, 1164306, 2249273.2235150016));
-        ("voice_compression", (4407395, 4407395, 9206430.1787409838)) ] );
-    ( Policy.te_fifo,
-      [ ("motion_estimation", (88836921, 77850297, 235004624.09089071));
-        ("qsdpcm", (6349545, 6243561, 12902328.));
-        ("cavity_detector", (3165252, 3077720, 6648225.8446395984));
-        ("wavelet_2d", (1294012, 1235964, 2625047.75));
-        ("jpeg_encoder", (22154198, 22071830, 36400009.746795818));
-        ("edge_detection", (5235739, 4875291, 8563894.6142925676));
-        ("adpcm_coder", (431846, 384230, 1365125.2851270181));
-        ("mp3_filterbank", (698770, 688658, 1359101.7406037247));
-        ("voice_compression", (2007011, 1965027, 4111919.2515338003)) ] );
-    ( Policy.te_size,
-      [ ("motion_estimation", (88836921, 77850297, 235004624.09089071));
-        ("qsdpcm", (6349545, 6243561, 12902328.));
-        ("cavity_detector", (3165252, 3077720, 6648225.8446395984));
-        ("wavelet_2d", (1294012, 1235964, 2625047.75));
-        ("jpeg_encoder", (22154198, 22071830, 36400009.746795818));
-        ("edge_detection", (5235739, 4875291, 8563894.6142925676));
-        ("adpcm_coder", (431846, 384230, 1365125.2851270181));
-        ("mp3_filterbank", (698770, 688658, 1359101.7406037247));
-        ("voice_compression", (2007011, 1965027, 4111919.2515338003)) ] ) ]
+(* [lean] on the same platforms: (assign cycles, te cycles, te energy)
+   per app. It pins the top-k CC selection. *)
+let lean_snapshot =
+  [ ("motion_estimation", (175787091, 175787091, 351574441.27445877));
+    ("qsdpcm", (14446080, 14446080, 29044224.));
+    ("cavity_detector", (6717828, 6717828, 12756672.));
+    ("wavelet_2d", (2227228, 2227228, 4185695.75));
+    ("jpeg_encoder", (33859958, 33859958, 63537101.590126254));
+    ("edge_detection", (8798235, 8798235, 15933981.754730145));
+    ("adpcm_coder", (673254, 673254, 1285936.8832875376));
+    ("mp3_filterbank", (1164306, 1164306, 2249273.2235150016));
+    ("voice_compression", (4407395, 4407395, 9206430.1787409838)) ]
 
-let test_other_policies_pinned () =
+let test_lean_pinned () =
   List.iter
-    (fun ((policy : Policy.t), rows) ->
-      List.iter
-        (fun (app : Mhla_apps.Defs.t) ->
-          let name = policy.Policy.name ^ " " ^ app.Mhla_apps.Defs.name in
-          let assign, te, energy =
-            match List.assoc_opt app.Mhla_apps.Defs.name rows with
-            | Some row -> row
-            | None -> Alcotest.failf "no snapshot for %s" name
-          in
-          let program, hierarchy = app_platform app in
-          let r = Policy.run policy program hierarchy in
-          Alcotest.(check int)
-            (name ^ " assign cycles") assign
-            r.Explore.after_assign.Cost.total_cycles;
-          Alcotest.(check int)
-            (name ^ " te cycles") te r.Explore.after_te.Cost.total_cycles;
-          Alcotest.(check (float 0.))
-            (name ^ " te energy") energy
-            r.Explore.after_te.Cost.total_energy_pj)
-        Mhla_apps.Registry.all)
-    policy_snapshots
+    (fun (app : Mhla_apps.Defs.t) ->
+      let name = "lean " ^ app.Mhla_apps.Defs.name in
+      let assign, te, energy =
+        match List.assoc_opt app.Mhla_apps.Defs.name lean_snapshot with
+        | Some row -> row
+        | None -> Alcotest.failf "no snapshot for %s" name
+      in
+      let program, hierarchy = app_platform app in
+      let r = Policy.run Policy.lean program hierarchy in
+      Alcotest.(check int)
+        (name ^ " assign cycles") assign
+        r.Explore.after_assign.Cost.total_cycles;
+      Alcotest.(check int)
+        (name ^ " te cycles") te r.Explore.after_te.Cost.total_cycles;
+      Alcotest.(check (float 0.))
+        (name ^ " te energy") energy
+        r.Explore.after_te.Cost.total_energy_pj)
+    Mhla_apps.Registry.all
 
 let test_greedy_policy_equals_explore_run () =
   List.iter
@@ -209,7 +184,7 @@ let test_portfolio_rejects_empty () =
 let test_registry_names () =
   Alcotest.(check (list string))
     "builtin names"
-    [ "greedy"; "greedy-first"; "anneal"; "te-fifo"; "te-size"; "lean" ]
+    [ "greedy"; "greedy-first"; "anneal"; "lean" ]
     Registry.names;
   List.iter
     (fun n ->
@@ -241,8 +216,8 @@ let () =
     [ ( "defaults",
         [ Alcotest.test_case "bit-identical to pre-refactor snapshots"
             `Quick test_default_policies_bit_identical;
-          Alcotest.test_case "lean, te-fifo and te-size pinned" `Quick
-            test_other_policies_pinned;
+          Alcotest.test_case "lean pinned" `Quick
+            test_lean_pinned;
           Alcotest.test_case "greedy policy = Explore.run" `Quick
             test_greedy_policy_equals_explore_run ] );
       ( "portfolio",

@@ -227,8 +227,36 @@ let test_request_decode_errors () =
   check_invalid "policy with a search" (fun () ->
       Request.of_json
         (patch
-           [ ("policy", Json.str "te-size");
+           [ ("policy", Json.str "lean");
              ("search", Json.obj [ ("kind", Json.str "greedy") ]) ]))
+
+(* The TE order is not a policy: the names of the two policies that
+   only changed it are unknown on the wire, alone or in a portfolio,
+   and the rejection lists the names that remain. *)
+let test_request_te_order_policies_unknown () =
+  let ok = Json.parse_exn (line (sample 0)) in
+  let patch fields =
+    match ok with
+    | Json.Obj base -> Json.obj (base @ fields)
+    | _ -> assert false
+  in
+  let known = "known policies: greedy, greedy-first, anneal, lean" in
+  List.iter
+    (fun (name, fields) ->
+      match Request.of_json (patch fields) with
+      | _ -> Alcotest.failf "%s: expected Invalid_input" name
+      | exception Error.Error e ->
+        Alcotest.(check bool)
+          (name ^ ": kind is Invalid_input")
+          true
+          (e.Error.kind = Error.Invalid_input);
+        Alcotest.(check (option string)) (name ^ ": hint") (Some known)
+          e.Error.hint)
+    [ ("policy te-fifo", [ ("policy", Json.str "te-fifo") ]);
+      ( "portfolio with te-size",
+        [ ("mode", Json.str "portfolio");
+          ("policies", Json.arr [ Json.str "greedy"; Json.str "te-size" ]) ]
+      ) ]
 
 (* Decode errors name the failing node by its full path; the whole
    message, context included, is pinned at every nesting depth. *)
@@ -324,14 +352,14 @@ let test_request_in_memory_only () =
   in
   check_invalid "to_json of an unregistered policy" (fun () ->
       Request.to_json (make ~policy:custom ()));
-  let te_size = Mhla_policy.Registry.find "te-size" in
-  let named = make ~policy:te_size () in
+  let lean = Mhla_policy.Registry.find "lean" in
+  let named = make ~policy:lean () in
   Alcotest.(check bool) "a registry policy round-trips" true
     (Request.equal named (Request.of_json (Request.to_json named)));
   check_invalid "make: portfolio with a search" (fun () ->
       make ~kind:portfolio ~search:Explore.Greedy ());
   check_invalid "make: policy with a search" (fun () ->
-      make ~policy:te_size ~search:Explore.Greedy ())
+      make ~policy:lean ~search:Explore.Greedy ())
 
 (* The wire carries a fault model's seed, uniform jitter and failure
    rate only. A rider with any other knob must refuse to render rather
@@ -1309,6 +1337,8 @@ let () =
           Alcotest.test_case "pareto round trip" `Quick
             test_request_pareto_roundtrip;
           Alcotest.test_case "decode errors" `Quick test_request_decode_errors;
+          Alcotest.test_case "TE-order policy names unknown" `Quick
+            test_request_te_order_policies_unknown;
           Alcotest.test_case "decode error paths" `Quick
             test_request_decode_paths;
           Alcotest.test_case "in-memory only" `Quick
