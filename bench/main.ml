@@ -207,13 +207,22 @@ let ext_order () =
         let te = Prefetch.run ~order mapping in
         (Prefetch.evaluate mapping te).Cost.transfer_stall_cycles
       in
+      let cells =
+        [ ("no_te", r.Explore.after_assign.Cost.transfer_stall_cycles);
+          ("time_size", stall Prefetch.By_time_over_size);
+          ("fifo", stall Prefetch.Fifo);
+          ("size", stall Prefetch.By_size);
+          ("time", stall Prefetch.By_time) ]
+      in
+      List.iter
+        (fun (column, cycles) ->
+          metric
+            (Printf.sprintf "ext_order.%s.%s" app.Mhla_apps.Defs.name column)
+            (Mhla_util.Json.int cycles))
+        cells;
       Table.add_row table
-        [ app.Mhla_apps.Defs.name;
-          Table.cell_int r.Explore.after_assign.Cost.transfer_stall_cycles;
-          Table.cell_int (stall Prefetch.By_time_over_size);
-          Table.cell_int (stall Prefetch.Fifo);
-          Table.cell_int (stall Prefetch.By_size);
-          Table.cell_int (stall Prefetch.By_time) ])
+        (app.Mhla_apps.Defs.name
+        :: List.map (fun (_, cycles) -> Table.cell_int cycles) cells))
     Apps.all;
   Table.print table
 
@@ -716,6 +725,10 @@ let ext_wb () =
       in
       let f = fetch_only.Explore.after_te.Cost.total_cycles in
       let w = with_wb.Explore.after_te.Cost.total_cycles in
+      let key = Printf.sprintf "ext_wb.%s.%s" app.Mhla_apps.Defs.name in
+      metric (key "fetch_only") (Mhla_util.Json.int f);
+      metric (key "deferred") (Mhla_util.Json.int w);
+      metric (key "drains_hidden") (Mhla_util.Json.int drains_hidden);
       Table.add_row table
         [ app.Mhla_apps.Defs.name;
           Table.cell_int f;

@@ -496,7 +496,7 @@ for key in '"traceEvents"' '"ph"' '"displayTimeUnit"' '"otherData"'; do
 done
 rm -f "$trace"
 
-echo "== bench smoke + baseline gate (EXT-ENGINE, EXT-TRACE, EXT-CHECK, EXT-GEN, EXT-SERVE, EXT-PARETO, EXT-POLICY) =="
+echo "== bench smoke + baseline gate (EXT-ENGINE, EXT-TRACE, EXT-CHECK, EXT-GEN, EXT-SERVE, EXT-PARETO, EXT-POLICY, EXT-ORDER, EXT-WB) =="
 # The bench writes BENCH_dev.json into its working directory; run it
 # from a scratch dir so CI never litters the checkout. --check fails
 # the run when any stable metric drifts >15% from the committed
@@ -507,7 +507,7 @@ dune build bench/main.exe
 (cd "$bench_dir" && "$repo_root/_build/default/bench/main.exe" \
   --check "$repo_root/bench/baseline.json" \
   EXT-ENGINE EXT-TRACE EXT-CHECK EXT-GEN EXT-SERVE EXT-PARETO \
-  EXT-POLICY >/dev/null)
+  EXT-POLICY EXT-ORDER EXT-WB >/dev/null)
 # Every run must leave a machine-readable metrics file with the
 # EXT-PARETO and EXT-POLICY keys the experiment log quotes.
 if command -v python3 >/dev/null 2>&1; then
