@@ -4,11 +4,11 @@
 
    Usage: dune exec bench/main.exe [-- [--check BASELINE] SECTION ...]
    Sections: FIG2 FIG3 TAB1 EXT-PARETO EXT-ORDER EXT-INPLACE EXT-GREEDY
-   EXT-XVAL EXT-ESIM EXT-MODE EXT-CACHE EXT-3LEVEL EXT-MULTITASK EXT-TILE
-   EXT-SEARCH EXT-ENGINE EXT-WB EXT-FAULT EXT-TRACE EXT-CHECK EXT-GEN
-   EXT-SERVE EXT-POLICY MICRO (default: all). --check compares the
-   run's metrics against a committed baseline JSON (15% tolerance on
-   numeric keys) and exits non-zero on regression. *)
+   EXT-XVAL EXT-ESIM EXT-MODE EXT-3LEVEL EXT-MULTITASK EXT-SEARCH
+   EXT-ENGINE EXT-WB EXT-FAULT EXT-TRACE EXT-CHECK EXT-GEN EXT-SERVE
+   EXT-POLICY MICRO (default: all). --check compares the run's metrics
+   against a committed baseline JSON (15% tolerance on numeric keys)
+   and exits non-zero on regression. *)
 
 module Apps = Mhla_apps.Registry
 module Assign = Mhla_core.Assign
@@ -472,51 +472,6 @@ let ext_mode () =
     Apps.all;
   Table.print table
 
-let ext_cache () =
-  section "EXT-CACHE"
-    "Hardware-cache baseline: replay each application's exact access\n\
-     trace through an LRU cache of the same on-chip capacity (2-way,\n\
-     16 B lines) and compare with the MHLA+TE scratchpad mapping. The\n\
-     classic claim: software-placed copies beat a cache of equal size\n\
-     on these predictable loop kernels.";
-  let table =
-    Table.create
-      ~columns:
-        [ ("application", Table.Left);
-          ("miss rate", Table.Right);
-          ("cache cycles", Table.Right);
-          ("MHLA+TE cycles", Table.Right);
-          ("speedup", Table.Right);
-          ("cache energy (pJ)", Table.Right);
-          ("MHLA energy (pJ)", Table.Right);
-          ("energy ratio", Table.Right) ]
-  in
-  List.iter
-    (fun (name, (r : Explore.result)) ->
-      let app = Apps.find_exn name in
-      let program = Lazy.force app.Mhla_apps.Defs.program in
-      let hierarchy =
-        Mhla_arch.Presets.two_level
-          ~onchip_bytes:app.Mhla_apps.Defs.onchip_bytes ()
-      in
-      let stats = Mhla_trace.Cache.simulate ~hierarchy program in
-      let mhla_cycles = r.Explore.after_te.Cost.total_cycles in
-      let mhla_energy = r.Explore.after_te.Cost.total_energy_pj in
-      Table.add_row table
-        [ name;
-          Table.cell_percent (100. *. Mhla_trace.Cache.miss_rate stats);
-          Table.cell_int stats.Mhla_trace.Cache.total_cycles;
-          Table.cell_int mhla_cycles;
-          Table.cell_float
-            (float_of_int stats.Mhla_trace.Cache.total_cycles
-            /. float_of_int mhla_cycles);
-          Table.cell_float ~decimals:0 stats.Mhla_trace.Cache.total_energy_pj;
-          Table.cell_float ~decimals:0 mhla_energy;
-          Table.cell_float
-            (stats.Mhla_trace.Cache.total_energy_pj /. mhla_energy) ])
-    (Lazy.force default_results);
-  Table.print table
-
 let ext_three_level () =
   section "EXT-3LEVEL"
     "Two on-chip layers: a small L1 plus a larger L2 against the flat\n\
@@ -603,54 +558,6 @@ let ext_multitask () =
       Table.cell_int joint.Explore.after_te.Cost.total_cycles;
       Table.cell_float ~decimals:0
         joint.Explore.after_assign.Cost.total_energy_pj ];
-  Table.print table
-
-let ext_tile () =
-  section "EXT-TILE"
-    "Loop tiling widens MHLA's search space: a 48x48 matrix multiply\n\
-     has no small-footprint copy candidate for the B operand until the\n\
-     j and k loops are tiled; after tiling, an 8x8 block of B fits tiny\n\
-     scratchpads and is reused across a whole row of tiles.";
-  let matmul =
-    let open Mhla_ir.Build in
-    let n = 48 in
-    program "matmul"
-      ~arrays:[ array "a" [ n; n ]; array "b" [ n; n ]; array "c" [ n; n ] ]
-      [ loop "i" n
-          [ loop "j" n
-              [ loop "k" n
-                  [ stmt "mac" ~work:4
-                      [ rd "a" [ i "i"; i "k" ];
-                        rd "b" [ i "k"; i "j" ];
-                        wr "c" [ i "i"; i "j" ] ] ] ] ] ]
-  in
-  let tiled =
-    Mhla_ir.Transform.tile_exn ~iter:"j" ~factor:8
-      (Mhla_ir.Transform.tile_exn ~iter:"k" ~factor:8 matmul)
-  in
-  let table =
-    Table.create
-      ~columns:
-        [ ("on-chip bytes", Table.Right);
-          ("flat cycles", Table.Right);
-          ("tiled cycles", Table.Right);
-          ("flat energy (pJ)", Table.Right);
-          ("tiled energy (pJ)", Table.Right) ]
-  in
-  List.iter
-    (fun budget ->
-      let h = Mhla_arch.Presets.two_level ~onchip_bytes:budget () in
-      let run p = Explore.run p h in
-      let flat = run matmul and blocked = run tiled in
-      Table.add_row table
-        [ Table.cell_int budget;
-          Table.cell_int flat.Explore.after_te.Cost.total_cycles;
-          Table.cell_int blocked.Explore.after_te.Cost.total_cycles;
-          Table.cell_float ~decimals:0
-            flat.Explore.after_assign.Cost.total_energy_pj;
-          Table.cell_float ~decimals:0
-            blocked.Explore.after_assign.Cost.total_energy_pj ])
-    [ 128; 256; 512; 1024; 2048 ];
   Table.print table
 
 let ext_search () =
@@ -1343,10 +1250,8 @@ let sections =
     ("EXT-XVAL", ext_xval);
     ("EXT-ESIM", ext_esim);
     ("EXT-MODE", ext_mode);
-    ("EXT-CACHE", ext_cache);
     ("EXT-3LEVEL", ext_three_level);
     ("EXT-MULTITASK", ext_multitask);
-    ("EXT-TILE", ext_tile);
     ("EXT-SEARCH", ext_search);
     ("EXT-ENGINE", ext_engine);
     ("EXT-WB", ext_wb);

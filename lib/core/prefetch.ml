@@ -229,7 +229,7 @@ let run ?(order = By_time_over_size) ?(defer_writebacks = false)
         freedom;
         extended;
         extra_buffers = List.length extended;
-        hidden_cycles = min hidden bt_time;
+        hidden_cycles = hidden;
         limit;
         dma_priority = priority;
       }

@@ -40,7 +40,7 @@ type plan = {
   freedom : string list;  (** freedom loops, innermost first *)
   extended : string list;  (** loops actually granted, innermost first *)
   extra_buffers : int;  (** additional footprint-sized buffers *)
-  hidden_cycles : int;  (** per issue, clamped to [bt_time] *)
+  hidden_cycles : int;  (** per issue, at most [bt_time] *)
   limit : limit;
   dma_priority : int;  (** 0 = highest *)
 }

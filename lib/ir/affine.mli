@@ -52,8 +52,7 @@ val max_value : t -> trip:(string -> int) -> int
     @raise Mhla_util.Error.Error if any iterator has [trip i <= 0]. *)
 
 val subst : iter:string -> replacement:t -> t -> t
-(** Replace one iterator by an affine expression: the subscript-rewrite
-    primitive behind loop transformations such as tiling. *)
+(** Replace one iterator by an affine expression. *)
 
 val rename : (string -> string) -> t -> t
 (** Rename every iterator. The mapping must be injective on the

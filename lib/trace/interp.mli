@@ -5,7 +5,7 @@
     truth the static analyses are checked against: access counts must
     match {!Mhla_ir.Program.total_accesses} and the distinct addresses
     touched inside a refresh window must be covered by the analytic
-    footprint box. It also feeds the {!Cache} simulator.
+    footprint box.
 
     Cost is one closure call per dynamic access — fine for the bundled
     applications (up to ~10^7 events) but mind it on bigger inputs. *)

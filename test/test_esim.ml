@@ -180,6 +180,33 @@ let test_queue_depth_one_is_nearly_synchronous () =
   Alcotest.(check bool) "no worse than synchronous" true
     (o.Event.stall_cycles <= sync.Event.stall_cycles)
 
+(* The bound is exact: with more lookahead than slots and enough
+   channels, the stream reaches [queue_depth] outstanding transfers
+   (issued, not yet consumed) and never one more. *)
+let test_queue_depth_is_exact () =
+  let s = stream ~issues:12 ~transfer:40 ~compute:10 ~lookahead:4 ~setup:1 () in
+  List.iter
+    (fun depth ->
+      let telemetry = Mhla_obs.Telemetry.collector () in
+      ignore
+        (Event.run ~telemetry
+           { (Event.neutral ~channels:4) with Event.queue_depth = depth }
+           s);
+      let _, peak =
+        List.fold_left
+          (fun (outstanding, peak) (e : Mhla_obs.Telemetry.event) ->
+            match e.Mhla_obs.Telemetry.name with
+            | "esim.issue" -> (outstanding + 1, max peak (outstanding + 1))
+            | "esim.consume" -> (outstanding - 1, peak)
+            | _ -> (outstanding, peak))
+          (0, 0)
+          (Mhla_obs.Telemetry.events telemetry)
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "peak outstanding at depth %d" depth)
+        depth peak)
+    [ 1; 2; 3 ]
+
 (* --- invalidation on demand miss --------------------------------------- *)
 
 let test_invalidation_on_demand_miss () =
@@ -234,6 +261,20 @@ let test_shared_bus_serialises_channels () =
   let single = Event.run (Event.neutral ~channels:1) s in
   Alcotest.(check bool) "shared bus >= single channel stalls" true
     (shared.Event.stall_cycles >= single.Event.stall_cycles)
+
+(* Round-robin starts from the channel after the last one used. Every
+   transfer lands on an idle channel (compute 100 >> transfer 10), so
+   the rotation alone decides: transfers 0..3 go to channels 0, 1, 2,
+   0. *)
+let test_round_robin_rotates_from_next () =
+  let s = stream ~issues:4 ~transfer:10 ~compute:100 ~lookahead:1 () in
+  let o =
+    Event.run
+      { (Event.neutral ~channels:3) with Event.arbitration = Event.Round_robin }
+      s
+  in
+  Alcotest.(check (array int)) "per-channel occupancy" [| 20; 10; 10 |]
+    o.Event.channel_busy_cycles
 
 (* --- waitstates -------------------------------------------------------- *)
 
@@ -428,6 +469,8 @@ let () =
            test_invalidation_on_demand_miss;
          Alcotest.test_case "hits never invalidate" `Quick
            test_no_invalidation_when_prefetch_keeps_up;
+         Alcotest.test_case "exactly depth outstanding" `Quick
+           test_queue_depth_is_exact;
        ]);
       ("bus-and-waitstates",
        [
@@ -440,6 +483,8 @@ let () =
          Alcotest.test_case "validation" `Quick test_validation;
          Alcotest.test_case "hostile stream accounts" `Quick
            test_hostile_stream_accounts;
+         Alcotest.test_case "round-robin from the next channel" `Quick
+           test_round_robin_rotates_from_next;
        ]);
       ("cross-validation",
        [

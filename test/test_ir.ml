@@ -87,6 +87,19 @@ let test_affine_rename () =
        "Affine.rename" "mapping is not injective: i and j both rename to k")
     (fun () -> ignore (Affine.rename (fun _ -> "k") e))
 
+let test_affine_subst () =
+  let e = Affine.add (Affine.var ~coeff:3 "i") (Affine.const 2) in
+  let replacement = Affine.add (Affine.var ~coeff:4 "o") (Affine.var "t") in
+  let e' = Affine.subst ~iter:"i" ~replacement e in
+  (* 3*(4o + t) + 2 = 12o + 3t + 2 *)
+  Alcotest.(check int) "outer coeff" 12 (Affine.coeff e' "o");
+  Alcotest.(check int) "inner coeff" 3 (Affine.coeff e' "t");
+  Alcotest.(check int) "const" 2 (Affine.constant_part e');
+  Alcotest.(check int) "old iterator gone" 0 (Affine.coeff e' "i");
+  (* Substituting an absent iterator is the identity. *)
+  Alcotest.(check bool) "identity" true
+    (Affine.equal e (Affine.subst ~iter:"zzz" ~replacement e))
+
 let test_affine_equal_compare () =
   let a = Affine.add (Affine.var "i") (Affine.const 1) in
   let b = Affine.offset 1 (Affine.var "i") in
@@ -375,6 +388,7 @@ let () =
           qc prop_eval_within_min_max;
           qc prop_extent_spans_min_max;
         ] );
+      ("subst", [ Alcotest.test_case "affine subst" `Quick test_affine_subst ]);
       ( "decls",
         [
           Alcotest.test_case "array decl" `Quick test_array_decl;

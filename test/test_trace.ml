@@ -1,14 +1,10 @@
-(* Tests for the dynamic reference executor and the cache baseline. *)
-
-let invalid ?hint context message =
-  Mhla_util.Error.(Error (make ?hint Invalid_input ~context message))
+(* Tests for the dynamic reference executor: its address layout, its
+   event counts and the soundness of the static footprints against it. *)
 
 module Build = Mhla_ir.Build
 module Interp = Mhla_trace.Interp
-module Cache = Mhla_trace.Cache
 module Analysis = Mhla_reuse.Analysis
 module Candidate = Mhla_reuse.Candidate
-module Presets = Mhla_arch.Presets
 
 let conv ?(n = 8) () =
   let open Build in
@@ -251,69 +247,6 @@ let test_delta_sound_all_apps () =
         infos)
     Mhla_apps.Registry.all
 
-(* --- cache -------------------------------------------------------------- *)
-
-let test_cache_config_validation () =
-  Alcotest.check_raises "line not power of two"
-    (invalid "Cache.config" "line_bytes must be a power of two")
-    (fun () -> ignore (Cache.config ~capacity_bytes:256 ~ways:2 ~line_bytes:12));
-  Alcotest.check_raises "zero ways"
-    (invalid "Cache.config" "ways must be >= 1") (fun () ->
-      ignore (Cache.config ~capacity_bytes:256 ~ways:0 ~line_bytes:16));
-  Alcotest.check_raises "capacity not a multiple"
-    (invalid "Cache.config"
-       "capacity must be a positive multiple of ways * line")
-    (fun () -> ignore (Cache.config ~capacity_bytes:100 ~ways:2 ~line_bytes:16))
-
-let test_cache_basic_accounting () =
-  let p = conv ~n:4 () in
-  let hierarchy = Presets.two_level ~onchip_bytes:512 () in
-  let stats = Cache.simulate ~hierarchy p in
-  Alcotest.(check int) "accesses = trace length"
-    (Mhla_ir.Program.total_access_count p)
-    stats.Cache.accesses;
-  Alcotest.(check int) "hits + misses = accesses" stats.Cache.accesses
-    (stats.Cache.hits + stats.Cache.misses);
-  Alcotest.(check bool) "some hits on a reused window" true
-    (stats.Cache.hits > stats.Cache.misses);
-  Alcotest.(check bool) "positive cost" true
-    (stats.Cache.total_cycles > 0 && stats.Cache.total_energy_pj > 0.)
-
-let test_cache_big_enough_has_cold_misses_only () =
-  let p = conv ~n:4 () in
-  (* 36 + 9 + 16 image/coeff/out elements: a 1 KiB cache holds it all;
-     only cold (compulsory) misses remain. *)
-  let hierarchy = Presets.two_level ~onchip_bytes:1024 () in
-  let stats = Cache.simulate ~hierarchy p in
-  let data_bytes = 36 + 9 + 16 + (6 * 6) + 64 in
-  Alcotest.(check bool) "misses bounded by footprint lines" true
-    (stats.Cache.misses <= (data_bytes / 16) + 16)
-
-let test_cache_tiny_thrashes () =
-  let p = conv () in
-  let big = Cache.simulate ~hierarchy:(Presets.two_level ~onchip_bytes:2048 ()) p in
-  let tiny =
-    Cache.simulate
-      ~config:(Cache.config ~capacity_bytes:64 ~ways:2 ~line_bytes:16)
-      ~hierarchy:(Presets.two_level ~onchip_bytes:2048 ())
-      p
-  in
-  Alcotest.(check bool) "smaller cache misses more" true
-    (Cache.miss_rate tiny > Cache.miss_rate big)
-
-let test_cache_writebacks_need_writes () =
-  let open Build in
-  let read_only =
-    program "ro"
-      ~arrays:[ array "a" [ 64 ] ]
-      [ loop "r" 4 [ loop "i" 64 [ stmt "s" [ rd "a" [ i "i" ] ] ] ] ]
-  in
-  let stats =
-    Cache.simulate ~hierarchy:(Presets.two_level ~onchip_bytes:256 ()) read_only
-  in
-  Alcotest.(check int) "no write-backs without writes" 0
-    stats.Cache.writebacks
-
 let () =
   Alcotest.run "trace"
     [
@@ -339,16 +272,5 @@ let () =
             test_delta_matches_interp_conv;
           Alcotest.test_case "delta sound on all apps" `Quick
             test_delta_sound_all_apps;
-        ] );
-      ( "cache",
-        [
-          Alcotest.test_case "config validation" `Quick
-            test_cache_config_validation;
-          Alcotest.test_case "accounting" `Quick test_cache_basic_accounting;
-          Alcotest.test_case "cold misses" `Quick
-            test_cache_big_enough_has_cold_misses_only;
-          Alcotest.test_case "tiny thrashes" `Quick test_cache_tiny_thrashes;
-          Alcotest.test_case "writebacks" `Quick
-            test_cache_writebacks_need_writes;
         ] );
     ]
