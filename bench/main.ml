@@ -7,8 +7,8 @@
    EXT-XVAL EXT-ESIM EXT-MODE EXT-3LEVEL EXT-MULTITASK EXT-SEARCH
    EXT-ENGINE EXT-WB EXT-FAULT EXT-TRACE EXT-CHECK EXT-GEN EXT-SERVE
    EXT-POLICY MICRO (default: all). --check compares the run's metrics
-   against a committed baseline JSON (15% tolerance on numeric keys)
-   and exits non-zero on regression. *)
+   against a committed baseline JSON (integer keys exactly, float keys
+   within 15%) and exits non-zero on regression. *)
 
 module Apps = Mhla_apps.Registry
 module Assign = Mhla_core.Assign
@@ -1266,8 +1266,9 @@ let sections =
 (* Regression gate: compare this run's metrics against a committed
    baseline. Only keys present in the baseline are checked (so the
    baseline can be pruned to deterministic keys — wall clocks and
-   scheduling-dependent counters stay out of it); a missing key or a
-   numeric drift beyond 15% of the baseline magnitude fails the run. *)
+   scheduling-dependent counters stay out of it); a missing key, an
+   integer that differs at all, or a float that drifts beyond 15% of
+   the baseline magnitude fails the run. *)
 let check_baseline file =
   let contents =
     try In_channel.with_open_text file In_channel.input_all
@@ -1287,38 +1288,35 @@ let check_baseline file =
       exit 2
   in
   let current = List.rev !bench_metrics in
+  (* Integer keys are deterministic counts (cycles, probes, grid
+     points) and must match exactly; only float keys, which carry
+     allocation ratios, get a band. *)
   let tolerance = 0.15 in
   let offenders =
     List.filter_map
       (fun (key, want) ->
-        match List.assoc_opt key current with
-        | None -> Some (Printf.sprintf "%s: missing from this run" key)
-        | Some got -> (
-          let number = function
-            | Mhla_util.Json.Int i -> Some (float_of_int i)
-            | Mhla_util.Json.Float f -> Some f
-            | _ -> None
-          in
-          match (number want, number got) with
-          | Some w, Some g ->
-            if Float.abs (g -. w) > tolerance *. Float.max (Float.abs w) 1e-9
-            then
-              Some
-                (Printf.sprintf "%s: %.6g drifted >%.0f%% from baseline %.6g"
-                   key g (100. *. tolerance) w)
-            else None
-          | _ ->
-            if Mhla_util.Json.equal want got then None
-            else
-              Some
-                (Printf.sprintf "%s: %s <> baseline %s" key
-                   (Mhla_util.Json.to_string got)
-                   (Mhla_util.Json.to_string want))))
+        match (want, List.assoc_opt key current) with
+        | _, None -> Some (Printf.sprintf "%s: missing from this run" key)
+        | Mhla_util.Json.Float w, Some (Mhla_util.Json.Float g) ->
+          if Float.abs (g -. w) > tolerance *. Float.max (Float.abs w) 1e-9
+          then
+            Some
+              (Printf.sprintf "%s: %.6g drifted >%.0f%% from baseline %.6g"
+                 key g (100. *. tolerance) w)
+          else None
+        | _, Some got ->
+          if Mhla_util.Json.equal want got then None
+          else
+            Some
+              (Printf.sprintf "%s: %s <> baseline %s" key
+                 (Mhla_util.Json.to_string got)
+                 (Mhla_util.Json.to_string want)))
       baseline
   in
   match offenders with
   | [] ->
-    Printf.printf "baseline check OK (%d key(s) within %.0f%%)\n"
+    Printf.printf
+      "baseline check OK (%d key(s): integers exact, floats within %.0f%%)\n"
       (List.length baseline) (100. *. tolerance)
   | _ ->
     Printf.eprintf "baseline check FAILED against %s:\n" file;

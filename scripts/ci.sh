@@ -499,8 +499,8 @@ rm -f "$trace"
 echo "== bench smoke + baseline gate (EXT-ENGINE, EXT-TRACE, EXT-CHECK, EXT-GEN, EXT-SERVE, EXT-PARETO, EXT-POLICY, EXT-ORDER, EXT-WB) =="
 # The bench writes BENCH_dev.json into its working directory; run it
 # from a scratch dir so CI never litters the checkout. --check fails
-# the run when any stable metric drifts >15% from the committed
-# bench/baseline.json.
+# the run when any integer metric differs from the committed
+# bench/baseline.json, or a float metric drifts >15% from it.
 bench_dir=$(mktemp -d /tmp/mhla_ci_bench.XXXXXX)
 repo_root=$(pwd)
 dune build bench/main.exe
@@ -533,6 +533,15 @@ rc=0
   --check "$bench_dir/drifted.json" EXT-PARETO >/dev/null 2>&1) || rc=$?
 if [ "$rc" -ne 1 ]; then
   echo "expected exit 1 for the drifted bench baseline, got $rc" >&2
+  exit 1
+fi
+# Integer keys are exact: a pinned cycle count off by one must fail.
+echo '{"ext_order.qsdpcm.fifo": 86041}' >"$bench_dir/off_by_one.json"
+rc=0
+(cd "$bench_dir" && "$repo_root/_build/default/bench/main.exe" \
+  --check "$bench_dir/off_by_one.json" EXT-ORDER >/dev/null 2>&1) || rc=$?
+if [ "$rc" -ne 1 ]; then
+  echo "expected exit 1 for the off-by-one bench baseline, got $rc" >&2
   exit 1
 fi
 rm -rf "$bench_dir"
