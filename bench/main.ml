@@ -203,16 +203,27 @@ let ext_order () =
           ~onchip_bytes:(max 1 (peak + largest_buffer + 16)) ()
       in
       let mapping = Mhla_core.Mapping.with_hierarchy mapping tight in
-      let stall order =
-        let te = Prefetch.run ~order mapping in
-        (Prefetch.evaluate mapping te).Cost.transfer_stall_cycles
+      (* Each ablation sorts the same candidates its own way and hands
+         them to the grant walk; FIFO keeps enumeration order. *)
+      let candidates = Prefetch.candidates mapping in
+      let stall schedule =
+        (Prefetch.evaluate mapping schedule).Cost.transfer_stall_cycles
+      in
+      let largest_first key =
+        stall
+          (Prefetch.plan mapping
+             (List.stable_sort
+                (fun (a : Prefetch.candidate) b -> Int.compare (key b) (key a))
+                candidates))
       in
       let cells =
         [ ("no_te", r.Explore.after_assign.Cost.transfer_stall_cycles);
-          ("time_size", stall Prefetch.By_time_over_size);
-          ("fifo", stall Prefetch.Fifo);
-          ("size", stall Prefetch.By_size);
-          ("time", stall Prefetch.By_time) ]
+          ("time_size", stall (Prefetch.run mapping));
+          ("fifo", stall (Prefetch.plan mapping candidates));
+          ( "size",
+            largest_first (fun c ->
+                c.Prefetch.bt.Mhla_core.Mapping.bytes_per_issue) );
+          ("time", largest_first (fun c -> c.Prefetch.bt_time)) ]
       in
       List.iter
         (fun (column, cycles) ->
@@ -620,18 +631,21 @@ let ext_wb () =
         Mhla_arch.Presets.two_level
           ~onchip_bytes:app.Mhla_apps.Defs.onchip_bytes ()
       in
+      (* One solve: step 1 does not depend on TE, so the deferred-drain
+         schedule is planned on the fetch-only run's own mapping. *)
       let fetch_only = Explore.run program hierarchy in
-      let with_wb = Explore.run ~defer_writebacks:true program hierarchy in
+      let mapping = fetch_only.Explore.assign.Assign.mapping in
+      let with_wb = Prefetch.run ~defer_writebacks:true mapping in
       let drains_hidden =
         List.length
           (List.filter
              (fun (p : Prefetch.plan) ->
                p.Prefetch.bt.Mhla_core.Mapping.is_writeback
                && p.Prefetch.hidden_cycles > 0)
-             with_wb.Explore.te.Prefetch.plans)
+             with_wb.Prefetch.plans)
       in
       let f = fetch_only.Explore.after_te.Cost.total_cycles in
-      let w = with_wb.Explore.after_te.Cost.total_cycles in
+      let w = (Prefetch.evaluate mapping with_wb).Cost.total_cycles in
       let key = Printf.sprintf "ext_wb.%s.%s" app.Mhla_apps.Defs.name in
       metric (key "fetch_only") (Mhla_util.Json.int f);
       metric (key "deferred") (Mhla_util.Json.int w);

@@ -848,7 +848,7 @@ let mutate_te (m : Mhla_core.Mapping.t) (schedule : Prefetch.schedule) =
     let plan =
       { plan with Prefetch.extended; extra_buffers = List.length extended }
     in
-    { schedule with Prefetch.plans = plan :: rest }
+    { Prefetch.plans = plan :: rest }
 
 (* Swap in a hierarchy one byte smaller than the recomputed peak while
    keeping every placement: the capacity pass must flag the layer
@@ -880,7 +880,7 @@ let mutate_interference (schedule : Prefetch.schedule) =
     let plan =
       { plan with Prefetch.dma_priority = plan.Prefetch.dma_priority + 1 }
     in
-    { schedule with Prefetch.plans = plan :: rest }
+    { Prefetch.plans = plan :: rest }
 
 (* Declare an array no statement accesses: the lints pass must report
    MHLA301 on it. Lints are warnings, so the self-test gate is

@@ -53,14 +53,22 @@ let main () =
   show_schedule "TE, time/size order (the paper's Figure 1)" te;
   Printf.printf "hidden cycles: %d\n" (Prefetch.total_hidden_cycles te);
 
-  (* ...versus the ablation orders. *)
+  (* ...versus other orders: sort the same candidates, then plan. *)
+  let candidates = Prefetch.candidates mapping in
+  let largest_first key =
+    List.stable_sort
+      (fun (a : Prefetch.candidate) b -> Int.compare (key b) (key a))
+      candidates
+  in
   List.iter
-    (fun (label, order) ->
-      let te = Prefetch.run ~order mapping in
+    (fun (label, ordered) ->
+      let te = Prefetch.plan mapping ordered in
       Printf.printf "%-18s -> %d hidden cycles\n" label
         (Prefetch.total_hidden_cycles te))
-    [ ("FIFO", Prefetch.Fifo); ("by size", Prefetch.By_size);
-      ("by time", Prefetch.By_time) ];
+    [ ("FIFO", candidates);
+      ("by size",
+       largest_first (fun c -> c.Prefetch.bt.Mapping.bytes_per_issue));
+      ("by time", largest_first (fun c -> c.Prefetch.bt_time)) ];
 
   (* Tightening the size constraint starves the extensions. *)
   let peak =

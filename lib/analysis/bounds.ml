@@ -59,7 +59,7 @@ let check_access (ctx : Program.context) program k (a : Mhla_ir.Access.t) =
     (List.mapi check_dim
        (List.combine
           (List.combine a.Mhla_ir.Access.index dims)
-          (Pass.access_box ctx.Program.loops a)))
+          (Mhla_ir.Access.box ctx.Program.loops a)))
 
 let run (s : Pass.subject) =
   Program.fold_stmts s.Pass.program ~init:[] ~f:(fun acc ctx ->

@@ -15,27 +15,19 @@ let info ~code ?loc ?trail fmt =
    relative priority to enumeration order, not to the objective — a
    schedule that silently depends on how the mapping happened to list
    its transfers. Recomputed from the mapping, not read off the plan. *)
-let recomputed_key order (m : Mapping.t) (plan : Prefetch.plan) =
+let recomputed_key (m : Mapping.t) (plan : Prefetch.plan) =
   let bt = plan.Prefetch.bt in
-  let bt_time = Cost.bt_cycles_per_issue m bt in
-  match order with
-  | Prefetch.Fifo -> None
-  | Prefetch.By_time_over_size ->
-    Some
-      (if bt.Mapping.bytes_per_issue = 0 then 0.
-       else float_of_int bt_time /. float_of_int bt.Mapping.bytes_per_issue)
-  | Prefetch.By_size -> Some (float_of_int bt.Mapping.bytes_per_issue)
-  | Prefetch.By_time -> Some (float_of_int bt_time)
+  if bt.Mapping.bytes_per_issue = 0 then 0.
+  else
+    float_of_int (Cost.bt_cycles_per_issue m bt)
+    /. float_of_int bt.Mapping.bytes_per_issue
 
 let check_ties (m : Mapping.t) (schedule : Prefetch.schedule) =
   let keyed =
-    List.map
-      (fun (p : Prefetch.plan) ->
-        (p, recomputed_key schedule.Prefetch.order m p))
-      schedule.Prefetch.plans
+    List.map (fun p -> (p, recomputed_key m p)) schedule.Prefetch.plans
   in
   let rec adjacent = function
-    | (p1, Some k1) :: (((p2, Some k2) :: _) as rest) ->
+    | (p1, k1) :: (((p2, k2) :: _) as rest) ->
       let b1 = p1.Prefetch.bt and b2 = p2.Prefetch.bt in
       let here =
         (* Fetches and drains never compete: the partition is part of
@@ -46,12 +38,7 @@ let check_ties (m : Mapping.t) (schedule : Prefetch.schedule) =
               ~loc:(Diagnostic.location ~bt:b1.Mapping.bt_id ())
               ~trail:
                 [
-                  Fmt.str "recomputed %s key of %s: %g"
-                    (match schedule.Prefetch.order with
-                    | Prefetch.By_time_over_size -> "time/size"
-                    | Prefetch.By_size -> "size"
-                    | Prefetch.By_time -> "time"
-                    | Prefetch.Fifo -> "fifo")
+                  Fmt.str "recomputed time/size key of %s: %g"
                     b1.Mapping.bt_id k1;
                   Fmt.str "recomputed key of %s: %g" b2.Mapping.bt_id k2;
                 ]
@@ -63,8 +50,7 @@ let check_ties (m : Mapping.t) (schedule : Prefetch.schedule) =
         else []
       in
       here @ adjacent rest
-    | _ :: rest -> adjacent rest
-    | [] -> []
+    | [ _ ] | [] -> []
   in
   adjacent keyed
 
@@ -80,7 +66,7 @@ let pp_box ppf box =
 let check_recurrences (program : Program.t) =
   Program.fold_stmts program ~init:[] ~f:(fun acc ctx ->
       let stmt = ctx.Program.stmt.Stmt.name in
-      let box = Pass.access_box ctx.Program.loops in
+      let box = Access.box ctx.Program.loops in
       let reads, writes =
         List.partition
           (fun (a : Access.t) -> a.Access.direction = Access.Read)
@@ -102,7 +88,7 @@ let check_recurrences (program : Program.t) =
                   List.find_map
                     (fun r ->
                       let wb = box w and rb = box r in
-                      if Pass.boxes_intersect wb rb then Some (rb, wb)
+                      if Access.boxes_intersect wb rb then Some (rb, wb)
                       else None)
                     (of_array reads))
                 (of_array writes)

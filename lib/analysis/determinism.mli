@@ -3,14 +3,13 @@
     Two checks, both [Info]:
 
     - [MHLA401]: two adjacent plans of the TE schedule tie on the
-      scheduling key recomputed from the mapping under the schedule's
-      recorded order. The greedy pass breaks ties by input position, so
-      their relative DMA priority follows enumeration order, not the
-      objective — worth knowing when comparing runs. FIFO schedules
-      never tie (input order {e is} the defined order), and fetches
-      never tie against drains (the partition is deliberate).
+      paper's [BT_time / size] key, recomputed from the mapping. The
+      greedy pass breaks ties by input position, so their relative DMA
+      priority follows enumeration order, not the objective — worth
+      knowing when comparing runs. Fetches never tie against drains
+      (the partition is deliberate).
     - [MHLA402]: a statement reads and writes overlapping regions of
-      one array, per the closed-form subscript boxes ({!Pass.access_box})
+      one array, per the closed-form subscript boxes ({!Mhla_ir.Access.box})
       — a recurrence, so the statement's iterations are not
       independent.
       Program-only; needs no solver output.

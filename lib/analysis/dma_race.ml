@@ -29,8 +29,8 @@ let loop_racy program ~iter ~array ~source_box ~drain ~owner =
                 (not is_owner)
                 && a.Access.array = array
                 && (Access.is_write a || drain)
-                && Pass.boxes_intersect source_box
-                     (Pass.access_box ctx.Program.loops a))
+                && Access.boxes_intersect source_box
+                     (Access.box ctx.Program.loops a))
               (List.mapi
                  (fun k a -> (k, a))
                  ctx.Program.stmt.Stmt.accesses))
@@ -53,7 +53,7 @@ let freedom_of_plan (m : Mapping.t) (plan : Prefetch.plan) =
         match
           List.nth_opt ctx.Program.stmt.Stmt.accesses c.Candidate.access_index
         with
-        | Some a -> Pass.access_box loops a
+        | Some a -> Access.box loops a
         | None -> []
       in
       (* [loops] is outermost-first; orient the prefix ending at the

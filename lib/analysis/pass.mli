@@ -11,7 +11,7 @@
     IR has constant trip counts, affine subscripts and a fixed
     statement order, so an iteration space is a box, a subscript's
     range is the closed form {!Mhla_ir.Affine.min_value} /
-    {!Mhla_ir.Affine.max_value} over it ({!access_box}), and lifetimes
+    {!Mhla_ir.Affine.max_value} over it ({!Mhla_ir.Access.box}), and lifetimes
     are intervals of the program-order {!Mhla_lifetime.Schedule}. *)
 
 type subject = {
@@ -42,15 +42,6 @@ val of_mapping :
 
 val timeline : subject -> Mhla_lifetime.Schedule.t
 (** Force and return the subject's timeline. *)
-
-val access_box :
-  (string * int) list -> Mhla_ir.Access.t -> (int * int) list
-(** [access_box loops a] is the per-dimension [(min, max)] of [a]'s
-    subscripts when every iterator in [loops] (as [(iterator, trip)])
-    sweeps [0 .. trip-1]; an iterator outside [loops] is held at 0. *)
-
-val boxes_intersect : (int * int) list -> (int * int) list -> bool
-(** Two boxes of the same rank overlap in every dimension. *)
 
 (** One checker pass. *)
 type t = {

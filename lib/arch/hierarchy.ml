@@ -32,8 +32,6 @@ let layer t level =
 
 let main_memory_level t = levels t - 1
 
-let main_memory t = layer t (main_memory_level t)
-
 let on_chip_levels t = List.init (levels t - 1) Fun.id
 
 let on_chip_capacity_bytes t =

@@ -21,8 +21,6 @@ val layer : t -> int -> Layer.t
 val main_memory_level : t -> int
 (** The index of the off-chip layer ([levels t - 1]). *)
 
-val main_memory : t -> Layer.t
-
 val on_chip_levels : t -> int list
 (** All levels except the off-chip one, innermost first. *)
 

@@ -44,11 +44,6 @@ let burst_read_energy_pj t = t.read_energy_pj *. t.burst_energy_factor
 
 let burst_write_energy_pj t = t.write_energy_pj *. t.burst_energy_factor
 
-let transfer_cycles t ~bytes =
-  if bytes = 0 then 0
-  else
-    (bytes + t.bandwidth_bytes_per_cycle - 1) / t.bandwidth_bytes_per_cycle
-
 let pp ppf t =
   let pp_cap ppf = function
     | None -> Fmt.string ppf "unbounded"

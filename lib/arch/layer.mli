@@ -48,8 +48,4 @@ val burst_read_energy_pj : t -> float
 
 val burst_write_energy_pj : t -> float
 
-val transfer_cycles : t -> bytes:int -> int
-(** Cycles to stream [bytes] through the layer's port at burst
-    bandwidth (excluding any DMA setup): [ceil (bytes / bandwidth)]. *)
-
 val pp : t Fmt.t

@@ -19,8 +19,8 @@ type search =
 (* The flow on [hierarchy] through solve state [st], which must be
    [Assign.prepare ~config ~reuse program]. The caller opens the
    [explore.run] span ([run_span]). *)
-let solve st ~config ~reuse ?(search = Greedy) ?defer_writebacks
-    ~telemetry ?checkpoint program hierarchy =
+let solve st ~config ~reuse ?(search = Greedy) ~telemetry ?checkpoint
+    program hierarchy =
   let stage name f = Telemetry.span telemetry ~cat:"explore" name f in
   let { Assign.transfer_mode; policy; _ } = config in
   let baseline =
@@ -41,7 +41,7 @@ let solve st ~config ~reuse ?(search = Greedy) ?defer_writebacks
   in
   let te =
     stage "explore.te" @@ fun () ->
-    Prefetch.run ?defer_writebacks ~telemetry assign.Assign.mapping
+    Prefetch.run ~telemetry assign.Assign.mapping
   in
   stage "explore.evaluate" @@ fun () ->
   {
@@ -61,8 +61,8 @@ let run_span telemetry program f =
       [ ("program", Telemetry.Str program.Mhla_ir.Program.name) ])
     f
 
-let run ?config ?search ?defer_writebacks
-    ?(telemetry = Telemetry.noop) ?reuse ?checkpoint program hierarchy =
+let run ?config ?search ?(telemetry = Telemetry.noop) ?reuse ?checkpoint
+    program hierarchy =
   run_span telemetry program @@ fun () ->
   let config = Option.value config ~default:Assign.default_config in
   (* The baseline and the search share one reuse analysis. *)
@@ -71,8 +71,7 @@ let run ?config ?search ?defer_writebacks
   in
   solve
     (Assign.prepare ~config ~reuse program)
-    ~config ~reuse ?search ?defer_writebacks ~telemetry ?checkpoint
-    program hierarchy
+    ~config ~reuse ?search ~telemetry ?checkpoint program hierarchy
 
 let normalised_cycles r (b : Cost.breakdown) =
   float_of_int b.Cost.total_cycles

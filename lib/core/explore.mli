@@ -29,17 +29,14 @@ type search =
 val run :
   ?config:Assign.config ->
   ?search:search ->
-  ?defer_writebacks:bool ->
   ?telemetry:Mhla_obs.Telemetry.t ->
   ?reuse:Mapping.reuse ->
   ?checkpoint:(unit -> unit) ->
   Mhla_ir.Program.t ->
   Mhla_arch.Hierarchy.t ->
   result
-(** [search] defaults to [Greedy]; TE grants slack in the paper's
-    [BT_time / size] order ({!Prefetch.run}'s default).
-    [defer_writebacks] (default [false]) also lets TE hide buffer
-    drains (see {!Prefetch.run}). [reuse]
+(** [search] defaults to [Greedy]; TE is {!Prefetch.run}: the paper's
+    [BT_time / size] order, fetches only. [reuse]
     shares a {!Mapping.precompute} of the same program (the sweep
     hoists one across all its points); without it the run computes one
     and shares it between the baseline and the search. The baseline and

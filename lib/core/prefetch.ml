@@ -13,6 +13,13 @@ let limit_label = function
   | Dependency_bound -> "dependency-bound"
   | Not_extendable -> "not-extendable"
 
+type candidate = {
+  bt : Mapping.block_transfer;
+  bt_time : int;
+  sort_factor : float;
+  freedom : string list;
+}
+
 type plan = {
   bt : Mapping.block_transfer;
   bt_time : int;
@@ -25,9 +32,7 @@ type plan = {
   dma_priority : int;
 }
 
-type order = By_time_over_size | Fifo | By_size | By_time
-
-type schedule = { plans : plan list; order : order }
+type schedule = { plans : plan list }
 
 let is_dma_eligible ~defer_writebacks (m : Mapping.t)
     (bt : Mapping.block_transfer) =
@@ -35,23 +40,6 @@ let is_dma_eligible ~defer_writebacks (m : Mapping.t)
   && ((not bt.Mapping.is_writeback) || defer_writebacks)
   && bt.Mapping.src_layer = Hierarchy.main_memory_level m.Mapping.hierarchy
   && bt.Mapping.issues > 0
-
-(* Per-dimension value ranges of an access over its loops' full
-   domains: the bounding box of everything the access can ever touch. *)
-let access_box (loops : (string * int) list) (a : Mhla_ir.Access.t) =
-  let trip name =
-    match List.assoc_opt name loops with Some t -> t | None -> 1
-  in
-  List.map
-    (fun e ->
-      (Mhla_ir.Affine.min_value e ~trip, Mhla_ir.Affine.max_value e ~trip))
-    a.Mhla_ir.Access.index
-
-let boxes_intersect b1 b2 =
-  List.length b1 = List.length b2
-  && List.for_all2
-       (fun (lo1, hi1) (lo2, hi2) -> lo1 <= hi2 && lo2 <= hi1)
-       b1 b2
 
 (* A producer under [iter] only races a prefetch when the region it
    writes can overlap the region the prefetch reads; a deferred drain
@@ -75,8 +63,8 @@ let loop_carries_dependence (program : Mhla_ir.Program.t) ~iter ~array
           (not is_owner)
           && a.Mhla_ir.Access.array = array
           && (Mhla_ir.Access.is_write a || writeback)
-          && boxes_intersect source_box
-               (access_box ctx.Mhla_ir.Program.loops a))
+          && Mhla_ir.Access.boxes_intersect source_box
+               (Mhla_ir.Access.box ctx.Mhla_ir.Program.loops a))
         (List.mapi (fun k a -> (k, a)) stmt.Mhla_ir.Stmt.accesses)
     end
   in
@@ -96,7 +84,7 @@ let candidate_freedom program (info : Analysis.info) (c : Candidate.t) =
         Mhla_ir.Program.find_context program ~stmt:c.Candidate.stmt
       with
       | Some ctx ->
-        access_box loops
+        Mhla_ir.Access.box loops
           (List.nth ctx.Mhla_ir.Program.stmt.Mhla_ir.Stmt.accesses
              c.Candidate.access_index)
       | None -> []
@@ -135,49 +123,38 @@ let freedom_loops (m : Mapping.t) (bt : Mapping.block_transfer) =
   | None -> []
   | Some info -> candidate_freedom m.Mapping.program info c
 
-let sort_plans order raw =
-  let by f = List.stable_sort (fun a b -> compare (f b) (f a)) raw in
-  match order with
-  | Fifo -> raw
-  | By_time_over_size -> by (fun (_, t, factor, _) -> ignore t; factor)
-  | By_size ->
-    by (fun (bt, _, _, _) -> float_of_int bt.Mapping.bytes_per_issue)
-  | By_time -> by (fun (_, t, _, _) -> float_of_int t)
-
-let run ?(order = By_time_over_size) ?(defer_writebacks = false)
-    ?(telemetry = Telemetry.noop) (m : Mapping.t) =
-  Telemetry.span telemetry ~cat:"te" "te.run" @@ fun () ->
-  let sched = m.Mapping.schedule in
-  let eligible =
-    List.filter
-      (is_dma_eligible ~defer_writebacks m)
-      (Mapping.block_transfers m)
-  in
-  let raw =
-    List.map
-      (fun bt ->
+let candidates ?(defer_writebacks = false) (m : Mapping.t) =
+  List.filter_map
+    (fun bt ->
+      if not (is_dma_eligible ~defer_writebacks m bt) then None
+      else begin
         let bt_time = Cost.bt_cycles_per_issue m bt in
-        let factor =
+        let sort_factor =
           if bt.Mapping.bytes_per_issue = 0 then 0.
           else float_of_int bt_time /. float_of_int bt.Mapping.bytes_per_issue
         in
-        (bt, bt_time, factor, freedom_loops m bt))
-      eligible
-  in
+        Some
+          ({ bt; bt_time; sort_factor; freedom = freedom_loops m bt }
+            : candidate)
+      end)
+    (Mapping.block_transfers m)
+
+let plan ?(telemetry = Telemetry.noop) (m : Mapping.t) candidates =
+  let sched = m.Mapping.schedule in
   (* Drains only compete for whatever slack the prefetches leave:
      fetches keep their relative order and go first. *)
   let ordered =
     let fetches, drains =
       List.partition
-        (fun ((bt : Mapping.block_transfer), _, _, _) ->
-          not bt.Mapping.is_writeback)
-        (sort_plans order raw)
+        (fun (c : candidate) -> not c.bt.Mapping.is_writeback)
+        candidates
     in
     fetches @ drains
   in
   (* Extensions already granted consume on-chip space for everyone that
      follows: thread the extra-buffer list through the greedy pass. *)
-  let extend (extras, plans, priority) (bt, bt_time, factor, freedom) =
+  let extend (extras, plans, priority)
+      ({ bt; bt_time; sort_factor; freedom } : candidate) =
     let c = bt.Mapping.bt_candidate in
     (* Extending across the refresh loop itself only needs room for
        the next window's new part when transfers are delta-sized; any
@@ -225,7 +202,7 @@ let run ?(order = By_time_over_size) ?(defer_writebacks = false)
       {
         bt;
         bt_time;
-        sort_factor = factor;
+        sort_factor;
         freedom;
         extended;
         extra_buffers = List.length extended;
@@ -252,7 +229,14 @@ let run ?(order = By_time_over_size) ?(defer_writebacks = false)
     (extras, plan :: plans, priority + 1)
   in
   let _, plans, _ = List.fold_left extend ([], [], 0) ordered in
-  { plans = List.rev plans; order }
+  { plans = List.rev plans }
+
+let run ?defer_writebacks ?(telemetry = Telemetry.noop) m =
+  Telemetry.span telemetry ~cat:"te" "te.run" @@ fun () ->
+  plan ~telemetry m
+    (List.stable_sort
+       (fun (a : candidate) b -> Float.compare b.sort_factor a.sort_factor)
+       (candidates ?defer_writebacks m))
 
 let hidden_per_issue schedule bt_id =
   match

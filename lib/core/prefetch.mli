@@ -32,6 +32,15 @@ type limit =
   | Not_extendable  (** no freedom at all (dep in refresh loop, level-0
                         transfer, or unnested access) *)
 
+(** An eligible block transfer, before any slack is granted: what
+    Figure 1 collects for the greedy pass. *)
+type candidate = {
+  bt : Mapping.block_transfer;
+  bt_time : int;  (** per-issue hideable cycles, Figure 1's BT_time *)
+  sort_factor : float;  (** [bt_time / bytes_per_issue] *)
+  freedom : string list;  (** freedom loops, innermost first *)
+}
+
 (** The TE decision for one block transfer. *)
 type plan = {
   bt : Mapping.block_transfer;
@@ -45,36 +54,34 @@ type plan = {
   dma_priority : int;  (** 0 = highest *)
 }
 
-(** How the BT list is ordered before the greedy pass. The paper uses
-    [By_time_over_size], and so does every solver flow
-    ({!Explore.run}, the policies, the service). The other orders are
-    the input of the ablations only: bench EXT-ORDER and
-    [examples/prefetch_tuning.ml]. *)
-type order = By_time_over_size | Fifo | By_size | By_time
+type schedule = { plans : plan list  (** in greedy (priority) order *) }
 
-type schedule = {
-  plans : plan list;  (** in greedy (priority) order *)
-  order : order;
-}
+val candidates : ?defer_writebacks:bool -> Mapping.t -> candidate list
+(** The eligible block transfers in {!Mapping.block_transfers} order.
+    Like the paper, only reads are eligible by default;
+    [defer_writebacks] also admits buffer drains, the symmetric
+    extension the paper leaves as future work: a buffer's drain to the
+    off-chip store is deferred into the following iterations (the
+    buffer lives one extra iteration per granted loop) so the same
+    compute hides it. A drain's freedom stops at any other access to an
+    overlapping region of the array. *)
+
+val plan :
+  ?telemetry:Mhla_obs.Telemetry.t -> Mapping.t -> candidate list -> schedule
+(** Figure 1's grant walk over [candidates] in the order given, except
+    that every fetch goes before every drain (drains only use the
+    buffer slack the prefetches leave); DMA priorities follow the walk.
+    [telemetry] (default noop) records one [te.plan] event per block
+    transfer carrying [bt_time], [sort_factor], the granted loops and
+    the stopping [limit]. *)
 
 val run :
-  ?order:order ->
   ?defer_writebacks:bool ->
   ?telemetry:Mhla_obs.Telemetry.t ->
   Mapping.t ->
   schedule
-(** Defaults: the paper's [By_time_over_size] order and — like the
-    paper — prefetching of reads only.
-    [defer_writebacks] additionally plans the symmetric extension the
-    paper leaves as future work: a buffer's drain to the off-chip store
-    is deferred into the following iterations (the buffer lives one
-    extra iteration per granted loop) so the same compute hides it; a
-    drain may not cross any other access to an overlapping region of
-    the array, and drains only use the buffer slack the prefetches
-    leave behind (fetches always plan first). [telemetry] (default
-    noop) records a [te.run] span and one [te.plan] event per block
-    transfer carrying [bt_time], [sort_factor], the granted loops and
-    the stopping [limit]. *)
+(** The paper's TE step: {!plan} over {!candidates}, stably sorted by
+    [sort_factor], largest first, inside a [te.run] span. *)
 
 val hidden_per_issue : schedule -> string -> int
 (** Lookup for {!Cost.evaluate}: hidden cycles of a BT by id, [0] for

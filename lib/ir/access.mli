@@ -22,6 +22,15 @@ val is_write : t -> bool
 val iterators : t -> string list
 (** All iterators appearing in any subscript, sorted, deduplicated. *)
 
+val box : (string * int) list -> t -> (int * int) list
+(** [box loops a] is the per-dimension [(min, max)] of [a]'s
+    subscripts when every iterator in [loops] (as [(iterator, trip)])
+    sweeps [0 .. trip-1]; an iterator outside [loops] is held at 0.
+    The bounding box of everything the access can ever touch. *)
+
+val boxes_intersect : (int * int) list -> (int * int) list -> bool
+(** Two boxes of the same rank overlap in every dimension. *)
+
 val pp_direction : direction Fmt.t
 
 val pp : t Fmt.t

@@ -10,8 +10,9 @@
       ({!Mhla_core.Explore.search}).
 
     Time Extensions always grant slack in the paper's
-    [BT_time / size] order; the other orders of
-    {!Mhla_core.Prefetch.order} are ablations, not policies.
+    [BT_time / size] order ({!Mhla_core.Prefetch.run}); other orders
+    are ablations that sort {!Mhla_core.Prefetch.candidates}
+    themselves, not policies.
 
     [run] is {!Mhla_core.Explore.run} with the two knobs set from the
     policy; {!greedy} reproduces the default pipeline

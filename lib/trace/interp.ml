@@ -1,12 +1,6 @@
 module Error = Mhla_util.Error
 
-type event = {
-  stmt : string;
-  array : string;
-  direction : Mhla_ir.Access.direction;
-  address : int;
-  element_bytes : int;
-}
+type event = { stmt : string; array : string }
 
 type layout = (string * int) list
 
@@ -67,19 +61,11 @@ let fold (program : Mhla_ir.Program.t) ~init ~f =
         let indices =
           List.map (fun e -> Mhla_ir.Affine.eval e ~env:lookup) a.Mhla_ir.Access.index
         in
-        let address =
-          address bases program ~array:a.Mhla_ir.Access.array ~indices
-        in
-        let decl = find_decl program a.Mhla_ir.Access.array in
+        (* Linearising the address bounds-checks every subscript. *)
+        ignore
+          (address bases program ~array:a.Mhla_ir.Access.array ~indices : int);
         acc :=
-          f !acc
-            {
-              stmt = s.Mhla_ir.Stmt.name;
-              array = a.Mhla_ir.Access.array;
-              direction = a.Mhla_ir.Access.direction;
-              address;
-              element_bytes = decl.Mhla_ir.Array_decl.element_bytes;
-            })
+          f !acc { stmt = s.Mhla_ir.Stmt.name; array = a.Mhla_ir.Access.array })
       s.Mhla_ir.Stmt.accesses
   in
   let rec run_node = function

@@ -1,7 +1,7 @@
 (** Dynamic reference executor for the loop-nest IR.
 
-    Walks the loop tree iteration by iteration and emits one event per
-    array access with its exact linearised address. This is the ground
+    Walks the loop tree iteration by iteration and linearises every
+    array access to its exact, bounds-checked address. This is the ground
     truth the static analyses are checked against: access counts must
     match {!Mhla_ir.Program.total_accesses} and the distinct addresses
     touched inside a refresh window must be covered by the analytic
@@ -9,14 +9,6 @@
 
     Cost is one closure call per dynamic access — fine for the bundled
     applications (up to ~10^7 events) but mind it on bigger inputs. *)
-
-type event = {
-  stmt : string;
-  array : string;
-  direction : Mhla_ir.Access.direction;
-  address : int;  (** global byte address, see {!layout} *)
-  element_bytes : int;
-}
 
 type layout = (string * int) list
 (** Base byte address of every array, assigned in declaration order,
@@ -30,17 +22,11 @@ val address :
     @raise Mhla_util.Error.Error for an unknown array, a rank mismatch or an
     out-of-bounds index. *)
 
-val fold :
-  Mhla_ir.Program.t ->
-  init:'a ->
-  f:('a -> event -> 'a) ->
-  'a
-(** Execute the program in source order and fold over every access
-    event.
+val count_events : Mhla_ir.Program.t -> int
+(** Execute the program in source order and count its access events.
+    Every count below executes the program the same way.
     @raise Mhla_util.Error.Error when a subscript leaves the array bounds —
     an IR modelling bug worth failing loudly on. *)
-
-val count_events : Mhla_ir.Program.t -> int
 
 val count_by_stmt : Mhla_ir.Program.t -> (string * int) list
 (** Dynamic access events grouped by statement name, in first-execution

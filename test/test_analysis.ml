@@ -219,7 +219,6 @@ let extended_plan () =
 
 let with_plan (te : Prefetch.schedule) plan =
   {
-    te with
     Prefetch.plans =
       List.map
         (fun (p : Prefetch.plan) ->
@@ -462,7 +461,7 @@ let test_verifier_accepts_solver () =
         searches)
     Apps.names
 
-(* --- closed-form ranges ------------------------------------------------- *)
+(* --- program iterators ---------------------------------------------------- *)
 
 let rec node_iters iters = function
   | Program.Stmt _ -> iters
@@ -471,49 +470,6 @@ let rec node_iters iters = function
 
 let program_iters (p : Program.t) =
   List.fold_left node_iters [] p.Program.body
-
-(* A random access of rank 1..2 over a loop nest of up to three
-   iterators: trips 1..6, coefficients -4..4, constants -8..8. *)
-let nest_access_gen =
-  QCheck2.Gen.(
-    let* trips = list_size (int_range 0 3) (int_range 1 6) in
-    let loops = List.mapi (fun k t -> (Printf.sprintf "i%d" k, t)) trips in
-    let subscript =
-      let* coeffs = list_repeat (List.length loops) (int_range (-4) 4) in
-      let+ const = int_range (-8) 8 in
-      List.fold_left2
-        (fun e (it, _) c -> Affine.add e (Affine.var ~coeff:c it))
-        (Affine.const const) loops coeffs
-    in
-    let+ index = list_size (int_range 1 2) subscript in
-    (loops, Access.make ~array:"a" ~direction:Access.Read ~index))
-
-(* Every point of the iteration space, as an environment. *)
-let rec points = function
-  | [] -> [ [] ]
-  | (it, trip) :: rest ->
-    List.concat_map
-      (fun env -> List.init trip (fun v -> (it, v) :: env))
-      (points rest)
-
-let prop_access_box_enumerated =
-  QCheck2.Test.make ~name:"access box = brute-force min/max" ~count:300
-    ~print:(fun (loops, (a : Access.t)) ->
-      Fmt.str "loops [%s], index [%s]"
-        (String.concat "; "
-           (List.map (fun (it, t) -> Printf.sprintf "%s:%d" it t) loops))
-        (String.concat "; " (List.map Affine.to_string a.Access.index)))
-    nest_access_gen
-    (fun (loops, a) ->
-      let envs = points loops in
-      let enumerated e =
-        let values =
-          List.map (fun env -> Affine.eval e ~env:(fun it -> List.assoc it env))
-            envs
-        in
-        (List.fold_left min max_int values, List.fold_left max min_int values)
-      in
-      Pass.access_box loops a = List.map enumerated a.Access.index)
 
 (* --- interference ------------------------------------------------------- *)
 
@@ -795,8 +751,6 @@ let () =
           Alcotest.test_case "verifier accepts solver" `Slow
             test_verifier_accepts_solver;
         ] );
-      ( "ranges",
-        [ QCheck_alcotest.to_alcotest prop_access_box_enumerated ] );
       ( "interference",
         [
           Alcotest.test_case "accepts solver" `Slow

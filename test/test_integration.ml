@@ -162,11 +162,12 @@ let test_deferred_writebacks_never_hurt () =
       let program = Lazy.force app.Defs.small in
       let hierarchy = Presets.two_level ~onchip_bytes:256 () in
       let fetch_only = Explore.run program hierarchy in
-      let with_wb = Explore.run ~defer_writebacks:true program hierarchy in
+      let mapping = fetch_only.Explore.assign.Assign.mapping in
+      let with_wb = Prefetch.run ~defer_writebacks:true mapping in
       Alcotest.(check bool)
         (app.Defs.name ^ ": deferring drains never loses cycles")
         true
-        (with_wb.Explore.after_te.Cost.total_cycles
+        ((Prefetch.evaluate mapping with_wb).Cost.total_cycles
         <= fetch_only.Explore.after_te.Cost.total_cycles))
 
 let test_reports_render_for_every_app () =

@@ -345,6 +345,51 @@ let test_program_pp_smoke () =
   let s = Fmt.str "%a" Program.pp p in
   Alcotest.(check bool) "non-empty rendering" true (String.length s > 10)
 
+(* --- Access boxes ----------------------------------------------------- *)
+
+(* A random access of rank 1..2 over a loop nest of up to three
+   iterators: trips 1..6, coefficients -4..4, constants -8..8. *)
+let nest_access_gen =
+  QCheck2.Gen.(
+    let* trips = list_size (int_range 0 3) (int_range 1 6) in
+    let loops = List.mapi (fun k t -> (Printf.sprintf "i%d" k, t)) trips in
+    let subscript =
+      let* coeffs = list_repeat (List.length loops) (int_range (-4) 4) in
+      let+ const = int_range (-8) 8 in
+      List.fold_left2
+        (fun e (it, _) c -> Affine.add e (Affine.var ~coeff:c it))
+        (Affine.const const) loops coeffs
+    in
+    let+ index = list_size (int_range 1 2) subscript in
+    (loops, Access.make ~array:"a" ~direction:Access.Read ~index))
+
+(* Every point of the iteration space, as an environment. *)
+let rec points = function
+  | [] -> [ [] ]
+  | (it, trip) :: rest ->
+    List.concat_map
+      (fun env -> List.init trip (fun v -> (it, v) :: env))
+      (points rest)
+
+let prop_access_box_enumerated =
+  QCheck2.Test.make ~name:"access box = brute-force min/max" ~count:300
+    ~print:(fun (loops, (a : Access.t)) ->
+      Fmt.str "loops [%s], index [%s]"
+        (String.concat "; "
+           (List.map (fun (it, t) -> Printf.sprintf "%s:%d" it t) loops))
+        (String.concat "; " (List.map Affine.to_string a.Access.index)))
+    nest_access_gen
+    (fun (loops, a) ->
+      let envs = points loops in
+      let enumerated e =
+        let values =
+          List.map (fun env -> Affine.eval e ~env:(fun it -> List.assoc it env))
+            envs
+        in
+        (List.fold_left min max_int values, List.fold_left max min_int values)
+      in
+      Access.box loops a = List.map enumerated a.Access.index)
+
 let prop_builder_nests_validate =
   QCheck2.Test.make ~name:"ir: rectangular nests validate" ~count:100
     QCheck2.Gen.(list_size (int_range 1 3) (int_range 1 6))
@@ -389,6 +434,7 @@ let () =
           qc prop_extent_spans_min_max;
         ] );
       ("subst", [ Alcotest.test_case "affine subst" `Quick test_affine_subst ]);
+      ("ranges", [ qc prop_access_box_enumerated ]);
       ( "decls",
         [
           Alcotest.test_case "array decl" `Quick test_array_decl;

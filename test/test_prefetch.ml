@@ -262,20 +262,77 @@ let test_priorities_follow_order () =
     | [ _ ] | [] -> true
   in
   Alcotest.(check bool) "sorted by time/size" true
-    (non_increasing schedule.Prefetch.plans)
+    (non_increasing schedule.Prefetch.plans);
+  let sorted =
+    List.stable_sort
+      (fun (a : Prefetch.candidate) b ->
+        Float.compare b.Prefetch.sort_factor a.Prefetch.sort_factor)
+      (Prefetch.candidates m)
+  in
+  Alcotest.(check bool) "run = plan over time/size-sorted candidates" true
+    (schedule = Prefetch.plan m sorted)
 
 let test_orders_cover_same_bts () =
   let m = mapped (conv ()) in
-  let ids order =
+  let ids schedule =
     List.sort compare
       (List.map
          (fun (p : Prefetch.plan) -> p.Prefetch.bt.Mapping.bt_id)
-         (Prefetch.run ~order m).Prefetch.plans)
+         schedule.Prefetch.plans)
   in
-  let reference = ids Prefetch.By_time_over_size in
+  let reference = ids (Prefetch.run m) in
+  let candidates = Prefetch.candidates m in
+  let largest_first key =
+    List.stable_sort
+      (fun (a : Prefetch.candidate) b -> Int.compare (key b) (key a))
+      candidates
+  in
   List.iter
-    (fun order -> Alcotest.(check (list string)) "same BT set" reference (ids order))
-    [ Prefetch.Fifo; Prefetch.By_size; Prefetch.By_time ]
+    (fun ordered ->
+      Alcotest.(check (list string)) "same BT set" reference
+        (ids (Prefetch.plan m ordered)))
+    [ candidates;
+      List.rev candidates;
+      largest_first (fun c -> c.Prefetch.bt.Mapping.bytes_per_issue);
+      largest_first (fun c -> c.Prefetch.bt_time) ]
+
+(* [plan] walks the list it is given, but the fetch/drain partition is
+   its own: a reversed list that leads with a drain still plans every
+   fetch first, in the fetches' given order. *)
+let test_plan_fetches_before_drains () =
+  let m = mapped (conv ()) in
+  let reversed = List.rev (Prefetch.candidates ~defer_writebacks:true m) in
+  let is_drain (bt : Mapping.block_transfer) = bt.Mapping.is_writeback in
+  let drains_first =
+    match reversed with
+    | (c : Prefetch.candidate) :: rest ->
+      is_drain c.Prefetch.bt
+      && List.exists
+           (fun (c : Prefetch.candidate) -> not (is_drain c.Prefetch.bt))
+           rest
+    | [] -> false
+  in
+  Alcotest.(check bool) "input leads with a drain" true drains_first;
+  let plans = (Prefetch.plan m reversed).Prefetch.plans in
+  let kinds =
+    List.map (fun (p : Prefetch.plan) -> is_drain p.Prefetch.bt) plans
+  in
+  Alcotest.(check (list bool)) "every fetch before every drain"
+    (List.sort compare kinds) kinds;
+  let fetch_ids bts =
+    List.filter_map
+      (fun (bt : Mapping.block_transfer) ->
+        if is_drain bt then None else Some bt.Mapping.bt_id)
+      bts
+  in
+  Alcotest.(check (list string)) "fetches keep the given order"
+    (fetch_ids
+       (List.map (fun (c : Prefetch.candidate) -> c.Prefetch.bt) reversed))
+    (fetch_ids (List.map (fun (p : Prefetch.plan) -> p.Prefetch.bt) plans));
+  List.iteri
+    (fun k (p : Prefetch.plan) ->
+      Alcotest.(check int) "consecutive priorities" k p.Prefetch.dma_priority)
+    plans
 
 let test_size_bound_blocks_extension () =
   (* Evaluate the same mapping against a platform with zero slack: no
@@ -373,5 +430,7 @@ let () =
           Alcotest.test_case "hidden lookup" `Quick
             test_hidden_per_issue_lookup;
           Alcotest.test_case "total hidden" `Quick test_total_hidden_cycles;
+          Alcotest.test_case "fetches before drains" `Quick
+            test_plan_fetches_before_drains;
         ] );
     ]

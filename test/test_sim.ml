@@ -366,9 +366,7 @@ let test_crosscheck_catches_saturation () =
     let hostile =
       { plan with Prefetch.bt_time = 10 * c; extra_buffers = 3 }
     in
-    let schedule =
-      { Prefetch.plans = [ hostile ]; order = Prefetch.Fifo }
-    in
+    let schedule = { Prefetch.plans = [ hostile ] } in
     let checks = Crosscheck.pipeline_checks m schedule in
     Alcotest.(check int) "one check" 1 (List.length checks);
     let disagreements =
