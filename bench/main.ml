@@ -272,6 +272,14 @@ let ext_inplace () =
           ~level:0
       in
       let bytes policy = Mhla_lifetime.Occupancy.peak_bytes policy blocks in
+      let key = Printf.sprintf "ext_inplace.%s.%s" app.Mhla_apps.Defs.name in
+      let cycles (r : Explore.result) = r.Explore.after_assign.Cost.total_cycles in
+      metric (key "cycles_in_place") (Mhla_util.Json.int (cycles in_place));
+      metric (key "cycles_sum") (Mhla_util.Json.int (cycles summed));
+      metric (key "peak_bytes_in_place")
+        (Mhla_util.Json.int (bytes Mhla_lifetime.Occupancy.In_place));
+      metric (key "bytes_sum")
+        (Mhla_util.Json.int (bytes Mhla_lifetime.Occupancy.Sum));
       Table.add_row table
         [ app.Mhla_apps.Defs.name;
           Table.cell_percent (Explore.assign_time_gain_percent in_place);
@@ -327,8 +335,8 @@ let ext_greedy () =
 
 let ext_xval () =
   section "EXT-XVAL"
-    "Event-driven validation of the analytic TE model: per block\n\
-     transfer, simulated vs analytic stall cycles (agreement required\n\
+    "Pipeline replay of the analytic TE model: per block transfer,\n\
+     Pipeline-replayed vs analytic stall cycles (agreement required\n\
      within the pipeline cold-start bound).";
   let table =
     Table.create
@@ -471,6 +479,12 @@ let ext_mode () =
       let full = run Mhla_reuse.Candidate.Full in
       let delta = run Mhla_reuse.Candidate.Delta in
       let tf = traffic full and td = traffic delta in
+      let key = Printf.sprintf "ext_mode.%s.%s" app.Mhla_apps.Defs.name in
+      let cycles (r : Explore.result) = r.Explore.after_te.Cost.total_cycles in
+      metric (key "traffic_full") (Mhla_util.Json.int tf);
+      metric (key "traffic_delta") (Mhla_util.Json.int td);
+      metric (key "cycles_full") (Mhla_util.Json.int (cycles full));
+      metric (key "cycles_delta") (Mhla_util.Json.int (cycles delta));
       Table.add_row table
         [ app.Mhla_apps.Defs.name;
           Table.cell_int tf;
@@ -518,6 +532,12 @@ let ext_three_level () =
                | Mhla_core.Mapping.Chain _ | Mhla_core.Mapping.Direct -> false)
              three.Explore.assign.Assign.mapping.Mhla_core.Mapping.placements)
       in
+      let key = Printf.sprintf "ext_3level.%s.%s" name in
+      metric (key "cycles_2level")
+        (Mhla_util.Json.int two.Explore.after_te.Cost.total_cycles);
+      metric (key "cycles_3level")
+        (Mhla_util.Json.int three.Explore.after_te.Cost.total_cycles);
+      metric (key "chains") (Mhla_util.Json.int chains);
       Table.add_row table
         [ name;
           Table.cell_int two.Explore.after_te.Cost.total_cycles;
@@ -553,6 +573,9 @@ let ext_multitask () =
           e +. r.Explore.after_assign.Cost.total_energy_pj ))
       (0, 0.) tasks
   in
+  metric "ext_multitask.separate_cycles" (Mhla_util.Json.int separate_cycles);
+  metric "ext_multitask.joint_cycles"
+    (Mhla_util.Json.int joint.Explore.after_te.Cost.total_cycles);
   let table =
     Table.create
       ~columns:
@@ -595,6 +618,11 @@ let ext_search () =
     let sa = Assign.simulated_annealing program h in
     let g = greedy.Assign.breakdown.Cost.total_cycles in
     let a = sa.Assign.breakdown.Cost.total_cycles in
+    let key = Printf.sprintf "ext_search.%s_%d.%s" name budget in
+    metric (key "greedy_cycles") (Mhla_util.Json.int g);
+    metric (key "anneal_cycles") (Mhla_util.Json.int a);
+    metric (key "greedy_evals") (Mhla_util.Json.int greedy.Assign.evaluations);
+    metric (key "anneal_evals") (Mhla_util.Json.int sa.Assign.evaluations);
     Table.add_row table
       [ Printf.sprintf "%s @ %dB" name budget;
         Table.cell_int g;
