@@ -930,20 +930,31 @@ let write_sarif ~file report =
 
 let check_cmd =
   let run name onchip dma objective mode search json werror only skip mutate
-      explain sarif lint_config corpus seed profile verbosity trace =
+      explain sarif lint_config verbosity trace =
     guarded @@ fun () ->
     match explain with
     | Some code ->
       Fmt.pr "%a@." Mhla_analysis.Explain.pp
         (Mhla_analysis.Explain.explain code)
-    | None -> (
+    | None ->
       let suppress = load_suppress lint_config in
       let only = match only with [] -> None | l -> Some l in
       let skip = match skip with [] -> None | l -> Some l in
-      let checked ~telemetry ~id ~arch program =
+      let name =
+        match name with
+        | Some n -> n
+        | None ->
+          Error.invalidf ~context:"mhla check"
+            ~hint:"name an application (see mhla list), or use \
+                   --explain CODE"
+            "no application named"
+      in
+      let program, arch = app_job name ~onchip ~dma in
+      let report =
+        with_telemetry ~trace ~verbosity @@ fun telemetry ->
         let req =
           Request.make ~objective ~transfer_mode:mode
-            ?search:(resolve_search search) ~id ~arch program
+            ?search:(resolve_search search) ~id:name ~arch program
         in
         let result = solved ~telemetry req in
         let mapping = result.Explore.assign.Assign.mapping in
@@ -953,72 +964,12 @@ let check_cmd =
         let report = Check.run ?only ?skip ~suppress ~telemetry subject in
         if werror then Check.promote_warnings report else report
       in
-      match corpus with
-      | Some count ->
-        if name <> None then
-          Error.invalidf ~context:"mhla check"
-            ~hint:"--corpus generates its own programs; drop APP"
-            "--corpus conflicts with an application argument";
-        if count < 1 then
-          Error.invalidf ~context:"mhla check"
-            ~hint:"pass --corpus a positive case count"
-            "corpus size must be at least 1 (got %d)" count;
-        if sarif <> None then
-          Error.invalidf ~context:"mhla check"
-            ~hint:"SARIF export covers a single subject; check one APP"
-            "--sarif conflicts with --corpus";
-        let module Gen = Mhla_gen.Generate in
-        let reports =
-          with_telemetry ~trace ~verbosity @@ fun telemetry ->
-          let rng = Mhla_util.Prng.create ~seed in
-          List.init count (fun _ -> Mhla_util.Prng.next_int64 rng)
-          |> List.map (fun case_seed ->
-                 let case = Gen.case ~profile ~seed:case_seed () in
-                 let arch =
-                   Request.Two_level
-                     { onchip_bytes = case.Gen.onchip_bytes; dma = true }
-                 in
-                 ( case_seed,
-                   checked ~telemetry
-                     ~id:(Fmt.str "case-%Ld" case_seed)
-                     ~arch case.Gen.program ))
-        in
-        let failing =
-          List.filter (fun (_, r) -> not (Check.ok r)) reports
-        in
-        List.iter
-          (fun (case_seed, r) ->
-            Fmt.epr "@[<v>check corpus: case seed %Ld fails:@,%a@]@."
-              case_seed Check.pp_report r)
-          failing;
-        if verbosity <> Quiet then
-          Fmt.pr
-            "check corpus: %d case(s), %d failing (profile %s, seed %Ld)@."
-            count (List.length failing)
-            (Gen.profile_name profile)
-            seed;
-        if failing <> [] then exit 1
-      | None ->
-        let name =
-          match name with
-          | Some n -> n
-          | None ->
-            Error.invalidf ~context:"mhla check"
-              ~hint:"name an application (see mhla list), or use \
-                     --corpus N / --explain CODE"
-              "no application named"
-        in
-        let program, arch = app_job name ~onchip ~dma in
-        let report =
-          with_telemetry ~trace ~verbosity @@ fun telemetry ->
-          checked ~telemetry ~id:name ~arch program
-        in
-        Option.iter (fun file -> write_sarif ~file report) sarif;
-        if json then
-          print_json (Check.report_to_json report)
-        else if verbosity <> Quiet then
-          Fmt.pr "%a@." Check.pp_report report;
-        if not (Check.ok report) then exit 1)
+      Option.iter (fun file -> write_sarif ~file report) sarif;
+      if json then
+        print_json (Check.report_to_json report)
+      else if verbosity <> Quiet then
+        Fmt.pr "%a@." Check.pp_report report;
+      if not (Check.ok report) then exit 1
   in
   let werror_arg =
     Arg.(value & flag
@@ -1051,7 +1002,7 @@ let check_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"APP"
           ~doc:"Application name (see $(b,mhla list)); omitted with \
-                $(b,--corpus) or $(b,--explain).")
+                $(b,--explain).")
   in
   let explain_arg =
     Arg.(
@@ -1069,29 +1020,6 @@ let check_cmd =
           ~doc:"Also write the report as SARIF 2.1.0 to $(docv) ($(b,-) \
                 for stdout).")
   in
-  let corpus_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "corpus" ] ~docv:"N"
-          ~doc:"Instead of one application, solve and check $(docv) \
-                generated programs (the fuzzer's generator, seeded by \
-                $(b,--seed)/$(b,--profile)); exits 1 if any case fails.")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int64 42L
-      & info [ "seed" ] ~docv:"INT64"
-          ~doc:"Root seed of the $(b,--corpus) case-seed stream.")
-  in
-  let profile_arg =
-    Arg.(
-      value
-      & opt (enum Mhla_gen.Generate.all_profiles) Mhla_gen.Generate.Mixed
-      & info [ "profile" ] ~docv:"PROFILE"
-          ~doc:"Difficulty profile of the $(b,--corpus) programs (see \
-                $(b,mhla fuzz)).")
-  in
   let doc =
     "Statically verify a solved application: re-derive subscript bounds, \
      DMA-race freedom, layer occupancy, TE interference and schedule \
@@ -1103,8 +1031,8 @@ let check_cmd =
     Term.(
       const run $ opt_app_arg $ onchip_arg $ dma_arg $ objective_arg
       $ mode_arg $ search_arg $ json_arg $ werror_arg $ pass_arg $ skip_arg
-      $ mutate_arg $ explain_arg $ sarif_arg $ lint_config_arg $ corpus_arg
-      $ seed_arg $ profile_arg $ verbosity_term $ trace_arg)
+      $ mutate_arg $ explain_arg $ sarif_arg $ lint_config_arg
+      $ verbosity_term $ trace_arg)
 
 (* --- fuzz -------------------------------------------------------------- *)
 

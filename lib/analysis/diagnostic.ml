@@ -9,8 +9,6 @@ let severity_label = function
 
 let severity_rank = function Error -> 2 | Warning -> 1 | Info -> 0
 
-let compare_severity a b = compare (severity_rank a) (severity_rank b)
-
 let pp_severity ppf s = Fmt.string ppf (severity_label s)
 
 type location = {
@@ -145,8 +143,6 @@ let makef ~code ~severity ~pass ?loc ?trail fmt =
 
 let catalogue_entry code =
   List.find_opt (fun (c, _, _) -> c = code) catalogue
-
-let is_error d = d.severity = Error
 
 let promote_warnings d =
   match d.severity with Warning -> { d with severity = Error } | _ -> d

@@ -12,9 +12,6 @@ type severity = Error | Warning | Info
 val severity_label : severity -> string
 (** ["error"], ["warning"], ["info"]. *)
 
-val compare_severity : severity -> severity -> int
-(** [Error > Warning > Info]. *)
-
 val pp_severity : severity Fmt.t
 
 type location = {
@@ -29,8 +26,6 @@ type location = {
 (** A structured location; every field optional, only meaningful ones
     set. *)
 
-val no_location : location
-
 val location :
   ?array:string ->
   ?stmt:string ->
@@ -42,14 +37,10 @@ val location :
   unit ->
   location
 
-val pp_location : location Fmt.t
-(** Compact [key=value] rendering of the populated fields; nothing for
-    {!no_location}. *)
-
 val location_fields : location -> (string * string) list
 (** The populated fields as rendered [(key, value)] pairs, in the
-    fixed field order — what {!pp_location} prints and what suppression
-    rules match against. *)
+    fixed field order — what {!pp} prints as [key=value] and what
+    suppression rules match against. *)
 
 type t = {
   code : string;  (** stable, e.g. ["MHLA001"] *)
@@ -72,8 +63,6 @@ val make :
 val makef :
   code:string -> severity:severity -> pass:string -> ?loc:location ->
   ?trail:string list -> ('a, Format.formatter, unit, t) format4 -> 'a
-
-val is_error : t -> bool
 
 val promote_warnings : t -> t
 (** [Warning] becomes [Error] (the [--Werror] promotion); other

@@ -3,7 +3,7 @@
     One rule per line: a catalogued diagnostic code followed by zero or
     more [field=value] constraints matched against the diagnostic's
     rendered location fields (the same [key=value] pairs
-    {!Diagnostic.pp_location} prints). A rule with no constraints
+    {!Diagnostic.pp} prints). A rule with no constraints
     suppresses every finding of its code; constraints narrow it —
     [MHLA305 stmt=S2 layer=0] silences only that placement's shadowed
     link. [#] starts a comment, blank lines are skipped.
@@ -25,8 +25,6 @@ val parse : origin:string -> string -> t
 
 val load : string -> t
 (** Read and {!parse} a file. *)
-
-val suppressed : t -> Diagnostic.t -> bool
 
 val apply : t -> Diagnostic.t list -> Diagnostic.t list * int
 (** Partition: the diagnostics no rule matches, and how many were

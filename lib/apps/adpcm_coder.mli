@@ -7,5 +7,3 @@
     table's whole-table copy candidate. *)
 
 val app : Defs.t
-
-val build : name:string -> frames:int -> work:int -> Mhla_ir.Program.t

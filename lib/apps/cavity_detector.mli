@@ -7,6 +7,3 @@
     optimisation, and the vertical pass needs a multi-line window. *)
 
 val app : Defs.t
-
-val build :
-  name:string -> height:int -> width:int -> work:int -> Mhla_ir.Program.t

@@ -5,6 +5,3 @@
     reads per pixel over the smoothed image. *)
 
 val app : Defs.t
-
-val build :
-  name:string -> height:int -> width:int -> work:int -> Mhla_ir.Program.t

@@ -6,6 +6,3 @@
     promotion material — while the image streams block by block. *)
 
 val app : Defs.t
-
-val build :
-  name:string -> blocks_y:int -> blocks_x:int -> work:int -> Mhla_ir.Program.t

@@ -1,3 +1,5 @@
+(* [block] is the block edge, [range] the displacement radius,
+   [sad_work] the compute cycles per pixel comparison. *)
 let build ~name ~blocks_y ~blocks_x ~block ~range ~sad_work =
   let open Mhla_ir.Build in
   let height = blocks_y * block in

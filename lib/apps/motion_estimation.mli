@@ -8,14 +8,3 @@
     both are prime copy candidates. *)
 
 val app : Defs.t
-
-val build :
-  name:string ->
-  blocks_y:int ->
-  blocks_x:int ->
-  block:int ->
-  range:int ->
-  sad_work:int ->
-  Mhla_ir.Program.t
-(** [block] is the block edge, [range] the displacement radius,
-    [sad_work] the compute cycles per pixel comparison. *)

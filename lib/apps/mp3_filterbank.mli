@@ -6,5 +6,3 @@
     window slides by 32 — the canonical audio sliding-window reuse. *)
 
 val app : Defs.t
-
-val build : name:string -> granules:int -> work:int -> Mhla_ir.Program.t

@@ -7,12 +7,3 @@
     patterns — the original MHLA paper's flagship application. *)
 
 val app : Defs.t
-
-val build :
-  name:string ->
-  blocks_y:int ->
-  blocks_x:int ->
-  block:int ->
-  range:int ->
-  work:int ->
-  Mhla_ir.Program.t

@@ -7,5 +7,3 @@
     to promote wholesale. *)
 
 val app : Defs.t
-
-val build : name:string -> frames:int -> work:int -> Mhla_ir.Program.t

@@ -1,3 +1,4 @@
+(* [size] must be divisible by 4 (two decomposition levels). *)
 let build ~name ~size ~taps ~work =
   let open Mhla_ir.Build in
   assert (size mod 4 = 0);

@@ -6,6 +6,3 @@
     per pass — a layer-assignment stress test. *)
 
 val app : Defs.t
-
-val build : name:string -> size:int -> taps:int -> work:int -> Mhla_ir.Program.t
-(** [size] must be divisible by 4 (two decomposition levels). *)

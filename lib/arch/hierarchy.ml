@@ -34,12 +34,6 @@ let main_memory_level t = levels t - 1
 
 let on_chip_levels t = List.init (levels t - 1) Fun.id
 
-let on_chip_capacity_bytes t =
-  let add acc (l : Layer.t) =
-    match l.capacity_bytes with Some c -> acc + c | None -> acc
-  in
-  List.fold_left add 0 t.layers
-
 let has_dma t = t.dma <> None
 
 let dma_exn t =
@@ -49,10 +43,6 @@ let dma_exn t =
     Error.invalidf ~context:"Hierarchy.dma_exn"
       ~hint:"build the platform with a DMA engine or guard with has_dma"
       "platform has no DMA engine"
-
-let with_dma dma t = { t with dma = Some dma }
-
-let without_dma t = { t with dma = None }
 
 let pp ppf t =
   Fmt.pf ppf "@[<v>";

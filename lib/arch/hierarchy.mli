@@ -24,17 +24,9 @@ val main_memory_level : t -> int
 val on_chip_levels : t -> int list
 (** All levels except the off-chip one, innermost first. *)
 
-val on_chip_capacity_bytes : t -> int
-(** Total capacity of all on-chip layers — the "user-defined on-chip
-    memory constraint" of the TE step. *)
-
 val has_dma : t -> bool
 
 val dma_exn : t -> Dma.t
 (** @raise Mhla_util.Error.Error when the platform has no transfer engine. *)
-
-val with_dma : Dma.t -> t -> t
-
-val without_dma : t -> t
 
 val pp : t Fmt.t

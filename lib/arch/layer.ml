@@ -31,15 +31,6 @@ let make ~burst_energy_factor ~name ~location ~capacity_bytes
   { name; location; capacity_bytes; read_energy_pj; write_energy_pj;
     latency_cycles; bandwidth_bytes_per_cycle; burst_energy_factor }
 
-let is_on_chip t = t.location = On_chip
-
-let fits t ~bytes =
-  match t.capacity_bytes with None -> true | Some c -> bytes <= c
-
-let access_energy_pj t ~reads ~writes =
-  (float_of_int reads *. t.read_energy_pj)
-  +. (float_of_int writes *. t.write_energy_pj)
-
 let burst_read_energy_pj t = t.read_energy_pj *. t.burst_energy_factor
 
 let burst_write_energy_pj t = t.write_energy_pj *. t.burst_energy_factor

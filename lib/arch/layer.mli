@@ -36,13 +36,6 @@ val make :
 (** @raise Mhla_util.Error.Error on a non-positive capacity, energy,
     latency or bandwidth. *)
 
-val is_on_chip : t -> bool
-
-val fits : t -> bytes:int -> bool
-(** Whether [bytes] fit in the layer's capacity ([true] if unbounded). *)
-
-val access_energy_pj : t -> reads:int -> writes:int -> float
-
 val burst_read_energy_pj : t -> float
 (** Per-element read energy under block transfer. *)
 

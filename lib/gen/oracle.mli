@@ -77,11 +77,6 @@ val check_engine :
     occupancy check before each one. [objective] defaults to
     [Energy_delay]. The first half of the ["engine"] check. *)
 
-val failures :
-  ?mutate:mutation -> onchip_bytes:int -> Mhla_ir.Program.t -> failure list
-(** Run the whole battery on one program under the given on-chip
-    budget. Deterministic; never raises. *)
-
 type outcome = {
   seed : int64;
   profile : Generate.profile;  (** resolved, never [Mixed] *)
@@ -96,7 +91,8 @@ val run_case :
   seed:int64 ->
   unit ->
   outcome
-(** {!Generate.case} followed by {!failures} under the case's budget. *)
+(** {!Generate.case}, then the whole battery on its program under the
+    case's budget. Deterministic; never raises. *)
 
 val shrink_counterexample :
   ?mutate:mutation ->

@@ -31,6 +31,4 @@ val box : (string * int) list -> t -> (int * int) list
 val boxes_intersect : (int * int) list -> (int * int) list -> bool
 (** Two boxes of the same rank overlap in every dimension. *)
 
-val pp_direction : direction Fmt.t
-
 val pp : t Fmt.t

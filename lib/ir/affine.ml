@@ -34,8 +34,6 @@ let coeff e name =
 
 let iterators e = List.map fst (String_map.bindings e.coeffs)
 
-let is_constant e = String_map.is_empty e.coeffs
-
 let eval e ~env =
   String_map.fold (fun name c acc -> acc + (c * env name)) e.coeffs e.const
 

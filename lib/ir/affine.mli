@@ -29,8 +29,6 @@ val coeff : t -> string -> int
 val iterators : t -> string list
 (** Iterators with non-zero coefficient, sorted, without duplicates. *)
 
-val is_constant : t -> bool
-
 val eval : t -> env:(string -> int) -> int
 (** Evaluate with [env] giving each iterator's current value.
     @raise Not_found if [env] raises it for a needed iterator. *)

@@ -50,8 +50,6 @@ type fields = (string * Mhla_util.Json.t) list
 
 val as_obj : path:path -> Mhla_util.Json.t -> fields
 
-val as_arr : path:path -> Mhla_util.Json.t -> Mhla_util.Json.t list
-
 val as_str : path:path -> Mhla_util.Json.t -> string
 
 val as_int : path:path -> Mhla_util.Json.t -> int
@@ -59,9 +57,6 @@ val as_int : path:path -> Mhla_util.Json.t -> int
 val as_bool : path:path -> Mhla_util.Json.t -> bool
 (** Each [as_*] rejects any other JSON kind with ["expected a string,
     found int"] and the like. *)
-
-val as_positive : path:path -> Mhla_util.Json.t -> int
-(** An integer > 0; ["must be > 0 (got 0)"] otherwise. *)
 
 val field : path:path -> fields -> string -> Mhla_util.Json.t
 (** A mandatory member of the object at [path]; ["missing field "x""]

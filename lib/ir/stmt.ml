@@ -6,18 +6,6 @@ let make ~name ~work_cycles ~accesses =
     Mhla_util.Error.invalidf ~context:"Stmt.make" "negative work in %s" name;
   { name; work_cycles; accesses }
 
-let reads t = List.filter Access.is_read t.accesses
-
-let writes t = List.filter Access.is_write t.accesses
-
-let touches_array t array =
-  List.exists (fun (a : Access.t) -> a.array = array) t.accesses
-
-let writes_array t array =
-  List.exists
-    (fun (a : Access.t) -> a.array = array && Access.is_write a)
-    t.accesses
-
 let pp ppf t =
   Fmt.pf ppf "%s (%d cyc): %a" t.name t.work_cycles
     Fmt.(list ~sep:comma Access.pp)

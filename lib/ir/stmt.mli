@@ -15,12 +15,4 @@ val make : name:string -> work_cycles:int -> accesses:Access.t list -> t
 (** @raise Mhla_util.Error.Error on an empty name or negative work. A
     statement with no accesses is allowed (pure compute). *)
 
-val reads : t -> Access.t list
-
-val writes : t -> Access.t list
-
-val touches_array : t -> string -> bool
-
-val writes_array : t -> string -> bool
-
 val pp : t Fmt.t

@@ -78,18 +78,6 @@ let allocate ~capacity blocks =
       Ok { placements; high_water_bytes = high_water }
   end
 
-let allocate_exn ~capacity blocks =
-  match allocate ~capacity blocks with
-  | Ok t -> t
-  | Error msg ->
-    Mhla_util.Error.capacityf ~context:"Allocator.allocate_exn" "%s" msg
-
-let offset_of t ~label =
-  List.find_map
-    (fun p ->
-      if p.block.Occupancy.label = label then Some p.offset else None)
-    t.placements
-
 let conflicts t =
   let rec pairs acc = function
     | p :: rest ->
@@ -114,13 +102,3 @@ let utilisation t =
         (List.map (fun p -> p.block) t.placements)
     in
     float_of_int peak /. float_of_int t.high_water_bytes
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>";
-  List.iter
-    (fun p ->
-      Fmt.pf ppf "0x%04x..0x%04x %a@," p.offset
-        (p.offset + p.block.Occupancy.bytes - 1)
-        Occupancy.pp_block p.block)
-    t.placements;
-  Fmt.pf ppf "high water: %dB@]" t.high_water_bytes

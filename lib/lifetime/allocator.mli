@@ -25,12 +25,6 @@ val allocate : capacity:int -> Occupancy.block list -> (t, string) result
     cannot fit the set (note: the in-place peak is a lower bound; the
     heuristic may need slightly more in adversarial cases). *)
 
-val allocate_exn : capacity:int -> Occupancy.block list -> t
-(** @raise Mhla_util.Error.Error with {!allocate}'s message. *)
-
-val offset_of : t -> label:string -> int option
-(** Offset of the first block with this label. *)
-
 val conflicts : t -> (placement * placement) list
 (** Pairs overlapping in both lifetime and address range — always [[]]
     for an allocator result; exposed so tests can verify independently. *)
@@ -38,5 +32,3 @@ val conflicts : t -> (placement * placement) list
 val utilisation : t -> float
 (** Peak concurrent bytes / high-water bytes: 1.0 means the allocation
     is as tight as the lifetime structure allows. *)
-
-val pp : t Fmt.t

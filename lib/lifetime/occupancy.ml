@@ -29,6 +29,3 @@ let peak_bytes policy blocks =
     Mhla_util.Interval.peak_weight weighted
 
 let fits policy ~capacity blocks = peak_bytes policy blocks <= capacity
-
-let pp_block ppf b =
-  Fmt.pf ppf "%s %a %dB" b.label Mhla_util.Interval.pp b.interval b.bytes

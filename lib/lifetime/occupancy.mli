@@ -20,4 +20,3 @@ val peak_bytes : policy -> block list -> int
 
 val fits : policy -> capacity:int -> block list -> bool
 
-val pp_block : block Fmt.t

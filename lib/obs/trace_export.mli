@@ -11,13 +11,11 @@ val event_to_json : Telemetry.event -> Mhla_util.Json.t
     in microseconds, [pid] 1, [tid] from the event, payload under
     [args]. *)
 
-val counters_json : Telemetry.t -> Mhla_util.Json.t
-(** Flat object of final counter/gauge values, keys sorted. *)
-
 val to_json : Telemetry.t -> Mhla_util.Json.t
 (** The whole trace:
     [{"traceEvents": [...], "displayTimeUnit": "ms",
-      "otherData": {"counters": {...}}}]. *)
+      "otherData": {"counters": {...}}}], the counters a flat object
+    of final counter/gauge values, keys sorted. *)
 
 val write : out_channel -> Telemetry.t -> unit
 (** Stream {!to_json} to a channel ({!Mhla_util.Json.to_channel}; no

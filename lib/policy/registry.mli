@@ -6,10 +6,6 @@
     unknown ones with the same typed
     {!Mhla_util.Error.Error} ([Invalid_input], CLI exit 2). *)
 
-val search_names : string list
-(** The canonical spellings: ["greedy"], ["first-improvement"],
-    ["anneal"]. *)
-
 val search_of_name :
   ?context:string ->
   ?seed:int64 ->

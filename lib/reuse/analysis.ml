@@ -58,10 +58,3 @@ let useful_candidates info =
   in
   let kept, _ = List.fold_left keep ([], max_int) info.candidates in
   List.rev kept
-
-let array_footprint_bytes infos ~array =
-  let pick acc i =
-    if i.array = array then max acc (Mhla_ir.Array_decl.size_bytes i.decl)
-    else acc
-  in
-  List.fold_left pick 0 infos

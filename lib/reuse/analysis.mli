@@ -34,7 +34,3 @@ val useful_candidates : info -> Candidate.t list
     outer level (an inner candidate with the same footprint costs the
     same space but never fewer transfers, so it is dominated). The
     level-0 candidate is always kept. *)
-
-val array_footprint_bytes : info list -> array:string -> int
-(** Peak buffer a whole-array copy of [array] would need: the size of
-    the declared array (what the out-of-the-box code keeps off-chip). *)

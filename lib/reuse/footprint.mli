@@ -9,22 +9,14 @@
     safe over-approximation otherwise — the standard copy-candidate
     sizing used by the MHLA papers. *)
 
-val elements_along_dims :
-  decl:Mhla_ir.Array_decl.t ->
-  trip:(string -> int) ->
-  free:(string -> bool) ->
-  Mhla_ir.Access.t ->
-  int list
-(** Elements touched along each dimension, clamped to the declared
-    dimension extents. *)
-
 val elements :
   decl:Mhla_ir.Array_decl.t ->
   trip:(string -> int) ->
   free:(string -> bool) ->
   Mhla_ir.Access.t ->
   int
-(** Product of {!elements_along_dims}. *)
+(** Product of the elements touched along each dimension, each
+    clamped to the declared dimension extent. *)
 
 val bytes :
   decl:Mhla_ir.Array_decl.t ->

@@ -24,5 +24,3 @@ val checkpoint : context:string -> deadline_ns:int -> unit -> unit
 (** The guard closure: a no-op while [now_ns () <= deadline_ns], then
     raises kind [Deadline] naming [context]. Safe to call from any
     domain (it only reads the clock). *)
-
-val expired : deadline_ns:int -> bool

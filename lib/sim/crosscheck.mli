@@ -15,7 +15,12 @@
 
 type bt_check = {
   check_id : string;
-  params : Pipeline.stream;  (** the plan's stream, {!stream_of_plan} *)
+  params : Pipeline.stream;
+      (** the plan's stream: issues and bytes from the transfer,
+          [transfer_cycles = bt_time], compute from the first loop the
+          extension spans, lookahead = extra buffers, setup from the
+          hierarchy's DMA engine (0 without one) — the same derivation
+          {!check_event} and {!Robustness.analyze} replay *)
   channels : int;  (** the hierarchy's DMA channels (1 without DMA) *)
   simulated : Pipeline.outcome;
   analytic_stall_cycles : int;
@@ -33,14 +38,6 @@ val within_bound : bt_check -> bool
 val agrees : bt_check -> bool
 (** {!within_bound} and [zero_fault_consistent]: a check failing
     either way is a disagreement. *)
-
-val stream_of_plan :
-  Mhla_core.Mapping.t -> Mhla_core.Prefetch.plan -> Pipeline.stream
-(** The block-transfer stream of one TE plan — the single derivation
-    behind every check here and {!Robustness.analyze}: issues and bytes
-    from the transfer, [transfer_cycles = bt_time], compute from the
-    first loop the extension spans, lookahead = extra buffers, setup
-    from the hierarchy's DMA engine (0 without one). *)
 
 val pipeline_checks :
   Mhla_core.Mapping.t -> Mhla_core.Prefetch.schedule -> bt_check list
@@ -95,18 +92,9 @@ type event_check = {
           {!Pipeline.run} on both legs *)
 }
 
-val event_within_tolerance : event_check -> bool
-(** [|event_gain - analytic_gain| <= gain_tolerance_cycles]. *)
-
 val event_agrees : event_check -> bool
-(** {!event_within_tolerance} and [neutral_consistent]. *)
-
-val waitstates_of_bt :
-  Mhla_core.Mapping.t -> Mhla_core.Mapping.block_transfer -> Event.waitstates
-(** The per-region waitstate table of one block transfer: first-access
-    penalty = source-layer latency, one cycle per beat of the
-    narrowest on-path bandwidth — the decomposition of
-    [Cost.bt_cycles_per_issue], so the event latency equals [bt_time]. *)
+(** [|event_gain - analytic_gain| <= gain_tolerance_cycles] and
+    [neutral_consistent]. *)
 
 type event_report = {
   event_checks : event_check list;
@@ -122,11 +110,11 @@ val check_event :
 (** One check per TE plan with at least one issue and a non-empty
     payload. [config] (default {!Event.of_hierarchy} of the mapping's
     hierarchy) sets channels, queue depth, arbitration, bus sharing
-    and invalidation; its waitstate table is replaced per plan by
-    {!waitstates_of_bt}. *)
-
-val event_check_to_json : event_check -> Mhla_util.Json.t
-val event_divergence_to_json : event_divergence -> Mhla_util.Json.t
+    and invalidation; its waitstate table is replaced per plan by the
+    block transfer's own: first-access penalty = source-layer latency,
+    one cycle per beat of the narrowest on-path bandwidth — the
+    decomposition of [Cost.bt_cycles_per_issue], so the event latency
+    equals [bt_time]. *)
 
 val event_report_to_json : event_report -> Mhla_util.Json.t
 (** [{"checks": [...], "divergences": [...], "agreement": bool}] — the

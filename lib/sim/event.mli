@@ -76,10 +76,6 @@ val of_hierarchy :
     the narrowest on-path bandwidth). Defaults: [queue_depth] unbounded,
     [Earliest_free], no shared bus, no invalidation. *)
 
-val validate : config -> unit
-(** @raise Mhla_util.Error.Error on non-positive channels, queue depth
-    or waitstate fields. *)
-
 val transfer_latency : config -> Pipeline.stream -> int
 (** Cycles of one transfer under the config's waitstate table, or the
     stream's [transfer_cycles] without one; [bytes_per_issue] sizes the
@@ -107,6 +103,7 @@ val run :
 (** Simulate one stream. [telemetry] (default noop) records a
     [sim.event] span and per-transfer [esim.*] events; it never changes
     the outcome.
-    @raise Mhla_util.Error.Error on an invalid config or stream. *)
+    @raise Mhla_util.Error.Error on an invalid config (non-positive
+    channels, queue depth or waitstate fields) or stream. *)
 
 val outcome_to_json : outcome -> Mhla_util.Json.t

@@ -29,15 +29,14 @@ type plan_robustness = {
 }
 
 type report = {
-  faults : Faults.t;  (** base model; trial [i] reseeds it *)
+  faults : Faults.t;
+      (** base model; trial [i > 0] reseeds it (trial [0] keeps the
+          base seed), so a report is reproducible from
+          [(faults, trials)] alone *)
   trials : int;
   plans : plan_robustness list;
   all_zero_fault_consistent : bool;
 }
-
-val trial_faults : Faults.t -> trial:int -> Faults.t
-(** The base model reseeded for one trial (trial [0] keeps the base
-    seed), so a report is reproducible from [(faults, trials)] alone. *)
 
 val analyze :
   ?trials:int ->

@@ -20,8 +20,6 @@ let failf ?hint kind ~context fmt =
 
 let invalidf ?hint ~context fmt = failf ?hint Invalid_input ~context fmt
 
-let capacityf ?hint ~context fmt = failf ?hint Capacity ~context fmt
-
 let deadlinef ?hint ~context fmt = failf ?hint Deadline ~context fmt
 
 let internalf ?hint ~context fmt = failf ?hint Internal ~context fmt
@@ -43,8 +41,6 @@ let to_string t =
   let hint = match t.hint with None -> "" | Some h -> " (hint: " ^ h ^ ")" in
   Printf.sprintf "%s: %s%s" t.context t.message hint
 
-let pp ppf t = Fmt.string ppf (to_string t)
-
 let () =
   Printexc.register_printer (function
     | Error t ->
@@ -61,4 +57,3 @@ let catch f =
   | exception Failure m ->
     Result.Error (make Internal ~context:"Failure" m)
 
-let guard f = Result.map_error to_string (catch f)

@@ -29,15 +29,10 @@ exception Error of t
 
 val make : ?hint:string -> kind -> context:string -> string -> t
 
-val raise_error : t -> 'a
-
 val invalidf :
   ?hint:string -> context:string -> ('a, unit, string, 'b) format4 -> 'a
 (** [invalidf ~context fmt ...] raises {!Error} with
     kind {!Invalid_input} and the formatted message. *)
-
-val capacityf :
-  ?hint:string -> context:string -> ('a, unit, string, 'b) format4 -> 'a
 
 val deadlinef :
   ?hint:string -> context:string -> ('a, unit, string, 'b) format4 -> 'a
@@ -56,12 +51,7 @@ val exit_code : t -> int
 val to_string : t -> string
 (** ["context: message (hint: ...)"]. *)
 
-val pp : t Fmt.t
-
 val catch : (unit -> 'a) -> ('a, t) result
 (** Run a thunk, mapping a raised {!Error} — and, for the few sites not
     yet migrated, [Invalid_argument] and [Failure] — into [Result.Error].
     Other exceptions propagate. *)
-
-val guard : (unit -> 'a) -> ('a, string) result
-(** Like {!catch} but renders the error with {!to_string}. *)

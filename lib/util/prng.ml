@@ -31,14 +31,6 @@ let float t =
 
 let bool t = Int64.logand (next_int64 t) 1L = 1L
 
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t ~bound:(i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done
-
 let pick t = function
   | [] -> Error.invalidf ~context:"Prng.pick" "empty list"
   | items -> List.nth items (int t ~bound:(List.length items))

@@ -28,9 +28,6 @@ val float : t -> float
 
 val bool : t -> bool
 
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)
-
 val pick : t -> 'a list -> 'a
 (** A uniformly random element.
     @raise Error.Error on the empty list. *)

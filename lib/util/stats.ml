@@ -6,26 +6,6 @@ let mean samples =
   let samples = require_non_empty "Stats.mean" samples in
   List.fold_left ( +. ) 0. samples /. float_of_int (List.length samples)
 
-let geomean samples =
-  let samples = require_non_empty "Stats.geomean" samples in
-  let add_log acc s =
-    if s <= 0. then Error.invalidf ~context:"Stats.geomean" "non-positive sample"
-    else acc +. log s
-  in
-  let total = List.fold_left add_log 0. samples in
-  exp (total /. float_of_int (List.length samples))
-
-let stdev samples =
-  let samples = require_non_empty "Stats.stdev" samples in
-  let m = mean samples in
-  let sq_sum = List.fold_left (fun acc s -> acc +. ((s -. m) ** 2.)) 0. samples in
-  sqrt (sq_sum /. float_of_int (List.length samples))
-
-let min_max samples =
-  let samples = require_non_empty "Stats.min_max" samples in
-  let step (lo, hi) s = (min lo s, max hi s) in
-  List.fold_left step (infinity, neg_infinity) samples
-
 let percentile samples ~p =
   let samples = require_non_empty "Stats.percentile" samples in
   if p < 0. || p > 100. then
@@ -41,10 +21,6 @@ let percentile samples ~p =
     let frac = rank -. float_of_int lo in
     arr.(lo) +. (frac *. (arr.(hi) -. arr.(lo)))
   end
-
-let ratio a b =
-  if b = 0. then Error.invalidf ~context:"Stats.ratio" "division by zero";
-  a /. b
 
 let percent_gain ~baseline ~improved =
   if baseline = 0. then

@@ -3,25 +3,10 @@
 val mean : float list -> float
 (** @raise Error.Error on the empty list. *)
 
-val geomean : float list -> float
-(** Geometric mean; every sample must be positive.
-    @raise Error.Error on the empty list or non-positive samples. *)
-
-val stdev : float list -> float
-(** Population standard deviation; [0.] for a single sample.
-    @raise Error.Error on the empty list. *)
-
-val min_max : float list -> float * float
-(** @raise Error.Error on the empty list. *)
-
 val percentile : float list -> p:float -> float
 (** Nearest-rank percentile with linear interpolation; [p] in
     [\[0, 100\]].
     @raise Error.Error on the empty list or [p] out of range. *)
-
-val ratio : float -> float -> float
-(** [ratio a b] is [a /. b].
-    @raise Error.Error when [b = 0.]. *)
 
 val percent_gain : baseline:float -> improved:float -> float
 (** [percent_gain ~baseline ~improved] is the reduction of [improved]

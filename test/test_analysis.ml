@@ -94,12 +94,17 @@ let test_make_rejects_unknown_code () =
         (Diagnostic.make ~code:"MHLA999" ~severity:Diagnostic.Error
            ~pass:"bounds" "nope"))
 
+(* Within one pass and code, a report lists findings by severity,
+   least severe first. *)
 let test_severity_order () =
   let open Diagnostic in
-  Alcotest.(check bool) "error > warning" true
-    (compare_severity Error Warning > 0);
-  Alcotest.(check bool) "warning > info" true
-    (compare_severity Warning Info > 0);
+  let at severity = make ~code:"MHLA301" ~severity ~pass:"lints" "dead" in
+  let sorted =
+    List.sort compare_for_report [ at Error; at Info; at Warning ]
+  in
+  Alcotest.(check (list string)) "info < warning < error"
+    [ "info"; "warning"; "error" ]
+    (List.map (fun d -> severity_label d.severity) sorted);
   Alcotest.(check string) "labels" "error,warning,info"
     (String.concat "," (List.map severity_label [ Error; Warning; Info ]))
 
@@ -109,13 +114,14 @@ let test_promote_warnings () =
       "dead"
   in
   let p = Diagnostic.promote_warnings d in
-  Alcotest.(check bool) "warning promoted" true (Diagnostic.is_error p);
+  Alcotest.(check bool) "warning promoted" true
+    (p.Diagnostic.severity = Diagnostic.Error);
   let i =
     Diagnostic.make ~code:"MHLA303" ~severity:Diagnostic.Info ~pass:"lints"
       "unused"
   in
-  Alcotest.(check bool) "info untouched" false
-    (Diagnostic.is_error (Diagnostic.promote_warnings i))
+  Alcotest.(check bool) "info untouched" true
+    ((Diagnostic.promote_warnings i).Diagnostic.severity = Diagnostic.Info)
 
 let test_diagnostic_json () =
   let d =
@@ -163,7 +169,8 @@ let test_bounds_detects_overflow () =
   let r = Verify.run ~only:[ "bounds" ] (Pass.subject (oob_high_program ())) in
   Alcotest.(check (list string)) "MHLA001 fired" [ "MHLA001" ] (codes r);
   let d = List.hd r.Verify.diagnostics in
-  Alcotest.(check bool) "error severity" true (Diagnostic.is_error d);
+  Alcotest.(check bool) "error severity" true
+    (d.Diagnostic.severity = Diagnostic.Error);
   Alcotest.(check (option string)) "array located" (Some "a")
     d.Diagnostic.loc.Diagnostic.array;
   Alcotest.(check (option int)) "dimension located" (Some 0)

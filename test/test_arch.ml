@@ -42,21 +42,12 @@ let test_layer_validation () =
     (invalid "Layer.make" "burst energy factor out of (0,1] in l")
     (fun () -> mk ~burst:1.5 ())
 
-let test_layer_fits () =
-  let l = sram ~capacity:100 "sp" in
-  Alcotest.(check bool) "fits" true (Layer.fits l ~bytes:100);
-  Alcotest.(check bool) "too big" false (Layer.fits l ~bytes:101);
-  Alcotest.(check bool) "unbounded" true
-    (Layer.fits (sdram "mm") ~bytes:max_int)
-
 let test_layer_energy_and_cycles () =
   let l =
     Layer.make ~burst_energy_factor:0.5 ~name:"l" ~location:Layer.Off_chip
       ~capacity_bytes:None ~read_energy_pj:10. ~write_energy_pj:20.
       ~latency_cycles:4 ~bandwidth_bytes_per_cycle:4
   in
-  Alcotest.(check (float 1e-9)) "access energy" 70.
-    (Layer.access_energy_pj l ~reads:3 ~writes:2);
   Alcotest.(check (float 1e-9)) "burst read" 5. (Layer.burst_read_energy_pj l);
   Alcotest.(check (float 1e-9)) "burst write" 10.
     (Layer.burst_write_energy_pj l)
@@ -96,7 +87,7 @@ let test_energy_model_rejects_bad_capacity () =
 
 let test_sdram_layer_shape () =
   let l = sdram "mm" in
-  Alcotest.(check bool) "off-chip" true (not (Layer.is_on_chip l));
+  Alcotest.(check bool) "off-chip" true (l.Layer.location = Layer.Off_chip);
   Alcotest.(check bool) "unbounded" true (l.Layer.capacity_bytes = None);
   Alcotest.(check bool) "burst cheaper than random" true
     (Layer.burst_read_energy_pj l < l.Layer.read_energy_pj)
@@ -128,8 +119,6 @@ let test_hierarchy_accessors () =
   Alcotest.(check int) "main level" 2 (Hierarchy.main_memory_level h);
   Alcotest.(check (list int)) "on-chip levels" [ 0; 1 ]
     (Hierarchy.on_chip_levels h);
-  Alcotest.(check int) "on-chip capacity" 2048
-    (Hierarchy.on_chip_capacity_bytes h);
   Alcotest.(check string) "layer 1" "l2" (Hierarchy.layer h 1).Layer.name;
   Alcotest.check_raises "out of range"
     (invalid "Hierarchy.layer" "no level 9") (fun () ->
@@ -143,10 +132,12 @@ let test_hierarchy_dma () =
        ~hint:"build the platform with a DMA engine or guard with has_dma"
        "platform has no DMA engine")
     (fun () -> ignore (Hierarchy.dma_exn h));
-  let h = Hierarchy.with_dma Presets.default_dma h in
-  Alcotest.(check bool) "dma added" true (Hierarchy.has_dma h);
-  let h = Hierarchy.without_dma h in
-  Alcotest.(check bool) "dma removed" false (Hierarchy.has_dma h)
+  let h =
+    Hierarchy.make ~dma:Presets.default_dma [ sram "sp"; sdram "mm" ]
+  in
+  Alcotest.(check bool) "dma present" true (Hierarchy.has_dma h);
+  Alcotest.(check bool) "dma_exn returns it" true
+    (Hierarchy.dma_exn h == Presets.default_dma)
 
 (* --- Presets ---------------------------------------------------------- *)
 
@@ -236,7 +227,6 @@ let () =
       ( "layer",
         [
           Alcotest.test_case "validation" `Quick test_layer_validation;
-          Alcotest.test_case "fits" `Quick test_layer_fits;
           Alcotest.test_case "energy and cycles" `Quick
             test_layer_energy_and_cycles;
         ] );

@@ -13,7 +13,7 @@ module Cost = Mhla_core.Cost
 
 (* On-chip: rd 2, wr 3 pJ, 1 cycle, 8 B/cyc. Off-chip: rd/wr 10 pJ
    (burst halves it), 5 cycles, 2 B/cyc. DMA: 4 cycles, 2 pJ. *)
-let platform () =
+let platform ?(dma = true) () =
   let on =
     Layer.make ~burst_energy_factor:1.0 ~name:"sp" ~location:Layer.On_chip
       ~capacity_bytes:(Some 1024) ~read_energy_pj:2. ~write_energy_pj:3.
@@ -24,8 +24,12 @@ let platform () =
       ~capacity_bytes:None ~read_energy_pj:10. ~write_energy_pj:10.
       ~latency_cycles:5 ~bandwidth_bytes_per_cycle:2
   in
-  let dma = Mhla_arch.Dma.make ~setup_cycles:4 ~setup_energy_pj:2. ~channels:1 in
-  Mhla_arch.Hierarchy.make ~dma [ on; off ]
+  let dma =
+    if dma then
+      Some (Mhla_arch.Dma.make ~setup_cycles:4 ~setup_energy_pj:2. ~channels:1)
+    else None
+  in
+  Mhla_arch.Hierarchy.make ?dma [ on; off ]
 
 (* for i in 0..9: s reads a[i], 3 compute cycles. *)
 let stream () =
@@ -133,7 +137,7 @@ let test_scalar_objectives () =
     (Cost.scalar Cost.Energy_delay b)
 
 let test_no_dma_platform () =
-  let h = Mhla_arch.Hierarchy.without_dma (platform ()) in
+  let h = platform ~dma:false () in
   let m = Mapping.direct (stream ()) h in
   let c0 =
     List.find

@@ -156,13 +156,25 @@ let prop_in_place_at_least_largest =
 
 module Allocator = Mhla_lifetime.Allocator
 
+let allocate ~capacity blocks =
+  match Allocator.allocate ~capacity blocks with
+  | Ok alloc -> alloc
+  | Error msg -> Alcotest.fail msg
+
+let offset alloc label =
+  List.find_map
+    (fun (p : Allocator.placement) ->
+      if p.Allocator.block.Occupancy.label = label then Some p.Allocator.offset
+      else None)
+    alloc.Allocator.placements
+
 let test_allocator_disjoint_lifetimes_share_addresses () =
   let blocks = [ block "a" 0 2 100; block "b" 2 4 100 ] in
-  let alloc = Allocator.allocate_exn ~capacity:100 blocks in
+  let alloc = allocate ~capacity:100 blocks in
   Alcotest.(check (option int)) "a at 0" (Some 0)
-    (Allocator.offset_of alloc ~label:"a");
+    (offset alloc "a");
   Alcotest.(check (option int)) "b overlays a" (Some 0)
-    (Allocator.offset_of alloc ~label:"b");
+    (offset alloc "b");
   Alcotest.(check int) "high water = one block" 100
     alloc.Allocator.high_water_bytes;
   Alcotest.(check int) "no conflicts" 0
@@ -170,7 +182,7 @@ let test_allocator_disjoint_lifetimes_share_addresses () =
 
 let test_allocator_concurrent_blocks_stack () =
   let blocks = [ block "a" 0 4 60; block "b" 1 3 40 ] in
-  let alloc = Allocator.allocate_exn ~capacity:100 blocks in
+  let alloc = allocate ~capacity:100 blocks in
   Alcotest.(check int) "stacked high water" 100
     alloc.Allocator.high_water_bytes;
   Alcotest.(check int) "no conflicts" 0
@@ -191,7 +203,7 @@ let test_allocator_rejects_overflow () =
 
 let test_allocator_utilisation () =
   let alloc =
-    Allocator.allocate_exn ~capacity:100
+    allocate ~capacity:100
       [ block "a" 0 2 50; block "b" 2 4 50 ]
   in
   Alcotest.(check (float 1e-9)) "perfect overlay" 1.

@@ -245,13 +245,6 @@ let test_useful_candidates_prune () =
   Alcotest.(check (list int)) "kept levels" [ 0; 3; 4 ]
     (List.map (fun (c : Candidate.t) -> c.Candidate.level) useful)
 
-let test_array_footprint_bytes () =
-  let infos = conv_infos () in
-  Alcotest.(check int) "image" (66 * 66)
-    (Analysis.array_footprint_bytes infos ~array:"image");
-  Alcotest.(check int) "unknown array" 0
-    (Analysis.array_footprint_bytes infos ~array:"zzz")
-
 (* Property: over random 2-deep nests, candidate footprints are
    monotonically non-increasing with level and bounded by the array. *)
 let prop_candidate_monotone =
@@ -337,7 +330,5 @@ let () =
             test_analysis_covers_all_accesses;
           Alcotest.test_case "useful candidates" `Quick
             test_useful_candidates_prune;
-          Alcotest.test_case "array footprint" `Quick
-            test_array_footprint_bytes;
         ] );
     ]

@@ -1049,6 +1049,62 @@ let test_service_sheds_under_pressure () =
   let s = Service.summary service in
   Alcotest.(check int) "summary sheds agree" shed s.Service.shed
 
+(* Keep the client busy (not parked) for [ns], so the worker outwaits
+   its spin budget and parks. *)
+let busy_wait ns =
+  let stop = Deadline.now_ns () + ns in
+  while Deadline.now_ns () < stop do
+    Domain.cpu_relax ()
+  done
+
+(* Admission is exact: a [Shed] service holds [queue_depth] queued jobs
+   besides the one its worker runs, and sheds the next. One slow job
+   (an event simulation of motion_estimation, about a quarter of a
+   second) keeps the single worker busy while k + 1 quick requests
+   arrive: the first k submissions always fit, and at most k + 1 of
+   the k + 2 do, whether or not the worker has taken the slow job
+   yet. The pause lets it take the job, so that an off-by-one queue
+   bound would also queue the last request. *)
+let test_service_admits_queue_depth () =
+  let k = 3 in
+  let service =
+    Service.create
+      ~config:
+        {
+          Service.default_config with
+          jobs = 1;
+          queue_depth = k;
+          admission = Service.Shed;
+        }
+      ()
+  in
+  let app = Mhla_apps.Registry.find_exn "motion_estimation" in
+  let slow =
+    Request.make
+      ~kind:(Request.Simulate { channels = None; queue_depth = None })
+      ~id:"slow-simulate"
+      ~arch:(Request.Two_level { onchip_bytes = app.onchip_bytes; dma = true })
+      (Lazy.force app.program)
+  in
+  let first = Service.submit service (line slow) in
+  busy_wait 20_000_000;
+  let rest =
+    List.init (k + 1) (fun i -> Service.submit service (line (sample i)))
+  in
+  let outcomes = first :: rest in
+  let responses = Service.drain service in
+  Service.shutdown service;
+  Alcotest.(check int) "one response each" (k + 2) (List.length responses);
+  List.iteri
+    (fun i o ->
+      if i < k then
+        Alcotest.(check bool) (Fmt.str "submission %d queued" i) true
+          (o = `Queued))
+    outcomes;
+  let queued = List.length (List.filter (fun o -> o = `Queued) outcomes) in
+  Alcotest.(check bool) "at most queue_depth + 1 admitted" true
+    (queued <= k + 1)
+
 let test_deadline_module () =
   check_invalid "negative ms" (fun () -> Deadline.after_ms (-1));
   let future = Deadline.after_ms 60_000 in
@@ -1070,14 +1126,6 @@ let round_trip service l =
   match Service.drain service with
   | [ resp ] -> resp
   | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs)
-
-(* Keep the client busy (not parked) for [ns], so the worker outwaits
-   its spin budget and parks. *)
-let busy_wait ns =
-  let stop = Deadline.now_ns () + ns in
-  while Deadline.now_ns () < stop do
-    Domain.cpu_relax ()
-  done
 
 (* One request in flight at a time: every wait is a short handoff, so
    on more than one CPU both sides answer from the spin. *)
@@ -1376,6 +1424,8 @@ let () =
           Alcotest.test_case "backpressure sheds" `Quick
             test_service_sheds_under_pressure;
           Alcotest.test_case "deadline module" `Quick test_deadline_module;
+          Alcotest.test_case "admission holds queue_depth" `Quick
+            test_service_admits_queue_depth;
         ] );
       ( "gate",
         [
