@@ -793,7 +793,8 @@ let ext_engine () =
      still counts as an evaluation, but the greedy probes a move only
      when its cached delta is stale or cannot rule it out of the round,
      and the annealing only when its cached delta cannot certify a
-     rejection. Deterministic, so pinned exactly. *)
+     rejection. The greedy's staged checks are those the engine's peak
+     bound left undecided. Deterministic, so pinned exactly. *)
   let seed, iterations =
     match Mhla_policy.Policy.anneal.Mhla_policy.Policy.search with
     | Explore.Annealing { seed; iterations } -> (seed, iterations)
@@ -807,6 +808,7 @@ let ext_engine () =
           ("evaluations", Table.Right);
           ("greedy probes", Table.Right);
           ("probed", Table.Right);
+          ("greedy staged", Table.Right);
           ("anneal evaluations", Table.Right);
           ("anneal probes", Table.Right);
           ("probed", Table.Right) ]
@@ -831,12 +833,16 @@ let ext_engine () =
           Table.cell_int r.Assign.evaluations;
           Table.cell_int r.Assign.probes;
           share r;
+          Table.cell_int r.Assign.feasible_staged;
           Table.cell_int a.Assign.evaluations;
           Table.cell_int a.Assign.probes;
           share a ];
       metric
         (Printf.sprintf "ext_engine.%s.greedy_probes" name)
         (Mhla_util.Json.int r.Assign.probes);
+      metric
+        (Printf.sprintf "ext_engine.%s.greedy_staged" name)
+        (Mhla_util.Json.int r.Assign.feasible_staged);
       metric
         (Printf.sprintf "ext_engine.%s.anneal_probes" name)
         (Mhla_util.Json.int a.Assign.probes))

@@ -30,6 +30,7 @@ type result = {
   probes : int;
   cache_hits : int;
   cache_misses : int;
+  feasible_staged : int;
 }
 
 let result engine mapping breakdown steps evaluations =
@@ -42,6 +43,7 @@ let result engine mapping breakdown steps evaluations =
     probes = s.Engine.probes;
     cache_hits = s.Engine.contribs_reused;
     cache_misses = s.Engine.contribs_recomputed;
+    feasible_staged = s.Engine.feasible_staged;
   }
 
 (* The longest copy chain considered: a copy of a copy. The

@@ -61,6 +61,9 @@ type result = {
   cache_hits : int;
       (** per-unit contributions the engine reused across probes *)
   cache_misses : int;  (** contributions the engine had to recompute *)
+  feasible_staged : int;
+      (** feasibility checks the engine decided by staging blocks, not
+          by its peak bound (see {!Engine.feasible}) *)
 }
 
 val alternatives :

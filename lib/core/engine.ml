@@ -16,6 +16,7 @@ type stats = {
   contribs_reused : int;
   contribs_recomputed : int;
   entries_invalidated : int;
+  feasible_staged : int;
 }
 
 (* One block transfer and its cached contribution, exactly the tuple
@@ -44,9 +45,11 @@ type cached_bt = {
    them; here each capacity-bound level keeps a per-slot byte profile
    (one slot under [Sum], where lifetimes do not matter) and the engine
    counts the slots over capacity. A move re-derives only the blocks it
-   touches and rewrites only their slots. *)
+   touches and rewrites only their slots. [peak] is the largest slot
+   load as of the last seat or commit; a check's stage and unstage
+   leave every load as it was, so only those two refresh it. *)
 
-type profile = { mutable capacity : int; load : int array }
+type profile = { mutable capacity : int; load : int array; mutable peak : int }
 
 (* One chain link's buffer as its share group sees it: the owning
    entry, the candidate's lifetime [lo, hi) and its footprint. *)
@@ -112,6 +115,9 @@ type occ = {
   profiles : profile option array;  (* by level; [None] = unbounded *)
   groups : (string * int, group) Hashtbl.t;  (* by (share_key, level) *)
   mutable over : int;  (* slots over capacity, all levels *)
+  (* By level: a check's bound on the bytes a move adds to any one slot
+     (see [peak_fits]); zero between checks. *)
+  gain : int array;
   (* Scratch for one placement check: the groups the move leaves or
      joins and, per group, the block it would charge. Sized to twice
      the most links any compiled alternative holds on bounded levels. *)
@@ -147,6 +153,7 @@ type counters = {
   mutable n_reused : int;
   mutable n_recomputed : int;
   mutable n_invalidated : int;
+  mutable n_staged : int;
 }
 
 type t = {
@@ -363,7 +370,7 @@ let[@inline] total_energy t = t.sums.(0) +. t.sums.(1) +. t.sums.(2)
 let charge occ level sign lo hi bytes =
   match occ.profiles.(level) with
   | None -> ()
-  | Some { capacity; load } ->
+  | Some { capacity; load; _ } ->
     let w = sign * bytes in
     for s = lo to hi - 1 do
       let before = load.(s) > capacity in
@@ -504,6 +511,13 @@ let install_staged occ i a =
     g.c_hi <- occ.n_hi.(k);
     g.c_bytes <- occ.n_bytes.(k)
   done
+
+let refresh_peaks occ =
+  Array.iter
+    (function
+      | None -> ()
+      | Some p -> p.peak <- Array.fold_left max 0 p.load)
+    occ.profiles
 
 let group_of occ ~key ~level =
   match Hashtbl.find_opt occ.groups (key, level) with
@@ -676,22 +690,99 @@ let install t i a =
   install_staged t.occ i a;
   e.alt <- a
 
+(* --- feasibility shortcuts ------------------------------------------------
+
+   Most checks are decided without staging a block. Loads are never
+   negative, so a block larger than its level's capacity overflows the
+   slots it covers whatever else the level holds: a placement with such
+   a sharer (its group's block is at least that large) is infeasible.
+   And while no slot is over ([over] = 0), a move fits if, on every
+   level, the peak load plus an upper bound on what the move adds to
+   any one slot fits. A group's block is the hull of its sharers'
+   lifetimes at their largest footprint, so the bound is per group, not
+   per sharer: a group the move joins charges at most
+   [max c_bytes own.bytes] on any slot of its new hull (a small sharer
+   that widens the hull adds the group's largest footprint to the newly
+   covered slots); a group it only leaves charges at most [c_bytes],
+   possibly on other slots (an empty-lifetime sharer left alone is
+   widened where it sits). A [Set_array] is bounded the same way by
+   its array's block on the target level. Whatever the two shortcuts
+   leave undecided is staged. *)
+
+let bytes_over occ level bytes =
+  match occ.profiles.(level) with
+  | Some p -> bytes > p.capacity
+  | None -> false
+
+let rec oversized occ (a : alt) k =
+  k < Array.length a.groups
+  && (bytes_over occ a.groups.(k).level a.sharers.(k).bytes
+     || oversized occ a (k + 1))
+
+let add_gain occ level bytes = occ.gain.(level) <- occ.gain.(level) + bytes
+
+(* Whether [level]'s peak slot holds [bytes] more. *)
+let peak_room occ level bytes =
+  match occ.profiles.(level) with
+  | Some p -> p.peak + bytes <= p.capacity
+  | None -> true
+
+(* Whether [level]'s peak slot holds its gain; clears the gain. *)
+let level_fits occ level =
+  let gain = occ.gain.(level) in
+  occ.gain.(level) <- 0;
+  peak_room occ level gain
+
+(* The accept bound for moving an entry from [from] to [a], at a
+   position with no slot over. *)
+let peak_fits occ ~(from : alt) (a : alt) =
+  for k = 0 to Array.length a.groups - 1 do
+    let g = a.groups.(k) in
+    add_gain occ g.level (max g.c_bytes a.sharers.(k).bytes)
+  done;
+  for k = 0 to Array.length from.groups - 1 do
+    let g = from.groups.(k) in
+    if joined_sharer a g == no_sharer then add_gain occ g.level g.c_bytes
+  done;
+  let ok = ref true in
+  for k = 0 to Array.length a.groups - 1 do
+    if not (level_fits occ a.groups.(k).level) then ok := false
+  done;
+  for k = 0 to Array.length from.groups - 1 do
+    if not (level_fits occ from.groups.(k).level) then ok := false
+  done;
+  !ok
+
 let feasible t move =
   let occ = t.occ in
   match move with
   | Set_placement (r, p) ->
     let i = index_of t r in
-    stage_placement occ i ~from:t.entries.(i).alt (alt_of t i p);
-    apply_staged occ 1;
-    let ok = occ.over = 0 in
-    apply_staged occ (-1);
-    ok
+    let from = t.entries.(i).alt in
+    let a = alt_of t i p in
+    if oversized occ a 0 then false
+    else if occ.over = 0 && peak_fits occ ~from a then true
+    else begin
+      t.counters.n_staged <- t.counters.n_staged + 1;
+      stage_placement occ i ~from a;
+      apply_staged occ 1;
+      let ok = occ.over = 0 in
+      apply_staged occ (-1);
+      ok
+    end
   | Set_array (array, target) ->
     let id = array_id t array in
-    charge_array t id target 1;
-    let ok = occ.over = 0 in
-    charge_array t id target (-1);
-    ok
+    let bytes = t.arrays.(id).a_bytes in
+    let level = Option.value target ~default:t.main in
+    if bytes_over occ level bytes then false
+    else if occ.over = 0 && peak_room occ level bytes then true
+    else begin
+      t.counters.n_staged <- t.counters.n_staged + 1;
+      charge_array t id target 1;
+      let ok = occ.over = 0 in
+      charge_array t id target (-1);
+      ok
+    end
 
 let span_bounds policy (iv : Interval.t) =
   match policy with
@@ -799,6 +890,7 @@ let build ~objective (m : Mapping.t) =
         n_reused = 0;
         n_recomputed = 0;
         n_invalidated = 0;
+        n_staged = 0;
       };
     telemetry = Telemetry.noop;
     occ =
@@ -810,10 +902,12 @@ let build ~objective (m : Mapping.t) =
               if level = main then None
               else
                 Option.map
-                  (fun capacity -> { capacity; load = Array.make slots 0 })
+                  (fun capacity ->
+                    { capacity; load = Array.make slots 0; peak = 0 })
                   (capacity h level));
         groups = Hashtbl.create 64;
         over = 0;
+        gain = Array.make levels 0;
         aff = [||];
         n_aff = 0;
         n_on = [||];
@@ -866,6 +960,7 @@ let seat ~telemetry t (m : Mapping.t) =
   c.n_reused <- 0;
   c.n_recomputed <- 0;
   c.n_invalidated <- 0;
+  c.n_staged <- 0;
   let occ = t.occ in
   (* [m]'s bounded levels are the built ones ([compatible]). *)
   Array.iteri
@@ -905,6 +1000,7 @@ let seat ~telemetry t (m : Mapping.t) =
     let st = t.arrays.(id) in
     charge occ t.homes.(id) 1 st.a_lo st.a_hi st.a_bytes
   done;
+  refresh_peaks occ;
   Array.iteri (fun i _ -> refresh t i) t.entries
 
 let create ?(telemetry = Telemetry.noop) ~objective m =
@@ -1000,6 +1096,7 @@ let commit t move =
         charge_array t id target 1;
         move_array t id target;
         invalidate t id);
+      refresh_peaks t.occ;
       t.built <- None;
       t.counters.n_commits <- t.counters.n_commits + 1;
       Telemetry.count t.telemetry ~cat:"engine" "engine.commits" 1)
@@ -1021,4 +1118,5 @@ let stats t =
     contribs_reused = t.counters.n_reused;
     contribs_recomputed = t.counters.n_recomputed;
     entries_invalidated = t.counters.n_invalidated;
+    feasible_staged = t.counters.n_staged;
   }

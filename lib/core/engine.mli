@@ -65,13 +65,16 @@
     instead keeps, for each on-chip level with a capacity, a per-slot
     byte profile over the schedule horizon ([In_place]) or a single
     byte total ([Sum]), each [share_key] group's sharers in placements
-    order with its charged block, and a count of slots over capacity.
-    {!feasible} stages, in scratch buffers the engine owns, the new
+    order with its charged block, a count of slots over capacity, and
+    each level's peak slot load, refreshed by every seat and commit.
+    {!feasible} first tries two certified shortcuts (see there) that
+    read only the peaks and the compiled records; what they leave
+    undecided it stages, in scratch buffers the engine owns: the new
     block of every share group a [Set_placement] leaves or joins (read
-    off the old and new compiled records), swaps the changed ones in,
-    reads the over-capacity count and swaps them back; a [Set_array]
-    charges its one array block the same way. {!commit} installs the
-    staged blocks. Once a search has compiled its alternatives, a check
+    off the old and new compiled records), swapped in, the
+    over-capacity count read, and swapped back; a [Set_array] charges
+    its one array block the same way. {!commit} installs the staged
+    blocks. Once a search has compiled its alternatives, a check
     allocates nothing and a probe about four minor words, its boxed
     result among them (EXT-ENGINE measures both).
 
@@ -106,13 +109,16 @@ type move =
     [contribs_recomputed] is the cache hit/miss split over the
     per-unit contributions folded by probes; [entries_invalidated]
     counts cached access entries dirtied by [Set_array] applications
-    (the cost of whole-array moves under dirty tracking). *)
+    (the cost of whole-array moves under dirty tracking);
+    [feasible_staged] counts the {!feasible} checks neither shortcut
+    decided, which staged their blocks. *)
 type stats = {
   probes : int;
   commits : int;
   contribs_reused : int;
   contribs_recomputed : int;
   entries_invalidated : int;
+  feasible_staged : int;
 }
 
 type t
@@ -179,7 +185,24 @@ val feasible : t -> move -> bool
     share-group sharers as [Mapping.layer_blocks] does (hull of the
     non-empty lifetimes, largest footprint) and widens an empty
     lifetime to one slot as [Occupancy.peak_bytes] does. As for
-    {!probe}, the move must be well-formed. *)
+    {!probe}, the move must be well-formed.
+
+    Most checks are decided by one of two shortcuts, each exact:
+    - {b reject}: a sharer of the target placement is larger than its
+      level's capacity (its group's block is at least that large), or
+      a [Set_array]'s array is larger than the target level;
+    - {b accept}, only while no slot is over capacity (true at every
+      position the searches reach, since they commit feasible moves
+      only): on every level, the peak slot load plus the move's gain
+      fits. The gain counts, for each group the placement joins,
+      [max] of the group's charged footprint and the joining sharer's
+      own — a small sharer that widens the group's hull adds the
+      group's largest footprint on the newly covered slots, not its
+      own size — and, for each group it only leaves, the group's
+      charged footprint (a lone empty-lifetime sharer may be widened
+      elsewhere). A [Set_array]'s gain is its array's block.
+    Every other check stages the changed blocks; {!stats} counts those
+    as [feasible_staged]. *)
 
 val commit : t -> move -> unit
 (** Advance the engine's position by [move], keeping the cached

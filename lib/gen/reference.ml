@@ -13,6 +13,7 @@ let result mapping steps evaluations =
     probes = evaluations;
     cache_hits = 0;
     cache_misses = 0;
+    feasible_staged = 0;
   }
 
 let start (config : Assign.config) ?reuse program hierarchy =

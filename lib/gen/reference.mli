@@ -11,8 +11,8 @@
     counterparts, so a correct production search returns exactly the
     reference's result — mapping, steps, breakdown and [evaluations] —
     which is what the test suite and the fuzz battery's ["engine"]
-    check assert. Every result has [probes = evaluations] and zero
-    cache traffic. *)
+    check assert. Every result has [probes = evaluations], zero
+    cache traffic and no staged check. *)
 
 val greedy :
   ?config:Mhla_core.Assign.config ->

@@ -31,8 +31,8 @@ type t = {
   status : status;
   code : string option;
       (** diagnostic class on non-[Ok]: ["json-parse"], ["decode"],
-          ["oversized"], ["verify"], ["invalid input"], ["capacity"],
-          ["internal"], ["exception"],
+          ["oversized"], ["verify"], ["invalid input"], ["internal"],
+          ["exception"],
           ["deadline"], ["backpressure"] *)
   message : string option;
   elapsed_ns : int;  (** submit-to-answer, queueing included *)

@@ -1,4 +1,4 @@
-type kind = Invalid_input | Capacity | Deadline | Internal
+type kind = Invalid_input | Deadline | Internal
 
 type t = {
   kind : kind;
@@ -26,14 +26,12 @@ let internalf ?hint ~context fmt = failf ?hint Internal ~context fmt
 
 let kind_label = function
   | Invalid_input -> "invalid input"
-  | Capacity -> "capacity"
   | Deadline -> "deadline"
   | Internal -> "internal"
 
 let exit_code t =
   match t.kind with
   | Invalid_input -> 2
-  | Capacity -> 4
   | Deadline -> 75
   | Internal -> 70
 

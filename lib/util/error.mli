@@ -11,7 +11,6 @@
 (** Broad failure classes, each with a stable CLI exit code. *)
 type kind =
   | Invalid_input  (** the caller passed a malformed or out-of-range value *)
-  | Capacity  (** a size / resource budget cannot be satisfied *)
   | Deadline  (** a caller-imposed time budget expired before completion *)
   | Internal  (** an invariant the library promised to keep was broken *)
 
@@ -41,10 +40,10 @@ val internalf :
   ?hint:string -> context:string -> ('a, unit, string, 'b) format4 -> 'a
 
 val kind_label : kind -> string
-(** ["invalid input"], ["capacity"], ["deadline"] or ["internal"]. *)
+(** ["invalid input"], ["deadline"] or ["internal"]. *)
 
 val exit_code : t -> int
-(** Stable CLI exit codes: [Invalid_input] → 2, [Capacity] → 4,
+(** Stable CLI exit codes: [Invalid_input] → 2,
     [Deadline] → 75 (EX_TEMPFAIL — the same request may succeed with a
     larger budget), [Internal] → 70 (EX_SOFTWARE). *)
 

@@ -585,6 +585,60 @@ let prop_engine_feasible_matches_oracle =
       done;
       !ok)
 
+(* How the live walk's checks were decided, over a whole run. *)
+let decided = [| 0; 0; 0 |] (* accepted, rejected, staged *)
+
+(* Along a random walk that commits only feasible moves, so no slot is
+   ever over and both of [Engine.feasible]'s shortcuts are live, every
+   move's verdict equals the from-scratch check. [decided] tallies
+   which path gave it, read off [feasible_staged]. *)
+let prop_engine_shortcuts_match_oracle =
+  QCheck2.Test.make ~name:"assign: engine shortcuts = from-scratch feasible"
+    ~count:40
+    QCheck2.Gen.(
+      quad (int_range 0 100_000) (int_range 0 2) bool bool)
+    (fun (seed, profile, sum, roomy) ->
+      let case =
+        Mhla_gen.Generate.case ~profile:gen_profiles.(profile)
+          ~seed:(Int64.of_int seed) ()
+      in
+      let program = case.Mhla_gen.Generate.program in
+      let budget = case.Mhla_gen.Generate.onchip_bytes in
+      let hierarchy =
+        if roomy then
+          Presets.multi_level ~level_bytes:[ budget; 4 * budget ] ()
+        else Presets.two_level ~onchip_bytes:(max 1 (budget / 4)) ()
+      in
+      let policy = if sum then Occupancy.Sum else Occupancy.In_place in
+      let config = { Assign.default_config with Assign.policy } in
+      let engine =
+        Engine.create ~objective:config.Assign.objective
+          (Mapping.direct ~policy program hierarchy)
+      in
+      let rng = Mhla_util.Prng.create ~seed:(Int64.of_int (seed + 1)) in
+      let ok = ref true in
+      let check mv =
+        let staged = (Engine.stats engine).Engine.feasible_staged in
+        let verdict = Engine.feasible engine mv in
+        let path =
+          if (Engine.stats engine).Engine.feasible_staged > staged then 2
+          else if verdict then 0
+          else 1
+        in
+        decided.(path) <- decided.(path) + 1;
+        if
+          verdict
+          <> Mapping.occupancy_ok (Assign.apply_move (Engine.mapping engine) mv)
+        then ok := false;
+        verdict
+      in
+      for _ = 1 to 10 do
+        match List.filter check (Assign.moves config (Engine.mapping engine)) with
+        | [] -> ()
+        | fits -> Engine.commit engine (Mhla_util.Prng.pick rng fits)
+      done;
+      !ok)
+
 (* Two reads of [tab] in sequential nests share its whole-array level-0
    buffer, alive over the hull of [0,1) and [1,2); [y], promoted, lives
    in slot 1 only. With 12 bytes of capacity slot 1 is over (8 + 8). *)
@@ -633,6 +687,60 @@ let test_feasible_shared_hull_shrinks () =
           ("dropping s2 shrinks the hull to slot 0", drop r2, drop_s2) ])
     [ (Occupancy.In_place, (false, false, true));
       (Occupancy.Sum, (false, false, false)) ]
+
+(* s1 reads 8 bytes of [tab] in slot 0 and s3 reads [tab] in slot 2,
+   in nests of their own; [y] lives in slot 1 only. *)
+let widening_table () =
+  let open Build in
+  program "widening"
+    ~arrays:[ array "tab" [ 16 ]; array "y" [ 8 ] ]
+    [ loop "a" 8 [ stmt "s1" [ rd "tab" [ i "a" ] ] ];
+      loop "b" 8 [ stmt "s2" [ wr "y" [ i "b" ] ] ];
+      loop "c" 8 [ stmt "s3" [ rd "tab" [ i "c" ] ] ] ]
+
+(* The analysis gives every candidate of one share key the same
+   footprint, so s3's small sharer is built by hand: the level-0
+   candidate of s3's access had it read [tab.(a)] over a 2-trip [a]
+   loop, which shares s1's key ("tab@0::a") at 2 bytes. Joining s1's
+   group, it widens the 8-byte block over slots 0-2, onto [y]'s slot:
+   16 bytes there. The peak (8) plus s3's own 2 bytes would fit 12, so
+   a bound by the joining sharer's own footprint accepts an infeasible
+   move. Under [Sum] the group's block stays 8 bytes: the layer holds
+   16 before and after. *)
+let test_feasible_hull_widening () =
+  List.iter
+    (fun (policy, capacity, expected) ->
+      let config = { Assign.default_config with Assign.policy } in
+      let m =
+        Mapping.direct ~policy (widening_table ())
+          (Presets.two_level ~onchip_bytes:capacity ())
+      in
+      let engine = Engine.create ~objective:config.Assign.objective m in
+      let r1, c1 = whole_chain m "s1" ~layer:0 in
+      let r3, _ = whole_chain m "s3" ~layer:0 in
+      let small =
+        List.hd
+          (Candidate.of_access ~decl:(Build.array "tab" [ 16 ])
+             ~loops:[ ("a", 2) ] ~stmt:"s3" ~access_index:0
+             (Build.rd "tab" [ Build.i "a" ]))
+      in
+      let key = function
+        | Mapping.Chain [ link ] ->
+          let c = link.Mapping.candidate in
+          (c.Candidate.share_key, c.Candidate.footprint_bytes)
+        | _ -> Alcotest.fail "expected a one-link chain"
+      in
+      let c3 = Mapping.Chain [ { Mapping.candidate = small; layer = 0 } ] in
+      Alcotest.(check (pair string int)) "s1's buffer" ("tab@0::a", 8) (key c1);
+      Alcotest.(check (pair string int)) "s3's buffer" ("tab@0::a", 2) (key c3);
+      List.iter (Engine.commit engine)
+        [ Engine.Set_placement (r1, c1); Engine.Set_array ("y", Some 0) ];
+      Alcotest.(check bool) "start position fits" true
+        (Mapping.occupancy_ok (Engine.mapping engine));
+      let join = Engine.Set_placement (r3, c3) in
+      Alcotest.(check bool) "join agrees" true (feasible_agrees engine join);
+      Alcotest.(check bool) "join" expected (Engine.feasible engine join))
+    [ (Occupancy.In_place, 12, false); (Occupancy.Sum, 16, true) ]
 
 (* A loop body is never empty, so every copy buffer of a valid program
    has a non-empty lifetime; the one block [Occupancy.peak_bytes] widens
@@ -936,6 +1044,18 @@ let () =
           Alcotest.test_case "foreign placements" `Quick
             test_engine_foreign_placements;
           qc prop_engine_feasible_matches_oracle;
+          Alcotest.test_case "hull widening" `Quick test_feasible_hull_widening;
+          (let name, speed, run = qc prop_engine_shortcuts_match_oracle in
+           ( name,
+             speed,
+             fun () ->
+               Array.fill decided 0 3 0;
+               run ();
+               Alcotest.(check bool)
+                 (Fmt.str "accepted, rejected and staged all occur (%d/%d/%d)"
+                    decided.(0) decided.(1) decided.(2))
+                 true
+                 (Array.for_all (fun n -> n > 0) decided) ));
         ] );
       ( "exhaustive",
         [

@@ -150,8 +150,8 @@ module Nd = Pareto.Nd
 
 (* Everything a solve decides and counts: the breakdowns, the steps,
    the layout (placements and promoted arrays), the TE schedule, and the
-   search's evaluation, probe and cache counters. A solve state reused
-   across points must reproduce all of them. *)
+   search's evaluation, probe, cache and staged-check counters. A solve
+   state reused across points must reproduce all of them. *)
 let result_fingerprint (r : Explore.result) =
   let a = r.Explore.assign in
   let m = a.Assign.mapping in
@@ -159,7 +159,7 @@ let result_fingerprint (r : Explore.result) =
     (m.Mhla_core.Mapping.placements, m.Mhla_core.Mapping.array_layers),
     r.Explore.te,
     (a.Assign.evaluations, a.Assign.probes, a.Assign.cache_hits,
-     a.Assign.cache_misses) )
+     a.Assign.cache_misses, a.Assign.feasible_staged) )
 
 let frontier_fingerprint frontier =
   List.map
