@@ -693,10 +693,11 @@ let ext_engine () =
      probes per second over each application's full move set,\n\
      feasibility checks per second over the same moves, and the minor\n\
      words one probe and one check allocate once the engine has\n\
-     compiled every alternative; then the Domain-parallel size sweep\n\
-     time. The engine re-folds cached per-unit contributions, so its\n\
-     probes are bit-identical to Cost.evaluate while recomputing only\n\
-     what the move touched.";
+     compiled every alternative, through the move and through its\n\
+     resolved handle (the searches' path); then the Domain-parallel\n\
+     size sweep time. The engine re-folds cached per-unit\n\
+     contributions, so its probes are bit-identical to Cost.evaluate\n\
+     while recomputing only what the move touched.";
   let module Engine = Mhla_core.Engine in
   let module Mapping = Mhla_core.Mapping in
   let config = Assign.default_config in
@@ -721,9 +722,12 @@ let ext_engine () =
           ("cache hit rate", Table.Right);
           ("checks/s", Table.Right);
           ("words/probe", Table.Right);
-          ("words/check", Table.Right) ]
+          ("words/check", Table.Right);
+          ("handle words/probe", Table.Right);
+          ("handle words/check", Table.Right) ]
   in
   let calls = ref 0 and probe_words = ref 0. and check_words = ref 0. in
+  let handle_probe_words = ref 0. and handle_check_words = ref 0. in
   List.iter
     (fun name ->
       let app = Apps.find_exn name in
@@ -761,9 +765,26 @@ let ext_engine () =
       let check_rate = per_second check_all in
       let wp = words_per_call n_moves probe_all in
       let wc = words_per_call n_moves check_all in
+      let handles = List.map (Engine.resolve engine) mvs in
+      let hwp =
+        words_per_call n_moves (fun () ->
+            List.iter
+              (fun h -> ignore (Engine.probe_handle engine h : float))
+              handles)
+      in
+      let hwc =
+        words_per_call n_moves (fun () ->
+            List.iter
+              (fun h -> ignore (Engine.feasible_handle engine h : bool))
+              handles)
+      in
       calls := !calls + n_moves;
       probe_words := !probe_words +. (wp *. float_of_int n_moves);
       check_words := !check_words +. (wc *. float_of_int n_moves);
+      handle_probe_words :=
+        !handle_probe_words +. (hwp *. float_of_int n_moves);
+      handle_check_words :=
+        !handle_check_words +. (hwc *. float_of_int n_moves);
       let contribs = s.Engine.contribs_reused + s.Engine.contribs_recomputed in
       Table.add_row table
         [ name;
@@ -779,7 +800,9 @@ let ext_engine () =
                /. float_of_int contribs);
           Table.cell_float ~decimals:0 check_rate;
           Table.cell_float ~decimals:1 wp;
-          Table.cell_float ~decimals:1 wc ])
+          Table.cell_float ~decimals:1 wc;
+          Table.cell_float ~decimals:1 hwp;
+          Table.cell_float ~decimals:1 hwc ])
     [ "motion_estimation"; "cavity_detector"; "mp3_filterbank";
       "voice_compression" ];
   Table.print table;
@@ -787,6 +810,10 @@ let ext_engine () =
     (Mhla_util.Json.float (!probe_words /. float_of_int !calls));
   metric "ext_engine.words_per_feasible"
     (Mhla_util.Json.float (!check_words /. float_of_int !calls));
+  metric "ext_engine.words_per_probe_handle"
+    (Mhla_util.Json.float (!handle_probe_words /. float_of_int !calls));
+  metric "ext_engine.words_per_feasible_handle"
+    (Mhla_util.Json.float (!handle_check_words /. float_of_int !calls));
   print_newline ();
   (* The lazy greedy and the lazy annealing (Policy.anneal's settings)
      at each application's calibrated budget: every feasible candidate

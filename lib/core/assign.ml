@@ -192,7 +192,9 @@ let moves config (m : Mapping.t) =
    [n_live] in all, so the annealing draws its move without a scan.
    Committing a move re-marks its owner's moves only. [array_of] is
    each move's array (its index in [Program.array_names]): the
-   access's array, or the moved array.
+   access's array, or the moved array. [handles] holds each move
+   resolved against the solver's engine ({!Engine.resolve}), which
+   the searches check and probe through.
 
    The rest is the delta cache both searches skip probes with (see
    [fold_error]): the exact totals of the engine's position ([cycles],
@@ -209,6 +211,7 @@ let moves config (m : Mapping.t) =
    the position it was taken at (see [table_feasible]). *)
 type table = {
   all : move array;
+  handles : Engine.handle array;
   owner : int array;
   first : int array;  (* per owner, its first move; then [Array.length all] *)
   skip : bool array;
@@ -236,7 +239,7 @@ let same_target a b =
   | Set_array (_, l), Set_array (_, l') -> l = l'
   | Set_placement _, Set_array _ | Set_array _, Set_placement _ -> false
 
-let move_table ~alts config (m : Mapping.t) =
+let move_table ~alts config engine (m : Mapping.t) =
   let targets = array_targets config m in
   let owners =
     Array.of_list
@@ -276,6 +279,7 @@ let move_table ~alts config (m : Mapping.t) =
   done;
   {
     all;
+    handles = Array.map (Engine.resolve engine) all;
     owner;
     first;
     skip = Array.make (Array.length all) false;
@@ -470,13 +474,14 @@ let table_lower objective table j =
       in
       value -. ((scale *. e_err) +. (2. *. epsilon_float *. Float.abs value)))
 
-(* [Engine.feasible engine all.(k)], once [table_verdicts] has run: the
-   engine's occupancy state changes only on a commit, so a verdict
-   taken since the last [table_commit] is still exact. *)
+(* [Engine.feasible engine all.(k)], through its handle, once
+   [table_verdicts] has run: the engine's occupancy state changes only
+   on a commit, so a verdict taken since the last [table_commit] is
+   still exact. *)
 let table_feasible table engine k =
   if table.checked.(k) = table.position then table.fits.(k)
   else begin
-    let ok = Engine.feasible engine table.all.(k) in
+    let ok = Engine.feasible_handle engine table.handles.(k) in
     table.checked.(k) <- table.position;
     table.fits.(k) <- ok;
     ok
@@ -546,7 +551,7 @@ let seat ~telemetry st hierarchy =
     | Some _ | None ->
       let engine = Engine.create ~telemetry ~objective:config.objective start in
       let table =
-        move_table ~alts:(all_alternatives config start) config start
+        move_table ~alts:(all_alternatives config start) config engine start
       in
       let s = { engine; table } in
       st.solver <- Some s;
@@ -598,7 +603,7 @@ let greedy_on ?(first_improvement = false) ?(telemetry = Telemetry.noop)
     let best = ref (-1) in
     let best_value = ref 0. in
     let probe j =
-      let value = Engine.probe engine table.all.(j) in
+      let value = Engine.probe_handle engine table.handles.(j) in
       if value < threshold && not table.cached then table_cache table;
       table_record table engine j;
       if
@@ -618,7 +623,8 @@ let greedy_on ?(first_improvement = false) ?(telemetry = Telemetry.noop)
     while !k < n do
       let j = !k in
       incr k;
-      if (not table.skip.(j)) && Engine.feasible engine table.all.(j) then begin
+      if (not table.skip.(j)) && Engine.feasible_handle engine table.handles.(j)
+      then begin
         incr evaluations;
         if table.cached && table.err.(j) < infinity then begin
           table_lower config.objective table j;
@@ -711,8 +717,7 @@ let simulated_annealing_on ?(telemetry = Telemetry.noop)
      eager loop would; [u] is the uniform already drawn for it, or
      [nan] when none was. *)
   let probe_and_decide iter k u =
-    let move = table.all.(k) in
-    let value = Engine.probe engine move in
+    let value = Engine.probe_handle engine table.handles.(k) in
     table_record table engine k;
     let delta = value -. !current_value in
     let accept =
@@ -729,6 +734,7 @@ let simulated_annealing_on ?(telemetry = Telemetry.noop)
             ("delta", Telemetry.Float delta);
             ("objective", Telemetry.Float value) ]);
     if accept then begin
+      let move = table.all.(k) in
       table_at_last_fold table engine;
       Engine.commit engine move;
       table_commit table k;

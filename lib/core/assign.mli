@@ -94,10 +94,11 @@ val moves : config -> Mapping.t -> move list
     A budget exploration solves one program on many hierarchies that
     differ only in their capacities. Most of a solve's set-up depends
     on the program, its reuse analysis and the config alone: the
-    placement alternatives of every access, the move table, and the
-    {!Engine}'s entries, share groups, compiled alternatives and block
-    transfers. A [state] keeps that part and re-seats it on each
-    hierarchy ({!Engine.reseat}), so only the capacity-dependent part —
+    placement alternatives of every access, the move table with each
+    move resolved to its {!Engine.handle}, and the {!Engine}'s
+    entries, share groups, compiled alternatives and block transfers.
+    A [state] keeps that part and re-seats it on each hierarchy
+    ({!Engine.reseat}), so only the capacity-dependent part —
     level profiles, cost terms, the table's skip marks, delta cache and
     verdicts — is redone per point. A state is built on its first
     hierarchy, and built again when a later hierarchy has another
@@ -173,8 +174,9 @@ val greedy :
     both modes. [result.probes] counts the probes actually run. The
     cache lives in the move table and is allocated when a solve's
     first round finds an improving move. Each move's feasibility is
-    checked incrementally ({!Engine.feasible}), never building the
-    moved-to mapping. [reuse] shares a precomputed analysis/schedule
+    checked incrementally, through the handle the state resolved for
+    it ({!Engine.feasible_handle}), never building the moved-to
+    mapping. [reuse] shares a precomputed analysis/schedule
     (see {!Mapping.precompute}). Each call builds a fresh {!state}; a
     caller solving many hierarchies shares one through {!greedy_on}.
     [telemetry] (default noop) records an

@@ -109,12 +109,25 @@ type entry = {
 
 let alt_cap = 64
 
+(* A move resolved once: its entry and the compiled record of its
+   placement, or its array's id and target level. A compiled record
+   and an entry index outlive every seat, and a record stays valid
+   after the cache drops it, so a handle is good for the engine's
+   life. *)
+type handle =
+  | Entry_alt of int * alt
+  | Array_target of int * int option
+
 type occ = {
   policy : Occupancy.policy;
   schedule : Schedule.t;
   profiles : profile option array;  (* by level; [None] = unbounded *)
   groups : (string * int, group) Hashtbl.t;  (* by (share_key, level) *)
   mutable over : int;  (* slots over capacity, all levels *)
+  (* Whether some compiled sharer has an empty lifetime: only such a
+     sharer, left alone in its group, is widened onto a slot its group
+     did not cover (see [peak_fits]). *)
+  mutable empty_sharer : bool;
   (* By level: a check's bound on the bytes a move adds to any one slot
      (see [peak_fits]); zero between checks. *)
   gain : int array;
@@ -171,11 +184,6 @@ type t = {
   mutable built : Mapping.t option;
   entries : entry array;  (* in [base.infos] order *)
   index : (Analysis.access_ref, int) Hashtbl.t;
-  (* The searches probe every alternative of one access in a row, all
-     carrying the physically same [access_ref]: remembering the last
-     lookup hashes the key once per run. *)
-  mutable last_ref : Analysis.access_ref;
-  mutable last_index : int;
   arrays : array_state array;
   array_ids : (string, int) Hashtbl.t;
   homes : int array;  (* by array id: the level holding it *)
@@ -571,10 +579,13 @@ let compile t i p =
   let groups = Array.of_list (List.map fst joins) in
   if Array.length groups > 0 then
     ensure_scratch occ (2 * Array.length groups) groups.(0);
+  let sharers = Array.of_list (List.map snd joins) in
+  if Array.exists (fun (s : sharer) -> s.lo = s.hi) sharers then
+    occ.empty_sharer <- true;
   {
     placement = p;
     groups;
-    sharers = Array.of_list (List.map snd joins);
+    sharers;
     known = Array.make t.levels 0;
     stall = Array.make t.levels 0;
     energy = Array.make t.levels 0.;
@@ -604,14 +615,7 @@ let alt_of t i p =
     end;
     a
 
-let index_of t r =
-  if r == t.last_ref then t.last_index
-  else begin
-    let i = Hashtbl.find t.index r in
-    t.last_ref <- r;
-    t.last_index <- i;
-    i
-  end
+let index_of t r = Hashtbl.find t.index r
 
 let array_id t array = Hashtbl.find t.array_ids array
 
@@ -647,29 +651,27 @@ let invalidate t id =
     refresh t dirty.(k)
   done
 
-(* The objective after folding [move] into the accumulators; the
-   engine's position is restored before returning. *)
-let probe_fold t move =
-  match move with
-  | Set_placement (r, p) ->
-    let i = index_of t r in
-    let e = t.entries.(i) in
-    let saved = e.alt in
-    e.alt <- alt_of t i p;
-    refresh t i;
-    fold t;
-    e.alt <- saved
-  | Set_array (array, target) ->
-    let id = array_id t array in
-    let home = t.homes.(id) in
-    let n = t.n_order in
-    Array.blit t.order 0 t.saved_order 0 n;
-    move_array t id target;
-    invalidate t id;
-    fold t;
-    Array.blit t.saved_order 0 t.order 0 n;
-    t.n_order <- n;
-    t.homes.(id) <- home
+(* Fold the totals with entry [i] on its compiled alternative [a], or
+   array [id] on [target]; the engine's position is restored before
+   returning. *)
+let fold_placement t i a =
+  let e = t.entries.(i) in
+  let saved = e.alt in
+  e.alt <- a;
+  refresh t i;
+  fold t;
+  e.alt <- saved
+
+let fold_array t id target =
+  let home = t.homes.(id) in
+  let n = t.n_order in
+  Array.blit t.order 0 t.saved_order 0 n;
+  move_array t id target;
+  invalidate t id;
+  fold t;
+  Array.blit t.saved_order 0 t.order 0 n;
+  t.n_order <- n;
+  t.homes.(id) <- home
 
 (* The charges of a [Set_array]: the array's block off its current
    level (when on-chip) and onto the target's. *)
@@ -734,55 +736,76 @@ let level_fits occ level =
   peak_room occ level gain
 
 (* The accept bound for moving an entry from [from] to [a], at a
-   position with no slot over. *)
+   position with no slot over. A group the move only leaves gains
+   nothing unless some compiled sharer has an empty lifetime. *)
 let peak_fits occ ~(from : alt) (a : alt) =
   for k = 0 to Array.length a.groups - 1 do
     let g = a.groups.(k) in
     add_gain occ g.level (max g.c_bytes a.sharers.(k).bytes)
   done;
-  for k = 0 to Array.length from.groups - 1 do
-    let g = from.groups.(k) in
-    if joined_sharer a g == no_sharer then add_gain occ g.level g.c_bytes
-  done;
+  let leaves = occ.empty_sharer in
+  if leaves then
+    for k = 0 to Array.length from.groups - 1 do
+      let g = from.groups.(k) in
+      if joined_sharer a g == no_sharer then add_gain occ g.level g.c_bytes
+    done;
   let ok = ref true in
   for k = 0 to Array.length a.groups - 1 do
     if not (level_fits occ a.groups.(k).level) then ok := false
   done;
-  for k = 0 to Array.length from.groups - 1 do
-    if not (level_fits occ from.groups.(k).level) then ok := false
-  done;
+  if leaves then
+    for k = 0 to Array.length from.groups - 1 do
+      if not (level_fits occ from.groups.(k).level) then ok := false
+    done;
   !ok
 
-let feasible t move =
+(* Whether entry [i] fits on its compiled alternative [a]. *)
+let feasible_placement t i a =
   let occ = t.occ in
-  match move with
+  let from = t.entries.(i).alt in
+  if oversized occ a 0 then false
+  else if occ.over = 0 && peak_fits occ ~from a then true
+  else begin
+    t.counters.n_staged <- t.counters.n_staged + 1;
+    stage_placement occ i ~from a;
+    apply_staged occ 1;
+    let ok = occ.over = 0 in
+    apply_staged occ (-1);
+    ok
+  end
+
+(* Whether array [id] fits on [target]. *)
+let feasible_array t id target =
+  let occ = t.occ in
+  let bytes = t.arrays.(id).a_bytes in
+  let level = Option.value target ~default:t.main in
+  if bytes_over occ level bytes then false
+  else if occ.over = 0 && peak_room occ level bytes then true
+  else begin
+    t.counters.n_staged <- t.counters.n_staged + 1;
+    charge_array t id target 1;
+    let ok = occ.over = 0 in
+    charge_array t id target (-1);
+    ok
+  end
+
+(* The move-based calls resolve the move in place rather than through
+   a handle, so they allocate no more than the handle-based ones. *)
+let feasible t = function
   | Set_placement (r, p) ->
     let i = index_of t r in
-    let from = t.entries.(i).alt in
-    let a = alt_of t i p in
-    if oversized occ a 0 then false
-    else if occ.over = 0 && peak_fits occ ~from a then true
-    else begin
-      t.counters.n_staged <- t.counters.n_staged + 1;
-      stage_placement occ i ~from a;
-      apply_staged occ 1;
-      let ok = occ.over = 0 in
-      apply_staged occ (-1);
-      ok
-    end
-  | Set_array (array, target) ->
-    let id = array_id t array in
-    let bytes = t.arrays.(id).a_bytes in
-    let level = Option.value target ~default:t.main in
-    if bytes_over occ level bytes then false
-    else if occ.over = 0 && peak_room occ level bytes then true
-    else begin
-      t.counters.n_staged <- t.counters.n_staged + 1;
-      charge_array t id target 1;
-      let ok = occ.over = 0 in
-      charge_array t id target (-1);
-      ok
-    end
+    feasible_placement t i (alt_of t i p)
+  | Set_array (array, target) -> feasible_array t (array_id t array) target
+
+let feasible_handle t = function
+  | Entry_alt (i, a) -> feasible_placement t i a
+  | Array_target (id, target) -> feasible_array t id target
+
+let resolve t = function
+  | Set_placement (r, p) ->
+    let i = index_of t r in
+    Entry_alt (i, alt_of t i p)
+  | Set_array (array, target) -> Array_target (array_id t array, target)
 
 let span_bounds policy (iv : Interval.t) =
   match policy with
@@ -863,8 +886,6 @@ let build ~objective (m : Mapping.t) =
     built = None;
     entries;
     index;
-    last_ref = { Analysis.stmt = ""; index = -1 };
-    last_index = -1;
     arrays;
     array_ids;
     homes = Array.make n_arrays main;
@@ -907,6 +928,7 @@ let build ~objective (m : Mapping.t) =
                   (capacity h level));
         groups = Hashtbl.create 64;
         over = 0;
+        empty_sharer = false;
         gain = Array.make levels 0;
         aff = [||];
         n_aff = 0;
@@ -1055,10 +1077,25 @@ let move_kind = function
   | Set_placement _ -> "set_placement"
   | Set_array _ -> "set_array"
 
-let probe_value t move =
+let handle_kind = function
+  | Entry_alt _ -> "set_placement"
+  | Array_target _ -> "set_array"
+
+let fold_move t = function
+  | Set_placement (r, p) ->
+    let i = index_of t r in
+    fold_placement t i (alt_of t i p)
+  | Set_array (array, target) -> fold_array t (array_id t array) target
+
+let fold_handle t = function
+  | Entry_alt (i, a) -> fold_placement t i a
+  | Array_target (id, target) -> fold_array t id target
+
+(* A probe of [x], a move or a handle that [fold_with] folds. *)
+let probe_value t fold_with x =
   t.counters.n_probes <- t.counters.n_probes + 1;
   let before = t.counters.n_recomputed in
-  probe_fold t move;
+  fold_with t x;
   let recomputed = t.counters.n_recomputed - before in
   let reused = max 0 (t.folded - recomputed) in
   t.counters.n_reused <- t.counters.n_reused + reused;
@@ -1071,12 +1108,16 @@ let probe_value t move =
     ~total_energy_pj:(total_energy t)
 
 (* The span (and its closures) only exists for an enabled sink. *)
-let probe t move =
+let probe_with t kind fold_with x =
   if Telemetry.enabled t.telemetry then
     Telemetry.span t.telemetry ~cat:"engine" "engine.probe"
-      ~args:(fun () -> [ ("move", Telemetry.Str (move_kind move)) ])
-      (fun () -> probe_value t move)
-  else probe_value t move
+      ~args:(fun () -> [ ("move", Telemetry.Str kind) ])
+      (fun () -> probe_value t fold_with x)
+  else probe_value t fold_with x
+
+let probe t move = probe_with t (move_kind move) fold_move move
+
+let probe_handle t h = probe_with t (handle_kind h) fold_handle h
 
 let commit t move =
   Telemetry.span t.telemetry ~cat:"engine" "engine.commit"

@@ -30,6 +30,17 @@
     same contents. At most {!compiled_cap} records are kept per access;
     the oldest age out.
 
+    [Assign]'s searches resolve each of their moves once per solve
+    state ({!resolve}): the move's entry and compiled record, or its
+    array's id and target. Entry indices and compiled records outlive
+    every {!reseat}, and a record stays valid after the cache drops
+    it, so a {!handle} is good for the engine's life, and the
+    searches' hot loops ({!feasible_handle}, {!probe_handle}) never
+    hash an access or an array name, nor walk an alternative list.
+    The move-based {!feasible} and {!probe} dispatch onto the same
+    code; they serve the tests, the differential oracle and one-off
+    callers, and {!commit} takes the move, which it validates.
+
     {b Once per program, once per hierarchy.} A budget exploration
     solves one program on many hierarchies of one shape, so an engine
     can be {!reseat}ed instead of created again. What depends only on
@@ -76,7 +87,8 @@
     its one array block the same way. {!commit} installs the staged
     blocks. Once a search has compiled its alternatives, a check
     allocates nothing and a probe about four minor words, its boxed
-    result among them (EXT-ENGINE measures both).
+    result among them, whether through a move or a handle (EXT-ENGINE
+    measures all four).
 
     {b Independence, and what a caller may skip.} A move's terms are
     the terms of its own entry (a [Set_placement]) or of its array's
@@ -198,11 +210,34 @@ val feasible : t -> move -> bool
       [max] of the group's charged footprint and the joining sharer's
       own — a small sharer that widens the group's hull adds the
       group's largest footprint on the newly covered slots, not its
-      own size — and, for each group it only leaves, the group's
-      charged footprint (a lone empty-lifetime sharer may be widened
-      elsewhere). A [Set_array]'s gain is its array's block.
+      own size. A group it only leaves gains nothing (its hull and
+      footprint can only shrink), unless the engine has compiled a
+      sharer with an empty lifetime, which, left alone, is widened
+      where it sits: then such a group gains its charged footprint. No
+      valid program has one, since a loop body is never empty. A
+      [Set_array]'s gain is its array's block.
     Every other check stages the changed blocks; {!stats} counts those
     as [feasible_staged]. *)
+
+type handle
+(** A move resolved against one engine: see {!resolve}. *)
+
+val resolve : t -> move -> handle
+(** The move's handle: its access's entry and the compiled record of
+    its placement (compiled now, when the engine holds none), or its
+    array's id and target. It stays valid, and keeps answering as the
+    move does, across every later {!commit} and {!reseat} of this
+    engine, even once {!compiled_cap} has pushed its record out of the
+    cache. A handle belongs to the engine that resolved it.
+    @raise Not_found if the move's access or array is not the
+    engine's. *)
+
+val feasible_handle : t -> handle -> bool
+(** [feasible t m] for the move [m] the handle was resolved from. *)
+
+val probe_handle : t -> handle -> float
+(** [probe t m] for the move [m] the handle was resolved from, bit for
+    bit; it counts as a probe and emits the same span. *)
 
 val commit : t -> move -> unit
 (** Advance the engine's position by [move], keeping the cached

@@ -763,6 +763,34 @@ let test_feasible_empty_lifetime_widened () =
   Alcotest.(check bool) "16 bytes in slot 0" false
     (Engine.feasible engine idle)
 
+(* Leaving a share group only shrinks the group's hull and footprint.
+   So while the engine has compiled no sharer with an empty lifetime
+   (a valid program has none, since a loop body is never empty), a
+   move that only leaves groups adds nothing to any slot. Here s1 and
+   s2 share one 8-byte [tab] block on a 12-byte level: dropping s1's
+   copy fits, and is accepted without staging, although the peak (8)
+   plus the left group's footprint (8) would not fit. *)
+let test_feasible_leave_accepted () =
+  List.iter
+    (fun policy ->
+      let config = { Assign.default_config with Assign.policy } in
+      let m =
+        Mapping.direct ~policy (shared_table ())
+          (Presets.two_level ~onchip_bytes:12 ())
+      in
+      let engine = Engine.create ~objective:config.Assign.objective m in
+      let r1, c1 = whole_chain m "s1" ~layer:0 in
+      let r2, c2 = whole_chain m "s2" ~layer:0 in
+      List.iter (Engine.commit engine)
+        [ Engine.Set_placement (r1, c1); Engine.Set_placement (r2, c2) ];
+      let staged () = (Engine.stats engine).Engine.feasible_staged in
+      let before = staged () in
+      let drop = Engine.Set_placement (r1, Mapping.Direct) in
+      Alcotest.(check bool) "drop agrees" true (feasible_agrees engine drop);
+      Alcotest.(check bool) "drop fits" true (Engine.feasible engine drop);
+      Alcotest.(check int) "decided without staging" before (staged ()))
+    [ Occupancy.In_place; Occupancy.Sum ]
+
 let test_feasible_array_between_levels () =
   let config = Assign.default_config in
   let m =
@@ -847,12 +875,29 @@ let test_engine_foreign_placements () =
       List.iter (agrees (what ^ " then a search move"))
         (Assign.moves config (Engine.mapping engine)))
     [ ("structural twin", twin); ("hand-built chain", hand) ];
+  (* A handle resolved before its record ages out of the cache keeps
+     answering as its move does. *)
+  let held = Engine.Set_placement (r, twin) in
+  let handle = Engine.resolve engine held in
+  let handle_agrees what =
+    let moved = Assign.apply_move (Engine.mapping engine) held in
+    Alcotest.(check bool) (what ^ ": handle feasible")
+      (Mapping.occupancy_ok moved)
+      (Engine.feasible_handle engine handle);
+    Alcotest.(check bool) (what ^ ": handle probe") true
+      (Engine.probe_handle engine handle
+      = Cost.scalar objective (Cost.evaluate moved))
+  in
+  handle_agrees "before eviction";
   for _ = 1 to 3 * Engine.compiled_cap do
     ignore (Engine.probe engine (Engine.Set_placement (r, copy twin)) : float)
   done;
   Alcotest.(check int) "fresh copies stay within the cache bound"
     Engine.compiled_cap (Engine.compiled engine r);
-  agrees "after eviction" (Engine.Set_placement (r, copy hand))
+  agrees "after eviction" (Engine.Set_placement (r, copy hand));
+  handle_agrees "after eviction";
+  Engine.commit engine (Engine.Set_placement (r, Mapping.Direct));
+  handle_agrees "after eviction and a commit"
 
 (* --- one solve state, many hierarchies --------------------------------- *)
 
@@ -916,6 +961,81 @@ let prop_state_equals_fresh =
         (fun h ->
           solve_on search st h = solve_fresh search ~config ~reuse program h)
         (budget_hierarchies case.Mhla_gen.Generate.onchip_bytes budgets n))
+
+(* Every move of a search's table — each access's alternatives and
+   each array's targets, current ones included — resolved once against
+   one engine, which is then re-seated on 2-5 budget points and walked
+   along committed feasible moves: at every step each handle's verdict
+   and probe equal the from-scratch check and evaluation of its move
+   applied to the engine's mapping. *)
+let prop_handles_survive_reseats =
+  QCheck2.Test.make ~name:"assign: handles survive re-seats" ~count:20
+    QCheck2.Gen.(
+      quad
+        (pair (int_range 0 100_000) (int_range 0 2))
+        bool gen_budget_sequence (int_range 2 5))
+    (fun ((seed, profile), sum, budgets, n) ->
+      let case =
+        Mhla_gen.Generate.case ~profile:gen_profiles.(profile)
+          ~seed:(Int64.of_int seed) ()
+      in
+      let program = case.Mhla_gen.Generate.program in
+      let policy = if sum then Occupancy.Sum else Occupancy.In_place in
+      let config = { Assign.default_config with Assign.policy } in
+      let objective = config.Assign.objective in
+      let reuse = Mapping.precompute program in
+      let start h =
+        Mapping.direct ~transfer_mode:config.Assign.transfer_mode ~policy
+          ~reuse program h
+      in
+      match budget_hierarchies case.Mhla_gen.Generate.onchip_bytes budgets n with
+      | [] -> true
+      | first :: _ as hierarchies ->
+        let m0 = start first in
+        let engine = Engine.create ~objective m0 in
+        let targets =
+          None
+          :: List.map Option.some (Mhla_arch.Hierarchy.on_chip_levels first)
+        in
+        let moves =
+          List.concat_map
+            (fun (info : Analysis.info) ->
+              List.map
+                (fun p -> Engine.Set_placement (info.Analysis.ref_, p))
+                (Assign.alternatives config m0 info))
+            m0.Mapping.infos
+          @ List.concat_map
+              (fun array ->
+                List.map (fun l -> Engine.Set_array (array, l)) targets)
+              (Mhla_ir.Program.array_names program)
+        in
+        let table = List.map (fun mv -> (mv, Engine.resolve engine mv)) moves in
+        let rng = Mhla_util.Prng.create ~seed:(Int64.of_int (seed + 1)) in
+        let agrees (mv, handle) =
+          let moved = Assign.apply_move (Engine.mapping engine) mv in
+          Engine.feasible_handle engine handle = Mapping.occupancy_ok moved
+          && Engine.probe_handle engine handle
+             = Cost.scalar objective (Cost.evaluate moved)
+        in
+        List.for_all
+          (fun h ->
+            Engine.reseat engine (start h);
+            let rec walk steps =
+              List.for_all agrees table
+              && (steps = 0
+                 ||
+                 match
+                   List.filter
+                     (fun (_, handle) -> Engine.feasible_handle engine handle)
+                     table
+                 with
+                 | [] -> true
+                 | fits ->
+                   Engine.commit engine (fst (Mhla_util.Prng.pick rng fits));
+                   walk (steps - 1))
+            in
+            walk 3)
+          hierarchies)
 
 (* A checkpoint that raises a deadline on its [n]-th call. *)
 let expire_after n =
@@ -1056,6 +1176,8 @@ let () =
                     decided.(0) decided.(1) decided.(2))
                  true
                  (Array.for_all (fun n -> n > 0) decided) ));
+          Alcotest.test_case "leaving a group is accepted" `Quick
+            test_feasible_leave_accepted;
         ] );
       ( "exhaustive",
         [
@@ -1070,5 +1192,6 @@ let () =
           Alcotest.test_case "solve after an abort" `Quick
             test_state_after_abort;
           Alcotest.test_case "shape change" `Quick test_state_shape_change;
+          qc prop_handles_survive_reseats;
         ] );
     ]
