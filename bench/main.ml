@@ -303,31 +303,36 @@ let ext_greedy () =
           ("states", Table.Left) ]
   in
   let config =
-    { Assign.default_config with Assign.allow_array_promotion = false }
+    { Assign.default_config with
+      Assign.objective = Cost.Cycles;
+      allow_array_promotion = false }
   in
   List.iter
     (fun (app : Mhla_apps.Defs.t) ->
+      let name = app.Mhla_apps.Defs.name in
       let program = Lazy.force app.Mhla_apps.Defs.small in
       let hierarchy = Mhla_arch.Presets.two_level ~onchip_bytes:256 () in
       let greedy = Assign.greedy ~config program hierarchy in
+      let g = greedy.Assign.breakdown.Cost.total_cycles in
       let row =
         match
           Mhla_gen.Reference.exhaustive ~config ~max_states:2_000_000 program
             hierarchy
         with
         | Ok optimal ->
-          let g = greedy.Assign.breakdown.Cost.total_cycles in
           let o = optimal.Assign.breakdown.Cost.total_cycles in
-          [ app.Mhla_apps.Defs.name;
+          let states = optimal.Assign.evaluations in
+          let key = Printf.sprintf "ext_greedy.%s.%s" name in
+          metric (key "greedy_cycles") (Mhla_util.Json.int g);
+          metric (key "optimal_cycles") (Mhla_util.Json.int o);
+          metric (key "states") (Mhla_util.Json.int states);
+          [ name;
             Table.cell_int g;
             Table.cell_int o;
             Table.cell_percent
               (100. *. (float_of_int (g - o) /. float_of_int o));
-            Table.cell_int optimal.Assign.evaluations ]
-        | Error msg ->
-          [ app.Mhla_apps.Defs.name;
-            Table.cell_int greedy.Assign.breakdown.Cost.total_cycles;
-            "-"; "-"; msg ]
+            Table.cell_int states ]
+        | Error msg -> [ name; Table.cell_int g; "-"; "-"; msg ]
       in
       Table.add_row table row)
     Apps.all;
@@ -691,20 +696,21 @@ let ext_engine () =
   section "EXT-ENGINE"
     "Incremental cost engine vs from-scratch evaluation: objective\n\
      probes per second over each application's full move set,\n\
-     feasibility checks per second over the same moves, and the minor\n\
-     words one probe and one check allocate once the engine has\n\
-     compiled every alternative, through the move and through its\n\
-     resolved handle (the searches' path); then the Domain-parallel\n\
-     size sweep time. The engine re-folds cached per-unit\n\
+     feasibility checks per second over the same moves, each resolved\n\
+     once to its handle as the searches do, and the minor words one\n\
+     probe and one check allocate; then the Domain-parallel size sweep\n\
+     time. The engine re-folds cached per-unit\n\
      contributions, so its probes are bit-identical to Cost.evaluate\n\
      while recomputing only what the move touched.";
   let module Engine = Mhla_core.Engine in
   let module Mapping = Mhla_core.Mapping in
   let config = Assign.default_config in
-  (* Minor words per call over a fixed number of rounds: deterministic,
-     unlike the timings. *)
+  (* Minor words per call over a fixed number of rounds, after one
+     warm-up round: deterministic, unlike the timings. [f] loops with
+     [for], so the words are the engine's alone. *)
   let words_per_call per_round f =
     let rounds = 20 in
+    f ();
     let w0 = Gc.minor_words () in
     for _ = 1 to rounds do
       f ()
@@ -722,12 +728,9 @@ let ext_engine () =
           ("cache hit rate", Table.Right);
           ("checks/s", Table.Right);
           ("words/probe", Table.Right);
-          ("words/check", Table.Right);
-          ("handle words/probe", Table.Right);
-          ("handle words/check", Table.Right) ]
+          ("words/check", Table.Right) ]
   in
   let calls = ref 0 and probe_words = ref 0. and check_words = ref 0. in
-  let handle_probe_words = ref 0. and handle_check_words = ref 0. in
   List.iter
     (fun name ->
       let app = Apps.find_exn name in
@@ -754,37 +757,25 @@ let ext_engine () =
               mvs)
       in
       let engine = Engine.create ~objective:config.Assign.objective m in
+      let handles = Array.of_list (List.map (Engine.resolve engine) mvs) in
       let probe_all () =
-        List.iter (fun mv -> ignore (Engine.probe engine mv : float)) mvs
+        for k = 0 to n_moves - 1 do
+          ignore (Engine.probe engine handles.(k) : float)
+        done
       in
       let check_all () =
-        List.iter (fun mv -> ignore (Engine.feasible engine mv : bool)) mvs
+        for k = 0 to n_moves - 1 do
+          ignore (Engine.feasible engine handles.(k) : bool)
+        done
       in
       let engine_rate = per_second probe_all in
       let s = Engine.stats engine in
       let check_rate = per_second check_all in
       let wp = words_per_call n_moves probe_all in
       let wc = words_per_call n_moves check_all in
-      let handles = List.map (Engine.resolve engine) mvs in
-      let hwp =
-        words_per_call n_moves (fun () ->
-            List.iter
-              (fun h -> ignore (Engine.probe_handle engine h : float))
-              handles)
-      in
-      let hwc =
-        words_per_call n_moves (fun () ->
-            List.iter
-              (fun h -> ignore (Engine.feasible_handle engine h : bool))
-              handles)
-      in
       calls := !calls + n_moves;
       probe_words := !probe_words +. (wp *. float_of_int n_moves);
       check_words := !check_words +. (wc *. float_of_int n_moves);
-      handle_probe_words :=
-        !handle_probe_words +. (hwp *. float_of_int n_moves);
-      handle_check_words :=
-        !handle_check_words +. (hwc *. float_of_int n_moves);
       let contribs = s.Engine.contribs_reused + s.Engine.contribs_recomputed in
       Table.add_row table
         [ name;
@@ -800,9 +791,7 @@ let ext_engine () =
                /. float_of_int contribs);
           Table.cell_float ~decimals:0 check_rate;
           Table.cell_float ~decimals:1 wp;
-          Table.cell_float ~decimals:1 wc;
-          Table.cell_float ~decimals:1 hwp;
-          Table.cell_float ~decimals:1 hwc ])
+          Table.cell_float ~decimals:1 wc ])
     [ "motion_estimation"; "cavity_detector"; "mp3_filterbank";
       "voice_compression" ];
   Table.print table;
@@ -810,10 +799,6 @@ let ext_engine () =
     (Mhla_util.Json.float (!probe_words /. float_of_int !calls));
   metric "ext_engine.words_per_feasible"
     (Mhla_util.Json.float (!check_words /. float_of_int !calls));
-  metric "ext_engine.words_per_probe_handle"
-    (Mhla_util.Json.float (!handle_probe_words /. float_of_int !calls));
-  metric "ext_engine.words_per_feasible_handle"
-    (Mhla_util.Json.float (!handle_check_words /. float_of_int !calls));
   print_newline ();
   (* The lazy greedy and the lazy annealing (Policy.anneal's settings)
      at each application's calibrated budget: every feasible candidate

@@ -170,11 +170,10 @@ let array_moves config (m : Mapping.t) =
 
 (* The placement alternatives of an access depend only on the config
    and the hierarchy's on-chip levels, never on the current placements
-   — so the searches compute them once and reuse the {e physically
-   same} values every round, which turns the engine's
-   compiled-alternative lookups into pointer compares. [moves] builds
-   structurally identical lists, so the move table holds the moves it
-   returns, in its order. *)
+   — so the searches compute them once per solve state and resolve
+   each move to its engine handle once. [moves] builds structurally
+   identical lists, so the move table holds the moves it returns, in
+   its order. *)
 let all_alternatives config (m : Mapping.t) =
   List.map
     (fun (info : Analysis.info) -> (info, alternatives config m info))
@@ -194,7 +193,7 @@ let moves config (m : Mapping.t) =
    each move's array (its index in [Program.array_names]): the
    access's array, or the moved array. [handles] holds each move
    resolved against the solver's engine ({!Engine.resolve}), which
-   the searches check and probe through.
+   the searches check, probe and commit through.
 
    The rest is the delta cache both searches skip probes with (see
    [fold_error]): the exact totals of the engine's position ([cycles],
@@ -474,14 +473,14 @@ let table_lower objective table j =
       in
       value -. ((scale *. e_err) +. (2. *. epsilon_float *. Float.abs value)))
 
-(* [Engine.feasible engine all.(k)], through its handle, once
+(* [Engine.feasible] of [all.(k)]'s handle, once
    [table_verdicts] has run: the engine's occupancy state changes only
    on a commit, so a verdict taken since the last [table_commit] is
    still exact. *)
 let table_feasible table engine k =
   if table.checked.(k) = table.position then table.fits.(k)
   else begin
-    let ok = Engine.feasible_handle engine table.handles.(k) in
+    let ok = Engine.feasible engine table.handles.(k) in
     table.checked.(k) <- table.position;
     table.fits.(k) <- ok;
     ok
@@ -603,7 +602,7 @@ let greedy_on ?(first_improvement = false) ?(telemetry = Telemetry.noop)
     let best = ref (-1) in
     let best_value = ref 0. in
     let probe j =
-      let value = Engine.probe_handle engine table.handles.(j) in
+      let value = Engine.probe engine table.handles.(j) in
       if value < threshold && not table.cached then table_cache table;
       table_record table engine j;
       if
@@ -623,7 +622,7 @@ let greedy_on ?(first_improvement = false) ?(telemetry = Telemetry.noop)
     while !k < n do
       let j = !k in
       incr k;
-      if (not table.skip.(j)) && Engine.feasible_handle engine table.handles.(j)
+      if (not table.skip.(j)) && Engine.feasible engine table.handles.(j)
       then begin
         incr evaluations;
         if table.cached && table.err.(j) < infinity then begin
@@ -662,7 +661,7 @@ let greedy_on ?(first_improvement = false) ?(telemetry = Telemetry.noop)
     | j, value ->
       let move = table.all.(j) in
       let step = mk_step move ~current ~value in
-      Engine.commit engine move;
+      Engine.commit engine table.handles.(j);
       table_commit table j;
       table.cycles <- !best_cycles;
       table.terms <- !best_terms;
@@ -717,7 +716,7 @@ let simulated_annealing_on ?(telemetry = Telemetry.noop)
      eager loop would; [u] is the uniform already drawn for it, or
      [nan] when none was. *)
   let probe_and_decide iter k u =
-    let value = Engine.probe_handle engine table.handles.(k) in
+    let value = Engine.probe engine table.handles.(k) in
     table_record table engine k;
     let delta = value -. !current_value in
     let accept =
@@ -736,7 +735,7 @@ let simulated_annealing_on ?(telemetry = Telemetry.noop)
     if accept then begin
       let move = table.all.(k) in
       table_at_last_fold table engine;
-      Engine.commit engine move;
+      Engine.commit engine table.handles.(k);
       table_commit table k;
       current_value := value;
       if value < !best_value then begin

@@ -175,7 +175,7 @@ val greedy :
     cache lives in the move table and is allocated when a solve's
     first round finds an improving move. Each move's feasibility is
     checked incrementally, through the handle the state resolved for
-    it ({!Engine.feasible_handle}), never building the moved-to
+    it ({!Engine.feasible}), never building the moved-to
     mapping. [reuse] shares a precomputed analysis/schedule
     (see {!Mapping.precompute}). Each call builds a fresh {!state}; a
     caller solving many hierarchies shares one through {!greedy_on}.

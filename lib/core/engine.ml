@@ -71,9 +71,9 @@ type group = {
 }
 
 (* One access alternative compiled for one entry: everything a check
-   or a probe needs, derived the first time the engine sees the
-   placement (by physical identity) and reused every round after, and
-   every seat after.
+   or a probe needs, derived once and reused every round after, and
+   every seat after. An entry keeps its [Direct] record; a chain's
+   lives in the handle that named it (see [resolve]).
 
    - [groups]/[sharers]: one slot per chain link held on a
      capacity-bound level, link order — the share groups this placement
@@ -97,23 +97,14 @@ type alt = {
 type entry = {
   info : Analysis.info;
   array : int;  (* array id *)
+  direct : alt;  (* the compiled [Direct] placement *)
   mutable alt : alt;  (* the compiled current placement *)
-  (* Compiled alternatives, newest first. Bounded by [alt_cap]: the
-     searches hold one physically-shared list of alternatives per
-     access, so the cache stops growing once each has been seen; stale
-     records (placements the caller no longer holds) age out at the
-     tail. *)
-  mutable cache : alt list;
-  mutable cached : int;
 }
-
-let alt_cap = 64
 
 (* A move resolved once: its entry and the compiled record of its
    placement, or its array's id and target level. A compiled record
-   and an entry index outlive every seat, and a record stays valid
-   after the cache drops it, so a handle is good for the engine's
-   life. *)
+   and an entry index outlive every seat, so a handle is good for the
+   engine's life. *)
 type handle =
   | Entry_alt of int * alt
   | Array_target of int * int option
@@ -213,19 +204,6 @@ type t = {
   mutable telemetry : Telemetry.t;
   occ : occ;
 }
-
-(* What a cache lookup that misses returns, and every entry's
-   alternative until a seat installs its placement. *)
-let no_alt =
-  {
-    placement = Mapping.Direct;
-    groups = [||];
-    sharers = [||];
-    known = [||];
-    stall = [||];
-    energy = [||];
-    bts = [||];
-  }
 
 let intern_key t key =
   match Hashtbl.find_opt t.key_ids key with
@@ -553,11 +531,20 @@ let ensure_scratch occ n g =
 
 (* --- compiled alternatives -------------------------------------------- *)
 
-let compile t i p =
+let record ~levels p ~groups ~sharers =
+  {
+    placement = p;
+    groups;
+    sharers;
+    known = Array.make levels 0;
+    stall = Array.make levels 0;
+    energy = Array.make levels 0.;
+    bts = Array.make levels [||];
+  }
+
+(* Chain placement [links] of entry [i], compiled afresh. *)
+let compile t i p links =
   let occ = t.occ in
-  let links =
-    match p with Mapping.Direct -> [] | Mapping.Chain links -> links
-  in
   let joins =
     List.filter_map
       (fun (link : Mapping.chain_link) ->
@@ -582,38 +569,13 @@ let compile t i p =
   let sharers = Array.of_list (List.map snd joins) in
   if Array.exists (fun (s : sharer) -> s.lo = s.hi) sharers then
     occ.empty_sharer <- true;
-  {
-    placement = p;
-    groups;
-    sharers;
-    known = Array.make t.levels 0;
-    stall = Array.make t.levels 0;
-    energy = Array.make t.levels 0.;
-    bts = Array.make t.levels [||];
-  }
+  record ~levels:t.levels p ~groups ~sharers
 
-let rec find_alt p = function
-  | [] -> no_alt
-  | a :: rest -> if a.placement == p then a else find_alt p rest
-
-(* The compiled record of placement [p] for entry [i]: [==] is exact
-   for [Direct] (an immediate) and sound for chains — a physically-equal
-   chain trivially has equal candidates and layers. A distinct but
-   structurally equal chain misses and compiles a record of its own,
-   with the same contents. *)
-let alt_of t i p =
-  let e = t.entries.(i) in
-  match find_alt p e.cache with
-  | a when a != no_alt -> a
-  | _ ->
-    let a = compile t i p in
-    if e.cached >= alt_cap then
-      e.cache <- a :: List.filteri (fun k _ -> k < alt_cap - 1) e.cache
-    else begin
-      e.cache <- a :: e.cache;
-      e.cached <- e.cached + 1
-    end;
-    a
+(* The compiled record of placement [p] for entry [i]: the entry's own
+   for [Direct], a fresh one for a chain. *)
+let alt_of t i = function
+  | Mapping.Direct -> t.entries.(i).direct
+  | Mapping.Chain links as p -> compile t i p links
 
 let index_of t r = Hashtbl.find t.index r
 
@@ -789,23 +751,20 @@ let feasible_array t id target =
     ok
   end
 
-(* The move-based calls resolve the move in place rather than through
-   a handle, so they allocate no more than the handle-based ones. *)
 let feasible t = function
-  | Set_placement (r, p) ->
-    let i = index_of t r in
-    feasible_placement t i (alt_of t i p)
-  | Set_array (array, target) -> feasible_array t (array_id t array) target
-
-let feasible_handle t = function
   | Entry_alt (i, a) -> feasible_placement t i a
   | Array_target (id, target) -> feasible_array t id target
 
+(* Both checks read only the program and the hierarchy's shape, which
+   every seat keeps, so a handle that passes them once stays valid. *)
 let resolve t = function
   | Set_placement (r, p) ->
+    Mapping.check_placement t.base r p;
     let i = index_of t r in
     Entry_alt (i, alt_of t i p)
-  | Set_array (array, target) -> Array_target (array_id t array, target)
+  | Set_array (array, layer) ->
+    Mapping.check_array_layer t.base ~array ~layer;
+    Array_target (array_id t array, layer)
 
 let span_bounds policy (iv : Interval.t) =
   match policy with
@@ -842,12 +801,14 @@ let build ~objective (m : Mapping.t) =
   let entries =
     Array.map
       (fun (info : Analysis.info) ->
+        let direct =
+          record ~levels Mapping.Direct ~groups:[||] ~sharers:[||]
+        in
         {
           info;
           array = Hashtbl.find array_ids info.Analysis.array;
-          alt = no_alt;
-          cache = [];
-          cached = 0;
+          direct;
+          alt = direct;
         })
       infos
   in
@@ -967,7 +928,7 @@ let compatible t (m : Mapping.t) =
    counters restart, and bumping [seated] marks every cost term stale,
    so each is derived again, by the same functions, the first time a
    fold needs it. The compiled alternatives, the transfers and their
-   key ids carry over. *)
+   key ids carry over; a chain of [m] is compiled afresh. *)
 let seat ~telemetry t (m : Mapping.t) =
   t.telemetry <- telemetry;
   Telemetry.span telemetry ~cat:"engine" "engine.create" @@ fun () ->
@@ -1001,7 +962,7 @@ let seat ~telemetry t (m : Mapping.t) =
       g.c_hi <- 0;
       g.c_bytes <- 0)
     occ.groups;
-  Array.iter (fun e -> e.alt <- no_alt) t.entries;
+  Array.iter (fun e -> e.alt <- e.direct) t.entries;
   Array.fill t.homes 0 (Array.length t.homes) t.main;
   List.iteri
     (fun k (array, level) ->
@@ -1073,29 +1034,16 @@ let breakdown t =
 
 let objective_value t = Cost.scalar t.objective (breakdown t)
 
-let move_kind = function
-  | Set_placement _ -> "set_placement"
-  | Set_array _ -> "set_array"
-
 let handle_kind = function
   | Entry_alt _ -> "set_placement"
   | Array_target _ -> "set_array"
 
-let fold_move t = function
-  | Set_placement (r, p) ->
-    let i = index_of t r in
-    fold_placement t i (alt_of t i p)
-  | Set_array (array, target) -> fold_array t (array_id t array) target
-
-let fold_handle t = function
-  | Entry_alt (i, a) -> fold_placement t i a
-  | Array_target (id, target) -> fold_array t id target
-
-(* A probe of [x], a move or a handle that [fold_with] folds. *)
-let probe_value t fold_with x =
+let probe_value t h =
   t.counters.n_probes <- t.counters.n_probes + 1;
   let before = t.counters.n_recomputed in
-  fold_with t x;
+  (match h with
+  | Entry_alt (i, a) -> fold_placement t i a
+  | Array_target (id, target) -> fold_array t id target);
   let recomputed = t.counters.n_recomputed - before in
   let reused = max 0 (t.folded - recomputed) in
   t.counters.n_reused <- t.counters.n_reused + reused;
@@ -1108,32 +1056,23 @@ let probe_value t fold_with x =
     ~total_energy_pj:(total_energy t)
 
 (* The span (and its closures) only exists for an enabled sink. *)
-let probe_with t kind fold_with x =
+let probe t h =
   if Telemetry.enabled t.telemetry then
     Telemetry.span t.telemetry ~cat:"engine" "engine.probe"
-      ~args:(fun () -> [ ("move", Telemetry.Str kind) ])
-      (fun () -> probe_value t fold_with x)
-  else probe_value t fold_with x
+      ~args:(fun () -> [ ("move", Telemetry.Str (handle_kind h)) ])
+      (fun () -> probe_value t h)
+  else probe_value t h
 
-let probe t move = probe_with t (move_kind move) fold_move move
-
-let probe_handle t h = probe_with t (handle_kind h) fold_handle h
-
-let commit t move =
+(* [resolve] validated the move, so nothing here can reject it. *)
+let commit t h =
   Telemetry.span t.telemetry ~cat:"engine" "engine.commit"
-    ~args:(fun () -> [ ("move", Telemetry.Str (move_kind move)) ])
+    ~args:(fun () -> [ ("move", Telemetry.Str (handle_kind h)) ])
     (fun () ->
-      (* Validate as the real [Mapping] update would first: if it
-         rejects the move we raise before any state is dirtied. *)
-      (match move with
-      | Set_placement (r, p) ->
-        Mapping.check_placement t.base r p;
-        let i = index_of t r in
-        install t i (alt_of t i p);
+      (match h with
+      | Entry_alt (i, a) ->
+        install t i a;
         refresh t i
-      | Set_array (array, target) ->
-        Mapping.check_array_layer t.base ~array ~layer:target;
-        let id = array_id t array in
+      | Array_target (id, target) ->
         charge_array t id target 1;
         move_array t id target;
         invalidate t id);
@@ -1147,10 +1086,6 @@ let last_cycles = total_cycles
 let last_energy = total_energy
 
 let last_terms t = t.folded
-
-let compiled_cap = alt_cap
-
-let compiled t r = t.entries.(index_of t r).cached
 
 let stats t =
   {

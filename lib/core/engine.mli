@@ -17,29 +17,26 @@
       the whole-array fill/drain streams are derived once per
       [(array, level)] and kept beside the array's home level.
 
-    {b Compiled alternatives.} The engine compiles each placement it
-    sees for an access once, the first time it sees it (keyed by
-    physical identity, so the searches' hoisted alternatives hit every
-    round), into one record: the share groups the placement joins on
-    capacity-bound levels with the buffer it adds to each (lifetime and
-    footprint as plain ints), and, per home level (the level holding
-    the access's array), its chain transfers with their interned dedupe
-    keys and its cost terms, all derived on first use. A structurally
-    equal but physically distinct placement, or a hand-built chain the
-    searches never generate, compiles a record of its own with the
-    same contents. At most {!compiled_cap} records are kept per access;
-    the oldest age out.
+    {b Compiled alternatives.} A caller names a move to the engine
+    only through a {!handle}: {!resolve} validates the move once and
+    turns it into its access's entry and the compiled record of its
+    placement, or its array's id and target. A record holds the share
+    groups the placement joins on capacity-bound levels with the
+    buffer it adds to each (lifetime and footprint as plain ints),
+    and, per home level (the level holding the access's array), its
+    chain transfers with their interned dedupe keys and its cost
+    terms, all derived on first use. Each entry keeps one [Direct]
+    record, which its seats and every handle resolved to [Direct]
+    share; a chain's record is compiled by the {!resolve} that names
+    it and lives in that handle, never looked up again. A seat on a
+    start mapping that holds chains compiles them afresh (the
+    searches always start from [Mapping.direct]).
 
     [Assign]'s searches resolve each of their moves once per solve
-    state ({!resolve}): the move's entry and compiled record, or its
-    array's id and target. Entry indices and compiled records outlive
-    every {!reseat}, and a record stays valid after the cache drops
-    it, so a {!handle} is good for the engine's life, and the
-    searches' hot loops ({!feasible_handle}, {!probe_handle}) never
-    hash an access or an array name, nor walk an alternative list.
-    The move-based {!feasible} and {!probe} dispatch onto the same
-    code; they serve the tests, the differential oracle and one-off
-    callers, and {!commit} takes the move, which it validates.
+    state. Entry indices and compiled records outlive every
+    {!reseat}, so a handle is good for the engine's life, and the
+    searches' hot loops ({!feasible}, {!probe}) never hash an access
+    or an array name.
 
     {b Once per program, once per hierarchy.} A budget exploration
     solves one program on many hierarchies of one shape, so an engine
@@ -85,10 +82,8 @@
     off the old and new compiled records), swapped in, the
     over-capacity count read, and swapped back; a [Set_array] charges
     its one array block the same way. {!commit} installs the staged
-    blocks. Once a search has compiled its alternatives, a check
-    allocates nothing and a probe about four minor words, its boxed
-    result among them, whether through a move or a handle (EXT-ENGINE
-    measures all four).
+    blocks. A check allocates nothing and a probe four minor words,
+    its boxed result among them (EXT-ENGINE measures both).
 
     {b Independence, and what a caller may skip.} A move's terms are
     the terms of its own entry (a [Set_placement]) or of its array's
@@ -181,23 +176,37 @@ val mapping : t -> Mapping.t
     A search that reads it only on a new best pays for one list build
     per best, not per commit. *)
 
-val probe : t -> move -> float
-(** The objective of [mapping t] with [move] applied, recomputing only
-    the contributions the move touches; the engine's position is
-    unchanged. Bit-identical to
-    [Cost.scalar objective (Cost.evaluate (Assign.apply_move (mapping t) move))].
-    The move must be well-formed (as produced by [Assign.moves]) —
-    probing does not re-run [Mapping]'s validation. *)
+type handle
+(** A move resolved against one engine: see {!resolve}. *)
 
-val feasible : t -> move -> bool
-(** Whether [mapping t] with [move] applied fits every on-chip layer
-    under the mapping's policy; the engine's position is unchanged.
-    Exactly [Mapping.occupancy_ok (Assign.apply_move (mapping t) move)]
-    at every position, infeasible ones included: the engine merges
-    share-group sharers as [Mapping.layer_blocks] does (hull of the
-    non-empty lifetimes, largest footprint) and widens an empty
-    lifetime to one slot as [Occupancy.peak_bytes] does. As for
-    {!probe}, the move must be well-formed.
+val resolve : t -> move -> handle
+(** The move's handle: its access's entry and the compiled record of
+    its placement (the entry's own for [Direct], compiled now for a
+    chain), or its array's id and target. The move is validated here,
+    as the [Mapping] update would validate it
+    ([Mapping.check_placement] / [Mapping.check_array_layer]). Both
+    checks read only the program and the hierarchy's shape, which
+    {!reseat} keeps, so the handle stays valid, and keeps answering as
+    its move does, across every later {!commit} and {!reseat} of this
+    engine. A handle belongs to the engine that resolved it.
+    @raise Mhla_util.Error.Error ([Invalid_input]) if the [Mapping]
+    update would reject the move; the engine is unchanged then. *)
+
+val probe : t -> handle -> float
+(** The objective of [mapping t] with the handle's move applied,
+    recomputing only the contributions the move touches; the engine's
+    position is unchanged. Bit-identical to
+    [Cost.scalar objective (Cost.evaluate (Assign.apply_move (mapping t) move))]. *)
+
+val feasible : t -> handle -> bool
+(** Whether [mapping t] with the handle's move applied fits every
+    on-chip layer under the mapping's policy; the engine's position is
+    unchanged. Exactly [Mapping.occupancy_ok (Assign.apply_move
+    (mapping t) move)] at every position, infeasible ones included:
+    the engine merges share-group sharers as [Mapping.layer_blocks]
+    does (hull of the non-empty lifetimes, largest footprint) and
+    widens an empty lifetime to one slot as [Occupancy.peak_bytes]
+    does.
 
     Most checks are decided by one of two shortcuts, each exact:
     - {b reject}: a sharer of the target placement is larger than its
@@ -219,34 +228,11 @@ val feasible : t -> move -> bool
     Every other check stages the changed blocks; {!stats} counts those
     as [feasible_staged]. *)
 
-type handle
-(** A move resolved against one engine: see {!resolve}. *)
-
-val resolve : t -> move -> handle
-(** The move's handle: its access's entry and the compiled record of
-    its placement (compiled now, when the engine holds none), or its
-    array's id and target. It stays valid, and keeps answering as the
-    move does, across every later {!commit} and {!reseat} of this
-    engine, even once {!compiled_cap} has pushed its record out of the
-    cache. A handle belongs to the engine that resolved it.
-    @raise Not_found if the move's access or array is not the
-    engine's. *)
-
-val feasible_handle : t -> handle -> bool
-(** [feasible t m] for the move [m] the handle was resolved from. *)
-
-val probe_handle : t -> handle -> float
-(** [probe t m] for the move [m] the handle was resolved from, bit for
-    bit; it counts as a probe and emits the same span. *)
-
-val commit : t -> move -> unit
-(** Advance the engine's position by [move], keeping the cached
-    contributions it does not touch. The move is validated as the
-    [Mapping] update would validate it ([Mapping.check_placement] /
-    [Mapping.check_array_layer]), but no mapping is rebuilt: {!mapping}
-    builds it when next asked.
-    @raise Mhla_util.Error.Error if the [Mapping] update would reject
-    the move; the engine is unchanged in that case. *)
+val commit : t -> handle -> unit
+(** Advance the engine's position by the handle's move, keeping the
+    cached contributions it does not touch. {!resolve} has validated
+    the move, so a commit cannot fail; no mapping is rebuilt:
+    {!mapping} builds it when next asked. *)
 
 val objective_value : t -> float
 (** [Cost.scalar objective] of {!breakdown}. *)
@@ -272,9 +258,3 @@ val last_terms : t -> int
     its length. *)
 
 val stats : t -> stats
-
-val compiled : t -> Mhla_reuse.Analysis.access_ref -> int
-(** How many alternatives of this access the engine holds compiled;
-    never more than {!compiled_cap}. *)
-
-val compiled_cap : int

@@ -53,11 +53,12 @@ let check_engine ?(objective = Cost.Energy_delay) (m : Mapping.t) =
   in
   agree ();
   let commit move =
+    let h = Engine.resolve e move in
     if
-      Engine.feasible e move
+      Engine.feasible e h
       <> Mapping.occupancy_ok (Assign.apply_move (Engine.mapping e) move)
     then incr mismatches;
-    Engine.commit e move;
+    Engine.commit e h;
     agree ()
   in
   List.iter

@@ -498,7 +498,7 @@ for key in '"traceEvents"' '"ph"' '"displayTimeUnit"' '"otherData"'; do
 done
 rm -f "$trace"
 
-echo "== bench smoke + baseline gate (EXT-ENGINE, EXT-TRACE, EXT-CHECK, EXT-GEN, EXT-SERVE, EXT-PARETO, EXT-POLICY, EXT-ORDER, EXT-WB, EXT-INPLACE, EXT-MODE, EXT-3LEVEL, EXT-SEARCH, EXT-MULTITASK) =="
+echo "== bench smoke + baseline gate (EXT-ENGINE, EXT-TRACE, EXT-CHECK, EXT-GEN, EXT-SERVE, EXT-PARETO, EXT-POLICY, EXT-ORDER, EXT-WB, EXT-INPLACE, EXT-MODE, EXT-3LEVEL, EXT-SEARCH, EXT-MULTITASK, EXT-GREEDY) =="
 # The bench writes BENCH_dev.json into its working directory; run it
 # from a scratch dir so CI never litters the checkout. --check fails
 # the run when any integer metric differs from the committed
@@ -510,7 +510,7 @@ dune build bench/main.exe
   --check "$repo_root/bench/baseline.json" \
   EXT-ENGINE EXT-TRACE EXT-CHECK EXT-GEN EXT-SERVE EXT-PARETO \
   EXT-POLICY EXT-ORDER EXT-WB EXT-INPLACE EXT-MODE EXT-3LEVEL EXT-SEARCH \
-  EXT-MULTITASK >/dev/null)
+  EXT-MULTITASK EXT-GREEDY >/dev/null)
 # Every run must leave a machine-readable metrics file with the
 # EXT-PARETO and EXT-POLICY keys the experiment log quotes.
 if command -v python3 >/dev/null 2>&1; then

@@ -30,6 +30,13 @@ let conv ?(n = 16) () =
 let cycles_config =
   { Assign.default_config with Assign.objective = Cost.Cycles }
 
+(* One-off engine calls by move: resolve it, then use the handle. *)
+let feasible_mv engine mv = Engine.feasible engine (Engine.resolve engine mv)
+
+let probe_mv engine mv = Engine.probe engine (Engine.resolve engine mv)
+
+let commit_mv engine mv = Engine.commit engine (Engine.resolve engine mv)
+
 (* --- alternatives ----------------------------------------------------- *)
 
 let test_alternatives_include_direct () =
@@ -437,7 +444,7 @@ let test_engine_mapping_on_demand () =
       universe.(Mhla_util.Prng.int rng ~bound:(Array.length universe))
     in
     (match mv with Engine.Set_array _ -> incr arrays | _ -> ());
-    Engine.commit engine mv;
+    commit_mv engine mv;
     folded := Assign.apply_move !folded mv;
     if step mod 7 = 0 || step = 60 then begin
       Alcotest.(check bool)
@@ -454,10 +461,11 @@ let test_engine_mapping_on_demand () =
   Alcotest.(check bool) "an array ended promoted" true
     ((Engine.mapping engine).Mapping.array_layers <> [])
 
-(* A commit validates the move as [Mapping] does and raises before any
-   state changes: the engine stays on its position, mapping and
-   breakdown alike, whether or not its mapping was built. *)
-let test_engine_invalid_commit () =
+(* [resolve] validates the move as [Mapping] does and raises an
+   [Invalid_input] error before any state changes: the engine stays on
+   its position, mapping and breakdown alike, whether or not its
+   mapping was built. *)
+let test_engine_invalid_resolve () =
   let config = Assign.default_config in
   let m =
     Mapping.direct (conv ~n:8 ()) (Presets.two_level ~onchip_bytes:4096 ())
@@ -488,7 +496,7 @@ let test_engine_invalid_commit () =
       ("off-chip level", Engine.Set_array ("image", Some main)) ]
   in
   let engine = Engine.create ~objective:config.Assign.objective m in
-  List.iter (Engine.commit engine) valid;
+  List.iter (commit_mv engine) valid;
   let expected = List.fold_left Assign.apply_move m valid in
   List.iter
     (fun (what, mv) ->
@@ -496,12 +504,16 @@ let test_engine_invalid_commit () =
         (fun built ->
           (* Re-promoting the one promoted array changes nothing but
              leaves the mapping to be rebuilt. *)
-          Engine.commit engine (Engine.Set_array ("coeff", Some 0));
+          commit_mv engine (Engine.Set_array ("coeff", Some 0));
           if built then ignore (Engine.mapping engine : Mapping.t);
           let what = Printf.sprintf "%s (built: %b)" what built in
-          (match Engine.commit engine mv with
-          | exception Mhla_util.Error.Error _ -> ()
-          | () -> Alcotest.failf "%s: commit accepted an invalid move" what);
+          (match Engine.resolve engine mv with
+          | exception
+              Mhla_util.Error.Error { kind = Mhla_util.Error.Invalid_input; _ }
+            ->
+            ()
+          | (_ : Engine.handle) ->
+            Alcotest.failf "%s: resolve accepted an invalid move" what);
           Alcotest.(check bool) (what ^ ": mapping unchanged") true
             (Engine.mapping engine = expected);
           Alcotest.(check bool) (what ^ ": breakdown unchanged") true
@@ -538,7 +550,7 @@ let prop_greedy_never_worse_than_direct =
 (* [Engine.feasible] against the from-scratch check, for one move at the
    engine's current position. *)
 let feasible_agrees engine mv =
-  Engine.feasible engine mv
+  feasible_mv engine mv
   = Mapping.occupancy_ok (Assign.apply_move (Engine.mapping engine) mv)
 
 let gen_profiles =
@@ -581,7 +593,7 @@ let prop_engine_feasible_matches_oracle =
         | moves ->
           if not (List.for_all (feasible_agrees engine) moves) then
             ok := false;
-          Engine.commit engine (Mhla_util.Prng.pick rng moves)
+          commit_mv engine (Mhla_util.Prng.pick rng moves)
       done;
       !ok)
 
@@ -619,7 +631,7 @@ let prop_engine_shortcuts_match_oracle =
       let ok = ref true in
       let check mv =
         let staged = (Engine.stats engine).Engine.feasible_staged in
-        let verdict = Engine.feasible engine mv in
+        let verdict = feasible_mv engine mv in
         let path =
           if (Engine.stats engine).Engine.feasible_staged > staged then 2
           else if verdict then 0
@@ -635,7 +647,7 @@ let prop_engine_shortcuts_match_oracle =
       for _ = 1 to 10 do
         match List.filter check (Assign.moves config (Engine.mapping engine)) with
         | [] -> ()
-        | fits -> Engine.commit engine (Mhla_util.Prng.pick rng fits)
+        | fits -> commit_mv engine (Mhla_util.Prng.pick rng fits)
       done;
       !ok)
 
@@ -671,7 +683,7 @@ let test_feasible_shared_hull_shrinks () =
       let engine = Engine.create ~objective:config.Assign.objective m in
       let r1, c1 = whole_chain m "s1" ~layer:0 in
       let r2, c2 = whole_chain m "s2" ~layer:0 in
-      List.iter (Engine.commit engine)
+      List.iter (commit_mv engine)
         [ Engine.Set_placement (r1, c1); Engine.Set_placement (r2, c2);
           Engine.Set_array ("y", Some 0) ];
       (* [z] is off-chip already: this move leaves the layer as it is. *)
@@ -681,7 +693,7 @@ let test_feasible_shared_hull_shrinks () =
         (fun (what, mv, expected) ->
           Alcotest.(check bool) (what ^ " agrees") true
             (feasible_agrees engine mv);
-          Alcotest.(check bool) what expected (Engine.feasible engine mv))
+          Alcotest.(check bool) what expected (feasible_mv engine mv))
         [ ("the hull covers slot 1", stay, here);
           ("dropping s1 keeps slot 1", drop r1, drop_s1);
           ("dropping s2 shrinks the hull to slot 0", drop r2, drop_s2) ])
@@ -733,13 +745,13 @@ let test_feasible_hull_widening () =
       let c3 = Mapping.Chain [ { Mapping.candidate = small; layer = 0 } ] in
       Alcotest.(check (pair string int)) "s1's buffer" ("tab@0::a", 8) (key c1);
       Alcotest.(check (pair string int)) "s3's buffer" ("tab@0::a", 2) (key c3);
-      List.iter (Engine.commit engine)
+      List.iter (commit_mv engine)
         [ Engine.Set_placement (r1, c1); Engine.Set_array ("y", Some 0) ];
       Alcotest.(check bool) "start position fits" true
         (Mapping.occupancy_ok (Engine.mapping engine));
       let join = Engine.Set_placement (r3, c3) in
       Alcotest.(check bool) "join agrees" true (feasible_agrees engine join);
-      Alcotest.(check bool) "join" expected (Engine.feasible engine join))
+      Alcotest.(check bool) "join" expected (feasible_mv engine join))
     [ (Occupancy.In_place, 12, false); (Occupancy.Sum, 16, true) ]
 
 (* A loop body is never empty, so every copy buffer of a valid program
@@ -756,12 +768,12 @@ let test_feasible_empty_lifetime_widened () =
   let m = Mapping.direct p (Presets.two_level ~onchip_bytes:12 ()) in
   let engine = Engine.create ~objective:config.Assign.objective m in
   let idle = Engine.Set_array ("idle", Some 0) in
-  Alcotest.(check bool) "idle alone fits" true (Engine.feasible engine idle);
-  Engine.commit engine (Engine.Set_array ("used", Some 0));
+  Alcotest.(check bool) "idle alone fits" true (feasible_mv engine idle);
+  commit_mv engine (Engine.Set_array ("used", Some 0));
   Alcotest.(check bool) "widened idle collides with used" true
     (feasible_agrees engine idle);
   Alcotest.(check bool) "16 bytes in slot 0" false
-    (Engine.feasible engine idle)
+    (feasible_mv engine idle)
 
 (* Leaving a share group only shrinks the group's hull and footprint.
    So while the engine has compiled no sharer with an empty lifetime
@@ -781,13 +793,13 @@ let test_feasible_leave_accepted () =
       let engine = Engine.create ~objective:config.Assign.objective m in
       let r1, c1 = whole_chain m "s1" ~layer:0 in
       let r2, c2 = whole_chain m "s2" ~layer:0 in
-      List.iter (Engine.commit engine)
+      List.iter (commit_mv engine)
         [ Engine.Set_placement (r1, c1); Engine.Set_placement (r2, c2) ];
       let staged () = (Engine.stats engine).Engine.feasible_staged in
       let before = staged () in
       let drop = Engine.Set_placement (r1, Mapping.Direct) in
       Alcotest.(check bool) "drop agrees" true (feasible_agrees engine drop);
-      Alcotest.(check bool) "drop fits" true (Engine.feasible engine drop);
+      Alcotest.(check bool) "drop fits" true (feasible_mv engine drop);
       Alcotest.(check int) "decided without staging" before (staged ()))
     [ Occupancy.In_place; Occupancy.Sum ]
 
@@ -799,33 +811,36 @@ let test_feasible_array_between_levels () =
   in
   let engine = Engine.create ~objective:config.Assign.objective m in
   let to_level l = Engine.Set_array ("tab", Some l) in
-  Alcotest.(check bool) "fits in L2" true (Engine.feasible engine (to_level 1));
-  Engine.commit engine (to_level 1);
+  Alcotest.(check bool) "fits in L2" true (feasible_mv engine (to_level 1));
+  commit_mv engine (to_level 1);
   Alcotest.(check bool) "L2 -> L1 agrees" true
     (feasible_agrees engine (to_level 0));
   Alcotest.(check bool) "too big for L1" false
-    (Engine.feasible engine (to_level 0));
-  Engine.commit engine (to_level 0);
+    (feasible_mv engine (to_level 0));
+  commit_mv engine (to_level 0);
   Alcotest.(check bool) "L1 -> L2 agrees" true
     (feasible_agrees engine (to_level 1));
   Alcotest.(check bool) "back to L2 frees L1" true
-    (Engine.feasible engine (to_level 1));
+    (feasible_mv engine (to_level 1));
   Alcotest.(check bool) "off-chip frees L1" true
-    (Engine.feasible engine (Engine.Set_array ("tab", None)))
+    (feasible_mv engine (Engine.Set_array ("tab", None)))
 
-(* The engine compiles each placement it sees once, keyed by physical
-   identity. A placement that is only structurally equal to one of the
-   alternatives, or a hand-built chain the searches never generate,
-   gets a record of its own and must be answered exactly like the
-   hoisted alternatives: check, probe and commit all agree with the
-   from-scratch evaluation of the moved mapping. *)
+(* Each [resolve] of a chain compiles a record of its own. A placement
+   that is only structurally equal to one of the alternatives, or a
+   hand-built chain the searches never generate, must be answered
+   exactly like the hoisted alternatives: check, probe and commit all
+   agree with the from-scratch evaluation of the moved mapping. So
+   must two handles resolved from one move, before and after a
+   re-seat. *)
 let test_engine_foreign_placements () =
   (* One candidate per access, so a chain through two candidates is
      foreign. *)
   let config = { Assign.default_config with Assign.cc_top_k = Some 1 } in
   let objective = config.Assign.objective in
+  let program = conv () in
+  let reuse = Mapping.precompute program in
   let m =
-    Mapping.direct (conv ())
+    Mapping.direct ~reuse program
       (Presets.three_level ~l1_bytes:256 ~l2_bytes:4096 ())
   in
   let info = List.hd m.Mapping.infos in
@@ -861,43 +876,47 @@ let test_engine_foreign_placements () =
   let agrees what mv =
     let moved = Assign.apply_move (Engine.mapping engine) mv in
     Alcotest.(check bool) (what ^ ": feasible") (Mapping.occupancy_ok moved)
-      (Engine.feasible engine mv);
+      (feasible_mv engine mv);
     Alcotest.(check bool) (what ^ ": probe") true
-      (Engine.probe engine mv = Cost.scalar objective (Cost.evaluate moved))
+      (probe_mv engine mv = Cost.scalar objective (Cost.evaluate moved))
   in
   List.iter
     (fun (what, p) ->
       let mv = Engine.Set_placement (r, p) in
       agrees what mv;
-      Engine.commit engine mv;
+      commit_mv engine mv;
       Alcotest.(check bool) (what ^ ": committed breakdown") true
         (Engine.breakdown engine = Cost.evaluate (Engine.mapping engine));
       List.iter (agrees (what ^ " then a search move"))
         (Assign.moves config (Engine.mapping engine)))
     [ ("structural twin", twin); ("hand-built chain", hand) ];
-  (* A handle resolved before its record ages out of the cache keeps
-     answering as its move does. *)
+  (* Two handles of one move, each holding a record of its own, answer
+     alike, on this position and after a re-seat onto another
+     hierarchy of the same shape. *)
   let held = Engine.Set_placement (r, twin) in
-  let handle = Engine.resolve engine held in
-  let handle_agrees what =
+  let handles = [ Engine.resolve engine held; Engine.resolve engine held ] in
+  let handles_agree what =
     let moved = Assign.apply_move (Engine.mapping engine) held in
-    Alcotest.(check bool) (what ^ ": handle feasible")
-      (Mapping.occupancy_ok moved)
-      (Engine.feasible_handle engine handle);
-    Alcotest.(check bool) (what ^ ": handle probe") true
-      (Engine.probe_handle engine handle
-      = Cost.scalar objective (Cost.evaluate moved))
+    List.iteri
+      (fun k handle ->
+        let what = Printf.sprintf "%s: handle %d" what k in
+        Alcotest.(check bool) (what ^ " feasible")
+          (Mapping.occupancy_ok moved)
+          (Engine.feasible engine handle);
+        Alcotest.(check bool) (what ^ " probe") true
+          (Engine.probe engine handle
+          = Cost.scalar objective (Cost.evaluate moved)))
+      handles
   in
-  handle_agrees "before eviction";
-  for _ = 1 to 3 * Engine.compiled_cap do
-    ignore (Engine.probe engine (Engine.Set_placement (r, copy twin)) : float)
-  done;
-  Alcotest.(check int) "fresh copies stay within the cache bound"
-    Engine.compiled_cap (Engine.compiled engine r);
-  agrees "after eviction" (Engine.Set_placement (r, copy hand));
-  handle_agrees "after eviction";
-  Engine.commit engine (Engine.Set_placement (r, Mapping.Direct));
-  handle_agrees "after eviction and a commit"
+  handles_agree "before a re-seat";
+  commit_mv engine (Engine.Set_placement (r, Mapping.Direct));
+  handles_agree "after a commit";
+  Engine.reseat engine
+    (Mapping.direct ~reuse program
+       (Presets.three_level ~l1_bytes:64 ~l2_bytes:1024 ()));
+  handles_agree "after a re-seat";
+  Engine.commit engine (List.hd handles);
+  handles_agree "after committing one"
 
 (* --- one solve state, many hierarchies --------------------------------- *)
 
@@ -1013,8 +1032,8 @@ let prop_handles_survive_reseats =
         let rng = Mhla_util.Prng.create ~seed:(Int64.of_int (seed + 1)) in
         let agrees (mv, handle) =
           let moved = Assign.apply_move (Engine.mapping engine) mv in
-          Engine.feasible_handle engine handle = Mapping.occupancy_ok moved
-          && Engine.probe_handle engine handle
+          Engine.feasible engine handle = Mapping.occupancy_ok moved
+          && Engine.probe engine handle
              = Cost.scalar objective (Cost.evaluate moved)
         in
         List.for_all
@@ -1026,12 +1045,12 @@ let prop_handles_survive_reseats =
                  ||
                  match
                    List.filter
-                     (fun (_, handle) -> Engine.feasible_handle engine handle)
+                     (fun (_, handle) -> Engine.feasible engine handle)
                      table
                  with
                  | [] -> true
                  | fits ->
-                   Engine.commit engine (fst (Mhla_util.Prng.pick rng fits));
+                   Engine.commit engine (snd (Mhla_util.Prng.pick rng fits));
                    walk (steps - 1))
             in
             walk 3)
@@ -1150,8 +1169,8 @@ let () =
             test_result_evaluation_accounting;
           Alcotest.test_case "mapping on demand" `Quick
             test_engine_mapping_on_demand;
-          Alcotest.test_case "invalid commit leaves the engine" `Quick
-            test_engine_invalid_commit;
+          Alcotest.test_case "invalid move fails resolve" `Quick
+            test_engine_invalid_resolve;
         ] );
       ( "feasibility",
         [

@@ -319,7 +319,8 @@ let prop_engine_matches_oracle =
               let mv = Prng.pick rng moves in
               let next = Assign.apply_move !m mv in
               let full = Cost.scalar objective (Cost.evaluate next) in
-              let probed = Engine.probe engine mv in
+              let h = Engine.resolve engine mv in
+              let probed = Engine.probe engine h in
               if not (Float.equal probed full) then ok := false;
               (* A probe must leave the engine untouched... *)
               let here = Cost.scalar objective (Cost.evaluate !m) in
@@ -327,7 +328,7 @@ let prop_engine_matches_oracle =
                 ok := false;
               (* ...and a commit must advance it exactly to [next]. *)
               if Prng.bool rng then begin
-                Engine.commit engine mv;
+                Engine.commit engine h;
                 m := next;
                 if not (Float.equal (Engine.objective_value engine) full)
                 then ok := false
